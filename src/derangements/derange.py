@@ -176,7 +176,7 @@ def _scan_derangements(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     """One streaming pass over the group.
 
     Derangements are folded into an incrementally grown subgroup (most are
-    redundant, so rebuilds are rare); non-identity elements fixing two or
+    redundant, so extensions are rare); non-identity elements fixing two or
     more points are stashed and certified to lie inside the subgroup, which
     together with the construction shows every element outside it fixes
     exactly one point.
@@ -187,7 +187,6 @@ def _scan_derangements(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds cap {cap}")
     degree = group.degree
-    gens: list[Permutation] = []
     sub = PermGroup(degree, ())
     count = 0
     multi: list[Permutation] = []
@@ -197,13 +196,12 @@ def _scan_derangements(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
             count += 1
             p = Permutation._raw(raw)
             if p not in sub:
-                gens.append(p)
-                sub = PermGroup(degree, gens)
+                sub = sub.extended(p)
         elif fixed >= 2 and fixed != degree:
             multi.append(Permutation._raw(raw))
     for p in multi:
         assert p in sub, "element with several fixed points escaped the subgroup"
-    closure = group.normal_closure(gens)
+    closure = group.normal_closure(sub.generators)
     assert closure.same_group_as(sub), "derangements must generate a normal subgroup"
     return _Scan(count, sub, multi)
 
@@ -233,7 +231,6 @@ def derangement_subgroup(group: PermGroup, cap: int = ENUMERATION_CAP) -> PermGr
 def _derangement_generated(group: PermGroup) -> tuple[int, PermGroup]:
     # like _scan_derangements but without the transitivity requirement;
     # used for stabilizer actions, which are rarely transitive
-    gens: list[Permutation] = []
     sub = PermGroup(group.degree, ())
     count = 0
     for raw in group._iter_element_tuples():
@@ -241,8 +238,7 @@ def _derangement_generated(group: PermGroup) -> tuple[int, PermGroup]:
             count += 1
             p = Permutation._raw(raw)
             if p not in sub:
-                gens.append(p)
-                sub = PermGroup(group.degree, gens)
+                sub = sub.extended(p)
     return count, sub
 
 

@@ -126,7 +126,7 @@ def pgammal_28() -> PermGroup:
         for h in three_power:
             if h in sylow:
                 continue
-            cand = PermGroup(9, list(sylow.generators) + [h])
+            cand = sylow.extended(h)
             if _is_power_of(cand.order(), 3):
                 sylow = cand
                 changed = True

@@ -1,13 +1,14 @@
 """Permutation groups on {0, ..., n-1} with a deterministic stabilizer chain.
 
-Composition is left-to-right: (g * h)(x) = h(g(x)).  The chain is built by
-a deterministic Schreier-Sims procedure whose base points are always the
-smallest point moved by the current stabilizer, so bases are strictly
+Composition is left-to-right: (g * h)(x) = h(g(x)).  One Schreier-Sims
+routine both builds a chain and extends one.  Every strong generator sits
+at the level based at the smallest point it moves, so bases are strictly
 increasing and each level group fixes every point below its base point.
 That property is what makes the greedy lexicographic coset representative
-in ``coset_min_rep`` correct.  Groups are immutable after construction;
-the chain is built lazily on first structural query and is safe to share
-across threads afterwards.
+in ``coset_min_rep`` correct.  A chain is built on the first structural
+query; ``extended`` grows a copy of it by one generator, and the
+stabilizer of the first base point shares its levels.  Levels are never
+changed once a group holds them, so chains are safe to share.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(1, *map(len, self.cycles()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -159,6 +160,14 @@ class _Level:
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] = {base: tuple(range(degree))}
         self.orbit: list[int] = [base]
+
+    def copy(self) -> "_Level":
+        """A level with its own gens list; the transversal and orbit are
+        shared, since they are only ever replaced, never mutated in place."""
+        lvl = _Level.__new__(_Level)
+        lvl.base, lvl.gens = self.base, list(self.gens)
+        lvl.transversal, lvl.orbit = self.transversal, self.orbit
+        return lvl
 
 
 def _smallest_moved(images: tuple[int, ...]) -> int:
@@ -199,13 +208,15 @@ def _sift(levels: list[_Level], start: int, images: tuple[int, ...]):
 
 
 def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: int) -> int:
-    """Insert a new strong generator at the first level >= start whose base it
-    moves (appending a level when it fixes every existing base)."""
+    """Add a strong generator to the level among levels[start:] based at the
+    smallest point it moves, inserting that level in base order when it is
+    missing.  Returns the level's index."""
+    m = _smallest_moved(images)
     j = start
-    while j < len(levels) and images[levels[j].base] == levels[j].base:
+    while j < len(levels) and levels[j].base < m:
         j += 1
-    if j == len(levels):
-        levels.append(_Level(_smallest_moved(images), degree))
+    if j == len(levels) or levels[j].base != m:
+        levels.insert(j, _Level(m, degree))
     levels[j].gens.append(images)
     return j
 
@@ -214,39 +225,49 @@ def _identity_tuple(images: tuple[int, ...]) -> bool:
     return all(i == x for i, x in enumerate(images))
 
 
-def _build_chain(degree: int, generators, base_seed: tuple[int, ...]) -> list[_Level]:
-    levels = [_Level(b, degree) for b in base_seed]
-    dirty = len(levels) - 1
+def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
+    """Verify levels[dirty], ..., levels[0], deepest first (deterministic
+    Schreier-Sims).  A Schreier generator u*g*t^-1 is trivial exactly when
+    u*g equals the transversal element t, so it is only inverted and sifted
+    when that tuple comparison fails.  A residue that does not sift becomes
+    a strong generator, and verification restarts at the level it lands on;
+    deeper levels keep their groups and stay verified."""
+    i = dirty
+    while i >= 0:
+        _recompute_orbit(levels, i, degree)
+        transversal = levels[i].transversal
+        gens_here = [g for l in levels[i:] for g in l.gens]
+        landed = None
+        for pt in levels[i].orbit:
+            u = transversal[pt]
+            for g in gens_here:
+                ug = _compose(u, g)
+                target = transversal[g[pt]]
+                if ug == target:
+                    continue
+                residue = _sift(levels, i + 1, _compose(ug, _invert(target)))
+                if not _identity_tuple(residue):
+                    landed = _place(levels, i + 1, residue, degree)
+                    break
+            if landed is not None:
+                break
+        i = i - 1 if landed is None else landed
+
+
+def _build_chain(degree: int, generators, pinned: int | None = None) -> list[_Level]:
+    """A verified chain for the generators.  With ``pinned``, the first
+    level is based at that point whatever it is, and the remaining levels
+    form a chain of its stabilizer."""
+    levels = [] if pinned is None else [_Level(pinned, degree)]
     for g in generators:
         images = g.images
         if _identity_tuple(images):
             continue
-        j = _place(levels, 0, images, degree)
-        dirty = max(dirty, j)
-    # verify levels deepest-first; a new strong generator at level j restarts
-    # verification there (classic deterministic Schreier-Sims)
-    i = dirty
-    while i >= 0:
-        _recompute_orbit(levels, i, degree)
-        lvl = levels[i]
-        gens_here = [g for l in levels[i:] for g in l.gens]
-        clean = True
-        for pt in lvl.orbit:
-            u = lvl.transversal[pt]
-            for g in gens_here:
-                target = lvl.transversal[g[pt]]
-                schreier = _compose(_compose(u, g), _invert(target))
-                if _identity_tuple(schreier):
-                    continue
-                residue = _sift(levels, i + 1, schreier)
-                if not _identity_tuple(residue):
-                    i = _place(levels, i + 1, residue, degree)
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean:
-            i -= 1
+        if pinned is not None and images[pinned] != pinned:
+            levels[0].gens.append(images)
+        else:
+            _place(levels, 0 if pinned is None else 1, images, degree)
+    _schreier_sims(levels, len(levels) - 1, degree)
     return levels
 
 
@@ -275,17 +296,27 @@ class PermGroup:
         self._order: int | None = None
         self._orbits: list[list[int]] | None = None
         self._stabilizers: dict[int, PermGroup] = {}
+        self._block_systems: list[BlockSystem] | None = None
         self._elements: list[Permutation] | None = None
 
     # chain and membership -------------------------------------------------
 
     def _chain(self) -> list[_Level]:
         if self._levels is None:
-            self._levels = _build_chain(self.degree, self.generators, ())
+            self._levels = _build_chain(self.degree, self.generators)
         return self._levels
 
-    def base(self) -> tuple[int, ...]:
-        return tuple(lvl.base for lvl in self._chain() if len(lvl.orbit) > 1)
+    def extended(self, g: Permutation) -> "PermGroup":
+        """The group generated by these generators and g.  Its chain is a
+        copy of this one, grown from the level where g's sifted residue
+        lands instead of being rebuilt."""
+        grown = PermGroup(self.degree, self.generators + (g,))
+        levels = [lvl.copy() for lvl in self._chain()]
+        residue = _sift(levels, 0, g.images)
+        if not _identity_tuple(residue):
+            _schreier_sims(levels, _place(levels, 0, residue, self.degree), self.degree)
+        grown._levels = levels
+        return grown
 
     def order(self) -> int:
         if self._order is None:
@@ -342,21 +373,21 @@ class PermGroup:
             self._orbits = out
         return self._orbits
 
-    def orbit_of(self, point: int) -> list[int]:
-        for orb in self.orbits():
-            if point in orb:
-                return orb
-        raise ValueError(f"point {point} out of range")
-
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
     def stabilizer(self, point: int) -> "PermGroup":
-        """Point stabilizer, from a chain rebuilt with this point first."""
+        """Point stabilizer.  When the chain's first base is the point (point
+        0 of any group that moves it), the remaining levels are already the
+        stabilizer's chain; otherwise a chain is built with the point pinned
+        first."""
         if point not in self._stabilizers:
-            chain = _build_chain(self.degree, self.generators, (point,))
+            chain = self._chain()
+            if not chain or chain[0].base != point:
+                chain = _build_chain(self.degree, self.generators, point)
             gens = [Permutation._raw(g) for lvl in chain[1:] for g in lvl.gens]
             stab = PermGroup(self.degree, gens)
+            stab._levels = chain[1:]
             assert stab.order() * len(chain[0].orbit) == self.order()
             self._stabilizers[point] = stab
         return self._stabilizers[point]
@@ -421,19 +452,26 @@ class PermGroup:
         return tuple(out)
 
     def block_systems(self) -> list["BlockSystem"]:
-        """All distinct minimal nontrivial block systems (one candidate per
-        seed pair {0, beta})."""
-        if not self.is_transitive():
-            raise NotTransitive("block systems need a transitive group")
-        seen = set()
-        out = []
-        for beta in range(1, self.degree):
-            assignment = self.minimal_block_assignment(beta)
-            if assignment is None or assignment in seen:
-                continue
-            seen.add(assignment)
-            out.append(BlockSystem.from_assignment(assignment))
-        return out
+        """All distinct minimal nontrivial block systems, computed once.
+
+        The finest congruence merging 0 and beta is also the finest merging
+        0 and h(beta) for any h fixing 0, so it depends only on the suborbit
+        of beta.  One seed per suborbit, its least point, in increasing
+        order, finds the systems in the order a scan of every beta would."""
+        if self._block_systems is None:
+            if not self.is_transitive():
+                raise NotTransitive("block systems need a transitive group")
+            seen = set()
+            out = []
+            # orbits() lists {0} first, then the suborbits by least point
+            for suborbit in self.stabilizer(0).orbits()[1:]:
+                assignment = self.minimal_block_assignment(suborbit[0])
+                if assignment is None or assignment in seen:
+                    continue
+                seen.add(assignment)
+                out.append(BlockSystem.from_assignment(assignment))
+            self._block_systems = out
+        return self._block_systems
 
     def is_primitive(self) -> bool:
         return self.is_transitive() and not self.block_systems()
@@ -441,11 +479,7 @@ class PermGroup:
     # element enumeration ----------------------------------------------------
 
     def _iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
-        levels = [lvl for lvl in self._chain() if len(lvl.orbit) > 1]
-        identity = tuple(range(self.degree))
-        if not levels:
-            yield identity
-            return
+        levels = self._chain()
         sorted_orbits = [sorted(lvl.orbit) for lvl in levels]
 
         def rec(i: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -457,7 +491,7 @@ class PermGroup:
                 u = transversal[pt]
                 yield from rec(i + 1, _compose(u, prefix))
 
-        yield from rec(0, identity)
+        yield from rec(0, tuple(range(self.degree)))
 
     def iter_elements(self) -> Iterator[Permutation]:
         """Stream every element exactly once, in a deterministic
@@ -490,8 +524,6 @@ class PermGroup:
             raise DegreeMismatch("degrees differ")
         w = g.images
         for lvl in self._chain():
-            if len(lvl.orbit) == 1:
-                continue
             best = min(lvl.orbit, key=w.__getitem__)
             if best != lvl.base:
                 w = _compose(lvl.transversal[best], w)
@@ -549,8 +581,7 @@ class PermGroup:
         for s in seeds:
             if s not in self:
                 raise NotSubgroup("seed lies outside the group")
-        gens = [s for s in seeds if not s.is_identity()]
-        closure = PermGroup(self.degree, gens)
+        closure = PermGroup(self.degree, seeds)
         changed = True
         while changed:
             changed = False
@@ -558,8 +589,7 @@ class PermGroup:
                 for k in closure.generators:
                     c = k.conjugate_by(g)
                     if c not in closure:
-                        gens.append(c)
-                        closure = PermGroup(self.degree, gens)
+                        closure = closure.extended(c)
                         changed = True
         return closure
 
@@ -626,12 +656,6 @@ class CosetAction:
     @property
     def kernel_order(self) -> int:
         return self.group.order() // self.image.order()
-
-    def apply(self, g: Permutation) -> Permutation:
-        lookup = {rep.images: i for i, rep in enumerate(self.reps)}
-        return Permutation(
-            tuple(lookup[self.subgroup.coset_min_rep(rep * g).images] for rep in self.reps)
-        )
 
 
 def coset_average_fixed_points(t: Permutation, group: PermGroup) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 
 from derangements.errors import DegreeMismatch, NotNormal, NotSubgroup, NotTransitive
 from derangements.permgrp import (
+    BlockSystem,
     PermGroup,
     Permutation,
     alternating_group,
@@ -18,6 +19,7 @@ from derangements.permgrp import (
     dihedral_group,
     symmetric_group,
 )
+from derangements.suite import corpus_group, corpus_names
 
 
 def test_permutation_basics():
@@ -132,6 +134,78 @@ def test_rank_requires_transitive():
     g = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(NotTransitive):
         g.rank()
+
+
+def _bruteforce_stabilizer(group, point):
+    return PermGroup(group.degree, [g for g in group.iter_elements() if g(point) == point])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(6),
+        dihedral_group(9),
+        PermGroup(7, [Permutation.from_cycles(7, [(1, 2, 3)]), Permutation.from_cycles(7, [(4, 5), (2, 6)])]),
+    ],
+    ids=["s6", "d9", "fixes-0"],
+)
+def test_stabilizer_reused_level_matches_rebuilt(group):
+    chain = group._chain()
+    stab = group.stabilizer(0)
+    if chain[0].base == 0:
+        # the stabilizer shares the group's levels below the first
+        assert stab._levels[0] is chain[1]
+    else:
+        # the group fixes 0, so the stabilizer comes from a pinned rebuild
+        assert group.orbits()[0] == [0]
+        assert stab.order() == group.order()
+    rebuilt = PermGroup(group.degree, stab.generators)
+    brute = _bruteforce_stabilizer(group, 0)
+    assert stab.order() == rebuilt.order() == brute.order()
+    assert stab.orbits() == rebuilt.orbits() == brute.orbits()
+    assert all(g in stab for g in brute.generators)
+
+
+def test_stabilizer_of_later_point_matches_bruteforce():
+    group = PermGroup(6, [Permutation.from_cycles(6, [(0, 1, 2, 3)]), Permutation.from_cycles(6, [(2, 4), (3, 5)])])
+    for point in range(6):
+        stab = group.stabilizer(point)
+        brute = _bruteforce_stabilizer(group, point)
+        assert stab.order() == brute.order()
+        assert stab.orbits() == brute.orbits()
+        assert all(g(point) == point for g in stab.generators)
+
+
+def _block_systems_every_seed(group):
+    """The scan over every seed beta in 1..n-1, kept as the oracle for the
+    one-seed-per-suborbit search."""
+    seen = set()
+    out = []
+    for beta in range(1, group.degree):
+        assignment = group.minimal_block_assignment(beta)
+        if assignment is None or assignment in seen:
+            continue
+        seen.add(assignment)
+        out.append(BlockSystem.from_assignment(assignment))
+    return out
+
+
+def test_block_systems_match_every_seed_scan_on_corpus():
+    checked = 0
+    for name in corpus_names():
+        group = corpus_group(name)
+        if group.degree > 30:
+            continue
+        assert group.block_systems() == _block_systems_every_seed(group), name
+        checked += 1
+    assert checked >= 50
+
+
+def test_block_systems_computed_once():
+    g = cyclic_group(12)
+    first = g.block_systems()
+    assert g.block_systems() is first
+    assert not g.is_primitive()
 
 
 def test_block_systems_cyclic_six():

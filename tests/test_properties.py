@@ -7,6 +7,7 @@ from derangements.gf import field
 from derangements.permgrp import (
     PermGroup,
     Permutation,
+    bruteforce_closure,
     coset_average_fixed_points,
     count_fixed,
 )
@@ -62,6 +63,58 @@ def test_perm_file_round_trip(abc):
     assert back.degree == group.degree
     assert [g.images for g in back.generators] == [g.images for g in group.generators]
     assert back.order() == group.order()
+
+
+def _generator(n):
+    # a full random permutation, or a short cycle on random points, so that
+    # small groups with bases far from 0, 1, 2, ... come up often
+    cycle = st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=4, unique=True
+    ).map(lambda pts: Permutation.from_cycles(n, [pts]))
+    return st.one_of(_perm(n), cycle) if n > 1 else _perm(n)
+
+
+def _generator_sets():
+    return st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.lists(_generator(n), min_size=1, max_size=4),
+            st.lists(_perm(n), min_size=3, max_size=3),
+        )
+    )
+
+
+def _bases(group):
+    return [lvl.base for lvl in group._chain()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+def test_extended_chain_matches_scratch_and_bruteforce(data):
+    gens, probes = data
+    n = gens[0].degree
+    grown = PermGroup(n, ())
+    for g in gens:
+        grown = grown.extended(g)
+    scratch = PermGroup(n, gens)
+    assert grown.generators == scratch.generators
+    assert grown.order() == scratch.order()
+    for group in (grown, scratch):
+        bases = _bases(group)
+        assert all(a < b for a, b in zip(bases, bases[1:]))
+    words = [gens[0] * gens[-1], gens[-1] * gens[0].inverse()]
+    for x in probes + words:
+        assert (x in grown) == (x in scratch)
+    assert all(w in grown for w in words)
+    # extending by a member adds a generator but not an element
+    assert grown.extended(words[0]).order() == grown.order()
+    if scratch.order() <= 5040:
+        closure = bruteforce_closure(n, gens)
+        assert scratch.order() == len(closure)
+        for x in probes:
+            assert (x in grown) == (x.images in closure)
+            # the greedy coset representative is the least element of the coset
+            rep = grown.coset_min_rep(x)
+            assert rep.images == min(tuple(x.images[h[i]] for i in range(n)) for h in closure)
 
 
 @settings(max_examples=30, deadline=None)
