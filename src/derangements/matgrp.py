@@ -7,6 +7,14 @@ then N" and coincides with the ordinary matrix product.  Entries are stored
 as encoded field integers (see gf.FieldSpec); FFElement objects are built
 only at the API edges.  Deterministic throughout: searches scan matrices in
 row-major encoded order, enumeration is breadth-first from the identity.
+
+Work on vectors (orbit labels, the orbit-semiregularity test, the spin)
+takes one numpy path for every field: a vector's index in GF(q)^d is the
+index of its base-p digit vector in GF(p)^(d*f), on which each matrix acts
+as a (d*f)x(d*f) matrix over GF(p).  Projective points are put in canonical
+form (first nonzero coordinate 1) with log/exp tables of GF(q).  No size or
+field threshold picks a code path; SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP
+bound the work.
 """
 
 from __future__ import annotations
@@ -17,13 +25,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
-from .gf import FFElement, FieldSpec, field, prime_power_decompose
+from .gf import FFElement, FieldSpec, _prime_factors, field, prime_power_decompose
 from .permgrp import PermGroup, Permutation
 
 MAT_ENUMERATION_CAP = 2_000_000
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000
-_NUMPY_SPIN_THRESHOLD = 20_000
 
 
 class FFMatrix:
@@ -300,6 +307,7 @@ class MatrixGroup:
         self.generators = tuple(gens)
         self._elements: list[FFMatrix] | None = None
         self._keyset: frozenset | None = None
+        self._irreducibility: tuple | None = None
 
     def elements(self, cap: int = MAT_ENUMERATION_CAP) -> list[FFMatrix]:
         if self._elements is None:
@@ -353,12 +361,20 @@ class MatrixGroup:
 def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     """Subgroup generated by all elements fixing some nonzero vector.
 
-    The generating set is conjugation-closed (conjugation preserves
-    eigenvalues), so the result is normal; normality is still verified by
-    conjugating the generators with the parent's generators.
+    The elements are scanned in enumeration order, and one becomes a
+    generator only when it has eigenvalue 1 and is not yet in the subgroup
+    generated so far; so every eigenvalue-1 element ends up inside, and the
+    generating set stays small.  The eigenvalue-1 elements form a
+    conjugation-closed set (conjugation preserves eigenvalues), so the
+    result is normal; normality is still verified by conjugating the
+    generators with the parent's generators.
     """
-    gens = [m for m in group.elements() if has_eigenvalue_one(m)]
+    gens: list[FFMatrix] = []
     sub = MatrixGroup(group.spec, group.d, gens)
+    for m in group.elements():
+        if m not in sub and has_eigenvalue_one(m):
+            gens.append(m)
+            sub = MatrixGroup(group.spec, group.d, gens)
     assert sub.key_set() <= group.key_set()
     assert group.order() % sub.order() == 0
     for g in group.generators:
@@ -383,6 +399,11 @@ def semiregular_on_nonzero(group: MatrixGroup) -> bool:
 
 
 # vector indexing ------------------------------------------------------------
+#
+# The index of v in GF(q)^d is sum_j v_j q^j, and with v_j = sum_i c_ji p^i it
+# is also the index of the base-p digit vector (c_ji) in GF(p)^(d*f).  A
+# GF(q)-matrix acts GF(p)-linearly on those digits, so one integer matrix
+# product over GF(p) maps a whole array of indices, whatever the field.
 
 
 def vector_to_index(spec: FieldSpec, v: Sequence[int]) -> int:
@@ -400,49 +421,29 @@ def index_to_vector(spec: FieldSpec, d: int, idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_labels_python(group: MatrixGroup) -> list[int]:
-    """Orbit label per vector index under the group; label = smallest index
-    in the orbit.  Index 0 (zero vector) keeps label 0."""
-    spec, d = group.spec, group.d
-    n = spec.order**d
-    labels = [-1] * n
-    labels[0] = 0
-    for start in range(1, n):
-        if labels[start] >= 0:
-            continue
-        orbit = [start]
-        labels[start] = start
-        qpos = 0
-        while qpos < len(orbit):
-            idx = orbit[qpos]
-            qpos += 1
-            v = index_to_vector(spec, d, idx)
-            for g in group.generators:
-                img = vector_to_index(spec, g.apply_row(v))
-                if labels[img] < 0:
-                    labels[img] = start
-                    orbit.append(img)
-    return labels
+def _index_digits(spec: FieldSpec, d: int, idx: np.ndarray) -> np.ndarray:
+    """Base-p digits of each index, one row per index, d*f columns."""
+    weights = spec.p ** np.arange(d * spec.f, dtype=np.int64)
+    return (idx[:, None] // weights) % spec.p
 
 
-def _gen_arrays_numpy(group: MatrixGroup) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(all vectors as rows, index powers, one image-index array per generator);
-    prime fields only."""
-    spec, d = group.spec, group.d
-    p = spec.p
-    n = p**d
-    qpow = p ** np.arange(d, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    vecs = (idx[:, None] // qpow[None, :]) % p
-    images = []
-    for g in group.generators:
-        mat = np.array(g.rows, dtype=np.int64)
-        w = (vecs @ mat) % p
-        images.append(w @ qpow)
-    return vecs, qpow, images
+def _image_indices(m: FFMatrix, digits: np.ndarray) -> np.ndarray:
+    """Indices of the images under m of the vectors with these digit rows.
+
+    Row k of m's digit matrix holds the digits of the image of the vector
+    with index p^k."""
+    spec, d = m.spec, m.d
+    weights = spec.p ** np.arange(d * spec.f, dtype=np.int64)
+    basis_images = [
+        vector_to_index(spec, m.apply_row(index_to_vector(spec, d, w)))
+        for w in weights.tolist()
+    ]
+    digit_matrix = _index_digits(spec, d, np.array(basis_images, dtype=np.int64))
+    return ((digits @ digit_matrix) % spec.p) @ weights
 
 
 def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
+    """Least point of each point's orbit under the maps i -> images[g][i]."""
     labels = np.arange(n, dtype=np.int64)
     while True:
         before = labels.copy()
@@ -456,26 +457,28 @@ def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
             return labels
 
 
-def _orbit_labels_numpy(group: MatrixGroup) -> np.ndarray:
-    _, _, images = _gen_arrays_numpy(group)
-    n = group.spec.p ** group.d
-    return _propagate_min_labels(n, images)
+def _orbit_labels(group: MatrixGroup) -> np.ndarray:
+    """Orbit label per vector index: the least index in its orbit.  Index 0
+    (the zero vector) keeps label 0."""
+    n = group.spec.order**group.d
+    digits = _index_digits(group.spec, group.d, np.arange(n, dtype=np.int64))
+    return _propagate_min_labels(n, [_image_indices(g, digits) for g in group.generators])
 
 
-def coset_reps_mod(group: MatrixGroup, sub: MatrixGroup) -> list[FFMatrix]:
-    """One representative per right coset of sub, identity's coset first."""
+def _right_cosets(group: MatrixGroup, sub: MatrixGroup) -> tuple[list[FFMatrix], dict[tuple, int]]:
+    """(one representative per right coset of sub, identity's coset first;
+    the coset number of every element key)."""
     sub_elements = sub.elements()
     coset_of: dict[tuple, int] = {}
     reps = []
     for m in group.elements():
         if m.key() in coset_of:
             continue
-        coset_of[m.key()] = len(reps)
         for s in sub_elements:
             coset_of[(s * m).key()] = len(reps)
         reps.append(m)
     assert len(reps) * sub.order() == group.order()
-    return reps
+    return reps, coset_of
 
 
 @dataclass(frozen=True)
@@ -499,7 +502,11 @@ def index_bound_check(
     vector_cap: int = SEMIREGULAR_VECTOR_CAP,
 ) -> IndexBoundReport:
     """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that every
-    non-identity coset moves every subgroup orbit on nonzero vectors."""
+    non-identity coset moves every subgroup orbit on nonzero vectors.
+
+    The subgroup's orbit labels, and the images of the orbit minima under
+    each coset representative, come from the digit-vector path over GF(p)
+    for every field; the only limit is vector_cap on q^d."""
     spec, d = group.spec, group.d
     if sub is None:
         sub = eigenvalue_one_subgroup(group)
@@ -508,155 +515,95 @@ def index_bound_check(
     n = spec.order**d
     if n > vector_cap:
         return IndexBoundReport(index, bound, index <= bound, None)
-    if spec.f == 1 and n > 5000:
-        labels = _orbit_labels_numpy(sub) if sub.generators else np.arange(n, dtype=np.int64)
-        rep_positions = np.unique(labels[1:])
-        p = spec.p
-        qpow = p ** np.arange(d, dtype=np.int64)
-        rep_vecs = (rep_positions[:, None] // qpow[None, :]) % p
-        semiregular = True
-        for h in coset_reps_mod(group, sub)[1:]:
-            mat = np.array(h.rows, dtype=np.int64)
-            img = ((rep_vecs @ mat) % p) @ qpow
-            if np.any(labels[img] == labels[rep_positions]):
-                semiregular = False
-                break
-    else:
-        labels = _orbit_labels_python(sub)
-        rep_positions = sorted({lab for lab in labels[1:]})
-        semiregular = True
-        for h in coset_reps_mod(group, sub)[1:]:
-            for pos in rep_positions:
-                v = index_to_vector(spec, d, pos)
-                img = vector_to_index(spec, h.apply_row(v))
-                if labels[img] == labels[pos]:
-                    semiregular = False
-                    break
-            if not semiregular:
-                break
+    labels = _orbit_labels(sub)
+    minima = np.flatnonzero(labels == np.arange(n))[1:]
+    digits = _index_digits(spec, d, minima)
+    semiregular = not any(
+        np.any(labels[_image_indices(h, digits)] == minima)
+        for h in _right_cosets(group, sub)[0][1:]
+    )
     return IndexBoundReport(index, bound, index <= bound, semiregular)
 
 
 # irreducibility -------------------------------------------------------------
 
 
-def _canonicalize(spec: FieldSpec, v: tuple[int, ...]) -> tuple[int, ...]:
-    lead = next(e for e in v if e)
-    if lead == 1:
-        return v
-    inv = spec.inv_e(lead)
-    return tuple(spec.mul_e(inv, e) for e in v)
+def _log_exp_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) of GF(q)* to the base of the primitive element; log[0] is
+    unused."""
+    g = spec.primitive_element().to_int()
+    exp = [1]
+    for _ in range(spec.order - 2):
+        exp.append(spec.mul_e(exp[-1], g))
+    log = np.zeros(spec.order, dtype=np.int64)
+    log[exp] = np.arange(spec.order - 1)
+    return log, np.array(exp, dtype=np.int64)
 
 
-def _irreducibility_python(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | None]:
+def _spin(group: MatrixGroup, v: Sequence[int]) -> list[list[int]]:
+    """Echelon basis of the smallest invariant subspace containing v: the
+    span of v's orbit."""
     spec, d = group.spec, group.d
-    n = spec.order**d
-    visited = set()
-    for idx in range(1, n):
-        v = index_to_vector(spec, d, idx)
-        k = 0
-        while not v[k]:
-            k += 1
-        if v[k] != 1 or v in visited:
-            continue
-        visited.add(v)
-        orbit = [v]
-        span: list[list[int]] = []
-        rank = 0
-        qpos = 0
-        while qpos < len(orbit):
-            u = orbit[qpos]
-            qpos += 1
-            if rank < d:
-                span, pivots = echelonize(spec, span + [list(u)])
-                rank = len(pivots)
-            for g in group.generators:
-                w = _canonicalize(spec, g.apply_row(u))
-                if w not in visited:
-                    visited.add(w)
-                    orbit.append(w)
-        if rank < d:
-            return False, [tuple(r) for r in span]
-    return True, None
+    span, _ = echelonize(spec, [v])
+    frontier = [v]
+    while frontier and len(span) < d:
+        u = frontier.pop()
+        for g in group.generators:
+            w = g.apply_row(u)
+            grown, _ = echelonize(spec, span + [list(w)])
+            if len(grown) > len(span):
+                span = grown
+                frontier.append(w)
+    return span
 
 
-def _rank_of_orbit_numpy(spec: FieldSpec, rows: np.ndarray, d: int) -> tuple[int, list[list[int]]]:
-    span: list[list[int]] = []
-    rank = 0
-    for chunk_start in range(0, len(rows), 64):
-        for row in rows[chunk_start : chunk_start + 64]:
-            span, pivots = echelonize(spec, span + [[int(e) for e in row]])
-            rank = len(pivots)
-        if rank == d:
-            break
-    return rank, span
-
-
-def _irreducibility_numpy(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | None]:
+def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     spec, d = group.spec, group.d
-    p = spec.p
-    qpow = p ** np.arange(d, dtype=np.int64)
-    blocks = []
-    for lead in range(d):
-        free = d - 1 - lead
-        if free:
-            tail = np.stack(
-                np.meshgrid(*([np.arange(p, dtype=np.int64)] * free), indexing="ij"),
-                axis=-1,
-            ).reshape(-1, free)
-        else:
-            tail = np.zeros((1, 0), dtype=np.int64)
-        block = np.zeros((len(tail), d), dtype=np.int64)
-        block[:, lead] = 1
-        if free:
-            block[:, lead + 1 :] = tail
-        blocks.append(block)
-    c = np.concatenate(blocks)
-    keys = c @ qpow
-    order = np.argsort(keys)
-    c = c[order]
-    keys = keys[order]
-    invtab = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    if d == 1:
+        return True, None
+    q = spec.order
+    n_proj = (q**d - 1) // (q - 1)
+    if d * n_proj > SPIN_WORK_CAP:
+        raise CapExceeded(f"spinning workload {d * n_proj} exceeds {SPIN_WORK_CAP}")
+    qpow = q ** np.arange(d, dtype=np.int64)
+    # projective points: the vectors whose first nonzero coordinate is 1
+    points = np.sort(
+        np.concatenate(
+            [qpow[j] + q * qpow[j] * np.arange(q ** (d - 1 - j)) for j in range(d)]
+        )
+    )
+    digits = _index_digits(spec, d, points)
+    log, exp = _log_exp_tables(spec)
     images = []
     for g in group.generators:
-        mat = np.array(g.rows, dtype=np.int64)
-        w = (c @ mat) % p
-        first = (w != 0).argmax(axis=1)
-        lead = w[np.arange(len(w)), first]
-        w = (w * invtab[lead][:, None]) % p
-        img_keys = w @ qpow
-        pos = np.searchsorted(keys, img_keys)
-        assert np.array_equal(keys[pos], img_keys)
-        images.append(pos)
-    labels = _propagate_min_labels(len(c), images)
-    sort_idx = np.argsort(labels, kind="stable")
-    sorted_labels = labels[sort_idx]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1]))
-    )
-    boundaries = np.append(boundaries, len(sorted_labels))
-    for b in range(len(boundaries) - 1):
-        rows = c[sort_idx[boundaries[b] : boundaries[b + 1]]]
-        rank, span = _rank_of_orbit_numpy(spec, rows, d)
-        if rank < d:
-            return False, [tuple(r) for r in span]
+        coords = (_image_indices(g, digits)[:, None] // qpow) % q
+        lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
+        scaled = np.where(coords != 0, exp[(log[coords] - log[lead][:, None]) % (q - 1)], 0)
+        images.append(np.searchsorted(points, scaled @ qpow))
+    labels = _propagate_min_labels(len(points), images)
+    for start in points[labels == np.arange(len(points))]:
+        span = _spin(group, index_to_vector(spec, d, int(start)))
+        if len(span) < d:
+            return False, tuple(tuple(r) for r in span)
     return True, None
 
 
 def irreducibility(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | None]:
     """(True, None) when no proper nonzero invariant subspace exists, else
-    (False, echelon basis of one).  Exhaustive spinning: for each projective
-    point, the span of its orbit is the smallest invariant subspace through
-    it, so checking one representative per orbit is exact."""
-    spec, d = group.spec, group.d
-    if d == 1:
-        return True, None
-    n_proj = (spec.order**d - 1) // (spec.order - 1)
-    if d * n_proj > SPIN_WORK_CAP:
-        raise CapExceeded(f"spinning workload {d * n_proj} exceeds {SPIN_WORK_CAP}")
-    if spec.f == 1 and n_proj > _NUMPY_SPIN_THRESHOLD:
-        return _irreducibility_numpy(group)
-    return _irreducibility_python(group)
+    (False, echelon basis of one).
+
+    Exhaustive over projective points: each point's orbit spans the smallest
+    invariant subspace through it, so one spin per orbit is exact.  The
+    points are the vectors with first nonzero coordinate 1; a generator's
+    images come from the digit-vector path and are put back in that form by
+    dividing by the leading coordinate with log/exp tables of GF(q).  Orbits
+    are taken in order of their least index, and the witness is the span of
+    the first one of rank < d.  The same path serves every field and size;
+    SPIN_WORK_CAP bounds it.  The result is cached on the group."""
+    if group._irreducibility is None:
+        group._irreducibility = _spin_orbits(group)
+    flag, witness = group._irreducibility
+    return flag, None if witness is None else list(witness)
 
 
 def is_irreducible(group: MatrixGroup) -> bool:
@@ -753,20 +700,8 @@ class QuadraticExtension:
 
     def multiplicative_order(self, u: tuple[int, int]) -> int:
         assert u != (0, 0)
-        n = self.order - 1
-        rest = n
-        d = 2
-        factors = []
-        while d * d <= rest:
-            if rest % d == 0:
-                factors.append(d)
-                while rest % d == 0:
-                    rest //= d
-            d += 1
-        if rest > 1:
-            factors.append(rest)
-        order = n
-        for r in factors:
+        order = self.order - 1
+        for r in _prime_factors(order):
             while order % r == 0 and self.power(u, order // r) == (1, 0):
                 order //= r
         return order
@@ -827,18 +762,8 @@ def regular_perm_group(group: MatrixGroup) -> PermGroup:
 def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     """Action of the group on right cosets of a normal subgroup; faithful on
     the quotient, so the image has order |group|/|sub|."""
-    sub_elements = sub.elements()
-    coset_of: dict[tuple, int] = {}
-    reps = []
-    for m in group.elements():
-        if m.key() in coset_of:
-            continue
-        cid = len(reps)
-        for s in sub_elements:
-            coset_of[(s * m).key()] = cid
-        reps.append(m)
+    reps, coset_of = _right_cosets(group, sub)
     index = len(reps)
-    assert index * sub.order() == group.order()
     gens = [
         Permutation([coset_of[(rep * g).key()] for rep in reps])
         for g in group.generators

@@ -1,12 +1,17 @@
 """Matrix arithmetic, closures, the eigenvalue-1 subgroup, irreducibility
-(both spinning paths), products, and the GL(2,q) embeddings."""
+(against a pure-Python spin kept here as the oracle), products, and the
+GL(2,q) embeddings."""
+
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch
 from derangements.gf import field
 from derangements.matgrp import (
     FFMatrix,
+    IndexBoundReport,
     MatrixGroup,
     QuadraticExtension,
     binary_icosahedral_gl2,
@@ -34,12 +39,112 @@ from derangements.matgrp import (
     solve_homogeneous,
     special_linear_gl2,
     vector_to_index,
-    _irreducibility_numpy,
-    _irreducibility_python,
+    _orbit_labels,
+    _right_cosets,
 )
 
 GF5 = field(5, 1)
 GF3 = field(3, 1)
+
+
+# reference implementations: one Python loop per vector, one field operation
+# per entry --------------------------------------------------------------------
+
+
+def _orbit_labels_python(group):
+    """Orbit label per vector index under the group; label = smallest index
+    in the orbit.  Index 0 (zero vector) keeps label 0."""
+    spec, d = group.spec, group.d
+    n = spec.order**d
+    labels = [-1] * n
+    labels[0] = 0
+    for start in range(1, n):
+        if labels[start] >= 0:
+            continue
+        orbit = [start]
+        labels[start] = start
+        qpos = 0
+        while qpos < len(orbit):
+            idx = orbit[qpos]
+            qpos += 1
+            v = index_to_vector(spec, d, idx)
+            for g in group.generators:
+                img = vector_to_index(spec, g.apply_row(v))
+                if labels[img] < 0:
+                    labels[img] = start
+                    orbit.append(img)
+    return labels
+
+
+def _index_bound_python(group, sub):
+    """index_bound_check with the orbit-semiregularity test as a Python loop
+    over coset representatives and orbit minima."""
+    spec, d = group.spec, group.d
+    index = group.order() // sub.order()
+    bound = spec.order**d - 1
+    labels = _orbit_labels_python(sub)
+    rep_positions = sorted(set(labels[1:]))
+    semiregular = True
+    for h in _right_cosets(group, sub)[0][1:]:
+        for pos in rep_positions:
+            img = vector_to_index(spec, h.apply_row(index_to_vector(spec, d, pos)))
+            if labels[img] == labels[pos]:
+                semiregular = False
+                break
+        if not semiregular:
+            break
+    return IndexBoundReport(index, bound, index <= bound, semiregular)
+
+
+def _canonicalize(spec, v):
+    lead = next(e for e in v if e)
+    if lead == 1:
+        return v
+    inv = spec.inv_e(lead)
+    return tuple(spec.mul_e(inv, e) for e in v)
+
+
+def _irreducibility_python(group):
+    """Breadth-first orbit of each unvisited projective point in index
+    order; the span of the first orbit of rank < d is the witness."""
+    spec, d = group.spec, group.d
+    if d == 1:
+        return True, None
+    n = spec.order**d
+    visited = set()
+    for idx in range(1, n):
+        v = index_to_vector(spec, d, idx)
+        k = 0
+        while not v[k]:
+            k += 1
+        if v[k] != 1 or v in visited:
+            continue
+        visited.add(v)
+        orbit = [v]
+        span = []
+        rank = 0
+        qpos = 0
+        while qpos < len(orbit):
+            u = orbit[qpos]
+            qpos += 1
+            if rank < d:
+                span, pivots = echelonize(spec, span + [list(u)])
+                rank = len(pivots)
+            for g in group.generators:
+                w = _canonicalize(spec, g.apply_row(u))
+                if w not in visited:
+                    visited.add(w)
+                    orbit.append(w)
+        if rank < d:
+            return False, [tuple(r) for r in span]
+    return True, None
+
+
+def _random_invertible(rng, spec, d):
+    while True:
+        m = FFMatrix(spec, [[rng.randrange(spec.order) for _ in range(d)] for _ in range(d)])
+        if m.det():
+            return m
 
 
 def test_matrix_product_is_apply_left_then_right():
@@ -135,15 +240,75 @@ def test_irreducibility_torus_plus_swap():
     assert is_irreducible(h)
 
 
+def _differential_groups():
+    """Groups over prime and prime-power fields: named ones, plus seeded
+    random generator sets of at most 300 elements."""
+    rng = random.Random(20)
+    for p, f in ((2, 1), (3, 1), (5, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)):
+        spec = field(p, f)
+        yield scalar_matrix_group(spec, 2)
+        yield MatrixGroup(spec, 2, [FFMatrix(spec, [[1, 1], [0, 1]])])
+        if spec.order % 2:
+            yield quaternion_gl2(spec)
+        if spec.order <= 9:
+            yield general_linear_gl2(spec)
+        for d in (2, 3):
+            if spec.order**d > 1000:
+                continue
+            for ngens in (1, 2):
+                group = MatrixGroup(spec, d, [_random_invertible(rng, spec, d) for _ in range(ngens)])
+                try:
+                    group.elements(cap=300)
+                except CapExceeded:
+                    continue
+                yield group
+
+
 def test_irreducibility_paths_agree():
-    spec = field(13, 1)
-    reducible = MatrixGroup(spec, 2, [FFMatrix(spec, [[2, 0], [0, 7]])])
-    irreducible = MatrixGroup(
-        spec, 2, [FFMatrix(spec, [[2, 0], [0, 7]]), FFMatrix(spec, [[0, 1], [1, 0]])]
-    )
-    assert _irreducibility_python(reducible) == _irreducibility_numpy(reducible)
-    assert _irreducibility_python(irreducible)[0] is True
-    assert _irreducibility_numpy(irreducible)[0] is True
+    """The numpy digit-vector paths against the Python loops, over GF(4),
+    GF(8), GF(9), GF(25) and GF(27) as well as prime fields."""
+    seen = set()
+    for group in _differential_groups():
+        seen.add((group.spec.order, is_irreducible(group)))
+        assert irreducibility(group) == _irreducibility_python(group)
+        sub = eigenvalue_one_subgroup(group)
+        assert _orbit_labels(sub).tolist() == _orbit_labels_python(sub)
+        assert index_bound_check(group, sub) == _index_bound_python(group, sub)
+    assert {q for q, _ in seen} >= {4, 8, 9, 25, 27}
+    assert {flag for _, flag in seen} == {True, False}
+
+
+def test_irreducibility_is_cached():
+    h = dihedral_gl2(GF5, 4)
+    first = irreducibility(h)
+    assert h._irreducibility is not None
+    assert irreducibility(h) == first
+    reducible = MatrixGroup(GF5, 2, [FFMatrix(GF5, [[2, 0], [0, 3]])])
+    witness = irreducibility(reducible)[1]
+    witness.append((0, 1))
+    assert irreducibility(reducible) == (False, [(1, 0)])
+
+
+@st.composite
+def _random_matrix_groups(draw):
+    p, f, d = draw(st.sampled_from([(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 2)]))
+    spec = field(p, f)
+    entries = st.lists(st.integers(0, spec.order - 1), min_size=d, max_size=d)
+    gens = [FFMatrix(spec, draw(st.lists(entries, min_size=d, max_size=d))) for _ in range(draw(st.integers(1, 3)))]
+    assume(all(g.det() for g in gens))
+    return MatrixGroup(spec, d, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_matrix_groups())
+def test_eigenvalue_one_subgroup_contains_every_fixer(group):
+    try:
+        elements = group.elements(cap=1000)
+    except CapExceeded:
+        assume(False)
+    sub = eigenvalue_one_subgroup(group)
+    assert all(has_eigenvalue_one(g) for g in sub.generators)
+    assert all(m in sub for m in elements if has_eigenvalue_one(m))
 
 
 def test_irreducibility_cap():

@@ -6,7 +6,7 @@ import pytest
 
 from derangements.families import FAMILY_ARITY
 from derangements.gf import field
-from derangements.matgrp import scalar_matrix_group
+from derangements.matgrp import general_linear_gl2, scalar_matrix_group
 from derangements.suite import (
     _MAT_BUILDERS,
     _random_words,
@@ -103,6 +103,18 @@ def test_matrix_record_scalar_group():
     assert rec["irreducible"] is False  # scalars leave every line invariant
     assert rec["index_ok"] is True
     assert rec["semiregular"] is True
+
+
+@pytest.mark.parametrize("p, f, order", [(7, 1, 2016), (3, 2, 5760)])
+def test_matrix_record_general_linear(p, f, order):
+    """GL(2,7) and GL(2,9): every element is a product of transvections, so
+    R(H) is all of H and the quotient is trivial."""
+    rec = matrix_record(general_linear_gl2(field(p, f)))
+    assert rec["order"] == order
+    assert rec["r_order"] == order
+    assert rec["index"] == 1
+    assert rec["irreducible"] is True
+    assert rec["quotient_name"] == "C1"
 
 
 def test_corpus_shape():
