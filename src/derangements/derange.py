@@ -11,12 +11,13 @@ identifies the quotient group by fingerprint against a small catalog.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
-from .gf import field
+from .gf import _prime_factors, field
 from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
 from .permgrp import (
     ENUMERATION_CAP,
@@ -55,19 +56,6 @@ class GroupFingerprint:
         assert sum(c for _, c in self.element_orders) == self.order
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _abelian_invariants(order: int, hist: Counter) -> tuple[int, ...]:
     """Elementary divisors of an abelian group from its element-order counts.
 
@@ -75,7 +63,7 @@ def _abelian_invariants(order: int, hist: Counter) -> tuple[int, ...]:
     the partition of the p-part; the divisors are read off its conjugate.
     """
     divisors: list[int] = []
-    for p in sorted(set(_prime_factors(order))):
+    for p in _prime_factors(order):
         v_prev = 0
         ms: list[int] = []
         k = 1
@@ -170,19 +158,16 @@ class _Scan:
     derangement_count: int
     subgroup: PermGroup
     multi_fixers: list[Permutation]
+    captures: bool | None = None  # set by _certified_scan
 
 
-def _scan_derangements(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
-    """One streaming pass over the group.
+def _scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
+    """The one streaming pass over the group; needs no transitivity.
 
-    Derangements are folded into an incrementally grown subgroup (most are
-    redundant, so extensions are rare); non-identity elements fixing two or
-    more points are stashed and certified to lie inside the subgroup, which
-    together with the construction shows every element outside it fixes
-    exactly one point.
+    Derangements are counted and folded into an incrementally grown
+    subgroup (most are redundant, so extensions are rare); non-identity
+    elements fixing two or more points are stashed.
     """
-    if not group.is_transitive():
-        raise NotTransitive("derangement subgroup needs a transitive action")
     order = group.order()
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds cap {cap}")
@@ -199,11 +184,42 @@ def _scan_derangements(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
                 sub = sub.extended(p)
         elif fixed >= 2 and fixed != degree:
             multi.append(Permutation._raw(raw))
-    for p in multi:
-        assert p in sub, "element with several fixed points escaped the subgroup"
-    closure = group.normal_closure(sub.generators)
-    assert closure.same_group_as(sub), "derangements must generate a normal subgroup"
     return _Scan(count, sub, multi)
+
+
+def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
+    """The scan of a transitive group, with its certificate: every stashed
+    element lies inside the subgroup, which together with the construction
+    shows every element outside it fixes exactly one point, and the
+    subgroup is normal."""
+    if not group.is_transitive():
+        raise NotTransitive("derangement subgroup needs a transitive action")
+    scan = _scan(group, cap)
+    scan.captures = all(p in scan.subgroup for p in scan.multi_fixers)
+    assert scan.captures, "element with several fixed points escaped the subgroup"
+    closure = group.normal_closure(scan.subgroup.generators)
+    assert closure.same_group_as(scan.subgroup), "derangements must generate a normal subgroup"
+    return scan
+
+
+def _captured_by(scan: _Scan, candidate: PermGroup) -> bool:
+    """Does candidate hold every element that does not fix exactly one
+    point?  The scanned subgroup is generated by the derangements, so this
+    is that subgroup lying in candidate plus every stashed element."""
+    return scan.subgroup.is_subgroup_of(candidate) and all(
+        p in candidate for p in scan.multi_fixers
+    )
+
+
+def _frobenius(group: PermGroup, scan: _Scan) -> bool:
+    """No non-identity element fixes two points and the action is not
+    regular; then the derangements and the identity form the kernel."""
+    frob = group.order() > group.degree and not scan.multi_fixers
+    if frob:
+        assert scan.subgroup.order() == scan.derangement_count + 1, (
+            "kernel must consist of the derangements and the identity"
+        )
+    return frob
 
 
 def derangement_set(group: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permutation]:
@@ -217,29 +233,9 @@ def derangement_set(group: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permut
     ]
 
 
-def derangement_count(group: PermGroup, cap: int = ENUMERATION_CAP) -> int:
-    if group.order() > cap:
-        raise CapExceeded(f"group order {group.order()} exceeds cap {cap}")
-    return sum(1 for t in group._iter_element_tuples() if count_fixed(t) == 0)
-
-
 def derangement_subgroup(group: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
     """The subgroup generated by all fixed-point-free elements."""
-    return _scan_derangements(group, cap).subgroup
-
-
-def _derangement_generated(group: PermGroup) -> tuple[int, PermGroup]:
-    # like _scan_derangements but without the transitivity requirement;
-    # used for stabilizer actions, which are rarely transitive
-    sub = PermGroup(group.degree, ())
-    count = 0
-    for raw in group._iter_element_tuples():
-        if count_fixed(raw) == 0:
-            count += 1
-            p = Permutation._raw(raw)
-            if p not in sub:
-                sub = sub.extended(p)
-    return count, sub
+    return _certified_scan(group, cap).subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +263,6 @@ class SubgroupChecks:
         )
 
 
-def _point_orbit_labels(group: PermGroup) -> list[int]:
-    """Label each point with the smallest point of its orbit."""
-    degree = group.degree
-    gens = [g.images for g in group.generators]
-    labels = [-1] * degree
-    for start in range(degree):
-        if labels[start] >= 0:
-            continue
-        labels[start] = start
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if labels[y] < 0:
-                    labels[y] = start
-                    queue.append(y)
-    return labels
-
-
 def _orbit_semiregular(group: PermGroup, sub: PermGroup) -> bool:
     """Stabilizer cosets outside the subgroup must move every orbit.
 
@@ -296,8 +272,13 @@ def _orbit_semiregular(group: PermGroup, sub: PermGroup) -> bool:
     """
     g0 = group.stabilizer(0)
     n0 = sub.stabilizer(0)
-    labels = _point_orbit_labels(n0)
-    targets = sorted({lbl for lbl in labels if lbl != 0})
+    # label each point with the least point of its N_0-orbit; orbits()
+    # lists the orbits sorted, in order of their least points
+    labels = [0] * group.degree
+    for orbit in n0.orbits():
+        for x in orbit:
+            labels[x] = orbit[0]
+    targets = [orbit[0] for orbit in n0.orbits()[1:]]
     for g in g0.iter_elements():
         if g in n0:
             continue
@@ -324,17 +305,11 @@ def subgroup_checks(
     """Run the four core checks, either on the computed subgroup or on a
     caller-supplied candidate (useful for validating external claims)."""
     if candidate is None:
-        scan = _scan_derangements(group, cap)
-        captures = all(p in scan.subgroup for p in scan.multi_fixers)
-        return _core_checks(group, scan.subgroup, captures)
+        scan = _certified_scan(group, cap)
+        return _core_checks(group, scan.subgroup, scan.captures)
     if not candidate.is_subgroup_of(group):
         raise NotSubgroup("candidate is not a subgroup")
-    captures = True
-    for raw in group._iter_element_tuples():
-        if count_fixed(raw) != 1 and Permutation._raw(raw) not in candidate:
-            captures = False
-            break
-    return _core_checks(group, candidate, captures)
+    return _core_checks(group, candidate, _captured_by(_certified_scan(group, cap), candidate))
 
 
 @dataclass(frozen=True)
@@ -375,9 +350,9 @@ def index_consequences(
     if index == 1:
         return IndexConsequences(1, divides, None, None)
     action = _stabilizer_action(group)
-    count, generated = _derangement_generated(action)
-    half = 2 * count >= action.order()
-    whole = generated.order() == action.order()
+    scan = _scan(action, cap)
+    half = 2 * scan.derangement_count >= action.order()
+    whole = scan.subgroup.order() == action.order()
     return IndexConsequences(index, divides, half, whole)
 
 
@@ -386,18 +361,8 @@ def is_frobenius(group: PermGroup, cap: int = ENUMERATION_CAP):
     or more points.  Regular actions are excluded by definition (their point
     stabilizers are trivial).  When true, the derangements together with the
     identity are verified to form a subgroup: the kernel."""
-    if not group.is_transitive():
-        raise NotTransitive("Frobenius test needs a transitive action")
-    if group.order() == group.degree:
-        return False, None
-    scan = _scan_derangements(group, cap)
-    if scan.multi_fixers:
-        return False, None
-    kernel = scan.subgroup
-    assert kernel.order() == scan.derangement_count + 1, (
-        "kernel must consist of the derangements and the identity"
-    )
-    return True, kernel
+    scan = _certified_scan(group, cap)
+    return (True, scan.subgroup) if _frobenius(group, scan) else (False, None)
 
 
 @dataclass(frozen=True)
@@ -422,10 +387,10 @@ def bound_check(
     integer arithmetic.  Frobenius and primitive groups only promise that
     the index divides degree - 1; whether the square-root bound also holds
     is still reported for them, but not required."""
-    if sub is None:
-        sub = derangement_subgroup(group)
-    if frobenius is None:
-        frobenius, _ = is_frobenius(group)
+    if sub is None or frobenius is None:
+        scan = _certified_scan(group)
+        sub = scan.subgroup if sub is None else sub
+        frobenius = _frobenius(group, scan) if frobenius is None else frobenius
     index = group.order() // sub.order()
     n = group.degree
     sqrt_ok = (index + 1) ** 2 <= n
@@ -534,6 +499,10 @@ CHECK_KEYS = (
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The record of one analysis.  subgroup is the group the checks ran
+    against (D itself, unless a fault was injected); it is carried for
+    follow-up checks and is not part of the record."""
+
     degree: int
     order: int
     derangement_count: int
@@ -542,10 +511,11 @@ class AnalysisReport:
     rank_g: int
     rank_n: int | None
     frobenius: bool
-    quotient: GroupFingerprint
+    quotient: GroupFingerprint | None
     quotient_name: str
     regime: str
     checks: dict
+    subgroup: PermGroup = dataclasses.field(compare=False, repr=False)
 
     def __post_init__(self):
         assert self.index * self.d_order == self.order
@@ -568,29 +538,30 @@ class AnalysisReport:
         }
 
 
-def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
-    """Full pipeline: compute the derangement-generated subgroup, run every
-    check, and identify the quotient."""
-    scan = _scan_derangements(group, cap)
-    sub = scan.subgroup
-    captures = all(p in sub for p in scan.multi_fixers)
+def _report(
+    group: PermGroup,
+    scan: _Scan,
+    sub: PermGroup,
+    captures: bool,
+    quotient: GroupFingerprint | None,
+    cap: int,
+) -> AnalysisReport:
+    """Every check of the group against sub, from one certified scan of the
+    group; the one place the checks map onto CHECK_KEYS.  quotient is the
+    fingerprint of G/sub, or None when sub is not claimed to be normal."""
     core = _core_checks(group, sub, captures)
-    cons = index_consequences(group, sub)
-    frob = group.order() > group.degree and not scan.multi_fixers
-    if frob:
-        assert sub.order() == scan.derangement_count + 1
+    cons = index_consequences(group, sub, cap)
+    frob = _frobenius(group, scan)
     bound = bound_check(group, sub, frobenius=frob)
-    quotient = group.quotient(sub)
-    fp = fingerprint(quotient)
-    checks = {
-        "subgroup_transitive": core.transitive,
-        "captures_multi_fixers": core.captures_multi_fixers,
-        "rank_identity": core.rank_identity,
-        "orbit_semiregular": core.orbit_semiregular,
-        "index_divides": cons.index_divides,
-        "stabilizer_generated": cons.stabilizer_ok(),
-        "index_bound": bound.ok,
-    }
+    results = (
+        core.transitive,
+        core.captures_multi_fixers,
+        core.rank_identity,
+        core.orbit_semiregular,
+        cons.index_divides,
+        cons.stabilizer_ok(),
+        bound.ok,
+    )
     return AnalysisReport(
         degree=group.degree,
         order=group.order(),
@@ -600,8 +571,28 @@ def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
         rank_g=core.rank_g,
         rank_n=core.rank_n,
         frobenius=frob,
-        quotient=fp,
-        quotient_name=identify_fingerprint(fp),
+        quotient=quotient,
+        quotient_name="unrecognized" if quotient is None else identify_fingerprint(quotient),
         regime=bound.regime,
-        checks=checks,
+        checks=dict(zip(CHECK_KEYS, results, strict=True)),
+        subgroup=sub,
     )
+
+
+def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
+    """Full pipeline: compute the derangement-generated subgroup, run every
+    check, and identify the quotient."""
+    scan = _certified_scan(group, cap)
+    sub = scan.subgroup
+    return _report(group, scan, sub, scan.captures, fingerprint(group.quotient(sub)), cap)
+
+
+def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
+    """analyze with D replaced by its point stabilizer D_0, a fault the
+    checks must catch.  D is transitive, so D_0 is a proper subgroup that
+    misses a derangement.  D_0 need not be normal, so no quotient is
+    identified.  D is normal in the transitive group, so its point
+    stabilizers are conjugate and the report depends on the group alone."""
+    scan = _certified_scan(group, cap)
+    d0 = scan.subgroup.stabilizer(0)
+    return _report(group, scan, d0, _captured_by(scan, d0), None, cap)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConstraintViolated, DegreeTooLarge
-from .gf import field, prime_power_decompose
+from .gf import _is_prime, field, prime_power_decompose
 from .matgrp import (
     MatrixGroup,
     QuadraticExtension,
@@ -91,15 +91,10 @@ def _is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
-@lru_cache(maxsize=1)
-def pgammal_28() -> PermGroup:
-    """PGammaL(2,8), order 1512, acting on the 28 cosets of the normalizer
-    of a Sylow 3-subgroup.
-
-    The projective line is the 8 field elements plus a point at infinity;
-    the fractional-linear maps x+1, gx, 1/x generate the full PGL(2,8), and
-    the field automorphism x -> x^2 extends it.
-    """
+def _pgl_2_8() -> PermGroup:
+    """PGL(2,8), the simple group of order 504, on the projective line: the
+    8 field elements plus a point at infinity (8), moved by the
+    fractional-linear maps x+1, gx, 1/x."""
     gf8 = field(2, 3)
     inf = 8
     g = gf8._enc(gf8.primitive_element().coeffs)
@@ -110,11 +105,19 @@ def pgammal_28() -> PermGroup:
     shift = onto(lambda x: gf8.add_e(x, 1) if x != inf else inf)
     scale = onto(lambda x: gf8.mul_e(x, g) if x != inf else inf)
     invert = onto(lambda x: inf if x == 0 else (0 if x == inf else gf8.inv_e(x)))
-    frob = onto(lambda x: gf8.pow_e(x, 2) if x != inf else inf)
-
     pgl = PermGroup(9, [shift, scale, invert])
     assert pgl.order() == 504
-    big = PermGroup(9, [shift, scale, invert, frob])
+    return pgl
+
+
+@lru_cache(maxsize=1)
+def pgammal_28() -> PermGroup:
+    """PGammaL(2,8), order 1512, acting on the 28 cosets of the normalizer
+    of a Sylow 3-subgroup: PGL(2,8) extended by the field automorphism
+    x -> x^2 of the projective line."""
+    gf8 = field(2, 3)
+    frob = Permutation(tuple(gf8.pow_e(x, 2) for x in range(8)) + (8,))
+    big = PermGroup(9, _pgl_2_8().generators + (frob,))
     assert big.order() == 1512
 
     # grow a maximal 3-subgroup greedily; maximal p-subgroups are Sylow
@@ -248,17 +251,6 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     group = PermGroup(degree, gens)
     assert group.order() == degree * h.order() * q
     return group
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @lru_cache(maxsize=32)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
-from .gf import FFElement, FieldSpec, _prime_factors, field, prime_power_decompose
+from .gf import FieldSpec, _prime_factors, field, prime_power_decompose
 from .permgrp import PermGroup, Permutation
 
 MAT_ENUMERATION_CAP = 2_000_000
@@ -58,14 +58,6 @@ class FFMatrix:
     @classmethod
     def scalar(cls, spec: FieldSpec, d: int, value: int) -> "FFMatrix":
         return cls(spec, [[value if i == j else 0 for j in range(d)] for i in range(d)])
-
-    @classmethod
-    def from_elements(cls, rows: Sequence[Sequence[FFElement]]) -> "FFMatrix":
-        spec = rows[0][0].spec
-        return cls(spec, [[e.to_int() for e in row] for row in rows])
-
-    def entry(self, i: int, j: int) -> FFElement:
-        return self.spec.from_int(self.rows[i][j])
 
     def key(self) -> tuple[int, ...]:
         return tuple(e for row in self.rows for e in row)
@@ -308,6 +300,7 @@ class MatrixGroup:
         self._elements: list[FFMatrix] | None = None
         self._keyset: frozenset | None = None
         self._irreducibility: tuple | None = None
+        self._cosets: tuple | None = None  # (sub, reps, coset_of) of the last coset walk
 
     def elements(self, cap: int = MAT_ENUMERATION_CAP) -> list[FFMatrix]:
         if self._elements is None:
@@ -467,18 +460,21 @@ def _orbit_labels(group: MatrixGroup) -> np.ndarray:
 
 def _right_cosets(group: MatrixGroup, sub: MatrixGroup) -> tuple[list[FFMatrix], dict[tuple, int]]:
     """(one representative per right coset of sub, identity's coset first;
-    the coset number of every element key)."""
-    sub_elements = sub.elements()
-    coset_of: dict[tuple, int] = {}
-    reps = []
-    for m in group.elements():
-        if m.key() in coset_of:
-            continue
-        for s in sub_elements:
-            coset_of[(s * m).key()] = len(reps)
-        reps.append(m)
-    assert len(reps) * sub.order() == group.order()
-    return reps, coset_of
+    the coset number of every element key).  The walk for the last sub is
+    cached on the group, so the index check and the quotient share it."""
+    if group._cosets is None or group._cosets[0] is not sub:
+        sub_elements = sub.elements()
+        coset_of: dict[tuple, int] = {}
+        reps = []
+        for m in group.elements():
+            if m.key() in coset_of:
+                continue
+            for s in sub_elements:
+                coset_of[(s * m).key()] = len(reps)
+            reps.append(m)
+        assert len(reps) * sub.order() == group.order()
+        group._cosets = (sub, reps, coset_of)
+    return group._cosets[1], group._cosets[2]
 
 
 @dataclass(frozen=True)

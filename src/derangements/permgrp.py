@@ -393,19 +393,12 @@ class PermGroup:
         return self._stabilizers[point]
 
     def rank(self) -> int:
-        """Number of suborbits (orbits of a point stabilizer).
-
-        Cross-checked against the exact character formula
-        sum(fix(g)^2) == rank * |G| whenever the element scan stays under
-        10^7 point images.
-        """
+        """Number of suborbits (orbits of a point stabilizer).  The corpus
+        suite cross-checks it against the character formula
+        sum(fix(g)^2) == rank * |G|."""
         if not self.is_transitive():
             raise NotTransitive("rank needs a transitive group")
-        r = len(self.stabilizer(0).orbits())
-        if self.order() * self.degree <= 10_000_000:
-            total = sum(count_fixed(el) ** 2 for el in self._iter_element_tuples())
-            assert total == r * self.order(), "suborbit count disagrees with character sum"
-        return r
+        return len(self.stabilizer(0).orbits())
 
     # block systems ----------------------------------------------------------
 
@@ -638,9 +631,6 @@ class BlockSystem:
         for pt, b in enumerate(self.assignment):
             out[b].append(pt)
         return out
-
-    def is_trivial(self) -> bool:
-        return self.num_blocks == 1 or self.block_size == 1
 
 
 @dataclass(frozen=True)

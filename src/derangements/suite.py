@@ -23,17 +23,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .derange import (
+    AnalysisReport,
+    _faulted_analysis,
     analyze,
-    bound_check,
-    derangement_subgroup,
     fingerprint,
     identify_fingerprint,
-    index_consequences,
-    subgroup_checks,
     two_derangement_coverage,
 )
 from .families import (
     FamilyParams,
+    _pgl_2_8,
     affine_group,
     build_family,
     central_product_examples,
@@ -363,17 +362,21 @@ def _resolve(record: dict, dotted: str):
     return cur
 
 
-def _perm_record(group: PermGroup, extras: tuple[str, ...]) -> dict:
-    report = analyze(group)
+def _report_record(report: AnalysisReport) -> dict:
     record = report.to_record()
     record["all_checks"] = report.all_checks_pass()
+    return record
+
+
+def _perm_record(group: PermGroup, extras: tuple[str, ...]) -> dict:
+    report = analyze(group)
+    record = _report_record(report)
     if "primitive" in extras:
         record["primitive"] = group.is_primitive()
     if "bound_equality" in extras:
         record["bound_equality"] = (report.index + 1) ** 2 == report.degree
     if "socle_match" in extras:
-        sub = derangement_subgroup(group)
-        record["socle_match"] = fingerprint(sub) == _simple_504_fingerprint()
+        record["socle_match"] = fingerprint(report.subgroup) == fingerprint(_pgl_2_8())
     if "coverage" in extras:
         covered, witnesses = two_derangement_coverage(group)
         record["covered"] = covered
@@ -382,35 +385,10 @@ def _perm_record(group: PermGroup, extras: tuple[str, ...]) -> dict:
 
 
 def _faulted_perm_record(group: PermGroup, extras: tuple[str, ...]) -> dict:
-    """Deliberately drop the last derangement generator and rerun the checks
-    against the crippled candidate.  The membership check must fail, which
-    exercises the failure path end to end."""
-    sub = derangement_subgroup(group)
-    candidate = PermGroup(group.degree, list(sub.generators)[:-1])
-    core = subgroup_checks(group, candidate)
-    cons = index_consequences(group, candidate)
-    bound = bound_check(group, candidate, frobenius=False)
-    record = {
-        "degree": group.degree,
-        "order": group.order(),
-        "derangements": None,
-        "d_order": candidate.order(),
-        "index": core.index,
-        "rank_g": core.rank_g,
-        "rank_n": core.rank_n,
-        "frobenius": False,
-        "quotient_name": "unrecognized",
-        "checks": {
-            "subgroup_transitive": core.transitive,
-            "captures_multi_fixers": core.captures_multi_fixers,
-            "rank_identity": core.rank_identity,
-            "orbit_semiregular": core.orbit_semiregular,
-            "index_divides": cons.index_divides,
-            "stabilizer_generated": cons.stabilizer_ok(),
-            "index_bound": bound.ok,
-        },
-    }
-    record["all_checks"] = all(record["checks"].values())
+    """The record with D replaced by its point stabilizer before the checks.
+    The membership check must fail, which exercises the failure path end
+    to end."""
+    record = _report_record(_faulted_analysis(group))
     for key in extras:
         record.setdefault(key, None)
     return record
@@ -443,34 +421,13 @@ def matrix_record(group: MatrixGroup) -> dict:
 
 def _bridge_record(perm_group: PermGroup, mat_group: MatrixGroup) -> dict:
     report = analyze(perm_group)
-    perm = report.to_record()
-    perm["all_checks"] = report.all_checks_pass()
     mat, mat_fp = _matrix_profile(mat_group)
     return {
-        "perm": perm,
+        "perm": _report_record(report),
         "mat": mat,
         "index_match": report.index == mat["index"],
         "quotient_match": report.quotient == mat_fp,
     }
-
-
-def _simple_504_fingerprint():
-    """Fingerprint of an independently built simple group of order 504:
-    the fractional-linear maps x+1, gx, 1/x on the projective line over
-    the 8-element field."""
-    gf8 = field(2, 3)
-    inf = 8
-    g = gf8._enc(gf8.primitive_element().coeffs)
-
-    def onto(fn) -> Permutation:
-        return Permutation(tuple(fn(x) for x in range(9)))
-
-    shift = onto(lambda x: gf8.add_e(x, 1) if x != inf else inf)
-    scale = onto(lambda x: gf8.mul_e(x, g) if x != inf else inf)
-    invert = onto(lambda x: inf if x == 0 else (0 if x == inf else gf8.inv_e(x)))
-    group = PermGroup(9, [shift, scale, invert])
-    assert group.order() == 504
-    return fingerprint(group)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +498,10 @@ def run_paper_suite(
 ) -> list[RunReport]:
     """Run the built-in scenarios in definition order.
 
-    With inject_fault=True each permutation scenario drops one derangement
-    generator before the checks, so the membership check must fail; this is
-    a self-test of the failure path.  ``only`` restricts to the named
+    With inject_fault=True each permutation scenario replaces D by its
+    point stabilizer D_0 before the checks.  D is transitive, so D_0 misses
+    a derangement and the membership check must fail; this is a self-test
+    of the failure path.  ``only`` restricts to the named
     scenario ids, preserving definition order.
     """
     chosen = [sc for sc in PAPER_SCENARIOS if not only or sc.id in only]
@@ -643,16 +601,14 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
         group = corpus_group(name)
     report = analyze(group)
     record = {"name": name}
-    record.update(report.to_record())
-    record["all_checks"] = report.all_checks_pass()
+    record.update(_report_record(report))
     record["primitive"] = group.is_primitive()
     record["sqrt_bound"] = (report.index + 1) ** 2 <= report.degree
     record["abundance"] = report.derangement_count * report.degree >= report.order
 
-    sub = derangement_subgroup(group)
     reps = _random_words(group, name, COSET_REP_COUNT)
     record["coset_average_one"] = all(
-        coset_average_fixed_points(t, sub) == 1 for t in reps
+        coset_average_fixed_points(t, report.subgroup) == 1 for t in reps
     )
 
     if report.frobenius and report.d_order >= 3:
@@ -667,9 +623,15 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     else:
         record["order_crosscheck"] = None
 
-    square_sum = sum(count_fixed(raw) ** 2 for raw in group._iter_element_tuples())
-    record["rank_crosscheck"] = square_sum == report.rank_g * report.order
+    # the character formula sum(fix(g)^2) == rank * |G|, for G and for D
+    record["rank_crosscheck"] = _square_sum(group) == report.rank_g * report.order and (
+        report.rank_n is None or _square_sum(report.subgroup) == report.rank_n * report.d_order
+    )
     return record
+
+
+def _square_sum(group: PermGroup) -> int:
+    return sum(count_fixed(raw) ** 2 for raw in group._iter_element_tuples())
 
 
 def corpus_failures(record: dict) -> list[str]:

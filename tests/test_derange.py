@@ -8,7 +8,6 @@ from derangements.derange import (
     AnalysisReport,
     analyze,
     bound_check,
-    derangement_count,
     derangement_set,
     derangement_subgroup,
     fingerprint,
@@ -318,4 +317,15 @@ def test_regular_nonabelian_socle_forces_equality():
 
 def test_derangement_count_matches_set():
     for g in (symmetric_group(5), agl_1_5()):
-        assert derangement_count(g) == len(derangement_set(g))
+        assert analyze(g).derangement_count == len(derangement_set(g))
+
+
+def test_report_carries_subgroup_outside_the_record():
+    g = affine_scaling_9()
+    rep = analyze(g)
+    assert rep.subgroup.same_group_as(derangement_subgroup(g))
+    assert "subgroup" not in rep.to_record()
+    assert "PermGroup" not in repr(rep)
+    # the subgroup does not take part in comparison
+    other = analyze(affine_scaling_9())
+    assert other.subgroup is not rep.subgroup and other == rep

@@ -455,6 +455,20 @@ def test_quotient_perm_group():
     assert q.order() == 2
 
 
+def test_right_cosets_walked_once_per_subgroup():
+    gl = general_linear_gl2(GF3)
+    sl = special_linear_gl2(GF3)
+    index_bound_check(gl, sl)
+    reps, coset_of = _right_cosets(gl, sl)
+    assert len(reps) == 2 and len(coset_of) == gl.order()
+    quotient_perm_group(gl, sl)
+    assert _right_cosets(gl, sl)[0] is reps
+    # another subgroup gets its own walk
+    scalars = scalar_matrix_group(GF3, 2)
+    assert len(_right_cosets(gl, scalars)[0]) == gl.order() // 2
+    assert len(_right_cosets(gl, sl)[0]) == 2
+
+
 def test_vector_index_round_trip():
     spec = field(3, 2)
     for idx in range(spec.order**2):

@@ -15,6 +15,7 @@ from derangements.permgrp import (
     alternating_group,
     bruteforce_closure,
     coset_average_fixed_points,
+    count_fixed,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -128,6 +129,15 @@ def test_rank(group, expected):
     # regular actions have rank equal to the degree; dihedral groups on m
     # points have 1 + floor(m/2) suborbits
     assert group.rank() == expected
+
+
+def test_rank_matches_character_sum_on_corpus():
+    # sum(fix(g)^2) counts the pairs (g, (x, y)) with g fixing x and y, so
+    # it is |G| times the number of orbits on ordered pairs, the rank
+    for name in corpus_names():
+        group = corpus_group(name)
+        total = sum(count_fixed(raw) ** 2 for raw in group._iter_element_tuples())
+        assert total == group.rank() * group.order(), name
 
 
 def test_rank_requires_transitive():

@@ -1,7 +1,16 @@
 """Property tests for the algebraic laws the whole pipeline leans on."""
 
+from math import gcd
+
 from hypothesis import given, settings, strategies as st
 
+from derangements.derange import (
+    _certified_scan,
+    _scan,
+    _stabilizer_action,
+    index_consequences,
+    subgroup_checks,
+)
 from derangements.fileio import dump_perm_group, load_perm_group
 from derangements.gf import field
 from derangements.permgrp import (
@@ -115,6 +124,101 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
             # the greedy coset representative is the least element of the coset
             rep = grown.coset_min_rep(x)
             assert rep.images == min(tuple(x.images[h[i]] for i in range(n)) for h in closure)
+
+
+def _affine(n):
+    # x -> a*x + b on Z_n; with the n-cycle these give affine groups, where
+    # the derangements generate a subgroup of index above 1
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    return st.tuples(st.sampled_from(units), st.integers(0, n - 1)).map(
+        lambda ab: Permutation(tuple((ab[0] * x + ab[1]) % n for x in range(n)))
+    )
+
+
+def _transitive_generator_sets():
+    # the n-cycle keeps the group transitive; up to three more generators
+    # take it anywhere from a cyclic group to S_n, and all are relabelled by
+    # a random permutation
+    return st.integers(min_value=2, max_value=7).flatmap(
+        lambda n: st.tuples(
+            _perm(n),
+            st.lists(_affine(n), max_size=2),
+            st.lists(_generator(n), max_size=1),
+        )
+    )
+
+
+def _old_derangement_generated(group):
+    """The separate stabilizer-action loop that the single scan replaced."""
+    sub = PermGroup(group.degree, ())
+    count = 0
+    for raw in group._iter_element_tuples():
+        if count_fixed(raw) == 0:
+            count += 1
+            p = Permutation._raw(raw)
+            if p not in sub:
+                sub = sub.extended(p)
+    return count, sub
+
+
+def _old_captures(group, candidate):
+    """The per-element candidate loop that the single scan replaced."""
+    return all(
+        count_fixed(raw) == 1 or Permutation._raw(raw) in candidate
+        for raw in group._iter_element_tuples()
+    )
+
+
+def _closure_order(n, elements):
+    """Order of the group the elements generate, by brute-force closure;
+    an element already in the closure so far is not added as a generator."""
+    closure = {tuple(range(n))}
+    gens = []
+    for e in elements:
+        if e not in closure:
+            gens.append(Permutation(e))
+            closure = bruteforce_closure(n, gens)
+    return len(closure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transitive_generator_sets())
+def test_single_scan_matches_bruteforce_and_old_loops(data):
+    sigma, affine, other = data
+    n = sigma.degree
+    cycle = Permutation.from_cycles(n, [tuple(range(n))])
+    group = PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
+    elements = bruteforce_closure(n, group.generators)
+    assert len(elements) == group.order()
+
+    # the derangement count, the stashed elements fixing two or more points
+    # and D, against the closure of the derangements
+    derangements = [e for e in elements if count_fixed(e) == 0]
+    scan = _certified_scan(group)
+    assert scan.derangement_count == len(derangements)
+    assert len(scan.multi_fixers) == sum(1 for e in elements if 2 <= count_fixed(e) < n)
+    assert scan.subgroup.order() == _closure_order(n, derangements)
+    assert all(Permutation(e) in scan.subgroup for e in derangements)
+
+    # the point-0 stabilizer: elements fixing 0 and nothing else
+    action = _stabilizer_action(group)
+    count, generated = _old_derangement_generated(action)
+    only_zero = [e for e in elements if e[0] == 0 and count_fixed(e) == 1]
+    stab_scan = _scan(action)
+    assert stab_scan.derangement_count == count == len(only_zero)
+    assert stab_scan.subgroup.same_group_as(generated)
+    assert generated.order() == _closure_order(n, only_zero)
+    cons = index_consequences(group)
+    if cons.index > 1:
+        assert cons.stabilizer_half == (2 * count >= action.order())
+        assert cons.stabilizer_generated == (generated.order() == action.order())
+
+    d = scan.subgroup
+    cyclic = PermGroup(n, [group.generators[0]])
+    candidates = (group, d, d.stabilizer(0), group.stabilizer(0), cyclic, PermGroup(n, ()))
+    for candidate in candidates:
+        captures = subgroup_checks(group, candidate).captures_multi_fixers
+        assert captures == _old_captures(group, candidate)
 
 
 @settings(max_examples=30, deadline=None)

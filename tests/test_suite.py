@@ -1,14 +1,18 @@
 """Scenario table integrity, runner behavior, and corpus properties."""
 
 import json
+import random
 
 import pytest
 
 from derangements.families import FAMILY_ARITY
 from derangements.gf import field
+from derangements.families import build_family
 from derangements.matgrp import general_linear_gl2, scalar_matrix_group
+from derangements.permgrp import PermGroup, Permutation
 from derangements.suite import (
     _MAT_BUILDERS,
+    _faulted_perm_record,
     _random_words,
     PAPER_SCENARIOS,
     Expectation,
@@ -62,6 +66,21 @@ def test_fault_injection_fails_membership_check():
     assert not r.passed
     assert r.record["checks"]["captures_multi_fixers"] is False
     assert any(f == "all_checks" for f, _, _ in r.failures)
+
+
+@pytest.mark.parametrize(
+    "scenario_id", ["semilinear-3", "semilinear-5", "frobenius-complement-5-2-3"]
+)
+def test_fault_record_is_invariant_under_relabelling(scenario_id):
+    sc = next(s for s in PAPER_SCENARIOS if s.id == scenario_id)
+    group = build_family(sc.params)
+    points = list(range(group.degree))
+    random.Random(f"relabel:{scenario_id}").shuffle(points)
+    sigma = Permutation(points)
+    relabelled = PermGroup(group.degree, [g.conjugate_by(sigma) for g in group.generators])
+    record = _faulted_perm_record(group, sc.extras)
+    assert record["checks"]["captures_multi_fixers"] is False
+    assert _faulted_perm_record(relabelled, sc.extras) == record
 
 
 def test_failed_expectation_reports_field_and_values():
