@@ -198,8 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--inject-fault",
         action="store_true",
-        help="self-test: drop one derangement generator so the membership "
-        "check must fail and the exit status must be nonzero",
+        help="self-test: replace the derangement subgroup by its point "
+        "stabilizer so the membership check must fail and the exit status "
+        "must be nonzero",
     )
     p_verify.set_defaults(fn=_cmd_verify)
 

@@ -411,8 +411,11 @@ def two_derangement_coverage(
 ):
     """Can every element of the derangement-generated subgroup be written
     as a product of two derangements?  Returns (covered, witnesses) where
-    the witnesses are the elements missed by the product set."""
-    dset = [p.images for p in derangement_set(group, cap)]
+    the witnesses are the elements missed by the product set.  The
+    subgroup is grown from the derangement list in its order, as the
+    certified scan grows it, so it has the same generators and chain."""
+    derangements = derangement_set(group, cap)
+    dset = [p.images for p in derangements]
     if not dset:
         raise ConstraintViolated("group has no derangements to multiply")
     if len(dset) ** 2 > work_cap:
@@ -421,7 +424,12 @@ def two_derangement_coverage(
     for a in dset:
         for b in dset:
             products.add(tuple(map(b.__getitem__, a)))
-    sub = derangement_subgroup(group, cap)
+    if not group.is_transitive():
+        raise NotTransitive("derangement subgroup needs a transitive action")
+    sub = PermGroup(group.degree, ())
+    for p in derangements:
+        if p not in sub:
+            sub = sub.extended(p)
     witnesses = [g for g in sub.iter_elements() if g.images not in products]
     return len(witnesses) == 0, witnesses
 

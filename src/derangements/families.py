@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConstraintViolated, DegreeTooLarge
-from .gf import _is_prime, field, prime_power_decompose
+from .gf import FieldSpec, _is_prime, field, prime_power_decompose
 from .matgrp import (
     MatrixGroup,
     QuadraticExtension,
@@ -38,6 +38,11 @@ from .permgrp import (
 )
 
 AFFINE_DEGREE_CAP = 100_000
+
+
+def _gf(q: int) -> FieldSpec:
+    """GF(q) for a prime power q."""
+    return field(*prime_power_decompose(q))
 
 
 def affine_group(h: MatrixGroup) -> PermGroup:
@@ -76,7 +81,7 @@ def semilinear_example(q: int) -> PermGroup:
         raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
     big = field(p, 2 * f)
     assert big.order == degree
-    g = big._enc(big.primitive_element().coeffs)
+    g = big.primitive_element()
     shift = Permutation(tuple(big.add_e(x, 1) for x in range(degree)))
     scale = Permutation(tuple(big.mul_e(x, g) for x in range(degree)))
     frob = Permutation(tuple(big.pow_e(x, q) for x in range(degree)))
@@ -97,7 +102,7 @@ def _pgl_2_8() -> PermGroup:
     fractional-linear maps x+1, gx, 1/x."""
     gf8 = field(2, 3)
     inf = 8
-    g = gf8._enc(gf8.primitive_element().coeffs)
+    g = gf8.primitive_element()
 
     def onto(fn) -> Permutation:
         return Permutation(tuple(fn(x) for x in range(9)))
@@ -261,8 +266,7 @@ def dihedral_quotient_family(q: int) -> MatrixGroup:
         raise ConstraintViolated(f"q = {q} is not 3 mod 4")
     if q < 7:
         raise ConstraintViolated("q must be at least 7")
-    p, f = prime_power_decompose(q)
-    spec = field(p, f)
+    spec = _gf(q)
     x_part = dihedral_gl2(spec, q - 1)
     ext = QuadraticExtension(spec)
     rot = ext.mult_rep(ext.element_of_order(q + 1))
@@ -312,25 +316,31 @@ class FamilyParams:
     values: tuple[int, ...] = ()
 
 
-FAMILY_ARITY = {
-    "symmetric": 1,
-    "alternating": 1,
-    "cyclic": 1,
-    "dihedral": 1,
-    "agl1": 1,
-    "affine-scalars": 2,
-    "affine-gl2": 1,
-    "affine-klein": 0,
-    "semilinear": 1,
-    "pgammal28": 0,
-    "wreath-sym": 2,
-    "wreath-cyclic": 2,
-    "frobenius-complement": 3,
-    "central-klein": 0,
-    "central-a4": 0,
-    "central-a5": 0,
-    "dihedral-family": 1,
+# name -> (number of parameters, builder).  The builders look constructors up
+# by name when called, so a rebound module global (a tracer's wrapper) is used.
+_FAMILIES = {
+    "symmetric": (1, lambda n: symmetric_group(n)),
+    "alternating": (1, lambda n: alternating_group(n)),
+    "cyclic": (1, lambda n: cyclic_group(n)),
+    "dihedral": (1, lambda n: dihedral_group(n)),
+    "agl1": (1, lambda q: affine_group(scalar_matrix_group(_gf(q), 1))),
+    "affine-scalars": (2, lambda q, d: affine_group(scalar_matrix_group(_gf(q), d))),
+    "affine-gl2": (1, lambda q: affine_group(general_linear_gl2(_gf(q)))),
+    "affine-klein": (0, lambda: affine_group(central_product_examples("klein"))),
+    "semilinear": (1, lambda q: semilinear_example(q)),
+    "pgammal28": (0, lambda: pgammal_28()),
+    "wreath-sym": (2, lambda n, k: wreath_product_action(symmetric_group(n), k)),
+    "wreath-cyclic": (2, lambda n, k: wreath_product_action(cyclic_group(n), k)),
+    "frobenius-complement": (
+        3,
+        lambda m, a, q: frobenius_complement_example(m, cyclic_multiplier_group(m, a), q),
+    ),
+    "central-klein": (0, lambda: central_product_examples("klein")),
+    "central-a4": (0, lambda: central_product_examples("a4")),
+    "central-a5": (0, lambda: central_product_examples("a5")),
+    "dihedral-family": (1, lambda q: dihedral_quotient_family(q)),
 }
+FAMILY_ARITY = {name: arity for name, (arity, _) in _FAMILIES.items()}
 
 
 def build_family(params: FamilyParams):
@@ -344,49 +354,4 @@ def build_family(params: FamilyParams):
         raise ConstraintViolated(
             f"family {name!r} takes {FAMILY_ARITY[name]} parameter(s), got {len(vals)}"
         )
-    if name == "symmetric":
-        return symmetric_group(vals[0])
-    if name == "alternating":
-        return alternating_group(vals[0])
-    if name == "cyclic":
-        return cyclic_group(vals[0])
-    if name == "dihedral":
-        return dihedral_group(vals[0])
-    if name == "agl1":
-        (q,) = vals
-        p, f = prime_power_decompose(q)
-        return affine_group(scalar_matrix_group(field(p, f), 1))
-    if name == "affine-scalars":
-        q, d = vals
-        p, f = prime_power_decompose(q)
-        return affine_group(scalar_matrix_group(field(p, f), d))
-    if name == "affine-gl2":
-        (q,) = vals
-        p, f = prime_power_decompose(q)
-        return affine_group(general_linear_gl2(field(p, f)))
-    if name == "affine-klein":
-        return affine_group(central_product_examples("klein"))
-    if name == "semilinear":
-        (q,) = vals
-        return semilinear_example(q)
-    if name == "pgammal28":
-        return pgammal_28()
-    if name == "wreath-sym":
-        n, k = vals
-        return wreath_product_action(symmetric_group(n), k)
-    if name == "wreath-cyclic":
-        n, k = vals
-        return wreath_product_action(cyclic_group(n), k)
-    if name == "frobenius-complement":
-        m, a, q = vals
-        return frobenius_complement_example(m, cyclic_multiplier_group(m, a), q)
-    if name == "central-klein":
-        return central_product_examples("klein")
-    if name == "central-a4":
-        return central_product_examples("a4")
-    if name == "central-a5":
-        return central_product_examples("a5")
-    if name == "dihedral-family":
-        (q,) = vals
-        return dihedral_quotient_family(q)
-    raise AssertionError("unreachable")
+    return _FAMILIES[name][1](*vals)

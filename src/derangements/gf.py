@@ -1,20 +1,22 @@
 """Exact arithmetic in small finite fields GF(p^f).
 
-Elements are dense coefficient vectors over GF(p) in the polynomial basis
-1, t, ..., t^(f-1) modulo a fixed monic irreducible polynomial; no
-logarithm tables.  The modulus for a given (p, f) is deterministic: the
+An element is an integer code 0 <= e < p**f, the one representation: e =
+sum(coeffs[i] * p**i) for its coefficient vector over GF(p) in the
+polynomial basis 1, t, ..., t^(f-1) modulo a fixed monic irreducible
+polynomial.  The modulus for a given (p, f) is deterministic: the
 lexicographically smallest monic irreducible of degree f, coefficient
 sequences compared low-degree-first.  GF(p^1) uses the modulus t, i.e.
-plain arithmetic mod p.  Elements serialize to integers via
-e = sum(coeffs[i] * p**i), so 0 <= e < p**f.
+plain arithmetic mod p on the codes.  Each field also provides its least
+primitive element and log/exp tables to that base, built once.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import FieldMismatch, NotPrime, TooLarge, ZeroElement
+from .errors import NotPrime, TooLarge, ZeroElement
 
 ORDER_CAP = 1 << 20
 
@@ -118,10 +120,10 @@ class FieldSpec:
         "f",
         "order",
         "modulus",
-        "_one",
-        "_zero",
         "_order_factors",
         "_enc_tables",
+        "_primitive",
+        "_log_exp",
     )
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
@@ -129,59 +131,49 @@ class FieldSpec:
         self.f = f
         self.order = p**f
         self.modulus = modulus
-        self._zero = FFElement(self, (0,) * f)
-        self._one = FFElement(self, (1,) + (0,) * (f - 1))
         self._order_factors = _prime_factors(self.order - 1)
         self._enc_tables = None
+        self._primitive = None
+        self._log_exp = None
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
 
-    @property
-    def zero(self) -> "FFElement":
-        return self._zero
+    def multiplicative_order_e(self, x: int) -> int:
+        """Order of the code x in GF(q)*; ZeroElement for 0."""
+        if x == 0:
+            raise ZeroElement(f"zero has no multiplicative order in {self}")
+        order = self.order - 1
+        for r in self._order_factors:
+            while order % r == 0 and self.pow_e(x, order // r) == 1:
+                order //= r
+        return order
 
-    @property
-    def one(self) -> "FFElement":
-        return self._one
+    def primitive_element(self) -> int:
+        """Code of the multiplicative generator with the smallest code; 1 for
+        GF(2), whose multiplicative group is trivial."""
+        if self._primitive is None:
+            full = self.order - 1
+            self._primitive = next(
+                (e for e in range(2, self.order) if self.multiplicative_order_e(e) == full), 1
+            )
+        return self._primitive
 
-    def element(self, value) -> "FFElement":
-        """Coerce an int (encoded), an int sequence, or an FFElement."""
-        if isinstance(value, FFElement):
-            if value.spec is not self:
-                raise FieldMismatch(f"element of {value.spec}, expected {self}")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.f:
-            raise ValueError(f"need {self.f} coefficients, got {len(coeffs)}")
-        return FFElement(self, coeffs)
+    def log_exp(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(log, exp) of GF(q)* to the base of primitive_element(), built once
+        per field; log[0] is unused."""
+        if self._log_exp is None:
+            g = self.primitive_element()
+            exp = [1]
+            for _ in range(self.order - 2):
+                exp.append(self.mul_e(exp[-1], g))
+            log = [0] * self.order
+            for i, e in enumerate(exp):
+                log[e] = i
+            self._log_exp = (tuple(log), tuple(exp))
+        return self._log_exp
 
-    def from_int(self, e: int) -> "FFElement":
-        if not 0 <= e < self.order:
-            raise ValueError(f"encoded value {e} out of range for {self}")
-        coeffs = []
-        for _ in range(self.f):
-            coeffs.append(e % self.p)
-            e //= self.p
-        return FFElement(self, tuple(coeffs))
-
-    def elements(self) -> Iterator["FFElement"]:
-        """All field elements in encoded-integer order."""
-        for e in range(self.order):
-            yield self.from_int(e)
-
-    def primitive_element(self) -> "FFElement":
-        """The multiplicative generator with the smallest integer encoding."""
-        for e in range(2, self.order):
-            a = self.from_int(e)
-            if a.multiplicative_order() == self.order - 1:
-                return a
-        # GF(2) has the empty product group; 1 generates it
-        return self.one
-
-    # internal coefficient arithmetic ------------------------------------
+    # coefficient-tuple arithmetic behind the integer codes for f > 1
 
     def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
@@ -196,20 +188,16 @@ class FieldSpec:
         return tuple((-x) % p for x in a)
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        if self.f == 1:
-            return ((a[0] * b[0]) % self.p,)
         prod = _poly_mul(a, b, self.p)
         red = _poly_mod(prod, self.modulus, self.p)
         return red + (0,) * (self.f - len(red))
 
-    # encoded-integer arithmetic: hot paths for matrix work keep elements as
-    # plain ints (the e = sum(coeffs[i] * p**i) serialization) instead of
-    # FFElement objects
-
     def _tables(self):
+        """Coefficient tuple of every code, indexed by code: the code's base-p
+        digits, least significant first."""
         if self._enc_tables is None:
-            decode = [self.from_int(e).coeffs for e in range(self.order)]
-            self._enc_tables = decode
+            digits = itertools.product(range(self.p), repeat=self.f)
+            self._enc_tables = [d[::-1] for d in digits]
         return self._enc_tables
 
     def _enc(self, coeffs: tuple[int, ...]) -> int:
@@ -276,104 +264,6 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-class FFElement:
-    """An immutable element of a FieldSpec; hashable, usable as dict key."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
-        self.spec = spec
-        self.coeffs = coeffs
-
-    def to_int(self) -> int:
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * self.spec.p + c
-        return e
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _coerce(self, other) -> "FFElement":
-        if isinstance(other, FFElement):
-            if other.spec is not self.spec:
-                raise FieldMismatch(f"{self.spec} vs {other.spec}")
-            return other
-        if isinstance(other, int):
-            return self.spec.from_int(other % self.spec.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FFElement(self.spec, self.spec._add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FFElement(self.spec, self.spec._sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FFElement(self.spec, self.spec._neg(self.coeffs))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FFElement(self.spec, self.spec._mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FFElement":
-        if self.is_zero():
-            raise ZeroDivisionError(f"inverse of zero in {self.spec}")
-        return self ** (self.spec.order - 2)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> "FFElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.spec.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise ZeroElement(f"zero has no multiplicative order in {self.spec}")
-        order = self.spec.order - 1
-        for r in self.spec._order_factors:
-            while order % r == 0 and (self ** (order // r)) == self.spec.one:
-                order //= r
-        return order
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FFElement)
-            and self.spec is other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.spec), self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"ff({self.to_int()} in {self.spec})"
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:

@@ -3,10 +3,10 @@ irreducibility by spinning, Kronecker/central products, and the degree-2
 field embedding into GL(2,q).
 
 Matrices act on row vectors (v -> v*M), so the product M*N means "apply M,
-then N" and coincides with the ordinary matrix product.  Entries are stored
-as encoded field integers (see gf.FieldSpec); FFElement objects are built
-only at the API edges.  Deterministic throughout: searches scan matrices in
-row-major encoded order, enumeration is breadth-first from the identity.
+then N" and coincides with the ordinary matrix product.  Entries are the
+integer codes of gf.FieldSpec.  Deterministic throughout: searches scan
+matrices in row-major encoded order, enumeration is breadth-first from the
+identity.
 
 Work on vectors (orbit labels, the orbit-semiregularity test, the spin)
 takes one numpy path for every field: a vector's index in GF(q)^d is the
@@ -155,26 +155,13 @@ class FFMatrix:
         return det
 
     def inverse(self) -> "FFMatrix":
-        spec = self.spec
+        """The right half of the reduced echelon form of [M | I]."""
         d = self.d
         m = [list(row) + [1 if i == j else 0 for j in range(d)] for i, row in enumerate(self.rows)]
-        row = 0
-        for col in range(d):
-            pivot = next((r for r in range(row, d) if m[r][col]), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            m[row], m[pivot] = m[pivot], m[row]
-            inv = spec.inv_e(m[row][col])
-            m[row] = [spec.mul_e(inv, e) for e in m[row]]
-            for r in range(d):
-                if r != row and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [
-                        spec.sub_e(e, spec.mul_e(factor, pe))
-                        for e, pe in zip(m[r], m[row])
-                    ]
-            row += 1
-        return FFMatrix(spec, [r[d:] for r in m])
+        reduced, pivots = echelonize(self.spec, m)
+        if pivots != list(range(d)):
+            raise ZeroDivisionError("matrix is singular")
+        return FFMatrix(self.spec, [r[d:] for r in reduced])
 
     def is_identity(self) -> bool:
         return all(
@@ -524,18 +511,6 @@ def index_bound_check(
 # irreducibility -------------------------------------------------------------
 
 
-def _log_exp_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(log, exp) of GF(q)* to the base of the primitive element; log[0] is
-    unused."""
-    g = spec.primitive_element().to_int()
-    exp = [1]
-    for _ in range(spec.order - 2):
-        exp.append(spec.mul_e(exp[-1], g))
-    log = np.zeros(spec.order, dtype=np.int64)
-    log[exp] = np.arange(spec.order - 1)
-    return log, np.array(exp, dtype=np.int64)
-
-
 def _spin(group: MatrixGroup, v: Sequence[int]) -> list[list[int]]:
     """Echelon basis of the smallest invariant subspace containing v: the
     span of v's orbit."""
@@ -569,7 +544,7 @@ def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] 
         )
     )
     digits = _index_digits(spec, d, points)
-    log, exp = _log_exp_tables(spec)
+    log, exp = (np.array(t, dtype=np.int64) for t in spec.log_exp())
     images = []
     for g in group.generators:
         coords = (_image_indices(g, digits)[:, None] // qpow) % q
@@ -846,7 +821,7 @@ def special_linear_gl2(spec: FieldSpec) -> MatrixGroup:
 
 def general_linear_gl2(spec: FieldSpec) -> MatrixGroup:
     """All of GL(2,q): transvection + swap + a determinant-spanning torus."""
-    g = spec.primitive_element().to_int()
+    g = spec.primitive_element()
     gens = [
         FFMatrix(spec, [[1, 1], [0, 1]]),
         FFMatrix(spec, [[0, 1], [1, 0]]),
@@ -860,7 +835,7 @@ def general_linear_gl2(spec: FieldSpec) -> MatrixGroup:
 
 def scalar_matrix_group(spec: FieldSpec, d: int) -> MatrixGroup:
     """The full scalar group {lambda*I}, cyclic of order q-1."""
-    g = spec.primitive_element().to_int()
+    g = spec.primitive_element()
     group = MatrixGroup(spec, d, [FFMatrix.scalar(spec, d, g)])
     assert group.order() == spec.order - 1
     return group
@@ -874,9 +849,7 @@ def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
         raise ConstraintViolated("dihedral rotation order must be at least 3")
     q = spec.order
     if (q - 1) % m == 0:
-        u = next(
-            e for e in range(2, q) if spec.from_int(e).multiplicative_order() == m
-        )
+        u = next(e for e in range(2, q) if spec.multiplicative_order_e(e) == m)
         rot = FFMatrix(spec, [[u, 0], [0, spec.inv_e(u)]])
         ref = FFMatrix(spec, [[0, 1], [1, 0]])
     elif (q + 1) % m == 0:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from derangements import derange
 from derangements.derange import (
     AnalysisReport,
     analyze,
@@ -173,6 +174,24 @@ def test_two_derangement_coverage_small():
     assert covered
     covered, _ = two_derangement_coverage(agl_1_5())
     assert covered
+
+
+def test_two_derangement_coverage_grows_the_scanned_subgroup(monkeypatch):
+    """Coverage builds D from its own derangement list, with no second
+    certified scan, and walks the same elements as the scanned D."""
+    groups = [symmetric_group(2), alternating_group(5), agl_1_5(), symmetric_group(4)]
+    expected = [list(derangement_subgroup(g).iter_elements()) for g in groups]
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("coverage ran a certified scan")
+
+    monkeypatch.setattr(derange, "_certified_scan", no_scan)
+    for g, elements in zip(groups, expected):
+        _, witnesses = two_derangement_coverage(g)
+        products = {a * b for a in derangement_set(g) for b in derangement_set(g)}
+        assert witnesses == [e for e in elements if e not in products]
+    with pytest.raises(NotTransitive):
+        two_derangement_coverage(PermGroup(4, [Permutation((1, 0, 3, 2))]))
 
 
 def test_splits_over():

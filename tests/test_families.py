@@ -2,6 +2,7 @@
 
 import pytest
 
+from derangements import families
 from derangements.derange import analyze, derangement_subgroup, fingerprint, identify_quotient
 from derangements.errors import ConstraintViolated, DegreeTooLarge
 from derangements.families import (
@@ -195,5 +196,16 @@ def test_build_family_dispatch():
 def test_build_family_rejects():
     with pytest.raises(ConstraintViolated, match="unknown family"):
         build_family(FamilyParams("mystery", ()))
-    with pytest.raises(ConstraintViolated, match="parameter"):
+    with pytest.raises(ConstraintViolated, match="parameter") as exc:
         build_family(FamilyParams("semilinear", (3, 4)))
+    assert str(exc.value) == "family 'semilinear' takes 1 parameter(s), got 2"
+
+
+def test_build_family_calls_rebound_constructors(monkeypatch):
+    """Builders look constructors up when called, so a wrapper bound over
+    a module global (as the benchmark tracer binds) sees the call."""
+    calls = []
+    original = families.affine_group
+    monkeypatch.setattr(families, "affine_group", lambda h: calls.append(h) or original(h))
+    assert build_family(FamilyParams("agl1", (5,))).order() == 20
+    assert len(calls) == 1

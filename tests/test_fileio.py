@@ -88,7 +88,7 @@ def test_mat_dump_layout():
 
 def test_mat_extension_field_entries_are_encoded():
     gf9 = field(3, 2)
-    two_plus_x = gf9.add_e(2, gf9._enc((0, 1)))
+    two_plus_x = gf9.add_e(2, 3)  # t has code 0 + 1*3
     h = MatrixGroup(gf9, 1, [FFMatrix(gf9, [[two_plus_x]])])
     text = dump_matrix_group(h)
     assert text == f"matgroup 3 2 1 1\n{two_plus_x}\n"

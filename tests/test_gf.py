@@ -1,11 +1,12 @@
-"""Field construction, arithmetic, and the deterministic modulus rule."""
+"""Field construction, integer-code arithmetic, and the deterministic
+modulus rule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from derangements.errors import FieldMismatch, NotPrime, TooLarge, ZeroElement
+from derangements.errors import NotPrime, TooLarge, ZeroElement
 from derangements.gf import field
 
 
@@ -64,6 +65,59 @@ def brute_smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible found")
 
 
+def _digits(e: int, p: int, f: int) -> list[int]:
+    out = []
+    for _ in range(f):
+        out.append(e % p)
+        e //= p
+    return out
+
+
+def _code(coeffs, p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def oracle_mul(k, x: int, y: int) -> int:
+    """Independent oracle: decode both codes to coefficient lists, multiply
+    the polynomials, reduce the product by long division by k.modulus (monic
+    of degree f; no reduction for f = 1, where GF(p) is plain mod p)."""
+    p, f = k.p, k.f
+    a, b = _digits(x, p, f), _digits(y, p, f)
+    prod = [0] * (2 * f - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for top in range(len(prod) - 1, f - 1, -1):
+        lead = prod[top]
+        for i, mi in enumerate(k.modulus):
+            prod[top - f + i] = (prod[top - f + i] - lead * mi) % p
+    return _code(prod[:f], p)
+
+
+def oracle_add(k, x: int, y: int, sign: int = 1) -> int:
+    p, f = k.p, k.f
+    return _code(
+        [(a + sign * b) % p for a, b in zip(_digits(x, p, f), _digits(y, p, f))], p
+    )
+
+
+def all_prime_powers_up_to(limit):
+    out = []
+    for p in range(2, limit + 1):
+        if not all(p % d for d in range(2, p)):
+            continue
+        q = p
+        f = 1
+        while q <= limit:
+            out.append((p, f))
+            q *= p
+            f += 1
+    return sorted(out, key=lambda pf: pf[0] ** pf[1])
+
+
+FIELDS_UP_TO_81 = all_prime_powers_up_to(81)
+
+
 @pytest.mark.parametrize(
     "p,f", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2)]
 )
@@ -75,15 +129,15 @@ def test_gf9_modulus_is_t_squared_plus_one():
     # all monic quadratics over GF(3) lexically before t^2+1 have a root
     k = field(3, 2)
     assert k.modulus == (1, 0, 1)
-    t = k.element([0, 1])
-    assert (t * t).to_int() == k.element([2, 0]).to_int()  # t^2 = -1
+    t = 0 + 1 * 3  # the code of coefficients (0, 1)
+    assert k.mul_e(t, t) == 2  # t^2 = -1
 
 
 def test_prime_field_is_plain_mod_p():
     k = field(7, 1)
     assert k.modulus == (0, 1)
-    assert (k.element(5) + k.element(4)).to_int() == 2
-    assert (k.element(5) * k.element(4)).to_int() == 6
+    assert k.add_e(5, 4) == 2
+    assert k.mul_e(5, 4) == 6
 
 
 def test_field_make_rejects_bad_parameters():
@@ -102,77 +156,110 @@ def test_field_interned():
 
 
 def test_division_and_zero_errors():
-    k = field(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        k.zero.inverse()
-    with pytest.raises(ZeroElement):
-        k.zero.multiplicative_order()
-    a = k.element(5)
-    assert (a / a) == k.one
-
-
-def test_cross_field_operands_rejected():
-    with pytest.raises(FieldMismatch):
-        field(3, 1).one + field(5, 1).one
-    with pytest.raises(FieldMismatch):
-        field(3, 2).element(field(3, 1).one)
+    for k in (field(3, 2), field(7, 1)):
+        with pytest.raises(ZeroDivisionError):
+            k.inv_e(0)
+        with pytest.raises(ZeroDivisionError):
+            k.pow_e(0, -1)
+        with pytest.raises(ZeroElement):
+            k.multiplicative_order_e(0)
+        assert k.mul_e(5, k.inv_e(5)) == 1
 
 
 def test_element_order_examples():
     k = field(3, 2)
-    t = k.element([0, 1])
-    assert t.multiplicative_order() == 4  # t^2 = -1
-    assert k.one.multiplicative_order() == 1
-    g = k.primitive_element()
-    assert g.multiplicative_order() == 8
-
-
-def test_integer_encoding_round_trip():
-    k = field(3, 2)
-    for e in range(9):
-        assert k.from_int(e).to_int() == e
-    assert k.element([2, 1]).to_int() == 2 + 1 * 3
+    assert k.multiplicative_order_e(3) == 4  # t^2 = -1
+    assert k.multiplicative_order_e(1) == 1
+    assert k.multiplicative_order_e(k.primitive_element()) == 8
 
 
 def test_power_of_group_order_is_identity():
     for p, f in [(2, 3), (3, 2), (5, 1), (7, 1), (2, 4)]:
         k = field(p, f)
         q = k.order
-        for a in k.elements():
-            if not a.is_zero():
-                assert a ** (q - 1) == k.one
-                assert a.inverse() * a == k.one
+        for a in range(1, q):
+            assert k.pow_e(a, q - 1) == 1
+            assert k.mul_e(k.inv_e(a), a) == 1
+
+
+def test_integer_ops_match_polynomial_oracle_up_to_81():
+    """add_e, sub_e, neg_e, mul_e, inv_e and pow_e on every code of every
+    field of order <= 81, against the oracle."""
+    for p, f in FIELDS_UP_TO_81:
+        k = field(p, f)
+        q = k.order
+        for x in range(q):
+            assert k.neg_e(x) == oracle_add(k, 0, x, -1), (q, x)
+            for y in range(q):
+                assert k.add_e(x, y) == oracle_add(k, x, y), (q, x, y)
+                assert k.sub_e(x, y) == oracle_add(k, x, y, -1), (q, x, y)
+                assert k.mul_e(x, y) == oracle_mul(k, x, y), (q, x, y)
+            if x:
+                inv = next(y for y in range(1, q) if oracle_mul(k, x, y) == 1)
+                assert k.inv_e(x) == inv, (q, x)
+            for base, sign in ((x, 1), (k.inv_e(x), -1)) if x else ((x, 1),):
+                acc = 1
+                for e in range(q + 1):
+                    assert k.pow_e(x, sign * e) == acc, (q, x, sign * e)
+                    acc = oracle_mul(k, acc, base)
+
+
+def _brute_order(k, x: int) -> int:
+    acc, n = x, 1
+    while acc != 1:
+        acc, n = oracle_mul(k, acc, x), n + 1
+    return n
+
+
+def test_multiplicative_order_matches_power_loop():
+    for p, f in FIELDS_UP_TO_81:
+        k = field(p, f)
+        for x in range(1, k.order):
+            assert k.multiplicative_order_e(x) == _brute_order(k, x), (k, x)
+
+
+# pinned codes of primitive_element(), unchanged from the former
+# tuple-coefficient element API
+PRIMITIVE_BY_ORDER = {
+    2: 1, 3: 2, 4: 2, 5: 2, 7: 3, 8: 2, 9: 4, 11: 2, 13: 2, 16: 2, 17: 3,
+    19: 2, 23: 5, 25: 6, 27: 3, 29: 2, 31: 3, 32: 2, 37: 2, 41: 6, 43: 3,
+    47: 5, 49: 9, 53: 2, 59: 2, 61: 2, 64: 2, 67: 2, 71: 7, 73: 5, 79: 3,
+    81: 3,
+}
+
+
+def test_primitive_element_is_least_generator():
+    for p, f in FIELDS_UP_TO_81:
+        k = field(p, f)
+        q = k.order
+        least = next((x for x in range(2, q) if _brute_order(k, x) == q - 1), 1)
+        assert k.primitive_element() == least == PRIMITIVE_BY_ORDER[q], q
+    assert sorted(PRIMITIVE_BY_ORDER) == [p**f for p, f in FIELDS_UP_TO_81]
+
+
+def test_log_exp_tables_invert_and_are_cached():
+    for p, f in FIELDS_UP_TO_81:
+        k = field(p, f)
+        log, exp = k.log_exp()
+        assert len(exp) == k.order - 1 and exp[0] == 1, k
+        if k.order > 2:
+            assert exp[1] == k.primitive_element(), k
+        for x in range(1, k.order):
+            assert exp[log[x]] == x, (k, x)
+        again = k.log_exp()
+        assert again[0] is log and again[1] is exp
 
 
 def _tables(k):
     n = k.order
-    add = np.zeros((n, n), dtype=np.int32)
-    mul = np.zeros((n, n), dtype=np.int32)
-    elems = list(k.elements())
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = (a + b).to_int()
-            mul[i, j] = (a * b).to_int()
+    add = np.array([[k.add_e(a, b) for b in range(n)] for a in range(n)], dtype=np.int32)
+    mul = np.array([[k.mul_e(a, b) for b in range(n)] for a in range(n)], dtype=np.int32)
     return add, mul
-
-
-def all_prime_powers_up_to(limit):
-    out = []
-    for p in range(2, limit + 1):
-        if not all(p % d for d in range(2, p)):
-            continue
-        q = p
-        f = 1
-        while q <= limit:
-            out.append((p, f))
-            q *= p
-            f += 1
-    return sorted(out, key=lambda pf: pf[0] ** pf[1])
 
 
 def test_field_axioms_exhaustive_up_to_81():
     """Associativity, commutativity, distributivity on exhaustive triples."""
-    for p, f in all_prime_powers_up_to(81):
+    for p, f in FIELDS_UP_TO_81:
         k = field(p, f)
         add, mul = _tables(k)
         n = k.order

@@ -2,6 +2,7 @@
 (against a pure-Python spin kept here as the oracle), products, and the
 GL(2,q) embeddings."""
 
+import itertools
 import random
 
 import pytest
@@ -164,6 +165,15 @@ def test_matrix_inverse_det_pow():
     assert m ** -1 == m.inverse()
     with pytest.raises(ZeroDivisionError):
         FFMatrix(GF5, [[1, 2], [2, 4]]).inverse()
+    # every 2x2 matrix over GF(4): singular ones raise, the rest invert
+    gf4 = field(2, 2)
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        m = FFMatrix(gf4, [[a, b], [c, d]])
+        if m.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+        else:
+            assert (m * m.inverse()).is_identity() and (m.inverse() * m).is_identity()
 
 
 def test_rank_nullspace_solve():
