@@ -420,12 +420,12 @@ def two_derangement_coverage(
         raise ConstraintViolated("group has no derangements to multiply")
     if len(dset) ** 2 > work_cap:
         raise CapExceeded(f"{len(dset)}^2 products exceed the work cap")
+    if not group.is_transitive():
+        raise NotTransitive("derangement subgroup needs a transitive action")
     products = set()
     for a in dset:
         for b in dset:
             products.add(tuple(map(b.__getitem__, a)))
-    if not group.is_transitive():
-        raise NotTransitive("derangement subgroup needs a transitive action")
     sub = PermGroup(group.degree, ())
     for p in derangements:
         if p not in sub:

@@ -5,27 +5,32 @@ field embedding into GL(2,q).
 Matrices act on row vectors (v -> v*M), so the product M*N means "apply M,
 then N" and coincides with the ordinary matrix product.  Entries are the
 integer codes of gf.FieldSpec.  Deterministic throughout: searches scan
-matrices in row-major encoded order, enumeration is breadth-first from the
-identity.
+matrices in row-major encoded order.
 
-Work on vectors (orbit labels, the orbit-semiregularity test, the spin)
-takes one numpy path for every field: a vector's index in GF(q)^d is the
-index of its base-p digit vector in GF(p)^(d*f), on which each matrix acts
-as a (d*f)x(d*f) matrix over GF(p).  Projective points are put in canonical
-form (first nonzero coordinate 1) with log/exp tables of GF(q).  No size or
-field threshold picks a code path; SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP
+A vector's index in GF(q)^d is the index of its base-p digit vector in
+GF(p)^(d*f), on which each matrix acts as a (d*f)x(d*f) digit matrix over
+GF(p); M -> digit(M) is a homomorphism.  Every enumeration-bound stage runs
+on stacks of digit matrices, one numpy path for every field: the closure
+grows level by level from the identity (the whole frontier times every
+generator in one batched product, first occurrences kept: breadth-first
+order), one batched elimination mod p decides eigenvalue 1 for every
+element, and each right coset is one product of the subgroup's stack.
+Work on vectors (orbit labels, orbit semiregularity, the spin) maps whole
+arrays of indices; projective points are put in canonical form with
+log/exp tables of GF(q) and ranked in closed form.  No size or field
+threshold picks a code path; SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP
 bound the work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
-from .gf import FieldSpec, _prime_factors, field, prime_power_decompose
+from .gf import FieldSpec, _prime_factors
 from .permgrp import PermGroup, Permutation
 
 MAT_ENUMERATION_CAP = 2_000_000
@@ -125,13 +130,6 @@ class FFMatrix:
             out.append(acc)
         return tuple(out)
 
-    def minus_identity_rows(self) -> list[list[int]]:
-        spec = self.spec
-        return [
-            [spec.sub_e(e, 1 if i == j else 0) for j, e in enumerate(row)]
-            for i, row in enumerate(self.rows)
-        ]
-
     def det(self) -> int:
         spec = self.spec
         m = [list(row) for row in self.rows]
@@ -230,10 +228,6 @@ def echelonize(spec: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[list[lis
     return m[:row], pivots
 
 
-def matrix_rank(spec: FieldSpec, rows: Iterable[Sequence[int]]) -> int:
-    return len(echelonize(spec, rows)[1])
-
-
 def solve_homogeneous(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of {x : sum_j rows[i][j]*x[j] = 0 for all i} from the echelon
     form, one vector per free column."""
@@ -259,7 +253,33 @@ def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[tuple[int,
 
 def has_eigenvalue_one(m: FFMatrix) -> bool:
     """True iff (M - I) is singular, i.e. some nonzero row vector is fixed."""
-    return matrix_rank(m.spec, m.minus_identity_rows()) < m.d
+    return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
+
+
+def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
+    """Per digit matrix of the stack, whether it fixes a nonzero vector.
+
+    A GF(q)-linear map is injective iff it is injective as a GF(p)-linear
+    map, so M has eigenvalue 1 iff digit(M) - I is singular mod p.  One
+    elimination runs on the whole stack: per column the first nonzero
+    entry at or below the diagonal is swapped up, and each row below it is
+    replaced by pivot*row - entry*pivot_row, which keeps the rank."""
+    n, k, _ = stack.shape
+    a = stack - np.eye(k, dtype=np.int64)
+    a %= p
+    singular = np.zeros(n, dtype=bool)
+    at = np.arange(n)
+    for c in range(k):
+        row = c + (a[:, c:, c] != 0).argmax(axis=1)
+        pivot_row = a[at, row]
+        a[at, row] = a[:, c]
+        singular |= pivot_row[:, c] == 0
+        below = a[:, c + 1:]
+        column = below[:, :, c:c + 1].copy()
+        below *= pivot_row[:, c, None, None]
+        below -= column * pivot_row[:, None]
+        below %= p
+    return singular
 
 
 class MatrixGroup:
@@ -285,30 +305,46 @@ class MatrixGroup:
         self.d = d
         self.generators = tuple(gens)
         self._elements: list[FFMatrix] | None = None
+        self._stack: np.ndarray | None = None  # digit matrices, in element order
         self._keyset: frozenset | None = None
         self._irreducibility: tuple | None = None
         self._cosets: tuple | None = None  # (sub, reps, coset_of) of the last coset walk
 
     def elements(self, cap: int = MAT_ENUMERATION_CAP) -> list[FFMatrix]:
+        """All elements in breadth-first order from the identity; raises
+        CapExceeded when the order exceeds cap."""
         if self._elements is None:
-            identity = FFMatrix.identity(self.spec, self.d)
-            out = [identity]
-            seen = {identity.key()}
-            q = 0
-            while q < len(out):
-                m = out[q]
-                q += 1
-                for g in self.generators:
-                    prod = m * g
-                    k = prod.key()
-                    if k not in seen:
-                        if len(out) >= cap:
-                            raise CapExceeded(f"matrix closure exceeds cap {cap}")
-                        seen.add(k)
-                        out.append(prod)
-            self._elements = out
+            spec, d = self.spec, self.d
+            p, k = spec.p, d * spec.f
+            gens = np.array([_digit_matrix(g) for g in self.generators], dtype=np.int64)
+            frontier = np.eye(k, dtype=np.int64)[None]
+            entries = _codes(spec, d, frontier[:, :: spec.f])
+            seen = set(_entry_keys(entries))
+            levels, elements = [], []
+            while len(frontier):
+                if len(elements) + len(frontier) > cap:
+                    raise CapExceeded(f"matrix closure exceeds cap {cap}")
+                levels.append(frontier)
+                elements += [FFMatrix._raw(spec, d, tuple(map(tuple, rows))) for rows in entries.tolist()]
+                products = (frontier[:, None] @ gens.reshape(1, -1, k, k) % p).reshape(-1, k, k)
+                entries = _codes(spec, d, products[:, :: spec.f])
+                fresh = []
+                for i, key in enumerate(_entry_keys(entries)):
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(i)
+                frontier, entries = products[fresh], entries[fresh]
+            self._stack = np.concatenate(levels)
+            self._elements = elements
             self._keyset = frozenset(seen)
+        if len(self._elements) > cap:
+            raise CapExceeded(f"matrix closure exceeds cap {cap}")
         return self._elements
+
+    def digit_stack(self) -> np.ndarray:
+        """The digit matrices of elements(), stacked in the same order."""
+        self.elements()
+        return self._stack
 
     def order(self) -> int:
         return len(self.elements())
@@ -318,7 +354,7 @@ class MatrixGroup:
         return self._keyset
 
     def __contains__(self, m: FFMatrix) -> bool:
-        return m.key() in self.key_set()
+        return _entry_keys(np.array([m.rows], dtype=np.int64))[0] in self.key_set()
 
     def element_order_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -351,8 +387,9 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     """
     gens: list[FFMatrix] = []
     sub = MatrixGroup(group.spec, group.d, gens)
-    for m in group.elements():
-        if m not in sub and has_eigenvalue_one(m):
+    fixers = _fixes_a_vector(group.digit_stack(), group.spec.p).tolist()
+    for m, fixes in zip(group.elements(), fixers):
+        if fixes and m not in sub:
             gens.append(m)
             sub = MatrixGroup(group.spec, group.d, gens)
     assert sub.key_set() <= group.key_set()
@@ -369,13 +406,6 @@ def eigenvalue_one_index(group: MatrixGroup, sub: MatrixGroup | None = None) -> 
     if sub is None:
         sub = eigenvalue_one_subgroup(group)
     return group.order() // sub.order()
-
-
-def semiregular_on_nonzero(group: MatrixGroup) -> bool:
-    """True iff no non-identity element fixes a nonzero vector."""
-    return all(
-        not has_eigenvalue_one(m) for m in group.elements() if not m.is_identity()
-    )
 
 
 # vector indexing ------------------------------------------------------------
@@ -407,19 +437,33 @@ def _index_digits(spec: FieldSpec, d: int, idx: np.ndarray) -> np.ndarray:
     return (idx[:, None] // weights) % spec.p
 
 
-def _image_indices(m: FFMatrix, digits: np.ndarray) -> np.ndarray:
-    """Indices of the images under m of the vectors with these digit rows.
+def _digit_matrix(m: FFMatrix) -> np.ndarray:
+    """m as a (d*f)x(d*f) matrix over GF(p): row j*f + i holds the digits
+    of x^i times row j of m, f digits per entry."""
+    spec, f = m.spec, m.spec.f
+    rows = [[spec.mul_e(spec.p**i, e) for e in row] for row in m.rows for i in range(f)]
+    digits = np.array(rows, dtype=np.int64)[:, :, None] // spec.p ** np.arange(f, dtype=np.int64)
+    return (digits % spec.p).reshape(m.d * f, m.d * f)
 
-    Row k of m's digit matrix holds the digits of the image of the vector
-    with index p^k."""
-    spec, d = m.spec, m.d
-    weights = spec.p ** np.arange(d * spec.f, dtype=np.int64)
-    basis_images = [
-        vector_to_index(spec, m.apply_row(index_to_vector(spec, d, w)))
-        for w in weights.tolist()
-    ]
-    digit_matrix = _index_digits(spec, d, np.array(basis_images, dtype=np.int64))
-    return ((digits @ digit_matrix) % spec.p) @ weights
+
+def _codes(spec: FieldSpec, d: int, digits: np.ndarray) -> np.ndarray:
+    """GF(q) codes of d base-p digit groups of f along the last axis.  Of a
+    stack of digit matrices, stack[:, ::f] gives the entries: digit row
+    j*f holds row j."""
+    grouped = digits.reshape(*digits.shape[:-1], d, spec.f)
+    return grouped @ spec.p ** np.arange(spec.f, dtype=np.int64)
+
+
+def _entry_keys(entries: np.ndarray) -> list[bytes]:
+    """One hashable key per matrix of an (n, d, d) stack of entry codes."""
+    n, d, _ = entries.shape
+    return entries.reshape(n, d * d).view(np.dtype((np.void, 8 * d * d))).ravel().tolist()
+
+
+def _image_indices(m: FFMatrix, digits: np.ndarray) -> np.ndarray:
+    """Indices of the images under m of the vectors with these digit rows."""
+    weights = m.spec.p ** np.arange(m.d * m.spec.f, dtype=np.int64)
+    return ((digits @ _digit_matrix(m)) % m.spec.p) @ weights
 
 
 def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
@@ -447,17 +491,19 @@ def _orbit_labels(group: MatrixGroup) -> np.ndarray:
 
 def _right_cosets(group: MatrixGroup, sub: MatrixGroup) -> tuple[list[FFMatrix], dict[tuple, int]]:
     """(one representative per right coset of sub, identity's coset first;
-    the coset number of every element key).  The walk for the last sub is
-    cached on the group, so the index check and the quotient share it."""
+    the coset number of every element key), one stack product per coset.
+    The walk for the last sub is cached on the group, so the index check
+    and the quotient share it."""
     if group._cosets is None or group._cosets[0] is not sub:
-        sub_elements = sub.elements()
+        spec, d = group.spec, group.d
+        sub_stack = sub.digit_stack()
         coset_of: dict[tuple, int] = {}
         reps = []
-        for m in group.elements():
+        for m, digits in zip(group.elements(), group.digit_stack()):
             if m.key() in coset_of:
                 continue
-            for s in sub_elements:
-                coset_of[(s * m).key()] = len(reps)
+            coset = _codes(spec, d, (sub_stack @ digits % spec.p)[:, :: spec.f])
+            coset_of.update(dict.fromkeys(map(tuple, coset.reshape(len(coset), -1).tolist()), len(reps)))
             reps.append(m)
         assert len(reps) * sub.order() == group.order()
         group._cosets = (sub, reps, coset_of)
@@ -547,16 +593,37 @@ def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] 
     log, exp = (np.array(t, dtype=np.int64) for t in spec.log_exp())
     images = []
     for g in group.generators:
-        coords = (_image_indices(g, digits)[:, None] // qpow) % q
+        coords = _codes(spec, d, digits @ _digit_matrix(g) % spec.p)
         lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
-        scaled = np.where(coords != 0, exp[(log[coords] - log[lead][:, None]) % (q - 1)], 0)
-        images.append(np.searchsorted(points, scaled @ qpow))
+        scaled = log[coords]
+        scaled -= log[lead][:, None]
+        scaled %= q - 1
+        zero = coords == 0
+        del coords, lead
+        scaled = exp[scaled]
+        scaled[zero] = 0
+        images.append(_projective_rank(scaled @ qpow, q, d))
+        del scaled, zero
     labels = _propagate_min_labels(len(points), images)
     for start in points[labels == np.arange(len(points))]:
         span = _spin(group, index_to_vector(spec, d, int(start)))
         if len(span) < d:
             return False, tuple(tuple(r) for r in span)
     return True, None
+
+
+def _projective_rank(x: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Position of each projective point index x among all of them in
+    ascending order.  The points led by coordinate j are q^j + q^(j+1)*t for
+    t < q^(d-1-j), and ceil((x - q^j) / q^(j+1)) = -floor((q^j - x) /
+    q^(j+1)) of them, clipped to that range, lie below x.  Summed in place,
+    with one scratch array."""
+    rank = np.zeros_like(x)
+    below = np.empty_like(x)
+    for j in range(d):
+        np.floor_divide(np.subtract(q**j, x, out=below), q ** (j + 1), out=below)
+        rank -= np.clip(below, -(q ** (d - 1 - j)), 0, out=below)
+    return rank
 
 
 def irreducibility(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | None]:
@@ -705,14 +772,6 @@ class QuadraticExtension:
         mult_rep(u^q)."""
         tq = self.power((0, 1), self.base.order)
         return FFMatrix(self.base, [[1, 0], [tq[0], tq[1]]])
-
-
-def gf2_embedding(q: int) -> tuple[Callable[[tuple[int, int]], FFMatrix], FFMatrix]:
-    """(multiplication-matrix map, Frobenius matrix) for GF(q^2) inside
-    GL(2,q)."""
-    p, f = prime_power_decompose(q)
-    ext = QuadraticExtension(field(p, f))
-    return ext.mult_rep, ext.frobenius_matrix()
 
 
 # permutation views -------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from derangements import derange
+from derangements import derange, suite
 from derangements.derange import (
     AnalysisReport,
     analyze,
@@ -20,7 +20,7 @@ from derangements.derange import (
     two_derangement_coverage,
     _abelian_invariants,
 )
-from derangements.errors import NotSubgroup, NotTransitive
+from derangements.errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
 from derangements.permgrp import (
     PermGroup,
     Permutation,
@@ -192,6 +192,37 @@ def test_two_derangement_coverage_grows_the_scanned_subgroup(monkeypatch):
         assert witnesses == [e for e in elements if e not in products]
     with pytest.raises(NotTransitive):
         two_derangement_coverage(PermGroup(4, [Permutation((1, 0, 3, 2))]))
+
+
+def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
+    """Coverage extends D by the same derangements, in the same order, as
+    the scan, and its checks raise in the order empty list, work cap,
+    transitivity."""
+    groups = [symmetric_group(4), alternating_group(5), suite.corpus_group("affine-sl2-3")]
+    for g in groups:
+        g.order()
+    grown = []
+    original = PermGroup.extended
+
+    def recording(self, p):
+        grown.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(PermGroup, "extended", recording)
+    for g in groups:
+        grown.clear()
+        derange._scan(g)
+        scanned = list(grown)
+        grown.clear()
+        two_derangement_coverage(g)
+        assert len(scanned) >= 2 and grown == scanned
+    with pytest.raises(ConstraintViolated):
+        two_derangement_coverage(PermGroup(3, [Permutation((1, 0, 2))]))
+    intransitive = PermGroup(4, [Permutation((1, 0, 3, 2)), Permutation((1, 0, 2, 3))])
+    with pytest.raises(CapExceeded):
+        two_derangement_coverage(intransitive, work_cap=0)
+    with pytest.raises(NotTransitive):
+        two_derangement_coverage(intransitive)
 
 
 def test_splits_over():

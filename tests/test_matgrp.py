@@ -1,10 +1,13 @@
-"""Matrix arithmetic, closures, the eigenvalue-1 subgroup, irreducibility
-(against a pure-Python spin kept here as the oracle), products, and the
-GL(2,q) embeddings."""
+"""Matrix arithmetic, closures, the eigenvalue-1 subgroup, irreducibility,
+products, and the GL(2,q) embeddings.  The batched digit-matrix stages are
+checked against pure-Python oracles kept here: the breadth-first closure
+by FFMatrix products, the echelon eigenvalue-1 test, the per-element coset
+walk, the searchsorted projective rank and the spin."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -23,24 +26,22 @@ from derangements.matgrp import (
     eigenvalue_one_index,
     eigenvalue_one_subgroup,
     general_linear_gl2,
-    gf2_embedding,
     has_eigenvalue_one,
     index_bound_check,
     index_to_vector,
     irreducibility,
     is_irreducible,
     kronecker,
-    matrix_rank,
     nullspace,
     quaternion_gl2,
     quotient_perm_group,
     regular_perm_group,
     scalar_matrix_group,
-    semiregular_on_nonzero,
     solve_homogeneous,
     special_linear_gl2,
     vector_to_index,
     _orbit_labels,
+    _projective_rank,
     _right_cosets,
 )
 
@@ -141,6 +142,85 @@ def _irreducibility_python(group):
     return True, None
 
 
+def _closure_python(group):
+    """Breadth-first closure from the identity, one FFMatrix product per
+    (element, generator) pair, in queue order."""
+    identity = FFMatrix.identity(group.spec, group.d)
+    out = [identity]
+    seen = {identity.key()}
+    q = 0
+    while q < len(out):
+        m = out[q]
+        q += 1
+        for g in group.generators:
+            prod = m * g
+            if prod.key() not in seen:
+                seen.add(prod.key())
+                out.append(prod)
+    return out
+
+
+def _has_eigenvalue_one_python(m):
+    """M - I has rank below d, by one echelon form over GF(q)."""
+    spec = m.spec
+    rows = [
+        [spec.sub_e(e, 1 if i == j else 0) for j, e in enumerate(row)]
+        for i, row in enumerate(m.rows)
+    ]
+    return len(echelonize(spec, rows)[1]) < m.d
+
+
+def _eigenvalue_one_generators_python(group):
+    """R(H)'s generators: the scan of eigenvalue_one_subgroup over the
+    Python closure with the echelon test."""
+    gens = []
+    keys = {FFMatrix.identity(group.spec, group.d).key()}
+    for m in _closure_python(group):
+        if m.key() not in keys and _has_eigenvalue_one_python(m):
+            gens.append(m)
+            keys = {x.key() for x in _closure_python(MatrixGroup(group.spec, group.d, gens))}
+    return gens
+
+
+def _right_cosets_python(group, sub):
+    """The coset walk with one FFMatrix product per element of each coset."""
+    sub_elements = _closure_python(sub)
+    coset_of = {}
+    reps = []
+    for m in _closure_python(group):
+        if m.key() in coset_of:
+            continue
+        for s in sub_elements:
+            coset_of[(s * m).key()] = len(reps)
+        reps.append(m)
+    return reps, coset_of
+
+
+def _projective_points(q, d):
+    """Indices of the vectors with first nonzero coordinate 1, ascending."""
+    qpow = q ** np.arange(d, dtype=np.int64)
+    return np.sort(
+        np.concatenate([qpow[j] + q * qpow[j] * np.arange(q ** (d - 1 - j)) for j in range(d)])
+    )
+
+
+def _assert_batched_paths_match(group, extra_sub=None):
+    """Element order, eigenvalue-1 flags, R(H)'s generators and the right
+    cosets of R(H) (and of extra_sub) equal the Python oracles'."""
+    elements = group.elements()
+    assert elements == _closure_python(group)
+    flags = [has_eigenvalue_one(m) for m in elements]
+    assert flags == [_has_eigenvalue_one_python(m) for m in elements]
+    sub = eigenvalue_one_subgroup(group)
+    assert list(sub.generators) == _eigenvalue_one_generators_python(group)
+    for s in (sub, extra_sub):
+        if s is not None:
+            reps, coset_of = _right_cosets(group, s)
+            expected_reps, expected_coset_of = _right_cosets_python(group, s)
+            assert reps == expected_reps
+            assert list(coset_of.items()) == list(expected_coset_of.items())
+
+
 def _random_invertible(rng, spec, d):
     while True:
         m = FFMatrix(spec, [[rng.randrange(spec.order) for _ in range(d)] for _ in range(d)])
@@ -178,7 +258,7 @@ def test_matrix_inverse_det_pow():
 
 def test_rank_nullspace_solve():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert matrix_rank(GF5, rows) == 2
+    assert len(echelonize(GF5, rows)[1]) == 2
     for v in nullspace(GF5, rows):
         image = [sum(a * b for a, b in zip(v, col)) % 5 for col in zip(*rows)]
         assert image == [0, 0, 0]
@@ -212,6 +292,19 @@ def test_enumeration_cap():
         g.elements(cap=10)
 
 
+def test_enumeration_cap_is_exact_and_checked_when_cached():
+    gl = general_linear_gl2(GF3)
+    assert len(gl.elements()) == 48
+    with pytest.raises(CapExceeded):
+        gl.elements(cap=10)
+    with pytest.raises(CapExceeded):
+        gl.elements(cap=47)
+    assert len(gl.elements(cap=48)) == 48
+    with pytest.raises(CapExceeded):
+        MatrixGroup(GF3, 2, gl.generators).elements(cap=47)
+    assert MatrixGroup(GF3, 2, gl.generators).elements(cap=48) == gl.elements()
+
+
 def test_gl23_order_and_eigenvalue_subgroup():
     g = general_linear_gl2(GF3)
     assert g.order() == 48
@@ -226,7 +319,9 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
     r = eigenvalue_one_subgroup(h)
     assert r.order() == 1
     assert eigenvalue_one_index(h) == 4
-    assert semiregular_on_nonzero(h)
+    # no non-identity scalar fixes a nonzero vector
+    assert r.generators == ()
+    assert not any(has_eigenvalue_one(m) for m in h.elements()[1:])
     report = index_bound_check(h, r)
     assert report.index == 4 and report.bound == 24
     assert report.index_ok and report.semiregular
@@ -235,7 +330,9 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
 
 def test_semiregular_false_with_transvections():
     g = general_linear_gl2(GF3)
-    assert not semiregular_on_nonzero(g)
+    transvection = FFMatrix(GF3, [[1, 1], [0, 1]])
+    assert has_eigenvalue_one(transvection) and transvection in g
+    assert eigenvalue_one_subgroup(g).generators
 
 
 def test_irreducibility_diagonal_witness():
@@ -276,16 +373,84 @@ def _differential_groups():
 
 def test_irreducibility_paths_agree():
     """The numpy digit-vector paths against the Python loops, over GF(4),
-    GF(8), GF(9), GF(25) and GF(27) as well as prime fields."""
+    GF(8), GF(9), GF(25) and GF(27) as well as prime fields; the closure,
+    eigenvalue-1 and coset oracles on the groups of order at most 1000."""
     seen = set()
     for group in _differential_groups():
         seen.add((group.spec.order, is_irreducible(group)))
         assert irreducibility(group) == _irreducibility_python(group)
+        if group.order() <= 1000:
+            _assert_batched_paths_match(group, MatrixGroup(group.spec, group.d, group.generators[:1]))
         sub = eigenvalue_one_subgroup(group)
         assert _orbit_labels(sub).tolist() == _orbit_labels_python(sub)
         assert index_bound_check(group, sub) == _index_bound_python(group, sub)
     assert {q for q, _ in seen} >= {4, 8, 9, 25, 27}
     assert {flag for _, flag in seen} == {True, False}
+
+
+_DIFFERENTIAL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+
+def _small_order_matrix(rng, spec, d, a):
+    """A random invertible matrix of order at most 12, or else the
+    conjugate by a of a random signed permutation matrix."""
+    m = _random_invertible(rng, spec, d)
+    power = m
+    for _ in range(12):
+        if power.is_identity():
+            return m
+        power = power * m
+    perm = list(range(d))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, spec.neg_e(1))) for _ in range(d)]
+    shape = FFMatrix(spec, [[signs[i] if perm[i] == j else 0 for j in range(d)] for i in range(d)])
+    return (a.inverse() * shape) * a
+
+
+@st.composite
+def _small_matrix_groups(draw):
+    """(group, subgroup, rng): a group of order at most 400 over GF(2) to
+    GF(27) in dimension 1 to 4, generated by up to three matrices of
+    order at most 12 (the last ones are dropped while the closure exceeds
+    400), and the subgroup generated by a prefix of its generators.  The
+    signed permutation matrices share one conjugator, so they generate a
+    conjugate of a monomial group."""
+    p, f = draw(st.sampled_from(_DIFFERENTIAL_FIELDS))
+    spec = field(p, f)
+    d = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = _random_invertible(rng, spec, d)
+    gens = [_small_order_matrix(rng, spec, d, a) for _ in range(draw(st.integers(1, 3)))]
+    while True:
+        group = MatrixGroup(spec, d, gens)
+        try:
+            group.elements(cap=400)
+            break
+        except CapExceeded:
+            gens.pop()
+    return group, MatrixGroup(spec, d, gens[: draw(st.integers(0, len(gens)))]), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_matrix_groups())
+def test_batched_matrix_paths_match_python_oracles(drawn):
+    """Closure order, eigenvalue-1 flags, R(H)'s generators, right cosets
+    and projective ranks equal the Python oracles' over prime and
+    prime-power fields."""
+    group, sub, rng = drawn
+    _assert_batched_paths_match(group, sub)
+    q, d = group.spec.order, group.d
+    points = _projective_points(q, d)
+    shuffled = points[np.array(rng.sample(range(len(points)), len(points)), dtype=np.int64)]
+    assert _projective_rank(shuffled, q, d).tolist() == np.searchsorted(points, shuffled).tolist()
+
+
+def test_projective_rank_matches_searchsorted():
+    for (p, f), d in itertools.product(_DIFFERENTIAL_FIELDS, range(1, 5)):
+        q = p**f
+        points = _projective_points(q, d)
+        reverse = points[::-1]
+        assert _projective_rank(reverse, q, d).tolist() == np.searchsorted(points, reverse).tolist()
 
 
 def test_irreducibility_is_cached():
@@ -444,11 +609,12 @@ def test_quadratic_extension_element_orders():
         ext.element_of_order(5)
 
 
-def test_gf2_embedding_wrapper():
-    mult_rep, frob = gf2_embedding(9)
+def test_quadratic_extension_over_gf9():
+    ext = QuadraticExtension(field(3, 2))
+    frob = ext.frobenius_matrix()
     assert frob.spec.order == 9
     assert (frob * frob).is_identity()
-    assert mult_rep((1, 0)).is_identity()
+    assert ext.mult_rep((1, 0)).is_identity()
 
 
 def test_regular_perm_group():
