@@ -30,7 +30,6 @@ from .permgrp import (
 
 FINGERPRINT_CAP = 10_000
 PRODUCT_WORK_CAP = 4_000_000
-SPLIT_SEARCH_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -432,63 +431,6 @@ def two_derangement_coverage(
             sub = sub.extended(p)
     witnesses = [g for g in sub.iter_elements() if g.images not in products]
     return len(witnesses) == 0, witnesses
-
-
-def splits_over(
-    group: PermGroup, sub: PermGroup, order_cap: int = SPLIT_SEARCH_CAP
-) -> bool | None:
-    """Exhaustive search for a complement to sub: a subgroup of order
-    |G|/|sub| meeting sub in the identity.  None means the group exceeded
-    the cap and was not checked."""
-    if group.order() > order_cap:
-        return None
-    if not sub.is_subgroup_of(group):
-        raise NotSubgroup("complement search needs a subgroup")
-    index = group.order() // sub.order()
-    if index == 1:
-        return True
-    ident = group.identity().images
-    # an element of a complement has the same order as its coset, so all of
-    # its non-identity powers stay outside sub
-    cands: list[tuple[int, ...]] = []
-    for g in group.iter_elements():
-        if g.is_identity() or index % g.order() != 0 or g in sub:
-            continue
-        if all((g**k) not in sub for k in range(2, g.order())):
-            cands.append(g.images)
-
-    def grow(base: frozenset, extra: tuple[int, ...]):
-        elems = set(base)
-        elems.add(extra)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(elems):
-                for b in list(elems):
-                    c = tuple(map(b.__getitem__, a))
-                    if c in elems:
-                        continue
-                    if len(elems) >= index:
-                        return None
-                    if c != ident and Permutation._raw(c) in sub:
-                        return None
-                    elems.add(c)
-                    changed = True
-        return frozenset(elems)
-
-    def extend(current: frozenset, start: int) -> bool:
-        if len(current) == index:
-            return True
-        for k in range(start, len(cands)):
-            t = cands[k]
-            if t in current:
-                continue
-            grown = grow(current, t)
-            if grown is not None and extend(grown, k + 1):
-                return True
-        return False
-
-    return extend(frozenset({ident}), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .errors import ConstraintViolated, DegreeTooLarge
 from .gf import FieldSpec, _is_prime, field, prime_power_decompose
 from .matgrp import (
     MatrixGroup,
-    QuadraticExtension,
+    _quadratic_plane,
     binary_icosahedral_gl2,
     binary_tetrahedral_gl2,
     central_product,
@@ -141,8 +141,7 @@ def pgammal_28() -> PermGroup:
     assert sylow.order() == 27
     norm = big.normalizer(sylow)
     assert norm.order() == 54
-    action = big.coset_action(norm)
-    image = action.image
+    image = big.coset_action(norm)
     assert image.degree == 28 and image.order() == 1512
     return image
 
@@ -268,9 +267,11 @@ def dihedral_quotient_family(q: int) -> MatrixGroup:
         raise ConstraintViolated("q must be at least 7")
     spec = _gf(q)
     x_part = dihedral_gl2(spec, q - 1)
-    ext = QuadraticExtension(spec)
-    rot = ext.mult_rep(ext.element_of_order(q + 1))
-    refl = ext.mult_rep(ext.element_of_order(2 * (q + 1))) * ext.frobenius_matrix()
+    big, matrix = _quadratic_plane(spec)
+    g = big.primitive_element()
+    u, v = big.pow_e(g, q - 1), big.pow_e(g, (q - 1) // 2)  # orders q+1, 2(q+1)
+    rot = matrix(lambda w: big.mul_e(w, u))
+    refl = matrix(lambda w: big.pow_e(big.mul_e(w, v), q))
     y_part = MatrixGroup(spec, 2, [rot, refl])
     assert y_part.order() == 2 * (q + 1)
     assert y_part.contains_minus_identity()

@@ -3,11 +3,12 @@
 An element is an integer code 0 <= e < p**f, the one representation: e =
 sum(coeffs[i] * p**i) for its coefficient vector over GF(p) in the
 polynomial basis 1, t, ..., t^(f-1) modulo a fixed monic irreducible
-polynomial.  The modulus for a given (p, f) is deterministic: the
-lexicographically smallest monic irreducible of degree f, coefficient
-sequences compared low-degree-first.  GF(p^1) uses the modulus t, i.e.
-plain arithmetic mod p on the codes.  Each field also provides its least
-primitive element and log/exp tables to that base, built once.
+polynomial.  The modulus for a given (p, f) is deterministic: the monic
+irreducible t^f + sum c_i t^i of degree f with the least code sum c_i p^i,
+so the top non-leading coefficient compares first (GF(25) takes t^2 + 2,
+not t^2 + t + 1).  GF(p^1) uses the modulus t, i.e. plain arithmetic mod
+p on the codes.  Each field also provides its least primitive element and
+log/exp tables to that base, built once.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def _poly_divides(d: Sequence[int], a: Sequence[int], p: int) -> bool:
 
 
 def _monic_polys(degree: int, p: int) -> Iterator[tuple[int, ...]]:
-    """All monic polynomials of the given degree, lexicographic low-first."""
+    """All monic polynomials of the given degree, in increasing code
+    sum c_i p^i of their lower coefficients: c_(degree-1) varies slowest."""
     total = p**degree
     for e in range(total):
         coeffs = []

@@ -1,6 +1,7 @@
 """Matrix groups over GF(q): enumeration, the eigenvalue-1 subgroup, exact
-irreducibility by spinning, Kronecker/central products, and the degree-2
-field embedding into GL(2,q).
+irreducibility by spinning, Kronecker/central products, and named subgroups
+of GL(2,q), the non-split torus ones read off GF(q^2) = field(p, 2f) as a
+GF(q)-plane.
 
 Matrices act on row vectors (v -> v*M), so the product M*N means "apply M,
 then N" and coincides with the ordinary matrix product.  Entries are the
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
-from .gf import FieldSpec, _prime_factors
+from .gf import FieldSpec, field
 from .permgrp import PermGroup, Permutation
 
 MAT_ENUMERATION_CAP = 2_000_000
@@ -245,12 +246,6 @@ def solve_homogeneous(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[tu
     return basis
 
 
-def nullspace(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of {v : v*M = 0} (row vectors), i.e. the homogeneous solutions
-    of the transposed system."""
-    return solve_homogeneous(spec, [list(col) for col in zip(*rows)])
-
-
 def has_eigenvalue_one(m: FFMatrix) -> bool:
     """True iff (M - I) is singular, i.e. some nonzero row vector is fixed."""
     return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
@@ -400,12 +395,6 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
             if (ginv * r) * g not in sub:
                 raise AssertionError("eigenvalue-1 subgroup failed normality check")
     return sub
-
-
-def eigenvalue_one_index(group: MatrixGroup, sub: MatrixGroup | None = None) -> int:
-    if sub is None:
-        sub = eigenvalue_one_subgroup(group)
-    return group.order() // sub.order()
 
 
 # vector indexing ------------------------------------------------------------
@@ -692,86 +681,30 @@ def central_product(x: MatrixGroup, y: MatrixGroup) -> MatrixGroup:
     return prod
 
 
-class QuadraticExtension:
-    """GF(q^2) built over a FieldSpec as pairs (a0, a1) = a0 + a1*t, where
-    t^2 = -b*t - c for the first (c, b) pair, in encoded order, making
-    x^2 + b*x + c rootless over the base field."""
+def _quadratic_plane(spec: FieldSpec):
+    """GF(q^2) = field(p, 2f) as a plane over GF(q) with basis {1, t}, t the
+    code p.  GF(q) embeds through the least root r of spec.modulus (the code
+    sum c_i p^i goes to sum c_i r^i), so each w is a + b*t for one pair of
+    GF(q) codes.  Returns (big, matrix): matrix(fn) is the 2x2 matrix over
+    spec of a GF(q)-linear map fn of big, rows the coordinates of fn(1) and
+    fn(t)."""
+    p, f, q = spec.p, spec.f, spec.order
+    big = field(p, 2 * f)
 
-    def __init__(self, base: FieldSpec):
-        self.base = base
-        q = base.order
-        found = None
-        for c in range(q):
-            for b in range(q):
-                if all(
-                    base.add_e(base.mul_e(a, base.add_e(a, b)), c) != 0
-                    for a in range(q)
-                ):
-                    found = (c, b)
-                    break
-            if found:
-                break
-        assert found is not None, "a quadratic non-residue pattern always exists"
-        self.c, self.b = found
-        self.order = q * q
+    def value(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = big.add_e(big.mul_e(acc, x), c)
+        return acc
 
-    def mul(self, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-        base, b, c = self.base, self.b, self.c
-        u0, u1 = u
-        v0, v1 = v
-        cross = base.mul_e(u1, v1)
-        out0 = base.sub_e(base.mul_e(u0, v0), base.mul_e(c, cross))
-        out1 = base.sub_e(
-            base.add_e(base.mul_e(u0, v1), base.mul_e(u1, v0)), base.mul_e(b, cross)
-        )
-        return out0, out1
+    r = next(x for x in range(big.order) if value(spec.modulus, x) == 0)
+    emb = [value([c // p**i % p for i in range(f)], r) for c in range(q)]
+    coords = {big.add_e(emb[a], big.mul_e(emb[b], p)): (a, b) for a in range(q) for b in range(q)}
 
-    def power(self, u: tuple[int, int], k: int) -> tuple[int, int]:
-        result = (1, 0)
-        base = u
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+    def matrix(fn) -> FFMatrix:
+        return FFMatrix(spec, [coords[fn(1)], coords[fn(p)]])
 
-    def multiplicative_order(self, u: tuple[int, int]) -> int:
-        assert u != (0, 0)
-        order = self.order - 1
-        for r in _prime_factors(order):
-            while order % r == 0 and self.power(u, order // r) == (1, 0):
-                order //= r
-        return order
-
-    def element_of_order(self, m: int) -> tuple[int, int]:
-        """First element (by a0 + q*a1 encoding) of multiplicative order m."""
-        if (self.order - 1) % m:
-            raise ValueError(f"no element of order {m} in GF({self.order})*")
-        q = self.base.order
-        for code in range(1, self.order):
-            u = (code % q, code // q)
-            if self.multiplicative_order(u) == m:
-                return u
-        raise AssertionError("cyclic group must contain the requested order")
-
-    def mult_rep(self, u: tuple[int, int]) -> FFMatrix:
-        """Matrix of w -> w*u on the base-field plane with basis {1, t}."""
-        base, b, c = self.base, self.b, self.c
-        u0, u1 = u
-        return FFMatrix(
-            base,
-            [
-                [u0, u1],
-                [base.neg_e(base.mul_e(c, u1)), base.sub_e(u0, base.mul_e(b, u1))],
-            ],
-        )
-
-    def frobenius_matrix(self) -> FFMatrix:
-        """Matrix of w -> w^q; an involution conjugating mult_rep(u) to
-        mult_rep(u^q)."""
-        tq = self.power((0, 1), self.base.order)
-        return FFMatrix(self.base, [[1, 0], [tq[0], tq[1]]])
+    return big, matrix
 
 
 # permutation views -------------------------------------------------------------
@@ -912,9 +845,10 @@ def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
         rot = FFMatrix(spec, [[u, 0], [0, spec.inv_e(u)]])
         ref = FFMatrix(spec, [[0, 1], [1, 0]])
     elif (q + 1) % m == 0:
-        ext = QuadraticExtension(spec)
-        rot = ext.mult_rep(ext.element_of_order(m))
-        ref = ext.frobenius_matrix()
+        big, matrix = _quadratic_plane(spec)
+        u = big.pow_e(big.primitive_element(), (q * q - 1) // m)
+        rot = matrix(lambda w: big.mul_e(w, u))
+        ref = matrix(lambda w: big.pow_e(w, q))
     else:
         raise ConstraintViolated(f"order-{m} rotation needs m | q-1 or m | q+1")
     assert rot.multiplicative_order() == m
@@ -960,17 +894,17 @@ def binary_tetrahedral_gl2(spec: FieldSpec) -> MatrixGroup:
 
 
 def binary_icosahedral_gl2(spec: FieldSpec) -> MatrixGroup:
-    """SL(2,5) as a subgroup of GL(2,q) for q = -1 mod 5: generated by the
-    multiplication matrix of an order-10 extension element and the smallest
+    """SL(2,5) as a subgroup of GL(2,q) for q = -1 mod 10: generated by the
+    multiplication matrix of an order-10 element of GF(q^2) and the smallest
     trace-1 determinant-1 matrix s with trace(s*t) = 0 (which forces the
     binary icosahedral relations s^3 = t^5 = (st)^2 = -I)."""
     q = spec.order
-    if (q + 1) % 5:
-        raise ConstraintViolated("needs an order-10 torus element: q = -1 mod 5")
-    ext = QuadraticExtension(spec)
-    t = ext.mult_rep(ext.element_of_order(10))
+    if (q + 1) % 10:
+        raise ConstraintViolated("needs an order-10 torus element: q = -1 mod 10")
+    big, matrix = _quadratic_plane(spec)
+    u = big.pow_e(big.primitive_element(), (q * q - 1) // 10)
+    t = matrix(lambda w: big.mul_e(w, u))
     assert t.det() == 1
-    q = spec.order
     mul, add, sub = spec.mul_e, spec.add_e, spec.sub_e
     (t00, t01), (t10, t11) = t.rows
     # scan trace-1 det-1 matrices s = [[a,b],[c,1-a]] in row-major order;

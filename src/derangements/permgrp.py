@@ -522,8 +522,9 @@ class PermGroup:
                 w = _compose(lvl.transversal[best], w)
         return Permutation._raw(w)
 
-    def coset_action(self, subgroup: "PermGroup", index_cap: int = 100_000) -> "CosetAction":
-        """Action of this group on the right cosets of ``subgroup``."""
+    def coset_action(self, subgroup: "PermGroup", index_cap: int = 100_000) -> "PermGroup":
+        """Image of this group acting on the right cosets of ``subgroup``,
+        in degree order of the discovered canonical representatives."""
         if not subgroup.is_subgroup_of(self):
             raise NotSubgroup("coset action needs a subgroup of this group")
         index, rem = divmod(self.order(), subgroup.order())
@@ -551,8 +552,7 @@ class PermGroup:
                     tuple(lookup[subgroup.coset_min_rep(rep * g).images] for rep in reps)
                 )
             )
-        image = PermGroup(max(index, 1), gen_images)
-        return CosetAction(self, subgroup, image, reps)
+        return PermGroup(max(index, 1), gen_images)
 
     def quotient(self, normal_subgroup: "PermGroup", index_cap: int = 10_000) -> "PermGroup":
         """G/N as a permutation group on the cosets of the normal subgroup N."""
@@ -562,8 +562,7 @@ class PermGroup:
             for k in normal_subgroup.generators:
                 if k.conjugate_by(g) not in normal_subgroup:
                     raise NotNormal("subgroup is not normal")
-        action = self.coset_action(normal_subgroup, index_cap)
-        image = action.image
+        image = self.coset_action(normal_subgroup, index_cap)
         assert image.order() * normal_subgroup.order() == self.order(), (
             "coset action of a normal subgroup must have the subgroup as kernel"
         )
@@ -599,12 +598,6 @@ class PermGroup:
         ]
         return PermGroup(self.degree, found)
 
-    def centralizer_of(self, x: Permutation, cap: int = ENUMERATION_CAP) -> "PermGroup":
-        if self.order() > cap:
-            raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
-        found = [g for g in self.iter_elements() if g * x == x * g]
-        return PermGroup(self.degree, found)
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
@@ -631,21 +624,6 @@ class BlockSystem:
         for pt, b in enumerate(self.assignment):
             out[b].append(pt)
         return out
-
-
-@dataclass(frozen=True)
-class CosetAction:
-    """Result of acting on right cosets: the image group, in degree order of
-    the discovered canonical representatives."""
-
-    group: PermGroup
-    subgroup: PermGroup
-    image: PermGroup
-    reps: list[Permutation]
-
-    @property
-    def kernel_order(self) -> int:
-        return self.group.order() // self.image.order()
 
 
 def coset_average_fixed_points(t: Permutation, group: PermGroup) -> Fraction:

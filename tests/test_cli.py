@@ -6,6 +6,7 @@ import pytest
 
 from derangements.cli import main
 from derangements.derange import analyze
+from derangements.families import central_product_examples
 from derangements.fileio import dump_matrix_group, dump_perm_group, load_group
 from derangements.gf import field
 from derangements.matgrp import scalar_matrix_group
@@ -43,6 +44,15 @@ def test_analyze_matrix_file(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["order"] == 4 and rec["index"] == 4
     assert rec["quotient_name"] == "C4"
+
+
+def test_analyze_matrix_file_max_order(tmp_path, capsys):
+    path = tmp_path / "klein.group"
+    path.write_text(dump_matrix_group(central_product_examples("klein")))
+    assert main(["analyze", str(path), "--max-order", "47"]) == 2
+    assert "exceeds cap 47" in capsys.readouterr().err
+    assert main(["analyze", str(path), "--max-order", "48", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 48
 
 
 def test_analyze_kind_mismatch(s3_file, capsys):
@@ -130,6 +140,14 @@ def test_construct_chained_analysis(tmp_path, capsys):
     assert rec["order"] == 48 and rec["index"] == 4
     assert rec["quotient_name"] == "C2xC2"
     assert load_group(out.read_text()).order() == 48
+
+
+def test_construct_chained_analysis_max_order(tmp_path, capsys):
+    out = tmp_path / "k.group"
+    args = ["construct", "central-klein", "--output", str(out), "--analyze"]
+    assert main(args + ["--max-order", "10"]) == 2
+    assert "exceeds cap 10" in capsys.readouterr().err
+    assert main(args + ["--max-order", "48"]) == 0
 
 
 def test_construct_rejections(tmp_path, capsys):

@@ -15,7 +15,6 @@ from derangements.derange import (
     identify_quotient,
     index_consequences,
     is_frobenius,
-    splits_over,
     subgroup_checks,
     two_derangement_coverage,
     _abelian_invariants,
@@ -223,19 +222,6 @@ def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
         two_derangement_coverage(intransitive, work_cap=0)
     with pytest.raises(NotTransitive):
         two_derangement_coverage(intransitive)
-
-
-def test_splits_over():
-    s3 = symmetric_group(3)
-    assert splits_over(s3, derangement_subgroup(s3)) is True
-    c4 = cyclic_group(4)
-    squares = PermGroup(4, [Permutation((2, 3, 0, 1))])
-    assert splits_over(c4, squares) is False
-    g = agl_1_5()
-    assert splits_over(g, derangement_subgroup(g)) is True
-    assert splits_over(g, g) is True
-    big = symmetric_group(9)
-    assert splits_over(big, alternating_group(9), order_cap=1000) is None
 
 
 def test_abelian_invariants_from_histograms():

@@ -17,13 +17,11 @@ from derangements.matgrp import (
     FFMatrix,
     IndexBoundReport,
     MatrixGroup,
-    QuadraticExtension,
     binary_icosahedral_gl2,
     binary_tetrahedral_gl2,
     central_product,
     dihedral_gl2,
     echelonize,
-    eigenvalue_one_index,
     eigenvalue_one_subgroup,
     general_linear_gl2,
     has_eigenvalue_one,
@@ -32,7 +30,6 @@ from derangements.matgrp import (
     irreducibility,
     is_irreducible,
     kronecker,
-    nullspace,
     quaternion_gl2,
     quotient_perm_group,
     regular_perm_group,
@@ -42,6 +39,7 @@ from derangements.matgrp import (
     vector_to_index,
     _orbit_labels,
     _projective_rank,
+    _quadratic_plane,
     _right_cosets,
 )
 
@@ -259,10 +257,12 @@ def test_matrix_inverse_det_pow():
 def test_rank_nullspace_solve():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert len(echelonize(GF5, rows)[1]) == 2
-    for v in nullspace(GF5, rows):
+    # left null space {v : v*M = 0}: the homogeneous solutions of M^T
+    left = solve_homogeneous(GF5, [list(col) for col in zip(*rows)])
+    for v in left:
         image = [sum(a * b for a, b in zip(v, col)) % 5 for col in zip(*rows)]
         assert image == [0, 0, 0]
-    assert len(nullspace(GF5, rows)) == 1
+    assert len(left) == 1
     sols = solve_homogeneous(GF5, [[1, 1, 0], [0, 1, 1]])
     assert len(sols) == 1
     x = sols[0]
@@ -310,7 +310,7 @@ def test_gl23_order_and_eigenvalue_subgroup():
     assert g.order() == 48
     r = eigenvalue_one_subgroup(g)
     assert r.order() == 48
-    assert eigenvalue_one_index(g, r) == 1
+    assert g.order() // r.order() == 1
 
 
 def test_scalar_group_eigenvalue_subgroup_trivial():
@@ -318,7 +318,7 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
     assert h.order() == 4
     r = eigenvalue_one_subgroup(h)
     assert r.order() == 1
-    assert eigenvalue_one_index(h) == 4
+    assert h.order() // r.order() == 4
     # no non-identity scalar fixes a nonzero vector
     assert r.generators == ()
     assert not any(has_eigenvalue_one(m) for m in h.elements()[1:])
@@ -559,6 +559,10 @@ def test_binary_tetrahedral():
 def test_binary_icosahedral():
     group = binary_icosahedral_gl2(field(59, 1))
     assert group.order() == 120
+    assert binary_icosahedral_gl2(field(3, 2)).order() == 120
+    for p, f in [(2, 2), (7, 1)]:  # q = 4 is -1 mod 5, but GF(16)* has no order-10 element
+        with pytest.raises(ConstraintViolated):
+            binary_icosahedral_gl2(field(p, f))
 
 
 def test_dihedral_split_and_nonsplit():
@@ -577,44 +581,63 @@ def test_special_linear_orders():
     assert special_linear_gl2(GF5).order() == 120
 
 
+QUADRATIC_BASES = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+
+
 def test_quadratic_extension_contracts():
-    for q in (3, 4, 5, 7):
-        p = 2 if q == 4 else q
-        f = 2 if q == 4 else 1
+    """Over GF(q) for q = 3, 4, 5, 7, 9, 25, 27: u -> matrix(.u) is a
+    homomorphism, the Frobenius matrix is a non-identity involution, and
+    it conjugates matrix(.u) to matrix(.u^q)."""
+    for p, f in QUADRATIC_BASES:
         base = field(p, f)
-        ext = QuadraticExtension(base)
-        frob = ext.frobenius_matrix()
+        q = base.order
+        big, matrix = _quadratic_plane(base)
+        assert big is field(p, 2 * f)
+        mult = {u: matrix(lambda w, u=u: big.mul_e(w, u)) for u in range(1, big.order)}
+        frob = matrix(lambda w: big.pow_e(w, q))
         assert (frob * frob).is_identity()
         assert not frob.is_identity()
-        assert ext.mult_rep((1, 0)).is_identity()
-        codes = [(a, b) for a in range(q) for b in range(q)]
-        for u in codes:
-            for v in codes[:8]:
-                assert ext.mult_rep(ext.mul(u, v)) == ext.mult_rep(u) * ext.mult_rep(v) or u == (0, 0) or v == (0, 0)
-        for u in codes:
-            if u == (0, 0):
-                continue
-            conj = (frob.inverse() * ext.mult_rep(u)) * frob
-            assert conj == ext.mult_rep(ext.power(u, q))
+        assert mult[1].is_identity()
+        rng = random.Random(q)
+        for u in range(1, big.order):
+            for v in rng.sample(range(1, big.order), 4):
+                assert mult[u] * mult[v] == mult[big.mul_e(u, v)]
+            assert (frob.inverse() * mult[u]) * frob == mult[big.pow_e(u, q)]
 
 
 def test_quadratic_extension_element_orders():
-    base = field(3, 1)
-    ext = QuadraticExtension(base)
-    x = ext.element_of_order(4)
-    assert ext.multiplicative_order(x) == 4
-    assert ext.mult_rep(x).multiplicative_order() == 4
-    assert ext.element_of_order(8) != (0, 0)
-    with pytest.raises(ValueError):
-        ext.element_of_order(5)
+    """The torus element g^((q^2-1)/m) gives a rotation of order m for
+    every m | q^2-1, and matrix(.u) has the order of u."""
+    for p, f in QUADRATIC_BASES:
+        base = field(p, f)
+        q = base.order
+        big, matrix = _quadratic_plane(base)
+        g = big.primitive_element()
+        for m in (m for m in range(2, q * q) if (q * q - 1) % m == 0):
+            u = big.pow_e(g, (q * q - 1) // m)
+            assert big.multiplicative_order_e(u) == m
+            assert matrix(lambda w: big.mul_e(w, u)).multiplicative_order() == m
 
 
 def test_quadratic_extension_over_gf9():
-    ext = QuadraticExtension(field(3, 2))
-    frob = ext.frobenius_matrix()
-    assert frob.spec.order == 9
-    assert (frob * frob).is_identity()
-    assert ext.mult_rep((1, 0)).is_identity()
+    """The embedding of GF(q) for f > 1 (GF(9), GF(25), GF(27)): the
+    Frobenius-fixed elements of GF(q^2) act as the scalars c*I, and x -> c
+    is a field isomorphism onto the codes of GF(q)."""
+    for p, f in [(3, 2), (5, 2), (3, 3)]:
+        base = field(p, f)
+        q = base.order
+        big, matrix = _quadratic_plane(base)
+        fixed = [x for x in range(big.order) if big.pow_e(x, q) == x]
+        assert len(fixed) == q
+        image = {}
+        for x in fixed:
+            m = matrix(lambda w: big.mul_e(w, x))
+            assert m == FFMatrix.scalar(base, 2, m.rows[0][0])
+            image[x] = m.rows[0][0]
+        assert sorted(image.values()) == list(range(q))
+        for x, y in itertools.product(fixed, repeat=2):
+            assert image[big.add_e(x, y)] == base.add_e(image[x], image[y])
+            assert image[big.mul_e(x, y)] == base.mul_e(image[x], image[y])
 
 
 def test_regular_perm_group():

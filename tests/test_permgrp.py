@@ -265,10 +265,10 @@ def test_coset_min_rep_is_constant_on_cosets():
 
 def test_coset_action_on_point_stabilizer_recovers_natural_action():
     s4 = symmetric_group(4)
-    act = s4.coset_action(s4.stabilizer(0))
-    assert act.image.degree == 4
-    assert act.image.order() == 24
-    assert act.kernel_order == 1
+    image = s4.coset_action(s4.stabilizer(0))
+    assert image.degree == 4
+    assert image.order() == 24
+    assert s4.order() // image.order() == 1  # faithful: trivial kernel
 
 
 def test_quotient_s4_by_v4_is_s3():
@@ -314,13 +314,6 @@ def test_normalizer_of_four_cycle_in_s4():
     c4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     norm = s4.normalizer(c4)
     assert norm.order() == 8
-
-
-def test_centralizer():
-    s4 = symmetric_group(4)
-    x = Permutation.from_cycles(4, [(0, 1, 2, 3)])
-    cen = s4.centralizer_of(x)
-    assert cen.order() == 4
 
 
 @pytest.mark.parametrize(
