@@ -74,6 +74,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # each suite refuses the other suite's flags rather than ignoring them
+    paper_only = {"--only": args.only, "--inject-fault": args.inject_fault}
+    corpus_only = {"--max-order": args.max_order is not None, "--max-degree": args.max_degree is not None}
+    foreign = corpus_only if args.suite == "paper" else paper_only
+    misplaced = [flag for flag, given in foreign.items() if given]
+    if misplaced:
+        print(f"error: verify {args.suite} does not take {', '.join(misplaced)}", file=sys.stderr)
+        return EXIT_USAGE
     if args.suite == "paper":
         reports = run_paper_suite(
             workers=args.workers,
@@ -200,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--inject-fault",
         action="store_true",
-        help="self-test: replace the derangement subgroup by its point "
+        help="paper self-test: replace the derangement subgroup by its point "
         "stabilizer so the membership check must fail and the exit status "
         "must be nonzero",
     )

@@ -1,16 +1,17 @@
 """Constructors for the group families the analysis is exercised on.
 
 Affine groups built from a matrix group plus translations, semilinear
-one-dimensional groups, a degree-28 coset action of PGammaL(2,8), wreath
-and direct products, Frobenius-complement quotient examples, and the
-central-product matrix families with prescribed quotients.
+one-dimensional groups, PGammaL(2,8) on the 28 conjugate pairs of GF(64)
+outside GF(8), wreath and direct products, Frobenius-complement quotient
+examples, and the central-product matrix families with prescribed
+quotients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import ConstraintViolated, DegreeTooLarge
 from .gf import FieldSpec, _is_prime, field, prime_power_decompose
@@ -90,12 +91,6 @@ def semilinear_example(q: int) -> PermGroup:
     return group
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _pgl_2_8() -> PermGroup:
     """PGL(2,8), the simple group of order 504, on the projective line: the
     8 field elements plus a point at infinity (8), moved by the
@@ -117,33 +112,19 @@ def _pgl_2_8() -> PermGroup:
 
 @lru_cache(maxsize=1)
 def pgammal_28() -> PermGroup:
-    """PGammaL(2,8), order 1512, acting on the 28 cosets of the normalizer
-    of a Sylow 3-subgroup: PGL(2,8) extended by the field automorphism
-    x -> x^2 of the projective line."""
-    gf8 = field(2, 3)
-    frob = Permutation(tuple(gf8.pow_e(x, 2) for x in range(8)) + (8,))
-    big = PermGroup(9, _pgl_2_8().generators + (frob,))
-    assert big.order() == 1512
-
-    # grow a maximal 3-subgroup greedily; maximal p-subgroups are Sylow
-    three_power = [h for h in big.iter_elements() if h.order() in (3, 9)]
-    sylow = PermGroup(9, ())
-    changed = True
-    while changed:
-        changed = False
-        for h in three_power:
-            if h in sylow:
-                continue
-            cand = sylow.extended(h)
-            if _is_power_of(cand.order(), 3):
-                sylow = cand
-                changed = True
-    assert sylow.order() == 27
-    norm = big.normalizer(sylow)
-    assert norm.order() == 54
-    image = big.coset_action(norm)
-    assert image.degree == 28 and image.order() == 1512
-    return image
+    """PGammaL(2,8), order 1512, on the 28 pairs {z, z^8} of GF(64) minus
+    GF(8), each labelled by its smaller code, in ascending order.  Its
+    generators x+1, cx, 1/x, x^2 (c = w^9 generates GF(8)*, w primitive)
+    commute with z -> z^8.  A pair stabilizer, of order 54, is the
+    normalizer of a Sylow 3-subgroup."""
+    big = field(2, 6)
+    c = big.pow_e(big.primitive_element(), 9)
+    pairs = [z for z in range(64) if z < big.pow_e(z, 8)]
+    label = {w: i for i, z in enumerate(pairs) for w in (z, big.pow_e(z, 8))}
+    maps = (partial(big.add_e, 1), partial(big.mul_e, c), big.inv_e, partial(big.pow_e, k=2))
+    group = PermGroup(28, [Permutation(tuple(label[fn(z)] for z in pairs)) for fn in maps])
+    assert group.order() == 1512
+    return group
 
 
 def wreath_product_action(h: PermGroup, k: int) -> PermGroup:

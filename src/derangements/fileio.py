@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import ParseError, ToolkitError
 from .gf import field
-from .matgrp import FFMatrix, MatrixGroup
+from .matgrp import FFMatrix, MatrixGroup, _check_spin_work
 from .permgrp import PermGroup, Permutation
 
 
@@ -93,8 +93,9 @@ def load_matrix_group(text: str) -> MatrixGroup:
         raise ParseError(no, "need d >= 1 and ngens >= 0")
     try:
         spec = field(p, f)
+        _check_spin_work(spec.order, d)  # every matrix record runs the spin
     except ToolkitError as exc:
-        raise ParseError(no, f"bad field parameters: {exc}") from None
+        raise ParseError(no, f"bad header: {exc}") from None
     body = lines[1:]
     if len(body) < ngens * d:
         raise ParseError(

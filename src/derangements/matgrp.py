@@ -563,14 +563,20 @@ def _spin(group: MatrixGroup, v: Sequence[int]) -> list[list[int]]:
     return span
 
 
+def _check_spin_work(q: int, d: int) -> None:
+    """CapExceeded unless the spin's work d*(q^d - 1)/(q - 1) on GF(q)^d
+    fits SPIN_WORK_CAP.  The work is at least 2^(d-1), so q^d is only
+    formed for small d."""
+    if d > SPIN_WORK_CAP.bit_length() or d * ((q**d - 1) // (q - 1)) > SPIN_WORK_CAP:
+        raise CapExceeded(f"spinning GF({q})^{d} exceeds the work cap {SPIN_WORK_CAP}")
+
+
 def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     spec, d = group.spec, group.d
     if d == 1:
         return True, None
     q = spec.order
-    n_proj = (q**d - 1) // (q - 1)
-    if d * n_proj > SPIN_WORK_CAP:
-        raise CapExceeded(f"spinning workload {d * n_proj} exceeds {SPIN_WORK_CAP}")
+    _check_spin_work(q, d)
     qpow = q ** np.arange(d, dtype=np.int64)
     # projective points: the vectors whose first nonzero coordinate is 1
     points = np.sort(
@@ -739,62 +745,27 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
 # named constructions ------------------------------------------------------------
 
 
-def _roots_of_minus_identity(spec: FieldSpec):
-    """2x2 square roots of -I, in row-major encoded lexicographic order of
-    (e00, e01, e10, e11), as raw entry tuples."""
-    q = spec.order
-    neg_one = spec.neg_e(1)
-    mul, add = spec.mul_e, spec.add_e
-    for e00 in range(q):
-        sq = mul(e00, e00)
-        for e01 in range(q):
-            for e10 in range(q):
-                # row 0 of the square is (e00^2 + e01*e10, e01*(e00 + e11))
-                if add(sq, mul(e01, e10)) != neg_one:
-                    continue
-                for e11 in range(q):
-                    if mul(e01, add(e00, e11)):
-                        continue
-                    if mul(e10, add(e00, e11)):
-                        continue
-                    if add(mul(e01, e10), mul(e11, e11)) != neg_one:
-                        continue
-                    yield (e00, e01, e10, e11)
-
-
 def quaternion_gl2(spec: FieldSpec) -> MatrixGroup:
-    """The order-8 quaternion subgroup of GL(2,q), q odd: the two smallest
-    anticommuting square roots of -I in row-major encoded order."""
+    """The order-8 quaternion subgroup of GL(2,q), q odd, generated by the
+    two least anticommuting square roots of -I in row-major encoded order:
+    i = [[0, 1], [-1, 0]] (a root with e00 = 0 has e11 = 0, e01*e10 = -1)
+    and j = [[a, b], [b, -a]], the form of every root anticommuting with i,
+    with (a, b) the least pair such that a^2 + b^2 = -1."""
     if spec.p == 2:
         raise ConstraintViolated("quaternion subgroup needs odd characteristic")
-    mul, add = spec.mul_e, spec.add_e
-    first = None
-    for cand in _roots_of_minus_identity(spec):
-        if first is None:
-            first = cand
-            continue
-        a00, a01, a10, a11 = first
-        b00, b01, b10, b11 = cand
-        ab = (
-            add(mul(a00, b00), mul(a01, b10)),
-            add(mul(a00, b01), mul(a01, b11)),
-            add(mul(a10, b00), mul(a11, b10)),
-            add(mul(a10, b01), mul(a11, b11)),
-        )
-        ba = (
-            add(mul(b00, a00), mul(b01, a10)),
-            add(mul(b00, a01), mul(b01, a11)),
-            add(mul(b10, a00), mul(b11, a10)),
-            add(mul(b10, a01), mul(b11, a11)),
-        )
-        if all(add(x, y) == 0 for x, y in zip(ab, ba)):
-            a = FFMatrix(spec, [first[0:2], first[2:4]])
-            b = FFMatrix(spec, [cand[0:2], cand[2:4]])
-            group = MatrixGroup(spec, 2, [a, b])
-            assert group.order() == 8
-            assert group.element_order_histogram() == {1: 1, 2: 1, 4: 6}
-            return group
-    raise AssertionError("GL(2,q) with q odd always contains a quaternion group")
+    q, neg_one = spec.order, spec.neg_e(1)
+    a, b = next(
+        (a, b)
+        for a in range(q)
+        for b in range(q)
+        if spec.add_e(spec.mul_e(a, a), spec.mul_e(b, b)) == neg_one
+    )
+    i = FFMatrix(spec, [[0, 1], [neg_one, 0]])
+    j = FFMatrix(spec, [[a, b], [b, spec.neg_e(a)]])
+    group = MatrixGroup(spec, 2, [i, j])
+    assert group.order() == 8
+    assert group.element_order_histogram() == {1: 1, 2: 1, 4: 6}
+    return group
 
 
 def special_linear_gl2(spec: FieldSpec) -> MatrixGroup:

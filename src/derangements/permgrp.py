@@ -585,19 +585,6 @@ class PermGroup:
                         changed = True
         return closure
 
-    def normalizer(self, subgroup: "PermGroup", cap: int = ENUMERATION_CAP) -> "PermGroup":
-        """Normalizer by full element enumeration (exact, small groups only)."""
-        if self.order() > cap:
-            raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
-        if not subgroup.is_subgroup_of(self):
-            raise NotSubgroup("normalizer needs a subgroup")
-        found = [
-            g
-            for g in self.iter_elements()
-            if all(s.conjugate_by(g) in subgroup for s in subgroup.generators)
-        ]
-        return PermGroup(self.degree, found)
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 

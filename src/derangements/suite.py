@@ -30,6 +30,7 @@ from .derange import (
     identify_fingerprint,
     two_derangement_coverage,
 )
+from .errors import ConstraintViolated
 from .families import (
     FamilyParams,
     _pgl_2_8,
@@ -504,6 +505,9 @@ def run_paper_suite(
     of the failure path.  ``only`` restricts to the named
     scenario ids, preserving definition order.
     """
+    unknown = sorted(set(only) - _SCENARIOS_BY_ID.keys())
+    if unknown:
+        raise ConstraintViolated(f"unknown scenario id(s): {', '.join(unknown)}")
     chosen = [sc for sc in PAPER_SCENARIOS if not only or sc.id in only]
     if workers <= 1 or len(chosen) <= 1:
         return [run_scenario(sc, inject_fault) for sc in chosen]

@@ -112,6 +112,34 @@ def test_verify_corpus_filtered_deterministic(capsys):
     assert "groups passed" in first
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["corpus", "--inject-fault"], "--inject-fault"),
+        (["corpus", "--only", "agl1-5"], "--only"),
+        (["paper", "--max-order", "100"], "--max-order"),
+        (["paper", "--only", "agl1-5", "--max-degree", "9"], "--max-degree"),
+        (["paper", "--only", "agl1-55"], "agl1-55"),
+        (["paper", "--only", "agl1-5", "--only", "no-such-id"], "no-such-id"),
+    ],
+)
+def test_verify_refuses_flags_it_would_ignore(args, named, capsys):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("d", [10**9, 20_000, 2_000])
+def test_analyze_matrix_header_past_spin_cap(tmp_path, capsys, d):
+    path = tmp_path / "huge.group"
+    path.write_text(f"matgroup 2 1 {d} 0\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and f"GF(2)^{d}" in err
+    assert len(err) < 200
+
+
 def test_construct_writes_canonical_file(tmp_path, capsys):
     out = tmp_path / "sl3.group"
     assert main(["construct", "semilinear", "3", "--output", str(out)]) == 0

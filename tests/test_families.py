@@ -87,6 +87,23 @@ def test_pgammal28():
     assert rep.all_checks_pass()
 
 
+def test_pgammal28_point_stabilizer_is_sylow3_normalizer():
+    """A pair stabilizer is N_G(P) for a Sylow 3-subgroup P, so the action
+    on pairs is the coset action on that normalizer.  N_G(P) is found here
+    by enumerating G."""
+    g = pgammal_28()
+    stab = g.stabilizer(0)
+    assert stab.order() == 54
+    sylow = PermGroup(28, [h for h in stab.iter_elements() if 27 % h.order() == 0])
+    assert sylow.order() == 27
+    norm = PermGroup(
+        28,
+        [x for x in g.iter_elements()
+         if all(s.conjugate_by(x) in sylow for s in sylow.generators)],
+    )
+    assert norm.same_group_as(stab)
+
+
 def test_wreath_products():
     square = wreath_product_action(symmetric_group(2), 2)
     assert square.degree == 4 and square.order() == 8

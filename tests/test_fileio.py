@@ -118,6 +118,24 @@ def test_mat_parse_errors():
     assert exc.value.line_no == 4  # trailing rows
 
 
+@pytest.mark.parametrize("d", [10**9, 20_000])
+def test_mat_header_past_spin_cap(d):
+    """The spin's work bound is checked on the header, before any matrix of
+    side d is allocated."""
+    with pytest.raises(ParseError) as exc:
+        load_matrix_group(f"matgroup 2 1 {d} 0\n")
+    assert exc.value.line_no == 1
+    assert f"GF(2)^{d}" in str(exc.value)
+
+
+def test_mat_header_within_spin_cap():
+    """GL(4,59), central-a5's space, spins 4*(59^4 - 1)/58 = 835 680
+    points, under the cap; GF(59)^5 is past it."""
+    assert load_matrix_group("matgroup 59 1 4 0\n").d == 4
+    with pytest.raises(ParseError):
+        load_matrix_group("matgroup 59 1 5 0\n")
+
+
 def test_load_group_dispatch():
     g = load_group("permgroup 2 1\n1 0\n")
     assert isinstance(g, PermGroup)

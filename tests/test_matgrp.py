@@ -550,6 +550,28 @@ def test_quaternion_search_is_deterministic():
     assert q8.generators[1] == FFMatrix(GF5, [[0, 2], [2, 0]])
 
 
+def _first_anticommuting_roots(spec):
+    """Brute-force oracle: scan 2x2 matrices in row-major encoded order for
+    the first square root of -I, then the first root anticommuting with it."""
+    minus = FFMatrix.scalar(spec, 2, spec.neg_e(1))
+    first = None
+    for e in itertools.product(range(spec.order), repeat=4):
+        m = FFMatrix(spec, [e[0:2], e[2:4]])
+        if m * m != minus:
+            continue
+        if first is None:
+            first = m
+        elif first * m == m * first * minus:
+            return first, m
+    raise AssertionError("no anticommuting pair of roots of -I")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_quaternion_generators_match_search(q):
+    spec = field(3, 2) if q == 9 else field(q, 1)
+    assert quaternion_gl2(spec).generators == _first_anticommuting_roots(spec)
+
+
 def test_binary_tetrahedral():
     group = binary_tetrahedral_gl2(field(23, 1))
     assert group.order() == 24

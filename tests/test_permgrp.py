@@ -309,13 +309,6 @@ def test_normal_closure_in_s4():
     assert s4.normal_closure([three]).order() == 12
 
 
-def test_normalizer_of_four_cycle_in_s4():
-    s4 = symmetric_group(4)
-    c4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)])])
-    norm = s4.normalizer(c4)
-    assert norm.order() == 8
-
-
 @pytest.mark.parametrize(
     "group",
     [symmetric_group(4), alternating_group(5), dihedral_group(6), cyclic_group(7)],

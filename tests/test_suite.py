@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from derangements.errors import ConstraintViolated
 from derangements.families import FAMILY_ARITY
 from derangements.gf import field
 from derangements.families import build_family
@@ -181,6 +182,17 @@ def test_corpus_suite_filters_and_order():
     assert small.get("skipped") is None and corpus_ok(small)
     # deterministic: a second run emits identical records
     assert run_corpus_suite(max_degree=9, max_order=100) == records
+
+
+def test_corpus_worker_pool_matches_serial():
+    serial = run_corpus_suite(max_degree=12)
+    assert sum(1 for r in serial if r.get("skipped")) > 0
+    assert run_corpus_suite(workers=2, max_degree=12) == serial
+
+
+def test_unknown_scenario_id_is_refused():
+    with pytest.raises(ConstraintViolated, match="agl1-55"):
+        run_paper_suite(only=("agl1-55",))
 
 
 def test_random_words_are_deterministic_and_valid():
