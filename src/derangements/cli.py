@@ -67,7 +67,7 @@ def _cmd_analyze(args) -> int:
             return EXIT_USAGE
         record = analyze(group, cap=args.max_order).to_record()
     else:
-        group.elements(cap=args.max_order)
+        group.digit_stack(cap=args.max_order)
         record = matrix_record(group)
     _emit_record(record, args.json)
     return EXIT_OK
@@ -148,7 +148,7 @@ def _cmd_construct(args) -> int:
         if isinstance(built, PermGroup):
             record = analyze(built, cap=args.max_order).to_record()
         else:
-            built.elements(cap=args.max_order)
+            built.digit_stack(cap=args.max_order)
             record = matrix_record(built)
         _emit_record(record, args.json)
     return EXIT_OK

@@ -190,14 +190,17 @@ def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     """The scan of a transitive group, with its certificate: every stashed
     element lies inside the subgroup, which together with the construction
     shows every element outside it fixes exactly one point, and the
-    subgroup is normal."""
+    subgroup is normal: the conjugate of each of its generators by each
+    generator of the group sifts through its own chain."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     scan = _scan(group, cap)
     scan.captures = all(p in scan.subgroup for p in scan.multi_fixers)
     assert scan.captures, "element with several fixed points escaped the subgroup"
-    closure = group.normal_closure(scan.subgroup.generators)
-    assert closure.same_group_as(scan.subgroup), "derangements must generate a normal subgroup"
+    d = scan.subgroup
+    assert all(
+        k.conjugate_by(g) in d for g in group.generators for k in d.generators
+    ), "derangements must generate a normal subgroup"
     return scan
 
 

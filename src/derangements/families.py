@@ -13,21 +13,24 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
+import numpy as np
+
 from .errors import ConstraintViolated, DegreeTooLarge
 from .gf import FieldSpec, _is_prime, field, prime_power_decompose
 from .matgrp import (
     MatrixGroup,
+    _digit_matrix,
+    _image_indices,
+    _index_digits,
     _quadratic_plane,
     binary_icosahedral_gl2,
     binary_tetrahedral_gl2,
     central_product,
     dihedral_gl2,
     general_linear_gl2,
-    index_to_vector,
     is_irreducible,
     quaternion_gl2,
     scalar_matrix_group,
-    vector_to_index,
 )
 from .permgrp import (
     PermGroup,
@@ -54,19 +57,14 @@ def affine_group(h: MatrixGroup) -> PermGroup:
     degree = spec.order**d
     if degree > AFFINE_DEGREE_CAP:
         raise DegreeTooLarge(f"affine degree {degree} exceeds {AFFINE_DEGREE_CAP}")
-    vectors = [index_to_vector(spec, d, i) for i in range(degree)]
-    gens = []
-    for i in range(d):
-        images = []
-        for v in vectors:
-            w = list(v)
-            w[i] = spec.add_e(w[i], 1)
-            images.append(vector_to_index(spec, tuple(w)))
-        gens.append(Permutation(tuple(images)))
-    for mat in h.generators:
-        gens.append(
-            Permutation(tuple(vector_to_index(spec, mat.apply_row(v)) for v in vectors))
-        )
+    points = np.arange(degree, dtype=np.int64)
+    digits = _index_digits(spec, d, points)
+    low = digits[:, :: spec.f]  # adding 1 to coordinate i adds 1 to this digit
+    gens = [
+        Permutation((points + ((low[:, i] + 1) % spec.p - low[:, i]) * spec.order**i).tolist())
+        for i in range(d)
+    ]
+    gens += [Permutation(_image_indices(spec, _digit_matrix(m), digits).tolist()) for m in h.generators]
     group = PermGroup(degree, gens)
     assert group.order() == degree * h.order(), "translations and h must intersect trivially"
     return group
@@ -213,27 +211,16 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     if failures:
         raise ConstraintViolated("; ".join(failures))
 
+    *shifts, rotation = wreath_product_action(cyclic_group(m), q).generators
     powers = [m**i for i in range(q)]
-    gens = []
-    for i in range(q):
-        images = []
-        for idx in range(degree):
-            x = (idx // powers[i]) % m
-            images.append(idx + (((x + 1) % m) - x) * powers[i])
-        gens.append(Permutation(tuple(images)))
+    diagonal = []
     for g in h.generators:
         images = []
         for idx in range(degree):
             coords = [(idx // powers[i]) % m for i in range(q)]
             images.append(sum(g.images[c] * powers[i] for i, c in enumerate(coords)))
-        gens.append(Permutation(tuple(images)))
-    images = []
-    for idx in range(degree):
-        coords = [(idx // powers[i]) % m for i in range(q)]
-        rotated = coords[-1:] + coords[:-1]
-        images.append(sum(c * powers[i] for i, c in enumerate(rotated)))
-    gens.append(Permutation(tuple(images)))
-    group = PermGroup(degree, gens)
+        diagonal.append(Permutation(tuple(images)))
+    group = PermGroup(degree, shifts + diagonal + [rotation])
     assert group.order() == degree * h.order() * q
     return group
 

@@ -10,22 +10,23 @@ matrices in row-major encoded order.
 
 A vector's index in GF(q)^d is the index of its base-p digit vector in
 GF(p)^(d*f), on which each matrix acts as a (d*f)x(d*f) digit matrix over
-GF(p); M -> digit(M) is a homomorphism.  Every enumeration-bound stage runs
-on stacks of digit matrices, one numpy path for every field: the closure
-grows level by level from the identity (the whole frontier times every
-generator in one batched product, first occurrences kept: breadth-first
-order), one batched elimination mod p decides eigenvalue 1 for every
-element, and each right coset is one product of the subgroup's stack.
-Work on vectors (orbit labels, orbit semiregularity, the spin) maps whole
-arrays of indices; projective points are put in canonical form with
-log/exp tables of GF(q) and ranked in closed form.  No size or field
-threshold picks a code path; SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP
-bound the work.
+GF(p); M -> digit(M) is a homomorphism.  A group's one element store is
+the stack of its digit matrices in breadth-first order (batched products
+of the frontier and the generators), with a dict from entry codes to
+positions; positions are the element handle, and elements() decodes
+FFMatrix objects only on request.  One batched elimination mod p decides
+eigenvalue 1, the eigenvalue-1 subgroup is a mask over positions, and a
+right coset is one product of the subgroup's stack.  Work on vectors
+maps whole arrays of indices; projective points are put in canonical
+form with log/exp tables of GF(q) and ranked in closed form.  No size or
+field threshold picks a code path; SPIN_WORK_CAP and
+SEMIREGULAR_VECTOR_CAP bound the work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,34 +66,12 @@ class FFMatrix:
     def scalar(cls, spec: FieldSpec, d: int, value: int) -> "FFMatrix":
         return cls(spec, [[value if i == j else 0 for j in range(d)] for i in range(d)])
 
-    def key(self) -> tuple[int, ...]:
-        return tuple(e for row in self.rows for e in row)
-
     def __mul__(self, other: "FFMatrix") -> "FFMatrix":
         if self.spec is not other.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        spec = self.spec
-        cols = tuple(zip(*other.rows))
-        if spec.f == 1:
-            p = spec.p
-            rows = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                for row in self.rows
-            )
-            return FFMatrix._raw(spec, self.d, rows)
-        mul, add = spec.mul_e, spec.add_e
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                new.append(acc)
-            out.append(tuple(new))
-        return FFMatrix._raw(spec, self.d, tuple(out))
+        return FFMatrix._raw(self.spec, self.d, tuple(map(other.apply_row, self.rows)))
 
     @classmethod
     def _raw(cls, spec, d, rows) -> "FFMatrix":
@@ -116,20 +95,8 @@ class FFMatrix:
 
     def apply_row(self, v: Sequence[int]) -> tuple[int, ...]:
         """Image of the row vector v (encoded ints) under this matrix."""
-        spec = self.spec
-        if spec.f == 1:
-            p = spec.p
-            return tuple(
-                sum(a * b for a, b in zip(v, col)) % p for col in zip(*self.rows)
-            )
-        mul, add = spec.mul_e, spec.add_e
-        out = []
-        for col in zip(*self.rows):
-            acc = 0
-            for a, b in zip(v, col):
-                acc = add(acc, mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        mul, add = self.spec.mul_e, self.spec.add_e
+        return tuple(reduce(add, map(mul, v, col)) for col in zip(*self.rows))
 
     def det(self) -> int:
         spec = self.spec
@@ -281,75 +248,85 @@ class MatrixGroup:
     """Group generated by invertible matrices over one field."""
 
     def __init__(self, spec: FieldSpec, d: int, generators: Iterable[FFMatrix]):
+        self.spec = spec
+        self.d = d
         gens = []
-        seen = set()
         for g in generators:
             if not isinstance(g, FFMatrix):
                 g = FFMatrix(spec, g)
-            if g.spec is not spec:
-                raise FieldMismatch(f"generator over {g.spec}, group over {spec}")
-            if g.d != d:
-                raise ValueError(f"generator dimension {g.d} in GL({d},...)")
+            self._check(g)
             if g.det() == 0:
                 raise ValueError("singular generator")
-            if g.is_identity() or g.key() in seen:
-                continue
-            seen.add(g.key())
-            gens.append(g)
-        self.spec = spec
-        self.d = d
+            if not g.is_identity() and g.rows not in (h.rows for h in gens):
+                gens.append(g)
         self.generators = tuple(gens)
-        self._elements: list[FFMatrix] | None = None
-        self._stack: np.ndarray | None = None  # digit matrices, in element order
-        self._keyset: frozenset | None = None
+        self._stack: np.ndarray | None = None  # digit matrices, breadth-first
+        self._position: dict[bytes, int] | None = None  # entry-code bytes -> position
+        self._elements: list[FFMatrix] | None = None  # decoded on request
         self._irreducibility: tuple | None = None
         self._cosets: tuple | None = None  # (sub, reps, coset_of) of the last coset walk
 
-    def elements(self, cap: int = MAT_ENUMERATION_CAP) -> list[FFMatrix]:
-        """All elements in breadth-first order from the identity; raises
-        CapExceeded when the order exceeds cap."""
-        if self._elements is None:
+    def _check(self, m: FFMatrix) -> None:
+        if m.spec is not self.spec:
+            raise FieldMismatch(f"matrix over {m.spec}, group over {self.spec}")
+        if m.d != self.d:
+            raise ValueError(f"matrix dimension {m.d} in GL({self.d},...)")
+
+    def digit_stack(self, cap: int = MAT_ENUMERATION_CAP) -> np.ndarray:
+        """The digit matrices of all elements, in breadth-first order from
+        the identity; raises CapExceeded when the order exceeds cap."""
+        if self._stack is None:
             spec, d = self.spec, self.d
             p, k = spec.p, d * spec.f
             gens = np.array([_digit_matrix(g) for g in self.generators], dtype=np.int64)
             frontier = np.eye(k, dtype=np.int64)[None]
-            entries = _codes(spec, d, frontier[:, :: spec.f])
-            seen = set(_entry_keys(entries))
-            levels, elements = [], []
+            position = dict.fromkeys(_entry_keys(spec, d, frontier), 0)
+            levels = []
             while len(frontier):
-                if len(elements) + len(frontier) > cap:
+                if len(position) > cap:
                     raise CapExceeded(f"matrix closure exceeds cap {cap}")
                 levels.append(frontier)
-                elements += [FFMatrix._raw(spec, d, tuple(map(tuple, rows))) for rows in entries.tolist()]
                 products = (frontier[:, None] @ gens.reshape(1, -1, k, k) % p).reshape(-1, k, k)
-                entries = _codes(spec, d, products[:, :: spec.f])
                 fresh = []
-                for i, key in enumerate(_entry_keys(entries)):
-                    if key not in seen:
-                        seen.add(key)
+                for i, key in enumerate(_entry_keys(spec, d, products)):
+                    if key not in position:
+                        position[key] = len(position)
                         fresh.append(i)
-                frontier, entries = products[fresh], entries[fresh]
+                frontier = products[fresh]
             self._stack = np.concatenate(levels)
-            self._elements = elements
-            self._keyset = frozenset(seen)
-        if len(self._elements) > cap:
+            self._position = position
+        if len(self._stack) > cap:
             raise CapExceeded(f"matrix closure exceeds cap {cap}")
-        return self._elements
-
-    def digit_stack(self) -> np.ndarray:
-        """The digit matrices of elements(), stacked in the same order."""
-        self.elements()
         return self._stack
 
-    def order(self) -> int:
-        return len(self.elements())
+    def _positions(self) -> dict[bytes, int]:
+        """Entry-code bytes of each element -> its position in the stack."""
+        stack = self.digit_stack()
+        if self._position is None:
+            keys = _entry_keys(self.spec, self.d, stack)
+            self._position = dict(zip(keys, range(len(keys))))
+        return self._position
 
-    def key_set(self) -> frozenset:
-        self.elements()
-        return self._keyset
+    def _locate(self, stack: np.ndarray) -> np.ndarray:
+        """Position of each digit matrix of the stack (reduced mod p); a
+        KeyError for one outside the group."""
+        keys = _entry_keys(self.spec, self.d, stack)
+        return np.fromiter(map(self._positions().__getitem__, keys), dtype=np.int64, count=len(keys))
+
+    def elements(self, cap: int = MAT_ENUMERATION_CAP) -> list[FFMatrix]:
+        """All elements in the order of digit_stack(), decoded on the first
+        call and cached; raises CapExceeded when the order exceeds cap."""
+        stack = self.digit_stack(cap)
+        if self._elements is None:
+            self._elements = _decode(self.spec, self.d, stack)
+        return self._elements
+
+    def order(self) -> int:
+        return len(self.digit_stack())
 
     def __contains__(self, m: FFMatrix) -> bool:
-        return _entry_keys(np.array([m.rows], dtype=np.int64))[0] in self.key_set()
+        self._check(m)
+        return _entry_keys(self.spec, self.d, _digit_matrix(m)[None])[0] in self._positions()
 
     def element_order_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -375,25 +352,38 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     The elements are scanned in enumeration order, and one becomes a
     generator only when it has eigenvalue 1 and is not yet in the subgroup
     generated so far; so every eigenvalue-1 element ends up inside, and the
-    generating set stays small.  The eigenvalue-1 elements form a
-    conjugation-closed set (conjugation preserves eigenvalues), so the
-    result is normal; normality is still verified by conjugating the
-    generators with the parent's generators.
+    generating set stays small.  The subgroup is a mask over the group's
+    positions, grown by a new generator g from the last one: its elements
+    times g, then each new element times every generator.  The eigenvalue-1
+    elements form a conjugation-closed set (conjugation preserves
+    eigenvalues), so the result is normal; normality is still verified by
+    conjugating the generators with the parent's generators.
     """
-    gens: list[FFMatrix] = []
-    sub = MatrixGroup(group.spec, group.d, gens)
-    fixers = _fixes_a_vector(group.digit_stack(), group.spec.p).tolist()
-    for m, fixes in zip(group.elements(), fixers):
-        if fixes and m not in sub:
-            gens.append(m)
-            sub = MatrixGroup(group.spec, group.d, gens)
-    assert sub.key_set() <= group.key_set()
+    spec, p = group.spec, group.spec.p
+    stack = group.digit_stack()
+    inside = np.zeros(len(stack), dtype=bool)
+    inside[0] = True  # the identity
+    gens: list[int] = []
+
+    def grow(products: np.ndarray) -> np.ndarray:
+        found = np.unique(group._locate(products % p))
+        found = found[~inside[found]]
+        inside[found] = True
+        return found
+
+    for i in np.flatnonzero(_fixes_a_vector(stack, p)).tolist():
+        if not inside[i]:
+            gens.append(i)
+            new = grow(stack[inside] @ stack[i])
+            while len(new):
+                new = grow(stack[new][:, None] @ stack[gens])
+    sub = MatrixGroup(spec, group.d, _decode(spec, group.d, stack[gens]))
+    sub._stack = stack[inside]
     assert group.order() % sub.order() == 0
     for g in group.generators:
-        ginv = g.inverse()
-        for r in sub.generators:
-            if (ginv * r) * g not in sub:
-                raise AssertionError("eigenvalue-1 subgroup failed normality check")
+        conjugates = _digit_matrix(g.inverse()) @ stack[gens] % p @ _digit_matrix(g)
+        if not inside[group._locate(conjugates % p)].all():
+            raise AssertionError("eigenvalue-1 subgroup failed normality check")
     return sub
 
 
@@ -436,23 +426,28 @@ def _digit_matrix(m: FFMatrix) -> np.ndarray:
 
 
 def _codes(spec: FieldSpec, d: int, digits: np.ndarray) -> np.ndarray:
-    """GF(q) codes of d base-p digit groups of f along the last axis.  Of a
-    stack of digit matrices, stack[:, ::f] gives the entries: digit row
-    j*f holds row j."""
+    """GF(q) codes of d base-p digit groups of f along the last axis."""
     grouped = digits.reshape(*digits.shape[:-1], d, spec.f)
     return grouped @ spec.p ** np.arange(spec.f, dtype=np.int64)
 
 
-def _entry_keys(entries: np.ndarray) -> list[bytes]:
-    """One hashable key per matrix of an (n, d, d) stack of entry codes."""
-    n, d, _ = entries.shape
-    return entries.reshape(n, d * d).view(np.dtype((np.void, 8 * d * d))).ravel().tolist()
+def _decode(spec: FieldSpec, d: int, stack: np.ndarray) -> list[FFMatrix]:
+    """FFMatrix per digit matrix of the stack: digit row j*f holds row j."""
+    entries = _codes(spec, d, stack[:, :: spec.f]).tolist()
+    return [FFMatrix._raw(spec, d, tuple(map(tuple, rows))) for rows in entries]
 
 
-def _image_indices(m: FFMatrix, digits: np.ndarray) -> np.ndarray:
-    """Indices of the images under m of the vectors with these digit rows."""
-    weights = m.spec.p ** np.arange(m.d * m.spec.f, dtype=np.int64)
-    return ((digits @ _digit_matrix(m)) % m.spec.p) @ weights
+def _entry_keys(spec: FieldSpec, d: int, stack: np.ndarray) -> list[bytes]:
+    """One hashable key per digit matrix of the stack, of any leading
+    shape: its entry codes."""
+    entries = _codes(spec, d, stack[..., :: spec.f, :])
+    return entries.reshape(-1, d * d).view(np.dtype((np.void, 8 * d * d))).ravel().tolist()
+
+
+def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Indices of the images of the vectors with these digit rows under m."""
+    weights = spec.p ** np.arange(len(m), dtype=np.int64)
+    return ((digits @ m) % spec.p) @ weights
 
 
 def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
@@ -475,26 +470,26 @@ def _orbit_labels(group: MatrixGroup) -> np.ndarray:
     (the zero vector) keeps label 0."""
     n = group.spec.order**group.d
     digits = _index_digits(group.spec, group.d, np.arange(n, dtype=np.int64))
-    return _propagate_min_labels(n, [_image_indices(g, digits) for g in group.generators])
+    images = [_image_indices(group.spec, _digit_matrix(g), digits) for g in group.generators]
+    return _propagate_min_labels(n, images)
 
 
-def _right_cosets(group: MatrixGroup, sub: MatrixGroup) -> tuple[list[FFMatrix], dict[tuple, int]]:
-    """(one representative per right coset of sub, identity's coset first;
-    the coset number of every element key), one stack product per coset.
-    The walk for the last sub is cached on the group, so the index check
-    and the quotient share it."""
+def _right_cosets(group: MatrixGroup, sub: MatrixGroup) -> tuple[list[int], np.ndarray]:
+    """(the position of one representative per right coset of sub, in
+    stack order, so the identity's coset first; the coset number of every
+    position), one stack product per coset.  The walk for the last sub is
+    cached on the group, so the index check and the quotient share it."""
     if group._cosets is None or group._cosets[0] is not sub:
-        spec, d = group.spec, group.d
-        sub_stack = sub.digit_stack()
-        coset_of: dict[tuple, int] = {}
-        reps = []
-        for m, digits in zip(group.elements(), group.digit_stack()):
-            if m.key() in coset_of:
-                continue
-            coset = _codes(spec, d, (sub_stack @ digits % spec.p)[:, :: spec.f])
-            coset_of.update(dict.fromkeys(map(tuple, coset.reshape(len(coset), -1).tolist()), len(reps)))
-            reps.append(m)
-        assert len(reps) * sub.order() == group.order()
+        stack, sub_stack, p = group.digit_stack(), sub.digit_stack(), group.spec.p
+        coset_of = np.full(len(stack), -1, dtype=np.int64)
+        reps: list[int] = []
+        for i in range(len(stack)):
+            if len(reps) * len(sub_stack) == len(stack):
+                break
+            if coset_of[i] < 0:
+                coset_of[group._locate(sub_stack @ stack[i] % p)] = len(reps)
+                reps.append(i)
+        assert len(reps) * len(sub_stack) == len(stack)
         group._cosets = (sub, reps, coset_of)
     return group._cosets[1], group._cosets[2]
 
@@ -537,8 +532,8 @@ def index_bound_check(
     minima = np.flatnonzero(labels == np.arange(n))[1:]
     digits = _index_digits(spec, d, minima)
     semiregular = not any(
-        np.any(labels[_image_indices(h, digits)] == minima)
-        for h in _right_cosets(group, sub)[0][1:]
+        np.any(labels[_image_indices(spec, group.digit_stack()[rep], digits)] == minima)
+        for rep in _right_cosets(group, sub)[0][1:]
     )
     return IndexBoundReport(index, bound, index <= bound, semiregular)
 
@@ -718,12 +713,12 @@ def _quadratic_plane(spec: FieldSpec):
 
 def regular_perm_group(group: MatrixGroup) -> PermGroup:
     """Right-regular permutation action on the group's own elements."""
-    elements = group.elements()
-    pos = {m.key(): i for i, m in enumerate(elements)}
+    stack, p = group.digit_stack(), group.spec.p
     gens = [
-        Permutation([pos[(m * g).key()] for m in elements]) for g in group.generators
+        Permutation(group._locate(stack @ _digit_matrix(g) % p).tolist())
+        for g in group.generators
     ]
-    out = PermGroup(max(len(elements), 1), gens)
+    out = PermGroup(max(len(stack), 1), gens)
     assert out.order() == group.order()
     return out
 
@@ -732,13 +727,13 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     """Action of the group on right cosets of a normal subgroup; faithful on
     the quotient, so the image has order |group|/|sub|."""
     reps, coset_of = _right_cosets(group, sub)
-    index = len(reps)
+    reps_stack, p = group.digit_stack()[reps], group.spec.p
     gens = [
-        Permutation([coset_of[(rep * g).key()] for rep in reps])
+        Permutation(coset_of[group._locate(reps_stack @ _digit_matrix(g) % p)].tolist())
         for g in group.generators
     ]
-    out = PermGroup(max(index, 1), gens)
-    assert out.order() == index, "coset action must be faithful modulo the subgroup"
+    out = PermGroup(max(len(reps), 1), gens)
+    assert out.order() == len(reps), "coset action must be faithful modulo the subgroup"
     return out
 
 

@@ -1,5 +1,8 @@
 """Family constructors: orders, degrees, and their analysis results."""
 
+import itertools
+import random
+
 import pytest
 
 from derangements import families
@@ -20,12 +23,16 @@ from derangements.families import (
 )
 from derangements.gf import field
 from derangements.matgrp import (
+    FFMatrix,
+    MatrixGroup,
     eigenvalue_one_subgroup,
     general_linear_gl2,
+    index_to_vector,
     quotient_perm_group,
     scalar_matrix_group,
+    vector_to_index,
 )
-from derangements.permgrp import PermGroup, cyclic_group, symmetric_group
+from derangements.permgrp import PermGroup, Permutation, cyclic_group, symmetric_group
 
 
 def test_affine_line_gf3_is_s3():
@@ -48,6 +55,37 @@ def test_affine_full_gl23():
     rep = analyze(g)
     assert rep.index == 1
     assert rep.all_checks_pass()
+
+
+def _affine_python(h):
+    """The generators of affine_group(h): one field addition per
+    translation and one apply_row per vector and matrix."""
+    spec, d = h.spec, h.d
+    vectors = [index_to_vector(spec, d, i) for i in range(spec.order**d)]
+    translations = [
+        [vector_to_index(spec, v[:i] + (spec.add_e(v[i], 1),) + v[i + 1:]) for v in vectors]
+        for i in range(d)
+    ]
+    maps = [[vector_to_index(spec, m.apply_row(v)) for v in vectors] for m in h.generators]
+    return PermGroup(len(vectors), [Permutation(x) for x in translations + maps]).generators
+
+
+def test_affine_group_matches_apply_row_oracle():
+    """Translations and matrix maps from the digit-vector path equal the
+    per-vector oracle over prime and prime-power fields, d <= 3."""
+    rng = random.Random(9)
+    for (p, f), d in itertools.product(
+        [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)], (1, 2, 3)
+    ):
+        spec = field(p, f)
+        if spec.order**d > 1000:
+            continue
+        while True:
+            m = FFMatrix(spec, [[rng.randrange(spec.order) for _ in range(d)] for _ in range(d)])
+            if m.det():
+                break
+        h = MatrixGroup(spec, d, [m, FFMatrix.scalar(spec, d, spec.primitive_element())])
+        assert affine_group(h).generators == _affine_python(h)
 
 
 def test_affine_degree_cap():

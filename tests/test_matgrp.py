@@ -42,6 +42,7 @@ from derangements.matgrp import (
     _quadratic_plane,
     _right_cosets,
 )
+from derangements.permgrp import PermGroup, Permutation
 
 GF5 = field(5, 1)
 GF3 = field(3, 1)
@@ -85,7 +86,8 @@ def _index_bound_python(group, sub):
     labels = _orbit_labels_python(sub)
     rep_positions = sorted(set(labels[1:]))
     semiregular = True
-    for h in _right_cosets(group, sub)[0][1:]:
+    elements = group.elements()
+    for h in (elements[i] for i in _right_cosets(group, sub)[0][1:]):
         for pos in rep_positions:
             img = vector_to_index(spec, h.apply_row(index_to_vector(spec, d, pos)))
             if labels[img] == labels[pos]:
@@ -145,15 +147,15 @@ def _closure_python(group):
     (element, generator) pair, in queue order."""
     identity = FFMatrix.identity(group.spec, group.d)
     out = [identity]
-    seen = {identity.key()}
+    seen = {identity.rows}
     q = 0
     while q < len(out):
         m = out[q]
         q += 1
         for g in group.generators:
             prod = m * g
-            if prod.key() not in seen:
-                seen.add(prod.key())
+            if prod.rows not in seen:
+                seen.add(prod.rows)
                 out.append(prod)
     return out
 
@@ -172,11 +174,11 @@ def _eigenvalue_one_generators_python(group):
     """R(H)'s generators: the scan of eigenvalue_one_subgroup over the
     Python closure with the echelon test."""
     gens = []
-    keys = {FFMatrix.identity(group.spec, group.d).key()}
+    keys = {FFMatrix.identity(group.spec, group.d).rows}
     for m in _closure_python(group):
-        if m.key() not in keys and _has_eigenvalue_one_python(m):
+        if m.rows not in keys and _has_eigenvalue_one_python(m):
             gens.append(m)
-            keys = {x.key() for x in _closure_python(MatrixGroup(group.spec, group.d, gens))}
+            keys = {x.rows for x in _closure_python(MatrixGroup(group.spec, group.d, gens))}
     return gens
 
 
@@ -186,10 +188,10 @@ def _right_cosets_python(group, sub):
     coset_of = {}
     reps = []
     for m in _closure_python(group):
-        if m.key() in coset_of:
+        if m.rows in coset_of:
             continue
         for s in sub_elements:
-            coset_of[(s * m).key()] = len(reps)
+            coset_of[(s * m).rows] = len(reps)
         reps.append(m)
     return reps, coset_of
 
@@ -203,20 +205,34 @@ def _projective_points(q, d):
 
 
 def _assert_batched_paths_match(group, extra_sub=None):
-    """Element order, eigenvalue-1 flags, R(H)'s generators and the right
-    cosets of R(H) (and of extra_sub) equal the Python oracles'."""
+    """Element order, eigenvalue-1 flags, R(H)'s generators and elements,
+    and the right cosets of R(H) (and of extra_sub) equal the Python
+    oracles'."""
     elements = group.elements()
     assert elements == _closure_python(group)
     flags = [has_eigenvalue_one(m) for m in elements]
     assert flags == [_has_eigenvalue_one_python(m) for m in elements]
     sub = eigenvalue_one_subgroup(group)
     assert list(sub.generators) == _eigenvalue_one_generators_python(group)
+    assert {m.rows for m in sub.elements()} == {m.rows for m in _closure_python(sub)}
     for s in (sub, extra_sub):
         if s is not None:
             reps, coset_of = _right_cosets(group, s)
             expected_reps, expected_coset_of = _right_cosets_python(group, s)
-            assert reps == expected_reps
-            assert list(coset_of.items()) == list(expected_coset_of.items())
+            assert [elements[i] for i in reps] == expected_reps
+            assert coset_of.tolist() == [expected_coset_of[m.rows] for m in elements]
+
+
+def _action_oracle(group, sub):
+    """The generators of regular_perm_group(group) and, for a normal sub,
+    of quotient_perm_group(group, sub), from one FFMatrix product per
+    point and generator."""
+    elements = _closure_python(group)
+    position = {m.rows: i for i, m in enumerate(elements)}
+    reps, coset_of = _right_cosets_python(group, sub)
+    regular = [Permutation([position[(m * g).rows] for m in elements]) for g in group.generators]
+    quotient = [Permutation([coset_of[(m * g).rows] for m in reps]) for g in group.generators]
+    return PermGroup(len(elements), regular).generators, PermGroup(len(reps), quotient).generators
 
 
 def _random_invertible(rng, spec, d):
@@ -273,6 +289,18 @@ def test_has_eigenvalue_one():
     assert has_eigenvalue_one(FFMatrix.identity(GF5, 2))
     assert not has_eigenvalue_one(FFMatrix.scalar(GF5, 2, 2))
     assert has_eigenvalue_one(FFMatrix(GF5, [[0, 1], [1, 0]]))  # fixes (1,1)
+
+
+def test_membership_checks_field_and_dimension():
+    """As for generators: another field is a FieldMismatch, another
+    dimension a ValueError."""
+    gl = general_linear_gl2(GF5)
+    assert FFMatrix.scalar(GF5, 2, 2) in gl
+    assert FFMatrix(GF5, [[1, 1], [1, 1]]) not in gl
+    with pytest.raises(FieldMismatch):
+        FFMatrix(GF3, [[2, 0], [0, 2]]) in gl
+    with pytest.raises(ValueError):
+        FFMatrix.identity(GF5, 2) in MatrixGroup(GF5, 3, [])
 
 
 def test_enumeration_identity_only():
@@ -434,11 +462,15 @@ def _small_matrix_groups(draw):
 @settings(max_examples=100, deadline=None)
 @given(_small_matrix_groups())
 def test_batched_matrix_paths_match_python_oracles(drawn):
-    """Closure order, eigenvalue-1 flags, R(H)'s generators, right cosets
-    and projective ranks equal the Python oracles' over prime and
-    prime-power fields."""
+    """Closure order, eigenvalue-1 flags, R(H)'s generators and elements,
+    right cosets, the regular and quotient actions and projective ranks
+    equal the Python oracles' over prime and prime-power fields."""
     group, sub, rng = drawn
     _assert_batched_paths_match(group, sub)
+    r = eigenvalue_one_subgroup(group)
+    regular, quotient = _action_oracle(group, r)
+    assert regular_perm_group(group).generators == regular
+    assert quotient_perm_group(group, r).generators == quotient
     q, d = group.spec.order, group.d
     points = _projective_points(q, d)
     shuffled = points[np.array(rng.sample(range(len(points)), len(points)), dtype=np.int64)]

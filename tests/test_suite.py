@@ -8,8 +8,9 @@ import pytest
 from derangements.errors import ConstraintViolated
 from derangements.families import FAMILY_ARITY
 from derangements.gf import field
-from derangements.families import build_family
-from derangements.matgrp import general_linear_gl2, scalar_matrix_group
+from derangements.families import FamilyParams, build_family
+from derangements.fileio import dump_group, load_group
+from derangements.matgrp import FFMatrix, general_linear_gl2, scalar_matrix_group
 from derangements.permgrp import PermGroup, Permutation
 from derangements.suite import (
     _MAT_BUILDERS,
@@ -28,6 +29,29 @@ from derangements.suite import (
     run_paper_suite,
     run_scenario,
 )
+
+def test_matrix_record_works_on_positions(monkeypatch):
+    """matrix_record of central-a5 (order 6 960 in GL(4,59)), loaded from
+    its text, makes fewer than 100 FFMatrix objects: no stage decodes the
+    element stack."""
+    group = load_group(dump_group(build_family(FamilyParams("central-a5", ()))))
+    made = []
+    init, raw = FFMatrix.__init__, FFMatrix._raw.__func__
+
+    def counted_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    def counted_raw(cls, *args):
+        made.append(1)
+        return raw(cls, *args)
+
+    monkeypatch.setattr(FFMatrix, "__init__", counted_init)
+    monkeypatch.setattr(FFMatrix, "_raw", classmethod(counted_raw))
+    record = matrix_record(group)
+    assert (record["order"], record["index"]) == (6960, 60)
+    assert len(made) < 100
+
 
 CHEAP_IDS = ("semilinear-3", "agl1-5", "affine-scalars-9", "coverage-s2")
 
