@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
+from .errors import CapExceeded, ConstraintViolated, NotTransitive
 from .gf import _prime_factors, field
 from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
 from .permgrp import (
@@ -244,27 +244,6 @@ def derangement_subgroup(group: PermGroup, cap: int = ENUMERATION_CAP) -> PermGr
 # structural checks
 
 
-@dataclass(frozen=True)
-class SubgroupChecks:
-    """The four core properties of the derangement-generated subgroup."""
-
-    transitive: bool
-    captures_multi_fixers: bool
-    rank_identity: bool
-    orbit_semiregular: bool
-    index: int
-    rank_g: int
-    rank_n: int | None
-
-    def all_pass(self) -> bool:
-        return (
-            self.transitive
-            and self.captures_multi_fixers
-            and self.rank_identity
-            and self.orbit_semiregular
-        )
-
-
 def _orbit_semiregular(group: PermGroup, sub: PermGroup) -> bool:
     """Stabilizer cosets outside the subgroup must move every orbit.
 
@@ -291,42 +270,6 @@ def _orbit_semiregular(group: PermGroup, sub: PermGroup) -> bool:
     return True
 
 
-def _core_checks(group: PermGroup, sub: PermGroup, captures: bool) -> SubgroupChecks:
-    transitive = sub.is_transitive()
-    index = group.order() // sub.order()
-    rank_g = group.rank()
-    rank_n = sub.rank() if transitive else None
-    identity_ok = transitive and (rank_n - 1) == (rank_g - 1) * index
-    semi = _orbit_semiregular(group, sub)
-    return SubgroupChecks(transitive, captures, identity_ok, semi, index, rank_g, rank_n)
-
-
-def subgroup_checks(
-    group: PermGroup, candidate: PermGroup | None = None, cap: int = ENUMERATION_CAP
-) -> SubgroupChecks:
-    """Run the four core checks, either on the computed subgroup or on a
-    caller-supplied candidate (useful for validating external claims)."""
-    if candidate is None:
-        scan = _certified_scan(group, cap)
-        return _core_checks(group, scan.subgroup, scan.captures)
-    if not candidate.is_subgroup_of(group):
-        raise NotSubgroup("candidate is not a subgroup")
-    return _core_checks(group, candidate, _captured_by(_certified_scan(group, cap), candidate))
-
-
-@dataclass(frozen=True)
-class IndexConsequences:
-    index: int
-    index_divides: bool
-    stabilizer_half: bool | None
-    stabilizer_generated: bool | None
-
-    def stabilizer_ok(self) -> bool:
-        if self.index == 1:
-            return True
-        return bool(self.stabilizer_half and self.stabilizer_generated)
-
-
 def _stabilizer_action(group: PermGroup) -> PermGroup:
     """The stabilizer of point 0 acting on the remaining points, relabeled
     to 0..n-2.  Faithful, since a permutation fixing everything else is
@@ -340,22 +283,13 @@ def _stabilizer_action(group: PermGroup) -> PermGroup:
     return PermGroup(degree - 1, gens)
 
 
-def index_consequences(
-    group: PermGroup, candidate: PermGroup | None = None, cap: int = ENUMERATION_CAP
-) -> IndexConsequences:
-    """Divisibility of the index, plus the two stabilizer facts that hold
-    whenever the index exceeds 1: at least half of a point stabilizer fixes
-    only that point, and those elements generate the whole stabilizer."""
-    sub = candidate if candidate is not None else derangement_subgroup(group, cap)
-    index = group.order() // sub.order()
-    divides = (group.degree - 1) % index == 0
-    if index == 1:
-        return IndexConsequences(1, divides, None, None)
+def index_consequences(group: PermGroup) -> tuple[bool, bool]:
+    """The two stabilizer facts that hold whenever the index exceeds 1, as
+    (half, whole): at least half of a point stabilizer fixes only that
+    point, and those elements generate the whole stabilizer."""
     action = _stabilizer_action(group)
-    scan = _scan(action, cap)
-    half = 2 * scan.derangement_count >= action.order()
-    whole = scan.subgroup.order() == action.order()
-    return IndexConsequences(index, divides, half, whole)
+    scan = _scan(action, group.order())  # |G_0| < |G|, which passed the cap
+    return 2 * scan.derangement_count >= action.order(), scan.subgroup.order() == action.order()
 
 
 def is_frobenius(group: PermGroup, cap: int = ENUMERATION_CAP):
@@ -367,36 +301,13 @@ def is_frobenius(group: PermGroup, cap: int = ENUMERATION_CAP):
     return (True, scan.subgroup) if _frobenius(group, scan) else (False, None)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    regime: str  # "frobenius" | "primitive" | "imprimitive"
-    index: int
-    degree: int
-    primitive: bool
-    sqrt_bound_holds: bool  # (index + 1)^2 <= degree, i.e. index <= sqrt(n) - 1
-    divisor_holds: bool  # index divides degree - 1
-    ok: bool
+def bound_check(group: PermGroup, index: int, frobenius: bool) -> tuple[str, bool]:
+    """(regime, ok): which index bound applies and whether it holds.
 
-
-def bound_check(
-    group: PermGroup,
-    sub: PermGroup | None = None,
-    frobenius: bool | None = None,
-) -> BoundCheck:
-    """Which index bound applies and whether it holds.
-
-    Imprimitive groups must satisfy (index+1)^2 <= degree, checked in exact
-    integer arithmetic.  Frobenius and primitive groups only promise that
-    the index divides degree - 1; whether the square-root bound also holds
-    is still reported for them, but not required."""
-    if sub is None or frobenius is None:
-        scan = _certified_scan(group)
-        sub = scan.subgroup if sub is None else sub
-        frobenius = _frobenius(group, scan) if frobenius is None else frobenius
-    index = group.order() // sub.order()
+    Imprimitive groups must satisfy (index+1)^2 <= degree, that is
+    index <= sqrt(n) - 1, checked in exact integer arithmetic.  Frobenius
+    and primitive groups only promise that the index divides degree - 1."""
     n = group.degree
-    sqrt_ok = (index + 1) ** 2 <= n
-    divisor_ok = (n - 1) % index == 0
     primitive = group.is_primitive()
     if frobenius:
         regime = "frobenius"
@@ -404,8 +315,8 @@ def bound_check(
         regime = "primitive"
     else:
         regime = "imprimitive"
-    ok = sqrt_ok if regime == "imprimitive" else divisor_ok
-    return BoundCheck(regime, index, n, primitive, sqrt_ok, divisor_ok, ok)
+    ok = (index + 1) ** 2 <= n if regime == "imprimitive" else (n - 1) % index == 0
+    return regime, ok
 
 
 def two_derangement_coverage(
@@ -497,36 +408,38 @@ def _report(
     sub: PermGroup,
     captures: bool,
     quotient: GroupFingerprint | None,
-    cap: int,
 ) -> AnalysisReport:
     """Every check of the group against sub, from one certified scan of the
-    group; the one place the checks map onto CHECK_KEYS.  quotient is the
-    fingerprint of G/sub, or None when sub is not claimed to be normal."""
-    core = _core_checks(group, sub, captures)
-    cons = index_consequences(group, sub, cap)
+    group; the one place the checks are computed and mapped onto
+    CHECK_KEYS.  quotient is the fingerprint of G/sub, or None when sub is
+    not claimed to be normal."""
+    transitive = sub.is_transitive()
+    index = group.order() // sub.order()
+    rank_g = group.rank()
+    rank_n = sub.rank() if transitive else None
     frob = _frobenius(group, scan)
-    bound = bound_check(group, sub, frobenius=frob)
+    regime, bound_ok = bound_check(group, index, frob)
     results = (
-        core.transitive,
-        core.captures_multi_fixers,
-        core.rank_identity,
-        core.orbit_semiregular,
-        cons.index_divides,
-        cons.stabilizer_ok(),
-        bound.ok,
+        transitive,
+        captures,
+        transitive and (rank_n - 1) == (rank_g - 1) * index,
+        _orbit_semiregular(group, sub),
+        (group.degree - 1) % index == 0,
+        index == 1 or all(index_consequences(group)),
+        bound_ok,
     )
     return AnalysisReport(
         degree=group.degree,
         order=group.order(),
         derangement_count=scan.derangement_count,
         d_order=sub.order(),
-        index=core.index,
-        rank_g=core.rank_g,
-        rank_n=core.rank_n,
+        index=index,
+        rank_g=rank_g,
+        rank_n=rank_n,
         frobenius=frob,
         quotient=quotient,
         quotient_name="unrecognized" if quotient is None else identify_fingerprint(quotient),
-        regime=bound.regime,
+        regime=regime,
         checks=dict(zip(CHECK_KEYS, results, strict=True)),
         subgroup=sub,
     )
@@ -537,7 +450,7 @@ def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
     check, and identify the quotient."""
     scan = _certified_scan(group, cap)
     sub = scan.subgroup
-    return _report(group, scan, sub, scan.captures, fingerprint(group.quotient(sub)), cap)
+    return _report(group, scan, sub, scan.captures, fingerprint(group.quotient(sub)))
 
 
 def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
@@ -548,4 +461,4 @@ def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisR
     stabilizers are conjugate and the report depends on the group alone."""
     scan = _certified_scan(group, cap)
     d0 = scan.subgroup.stabilizer(0)
-    return _report(group, scan, d0, _captured_by(scan, d0), None, cap)
+    return _report(group, scan, d0, _captured_by(scan, d0), None)

@@ -125,12 +125,12 @@ def pgammal_28() -> PermGroup:
     return group
 
 
-def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
-    """h wreath a k-cycle in product action on degree-m^k tuples."""
+def _wreath_generators(h: PermGroup, k: int) -> list[Permutation]:
+    """Generators of h wreath a k-cycle in product action on degree-m^k
+    tuples: each generator of h on each coordinate, then the coordinate
+    rotation when k > 1."""
     m = h.degree
     degree = m**k
-    if degree > AFFINE_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
     powers = [m**i for i in range(k)]
     gens = []
     for i in range(k):
@@ -147,7 +147,15 @@ def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
             rotated = coords[-1:] + coords[:-1]
             images.append(sum(c * powers[i] for i, c in enumerate(rotated)))
         gens.append(Permutation(tuple(images)))
-    group = PermGroup(degree, gens)
+    return gens
+
+
+def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
+    """h wreath a k-cycle in product action on degree-m^k tuples."""
+    degree = h.degree**k
+    if degree > AFFINE_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
+    group = PermGroup(degree, _wreath_generators(h, k))
     assert group.order() == h.order() ** k * k
     return group
 
@@ -211,7 +219,7 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     if failures:
         raise ConstraintViolated("; ".join(failures))
 
-    *shifts, rotation = wreath_product_action(cyclic_group(m), q).generators
+    *shifts, rotation = _wreath_generators(cyclic_group(m), q)
     powers = [m**i for i in range(q)]
     diagonal = []
     for g in h.generators:

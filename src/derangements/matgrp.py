@@ -196,23 +196,6 @@ def echelonize(spec: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[list[lis
     return m[:row], pivots
 
 
-def solve_homogeneous(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of {x : sum_j rows[i][j]*x[j] = 0 for all i} from the echelon
-    form, one vector per free column."""
-    reduced, pivots = echelonize(spec, rows)
-    n = len(rows[0])
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        v = [0] * n
-        v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = spec.neg_e(reduced[r][j])
-        basis.append(tuple(v))
-    return basis
-
-
 def has_eigenvalue_one(m: FFMatrix) -> bool:
     """True iff (M - I) is singular, i.e. some nonzero row vector is fixed."""
     return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
@@ -393,13 +376,6 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
 # is also the index of the base-p digit vector (c_ji) in GF(p)^(d*f).  A
 # GF(q)-matrix acts GF(p)-linearly on those digits, so one integer matrix
 # product over GF(p) maps a whole array of indices, whatever the field.
-
-
-def vector_to_index(spec: FieldSpec, v: Sequence[int]) -> int:
-    idx = 0
-    for e in reversed(v):
-        idx = idx * spec.order + e
-    return idx
 
 
 def index_to_vector(spec: FieldSpec, d: int, idx: int) -> tuple[int, ...]:
@@ -826,34 +802,20 @@ def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
 
 
 def binary_tetrahedral_gl2(spec: FieldSpec) -> MatrixGroup:
-    """SL(2,3) as a subgroup of GL(2,q): the quaternion group extended by an
-    order-3 matrix cycling its generators by conjugation.  The order-3 part
-    is solved linearly (null space of the two conjugation constraints) and
-    scaled by the unique cube root fixing its determinant condition."""
-    if spec.order % 3 == 1:
-        raise ConstraintViolated("needs a unique cube root: q not 1 mod 3")
-    quat = quaternion_gl2(spec)
-    a, b = quat.generators
-    ab = a * b
-    # entries w_{rc} -> unknown 2r + c; constraints A*W = W*B and B*W = W*(A*B)
-    rows = []
-    for left, right in ((a, b), (b, ab)):
-        for i in range(2):
-            for j in range(2):
-                coeff = [0, 0, 0, 0]
-                for k in range(2):
-                    coeff[2 * k + j] = spec.add_e(coeff[2 * k + j], left.rows[i][k])
-                    coeff[2 * i + k] = spec.sub_e(coeff[2 * i + k], right.rows[k][j])
-                rows.append(coeff)
-    basis = solve_homogeneous(spec, rows)
-    assert basis, "conjugation constraints always have a nonzero solution"
-    w = FFMatrix(spec, [basis[0][0:2], basis[0][2:4]])
-    cube = w * w * w
-    assert cube.is_scalar()
-    lam = cube.rows[0][0]
-    root = next(e for e in range(1, spec.order) if spec.pow_e(e, 3) == lam)
-    w = FFMatrix.scalar(spec, 2, spec.inv_e(root)) * w
-    group = MatrixGroup(spec, 2, [a, b, w])
+    """SL(2,3) as a subgroup of GL(2,q), q odd: the quaternion group {±1,
+    ±i, ±j, ±ij} extended by the Hurwitz unit w = (-1 + i + j + ij)/2,
+    which has order 3 and cycles i, j, ij by conjugation."""
+    i, j = quaternion_gl2(spec).generators
+    add, half = spec.add_e, spec.inv_e(2)
+    terms = (FFMatrix.scalar(spec, 2, spec.neg_e(1)), i, j, i * j)
+    w = FFMatrix(
+        spec,
+        [
+            [spec.mul_e(half, add(add(a, b), add(c, d))) for a, b, c, d in zip(*rows)]
+            for rows in zip(*(t.rows for t in terms))
+        ],
+    )
+    group = MatrixGroup(spec, 2, [i, j, w])
     assert group.order() == 24
     assert group.element_order_histogram() == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
     return group

@@ -28,7 +28,6 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 2_000_000
-_ELEMENT_CACHE_CELLS = 4_000_000
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -297,7 +296,6 @@ class PermGroup:
         self._orbits: list[list[int]] | None = None
         self._stabilizers: dict[int, PermGroup] = {}
         self._block_systems: list[BlockSystem] | None = None
-        self._elements: list[Permutation] | None = None
 
     # chain and membership -------------------------------------------------
 
@@ -495,12 +493,7 @@ class PermGroup:
     def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
         if self.order() > cap:
             raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
-        if self._elements is None:
-            out = list(self.iter_elements())
-            if self.order() * self.degree > _ELEMENT_CACHE_CELLS:
-                return out
-            self._elements = out
-        return self._elements
+        return list(self.iter_elements())
 
     # coset machinery ----------------------------------------------------------
 

@@ -3,7 +3,17 @@ and removed names stay removed."""
 
 import derangements
 
-REMOVED = ("QuadraticExtension", "splits_over", "eigenvalue_one_index")
+REMOVED = (
+    "QuadraticExtension",
+    "splits_over",
+    "eigenvalue_one_index",
+    "SubgroupChecks",
+    "IndexConsequences",
+    "BoundCheck",
+    "subgroup_checks",
+    "index_consequences",
+    "bound_check",
+)
 
 
 def test_public_api_resolves():

@@ -15,9 +15,10 @@ from derangements.derange import (
     identify_quotient,
     index_consequences,
     is_frobenius,
-    subgroup_checks,
     two_derangement_coverage,
     _abelian_invariants,
+    _captured_by,
+    _faulted_analysis,
 )
 from derangements.errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
 from derangements.permgrp import (
@@ -92,40 +93,49 @@ def test_derangement_subgroup_needs_transitive():
 
 
 def test_subgroup_checks_agl15():
-    checks = subgroup_checks(agl_1_5())
-    assert checks.all_pass()
-    assert checks.index == 4
-    assert checks.rank_g == 2 and checks.rank_n == 5
-    assert (checks.rank_n - 1) == (checks.rank_g - 1) * checks.index
+    rep = analyze(agl_1_5())
+    assert rep.all_checks_pass()
+    assert rep.index == 4
+    assert rep.rank_g == 2 and rep.rank_n == 5
+    assert (rep.rank_n - 1) == (rep.rank_g - 1) * rep.index
 
 
 def test_subgroup_checks_candidate_detects_gap():
     g = agl_1_5()
-    stab = g.stabilizer(0)
-    checks = subgroup_checks(g, candidate=stab)
-    assert not checks.transitive
-    assert not checks.captures_multi_fixers  # the 5-cycles are not in the stabilizer
-    trivial = PermGroup(5, ())
-    assert not subgroup_checks(g, candidate=trivial).captures_multi_fixers
+    rep = _faulted_analysis(g)  # D_0 is trivial here
+    assert rep.d_order == 1 and rep.index == 20
+    assert not rep.checks["subgroup_transitive"]
+    assert not rep.checks["captures_multi_fixers"]  # the 5-cycles are not in D_0
+    scan = derange._certified_scan(g)
+    assert not _captured_by(scan, PermGroup(5, ()))
+    assert not _captured_by(scan, g.stabilizer(0))
+    assert _captured_by(scan, scan.subgroup)
 
 
 def test_subgroup_checks_candidate_must_be_subgroup():
+    """A group not containing D never passes as D, and the quotient step
+    refuses a non-subgroup."""
+    g = agl_1_5()
     swap = PermGroup(5, [Permutation((1, 0, 2, 3, 4))])
+    assert not _captured_by(derange._certified_scan(g), swap)
     with pytest.raises(NotSubgroup):
-        subgroup_checks(agl_1_5(), candidate=swap)
+        g.quotient(swap)
 
 
 def test_index_consequences_agl15():
-    cons = index_consequences(agl_1_5())
-    assert cons.index == 4
-    assert cons.index_divides  # 4 | 4
-    assert cons.stabilizer_half and cons.stabilizer_generated
-    assert cons.stabilizer_ok()
+    rep = analyze(agl_1_5())
+    assert rep.index == 4
+    assert rep.checks["index_divides"]  # 4 | 4
+    assert index_consequences(agl_1_5()) == (True, True)
+    assert rep.checks["stabilizer_generated"]
 
 
 def test_index_consequences_index_one():
-    cons = index_consequences(symmetric_group(4))
-    assert cons.index == 1 and cons.index_divides and cons.stabilizer_ok()
+    rep = analyze(symmetric_group(4))
+    assert rep.index == 1 and rep.checks["index_divides"] and rep.checks["stabilizer_generated"]
+    # the stabilizer facts are only promised for index > 1: in S_3 the
+    # derangements are the two 3-cycles
+    assert index_consequences(symmetric_group(4)) == (False, False)
 
 
 def test_is_frobenius():
@@ -139,28 +149,36 @@ def test_is_frobenius():
 
 
 def test_bound_check_regimes():
-    frob = bound_check(agl_1_5())
-    assert frob.regime == "frobenius" and frob.ok and frob.divisor_holds
-    assert not frob.sqrt_bound_holds  # 25 > 5, only divisibility applies
-    prim = bound_check(symmetric_group(4))
-    assert prim.regime == "primitive" and prim.index == 1 and prim.ok
+    frob = analyze(agl_1_5())
+    assert frob.regime == "frobenius" and frob.checks["index_bound"]
+    assert (frob.degree - 1) % frob.index == 0
+    assert (frob.index + 1) ** 2 > frob.degree  # 25 > 5, only divisibility applies
+    prim = analyze(symmetric_group(4))
+    assert prim.regime == "primitive" and prim.index == 1 and prim.checks["index_bound"]
+    assert symmetric_group(4).is_primitive()
 
     v9 = affine_scaling_9()
     assert v9.order() == 18
-    rep = bound_check(v9)
+    rep = analyze(v9)
     assert rep.regime == "frobenius"
     assert rep.index == 2 and rep.degree == 9
-    assert rep.sqrt_bound_holds and (rep.index + 1) ** 2 == 9  # equality case
-    assert not rep.primitive
+    assert (rep.index + 1) ** 2 == rep.degree  # equality case
+    assert not v9.is_primitive()
 
     # tiny regular groups: primitive regime only demands divisibility
-    tiny = bound_check(cyclic_group(2))
+    tiny = analyze(cyclic_group(2))
     assert tiny.regime == "primitive" and tiny.index == 1
-    assert tiny.ok and not tiny.sqrt_bound_holds
+    assert tiny.checks["index_bound"] and (tiny.index + 1) ** 2 > tiny.degree
 
-    imprim = bound_check(cyclic_group(4))
-    assert imprim.regime == "imprimitive"
-    assert imprim.ok and imprim.sqrt_bound_holds  # (1+1)^2 <= 4, just barely
+    imprim = analyze(cyclic_group(4))
+    assert imprim.regime == "imprimitive" and not cyclic_group(4).is_primitive()
+    assert imprim.checks["index_bound"]
+    assert (imprim.index + 1) ** 2 <= imprim.degree  # (1+1)^2 <= 4, just barely
+
+    # each regime fails on its own bound
+    assert bound_check(cyclic_group(4), 2, False) == ("imprimitive", False)  # 9 > 4
+    assert bound_check(agl_1_5(), 3, True) == ("frobenius", False)  # 3 does not divide 4
+    assert bound_check(symmetric_group(4), 2, False) == ("primitive", False)  # 2 does not divide 3
 
 
 def test_two_derangement_coverage_small():

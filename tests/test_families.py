@@ -1,5 +1,6 @@
 """Family constructors: orders, degrees, and their analysis results."""
 
+import hashlib
 import itertools
 import random
 
@@ -30,7 +31,6 @@ from derangements.matgrp import (
     index_to_vector,
     quotient_perm_group,
     scalar_matrix_group,
-    vector_to_index,
 )
 from derangements.permgrp import PermGroup, Permutation, cyclic_group, symmetric_group
 
@@ -62,11 +62,11 @@ def _affine_python(h):
     translation and one apply_row per vector and matrix."""
     spec, d = h.spec, h.d
     vectors = [index_to_vector(spec, d, i) for i in range(spec.order**d)]
+    index = {v: i for i, v in enumerate(vectors)}
     translations = [
-        [vector_to_index(spec, v[:i] + (spec.add_e(v[i], 1),) + v[i + 1:]) for v in vectors]
-        for i in range(d)
+        [index[v[:i] + (spec.add_e(v[i], 1),) + v[i + 1:]] for v in vectors] for i in range(d)
     ]
-    maps = [[vector_to_index(spec, m.apply_row(v)) for v in vectors] for m in h.generators]
+    maps = [[index[m.apply_row(v)] for v in vectors] for m in h.generators]
     return PermGroup(len(vectors), [Permutation(x) for x in translations + maps]).generators
 
 
@@ -184,6 +184,26 @@ def test_frobenius_complement_example_c7_c3():
     assert g.degree == 49 and g.order() == 294
     rep = analyze(g)
     assert rep.index == 3 and rep.quotient_name == "C3"
+
+
+def test_frobenius_complement_example_builds_no_wreath_product(monkeypatch):
+    """The shifts and rotation come from the wreath generators alone, with
+    no wreath product group (and its chain of degree m^q) built; the
+    generator images are unchanged."""
+
+    def no_wreath(*args):
+        raise AssertionError("built the wreath product")
+
+    monkeypatch.setattr(families, "wreath_product_action", no_wreath)
+    pinned = {
+        (5, 2, 3): "137748d9ceff3a2b6a71da5ac39ed63cbb9b310d70658371807ccec077d5e3f1",
+        (7, 2, 2): "0dcb23d450b2ec5c6df16fbbdee010413d20f3222654865400c4dede7beaeec8",
+        (13, 3, 2): "8d916169ca769c772bbd923a53312af7b95fd66c814786747991035fd12f7bb0",
+    }
+    for (m, a, q), digest in pinned.items():
+        g = frobenius_complement_example(m, cyclic_multiplier_group(m, a), q)
+        images = [p.images for p in g.generators]
+        assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
 
 
 def test_frobenius_complement_rejections():

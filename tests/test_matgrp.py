@@ -2,7 +2,8 @@
 products, and the GL(2,q) embeddings.  The batched digit-matrix stages are
 checked against pure-Python oracles kept here: the breadth-first closure
 by FFMatrix products, the echelon eigenvalue-1 test, the per-element coset
-walk, the searchsorted projective rank and the spin."""
+walk, the searchsorted projective rank and the spin.  SL(2,3)'s closed-form
+generator is checked against the linear solve it replaced."""
 
 import itertools
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch
-from derangements.gf import field
+from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
     IndexBoundReport,
@@ -34,9 +35,7 @@ from derangements.matgrp import (
     quotient_perm_group,
     regular_perm_group,
     scalar_matrix_group,
-    solve_homogeneous,
     special_linear_gl2,
-    vector_to_index,
     _orbit_labels,
     _projective_rank,
     _quadratic_plane,
@@ -50,6 +49,56 @@ GF3 = field(3, 1)
 
 # reference implementations: one Python loop per vector, one field operation
 # per entry --------------------------------------------------------------------
+
+
+def vector_to_index(spec, v):
+    """Index of v in GF(q)^d: sum_j v_j q^j."""
+    idx = 0
+    for e in reversed(v):
+        idx = idx * spec.order + e
+    return idx
+
+
+def solve_homogeneous(spec, rows):
+    """Basis of {x : sum_j rows[i][j]*x[j] = 0 for all i} from the echelon
+    form, one vector per free column."""
+    reduced, pivots = echelonize(spec, rows)
+    n = len(rows[0])
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [0] * n
+        v[j] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = spec.neg_e(reduced[r][j])
+        basis.append(tuple(v))
+    return basis
+
+
+def _tetrahedral_w_solved(spec):
+    """The order-3 generator of SL(2,3) solved linearly: the null space of
+    i*W = W*j and j*W = W*(i*j), scaled by the unique cube root (q not 1
+    mod 3) that makes W^3 = I."""
+    a, b = quaternion_gl2(spec).generators
+    ab = a * b
+    # entries w_{rc} -> unknown 2r + c
+    rows = []
+    for left, right in ((a, b), (b, ab)):
+        for i in range(2):
+            for j in range(2):
+                coeff = [0, 0, 0, 0]
+                for k in range(2):
+                    coeff[2 * k + j] = spec.add_e(coeff[2 * k + j], left.rows[i][k])
+                    coeff[2 * i + k] = spec.sub_e(coeff[2 * i + k], right.rows[k][j])
+                rows.append(coeff)
+    basis = solve_homogeneous(spec, rows)
+    w = FFMatrix(spec, [basis[0][0:2], basis[0][2:4]])
+    cube = w * w * w
+    assert cube.is_scalar()
+    lam = cube.rows[0][0]
+    root = next(e for e in range(1, spec.order) if spec.pow_e(e, 3) == lam)
+    return FFMatrix.scalar(spec, 2, spec.inv_e(root)) * w
 
 
 def _orbit_labels_python(group):
@@ -608,6 +657,25 @@ def test_binary_tetrahedral():
     group = binary_tetrahedral_gl2(field(23, 1))
     assert group.order() == 24
     assert group.spec.order == 23
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 11, 17, 23, 27, 29, 41, 47, 53, 59, 125])
+def test_binary_tetrahedral_matches_solved_generator(q):
+    spec = field(*prime_power_decompose(q))
+    i, j, w = binary_tetrahedral_gl2(spec).generators
+    assert w == _tetrahedral_w_solved(spec)
+    # w cycles i -> j -> ij by conjugation
+    assert w.inverse() * i * w == j and w.inverse() * j * w == i * j
+
+
+@pytest.mark.parametrize("q", [7, 13, 19, 25, 31])
+def test_binary_tetrahedral_without_unique_cube_roots(q):
+    """For q = 1 mod 3 the cube-root scaling of the solved generator is
+    not unique; the closed form needs none."""
+    group = binary_tetrahedral_gl2(field(*prime_power_decompose(q)))
+    assert group.order() == 24
+    assert group.element_order_histogram() == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+    assert group.generators[:2] == quaternion_gl2(group.spec).generators
 
 
 def test_binary_icosahedral():

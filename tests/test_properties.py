@@ -5,11 +5,11 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from derangements.derange import (
+    _captured_by,
     _certified_scan,
     _scan,
     _stabilizer_action,
     index_consequences,
-    subgroup_checks,
 )
 from derangements.fileio import dump_perm_group, load_perm_group
 from derangements.gf import field
@@ -208,17 +208,15 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     assert stab_scan.derangement_count == count == len(only_zero)
     assert stab_scan.subgroup.same_group_as(generated)
     assert generated.order() == _closure_order(n, only_zero)
-    cons = index_consequences(group)
-    if cons.index > 1:
-        assert cons.stabilizer_half == (2 * count >= action.order())
-        assert cons.stabilizer_generated == (generated.order() == action.order())
+    half, whole = index_consequences(group)
+    assert half == (2 * count >= action.order())
+    assert whole == (generated.order() == action.order())
 
     d = scan.subgroup
     cyclic = PermGroup(n, [group.generators[0]])
     candidates = (group, d, d.stabilizer(0), group.stabilizer(0), cyclic, PermGroup(n, ()))
     for candidate in candidates:
-        captures = subgroup_checks(group, candidate).captures_multi_fixers
-        assert captures == _old_captures(group, candidate)
+        assert _captured_by(scan, candidate) == _old_captures(group, candidate)
 
 
 @settings(max_examples=30, deadline=None)
