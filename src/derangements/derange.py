@@ -3,9 +3,10 @@
 A transitive permutation group always contains elements that move every
 point, and the subgroup they generate turns out to be normal, transitive,
 and of index dividing n - 1; every element outside it fixes exactly one
-point.  This module computes that subgroup with an exhaustive completeness
-certificate, measures its index, runs the structural checks that surround
-it (rank identity, semiregular quotient actions, index bounds), and
+point.  This module builds that subgroup by enumerating the group,
+certifies that no element fixing two points lies outside it (normality
+plus suborbit lengths), measures its index, runs the structural checks
+around it (rank identity, semiregular quotient actions, index bounds), and
 identifies the quotient group by fingerprint against a small catalog.
 """
 
@@ -156,67 +157,63 @@ def identify_quotient(group: PermGroup) -> str:
 class _Scan:
     derangement_count: int
     subgroup: PermGroup
-    multi_fixers: list[Permutation]
-    captures: bool | None = None  # set by _certified_scan
 
 
 def _scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     """The one streaming pass over the group; needs no transitivity.
 
     Derangements are counted and folded into an incrementally grown
-    subgroup (most are redundant, so extensions are rare); non-identity
-    elements fixing two or more points are stashed.
+    subgroup (most are redundant, so extensions are rare).
     """
     order = group.order()
     if order > cap:
         raise CapExceeded(f"group order {order} exceeds cap {cap}")
-    degree = group.degree
-    sub = PermGroup(degree, ())
+    sub = PermGroup(group.degree, ())
     count = 0
-    multi: list[Permutation] = []
     for raw in group._iter_element_tuples():
-        fixed = count_fixed(raw)
-        if fixed == 0:
+        if count_fixed(raw) == 0:
             count += 1
             p = Permutation._raw(raw)
             if p not in sub:
                 sub = sub.extended(p)
-        elif fixed >= 2 and fixed != degree:
-            multi.append(Permutation._raw(raw))
-    return _Scan(count, sub, multi)
+    return _Scan(count, sub)
+
+
+def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
+    """Is G_0/N_0 semiregular on the N_0-orbits other than {0}?  Here G_0
+    fixes point 0 and N_0 = (sub)_0 is normal in it.  G_0 permutes the
+    N_0-orbits in each of its orbits transitively, and a transitive action
+    of G_0/N_0 is semiregular exactly when it has |G_0 : N_0| points.  For
+    sub normal in the group this holds exactly when every element fixing
+    two or more points lies in sub; for trivial sub, when none but 1 does."""
+    g0 = group.stabilizer(0)
+    n0 = sub.stabilizer(0)
+    index = g0.order() // n0.order()
+    length = {x: len(orbit) for orbit in n0.orbits() for x in orbit}
+    return all(len(delta) == index * length[delta[0]] for delta in g0.orbits()[1:])
 
 
 def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
-    """The scan of a transitive group, with its certificate: every stashed
-    element lies inside the subgroup, which together with the construction
-    shows every element outside it fixes exactly one point, and the
-    subgroup is normal: the conjugate of each of its generators by each
-    generator of the group sifts through its own chain."""
+    """The scan of a transitive group, with its certificate: the subgroup
+    is normal (each generator's conjugates sift through its chain), and its
+    suborbit lengths show every element fixing two or more points lies in
+    it.  With the construction, every element outside it fixes one point."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     scan = _scan(group, cap)
-    scan.captures = all(p in scan.subgroup for p in scan.multi_fixers)
-    assert scan.captures, "element with several fixed points escaped the subgroup"
     d = scan.subgroup
     assert all(
         k.conjugate_by(g) in d for g in group.generators for k in d.generators
     ), "derangements must generate a normal subgroup"
+    assert _regular_on_suborbits(group, d), "element fixing two points escaped"
     return scan
-
-
-def _captured_by(scan: _Scan, candidate: PermGroup) -> bool:
-    """Does candidate hold every element that does not fix exactly one
-    point?  The scanned subgroup is generated by the derangements, so this
-    is that subgroup lying in candidate plus every stashed element."""
-    return scan.subgroup.is_subgroup_of(candidate) and all(
-        p in candidate for p in scan.multi_fixers
-    )
 
 
 def _frobenius(group: PermGroup, scan: _Scan) -> bool:
     """No non-identity element fixes two points and the action is not
     regular; then the derangements and the identity form the kernel."""
-    frob = group.order() > group.degree and not scan.multi_fixers
+    trivial = PermGroup(group.degree, ())
+    frob = group.order() > group.degree and _regular_on_suborbits(group, trivial)
     if frob:
         assert scan.subgroup.order() == scan.derangement_count + 1, (
             "kernel must consist of the derangements and the identity"
@@ -242,32 +239,6 @@ def derangement_subgroup(group: PermGroup, cap: int = ENUMERATION_CAP) -> PermGr
 
 # ---------------------------------------------------------------------------
 # structural checks
-
-
-def _orbit_semiregular(group: PermGroup, sub: PermGroup) -> bool:
-    """Stabilizer cosets outside the subgroup must move every orbit.
-
-    With G_0 the stabilizer of point 0 and N_0 = (sub)_0, each element of
-    G_0 outside N_0 has to displace every N_0-orbit other than {0}; this is
-    the semiregularity of G_0/N_0 on those orbits.
-    """
-    g0 = group.stabilizer(0)
-    n0 = sub.stabilizer(0)
-    # label each point with the least point of its N_0-orbit; orbits()
-    # lists the orbits sorted, in order of their least points
-    labels = [0] * group.degree
-    for orbit in n0.orbits():
-        for x in orbit:
-            labels[x] = orbit[0]
-    targets = [orbit[0] for orbit in n0.orbits()[1:]]
-    for g in g0.iter_elements():
-        if g in n0:
-            continue
-        im = g.images
-        for x in targets:
-            if labels[im[x]] == labels[x]:
-                return False
-    return True
 
 
 def _stabilizer_action(group: PermGroup) -> PermGroup:
@@ -406,13 +377,14 @@ def _report(
     group: PermGroup,
     scan: _Scan,
     sub: PermGroup,
-    captures: bool,
     quotient: GroupFingerprint | None,
 ) -> AnalysisReport:
     """Every check of the group against sub, from one certified scan of the
     group; the one place the checks are computed and mapped onto
     CHECK_KEYS.  quotient is the fingerprint of G/sub, or None when sub is
-    not claimed to be normal."""
+    not claimed to be normal.  The certificate puts every element fixing
+    two points in D, so sub captures them iff D <= sub.  sub is D or D_0,
+    so (sub)_0 = D_0 is normal in G_0, as the suborbit test needs."""
     transitive = sub.is_transitive()
     index = group.order() // sub.order()
     rank_g = group.rank()
@@ -421,9 +393,9 @@ def _report(
     regime, bound_ok = bound_check(group, index, frob)
     results = (
         transitive,
-        captures,
+        scan.subgroup.is_subgroup_of(sub),
         transitive and (rank_n - 1) == (rank_g - 1) * index,
-        _orbit_semiregular(group, sub),
+        _regular_on_suborbits(group, sub),
         (group.degree - 1) % index == 0,
         index == 1 or all(index_consequences(group)),
         bound_ok,
@@ -450,7 +422,7 @@ def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
     check, and identify the quotient."""
     scan = _certified_scan(group, cap)
     sub = scan.subgroup
-    return _report(group, scan, sub, scan.captures, fingerprint(group.quotient(sub)))
+    return _report(group, scan, sub, fingerprint(group.quotient(sub)))
 
 
 def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
@@ -461,4 +433,4 @@ def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisR
     stabilizers are conjugate and the report depends on the group alone."""
     scan = _certified_scan(group, cap)
     d0 = scan.subgroup.stabilizer(0)
-    return _report(group, scan, d0, _captured_by(scan, d0), None)
+    return _report(group, scan, d0, None)

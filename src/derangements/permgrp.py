@@ -46,6 +46,10 @@ def count_fixed(images: Sequence[int]) -> int:
     return sum(1 for i, x in enumerate(images) if i == x)
 
 
+def _identity_tuple(images: tuple[int, ...]) -> bool:
+    return images == tuple(range(len(images)))
+
+
 class Permutation:
     """Immutable permutation stored as its image tuple."""
 
@@ -109,7 +113,7 @@ class Permutation:
         )
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return _identity_tuple(self.images)
 
     def fixed_point_count(self) -> int:
         return count_fixed(self.images)
@@ -218,10 +222,6 @@ def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: in
         levels.insert(j, _Level(m, degree))
     levels[j].gens.append(images)
     return j
-
-
-def _identity_tuple(images: tuple[int, ...]) -> bool:
-    return all(i == x for i, x in enumerate(images))
 
 
 def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:

@@ -17,7 +17,6 @@ from derangements.derange import (
     is_frobenius,
     two_derangement_coverage,
     _abelian_invariants,
-    _captured_by,
     _faulted_analysis,
 )
 from derangements.errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
@@ -106,10 +105,12 @@ def test_subgroup_checks_candidate_detects_gap():
     assert rep.d_order == 1 and rep.index == 20
     assert not rep.checks["subgroup_transitive"]
     assert not rep.checks["captures_multi_fixers"]  # the 5-cycles are not in D_0
-    scan = derange._certified_scan(g)
-    assert not _captured_by(scan, PermGroup(5, ()))
-    assert not _captured_by(scan, g.stabilizer(0))
-    assert _captured_by(scan, scan.subgroup)
+    # every element fixing two or more points lies in D, so a candidate
+    # captures them exactly when it contains D
+    d = derange._certified_scan(g).subgroup
+    assert not d.is_subgroup_of(PermGroup(5, ()))
+    assert not d.is_subgroup_of(g.stabilizer(0))
+    assert d.is_subgroup_of(d)
 
 
 def test_subgroup_checks_candidate_must_be_subgroup():
@@ -117,7 +118,7 @@ def test_subgroup_checks_candidate_must_be_subgroup():
     refuses a non-subgroup."""
     g = agl_1_5()
     swap = PermGroup(5, [Permutation((1, 0, 2, 3, 4))])
-    assert not _captured_by(derange._certified_scan(g), swap)
+    assert not derange._certified_scan(g).subgroup.is_subgroup_of(swap)
     with pytest.raises(NotSubgroup):
         g.quotient(swap)
 

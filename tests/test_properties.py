@@ -5,10 +5,11 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from derangements.derange import (
-    _captured_by,
     _certified_scan,
+    _regular_on_suborbits,
     _scan,
     _stabilizer_action,
+    analyze,
     index_consequences,
 )
 from derangements.fileio import dump_perm_group, load_perm_group
@@ -169,6 +170,29 @@ def _old_captures(group, candidate):
     )
 
 
+def _old_orbit_semiregular(group, sub):
+    """The element loop that the suborbit-length test replaced: each
+    element of G_0 outside N_0 = (sub)_0 has to displace every N_0-orbit
+    other than {0}."""
+    g0 = group.stabilizer(0)
+    n0 = sub.stabilizer(0)
+    # label each point with the least point of its N_0-orbit; orbits()
+    # lists the orbits sorted, in order of their least points
+    labels = [0] * group.degree
+    for orbit in n0.orbits():
+        for x in orbit:
+            labels[x] = orbit[0]
+    targets = [orbit[0] for orbit in n0.orbits()[1:]]
+    for g in g0.iter_elements():
+        if g in n0:
+            continue
+        im = g.images
+        for x in targets:
+            if labels[im[x]] == labels[x]:
+                return False
+    return True
+
+
 def _closure_order(n, elements):
     """Order of the group the elements generate, by brute-force closure;
     an element already in the closure so far is not added as a generator."""
@@ -191,12 +215,10 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     elements = bruteforce_closure(n, group.generators)
     assert len(elements) == group.order()
 
-    # the derangement count, the stashed elements fixing two or more points
-    # and D, against the closure of the derangements
+    # the derangement count and D, against the closure of the derangements
     derangements = [e for e in elements if count_fixed(e) == 0]
     scan = _certified_scan(group)
     assert scan.derangement_count == len(derangements)
-    assert len(scan.multi_fixers) == sum(1 for e in elements if 2 <= count_fixed(e) < n)
     assert scan.subgroup.order() == _closure_order(n, derangements)
     assert all(Permutation(e) in scan.subgroup for e in derangements)
 
@@ -216,7 +238,21 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     cyclic = PermGroup(n, [group.generators[0]])
     candidates = (group, d, d.stabilizer(0), group.stabilizer(0), cyclic, PermGroup(n, ()))
     for candidate in candidates:
-        assert _captured_by(scan, candidate) == _old_captures(group, candidate)
+        assert d.is_subgroup_of(candidate) == _old_captures(group, candidate)
+
+    # the suborbit-length test against both element loops it replaced, on
+    # the transitive normal closures of the drawn generators
+    closures = [group.normal_closure([g]) for g in group.generators]
+    for sub in closures:
+        if sub.is_transitive():
+            new = _regular_on_suborbits(group, sub)
+            assert new == _old_captures(group, sub) == _old_orbit_semiregular(group, sub)
+
+    # Frobenius: not regular, and no non-identity element fixes two points
+    frobenius = len(elements) > n and all(
+        count_fixed(e) <= 1 for e in elements if e != tuple(range(n))
+    )
+    assert analyze(group).frobenius == frobenius
 
 
 @settings(max_examples=30, deadline=None)
