@@ -34,6 +34,10 @@ EXIT_EXPECTATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_MAX_DEGREE = 100_000
+MAX_ORDER_HELP = (
+    "refuse to enumerate a group past this order: a matrix group, or the "
+    "point stabilizers of a permutation group and of its derangement subgroup"
+)
 
 
 def _emit_record(record: dict, as_json: bool) -> None:
@@ -176,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=ENUMERATION_CAP,
         metavar="N",
-        help="refuse element scans past this order",
+        help=MAX_ORDER_HELP,
     )
     p_analyze.add_argument(
         "--max-degree",
@@ -228,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--json", action="store_true", help="emit JSON")
     p_construct.add_argument(
         "--max-order", type=int, default=ENUMERATION_CAP, metavar="N",
-        help="refuse element scans past this order",
+        help=MAX_ORDER_HELP,
     )
     p_construct.set_defaults(fn=_cmd_construct)
     return parser

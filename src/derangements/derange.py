@@ -3,18 +3,22 @@
 A transitive permutation group always contains elements that move every
 point, and the subgroup they generate turns out to be normal, transitive,
 and of index dividing n - 1; every element outside it fixes exactly one
-point.  This module builds that subgroup by enumerating the group,
-certifies that no element fixing two points lies outside it (normality
-plus suborbit lengths), measures its index, runs the structural checks
-around it (rank identity, semiregular quotient actions, index bounds), and
-identifies the quotient group by fingerprint against a small catalog.
+point.  This module grows that subgroup from seeded random draws until
+a certificate shows that no element fixing two points lies outside it
+(normality plus suborbit lengths), counts the derangements from its point
+stabilizer, measures its index, runs the structural checks around it (rank
+identity, semiregular quotient actions, index bounds), and identifies the
+quotient group by fingerprint against a small catalog.  No step of
+``analyze`` enumerates the whole group.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceeded, ConstraintViolated, NotTransitive
@@ -31,6 +35,7 @@ from .permgrp import (
 
 FINGERPRINT_CAP = 10_000
 PRODUCT_WORK_CAP = 4_000_000
+DRAW_SEED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +199,33 @@ def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
 
 
 def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
-    """The scan of a transitive group, with its certificate: the subgroup
-    is normal (each generator's conjugates sift through its chain), and its
-    suborbit lengths show every element fixing two or more points lies in
-    it.  With the construction, every element outside it fixes one point."""
+    """D for a transitive group, from seeded uniform draws, with its
+    certificate: D is transitive and normal, and its suborbit lengths show
+    every element fixing two or more points lies in it.  Each coset outside
+    D then averages one fixed point with none fixing two, so D holds every
+    derangement; until then some derangement lies outside D, and D grows to
+    the normal closure with the first one drawn.  Randomness only proposes
+    D, so D and the count are the same for every seed.  The count,
+    |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
-    scan = _scan(group, cap)
-    d = scan.subgroup
+    rng = random.Random(DRAW_SEED)
+    d = PermGroup(group.degree, ())
+    while not (d.is_transitive() and _regular_on_suborbits(group, d)):
+        x = group.random_element(rng)
+        while count_fixed(x.images) or x in d:
+            x = group.random_element(rng)
+        d = group.normal_closure_of(d.extended(x))
     assert all(
         k.conjugate_by(g) in d for g in group.generators for k in d.generators
     ), "derangements must generate a normal subgroup"
-    assert _regular_on_suborbits(group, d), "element fixing two points escaped"
-    return scan
+    d0 = d.stabilizer(0)
+    if d0.order() > cap:
+        raise CapExceeded(f"point stabilizer order {d0.order()} exceeds cap {cap}")
+    tally = Counter(count_fixed(raw) for raw in d0._iter_element_tuples())
+    count = d.order() - group.degree * sum(Fraction(c, k) for k, c in tally.items())
+    assert count.denominator == 1, "derangement count must be an integer"
+    return _Scan(int(count), d)
 
 
 def _frobenius(group: PermGroup, scan: _Scan) -> bool:
@@ -254,12 +273,13 @@ def _stabilizer_action(group: PermGroup) -> PermGroup:
     return PermGroup(degree - 1, gens)
 
 
-def index_consequences(group: PermGroup) -> tuple[bool, bool]:
+def index_consequences(group: PermGroup, cap: int = ENUMERATION_CAP) -> tuple[bool, bool]:
     """The two stabilizer facts that hold whenever the index exceeds 1, as
     (half, whole): at least half of a point stabilizer fixes only that
-    point, and those elements generate the whole stabilizer."""
+    point, and those elements generate the whole stabilizer.  The point
+    stabilizer is enumerated, so cap bounds its order."""
     action = _stabilizer_action(group)
-    scan = _scan(action, group.order())  # |G_0| < |G|, which passed the cap
+    scan = _scan(action, cap)
     return 2 * scan.derangement_count >= action.order(), scan.subgroup.order() == action.order()
 
 
@@ -296,8 +316,9 @@ def two_derangement_coverage(
     """Can every element of the derangement-generated subgroup be written
     as a product of two derangements?  Returns (covered, witnesses) where
     the witnesses are the elements missed by the product set.  The
-    subgroup is grown from the derangement list in its order, as the
-    certified scan grows it, so it has the same generators and chain."""
+    subgroup is grown from the derangement list in its order, as ``_scan``
+    grows it, so it has the same generators and chain.  Unlike analyze,
+    this enumerates the whole group, under cap."""
     derangements = derangement_set(group, cap)
     dset = [p.images for p in derangements]
     if not dset:
@@ -378,6 +399,7 @@ def _report(
     scan: _Scan,
     sub: PermGroup,
     quotient: GroupFingerprint | None,
+    cap: int,
 ) -> AnalysisReport:
     """Every check of the group against sub, from one certified scan of the
     group; the one place the checks are computed and mapped onto
@@ -397,7 +419,7 @@ def _report(
         transitive and (rank_n - 1) == (rank_g - 1) * index,
         _regular_on_suborbits(group, sub),
         (group.degree - 1) % index == 0,
-        index == 1 or all(index_consequences(group)),
+        index == 1 or all(index_consequences(group, cap)),
         bound_ok,
     )
     return AnalysisReport(
@@ -422,7 +444,7 @@ def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
     check, and identify the quotient."""
     scan = _certified_scan(group, cap)
     sub = scan.subgroup
-    return _report(group, scan, sub, fingerprint(group.quotient(sub)))
+    return _report(group, scan, sub, fingerprint(group.quotient(sub)), cap)
 
 
 def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
@@ -433,4 +455,4 @@ def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisR
     stabilizers are conjugate and the report depends on the group alone."""
     scan = _certified_scan(group, cap)
     d0 = scan.subgroup.stabilizer(0)
-    return _report(group, scan, d0, None)
+    return _report(group, scan, d0, None, cap)

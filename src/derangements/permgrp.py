@@ -13,6 +13,7 @@ changed once a group holds them, so chains are safe to share.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -484,6 +485,14 @@ class PermGroup:
 
         yield from rec(0, tuple(range(self.degree)))
 
+    def random_element(self, rng: random.Random) -> Permutation:
+        """A uniform random element: one uniform transversal element per
+        chain level, composed as the enumeration composes them."""
+        images = tuple(range(self.degree))
+        for lvl in self._chain():
+            images = _compose(lvl.transversal[rng.choice(lvl.orbit)], images)
+        return Permutation._raw(images)
+
     def iter_elements(self) -> Iterator[Permutation]:
         """Stream every element exactly once, in a deterministic
         transversal-product order starting with the identity."""
@@ -566,7 +575,11 @@ class PermGroup:
         for s in seeds:
             if s not in self:
                 raise NotSubgroup("seed lies outside the group")
-        closure = PermGroup(self.degree, seeds)
+        return self.normal_closure_of(PermGroup(self.degree, seeds))
+
+    def normal_closure_of(self, closure: "PermGroup") -> "PermGroup":
+        """The normal closure of a subgroup of this group, grown from it by
+        ``extended`` with the conjugates of its generators."""
         changed = True
         while changed:
             changed = False

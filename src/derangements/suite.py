@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -627,15 +628,21 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     else:
         record["order_crosscheck"] = None
 
-    # the character formula sum(fix(g)^2) == rank * |G|, for G and for D
-    record["rank_crosscheck"] = _square_sum(group) == report.rank_g * report.order and (
-        report.rank_n is None or _square_sum(report.subgroup) == report.rank_n * report.d_order
+    # the character formula sum(fix(g)^2) == rank * |G|, for G and for D;
+    # the same pass over G is the oracle for the certified derangement count
+    square_sum, derangements = _fixed_point_tally(group)
+    assert derangements == report.derangement_count, "certified count disagrees with the scan"
+    record["rank_crosscheck"] = square_sum == report.rank_g * report.order and (
+        report.rank_n is None
+        or _fixed_point_tally(report.subgroup)[0] == report.rank_n * report.d_order
     )
     return record
 
 
-def _square_sum(group: PermGroup) -> int:
-    return sum(count_fixed(raw) ** 2 for raw in group._iter_element_tuples())
+def _fixed_point_tally(group: PermGroup) -> tuple[int, int]:
+    """sum(fix(g)^2) over the group, and the number of derangements."""
+    tally = Counter(map(count_fixed, group._iter_element_tuples()))
+    return sum(k * k * c for k, c in tally.items()), tally[0]
 
 
 def corpus_failures(record: dict) -> list[str]:

@@ -9,8 +9,9 @@ from derangements.derange import analyze
 from derangements.families import central_product_examples
 from derangements.fileio import dump_matrix_group, dump_perm_group, load_group
 from derangements.gf import field
-from derangements.matgrp import scalar_matrix_group
+from derangements.matgrp import general_linear_gl2, scalar_matrix_group
 from derangements.permgrp import symmetric_group
+from derangements.suite import matrix_record
 
 
 @pytest.fixture()
@@ -176,6 +177,19 @@ def test_construct_chained_analysis_max_order(tmp_path, capsys):
     assert main(args + ["--max-order", "10"]) == 2
     assert "exceeds cap 10" in capsys.readouterr().err
     assert main(args + ["--max-order", "48"]) == 0
+
+
+def test_construct_analysis_past_the_old_order_cap(tmp_path, capsys):
+    """affine-gl2 13 has order 4 429 152, above the enumeration cap; only
+    its point stabilizer GL(2,13), of order 26 208, is enumerated.  Its
+    index matches GL(2,13)'s eigenvalue-1 index (the affine bridge)."""
+    args = ["construct", "affine-gl2", "13", "--analyze", "--json", "--output", str(tmp_path / "a.group")]
+    assert main(args) == 0
+    rec = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert rec["order"] == 4_429_152 and rec["d_order"] == rec["order"]
+    assert rec["index"] == 1 == matrix_record(general_linear_gl2(field(13, 1)))["index"]
+    assert main(args + ["--max-order", "26207"]) == 2
+    assert "exceeds cap 26207" in capsys.readouterr().err
 
 
 def test_construct_rejections(tmp_path, capsys):

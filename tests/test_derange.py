@@ -370,6 +370,63 @@ def test_regular_nonabelian_socle_forces_equality():
     assert rep.all_checks_pass()
 
 
+ALL_PASS = dict.fromkeys(derange.CHECK_KEYS, True)
+
+
+def test_analyze_smallest_groups():
+    """Degree 1 has no derangements and the trivial D certifies before any
+    draw; C2's one derangement is the whole of D."""
+    assert analyze(PermGroup(1, ())).to_record() == {
+        "degree": 1, "order": 1, "derangements": 0, "d_order": 1, "index": 1,
+        "rank_g": 1, "rank_n": 1, "frobenius": False, "quotient_name": "C1",
+        "checks": ALL_PASS,
+    }
+    assert analyze(cyclic_group(2)).to_record() == {
+        "degree": 2, "order": 2, "derangements": 1, "d_order": 2, "index": 1,
+        "rank_g": 2, "rank_n": 2, "frobenius": False, "quotient_name": "C1",
+        "checks": ALL_PASS,
+    }
+
+
+def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
+    """Two seeds draw different generators for D, and give the same record
+    on every (transitive) corpus group of order at most 20 000."""
+    groups = [suite.corpus_group(name) for name in suite.corpus_names()]
+    groups = [g for g in groups if g.order() <= 20_000]
+    assert len(groups) >= 50
+    runs = []
+    for seed in (0, 1):
+        monkeypatch.setattr(derange, "DRAW_SEED", seed)
+        runs.append([analyze(g) for g in groups])
+    drawn_differently = 0
+    for a, b in zip(*runs):
+        assert a.to_record() == b.to_record()
+        assert a.subgroup.same_group_as(b.subgroup)
+        drawn_differently += a.subgroup.generators != b.subgroup.generators
+    assert drawn_differently >= len(groups) // 2
+
+
+def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
+    """No step of analyze, faulted or not, walks a group larger than a
+    point stabilizer: D_0 for the count, G_0 for the stabilizer facts,
+    and G/D (of order at most |G_0|) for the fingerprint."""
+    derange._named_catalog()
+    walked = []
+    original = PermGroup._iter_element_tuples
+
+    def recording(self):
+        walked.append(self.order())
+        return original(self)
+
+    monkeypatch.setattr(PermGroup, "_iter_element_tuples", recording)
+    for name in suite.corpus_names():
+        g = suite.corpus_group(name)
+        walked.clear()
+        analyze(g)
+        _faulted_analysis(g)
+        assert walked and max(walked) <= g.order() // g.degree, name
+
+
 def test_derangement_count_matches_set():
     for g in (symmetric_group(5), agl_1_5()):
         assert analyze(g).derangement_count == len(derangement_set(g))

@@ -216,9 +216,12 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     assert len(elements) == group.order()
 
     # the derangement count and D, against the closure of the derangements
+    # and against the exhaustive scan the draws replaced
     derangements = [e for e in elements if count_fixed(e) == 0]
     scan = _certified_scan(group)
-    assert scan.derangement_count == len(derangements)
+    oracle = _scan(group)
+    assert scan.derangement_count == oracle.derangement_count == len(derangements)
+    assert scan.subgroup.same_group_as(oracle.subgroup)
     assert scan.subgroup.order() == _closure_order(n, derangements)
     assert all(Permutation(e) in scan.subgroup for e in derangements)
 

@@ -1,10 +1,12 @@
 """Scenario table integrity, runner behavior, and corpus properties."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from derangements import suite
 from derangements.errors import ConstraintViolated
 from derangements.families import FAMILY_ARITY
 from derangements.gf import field
@@ -181,6 +183,20 @@ def test_corpus_record_fields():
     assert rec["rank_crosscheck"] is True
     assert rec["coset_average_one"] is True
     assert corpus_ok(rec)
+
+
+def test_corpus_record_checks_the_certified_count(monkeypatch):
+    """The pass over G for the rank cross-check also counts derangements,
+    and a certified count that disagrees with it stops the record."""
+    real = suite.analyze
+
+    def off_by_one(group):
+        report = real(group)
+        return dataclasses.replace(report, derangement_count=report.derangement_count + 1)
+
+    monkeypatch.setattr(suite, "analyze", off_by_one)
+    with pytest.raises(AssertionError, match="certified count"):
+        corpus_record("agl1-5")
 
 
 def test_corpus_record_tiny_regular_group():
