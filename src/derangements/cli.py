@@ -36,7 +36,7 @@ EXIT_USAGE = 2
 DEFAULT_MAX_DEGREE = 100_000
 MAX_ORDER_HELP = (
     "refuse to enumerate a group past this order: a matrix group, or the "
-    "point stabilizers of a permutation group and of its derangement subgroup"
+    "point stabilizer of a permutation group's derangement subgroup"
 )
 
 

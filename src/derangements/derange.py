@@ -9,7 +9,8 @@ a certificate shows that no element fixing two points lies outside it
 stabilizer, measures its index, runs the structural checks around it (rank
 identity, semiregular quotient actions, index bounds), and identifies the
 quotient group by fingerprint against a small catalog.  No step of
-``analyze`` enumerates the whole group.
+``analyze`` enumerates the whole group: it enumerates D_0, and G/D for its
+fingerprint.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceeded, ConstraintViolated, NotTransitive
-from .gf import _prime_factors, field
+from .gf import field
 from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
 from .permgrp import (
     ENUMERATION_CAP,
@@ -47,48 +48,17 @@ class GroupFingerprint:
     """Cheap isomorphism invariants used to recognize small groups.
 
     element_orders is a sorted tuple of (order, count) pairs; the counts sum
-    to the group order.  abelian_invariants holds the elementary divisors
-    when the group is abelian, and is empty otherwise.
+    to the group order.  Finite abelian groups with the same element-order
+    counts are isomorphic, so no further abelian invariant is kept.
     """
 
     order: int
     element_orders: tuple[tuple[int, int], ...]
     center_order: int
     derived_order: int
-    abelian_invariants: tuple[int, ...]
 
     def __post_init__(self):
         assert sum(c for _, c in self.element_orders) == self.order
-
-
-def _abelian_invariants(order: int, hist: Counter) -> tuple[int, ...]:
-    """Elementary divisors of an abelian group from its element-order counts.
-
-    For each prime p the counts of elements of order dividing p^k determine
-    the partition of the p-part; the divisors are read off its conjugate.
-    """
-    divisors: list[int] = []
-    for p in _prime_factors(order):
-        v_prev = 0
-        ms: list[int] = []
-        k = 1
-        while True:
-            a_k = sum(c for o, c in hist.items() if p**k % o == 0)
-            v = 0
-            t = a_k
-            while t % p == 0:
-                t //= p
-                v += 1
-            assert t == 1, "count of p-power-order elements must be a p-power"
-            if v == v_prev:
-                break
-            ms.append(v - v_prev)
-            v_prev = v
-            k += 1
-        for k0, m in enumerate(ms, start=1):
-            nxt = ms[k0] if k0 < len(ms) else 0
-            divisors.extend([p**k0] * (m - nxt))
-    return tuple(sorted(divisors))
 
 
 def fingerprint(group: PermGroup, cap: int = FINGERPRINT_CAP) -> GroupFingerprint:
@@ -101,8 +71,7 @@ def fingerprint(group: PermGroup, cap: int = FINGERPRINT_CAP) -> GroupFingerprin
     center = sum(1 for g in elems if all(g * h == h * g for h in gens))
     commutators = [a.inverse() * b.inverse() * a * b for a in gens for b in gens]
     derived = group.normal_closure(commutators).order()
-    invariants = _abelian_invariants(order, hist) if center == order else ()
-    return GroupFingerprint(order, tuple(sorted(hist.items())), center, derived, invariants)
+    return GroupFingerprint(order, tuple(sorted(hist.items())), center, derived)
 
 
 @lru_cache(maxsize=64)
@@ -160,28 +129,12 @@ def identify_quotient(group: PermGroup) -> str:
 
 @dataclass
 class _Scan:
+    """D with the derangement count, and the number of elements of the
+    point stabilizer G_0 that fix point 0 alone."""
+
     derangement_count: int
     subgroup: PermGroup
-
-
-def _scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
-    """The one streaming pass over the group; needs no transitivity.
-
-    Derangements are counted and folded into an incrementally grown
-    subgroup (most are redundant, so extensions are rare).
-    """
-    order = group.order()
-    if order > cap:
-        raise CapExceeded(f"group order {order} exceeds cap {cap}")
-    sub = PermGroup(group.degree, ())
-    count = 0
-    for raw in group._iter_element_tuples():
-        if count_fixed(raw) == 0:
-            count += 1
-            p = Permutation._raw(raw)
-            if p not in sub:
-                sub = sub.extended(p)
-    return _Scan(count, sub)
+    fix_only_zero: int
 
 
 def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
@@ -206,7 +159,9 @@ def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     derangement; until then some derangement lies outside D, and D grows to
     the normal closure with the first one drawn.  Randomness only proposes
     D, so D and the count are the same for every seed.  The count,
-    |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap."""
+    |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap.
+    Every element of G_0 outside D_0 fixes point 0 alone, so the same tally
+    of D_0 counts the elements of G_0 that do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     rng = random.Random(DRAW_SEED)
@@ -225,7 +180,8 @@ def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     tally = Counter(count_fixed(raw) for raw in d0._iter_element_tuples())
     count = d.order() - group.degree * sum(Fraction(c, k) for k, c in tally.items())
     assert count.denominator == 1, "derangement count must be an integer"
-    return _Scan(int(count), d)
+    fix_only_zero = group.stabilizer(0).order() - d0.order() + tally[1]
+    return _Scan(int(count), d, fix_only_zero)
 
 
 def _frobenius(group: PermGroup, scan: _Scan) -> bool:
@@ -260,27 +216,14 @@ def derangement_subgroup(group: PermGroup, cap: int = ENUMERATION_CAP) -> PermGr
 # structural checks
 
 
-def _stabilizer_action(group: PermGroup) -> PermGroup:
-    """The stabilizer of point 0 acting on the remaining points, relabeled
-    to 0..n-2.  Faithful, since a permutation fixing everything else is
-    the identity."""
-    st = group.stabilizer(0)
-    degree = group.degree
-    gens = [
-        Permutation(tuple(g.images[x + 1] - 1 for x in range(degree - 1)))
-        for g in st.generators
-    ]
-    return PermGroup(degree - 1, gens)
-
-
-def index_consequences(group: PermGroup, cap: int = ENUMERATION_CAP) -> tuple[bool, bool]:
-    """The two stabilizer facts that hold whenever the index exceeds 1, as
-    (half, whole): at least half of a point stabilizer fixes only that
-    point, and those elements generate the whole stabilizer.  The point
-    stabilizer is enumerated, so cap bounds its order."""
-    action = _stabilizer_action(group)
-    scan = _scan(action, cap)
-    return 2 * scan.derangement_count >= action.order(), scan.subgroup.order() == action.order()
+def index_consequences(group: PermGroup, scan: _Scan) -> bool:
+    """The two stabilizer facts that hold whenever the index exceeds 1: at
+    least half of the point stabilizer G_0 fixes only point 0, and those
+    elements generate G_0.  Only the first is tested.  When it fails, the
+    check fails whatever the second says; when it holds, so does the
+    second: the set S of those elements misses the identity (n >= 2), so
+    |S| >= |G_0|/2 gives |<S>| > |G_0|/2, and <S> = G_0."""
+    return 2 * scan.fix_only_zero >= group.stabilizer(0).order()
 
 
 def is_frobenius(group: PermGroup, cap: int = ENUMERATION_CAP):
@@ -316,9 +259,9 @@ def two_derangement_coverage(
     """Can every element of the derangement-generated subgroup be written
     as a product of two derangements?  Returns (covered, witnesses) where
     the witnesses are the elements missed by the product set.  The
-    subgroup is grown from the derangement list in its order, as ``_scan``
-    grows it, so it has the same generators and chain.  Unlike analyze,
-    this enumerates the whole group, under cap."""
+    subgroup is grown from the derangement list in its order, extended by
+    each derangement not yet in it.  Unlike analyze, this enumerates the
+    whole group, under cap."""
     derangements = derangement_set(group, cap)
     dset = [p.images for p in derangements]
     if not dset:
@@ -399,7 +342,6 @@ def _report(
     scan: _Scan,
     sub: PermGroup,
     quotient: GroupFingerprint | None,
-    cap: int,
 ) -> AnalysisReport:
     """Every check of the group against sub, from one certified scan of the
     group; the one place the checks are computed and mapped onto
@@ -419,7 +361,7 @@ def _report(
         transitive and (rank_n - 1) == (rank_g - 1) * index,
         _regular_on_suborbits(group, sub),
         (group.degree - 1) % index == 0,
-        index == 1 or all(index_consequences(group, cap)),
+        index == 1 or index_consequences(group, scan),
         bound_ok,
     )
     return AnalysisReport(
@@ -444,7 +386,7 @@ def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
     check, and identify the quotient."""
     scan = _certified_scan(group, cap)
     sub = scan.subgroup
-    return _report(group, scan, sub, fingerprint(group.quotient(sub)), cap)
+    return _report(group, scan, sub, fingerprint(group.quotient(sub)))
 
 
 def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
@@ -455,4 +397,4 @@ def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisR
     stabilizers are conjugate and the report depends on the group alone."""
     scan = _certified_scan(group, cap)
     d0 = scan.subgroup.stabilizer(0)
-    return _report(group, scan, d0, None, cap)
+    return _report(group, scan, d0, None)

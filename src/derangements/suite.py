@@ -65,8 +65,6 @@ from .permgrp import (
 BRUTEFORCE_ORDER_CAP = 10_000
 COSET_REP_COUNT = 10
 
-_MISSING = object()
-
 
 # ---------------------------------------------------------------------------
 # scenario definitions
@@ -356,10 +354,11 @@ def _paper_scenarios() -> tuple[Scenario, ...]:
 
 
 def _resolve(record: dict, dotted: str):
+    """The value at a dotted path, or "<missing>" when the path is absent."""
     cur = record
     for part in dotted.split("."):
         if not isinstance(cur, dict) or part not in cur:
-            return _MISSING
+            return "<missing>"
         cur = cur[part]
     return cur
 
@@ -457,8 +456,7 @@ class RunReport:
             "description": self.description,
             "pass": self.passed,
             "failures": [
-                {"field": f, "expected": e, "actual": a if a is not _MISSING else "<missing>"}
-                for f, e, a in self.failures
+                {"field": f, "expected": e, "actual": a} for f, e, a in self.failures
             ],
             "record": self.record,
         }
@@ -630,8 +628,13 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
 
     # the character formula sum(fix(g)^2) == rank * |G|, for G and for D;
     # the same pass over G is the oracle for the certified derangement count
-    square_sum, derangements = _fixed_point_tally(group)
+    # and for the stabilizer facts: by transitivity the elements fixing one
+    # point number n times those of G_0 fixing point 0 alone
+    square_sum, derangements, ones = _fixed_point_tally(group)
     assert derangements == report.derangement_count, "certified count disagrees with the scan"
+    assert report.checks["stabilizer_generated"] == (
+        report.index == 1 or 2 * ones >= report.order
+    ), "stabilizer facts disagree with the scan"
     record["rank_crosscheck"] = square_sum == report.rank_g * report.order and (
         report.rank_n is None
         or _fixed_point_tally(report.subgroup)[0] == report.rank_n * report.d_order
@@ -639,10 +642,11 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     return record
 
 
-def _fixed_point_tally(group: PermGroup) -> tuple[int, int]:
-    """sum(fix(g)^2) over the group, and the number of derangements."""
+def _fixed_point_tally(group: PermGroup) -> tuple[int, int, int]:
+    """sum(fix(g)^2) over the group, the number of derangements, and the
+    number of elements fixing exactly one point."""
     tally = Counter(map(count_fixed, group._iter_element_tuples()))
-    return sum(k * k * c for k, c in tally.items()), tally[0]
+    return sum(k * k * c for k, c in tally.items()), tally[0], tally[1]
 
 
 def corpus_failures(record: dict) -> list[str]:

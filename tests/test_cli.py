@@ -92,6 +92,20 @@ def test_verify_paper_fault_injection_fails(capsys):
     assert "0/1 scenarios passed" in out
 
 
+def test_verify_paper_fault_injection_output_is_stable(capsys):
+    """A missing field is reported as "<missing>" in the text output, and
+    the pooled JSON run matches the serial one byte for byte."""
+    args = ["verify", "paper", "--only", "coverage-s2", "--only", "coverage-a5", "--inject-fault"]
+    assert main(args) == 1
+    text = capsys.readouterr().out
+    assert "<missing>" in text and "object at" not in text
+    assert main(args + ["--json"]) == 1
+    serial = capsys.readouterr().out
+    assert main(args + ["--json", "--workers", "2"]) == 1
+    assert capsys.readouterr().out == serial
+    assert '"actual": "<missing>"' in serial
+
+
 def test_verify_paper_json(capsys):
     assert main(["verify", "paper", "--only", "coverage-s2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -190,6 +204,17 @@ def test_construct_analysis_past_the_old_order_cap(tmp_path, capsys):
     assert rec["index"] == 1 == matrix_record(general_linear_gl2(field(13, 1)))["index"]
     assert main(args + ["--max-order", "26207"]) == 2
     assert "exceeds cap 26207" in capsys.readouterr().err
+
+
+def test_construct_analysis_caps_only_the_derangement_stabilizer(tmp_path, capsys):
+    """AGL(1,5) has |D_0| = 1 and |G_0| = 4: a cap of 1 still analyzes it,
+    with the same record as the uncapped run."""
+    args = ["construct", "agl1", "5", "--analyze", "--json", "--output", str(tmp_path / "a.group")]
+    assert main(args) == 0
+    uncapped = capsys.readouterr().out.split("\n", 1)[1]
+    assert main(args + ["--max-order", "1"]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[1] == uncapped
+    assert json.loads(uncapped)["index"] == 4
 
 
 def test_construct_rejections(tmp_path, capsys):

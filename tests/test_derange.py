@@ -16,7 +16,6 @@ from derangements.derange import (
     index_consequences,
     is_frobenius,
     two_derangement_coverage,
-    _abelian_invariants,
     _faulted_analysis,
 )
 from derangements.errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
@@ -28,6 +27,7 @@ from derangements.permgrp import (
     dihedral_group,
     symmetric_group,
 )
+from test_properties import _old_derangement_generated
 
 
 def agl_1_5() -> PermGroup:
@@ -124,19 +124,26 @@ def test_subgroup_checks_candidate_must_be_subgroup():
 
 
 def test_index_consequences_agl15():
-    rep = analyze(agl_1_5())
+    g = agl_1_5()
+    rep = analyze(g)
     assert rep.index == 4
     assert rep.checks["index_divides"]  # 4 | 4
-    assert index_consequences(agl_1_5()) == (True, True)
+    # G_0 = {x -> ax}: the three non-identity scalings fix 0 alone
+    scan = derange._certified_scan(g)
+    assert scan.fix_only_zero == 3
+    assert index_consequences(g, scan) is True
     assert rep.checks["stabilizer_generated"]
 
 
 def test_index_consequences_index_one():
-    rep = analyze(symmetric_group(4))
+    g = symmetric_group(4)
+    rep = analyze(g)
     assert rep.index == 1 and rep.checks["index_divides"] and rep.checks["stabilizer_generated"]
-    # the stabilizer facts are only promised for index > 1: in S_3 the
-    # derangements are the two 3-cycles
-    assert index_consequences(symmetric_group(4)) == (False, False)
+    # the stabilizer facts are only promised for index > 1: in G_0 = S_3
+    # only the two 3-cycles fix point 0 alone
+    scan = derange._certified_scan(g)
+    assert scan.fix_only_zero == 2
+    assert index_consequences(g, scan) is False
 
 
 def test_is_frobenius():
@@ -214,8 +221,8 @@ def test_two_derangement_coverage_grows_the_scanned_subgroup(monkeypatch):
 
 def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
     """Coverage extends D by the same derangements, in the same order, as
-    the scan, and its checks raise in the order empty list, work cap,
-    transitivity."""
+    the exhaustive derangement loop, and its checks raise in the order
+    empty list, work cap, transitivity."""
     groups = [symmetric_group(4), alternating_group(5), suite.corpus_group("affine-sl2-3")]
     for g in groups:
         g.order()
@@ -229,7 +236,7 @@ def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
     monkeypatch.setattr(PermGroup, "extended", recording)
     for g in groups:
         grown.clear()
-        derange._scan(g)
+        _old_derangement_generated(g)
         scanned = list(grown)
         grown.clear()
         two_derangement_coverage(g)
@@ -243,19 +250,9 @@ def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
         two_derangement_coverage(intransitive)
 
 
-def test_abelian_invariants_from_histograms():
-    from collections import Counter
-
-    assert _abelian_invariants(4, Counter({1: 1, 2: 3})) == (2, 2)
-    assert _abelian_invariants(4, Counter({1: 1, 2: 1, 4: 2})) == (4,)
-    assert _abelian_invariants(12, Counter({1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4})) == (3, 4)
-    assert _abelian_invariants(8, Counter({1: 1, 2: 3, 4: 4})) == (2, 4)
-
-
 def test_fingerprint_c6():
     fp = fingerprint(cyclic_group(6))
     assert fp.order == 6 and fp.center_order == 6 and fp.derived_order == 1
-    assert fp.abelian_invariants == (2, 3)
 
 
 def test_identify_small_groups():
@@ -407,9 +404,9 @@ def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
 
 
 def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
-    """No step of analyze, faulted or not, walks a group larger than a
-    point stabilizer: D_0 for the count, G_0 for the stabilizer facts,
-    and G/D (of order at most |G_0|) for the fingerprint."""
+    """No step of analyze, faulted or not, walks a group larger than D_0
+    (for the count and the stabilizer facts) or G/D (for the
+    fingerprint); in particular G_0 is never enumerated."""
     derange._named_catalog()
     walked = []
     original = PermGroup._iter_element_tuples
@@ -421,10 +418,12 @@ def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
     monkeypatch.setattr(PermGroup, "_iter_element_tuples", recording)
     for name in suite.corpus_names():
         g = suite.corpus_group(name)
+        d = derangement_subgroup(g)
+        bound = max(d.stabilizer(0).order(), g.order() // d.order())
         walked.clear()
         analyze(g)
         _faulted_analysis(g)
-        assert walked and max(walked) <= g.order() // g.degree, name
+        assert walked and max(walked) <= bound, name
 
 
 def test_derangement_count_matches_set():

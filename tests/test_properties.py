@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from derangements.derange import (
     _certified_scan,
     _regular_on_suborbits,
-    _scan,
-    _stabilizer_action,
     analyze,
     index_consequences,
 )
@@ -150,7 +148,9 @@ def _transitive_generator_sets():
 
 
 def _old_derangement_generated(group):
-    """The separate stabilizer-action loop that the single scan replaced."""
+    """The exhaustive derangement loop that the certified draws replaced:
+    (count, D), with D extended by each derangement not yet in it, in
+    enumeration order."""
     sub = PermGroup(group.degree, ())
     count = 0
     for raw in group._iter_element_tuples():
@@ -216,26 +216,24 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     assert len(elements) == group.order()
 
     # the derangement count and D, against the closure of the derangements
-    # and against the exhaustive scan the draws replaced
+    # and against the exhaustive loop the draws replaced
     derangements = [e for e in elements if count_fixed(e) == 0]
     scan = _certified_scan(group)
-    oracle = _scan(group)
-    assert scan.derangement_count == oracle.derangement_count == len(derangements)
-    assert scan.subgroup.same_group_as(oracle.subgroup)
+    count, oracle = _old_derangement_generated(group)
+    assert scan.derangement_count == count == len(derangements)
+    assert scan.subgroup.same_group_as(oracle)
     assert scan.subgroup.order() == _closure_order(n, derangements)
     assert all(Permutation(e) in scan.subgroup for e in derangements)
 
-    # the point-0 stabilizer: elements fixing 0 and nothing else
-    action = _stabilizer_action(group)
-    count, generated = _old_derangement_generated(action)
+    # the point-0 stabilizer facts, by brute force: the elements fixing 0
+    # and nothing else are at least half of G_0, and they generate G_0
+    g0_order = sum(1 for e in elements if e[0] == 0)
     only_zero = [e for e in elements if e[0] == 0 and count_fixed(e) == 1]
-    stab_scan = _scan(action)
-    assert stab_scan.derangement_count == count == len(only_zero)
-    assert stab_scan.subgroup.same_group_as(generated)
-    assert generated.order() == _closure_order(n, only_zero)
-    half, whole = index_consequences(group)
-    assert half == (2 * count >= action.order())
-    assert whole == (generated.order() == action.order())
+    half = 2 * len(only_zero) >= g0_order
+    whole = _closure_order(n, only_zero) == g0_order
+    assert not half or whole
+    assert scan.fix_only_zero == len(only_zero)
+    assert index_consequences(group, scan) == (half and whole)
 
     d = scan.subgroup
     cyclic = PermGroup(n, [group.generators[0]])

@@ -199,6 +199,21 @@ def test_corpus_record_checks_the_certified_count(monkeypatch):
         corpus_record("agl1-5")
 
 
+def test_corpus_record_checks_the_stabilizer_facts(monkeypatch):
+    """The same pass over G counts the elements fixing one point, and a
+    stabilizer_generated check that disagrees with it stops the record."""
+    real = suite.analyze
+
+    def flipped(group):
+        report = real(group)
+        checks = dict(report.checks, stabilizer_generated=not report.checks["stabilizer_generated"])
+        return dataclasses.replace(report, checks=checks)
+
+    monkeypatch.setattr(suite, "analyze", flipped)
+    with pytest.raises(AssertionError, match="stabilizer facts"):
+        corpus_record("agl1-5")
+
+
 def test_corpus_record_tiny_regular_group():
     # index 1 at degree 2: the divisibility regime, not the root bound
     rec = corpus_record("cyclic-2")
