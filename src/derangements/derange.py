@@ -242,10 +242,9 @@ def bound_check(group: PermGroup, index: int, frobenius: bool) -> tuple[str, boo
     index <= sqrt(n) - 1, checked in exact integer arithmetic.  Frobenius
     and primitive groups only promise that the index divides degree - 1."""
     n = group.degree
-    primitive = group.is_primitive()
     if frobenius:
         regime = "frobenius"
-    elif primitive:
+    elif group.is_primitive():
         regime = "primitive"
     else:
         regime = "imprimitive"

@@ -14,9 +14,13 @@ changed once a group holds them, so chains are safe to share.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, repeat
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -45,6 +49,11 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
 
 def count_fixed(images: Sequence[int]) -> int:
     return sum(1 for i, x in enumerate(images) if i == x)
+
+
+def _products(outer: Iterable[tuple[int, ...]], inner: list[tuple[int, ...]]):
+    """'apply b, then a' for a in outer, streamed and outermost, and b in inner."""
+    return chain.from_iterable(map(tuple, map(map, repeat(a.__getitem__), inner)) for a in outer)
 
 
 def _identity_tuple(images: tuple[int, ...]) -> bool:
@@ -471,19 +480,20 @@ class PermGroup:
     # element enumeration ----------------------------------------------------
 
     def _iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
-        levels = self._chain()
-        sorted_orbits = [sorted(lvl.orbit) for lvl in levels]
-
-        def rec(i: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if i == len(levels):
-                yield prefix
-                return
-            transversal = levels[i].transversal
-            for pt in sorted_orbits[i]:
-                u = transversal[pt]
-                yield from rec(i + 1, _compose(u, prefix))
-
-        yield from rec(0, tuple(range(self.degree)))
+        """Every element once, as 'apply u_k-1, ..., then u_0' with u_i
+        running over level i's transversal in sorted orbit order, u_0
+        outermost.  The tail lists the products of the deepest levels once:
+        as many as keep it within the number of transversal elements the
+        chain stores (the deepest always fits), so the extra memory is
+        bounded by the chain's own.  The upper levels' products stream past
+        it, each composed with the whole tail in C; by associativity the
+        order is the level-by-level one."""
+        rows = [[lvl.transversal[pt] for pt in sorted(lvl.orbit)] for lvl in self._chain()]
+        store, identity = sum(map(len, rows)), tuple(range(self.degree))
+        tail = [identity]
+        while rows and len(tail) * len(rows[-1]) <= store:
+            tail = list(_products(rows.pop(), tail))
+        return _products(reduce(_products, rows, [identity]), tail)
 
     def random_element(self, rng: random.Random) -> Permutation:
         """A uniform random element: one uniform transversal element per
@@ -496,8 +506,7 @@ class PermGroup:
     def iter_elements(self) -> Iterator[Permutation]:
         """Stream every element exactly once, in a deterministic
         transversal-product order starting with the identity."""
-        for images in self._iter_element_tuples():
-            yield Permutation._raw(images)
+        return map(Permutation._raw, self._iter_element_tuples())
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
         if self.order() > cap:
@@ -619,17 +628,24 @@ class BlockSystem:
         return out
 
 
-def coset_average_fixed_points(t: Permutation, group: PermGroup) -> Fraction:
-    """Exact average number of fixed points over the coset t*G.
-
-    Equals 1 for transitive groups and the orbit count for intransitive
-    ones (it is the orbit-counting average shifted by t).
-    """
-    if t.degree != group.degree:
+def coset_average_fixed_points(
+    reps: Sequence[Permutation], group: PermGroup, fixed: Counter | None = None
+) -> list[Fraction]:
+    """Exact average number of fixed points over t*G for each t in reps: 1
+    for transitive groups, the orbit count for intransitive ones.  The sum
+    of fix(t*g) over G is the sum over points x of #{g : g(t(x)) = x}, so
+    one pass over G tallies how many elements map y to z (key y*n + z), and
+    each average is read off in O(n).  That is the same exact sum over the
+    same elements, not the orbit-counting formula.  A Counter passed as
+    ``fixed`` also tallies fix(g) over that pass."""
+    n = group.degree
+    if any(t.degree != n for t in reps):
         raise DegreeMismatch("degrees differ")
-    timg = t.images
-    total = sum(count_fixed(_compose(timg, g)) for g in group._iter_element_tuples())
-    return Fraction(total, group.order())
+    offsets, pairs, fixed = range(0, n * n, n), Counter(), Counter() if fixed is None else fixed
+    for g in group._iter_element_tuples():
+        pairs.update(map(add, offsets, g))
+        fixed[count_fixed(g)] += 1
+    return [Fraction(sum(pairs[y * n + x] for x, y in enumerate(t.images)), group.order()) for t in reps]
 
 
 def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int = 100_000) -> set[tuple[int, ...]]:

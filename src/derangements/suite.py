@@ -8,7 +8,8 @@ of structural properties: the four core subgroup checks, index
 divisibility and the stabilizer facts, the imprimitivity bound, exact
 coset fixed-point averages, derangement abundance, two-derangement
 coverage for Frobenius actions, and independent order and rank
-cross-checks.
+cross-checks.  One pass over D gives every coset average (by the pair
+tally ``coset_average_fixed_points`` describes) and D's fixed-point tally.
 
 All records are plain JSON-safe dicts with deterministic key and entry
 order, so repeated runs emit identical bytes (wall times are kept on the
@@ -610,8 +611,9 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     record["abundance"] = report.derangement_count * report.degree >= report.order
 
     reps = _random_words(group, name, COSET_REP_COUNT)
+    d_tally: Counter = Counter()
     record["coset_average_one"] = all(
-        coset_average_fixed_points(t, report.subgroup) == 1 for t in reps
+        a == 1 for a in coset_average_fixed_points(reps, report.subgroup, d_tally)
     )
 
     if report.frobenius and report.d_order >= 3:
@@ -626,27 +628,20 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     else:
         record["order_crosscheck"] = None
 
-    # the character formula sum(fix(g)^2) == rank * |G|, for G and for D;
-    # the same pass over G is the oracle for the certified derangement count
-    # and for the stabilizer facts: by transitivity the elements fixing one
-    # point number n times those of G_0 fixing point 0 alone
-    square_sum, derangements, ones = _fixed_point_tally(group)
-    assert derangements == report.derangement_count, "certified count disagrees with the scan"
+    # the character formula sum(fix(g)^2) == rank * |G|, for G and for D (its
+    # tally from the coset pass); the pass over G is the oracle for the certified
+    # derangement count and for the stabilizer facts: by transitivity the
+    # elements fixing one point number n times those of G_0 fixing point 0 alone
+    tally = Counter(map(count_fixed, group._iter_element_tuples()))
+    assert tally[0] == report.derangement_count, "certified count disagrees with the scan"
     assert report.checks["stabilizer_generated"] == (
-        report.index == 1 or 2 * ones >= report.order
+        report.index == 1 or 2 * tally[1] >= report.order
     ), "stabilizer facts disagree with the scan"
-    record["rank_crosscheck"] = square_sum == report.rank_g * report.order and (
-        report.rank_n is None
-        or _fixed_point_tally(report.subgroup)[0] == report.rank_n * report.d_order
+    squares = [sum(k * k * c for k, c in t.items()) for t in (tally, d_tally)]
+    record["rank_crosscheck"] = squares[0] == report.rank_g * report.order and (
+        report.rank_n is None or squares[1] == report.rank_n * report.d_order
     )
     return record
-
-
-def _fixed_point_tally(group: PermGroup) -> tuple[int, int, int]:
-    """sum(fix(g)^2) over the group, the number of derangements, and the
-    number of elements fixing exactly one point."""
-    tally = Counter(map(count_fixed, group._iter_element_tuples()))
-    return sum(k * k * c for k, c in tally.items()), tally[0], tally[1]
 
 
 def corpus_failures(record: dict) -> list[str]:

@@ -27,6 +27,7 @@ from derangements.permgrp import (
     dihedral_group,
     symmetric_group,
 )
+from derangements.families import FamilyParams, build_family
 from test_properties import _old_derangement_generated
 
 
@@ -424,6 +425,23 @@ def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
         analyze(g)
         _faulted_analysis(g)
         assert walked and max(walked) <= bound, name
+
+
+@pytest.mark.parametrize("name,values", [("agl1", (7,)), ("affine-scalars", (5, 3))])
+def test_analyze_skips_primitivity_for_frobenius_groups(name, values):
+    """A Frobenius group's regime is "frobenius" whatever its block systems,
+    so analyze does not compute them, and its report is the one it gives
+    when they are already known."""
+    built = build_family(FamilyParams(name, values))
+    group = PermGroup(built.degree, built.generators)
+    report = analyze(group)
+    assert report.frobenius and report.regime == "frobenius"
+    assert group._block_systems is None
+    primed = PermGroup(built.degree, built.generators)
+    primed.is_primitive()
+    assert primed._block_systems is not None
+    assert analyze(primed) == report
+    assert analyze(primed).to_record() == report.to_record()
 
 
 def test_derangement_count_matches_set():

@@ -2,6 +2,7 @@
 coset and block machinery."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -21,6 +22,7 @@ from derangements.permgrp import (
     symmetric_group,
 )
 from derangements.suite import corpus_group, corpus_names
+from test_properties import _coset_average_loop
 
 
 def test_permutation_basics():
@@ -97,6 +99,22 @@ def test_iter_elements_deterministic_and_starts_with_identity():
     assert first == second
     assert first[0].is_identity()
     assert len(first) == len(set(first)) == 120
+
+
+def test_enumeration_streams():
+    # S_9 has 362 880 elements, about 45 MB as a list; the enumeration holds
+    # the chain, a tail of at most its transversal count, and one product
+    # per upper level
+    group = symmetric_group(9)
+    group.order()
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in group._iter_element_tuples())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 362_880
+    assert peak < 4 * 2**20
 
 
 def test_orbits_and_transitivity():
@@ -316,17 +334,46 @@ def test_normal_closure_in_s4():
 def test_coset_average_is_one_for_transitive(group):
     rng = random.Random(7)
     images = list(range(group.degree))
+    reps = []
     for _ in range(3):
         rng.shuffle(images)
-        t = Permutation(images)
-        assert coset_average_fixed_points(t, group) == Fraction(1)
+        reps.append(Permutation(images))
+    assert coset_average_fixed_points(reps, group) == [Fraction(1)] * 3
 
 
 def test_coset_average_counts_orbits_when_intransitive():
     g = PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)])])
     t = Permutation.identity(5)
     # orbits {0,1,2}, {3}, {4}
-    assert coset_average_fixed_points(t, g) == Fraction(3)
+    assert coset_average_fixed_points([t], g) == [Fraction(3)]
+    # outside the group: (3 4) fixes 0, 1 and 2, its two other coset
+    # elements fix nothing
+    swap = Permutation.from_cycles(5, [(3, 4)])
+    assert coset_average_fixed_points([swap, t], g) == [Fraction(1), Fraction(3)]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        PermGroup(6, [Permutation.from_cycles(6, [(0, 1, 2)]), Permutation.from_cycles(6, [(3, 4)])]),
+        PermGroup(7, [Permutation.from_cycles(7, [(0, 1), (2, 3, 4)])]),
+        PermGroup(8, [Permutation.from_cycles(8, [(0, 1, 2, 3)]), Permutation.from_cycles(8, [(0, 2)])]),
+    ],
+)
+def test_coset_averages_match_the_per_representative_loop(group):
+    rng = random.Random(5)
+    inside = list(group.iter_elements())[::2]
+    images = list(range(group.degree))
+    outside = []
+    while len(outside) < 6:
+        rng.shuffle(images)
+        if Permutation(images) not in group:
+            outside.append(Permutation(images))
+    averages = coset_average_fixed_points(inside + outside, group)
+    assert averages == [_coset_average_loop(t, group) for t in inside + outside]
+    assert averages[: len(inside)] == [len(group.orbits())] * len(inside)
+    with pytest.raises(DegreeMismatch):
+        coset_average_fixed_points([Permutation.identity(group.degree + 1)], group)
 
 
 def test_dihedral_group_structure():

@@ -1,5 +1,7 @@
 """Property tests for the algebraic laws the whole pipeline leans on."""
 
+from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -15,10 +17,13 @@ from derangements.gf import field
 from derangements.permgrp import (
     PermGroup,
     Permutation,
+    _compose,
     bruteforce_closure,
     coset_average_fixed_points,
     count_fixed,
+    cyclic_group,
 )
+from derangements.suite import corpus_group, corpus_names
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -52,14 +57,25 @@ def test_conjugation_preserves_fixed_points(abc):
     assert count_fixed(a.conjugate_by(h).images) == count_fixed(a.images)
 
 
+def _coset_average_loop(t, group):
+    """The per-representative loop the one-pass pair tally replaced: the
+    exact average of fix(t*g) over the elements g of the group."""
+    total = sum((t * g).fixed_point_count() for g in group.iter_elements())
+    return Fraction(total, group.order())
+
+
 @settings(max_examples=40, deadline=None)
 @given(_three_perms())
 def test_average_fixed_points_over_own_coset_is_orbit_count(abc):
-    a, b, _ = abc
+    a, b, c = abc
     group = PermGroup(a.degree, [a, b])
     orbit_count = len(group.orbits())
-    for rep in (a, b, a * b, b * a, a * a * b):
-        assert coset_average_fixed_points(rep, group) == orbit_count
+    reps = [a, b, a * b, b * a, a * a * b]
+    # c usually lies outside the group, where the average need not be the
+    # orbit count; the loop is the oracle there
+    averages = coset_average_fixed_points(reps + [c], group)
+    assert averages[:-1] == [orbit_count] * len(reps)
+    assert averages == [_coset_average_loop(t, group) for t in reps + [c]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,6 +105,52 @@ def _generator_sets():
             st.lists(_perm(n), min_size=3, max_size=3),
         )
     )
+
+
+def _old_iter_element_tuples(group):
+    """The recursive enumerator the split-chain one replaced: at each level,
+    in sorted orbit order, the transversal element composed onto the
+    product of the levels above it."""
+    levels = group._chain()
+    sorted_orbits = [sorted(lvl.orbit) for lvl in levels]
+
+    def rec(i, prefix):
+        if i == len(levels):
+            yield prefix
+            return
+        transversal = levels[i].transversal
+        for pt in sorted_orbits[i]:
+            yield from rec(i + 1, _compose(transversal[pt], prefix))
+
+    yield from rec(0, tuple(range(group.degree)))
+
+
+def _same_enumeration(group):
+    pairs = zip_longest(group._iter_element_tuples(), _old_iter_element_tuples(group))
+    return all(new == old for new, old in pairs)
+
+
+def test_enumeration_order_matches_the_recursive_enumerator():
+    # the degree-1 group has no chain levels, and a one-level chain is all
+    # tail; the corpus groups, their D and D_0 give every other split
+    groups = [PermGroup(1, ()), cyclic_group(500)]
+    for name in corpus_names():
+        group = corpus_group(name)
+        d = analyze(group).subgroup
+        groups += [group, d, d.stabilizer(0)]
+    for group in groups:
+        assert _same_enumeration(group), group
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+def test_enumeration_order_matches_on_random_groups(data):
+    gens, _ = data
+    n = gens[0].degree
+    group = PermGroup(n, gens)
+    # a stabilizer of the last point has a chain pinned away from point 0
+    for g in (group, group.stabilizer(n - 1)):
+        assert _same_enumeration(g)
 
 
 def _bases(group):

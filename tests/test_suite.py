@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,10 @@ from derangements.gf import field
 from derangements.families import FamilyParams, build_family
 from derangements.fileio import dump_group, load_group
 from derangements.matgrp import FFMatrix, general_linear_gl2, scalar_matrix_group
-from derangements.permgrp import PermGroup, Permutation
+from derangements.derange import analyze
+from derangements.permgrp import PermGroup, Permutation, coset_average_fixed_points, count_fixed
 from derangements.suite import (
+    COSET_REP_COUNT,
     _MAT_BUILDERS,
     _faulted_perm_record,
     _random_words,
@@ -22,6 +25,7 @@ from derangements.suite import (
     Expectation,
     RunReport,
     Scenario,
+    corpus_failures,
     corpus_group,
     corpus_names,
     corpus_ok,
@@ -31,6 +35,7 @@ from derangements.suite import (
     run_paper_suite,
     run_scenario,
 )
+from test_properties import _coset_average_loop
 
 def test_matrix_record_works_on_positions(monkeypatch):
     """matrix_record of central-a5 (order 6 960 in GL(4,59)), loaded from
@@ -212,6 +217,30 @@ def test_corpus_record_checks_the_stabilizer_facts(monkeypatch):
     monkeypatch.setattr(suite, "analyze", flipped)
     with pytest.raises(AssertionError, match="stabilizer facts"):
         corpus_record("agl1-5")
+
+
+def test_corpus_coset_averages_match_the_per_representative_loop():
+    """The one pass over D gives each representative's average, as the
+    per-representative loop does, and D's fixed-point tally."""
+    for name in corpus_names():
+        group = corpus_group(name)
+        d = analyze(group).subgroup
+        reps = _random_words(group, name, COSET_REP_COUNT)
+        fixed = Counter()
+        averages = coset_average_fixed_points(reps, d, fixed)
+        assert averages == [_coset_average_loop(t, d) for t in reps], name
+        assert fixed == Counter(map(count_fixed, d._iter_element_tuples())), name
+
+
+def test_corpus_failures_name_a_wrong_coset_average(monkeypatch):
+    real = suite.coset_average_fixed_points
+
+    def off_by_one(reps, group, fixed=None):
+        return [a + 1 for a in real(reps, group, fixed)]
+
+    monkeypatch.setattr(suite, "coset_average_fixed_points", off_by_one)
+    rec = corpus_record("agl1-5")
+    assert corpus_failures(rec) == ["coset_average_one"]
 
 
 def test_corpus_record_tiny_regular_group():
