@@ -29,6 +29,7 @@ from .permgrp import (
     ENUMERATION_CAP,
     PermGroup,
     Permutation,
+    _products,
     alternating_group,
     count_fixed,
     dihedral_group,
@@ -269,10 +270,7 @@ def two_derangement_coverage(
         raise CapExceeded(f"{len(dset)}^2 products exceed the work cap")
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
-    products = set()
-    for a in dset:
-        for b in dset:
-            products.add(tuple(map(b.__getitem__, a)))
+    products = set(_products(dset, dset))
     sub = PermGroup(group.degree, ())
     for p in derangements:
         if p not in sub:

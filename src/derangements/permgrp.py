@@ -8,7 +8,9 @@ That property is what makes the greedy lexicographic coset representative
 in ``coset_min_rep`` correct.  A chain is built on the first structural
 query; ``extended`` grows a copy of it by one generator, and the
 stabilizer of the first base point shares its levels.  Levels are never
-changed once a group holds them, so chains are safe to share.
+changed once a group holds them, so chains are safe to share.  A sift
+inverts nothing: it carries the product of the transversal elements it
+uses and compares it with the sifted element, and products run in C.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -35,9 +36,15 @@ from .errors import (
 ENUMERATION_CAP = 2_000_000
 
 
+def _getter(a: tuple[int, ...]):
+    """C callable taking b to 'apply a, then b'.  An itemgetter of one index
+    returns a scalar, so degree 1 (where a is the identity) takes tuple."""
+    return itemgetter(*a) if len(a) > 1 else tuple
+
+
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Image tuple of 'apply a, then b'."""
-    return tuple(map(b.__getitem__, a))
+    """Image tuple of 'apply a, then b'; _getter(a)(b), inlined."""
+    return itemgetter(*a)(b) if len(a) > 1 else b
 
 
 def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -53,7 +60,8 @@ def count_fixed(images: Sequence[int]) -> int:
 
 def _products(outer: Iterable[tuple[int, ...]], inner: list[tuple[int, ...]]):
     """'apply b, then a' for a in outer, streamed and outermost, and b in inner."""
-    return chain.from_iterable(map(tuple, map(map, repeat(a.__getitem__), inner)) for a in outer)
+    getters = [_getter(b) for b in inner]
+    return (get(a) for a in outer for get in getters)
 
 
 def _identity_tuple(images: tuple[int, ...]) -> bool:
@@ -207,17 +215,21 @@ def _recompute_orbit(levels: list[_Level], i: int, degree: int) -> None:
                 lvl.orbit.append(img)
 
 
-def _sift(levels: list[_Level], start: int, images: tuple[int, ...]):
-    """Reduce images through levels[start:]; returns the residue tuple."""
+def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[int, ...]):
+    """Sift images*w^-1 through levels[start:] without inverting per level:
+    W, w composed after the transversal elements used, is carried, so the
+    residue images*W^-1 maps base b to W.index(images[b]) and is trivial
+    exactly when images == W.  Returns None for a trivial residue, else the
+    residue, formed with one inversion."""
     for lvl in levels[start:]:
-        pt = images[lvl.base]
-        if pt == lvl.base:
+        b = lvl.base
+        if images[b] == w[b]:
             continue
-        u = lvl.transversal.get(pt)
+        u = lvl.transversal.get(w.index(images[b]))
         if u is None:
-            return images
-        images = _compose(images, _invert(u))
-    return images
+            break
+        w = _compose(u, w)
+    return None if images == w else _compose(images, _invert(w))
 
 
 def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: int) -> int:
@@ -237,7 +249,7 @@ def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: in
 def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
     """Verify levels[dirty], ..., levels[0], deepest first (deterministic
     Schreier-Sims).  A Schreier generator u*g*t^-1 is trivial exactly when
-    u*g equals the transversal element t, so it is only inverted and sifted
+    u*g equals the transversal element t, so it is only sifted, carrying t,
     when that tuple comparison fails.  A residue that does not sift becomes
     a strong generator, and verification restarts at the level it lands on;
     deeper levels keep their groups and stay verified."""
@@ -248,14 +260,14 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
         gens_here = [g for l in levels[i:] for g in l.gens]
         landed = None
         for pt in levels[i].orbit:
-            u = transversal[pt]
+            u = _getter(transversal[pt])
             for g in gens_here:
-                ug = _compose(u, g)
+                ug = u(g)
                 target = transversal[g[pt]]
                 if ug == target:
                     continue
-                residue = _sift(levels, i + 1, _compose(ug, _invert(target)))
-                if not _identity_tuple(residue):
+                residue = _sift(levels, i + 1, ug, target)
+                if residue is not None:
                     landed = _place(levels, i + 1, residue, degree)
                     break
             if landed is not None:
@@ -320,8 +332,8 @@ class PermGroup:
         lands instead of being rebuilt."""
         grown = PermGroup(self.degree, self.generators + (g,))
         levels = [lvl.copy() for lvl in self._chain()]
-        residue = _sift(levels, 0, g.images)
-        if not _identity_tuple(residue):
+        residue = _sift(levels, 0, g.images, tuple(range(self.degree)))
+        if residue is not None:
             _schreier_sims(levels, _place(levels, 0, residue, self.degree), self.degree)
         grown._levels = levels
         return grown
@@ -337,13 +349,10 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def sift(self, g: Permutation) -> Permutation:
+    def __contains__(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise DegreeMismatch("degrees differ")
-        return Permutation._raw(_sift(self._chain(), 0, g.images))
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.sift(g).is_identity()
+        return _sift(self._chain(), 0, g.images, tuple(range(self.degree))) is None
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(
@@ -655,14 +664,12 @@ def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int 
     gens = [g.images for g in generators]
     while frontier:
         nxt = []
-        for a in frontier:
-            for g in gens:
-                prod = _compose(a, g)
-                if prod not in elems:
-                    if len(elems) >= cap:
-                        raise CapExceeded(f"closure exceeded {cap} elements")
-                    elems.add(prod)
-                    nxt.append(prod)
+        for prod in _products(frontier, gens):
+            if prod not in elems:
+                if len(elems) >= cap:
+                    raise CapExceeded(f"closure exceeded {cap} elements")
+                elems.add(prod)
+                nxt.append(prod)
         frontier = nxt
     return elems
 

@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from derangements.errors import DegreeMismatch, NotNormal, NotSubgroup, NotTransitive
+from derangements.errors import CapExceeded, DegreeMismatch, NotNormal, NotSubgroup, NotTransitive
 from derangements.permgrp import (
     BlockSystem,
     PermGroup,
@@ -42,6 +42,9 @@ def test_permutation_composition_is_left_to_right():
     # apply a first: 0 -> 1 -> 2
     assert (a * b)(0) == 2
     assert (b * a)(0) == 1
+    # degrees 1 and 2: a product of one-point tuples is still a tuple
+    assert (Permutation.identity(1) * Permutation.identity(1)).images == (0,)
+    assert (Permutation((1, 0)) ** 3).images == (1, 0)
 
 
 def test_permutation_rejects_non_bijections():
@@ -65,6 +68,14 @@ def test_symmetric_group_order_and_membership(n):
     for images in permutations(range(min(n, 4))):
         full = Permutation(tuple(images) + tuple(range(min(n, 4), n)))
         assert full in g
+
+
+def test_membership_in_cyclic_group_of_degree_two():
+    c2 = cyclic_group(2)
+    assert Permutation((1, 0)) in c2 and Permutation((0, 1)) in c2
+    assert Permutation((1, 0)) not in PermGroup(2, ())
+    with pytest.raises(DegreeMismatch):
+        Permutation((0, 1, 2)) in c2
 
 
 @pytest.mark.parametrize("n,order", [(3, 3), (4, 12), (5, 60), (6, 360), (7, 2520)])
@@ -92,6 +103,14 @@ def test_chain_order_matches_bruteforce_on_random_subgroups():
             assert other not in group
 
 
+def test_bruteforce_closure_cap_is_the_closure_size():
+    gens = symmetric_group(4).generators
+    assert len(bruteforce_closure(4, gens, cap=24)) == 24
+    with pytest.raises(CapExceeded):
+        bruteforce_closure(4, gens, cap=23)
+    assert bruteforce_closure(1, [Permutation.identity(1)]) == {(0,)}
+
+
 def test_iter_elements_deterministic_and_starts_with_identity():
     g = symmetric_group(5)
     first = list(g.iter_elements())
@@ -99,6 +118,8 @@ def test_iter_elements_deterministic_and_starts_with_identity():
     assert first == second
     assert first[0].is_identity()
     assert len(first) == len(set(first)) == 120
+    assert PermGroup(1, ()).elements() == [Permutation.identity(1)]
+    assert [g.images for g in cyclic_group(2).elements()] == [(0, 1), (1, 0)]
 
 
 def test_enumeration_streams():

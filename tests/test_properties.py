@@ -1,5 +1,6 @@
 """Property tests for the algebraic laws the whole pipeline leans on."""
 
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
@@ -17,11 +18,15 @@ from derangements.gf import field
 from derangements.permgrp import (
     PermGroup,
     Permutation,
-    _compose,
+    _Level,
+    _place,
+    _sift,
+    alternating_group,
     bruteforce_closure,
     coset_average_fixed_points,
     count_fixed,
     cyclic_group,
+    symmetric_group,
 )
 from derangements.suite import corpus_group, corpus_names
 
@@ -107,6 +112,19 @@ def _generator_sets():
     )
 
 
+def _map_compose(a, b):
+    """'apply a, then b' through map, so that the oracles below do not share
+    the product they check."""
+    return tuple(map(b.__getitem__, a))
+
+
+def _map_invert(a):
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
 def _old_iter_element_tuples(group):
     """The recursive enumerator the split-chain one replaced: at each level,
     in sorted orbit order, the transversal element composed onto the
@@ -120,7 +138,7 @@ def _old_iter_element_tuples(group):
             return
         transversal = levels[i].transversal
         for pt in sorted_orbits[i]:
-            yield from rec(i + 1, _compose(transversal[pt], prefix))
+            yield from rec(i + 1, _map_compose(transversal[pt], prefix))
 
     yield from rec(0, tuple(range(group.degree)))
 
@@ -151,6 +169,147 @@ def test_enumeration_order_matches_on_random_groups(data):
     # a stabilizer of the last point has a chain pinned away from point 0
     for g in (group, group.stabilizer(n - 1)):
         assert _same_enumeration(g)
+
+
+def _old_recompute_orbit(levels, i, degree):
+    lvl = levels[i]
+    gens = [g for l in levels[i:] for g in l.gens]
+    lvl.transversal = {lvl.base: tuple(range(degree))}
+    lvl.orbit = [lvl.base]
+    for pt in lvl.orbit:
+        for g in gens:
+            if g[pt] not in lvl.transversal:
+                lvl.transversal[g[pt]] = _map_compose(lvl.transversal[pt], g)
+                lvl.orbit.append(g[pt])
+
+
+def _old_sift(levels, start, images):
+    """The sift the carried-product one replaced: the residue is multiplied
+    by an inverted transversal element at every level it moves."""
+    for lvl in levels[start:]:
+        pt = images[lvl.base]
+        if pt == lvl.base:
+            continue
+        u = lvl.transversal.get(pt)
+        if u is None:
+            return images
+        images = _map_compose(images, _map_invert(u))
+    return images
+
+
+def _old_schreier_sims(levels, dirty, degree):
+    """Schreier-Sims as before the carried-product sift: each nontrivial
+    Schreier generator u*g*t^-1 is formed, then sifted."""
+    i = dirty
+    while i >= 0:
+        _old_recompute_orbit(levels, i, degree)
+        transversal = levels[i].transversal
+        gens_here = [g for l in levels[i:] for g in l.gens]
+        landed = None
+        for pt in levels[i].orbit:
+            for g in gens_here:
+                ug = _map_compose(transversal[pt], g)
+                target = transversal[g[pt]]
+                if ug == target:
+                    continue
+                residue = _old_sift(levels, i + 1, _map_compose(ug, _map_invert(target)))
+                if residue != tuple(range(degree)):
+                    landed = _place(levels, i + 1, residue, degree)
+                    break
+            if landed is not None:
+                break
+        i = i - 1 if landed is None else landed
+
+
+def _old_chain(degree, generators, pinned=None):
+    """The chain a group builds for its generators, by the old routines."""
+    levels = [] if pinned is None else [_Level(pinned, degree)]
+    for g in generators:
+        if g.is_identity():
+            continue
+        if pinned is not None and g.images[pinned] != pinned:
+            levels[0].gens.append(g.images)
+        else:
+            _place(levels, 0 if pinned is None else 1, g.images, degree)
+    _old_schreier_sims(levels, len(levels) - 1, degree)
+    return levels
+
+
+def _old_grown_chain(degree, generators):
+    """The chain ``extended`` grows from the trivial group, one generator
+    at a time, by the old routines."""
+    levels = []
+    for g in generators:
+        residue = _old_sift(levels, 0, g.images)
+        if residue != tuple(range(degree)):
+            _old_schreier_sims(levels, _place(levels, 0, residue, degree), degree)
+    return levels
+
+
+def _old_stabilizer_chain(levels, degree, generators, point):
+    if levels and levels[0].base == point:
+        return levels[1:]
+    return _old_chain(degree, generators, point)[1:]
+
+
+def _level_data(levels):
+    return [(lvl.base, lvl.gens, lvl.orbit, lvl.transversal) for lvl in levels]
+
+
+def _assert_chain_matches(group, oracle, probes):
+    """The group's chain equals the oracle chain level by level, and each
+    probe's membership and sifted residue agree with the old sift."""
+    levels = group._chain()
+    assert _level_data(levels) == _level_data(oracle), group
+    identity = tuple(range(group.degree))
+    for x in probes:
+        old = _old_sift(oracle, 0, x.images)
+        assert (x in group) == (old == identity)
+        assert _sift(levels, 0, x.images, identity) == (None if old == identity else old)
+
+
+def _probes(group, rng, count=4):
+    """Members drawn from the chain, and random elements of S_n, which
+    mostly leave some level's orbit while being sifted."""
+    n = group.degree
+    members = [group.random_element(rng) for _ in range(count)]
+    return members + [Permutation(rng.sample(range(n), n)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+def test_chain_matches_the_old_schreier_sims(data):
+    gens, probes = data
+    n = gens[0].degree
+    rng = random.Random(n)
+    group = PermGroup(n, gens)
+    _assert_chain_matches(group, _old_chain(n, group.generators), probes + _probes(group, rng))
+    grown = PermGroup(n, ())
+    for g in gens:
+        grown = grown.extended(g)
+    oracle = _old_grown_chain(n, grown.generators)
+    _assert_chain_matches(grown, oracle, probes + _probes(grown, rng))
+    for point in (0, n - 1):
+        stab = grown.stabilizer(point)
+        stab_oracle = _old_stabilizer_chain(oracle, n, grown.generators, point)
+        _assert_chain_matches(stab, stab_oracle, probes + _probes(stab, rng))
+
+
+def test_chain_matches_the_old_schreier_sims_on_corpus_and_giants():
+    rng = random.Random(15)
+    for n in range(1, 13):
+        for group in (symmetric_group(n), alternating_group(n)):
+            _assert_chain_matches(group, _old_chain(n, group.generators), _probes(group, rng))
+    for name in corpus_names():
+        group = corpus_group(name)
+        n = group.degree
+        _assert_chain_matches(group, _old_chain(n, group.generators), _probes(group, rng))
+        # D is grown by extended from the trivial group, one generator at a time
+        d = analyze(group).subgroup
+        oracle = _old_grown_chain(n, d.generators)
+        _assert_chain_matches(d, oracle, _probes(d, rng))
+        d0, d0_oracle = d.stabilizer(0), _old_stabilizer_chain(oracle, n, d.generators, 0)
+        _assert_chain_matches(d0, d0_oracle, _probes(d0, rng) + _probes(d, rng))
 
 
 def _bases(group):
