@@ -8,8 +8,9 @@ a certificate shows that no element fixing two points lies outside it
 (normality plus suborbit lengths), counts the derangements from its point
 stabilizer, measures its index, runs the structural checks around it (rank
 identity, semiregular quotient actions, index bounds), and identifies the
-quotient group by fingerprint against a small catalog.  No step of
-``analyze`` enumerates the whole group: it enumerates D_0, and G/D for its
+quotient group by fingerprint against a small catalog: G/D is G_0 acting
+regularly on the D_0-orbits in one of its orbits.  No step of ``analyze``
+enumerates the whole group: it enumerates D_0, and G/D for its
 fingerprint.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceeded, ConstraintViolated, NotTransitive
+from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
 from .gf import field
 from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
 from .permgrp import (
@@ -31,6 +32,7 @@ from .permgrp import (
     Permutation,
     _products,
     alternating_group,
+    block_action,
     count_fixed,
     dihedral_group,
 )
@@ -378,12 +380,31 @@ def _report(
     )
 
 
+def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
+    """G/D as G_0 acting on the D_0-orbits in its first orbit other than
+    {0}: G/D is G_0/D_0 as D is transitive, and the certificate makes that
+    action regular.  It is formed only to be fingerprinted, so an index
+    above FINGERPRINT_CAP is refused before anything is built."""
+    index = group.order() // sub.order()
+    if index > FINGERPRINT_CAP:
+        raise IndexTooLarge(f"index {index} exceeds cap {FINGERPRINT_CAP}")
+    if index == 1:
+        return PermGroup(1, ())
+    g0 = group.stabilizer(0)
+    delta = set(g0.orbits()[1])
+    blocks = [orbit for orbit in sub.stabilizer(0).orbits() if orbit[0] in delta]
+    block_of = {x: b for b, orbit in enumerate(blocks) for x in orbit}
+    quotient = block_action(block_of, [g.images for g in g0.generators])
+    assert quotient.order() == index, "G_0 must act regularly on the D_0-orbits"
+    return quotient
+
+
 def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
     """Full pipeline: compute the derangement-generated subgroup, run every
     check, and identify the quotient."""
     scan = _certified_scan(group, cap)
     sub = scan.subgroup
-    return _report(group, scan, sub, fingerprint(group.quotient(sub)))
+    return _report(group, scan, sub, fingerprint(_quotient(group, sub)))
 
 
 def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:

@@ -46,7 +46,7 @@ class NotNormal(ToolkitError, ValueError):
 
 
 class IndexTooLarge(ToolkitError, ValueError):
-    """Coset or quotient construction beyond the documented index cap."""
+    """Quotient construction beyond the documented index cap."""
 
 
 class DegreeTooLarge(ToolkitError, ValueError):

@@ -15,12 +15,12 @@ the stack of its digit matrices in breadth-first order (batched products
 of the frontier and the generators), with a dict from entry codes to
 positions; positions are the element handle, and elements() decodes
 FFMatrix objects only on request.  One batched elimination mod p decides
-eigenvalue 1, the eigenvalue-1 subgroup is a mask over positions, and a
-right coset is one product of the subgroup's stack.  Work on vectors
-maps whole arrays of indices; projective points are put in canonical
-form with log/exp tables of GF(q) and ranked in closed form.  No size or
-field threshold picks a code path; SPIN_WORK_CAP and
-SEMIREGULAR_VECTOR_CAP bound the work.
+eigenvalue 1, and the eigenvalue-1 subgroup is a mask over positions.  A
+quotient H/R is H acting on the R-orbits in the orbit of e_0, read off
+row 0 of the stack.  Work on vectors maps whole arrays of indices;
+projective points are put in canonical form with log/exp tables of GF(q)
+and ranked in closed form.  No size or field threshold picks a code path;
+SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the work.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import numpy as np
 
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
 from .gf import FieldSpec, field
-from .permgrp import PermGroup, Permutation
+from .permgrp import PermGroup, Permutation, block_action
 
 MAT_ENUMERATION_CAP = 2_000_000
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000
+FIXES_BLOCK = 8192  # digit matrices per eigenvalue-1 elimination
 
 
 class FFMatrix:
@@ -208,7 +209,11 @@ def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
     map, so M has eigenvalue 1 iff digit(M) - I is singular mod p.  One
     elimination runs on the whole stack: per column the first nonzero
     entry at or below the diagonal is swapped up, and each row below it is
-    replaced by pivot*row - entry*pivot_row, which keeps the rank."""
+    replaced by pivot*row - entry*pivot_row, which keeps the rank.  Blocks
+    of FIXES_BLOCK matrices bound the copies and temporaries."""
+    if len(stack) > FIXES_BLOCK:
+        blocks = range(0, len(stack), FIXES_BLOCK)
+        return np.concatenate([_fixes_a_vector(stack[i:i + FIXES_BLOCK], p) for i in blocks])
     n, k, _ = stack.shape
     a = stack - np.eye(k, dtype=np.int64)
     a %= p
@@ -247,7 +252,6 @@ class MatrixGroup:
         self._position: dict[bytes, int] | None = None  # entry-code bytes -> position
         self._elements: list[FFMatrix] | None = None  # decoded on request
         self._irreducibility: tuple | None = None
-        self._cosets: tuple | None = None  # (sub, reps, coset_of) of the last coset walk
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
@@ -450,26 +454,6 @@ def _orbit_labels(group: MatrixGroup) -> np.ndarray:
     return _propagate_min_labels(n, images)
 
 
-def _right_cosets(group: MatrixGroup, sub: MatrixGroup) -> tuple[list[int], np.ndarray]:
-    """(the position of one representative per right coset of sub, in
-    stack order, so the identity's coset first; the coset number of every
-    position), one stack product per coset.  The walk for the last sub is
-    cached on the group, so the index check and the quotient share it."""
-    if group._cosets is None or group._cosets[0] is not sub:
-        stack, sub_stack, p = group.digit_stack(), sub.digit_stack(), group.spec.p
-        coset_of = np.full(len(stack), -1, dtype=np.int64)
-        reps: list[int] = []
-        for i in range(len(stack)):
-            if len(reps) * len(sub_stack) == len(stack):
-                break
-            if coset_of[i] < 0:
-                coset_of[group._locate(sub_stack @ stack[i] % p)] = len(reps)
-                reps.append(i)
-        assert len(reps) * len(sub_stack) == len(stack)
-        group._cosets = (sub, reps, coset_of)
-    return group._cosets[1], group._cosets[2]
-
-
 @dataclass(frozen=True)
 class IndexBoundReport:
     """Outcome of the eigenvalue-1 index bound and orbit-semiregularity
@@ -490,12 +474,12 @@ def index_bound_check(
     sub: MatrixGroup | None = None,
     vector_cap: int = SEMIREGULAR_VECTOR_CAP,
 ) -> IndexBoundReport:
-    """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that every
-    non-identity coset moves every subgroup orbit on nonzero vectors.
-
-    The subgroup's orbit labels, and the images of the orbit minima under
-    each coset representative, come from the digit-vector path over GF(p)
-    for every field; the only limit is vector_cap on q^d."""
+    """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that H/sub acts
+    semiregularly on the orbits of the normal subgroup sub on nonzero
+    vectors: it permutes those in one H-orbit transitively, so it is
+    semiregular when each H-orbit holds |H : sub| of them.  The orbits
+    come from the digit-vector path over GF(p) for every field; the only
+    limit is vector_cap on q^d."""
     spec, d = group.spec, group.d
     if sub is None:
         sub = eigenvalue_one_subgroup(group)
@@ -507,10 +491,12 @@ def index_bound_check(
     labels = _orbit_labels(sub)
     minima = np.flatnonzero(labels == np.arange(n))[1:]
     digits = _index_digits(spec, d, minima)
-    semiregular = not any(
-        np.any(labels[_image_indices(spec, group.digit_stack()[rep], digits)] == minima)
-        for rep in _right_cosets(group, sub)[0][1:]
-    )
+    moves = [
+        np.searchsorted(minima, labels[_image_indices(spec, _digit_matrix(g), digits)])
+        for g in group.generators
+    ]
+    classes = _propagate_min_labels(len(minima), moves)
+    semiregular = bool((np.bincount(classes)[classes] == index).all())
     return IndexBoundReport(index, bound, index <= bound, semiregular)
 
 
@@ -700,16 +686,26 @@ def regular_perm_group(group: MatrixGroup) -> PermGroup:
 
 
 def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
-    """Action of the group on right cosets of a normal subgroup; faithful on
-    the quotient, so the image has order |group|/|sub|."""
-    reps, coset_of = _right_cosets(group, sub)
-    reps_stack, p = group.digit_stack()[reps], group.spec.p
-    gens = [
-        Permutation(coset_of[group._locate(reps_stack @ _digit_matrix(g) % p)].tolist())
-        for g in group.generators
-    ]
-    out = PermGroup(max(len(reps), 1), gens)
-    assert out.order() == len(reps), "coset action must be faithful modulo the subgroup"
+    """H/sub as H acting on the sub-orbits in the orbit of e_0 = (1, 0, ...,
+    0), read off row 0 of the stack.  For sub normal and holding the
+    stabilizer H_{e_0}, as R(H) does, h and h' share a coset exactly when
+    e_0*h and e_0*h' share a sub-orbit, so the action is regular.  Else
+    ConstraintViolated (sub misses part of H_{e_0}) or NotNormal."""
+    spec, d = group.spec, group.d
+    images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
+    points = images[np.append(True, images[1:] != images[:-1])]
+    digits = _index_digits(spec, d, points)
+    sub_moves, moves = (
+        [np.searchsorted(points, _image_indices(spec, _digit_matrix(g), digits)) for g in gens]
+        for gens in (sub.generators, group.generators)
+    )
+    labels = _propagate_min_labels(len(points), sub_moves)
+    minima = np.flatnonzero(labels == np.arange(len(points)))
+    if len(minima) * sub.order() != group.order():
+        raise ConstraintViolated("the subgroup must hold the stabilizer of e_0")
+    block_of = dict(enumerate(np.searchsorted(minima, labels).tolist()))
+    out = block_action(block_of, (m.tolist() for m in moves))
+    assert out.order() == len(minima), "H/sub must act regularly on the sub-orbits"
     return out
 
 

@@ -4,13 +4,13 @@ Composition is left-to-right: (g * h)(x) = h(g(x)).  One Schreier-Sims
 routine both builds a chain and extends one.  Every strong generator sits
 at the level based at the smallest point it moves, so bases are strictly
 increasing and each level group fixes every point below its base point.
-That property is what makes the greedy lexicographic coset representative
-in ``coset_min_rep`` correct.  A chain is built on the first structural
-query; ``extended`` grows a copy of it by one generator, and the
-stabilizer of the first base point shares its levels.  Levels are never
-changed once a group holds them, so chains are safe to share.  A sift
-inverts nothing: it carries the product of the transversal elements it
-uses and compares it with the sifted element, and products run in C.
+A chain is built on the first structural query; ``extended`` grows a copy
+of it by one generator, and the stabilizer of the first base point shares
+its levels.  Levels are never changed once a group holds them, so chains
+are safe to share.  A sift inverts nothing: it carries the product of the
+transversal elements it uses and compares it with the sifted element, and
+products run in C.  Quotients are taken as actions on blocks, the orbits
+of a normal subgroup (``block_action``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     CapExceeded,
     DegreeMismatch,
-    IndexTooLarge,
     NotNormal,
     NotSubgroup,
     NotTransitive,
@@ -522,72 +521,6 @@ class PermGroup:
             raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
         return list(self.iter_elements())
 
-    # coset machinery ----------------------------------------------------------
-
-    def coset_min_rep(self, g: Permutation) -> Permutation:
-        """Lexicographically least element of the right coset (self)*g.
-
-        Greedy descent: at each chain level the undecided image positions
-        start at the base point, and the candidates for it are exactly the
-        images of the level orbit, so picking the minimum and recursing is
-        optimal.  Relies on the strictly increasing base of the default
-        chain.
-        """
-        if g.degree != self.degree:
-            raise DegreeMismatch("degrees differ")
-        w = g.images
-        for lvl in self._chain():
-            best = min(lvl.orbit, key=w.__getitem__)
-            if best != lvl.base:
-                w = _compose(lvl.transversal[best], w)
-        return Permutation._raw(w)
-
-    def coset_action(self, subgroup: "PermGroup", index_cap: int = 100_000) -> "PermGroup":
-        """Image of this group acting on the right cosets of ``subgroup``,
-        in degree order of the discovered canonical representatives."""
-        if not subgroup.is_subgroup_of(self):
-            raise NotSubgroup("coset action needs a subgroup of this group")
-        index, rem = divmod(self.order(), subgroup.order())
-        if rem:
-            raise AssertionError("subgroup order does not divide group order")
-        if index > index_cap:
-            raise IndexTooLarge(f"index {index} exceeds cap {index_cap}")
-        start = subgroup.coset_min_rep(self.identity())
-        reps = [start]
-        lookup = {start.images: 0}
-        q = 0
-        while q < len(reps):
-            rep = reps[q]
-            q += 1
-            for g in self.generators:
-                nxt = subgroup.coset_min_rep(rep * g)
-                if nxt.images not in lookup:
-                    lookup[nxt.images] = len(reps)
-                    reps.append(nxt)
-        assert len(reps) == index, "coset count disagrees with the order ratio"
-        gen_images = []
-        for g in self.generators:
-            gen_images.append(
-                Permutation(
-                    tuple(lookup[subgroup.coset_min_rep(rep * g).images] for rep in reps)
-                )
-            )
-        return PermGroup(max(index, 1), gen_images)
-
-    def quotient(self, normal_subgroup: "PermGroup", index_cap: int = 10_000) -> "PermGroup":
-        """G/N as a permutation group on the cosets of the normal subgroup N."""
-        if not normal_subgroup.is_subgroup_of(self):
-            raise NotSubgroup("quotient needs a subgroup")
-        for g in self.generators:
-            for k in normal_subgroup.generators:
-                if k.conjugate_by(g) not in normal_subgroup:
-                    raise NotNormal("subgroup is not normal")
-        image = self.coset_action(normal_subgroup, index_cap)
-        assert image.order() * normal_subgroup.order() == self.order(), (
-            "coset action of a normal subgroup must have the subgroup as kernel"
-        )
-        return image
-
     def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
         seeds = list(seeds)
         for s in seeds:
@@ -635,6 +568,21 @@ class BlockSystem:
         for pt, b in enumerate(self.assignment):
             out[b].append(pt)
         return out
+
+
+def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]]) -> PermGroup:
+    """The action on blocks 0, 1, ... of maps given by their image lists:
+    point x lies in block block_of[x].  A group permutes the orbits of a
+    normal subgroup, so NotNormal is raised when a map splits a block."""
+    anchor = {b: x for x, b in block_of.items()}
+    gens = []
+    for img in images:
+        perm = [block_of[img[anchor[b]]] for b in range(len(anchor))]
+        moved = map(block_of.__getitem__, map(img.__getitem__, block_of))
+        if list(map(perm.__getitem__, block_of.values())) != list(moved):
+            raise NotNormal("the maps do not permute the blocks")
+        gens.append(Permutation(perm))
+    return PermGroup(len(anchor), gens)
 
 
 def coset_average_fixed_points(

@@ -18,7 +18,7 @@ from derangements.derange import (
     two_derangement_coverage,
     _faulted_analysis,
 )
-from derangements.errors import CapExceeded, ConstraintViolated, NotSubgroup, NotTransitive
+from derangements.errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
 from derangements.permgrp import (
     PermGroup,
     Permutation,
@@ -28,7 +28,7 @@ from derangements.permgrp import (
     symmetric_group,
 )
 from derangements.families import FamilyParams, build_family
-from test_properties import _old_derangement_generated
+from test_properties import _coset_quotient, _old_derangement_generated
 
 
 def agl_1_5() -> PermGroup:
@@ -115,13 +115,25 @@ def test_subgroup_checks_candidate_detects_gap():
 
 
 def test_subgroup_checks_candidate_must_be_subgroup():
-    """A group not containing D never passes as D, and the quotient step
-    refuses a non-subgroup."""
+    """A group not containing D never passes as D."""
     g = agl_1_5()
     swap = PermGroup(5, [Permutation((1, 0, 2, 3, 4))])
     assert not derange._certified_scan(g).subgroup.is_subgroup_of(swap)
-    with pytest.raises(NotSubgroup):
-        g.quotient(swap)
+
+
+def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
+    """An index above the cap raises IndexTooLarge, naming index and cap,
+    before any block action is built; an index at the cap passes."""
+    monkeypatch.setattr(derange, "FINGERPRINT_CAP", 4)
+    assert analyze(agl_1_5()).quotient_name == "C4"
+    monkeypatch.setattr(derange, "FINGERPRINT_CAP", 3)
+
+    def refuse(*args):
+        raise AssertionError("block action built past the index cap")
+
+    monkeypatch.setattr(derange, "block_action", refuse)
+    with pytest.raises(IndexTooLarge, match="^index 4 exceeds cap 3$"):
+        analyze(agl_1_5())
 
 
 def test_index_consequences_agl15():
@@ -283,10 +295,10 @@ def test_identify_named_regular_models():
 def test_identify_is_representation_independent():
     s4 = symmetric_group(4)
     v4 = PermGroup(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
-    on_cosets = s4.quotient(v4)  # degree 6 model of S3
+    on_cosets = _coset_quotient(s4, v4)  # degree 6 model of S3
     assert on_cosets.degree == 6
     assert identify_quotient(on_cosets) == "S3"
-    a4_regular = alternating_group(4).quotient(PermGroup(4, ()), index_cap=12)
+    a4_regular = _coset_quotient(alternating_group(4), PermGroup(4, ()))
     assert a4_regular.degree == 12
     assert identify_quotient(a4_regular) == "A4"
 

@@ -2,7 +2,8 @@
 products, and the GL(2,q) embeddings.  The batched digit-matrix stages are
 checked against pure-Python oracles kept here: the breadth-first closure
 by FFMatrix products, the echelon eigenvalue-1 test, the per-element coset
-walk, the searchsorted projective rank and the spin.  SL(2,3)'s closed-form
+walk (for the quotient on sub-orbit blocks and the index check), the
+searchsorted projective rank and the spin.  SL(2,3)'s closed-form
 generator is checked against the linear solve it replaced."""
 
 import itertools
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch
+from derangements import matgrp
+from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal
 from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
@@ -36,10 +38,10 @@ from derangements.matgrp import (
     regular_perm_group,
     scalar_matrix_group,
     special_linear_gl2,
+    _fixes_a_vector,
     _orbit_labels,
     _projective_rank,
     _quadratic_plane,
-    _right_cosets,
 )
 from derangements.permgrp import PermGroup, Permutation
 
@@ -135,8 +137,7 @@ def _index_bound_python(group, sub):
     labels = _orbit_labels_python(sub)
     rep_positions = sorted(set(labels[1:]))
     semiregular = True
-    elements = group.elements()
-    for h in (elements[i] for i in _right_cosets(group, sub)[0][1:]):
+    for h in _right_cosets_python(group, sub)[0][1:]:
         for pos in rep_positions:
             img = vector_to_index(spec, h.apply_row(index_to_vector(spec, d, pos)))
             if labels[img] == labels[pos]:
@@ -253,10 +254,21 @@ def _projective_points(q, d):
     )
 
 
+def _normal_and_holds_e0_stabilizer(group, sub):
+    """(sub is normal in the group, sub holds every element fixing e_0),
+    by brute force over the Python closures."""
+    keys = {m.rows for m in _closure_python(sub)}
+    e0 = (1,) + (0,) * (group.d - 1)
+    normal = all((g.inverse() * k * g).rows in keys for g in group.generators for k in sub.generators)
+    return normal, all(m.rows in keys for m in _closure_python(group) if m.apply_row(e0) == e0)
+
+
 def _assert_batched_paths_match(group, extra_sub=None):
-    """Element order, eigenvalue-1 flags, R(H)'s generators and elements,
-    and the right cosets of R(H) (and of extra_sub) equal the Python
-    oracles'."""
+    """Element order, eigenvalue-1 flags, R(H)'s generators and elements
+    equal the Python oracles'; so do the quotient actions on R(H) and on
+    extra_sub when it is normal and holds the stabilizer of e_0, while any
+    other extra_sub is refused, and the index check for a normal one on at
+    most 1000 vectors."""
     elements = group.elements()
     assert elements == _closure_python(group)
     flags = [has_eigenvalue_one(m) for m in elements]
@@ -265,22 +277,39 @@ def _assert_batched_paths_match(group, extra_sub=None):
     assert list(sub.generators) == _eigenvalue_one_generators_python(group)
     assert {m.rows for m in sub.elements()} == {m.rows for m in _closure_python(sub)}
     for s in (sub, extra_sub):
-        if s is not None:
-            reps, coset_of = _right_cosets(group, s)
-            expected_reps, expected_coset_of = _right_cosets_python(group, s)
-            assert [elements[i] for i in reps] == expected_reps
-            assert coset_of.tolist() == [expected_coset_of[m.rows] for m in elements]
+        if s is None:
+            continue
+        normal, holds_e0 = _normal_and_holds_e0_stabilizer(group, s)
+        if normal and group.spec.order**group.d <= 1000:
+            assert index_bound_check(group, s) == _index_bound_python(group, s)
+        if normal and holds_e0:
+            assert quotient_perm_group(group, s).generators == _action_oracle(group, s)[1]
+        else:
+            with pytest.raises((ConstraintViolated, NotNormal)):
+                quotient_perm_group(group, s)
 
 
 def _action_oracle(group, sub):
-    """The generators of regular_perm_group(group) and, for a normal sub,
-    of quotient_perm_group(group, sub), from one FFMatrix product per
-    point and generator."""
+    """The generators of regular_perm_group(group) and, for a normal sub
+    holding the stabilizer of e_0, of quotient_perm_group(group, sub), from
+    one FFMatrix product per point and generator.  The quotient acts on the
+    right cosets, each carried to a block by R*h -> e_0*h*R and numbered as
+    its block, by the least vector index in it."""
     elements = _closure_python(group)
     position = {m.rows: i for i, m in enumerate(elements)}
     reps, coset_of = _right_cosets_python(group, sub)
+    e0 = (1,) + (0,) * (group.d - 1)
+    sub_elements = _closure_python(sub)
+    least = [min(vector_to_index(group.spec, (h * s).apply_row(e0)) for s in sub_elements) for h in reps]
+    block = {x: b for b, x in enumerate(sorted(least))}
+    assert len(block) == len(reps)
     regular = [Permutation([position[(m * g).rows] for m in elements]) for g in group.generators]
-    quotient = [Permutation([coset_of[(m * g).rows] for m in reps]) for g in group.generators]
+    quotient = []
+    for g in group.generators:
+        images = [0] * len(reps)
+        for i, h in enumerate(reps):
+            images[block[least[i]]] = block[least[coset_of[(h * g).rows]]]
+        quotient.append(Permutation(images))
     return PermGroup(len(elements), regular).generators, PermGroup(len(reps), quotient).generators
 
 
@@ -770,24 +799,36 @@ def test_regular_perm_group():
 
 
 def test_quotient_perm_group():
+    """GL(2,3)/SL(2,3) is refused: diag(1, -1) fixes e_0 outside SL(2,3),
+    and its coset fixes e_0's SL(2,3)-orbit, so the index check reports
+    no semiregularity.  The scalars of GL(2,5) fix no vector, and the
+    quotient by R(H) = 1 is C4 acting regularly.  SL(2,3) in GL(2,5) fixes
+    no vector either, and does not permute the orbits of the non-normal
+    subgroup generated by its element of order 3."""
     gl = general_linear_gl2(GF3)
     sl = special_linear_gl2(GF3)
-    q = quotient_perm_group(gl, sl)
-    assert q.order() == 2
+    with pytest.raises(ConstraintViolated):
+        quotient_perm_group(gl, sl)
+    report = index_bound_check(gl, sl)
+    assert report.index == 2 and report.semiregular is False
+    scalars = scalar_matrix_group(GF5, 2)
+    q = quotient_perm_group(scalars, eigenvalue_one_subgroup(scalars))
+    assert q.degree == 4 and q.order() == 4 and q.is_transitive()
+    tetrahedral = binary_tetrahedral_gl2(GF5)
+    with pytest.raises(NotNormal):
+        quotient_perm_group(tetrahedral, MatrixGroup(GF5, 2, tetrahedral.generators[2:]))
 
 
-def test_right_cosets_walked_once_per_subgroup():
-    gl = general_linear_gl2(GF3)
-    sl = special_linear_gl2(GF3)
-    index_bound_check(gl, sl)
-    reps, coset_of = _right_cosets(gl, sl)
-    assert len(reps) == 2 and len(coset_of) == gl.order()
-    quotient_perm_group(gl, sl)
-    assert _right_cosets(gl, sl)[0] is reps
-    # another subgroup gets its own walk
-    scalars = scalar_matrix_group(GF3, 2)
-    assert len(_right_cosets(gl, scalars)[0]) == gl.order() // 2
-    assert len(_right_cosets(gl, sl)[0]) == 2
+def test_fixes_a_vector_in_blocks(monkeypatch):
+    """A stack longer than one elimination block, with a short last block,
+    gets the flags of the per-matrix test."""
+    gl = general_linear_gl2(field(2, 2))
+    expected = [has_eigenvalue_one(m) for m in gl.elements()]
+    assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
+    monkeypatch.setattr(matgrp, "FIXES_BLOCK", 7)
+    assert gl.order() % 7
+    assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
+    assert expected == [_has_eigenvalue_one_python(m) for m in gl.elements()]
 
 
 def test_vector_index_round_trip():

@@ -1,5 +1,5 @@
-"""Stabilizer-chain correctness against brute-force closures, plus the
-coset and block machinery."""
+"""Stabilizer-chain correctness against brute-force closures, plus block
+systems, block actions and the coset quotient kept as a reference."""
 
 import random
 import tracemalloc
@@ -8,12 +8,13 @@ from itertools import permutations
 
 import pytest
 
-from derangements.errors import CapExceeded, DegreeMismatch, NotNormal, NotSubgroup, NotTransitive
+from derangements.errors import CapExceeded, DegreeMismatch, NotNormal, NotTransitive
 from derangements.permgrp import (
     BlockSystem,
     PermGroup,
     Permutation,
     alternating_group,
+    block_action,
     bruteforce_closure,
     coset_average_fixed_points,
     count_fixed,
@@ -22,7 +23,7 @@ from derangements.permgrp import (
     symmetric_group,
 )
 from derangements.suite import corpus_group, corpus_names
-from test_properties import _coset_average_loop
+from test_properties import _coset_average_loop, _coset_min_rep, _coset_quotient
 
 
 def test_permutation_basics():
@@ -280,6 +281,8 @@ def test_primitive_groups(group):
 
 
 def test_coset_min_rep_agrees_with_bruteforce():
+    """The quotient reference's coset representative is the least element
+    of the coset."""
     s4 = symmetric_group(4)
     v4 = PermGroup(
         4,
@@ -289,7 +292,7 @@ def test_coset_min_rep_agrees_with_bruteforce():
         ],
     )
     for g in s4.iter_elements():
-        rep = v4.coset_min_rep(g)
+        rep = _coset_min_rep(v4, g)
         coset = sorted((h * g).images for h in v4.iter_elements())
         assert rep.images == coset[0]
         assert rep * g.inverse() in v4 or g * rep.inverse() in v4
@@ -298,16 +301,8 @@ def test_coset_min_rep_agrees_with_bruteforce():
 def test_coset_min_rep_is_constant_on_cosets():
     a4 = alternating_group(4)
     sub = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2)])])
-    reps = {sub.coset_min_rep(g).images for g in a4.iter_elements()}
+    reps = {_coset_min_rep(sub, g).images for g in a4.iter_elements()}
     assert len(reps) == a4.order() // sub.order()
-
-
-def test_coset_action_on_point_stabilizer_recovers_natural_action():
-    s4 = symmetric_group(4)
-    image = s4.coset_action(s4.stabilizer(0))
-    assert image.degree == 4
-    assert image.order() == 24
-    assert s4.order() // image.order() == 1  # faithful: trivial kernel
 
 
 def test_quotient_s4_by_v4_is_s3():
@@ -319,24 +314,31 @@ def test_quotient_s4_by_v4_is_s3():
             Permutation.from_cycles(4, [(0, 2), (1, 3)]),
         ],
     )
-    q = s4.quotient(v4)
+    q = _coset_quotient(s4, v4)
     assert q.order() == 6
     orders = sorted(g.order() for g in q.iter_elements())
     assert orders == [1, 2, 2, 2, 3, 3]
 
 
-def test_quotient_rejects_non_normal():
-    s4 = symmetric_group(4)
-    sub = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
+def test_block_action_on_orbits_of_a_normal_subgroup():
+    """D_8 on the orbits {0, 2} and {1, 3} of its rotation by two acts as
+    C2, and the orbits of the trivial group give back the natural action;
+    a map that splits a block is refused."""
+    d8 = dihedral_group(4)
+    images = [g.images for g in d8.generators]
+    on_pairs = block_action({0: 0, 2: 0, 1: 1, 3: 1}, images)
+    assert on_pairs.degree == 2 and on_pairs.order() == 2
+    assert block_action({x: x for x in range(4)}, images).generators == d8.generators
     with pytest.raises(NotNormal):
-        s4.quotient(sub)
+        block_action({0: 0, 1: 0, 2: 1, 3: 1}, images)
 
 
-def test_coset_action_rejects_non_subgroup():
-    c4 = cyclic_group(4)
-    swap = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
-    with pytest.raises(NotSubgroup):
-        c4.coset_action(swap)
+def test_quotient_rejects_non_normal():
+    """S_4 does not permute the orbits {0, 1}, {2}, {3} of the non-normal
+    subgroup generated by (0 1)."""
+    s4 = symmetric_group(4)
+    with pytest.raises(NotNormal):
+        block_action({0: 0, 1: 0, 2: 1, 3: 2}, [g.images for g in s4.generators])
 
 
 def test_normal_closure_in_s4():

@@ -9,16 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from derangements.derange import (
     _certified_scan,
+    _quotient,
     _regular_on_suborbits,
     analyze,
+    fingerprint,
     index_consequences,
 )
+from derangements.families import build_family
 from derangements.fileio import dump_perm_group, load_perm_group
 from derangements.gf import field
 from derangements.permgrp import (
     PermGroup,
     Permutation,
     _Level,
+    _compose,
     _place,
     _sift,
     alternating_group,
@@ -28,7 +32,7 @@ from derangements.permgrp import (
     cyclic_group,
     symmetric_group,
 )
-from derangements.suite import corpus_group, corpus_names
+from derangements.suite import PAPER_SCENARIOS, corpus_group, corpus_names
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -341,8 +345,9 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
         assert scratch.order() == len(closure)
         for x in probes:
             assert (x in grown) == (x.images in closure)
-            # the greedy coset representative is the least element of the coset
-            rep = grown.coset_min_rep(x)
+            # the reference's greedy coset representative is the least
+            # element of the coset
+            rep = _coset_min_rep(grown, x)
             assert rep.images == min(tuple(x.images[h[i]] for i in range(n)) for h in closure)
 
 
@@ -475,6 +480,74 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
         count_fixed(e) <= 1 for e in elements if e != tuple(range(n))
     )
     assert analyze(group).frobenius == frobenius
+
+
+def _coset_min_rep(group, g):
+    """Lexicographically least element of the right coset group*g: at each
+    chain level the undecided image positions start at the base point, and
+    the candidates for it are the images of the level orbit, so the least
+    one is picked and the descent goes on.  Correct because bases
+    increase."""
+    w = g.images
+    for lvl in group._chain():
+        best = min(lvl.orbit, key=w.__getitem__)
+        if best != lvl.base:
+            w = _compose(lvl.transversal[best], w)
+    return Permutation._raw(w)
+
+
+def _coset_quotient(group, normal):
+    """The reference for the block-action quotients: G/N acting on the
+    right cosets of the normal subgroup N, each named by its least element,
+    in the order a breadth-first walk from N discovers them."""
+    index = group.order() // normal.order()
+    reps = [_coset_min_rep(normal, group.identity())]
+    lookup = {reps[0].images: 0}
+    for rep in reps:
+        for g in group.generators:
+            nxt = _coset_min_rep(normal, rep * g)
+            if nxt.images not in lookup:
+                lookup[nxt.images] = len(reps)
+                reps.append(nxt)
+    gens = [
+        Permutation([lookup[_coset_min_rep(normal, rep * g).images] for rep in reps])
+        for g in group.generators
+    ]
+    image = PermGroup(len(reps), gens)
+    assert len(reps) == index and image.order() == index
+    return image
+
+
+def _assert_quotient_matches_cosets(group):
+    """G/D from the block action is regular of degree |G : D| and has the
+    fingerprint of the coset action; returns the index."""
+    d = analyze(group).subgroup
+    index = group.order() // d.order()
+    quotient = _quotient(group, d)
+    assert quotient.degree == index
+    assert quotient.is_transitive() and quotient.order() == index
+    assert fingerprint(quotient) == fingerprint(_coset_quotient(group, d))
+    return index
+
+
+def test_quotient_matches_the_coset_action_on_corpus_and_paper():
+    perm_scenarios = [sc for sc in PAPER_SCENARIOS if sc.kind in ("perm", "bridge")]
+    groups = [corpus_group(name) for name in corpus_names()]
+    groups += [build_family(sc.params) for sc in perm_scenarios]
+    indices = [_assert_quotient_matches_cosets(group) for group in groups]
+    assert len(indices) == len(corpus_names()) + len(perm_scenarios)
+    assert 1 in indices and max(indices) >= 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transitive_generator_sets())
+def test_quotient_matches_the_coset_action_on_random_groups(data):
+    sigma, affine, other = data
+    n = sigma.degree
+    cycle = Permutation.from_cycles(n, [tuple(range(n))])
+    _assert_quotient_matches_cosets(
+        PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
+    )
 
 
 @settings(max_examples=30, deadline=None)
