@@ -19,7 +19,6 @@ from .errors import ConstraintViolated, DegreeTooLarge
 from .gf import FieldSpec, _is_prime, field, prime_power_decompose
 from .matgrp import (
     MatrixGroup,
-    _digit_matrix,
     _image_indices,
     _index_digits,
     _quadratic_plane,
@@ -64,7 +63,7 @@ def affine_group(h: MatrixGroup) -> PermGroup:
         Permutation((points + ((low[:, i] + 1) % spec.p - low[:, i]) * spec.order**i).tolist())
         for i in range(d)
     ]
-    gens += [Permutation(_image_indices(spec, _digit_matrix(m), digits).tolist()) for m in h.generators]
+    gens += [Permutation(_image_indices(spec, m, digits).tolist()) for m in h.generator_digits()]
     group = PermGroup(degree, gens)
     assert group.order() == degree * h.order(), "translations and h must intersect trivially"
     return group

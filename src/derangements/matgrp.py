@@ -10,7 +10,8 @@ matrices in row-major encoded order.
 
 A vector's index in GF(q)^d is the index of its base-p digit vector in
 GF(p)^(d*f), on which each matrix acts as a (d*f)x(d*f) digit matrix over
-GF(p); M -> digit(M) is a homomorphism.  A group's one element store is
+GF(p); M -> digit(M) is a homomorphism, and a group converts each of its
+generators once (``generator_digits``).  A group's one element store is
 the stack of its digit matrices in breadth-first order (batched products
 of the frontier and the generators), with a dict from entry codes to
 positions; positions are the element handle, and elements() decodes
@@ -252,6 +253,7 @@ class MatrixGroup:
         self._position: dict[bytes, int] | None = None  # entry-code bytes -> position
         self._elements: list[FFMatrix] | None = None  # decoded on request
         self._irreducibility: tuple | None = None
+        self._digits: np.ndarray | None = None  # the generators' digit matrices
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
@@ -259,13 +261,21 @@ class MatrixGroup:
         if m.d != self.d:
             raise ValueError(f"matrix dimension {m.d} in GL({self.d},...)")
 
+    def generator_digits(self) -> np.ndarray:
+        """The generators' digit matrices, one per generator, built once."""
+        if self._digits is None:
+            k = self.d * self.spec.f
+            digits = [_digit_matrix(g) for g in self.generators]
+            self._digits = np.array(digits, dtype=np.int64).reshape(-1, k, k)
+        return self._digits
+
     def digit_stack(self, cap: int = MAT_ENUMERATION_CAP) -> np.ndarray:
         """The digit matrices of all elements, in breadth-first order from
         the identity; raises CapExceeded when the order exceeds cap."""
         if self._stack is None:
             spec, d = self.spec, self.d
             p, k = spec.p, d * spec.f
-            gens = np.array([_digit_matrix(g) for g in self.generators], dtype=np.int64)
+            gens = self.generator_digits()
             frontier = np.eye(k, dtype=np.int64)[None]
             position = dict.fromkeys(_entry_keys(spec, d, frontier), 0)
             levels = []
@@ -341,7 +351,8 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     generated so far; so every eigenvalue-1 element ends up inside, and the
     generating set stays small.  The subgroup is a mask over the group's
     positions, grown by a new generator g from the last one: its elements
-    times g, then each new element times every generator.  The eigenvalue-1
+    times g, then each new element times every generator.  Its stack is the
+    group's own when the mask is full, else the masked rows.  The eigenvalue-1
     elements form a conjugation-closed set (conjugation preserves
     eigenvalues), so the result is normal; normality is still verified by
     conjugating the generators with the parent's generators.
@@ -365,10 +376,10 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
             while len(new):
                 new = grow(stack[new][:, None] @ stack[gens])
     sub = MatrixGroup(spec, group.d, _decode(spec, group.d, stack[gens]))
-    sub._stack = stack[inside]
+    sub._stack = stack if inside.all() else stack[inside]
     assert group.order() % sub.order() == 0
-    for g in group.generators:
-        conjugates = _digit_matrix(g.inverse()) @ stack[gens] % p @ _digit_matrix(g)
+    for g, digits in zip(group.generators, group.generator_digits()):
+        conjugates = _digit_matrix(g.inverse()) @ stack[gens] % p @ digits
         if not inside[group._locate(conjugates % p)].all():
             raise AssertionError("eigenvalue-1 subgroup failed normality check")
     return sub
@@ -450,7 +461,7 @@ def _orbit_labels(group: MatrixGroup) -> np.ndarray:
     (the zero vector) keeps label 0."""
     n = group.spec.order**group.d
     digits = _index_digits(group.spec, group.d, np.arange(n, dtype=np.int64))
-    images = [_image_indices(group.spec, _digit_matrix(g), digits) for g in group.generators]
+    images = [_image_indices(group.spec, m, digits) for m in group.generator_digits()]
     return _propagate_min_labels(n, images)
 
 
@@ -464,9 +475,6 @@ class IndexBoundReport:
     bound: int
     index_ok: bool
     semiregular: bool | None
-
-    def __bool__(self) -> bool:
-        return self.index_ok and self.semiregular is not False
 
 
 def index_bound_check(
@@ -492,8 +500,8 @@ def index_bound_check(
     minima = np.flatnonzero(labels == np.arange(n))[1:]
     digits = _index_digits(spec, d, minima)
     moves = [
-        np.searchsorted(minima, labels[_image_indices(spec, _digit_matrix(g), digits)])
-        for g in group.generators
+        np.searchsorted(minima, labels[_image_indices(spec, m, digits)])
+        for m in group.generator_digits()
     ]
     classes = _propagate_min_labels(len(minima), moves)
     semiregular = bool((np.bincount(classes)[classes] == index).all())
@@ -544,8 +552,8 @@ def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] 
     digits = _index_digits(spec, d, points)
     log, exp = (np.array(t, dtype=np.int64) for t in spec.log_exp())
     images = []
-    for g in group.generators:
-        coords = _codes(spec, d, digits @ _digit_matrix(g) % spec.p)
+    for m in group.generator_digits():
+        coords = _codes(spec, d, digits @ m % spec.p)
         lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
         scaled = log[coords]
         scaled -= log[lead][:, None]
@@ -676,10 +684,7 @@ def _quadratic_plane(spec: FieldSpec):
 def regular_perm_group(group: MatrixGroup) -> PermGroup:
     """Right-regular permutation action on the group's own elements."""
     stack, p = group.digit_stack(), group.spec.p
-    gens = [
-        Permutation(group._locate(stack @ _digit_matrix(g) % p).tolist())
-        for g in group.generators
-    ]
+    gens = [Permutation(group._locate(stack @ m % p).tolist()) for m in group.generator_digits()]
     out = PermGroup(max(len(stack), 1), gens)
     assert out.order() == group.order()
     return out
@@ -696,8 +701,8 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     points = images[np.append(True, images[1:] != images[:-1])]
     digits = _index_digits(spec, d, points)
     sub_moves, moves = (
-        [np.searchsorted(points, _image_indices(spec, _digit_matrix(g), digits)) for g in gens]
-        for gens in (sub.generators, group.generators)
+        [np.searchsorted(points, _image_indices(spec, m, digits)) for m in grp.generator_digits()]
+        for grp in (sub, group)
     )
     labels = _propagate_min_labels(len(points), sub_moves)
     minima = np.flatnonzero(labels == np.arange(len(points)))

@@ -10,14 +10,14 @@ its levels.  Levels are never changed once a group holds them, so chains
 are safe to share.  A sift inverts nothing: it carries the product of the
 transversal elements it uses and compares it with the sifted element, and
 products run in C.  Quotients are taken as actions on blocks, the orbits
-of a normal subgroup (``block_action``).
+of a normal subgroup (``block_action``).  No block system is searched for:
+primitivity is maximality of the point stabilizer, read off the chain.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -316,7 +316,7 @@ class PermGroup:
         self._order: int | None = None
         self._orbits: list[list[int]] | None = None
         self._stabilizers: dict[int, PermGroup] = {}
-        self._block_systems: list[BlockSystem] | None = None
+        self._primitive: bool | None = None
 
     # chain and membership -------------------------------------------------
 
@@ -416,74 +416,25 @@ class PermGroup:
             raise NotTransitive("rank needs a transitive group")
         return len(self.stabilizer(0).orbits())
 
-    # block systems ----------------------------------------------------------
-
-    def minimal_block_assignment(self, beta: int) -> tuple[int, ...] | None:
-        """Finest G-congruence merging 0 and beta; None when it is all of the
-        domain.  Union-find refinement, processing each merge against every
-        generator once."""
-        parent = list(range(self.degree))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> bool:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            return True
-
-        union(0, beta)
-        pending = [(0, beta)]
-        while pending:
-            a, b = pending.pop()
-            for g in self.generators:
-                ga, gb = g.images[a], g.images[b]
-                if find(ga) != find(gb):
-                    ra, rb = find(ga), find(gb)
-                    union(ra, rb)
-                    pending.append((ra, rb))
-        roots = [find(x) for x in range(self.degree)]
-        if all(r == roots[0] for r in roots):
-            return None
-        relabel: dict[int, int] = {}
-        out = []
-        for r in roots:
-            if r not in relabel:
-                relabel[r] = len(relabel)
-            out.append(relabel[r])
-        return tuple(out)
-
-    def block_systems(self) -> list["BlockSystem"]:
-        """All distinct minimal nontrivial block systems, computed once.
-
-        The finest congruence merging 0 and beta is also the finest merging
-        0 and h(beta) for any h fixing 0, so it depends only on the suborbit
-        of beta.  One seed per suborbit, its least point, in increasing
-        order, finds the systems in the order a scan of every beta would."""
-        if self._block_systems is None:
-            if not self.is_transitive():
-                raise NotTransitive("block systems need a transitive group")
-            seen = set()
-            out = []
-            # orbits() lists {0} first, then the suborbits by least point
-            for suborbit in self.stabilizer(0).orbits()[1:]:
-                assignment = self.minimal_block_assignment(suborbit[0])
-                if assignment is None or assignment in seen:
-                    continue
-                seen.add(assignment)
-                out.append(BlockSystem.from_assignment(assignment))
-            self._block_systems = out
-        return self._block_systems
-
     def is_primitive(self) -> bool:
-        return self.is_transitive() and not self.block_systems()
+        """Whether the group is transitive and preserves no nontrivial
+        partition, computed once.  Blocks through 0 correspond to the groups
+        between G_0 and G, so a transitive G is primitive exactly when G_0
+        is maximal (Dixon-Mortimer, Permutation Groups, Cor 1.5A).
+        <G_0, g> depends only on the suborbit holding g(0), and it is G
+        exactly when it is transitive; the chain's first level holds one such
+        g per suborbit, the transversal element of its least point."""
+        if self._primitive is None:
+            self._primitive = self.is_transitive()
+            if self._primitive:
+                stab = self.stabilizer(0)
+                # orbits() lists {0} first, then the suborbits by least point
+                reps = (self._chain()[0].transversal[s[0]] for s in stab.orbits()[1:])
+                self._primitive = all(
+                    PermGroup(self.degree, stab.generators + (Permutation._raw(u),)).is_transitive()
+                    for u in reps
+                )
+        return self._primitive
 
     # element enumeration ----------------------------------------------------
 
@@ -544,30 +495,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """A G-invariant partition into blocks of equal size."""
-
-    assignment: tuple[int, ...]
-    num_blocks: int
-    block_size: int
-
-    @classmethod
-    def from_assignment(cls, assignment: tuple[int, ...]) -> "BlockSystem":
-        num = max(assignment) + 1
-        sizes = [0] * num
-        for b in assignment:
-            sizes[b] += 1
-        assert len(set(sizes)) == 1, "blocks of a congruence must share a size"
-        return cls(assignment, num, sizes[0])
-
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for pt, b in enumerate(self.assignment):
-            out[b].append(pt)
-        return out
 
 
 def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]]) -> PermGroup:

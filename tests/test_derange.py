@@ -441,17 +441,17 @@ def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
 
 @pytest.mark.parametrize("name,values", [("agl1", (7,)), ("affine-scalars", (5, 3))])
 def test_analyze_skips_primitivity_for_frobenius_groups(name, values):
-    """A Frobenius group's regime is "frobenius" whatever its block systems,
-    so analyze does not compute them, and its report is the one it gives
-    when they are already known."""
+    """A Frobenius group's regime is "frobenius" whether or not it is
+    primitive, so analyze does not decide primitivity, and its report is
+    the one it gives when primitivity is already known."""
     built = build_family(FamilyParams(name, values))
     group = PermGroup(built.degree, built.generators)
     report = analyze(group)
     assert report.frobenius and report.regime == "frobenius"
-    assert group._block_systems is None
+    assert group._primitive is None
     primed = PermGroup(built.degree, built.generators)
     primed.is_primitive()
-    assert primed._block_systems is not None
+    assert primed._primitive is not None
     assert analyze(primed) == report
     assert analyze(primed).to_record() == report.to_record()
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from derangements import matgrp
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal
+from derangements.families import central_product_examples
 from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
@@ -419,6 +420,18 @@ def test_gl23_order_and_eigenvalue_subgroup():
     assert g.order() // r.order() == 1
 
 
+def test_eigenvalue_one_subgroup_shares_the_stack_only_when_full():
+    """R(GL(2,3)) = GL(2,3) holds H's own stack, not a copy.  A proper R,
+    R(central-klein), lists its elements in H's order."""
+    gl = general_linear_gl2(GF3)
+    assert eigenvalue_one_subgroup(gl).digit_stack() is gl.digit_stack()
+    klein = central_product_examples("klein")
+    r = eigenvalue_one_subgroup(klein)
+    assert r.order() < klein.order()
+    positions = klein._locate(r.digit_stack())
+    assert positions[0] == 0 and (np.diff(positions) > 0).all()
+
+
 def test_scalar_group_eigenvalue_subgroup_trivial():
     h = scalar_matrix_group(GF5, 2)
     assert h.order() == 4
@@ -431,7 +444,6 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
     report = index_bound_check(h, r)
     assert report.index == 4 and report.bound == 24
     assert report.index_ok and report.semiregular
-    assert bool(report)
 
 
 def test_semiregular_false_with_transvections():

@@ -1,16 +1,18 @@
-"""Stabilizer-chain correctness against brute-force closures, plus block
-systems, block actions and the coset quotient kept as a reference."""
+"""Stabilizer-chain correctness against brute-force closures, block
+actions, and two searches kept as references: the every-seed block-system
+scan for primitivity and the coset quotient."""
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from derangements.errors import CapExceeded, DegreeMismatch, NotNormal, NotTransitive
 from derangements.permgrp import (
-    BlockSystem,
     PermGroup,
     Permutation,
     alternating_group,
@@ -23,7 +25,7 @@ from derangements.permgrp import (
     symmetric_group,
 )
 from derangements.suite import corpus_group, corpus_names
-from test_properties import _coset_average_loop, _coset_min_rep, _coset_quotient
+from test_properties import _coset_average_loop, _coset_min_rep, _coset_quotient, _transitive_generator_sets
 
 
 def test_permutation_basics():
@@ -226,58 +228,118 @@ def test_stabilizer_of_later_point_matches_bruteforce():
         assert all(g(point) == point for g in stab.generators)
 
 
+def _minimal_block_assignment(group, beta):
+    """Finest G-congruence merging 0 and beta, as block numbers in order of
+    first appearance; None when it is all of the domain.  Union-find
+    refinement, processing each merge against every generator once."""
+    parent = list(range(group.degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = sorted((find(a), find(b)))
+        parent[rb] = ra
+
+    union(0, beta)
+    pending = [(0, beta)]
+    while pending:
+        a, b = pending.pop()
+        for g in group.generators:
+            ra, rb = find(g.images[a]), find(g.images[b])
+            if ra != rb:
+                union(ra, rb)
+                pending.append((ra, rb))
+    roots = [find(x) for x in range(group.degree)]
+    if len(set(roots)) == 1:
+        return None
+    relabel = {}
+    return tuple(relabel.setdefault(r, len(relabel)) for r in roots)
+
+
 def _block_systems_every_seed(group):
-    """The scan over every seed beta in 1..n-1, kept as the oracle for the
-    one-seed-per-suborbit search."""
-    seen = set()
+    """The distinct minimal block systems over every seed beta in 1..n-1:
+    the block-system search that primitivity no longer needs, kept as the
+    reference for is_primitive."""
     out = []
     for beta in range(1, group.degree):
-        assignment = group.minimal_block_assignment(beta)
-        if assignment is None or assignment in seen:
-            continue
-        seen.add(assignment)
-        out.append(BlockSystem.from_assignment(assignment))
+        assignment = _minimal_block_assignment(group, beta)
+        if assignment is not None and assignment not in out:
+            out.append(assignment)
     return out
 
 
-def test_block_systems_match_every_seed_scan_on_corpus():
-    checked = 0
-    for name in corpus_names():
+def _primitive_every_seed(group):
+    return group.is_transitive() and not _block_systems_every_seed(group)
+
+
+def _shape(assignment):
+    """(number of blocks, block size); every block has the same size."""
+    sizes = Counter(assignment)
+    assert len(set(sizes.values())) == 1
+    return len(sizes), sizes[0]
+
+
+def test_is_primitive_matches_every_seed_scan_on_corpus():
+    names = corpus_names()
+    for name in names:
         group = corpus_group(name)
-        if group.degree > 30:
-            continue
-        assert group.block_systems() == _block_systems_every_seed(group), name
-        checked += 1
-    assert checked >= 50
+        assert group.is_primitive() == _primitive_every_seed(group), name
+    assert len(names) >= 60
 
 
-def test_block_systems_computed_once():
+@settings(max_examples=80, deadline=None)
+@given(_transitive_generator_sets())
+def test_is_primitive_matches_every_seed_scan_on_random_groups(data):
+    sigma, affine, other = data
+    n = sigma.degree
+    cycle = Permutation.from_cycles(n, [tuple(range(n))])
+    group = PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
+    assert group.is_primitive() == _primitive_every_seed(group)
+
+
+def test_is_primitive_computed_once(monkeypatch):
     g = cyclic_group(12)
-    first = g.block_systems()
-    assert g.block_systems() is first
-    assert not g.is_primitive()
+    assert g.is_primitive() is False
+    assert g._primitive is False
+
+    def refuse(self):
+        raise AssertionError("the cached answer should be read")
+
+    monkeypatch.setattr(PermGroup, "orbits", refuse)
+    monkeypatch.setattr(PermGroup, "stabilizer", refuse)
+    assert g.is_primitive() is False
+
+
+def test_intransitive_group_is_not_primitive():
+    # decided before any chain level is read: the trivial group has none
+    assert PermGroup(3, ()).is_primitive() is False
 
 
 def test_block_systems_cyclic_six():
     g = cyclic_group(6)
-    systems = g.block_systems()
-    shapes = sorted((s.num_blocks, s.block_size) for s in systems)
-    assert shapes == [(2, 3), (3, 2)]
+    systems = _block_systems_every_seed(g)
+    assert sorted(map(_shape, systems)) == [(2, 3), (3, 2)]
     for s in systems:
-        assert s.assignment[0] == 0
-    assert not g.is_primitive()
+        assert s[0] == 0
+    assert g.is_primitive() is False
 
 
 def test_block_systems_dihedral_four():
     g = dihedral_group(4)
-    systems = g.block_systems()
-    assert len(systems) == 1
-    assert sorted(map(tuple, systems[0].blocks())) == [(0, 2), (1, 3)]
+    systems = _block_systems_every_seed(g)
+    assert systems == [(0, 1, 0, 1)]
+    assert g.is_primitive() is False
 
 
-@pytest.mark.parametrize("group", [symmetric_group(4), alternating_group(5), cyclic_group(5)])
+@pytest.mark.parametrize(
+    "group", [symmetric_group(4), alternating_group(5), cyclic_group(5), PermGroup(1, ())]
+)
 def test_primitive_groups(group):
-    assert group.is_primitive()
+    assert group.is_primitive() is True
 
 
 def test_coset_min_rep_agrees_with_bruteforce():

@@ -13,7 +13,14 @@ from derangements.families import FAMILY_ARITY
 from derangements.gf import field
 from derangements.families import FamilyParams, build_family
 from derangements.fileio import dump_group, load_group
-from derangements.matgrp import FFMatrix, general_linear_gl2, scalar_matrix_group
+from derangements import matgrp
+from derangements.matgrp import (
+    FFMatrix,
+    dihedral_gl2,
+    eigenvalue_one_subgroup,
+    general_linear_gl2,
+    scalar_matrix_group,
+)
 from derangements.derange import analyze
 from derangements.permgrp import PermGroup, Permutation, coset_average_fixed_points, count_fixed
 from derangements.suite import (
@@ -58,6 +65,26 @@ def test_matrix_record_works_on_positions(monkeypatch):
     record = matrix_record(group)
     assert (record["order"], record["index"]) == (6960, 60)
     assert len(made) < 100
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: dihedral_gl2(field(3, 3), 28), lambda: build_family(FamilyParams("central-a5", ()))],
+    ids=["dihedral-27-28", "central-a5"],
+)
+def test_matrix_record_converts_each_generator_once(monkeypatch, build):
+    """matrix_record of a group loaded from its text makes one digit
+    matrix per generator of H and of R(H), plus one per inverse of H's
+    generators for R's normality check."""
+    text = dump_group(build())
+    matrix_record(load_group(text))  # builds the quotient catalog's groups
+    group = load_group(text)
+    calls = []
+    digit_matrix = matgrp._digit_matrix
+    monkeypatch.setattr(matgrp, "_digit_matrix", lambda m: calls.append(m) or digit_matrix(m))
+    matrix_record(group)
+    made = len(calls)  # before R(H) is built again for the bound
+    assert 0 < made <= 2 * len(group.generators) + len(eigenvalue_one_subgroup(group).generators)
 
 
 CHEAP_IDS = ("semilinear-3", "agl1-5", "affine-scalars-9", "coverage-s2")
