@@ -36,7 +36,8 @@ EXIT_USAGE = 2
 DEFAULT_MAX_DEGREE = 100_000
 MAX_ORDER_HELP = (
     "refuse to enumerate a group past this order: a matrix group, or the "
-    "point stabilizer of a permutation group's derangement subgroup"
+    "point stabilizer of a permutation group's derangement subgroup "
+    f"(default {ENUMERATION_CAP})"
 )
 
 
@@ -54,6 +55,14 @@ def _emit_record(record: dict, as_json: bool) -> None:
             print(f"{key:<14} {value}")
 
 
+def _record(group, max_order: int | None) -> dict:
+    """The analysis record, enumerating nothing past max_order."""
+    if isinstance(group, PermGroup):
+        return analyze(group, max_order).to_record()
+    group.digit_stack(max_order)
+    return matrix_record(group)
+
+
 def _cmd_analyze(args) -> int:
     text = Path(args.path).read_text()
     if args.kind == "perm":
@@ -69,11 +78,7 @@ def _cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        record = analyze(group, cap=args.max_order).to_record()
-    else:
-        group.digit_stack(cap=args.max_order)
-        record = matrix_record(group)
-    _emit_record(record, args.json)
+    _emit_record(_record(group, args.max_order), args.json)
     return EXIT_OK
 
 
@@ -149,12 +154,7 @@ def _cmd_construct(args) -> int:
     out.write_text(text)
     print(f"wrote {out}")
     if args.analyze:
-        if isinstance(built, PermGroup):
-            record = analyze(built, cap=args.max_order).to_record()
-        else:
-            built.digit_stack(cap=args.max_order)
-            record = matrix_record(built)
-        _emit_record(record, args.json)
+        _emit_record(_record(built, args.max_order), args.json)
     return EXIT_OK
 
 
@@ -178,7 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--max-order",
         type=int,
-        default=ENUMERATION_CAP,
         metavar="N",
         help=MAX_ORDER_HELP,
     )
@@ -231,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument("--json", action="store_true", help="emit JSON")
     p_construct.add_argument(
-        "--max-order", type=int, default=ENUMERATION_CAP, metavar="N",
-        help=MAX_ORDER_HELP,
+        "--max-order", type=int, metavar="N", help=MAX_ORDER_HELP,
     )
     p_construct.set_defaults(fn=_cmd_construct)
     return parser

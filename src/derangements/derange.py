@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
 from .gf import field
 from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
 from .permgrp import (
-    ENUMERATION_CAP,
     PermGroup,
     Permutation,
     _products,
@@ -64,10 +64,10 @@ class GroupFingerprint:
         assert sum(c for _, c in self.element_orders) == self.order
 
 
-def fingerprint(group: PermGroup, cap: int = FINGERPRINT_CAP) -> GroupFingerprint:
+def fingerprint(group: PermGroup) -> GroupFingerprint:
     order = group.order()
-    if order > cap:
-        raise CapExceeded(f"fingerprint needs order <= {cap}, got {order}")
+    if order > FINGERPRINT_CAP:
+        raise CapExceeded(f"fingerprint needs order <= {FINGERPRINT_CAP}, got {order}")
     elems = group.elements()
     hist = Counter(g.order() for g in elems)
     gens = list(group.generators) or [group.identity()]
@@ -154,7 +154,7 @@ def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
     return all(len(delta) == index * length[delta[0]] for delta in g0.orbits()[1:])
 
 
-def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
+def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     """D for a transitive group, from seeded uniform draws, with its
     certificate: D is transitive and normal, and its suborbit lengths show
     every element fixing two or more points lies in it.  Each coset outside
@@ -162,9 +162,10 @@ def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
     derangement; until then some derangement lies outside D, and D grows to
     the normal closure with the first one drawn.  Randomness only proposes
     D, so D and the count are the same for every seed.  The count,
-    |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap.
-    Every element of G_0 outside D_0 fixes point 0 alone, so the same tally
-    of D_0 counts the elements of G_0 that do."""
+    |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap
+    (ENUMERATION_CAP when None).  Every element of G_0 outside D_0 fixes
+    point 0 alone, so the same tally of D_0 counts the elements of G_0 that
+    do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     rng = random.Random(DRAW_SEED)
@@ -178,6 +179,7 @@ def _certified_scan(group: PermGroup, cap: int = ENUMERATION_CAP) -> _Scan:
         k.conjugate_by(g) in d for g in group.generators for k in d.generators
     ), "derangements must generate a normal subgroup"
     d0 = d.stabilizer(0)
+    cap = permgrp.ENUMERATION_CAP if cap is None else cap
     if d0.order() > cap:
         raise CapExceeded(f"point stabilizer order {d0.order()} exceeds cap {cap}")
     tally = Counter(count_fixed(raw) for raw in d0._iter_element_tuples())
@@ -199,10 +201,10 @@ def _frobenius(group: PermGroup, scan: _Scan) -> bool:
     return frob
 
 
-def derangement_set(group: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permutation]:
+def derangement_set(group: PermGroup) -> list[Permutation]:
     """All fixed-point-free elements, in enumeration order."""
-    if group.order() > cap:
-        raise CapExceeded(f"group order {group.order()} exceeds cap {cap}")
+    if group.order() > permgrp.ENUMERATION_CAP:
+        raise CapExceeded(f"group order {group.order()} exceeds cap {permgrp.ENUMERATION_CAP}")
     return [
         Permutation._raw(t)
         for t in group._iter_element_tuples()
@@ -210,9 +212,9 @@ def derangement_set(group: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permut
     ]
 
 
-def derangement_subgroup(group: PermGroup, cap: int = ENUMERATION_CAP) -> PermGroup:
+def derangement_subgroup(group: PermGroup) -> PermGroup:
     """The subgroup generated by all fixed-point-free elements."""
-    return _certified_scan(group, cap).subgroup
+    return _certified_scan(group).subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +231,12 @@ def index_consequences(group: PermGroup, scan: _Scan) -> bool:
     return 2 * scan.fix_only_zero >= group.stabilizer(0).order()
 
 
-def is_frobenius(group: PermGroup, cap: int = ENUMERATION_CAP):
+def is_frobenius(group: PermGroup):
     """(flag, kernel): flag is true when no non-identity element fixes two
     or more points.  Regular actions are excluded by definition (their point
     stabilizers are trivial).  When true, the derangements together with the
     identity are verified to form a subgroup: the kernel."""
-    scan = _certified_scan(group, cap)
+    scan = _certified_scan(group)
     return (True, scan.subgroup) if _frobenius(group, scan) else (False, None)
 
 
@@ -255,20 +257,19 @@ def bound_check(group: PermGroup, index: int, frobenius: bool) -> tuple[str, boo
     return regime, ok
 
 
-def two_derangement_coverage(
-    group: PermGroup, cap: int = ENUMERATION_CAP, work_cap: int = PRODUCT_WORK_CAP
-):
+def two_derangement_coverage(group: PermGroup):
     """Can every element of the derangement-generated subgroup be written
     as a product of two derangements?  Returns (covered, witnesses) where
     the witnesses are the elements missed by the product set.  The
     subgroup is grown from the derangement list in its order, extended by
     each derangement not yet in it.  Unlike analyze, this enumerates the
-    whole group, under cap."""
-    derangements = derangement_set(group, cap)
+    whole group, under ENUMERATION_CAP, and forms at most PRODUCT_WORK_CAP
+    products."""
+    derangements = derangement_set(group)
     dset = [p.images for p in derangements]
     if not dset:
         raise ConstraintViolated("group has no derangements to multiply")
-    if len(dset) ** 2 > work_cap:
+    if len(dset) ** 2 > PRODUCT_WORK_CAP:
         raise CapExceeded(f"{len(dset)}^2 products exceed the work cap")
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
@@ -399,20 +400,21 @@ def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     return quotient
 
 
-def analyze(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
+def analyze(group: PermGroup, cap: int | None = None) -> AnalysisReport:
     """Full pipeline: compute the derangement-generated subgroup, run every
-    check, and identify the quotient."""
+    check, and identify the quotient.  cap bounds |D_0|, the one group it
+    enumerates (ENUMERATION_CAP when None)."""
     scan = _certified_scan(group, cap)
     sub = scan.subgroup
     return _report(group, scan, sub, fingerprint(_quotient(group, sub)))
 
 
-def _faulted_analysis(group: PermGroup, cap: int = ENUMERATION_CAP) -> AnalysisReport:
+def _faulted_analysis(group: PermGroup) -> AnalysisReport:
     """analyze with D replaced by its point stabilizer D_0, a fault the
     checks must catch.  D is transitive, so D_0 is a proper subgroup that
     misses a derangement.  D_0 need not be normal, so no quotient is
     identified.  D is normal in the transitive group, so its point
     stabilizers are conjugate and the report depends on the group alone."""
-    scan = _certified_scan(group, cap)
+    scan = _certified_scan(group)
     d0 = scan.subgroup.stabilizer(0)
     return _report(group, scan, d0, None)

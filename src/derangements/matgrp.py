@@ -21,7 +21,8 @@ quotient H/R is H acting on the R-orbits in the orbit of e_0, read off
 row 0 of the stack.  Work on vectors maps whole arrays of indices;
 projective points are put in canonical form with log/exp tables of GF(q)
 and ranked in closed form.  No size or field threshold picks a code path;
-SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the work.
+permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the
+work, read when it is done.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
 from .gf import FieldSpec, field
 from .permgrp import PermGroup, Permutation, block_action
 
-MAT_ENUMERATION_CAP = 2_000_000
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000
 FIXES_BLOCK = 8192  # digit matrices per eigenvalue-1 elimination
@@ -269,10 +270,13 @@ class MatrixGroup:
             self._digits = np.array(digits, dtype=np.int64).reshape(-1, k, k)
         return self._digits
 
-    def digit_stack(self, cap: int = MAT_ENUMERATION_CAP) -> np.ndarray:
+    def digit_stack(self, cap: int | None = None) -> np.ndarray:
         """The digit matrices of all elements, in breadth-first order from
-        the identity; raises CapExceeded when the order exceeds cap."""
+        the identity; CapExceeded when the order exceeds cap, built or
+        cached.  With no cap the closure is built under ENUMERATION_CAP,
+        and a cached stack is not checked again."""
         if self._stack is None:
+            limit = permgrp.ENUMERATION_CAP if cap is None else cap
             spec, d = self.spec, self.d
             p, k = spec.p, d * spec.f
             gens = self.generator_digits()
@@ -280,8 +284,8 @@ class MatrixGroup:
             position = dict.fromkeys(_entry_keys(spec, d, frontier), 0)
             levels = []
             while len(frontier):
-                if len(position) > cap:
-                    raise CapExceeded(f"matrix closure exceeds cap {cap}")
+                if len(position) > limit:
+                    raise CapExceeded(f"matrix closure exceeds cap {limit}")
                 levels.append(frontier)
                 products = (frontier[:, None] @ gens.reshape(1, -1, k, k) % p).reshape(-1, k, k)
                 fresh = []
@@ -292,7 +296,7 @@ class MatrixGroup:
                 frontier = products[fresh]
             self._stack = np.concatenate(levels)
             self._position = position
-        if len(self._stack) > cap:
+        elif cap is not None and len(self._stack) > cap:
             raise CapExceeded(f"matrix closure exceeds cap {cap}")
         return self._stack
 
@@ -310,10 +314,10 @@ class MatrixGroup:
         keys = _entry_keys(self.spec, self.d, stack)
         return np.fromiter(map(self._positions().__getitem__, keys), dtype=np.int64, count=len(keys))
 
-    def elements(self, cap: int = MAT_ENUMERATION_CAP) -> list[FFMatrix]:
+    def elements(self) -> list[FFMatrix]:
         """All elements in the order of digit_stack(), decoded on the first
-        call and cached; raises CapExceeded when the order exceeds cap."""
-        stack = self.digit_stack(cap)
+        call and cached."""
+        stack = self.digit_stack()
         if self._elements is None:
             self._elements = _decode(self.spec, self.d, stack)
         return self._elements
@@ -477,24 +481,18 @@ class IndexBoundReport:
     semiregular: bool | None
 
 
-def index_bound_check(
-    group: MatrixGroup,
-    sub: MatrixGroup | None = None,
-    vector_cap: int = SEMIREGULAR_VECTOR_CAP,
-) -> IndexBoundReport:
+def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that H/sub acts
     semiregularly on the orbits of the normal subgroup sub on nonzero
     vectors: it permutes those in one H-orbit transitively, so it is
     semiregular when each H-orbit holds |H : sub| of them.  The orbits
     come from the digit-vector path over GF(p) for every field; the only
-    limit is vector_cap on q^d."""
+    limit is SEMIREGULAR_VECTOR_CAP on q^d."""
     spec, d = group.spec, group.d
-    if sub is None:
-        sub = eigenvalue_one_subgroup(group)
     index = group.order() // sub.order()
     bound = spec.order**d - 1
     n = spec.order**d
-    if n > vector_cap:
+    if n > SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
     labels = _orbit_labels(sub)
     minima = np.flatnonzero(labels == np.arange(n))[1:]

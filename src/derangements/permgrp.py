@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     NotTransitive,
 )
 
-ENUMERATION_CAP = 2_000_000
+ENUMERATION_CAP = 2_000_000  # the one enumeration limit, read when a call runs
 
 
 def _getter(a: tuple[int, ...]):
@@ -54,7 +54,7 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def count_fixed(images: Sequence[int]) -> int:
-    return sum(1 for i, x in enumerate(images) if i == x)
+    return sum(map(eq, images, range(len(images))))
 
 
 def _products(outer: Iterable[tuple[int, ...]], inner: list[tuple[int, ...]]):
@@ -467,9 +467,9 @@ class PermGroup:
         transversal-product order starting with the identity."""
         return map(Permutation._raw, self._iter_element_tuples())
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
-        if self.order() > cap:
-            raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
+    def elements(self) -> list[Permutation]:
+        if self.order() > ENUMERATION_CAP:
+            raise CapExceeded(f"group order {self.order()} exceeds cap {ENUMERATION_CAP}")
         return list(self.iter_elements())
 
     def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":

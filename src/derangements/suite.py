@@ -18,6 +18,7 @@ in-memory report objects only, never serialized).
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import time
 from collections import Counter
@@ -488,8 +489,14 @@ def run_scenario(scenario: Scenario, inject_fault: bool = False) -> RunReport:
     return RunReport(scenario.id, scenario.description, record, tuple(failures), wall_ms)
 
 
-def _run_scenario_by_id(scenario_id: str, inject_fault: bool) -> RunReport:
-    return run_scenario(_SCENARIOS_BY_ID[scenario_id], inject_fault)
+def _fan_out(fn, calls: list[tuple], workers: int) -> list:
+    """fn(*args) for each args in calls, in order: serially below 2
+    workers, else across a pool of that many processes, spawned rather
+    than forked from a process that may hold threads."""
+    if workers < 2:
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *zip(*calls)))
 
 
 def run_paper_suite(
@@ -508,14 +515,8 @@ def run_paper_suite(
     unknown = sorted(set(only) - _SCENARIOS_BY_ID.keys())
     if unknown:
         raise ConstraintViolated(f"unknown scenario id(s): {', '.join(unknown)}")
-    chosen = [sc for sc in PAPER_SCENARIOS if not only or sc.id in only]
-    if workers <= 1 or len(chosen) <= 1:
-        return [run_scenario(sc, inject_fault) for sc in chosen]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_scenario_by_id, sc.id, inject_fault) for sc in chosen
-        ]
-        return [f.result() for f in futures]
+    chosen = [(sc, inject_fault) for sc in PAPER_SCENARIOS if not only or sc.id in only]
+    return _fan_out(run_scenario, chosen, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +668,15 @@ def corpus_ok(record: dict) -> bool:
     return not corpus_failures(record)
 
 
-def _corpus_record_by_name(name: str) -> dict:
-    return corpus_record(name)
+def _corpus_entry(name: str, max_order: int | None, max_degree: int | None) -> dict:
+    """The record of one corpus group, built in the process that records
+    it, or a skip marker when it exceeds max_order or max_degree."""
+    group = corpus_group(name)
+    if (max_degree is not None and group.degree > max_degree) or (
+        max_order is not None and group.order() > max_order
+    ):
+        return {"name": name, "skipped": True}
+    return corpus_record(name, group)
 
 
 def run_corpus_suite(
@@ -678,27 +686,5 @@ def run_corpus_suite(
 ) -> list[dict]:
     """Records for every corpus group, in fixed order.  Groups exceeding
     max_order or max_degree are emitted as skip markers."""
-    names = corpus_names()
-    selected = []
-    for name in names:
-        group = corpus_group(name)
-        if max_degree is not None and group.degree > max_degree:
-            selected.append((name, None))
-        elif max_order is not None and group.order() > max_order:
-            selected.append((name, None))
-        else:
-            selected.append((name, group))
-    kept = [name for name, group in selected if group is not None]
-    if workers <= 1 or len(kept) <= 1:
-        by_name = {name: corpus_record(name, group) for name, group in selected if group is not None}
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_corpus_record_by_name, name) for name in kept}
-            by_name = {name: fut.result() for name, fut in futures.items()}
-    out = []
-    for name, group in selected:
-        if group is None:
-            out.append({"name": name, "skipped": True})
-        else:
-            out.append(by_name[name])
-    return out
+    calls = [(name, max_order, max_degree) for name in corpus_names()]
+    return _fan_out(_corpus_entry, calls, workers)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from derangements import permgrp
 from derangements.cli import main
 from derangements.derange import analyze
 from derangements.families import central_product_examples
+from derangements.errors import CapExceeded
 from derangements.fileio import dump_matrix_group, dump_perm_group, load_group
 from derangements.gf import field
 from derangements.matgrp import general_linear_gl2, scalar_matrix_group
@@ -54,6 +56,29 @@ def test_analyze_matrix_file_max_order(tmp_path, capsys):
     assert "exceeds cap 47" in capsys.readouterr().err
     assert main(["analyze", str(path), "--max-order", "48", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 48
+
+
+def test_max_order_above_the_enumeration_limit(tmp_path, capsys, monkeypatch):
+    """With the limit lowered below GL(2,5)'s order 480, a --max-order (or
+    an explicit digit_stack cap) at or above 480 admits the group and gives
+    the uncapped record; without one, the lowered limit applies."""
+    gl = general_linear_gl2(field(5, 1))
+    uncapped = matrix_record(gl)
+    path = tmp_path / "gl25.group"
+    path.write_text(dump_matrix_group(gl))
+    monkeypatch.setattr(permgrp, "ENUMERATION_CAP", 100)
+    for max_order in ("480", "1000"):
+        assert main(["analyze", str(path), "--json", "--max-order", max_order]) == 0
+        assert json.loads(capsys.readouterr().out) == uncapped
+    assert main(["analyze", str(path), "--max-order", "479"]) == 2
+    assert "exceeds cap 479" in capsys.readouterr().err
+    assert main(["analyze", str(path)]) == 2
+    assert "exceeds cap 100" in capsys.readouterr().err
+    group = load_group(path.read_text())
+    group.digit_stack(cap=480)
+    assert matrix_record(group) == uncapped
+    with pytest.raises(CapExceeded, match="cap 100"):
+        matrix_record(load_group(path.read_text()))
 
 
 def test_analyze_kind_mismatch(s3_file, capsys):

@@ -257,8 +257,9 @@ def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
     with pytest.raises(ConstraintViolated):
         two_derangement_coverage(PermGroup(3, [Permutation((1, 0, 2))]))
     intransitive = PermGroup(4, [Permutation((1, 0, 3, 2)), Permutation((1, 0, 2, 3))])
-    with pytest.raises(CapExceeded):
-        two_derangement_coverage(intransitive, work_cap=0)
+    with monkeypatch.context() as patch, pytest.raises(CapExceeded):
+        patch.setattr(derange, "PRODUCT_WORK_CAP", 0)
+        two_derangement_coverage(intransitive)
     with pytest.raises(NotTransitive):
         two_derangement_coverage(intransitive)
 

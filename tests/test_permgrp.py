@@ -182,6 +182,15 @@ def test_rank_matches_character_sum_on_corpus():
         assert total == group.rank() * group.order(), name
 
 
+def test_count_fixed_matches_the_per_point_loop():
+    for name in corpus_names():
+        group = corpus_group(name)
+        if group.order() <= 1000:
+            for raw in group._iter_element_tuples():
+                assert count_fixed(raw) == sum(1 for i, x in enumerate(raw) if i == x)
+    assert count_fixed((0,)) == 1 and count_fixed(()) == 0
+
+
 def test_rank_requires_transitive():
     g = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(NotTransitive):
