@@ -9,9 +9,9 @@ a certificate shows that no element fixing two points lies outside it
 stabilizer, measures its index, runs the structural checks around it (rank
 identity, semiregular quotient actions, index bounds), and identifies the
 quotient group by fingerprint against a small catalog: G/D is G_0 acting
-regularly on the D_0-orbits in one of its orbits.  No step of ``analyze``
-enumerates the whole group: it enumerates D_0, and G/D for its
-fingerprint.
+regularly on the D_0-orbits in one of its orbits.  No call enumerates the
+whole group: ``analyze`` enumerates D_0, and G/D for its fingerprint, and
+two-derangement coverage reads the derangements off a walk of D.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .gf import field
 from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
 from .permgrp import (
     PermGroup,
-    Permutation,
     _products,
     alternating_group,
     block_action,
@@ -201,17 +200,6 @@ def _frobenius(group: PermGroup, scan: _Scan) -> bool:
     return frob
 
 
-def derangement_set(group: PermGroup) -> list[Permutation]:
-    """All fixed-point-free elements, in enumeration order."""
-    if group.order() > permgrp.ENUMERATION_CAP:
-        raise CapExceeded(f"group order {group.order()} exceeds cap {permgrp.ENUMERATION_CAP}")
-    return [
-        Permutation._raw(t)
-        for t in group._iter_element_tuples()
-        if count_fixed(t) == 0
-    ]
-
-
 def derangement_subgroup(group: PermGroup) -> PermGroup:
     """The subgroup generated by all fixed-point-free elements."""
     return _certified_scan(group).subgroup
@@ -260,25 +248,22 @@ def bound_check(group: PermGroup, index: int, frobenius: bool) -> tuple[str, boo
 def two_derangement_coverage(group: PermGroup):
     """Can every element of the derangement-generated subgroup be written
     as a product of two derangements?  Returns (covered, witnesses) where
-    the witnesses are the elements missed by the product set.  The
-    subgroup is grown from the derangement list in its order, extended by
-    each derangement not yet in it.  Unlike analyze, this enumerates the
-    whole group, under ENUMERATION_CAP, and forms at most PRODUCT_WORK_CAP
-    products."""
-    derangements = derangement_set(group)
-    dset = [p.images for p in derangements]
-    if not dset:
+    the witnesses are the elements missed by the product set, in D's
+    enumeration order.  D and the derangement count come from the
+    certified scan, and every derangement lies in D, so the one walk is
+    over D, under ENUMERATION_CAP; the count is checked against
+    PRODUCT_WORK_CAP before anything is listed."""
+    scan = _certified_scan(group)
+    count = scan.derangement_count
+    if not count:
         raise ConstraintViolated("group has no derangements to multiply")
-    if len(dset) ** 2 > PRODUCT_WORK_CAP:
-        raise CapExceeded(f"{len(dset)}^2 products exceed the work cap")
-    if not group.is_transitive():
-        raise NotTransitive("derangement subgroup needs a transitive action")
+    if count**2 > PRODUCT_WORK_CAP:
+        raise CapExceeded(f"{count}^2 products exceed the work cap")
+    elements = scan.subgroup.elements()
+    dset = [p.images for p in elements if not count_fixed(p.images)]
+    assert len(dset) == count, "the walk of D must find the certified derangements"
     products = set(_products(dset, dset))
-    sub = PermGroup(group.degree, ())
-    for p in derangements:
-        if p not in sub:
-            sub = sub.extended(p)
-    witnesses = [g for g in sub.iter_elements() if g.images not in products]
+    witnesses = [p for p in elements if p.images not in products]
     return len(witnesses) == 0, witnesses
 
 

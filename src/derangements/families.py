@@ -208,10 +208,10 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
                 failures.append("h must act by automorphisms of the cyclic kernel")
                 break
         else:
-            for g in h.iter_elements():
-                if not g.is_identity() and g.fixed_point_count() != 1:
-                    failures.append("h must fix only the zero point")
-                    break
+            # h fixes {0}, and no other point is fixed by a non-identity
+            # element exactly when every other orbit has |h| points
+            if any(len(orbit) != h.order() for orbit in h.orbits()[1:]):
+                failures.append("h must fix only the zero point")
     degree = m**q
     if degree > AFFINE_DEGREE_CAP:
         failures.append(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from derangements import derange, suite
+from derangements import derange, permgrp, suite
 from derangements.derange import (
     AnalysisReport,
     analyze,
     bound_check,
-    derangement_set,
     derangement_subgroup,
     fingerprint,
     identify_quotient,
@@ -23,12 +22,13 @@ from derangements.permgrp import (
     PermGroup,
     Permutation,
     alternating_group,
+    count_fixed,
     cyclic_group,
     dihedral_group,
     symmetric_group,
 )
 from derangements.families import FamilyParams, build_family
-from test_properties import _coset_quotient, _old_derangement_generated
+from test_properties import _coset_quotient
 
 
 def agl_1_5() -> PermGroup:
@@ -50,20 +50,37 @@ def affine_scaling_9() -> PermGroup:
     return PermGroup(9, [tx, ty, neg])
 
 
+def derangement_set(group: PermGroup) -> list[Permutation]:
+    """The test oracle: every fixed-point-free element, by an exhaustive
+    walk of the whole group, in enumeration order."""
+    return [p for p in group.iter_elements() if count_fixed(p.images) == 0]
+
+
+def _in_certified_subgroup(group: PermGroup, derangements: list[Permutation]) -> bool:
+    d = derangement_subgroup(group)
+    return analyze(group).derangement_count == len(derangements) and all(p in d for p in derangements)
+
+
 def test_derangement_set_s3():
-    ds = derangement_set(symmetric_group(3))
+    g = symmetric_group(3)
+    ds = derangement_set(g)
     assert sorted(p.images for p in ds) == [(1, 2, 0), (2, 0, 1)]
+    assert _in_certified_subgroup(g, ds)
 
 
 def test_derangement_set_s4_shapes():
-    ds = derangement_set(symmetric_group(4))
+    g = symmetric_group(4)
+    ds = derangement_set(g)
     assert len(ds) == 9
     shapes = sorted(tuple(sorted(len(c) for c in p.cycles())) for p in ds)
     assert shapes.count((2, 2)) == 3 and shapes.count((4,)) == 6
+    assert _in_certified_subgroup(g, ds)
 
 
 def test_derangement_set_regular():
-    assert len(derangement_set(cyclic_group(5))) == 4
+    g = cyclic_group(5)
+    assert len(derangement_set(g)) == 4
+    assert _in_certified_subgroup(g, derangement_set(g))
 
 
 def test_derangement_subgroup_s3():
@@ -214,17 +231,12 @@ def test_two_derangement_coverage_small():
     assert covered
 
 
-def test_two_derangement_coverage_grows_the_scanned_subgroup(monkeypatch):
-    """Coverage builds D from its own derangement list, with no second
-    certified scan, and walks the same elements as the scanned D."""
+def test_two_derangement_coverage_walks_the_scanned_subgroup():
+    """The witnesses are the elements of the certified D missed by the
+    products of two derangements, in D's enumeration order."""
     groups = [symmetric_group(2), alternating_group(5), agl_1_5(), symmetric_group(4)]
-    expected = [list(derangement_subgroup(g).iter_elements()) for g in groups]
-
-    def no_scan(*args, **kwargs):
-        raise AssertionError("coverage ran a certified scan")
-
-    monkeypatch.setattr(derange, "_certified_scan", no_scan)
-    for g, elements in zip(groups, expected):
+    for g in groups:
+        elements = list(derangement_subgroup(g).iter_elements())
         _, witnesses = two_derangement_coverage(g)
         products = {a * b for a in derangement_set(g) for b in derangement_set(g)}
         assert witnesses == [e for e in elements if e not in products]
@@ -232,36 +244,44 @@ def test_two_derangement_coverage_grows_the_scanned_subgroup(monkeypatch):
         two_derangement_coverage(PermGroup(4, [Permutation((1, 0, 3, 2))]))
 
 
-def test_two_derangement_coverage_pins_the_growth_order(monkeypatch):
-    """Coverage extends D by the same derangements, in the same order, as
-    the exhaustive derangement loop, and its checks raise in the order
-    empty list, work cap, transitivity."""
-    groups = [symmetric_group(4), alternating_group(5), suite.corpus_group("affine-sl2-3")]
-    for g in groups:
-        g.order()
-    grown = []
-    original = PermGroup.extended
-
-    def recording(self, p):
-        grown.append(p)
-        return original(self, p)
-
-    monkeypatch.setattr(PermGroup, "extended", recording)
-    for g in groups:
-        grown.clear()
-        _old_derangement_generated(g)
-        scanned = list(grown)
-        grown.clear()
-        two_derangement_coverage(g)
-        assert len(scanned) >= 2 and grown == scanned
-    with pytest.raises(ConstraintViolated):
-        two_derangement_coverage(PermGroup(3, [Permutation((1, 0, 2))]))
+def test_two_derangement_coverage_check_order(monkeypatch):
+    """Coverage refuses, before it lists anything, in the order: not
+    transitive, no derangements, work cap on the certified count; then the
+    walk of D keeps the enumeration limit."""
     intransitive = PermGroup(4, [Permutation((1, 0, 3, 2)), Permutation((1, 0, 2, 3))])
-    with monkeypatch.context() as patch, pytest.raises(CapExceeded):
-        patch.setattr(derange, "PRODUCT_WORK_CAP", 0)
-        two_derangement_coverage(intransitive)
+    monkeypatch.setattr(derange, "PRODUCT_WORK_CAP", 0)
+    with pytest.raises(NotTransitive):
+        two_derangement_coverage(PermGroup(3, [Permutation((1, 0, 2))]))
     with pytest.raises(NotTransitive):
         two_derangement_coverage(intransitive)
+    with pytest.raises(ConstraintViolated, match="no derangements"):
+        two_derangement_coverage(PermGroup(1, ()))
+    monkeypatch.setattr(permgrp, "ENUMERATION_CAP", 59)
+    with pytest.raises(CapExceeded, match=r"^24\^2 products exceed the work cap$"):
+        two_derangement_coverage(alternating_group(5))
+    monkeypatch.setattr(derange, "PRODUCT_WORK_CAP", 24**2)
+    with pytest.raises(CapExceeded, match="group order 60 exceeds cap 59"):
+        two_derangement_coverage(alternating_group(5))
+    monkeypatch.setattr(permgrp, "ENUMERATION_CAP", 60)
+    assert two_derangement_coverage(alternating_group(5)) == (True, [])
+
+
+def test_two_derangement_coverage_refuses_s9_without_walking_it(monkeypatch):
+    """S_9 has 133 496 derangements: the certified count is refused by the
+    work cap, and no group as large as S_9 is enumerated on the way."""
+    g = symmetric_group(9)
+    g.order()
+    walked = []
+    original = PermGroup._iter_element_tuples
+
+    def recording(self):
+        walked.append(self.order())
+        return original(self)
+
+    monkeypatch.setattr(PermGroup, "_iter_element_tuples", recording)
+    with pytest.raises(CapExceeded, match=r"^133496\^2 products exceed the work cap$"):
+        two_derangement_coverage(g)
+    assert walked and max(walked) < g.order()
 
 
 def test_fingerprint_c6():
