@@ -26,7 +26,8 @@ from functools import lru_cache
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
 from .gf import field
-from .matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
+from .families import affine_group
+from .matgrp import quaternion_gl2, special_linear_gl2
 from .permgrp import (
     PermGroup,
     _products,
@@ -83,14 +84,16 @@ def _dihedral_fingerprint(m: int) -> GroupFingerprint:
 
 @lru_cache(maxsize=1)
 def _named_catalog() -> dict:
+    """Fingerprints of the named groups.  The linear ones are taken as the
+    point stabilizers of their affine groups: h acting on vectors."""
     gf3 = field(3, 1)
     gf5 = field(5, 1)
     catalog = {
-        "Q8": fingerprint(regular_perm_group(quaternion_gl2(gf5))),
+        "Q8": fingerprint(affine_group(quaternion_gl2(gf5)).stabilizer()),
         "A4": fingerprint(alternating_group(4)),
         "A5": fingerprint(alternating_group(5)),
-        "SL(2,3)": fingerprint(regular_perm_group(special_linear_gl2(gf3))),
-        "SL(2,5)": fingerprint(regular_perm_group(special_linear_gl2(gf5))),
+        "SL(2,3)": fingerprint(affine_group(special_linear_gl2(gf3)).stabilizer()),
+        "SL(2,5)": fingerprint(affine_group(special_linear_gl2(gf5)).stabilizer()),
     }
     # every named entry must be distinguishable from the dihedral group of
     # the same order, and from each other
@@ -146,8 +149,8 @@ def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
     of G_0/N_0 is semiregular exactly when it has |G_0 : N_0| points.  For
     sub normal in the group this holds exactly when every element fixing
     two or more points lies in sub; for trivial sub, when none but 1 does."""
-    g0 = group.stabilizer(0)
-    n0 = sub.stabilizer(0)
+    g0 = group.stabilizer()
+    n0 = sub.stabilizer()
     index = g0.order() // n0.order()
     length = {x: len(orbit) for orbit in n0.orbits() for x in orbit}
     return all(len(delta) == index * length[delta[0]] for delta in g0.orbits()[1:])
@@ -162,11 +165,16 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     the normal closure with the first one drawn.  Randomness only proposes
     D, so D and the count are the same for every seed.  The count,
     |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap
-    (ENUMERATION_CAP when None).  Every element of G_0 outside D_0 fixes
-    point 0 alone, so the same tally of D_0 counts the elements of G_0 that
-    do."""
+    (ENUMERATION_CAP when None).  |G_0 : D_0| = |G : D| is at most n - 1,
+    so a cap below |G_0|/(n - 1) is refused before D grows.  Every element
+    of G_0 outside D_0 fixes point 0 alone, so the same tally of D_0 counts
+    the elements of G_0 that do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
+    cap = permgrp.ENUMERATION_CAP if cap is None else cap
+    floor = -(-group.stabilizer().order() // max(group.degree - 1, 1))
+    if floor > cap:
+        raise CapExceeded(f"point stabilizer order at least {floor} exceeds cap {cap}")
     rng = random.Random(DRAW_SEED)
     d = PermGroup(group.degree, ())
     while not (d.is_transitive() and _regular_on_suborbits(group, d)):
@@ -177,14 +185,13 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     assert all(
         k.conjugate_by(g) in d for g in group.generators for k in d.generators
     ), "derangements must generate a normal subgroup"
-    d0 = d.stabilizer(0)
-    cap = permgrp.ENUMERATION_CAP if cap is None else cap
+    d0 = d.stabilizer()
     if d0.order() > cap:
         raise CapExceeded(f"point stabilizer order {d0.order()} exceeds cap {cap}")
     tally = Counter(count_fixed(raw) for raw in d0._iter_element_tuples())
     count = d.order() - group.degree * sum(Fraction(c, k) for k, c in tally.items())
     assert count.denominator == 1, "derangement count must be an integer"
-    fix_only_zero = group.stabilizer(0).order() - d0.order() + tally[1]
+    fix_only_zero = group.stabilizer().order() - d0.order() + tally[1]
     return _Scan(int(count), d, fix_only_zero)
 
 
@@ -216,7 +223,7 @@ def index_consequences(group: PermGroup, scan: _Scan) -> bool:
     check fails whatever the second says; when it holds, so does the
     second: the set S of those elements misses the identity (n >= 2), so
     |S| >= |G_0|/2 gives |<S>| > |G_0|/2, and <S> = G_0."""
-    return 2 * scan.fix_only_zero >= group.stabilizer(0).order()
+    return 2 * scan.fix_only_zero >= group.stabilizer().order()
 
 
 def is_frobenius(group: PermGroup):
@@ -376,9 +383,9 @@ def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
         raise IndexTooLarge(f"index {index} exceeds cap {FINGERPRINT_CAP}")
     if index == 1:
         return PermGroup(1, ())
-    g0 = group.stabilizer(0)
+    g0 = group.stabilizer()
     delta = set(g0.orbits()[1])
-    blocks = [orbit for orbit in sub.stabilizer(0).orbits() if orbit[0] in delta]
+    blocks = [orbit for orbit in sub.stabilizer().orbits() if orbit[0] in delta]
     block_of = {x: b for b, orbit in enumerate(blocks) for x in orbit}
     quotient = block_action(block_of, [g.images for g in g0.generators])
     assert quotient.order() == index, "G_0 must act regularly on the D_0-orbits"
@@ -401,5 +408,5 @@ def _faulted_analysis(group: PermGroup) -> AnalysisReport:
     identified.  D is normal in the transitive group, so its point
     stabilizers are conjugate and the report depends on the group alone."""
     scan = _certified_scan(group)
-    d0 = scan.subgroup.stabilizer(0)
+    d0 = scan.subgroup.stabilizer()
     return _report(group, scan, d0, None)

@@ -150,7 +150,9 @@ def _wreath_generators(h: PermGroup, k: int) -> list[Permutation]:
 
 
 def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
-    """h wreath a k-cycle in product action on degree-m^k tuples."""
+    """h wreath a k-cycle in product action on degree-m^k tuples, m >= 2."""
+    if h.degree < 2:
+        raise ConstraintViolated("the base group must act on at least 2 points")
     degree = h.degree**k
     if degree > AFFINE_DEGREE_CAP:
         raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
@@ -330,4 +332,6 @@ def build_family(params: FamilyParams):
         raise ConstraintViolated(
             f"family {name!r} takes {FAMILY_ARITY[name]} parameter(s), got {len(vals)}"
         )
+    if any(v < 1 for v in vals):
+        raise ConstraintViolated(f"family {name!r} takes parameters of at least 1, got {vals}")
     return _FAMILIES[name][1](*vals)

@@ -17,7 +17,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import NotPrime, TooLarge, ZeroElement
+from .errors import ConstraintViolated, NotPrime, TooLarge, ZeroElement
 
 ORDER_CAP = 1 << 20
 
@@ -269,9 +269,9 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Split q into (p, f) with q = p**f, p prime; ValueError otherwise."""
+    """Split q into (p, f) with q = p**f, p prime; ConstraintViolated otherwise."""
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+        raise ConstraintViolated(f"{q} is not a prime power")
     p = 2
     while p * p <= q and q % p:
         p += 1
@@ -283,7 +283,7 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
         rest //= p
         f += 1
     if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise ConstraintViolated(f"{q} is not a prime power")
     return p, f
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
 from .gf import FieldSpec, field
-from .permgrp import PermGroup, Permutation, block_action
+from .permgrp import PermGroup, block_action
 
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000
@@ -677,15 +677,6 @@ def _quadratic_plane(spec: FieldSpec):
 
 
 # permutation views -------------------------------------------------------------
-
-
-def regular_perm_group(group: MatrixGroup) -> PermGroup:
-    """Right-regular permutation action on the group's own elements."""
-    stack, p = group.digit_stack(), group.spec.p
-    gens = [Permutation(group._locate(stack @ m % p).tolist()) for m in group.generator_digits()]
-    out = PermGroup(max(len(stack), 1), gens)
-    assert out.order() == group.order()
-    return out
 
 
 def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:

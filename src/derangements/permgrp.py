@@ -1,17 +1,19 @@
 """Permutation groups on {0, ..., n-1} with a deterministic stabilizer chain.
 
-Composition is left-to-right: (g * h)(x) = h(g(x)).  One Schreier-Sims
-routine both builds a chain and extends one.  Every strong generator sits
-at the level based at the smallest point it moves, so bases are strictly
-increasing and each level group fixes every point below its base point.
-A chain is built on the first structural query; ``extended`` grows a copy
-of it by one generator, and the stabilizer of the first base point shares
-its levels.  Levels are never changed once a group holds them, so chains
-are safe to share.  A sift inverts nothing: it carries the product of the
-transversal elements it uses and compares it with the sifted element, and
-products run in C.  Quotients are taken as actions on blocks, the orbits
-of a normal subgroup (``block_action``).  No block system is searched for:
-primitivity is maximality of the point stabilizer, read off the chain.
+Composition is left-to-right: (g * h)(x) = h(g(x)).  One routine,
+``_grow``, makes every chain, from the empty one on the first structural
+query or from a copy in ``extended``: it sifts the new generators in and
+runs Schreier-Sims once.  Every strong generator sits at the level based
+at the smallest point it moves, so bases are strictly increasing and each
+level group fixes every point below its base point.  The one point
+stabilizer is that of point 0, the levels below the first; no chain is
+built for the stabilizer of any other point.  Levels are never changed
+once a group holds them, so chains are safe to share.  A sift inverts
+nothing: it carries the product of the transversal elements it uses and
+compares it with the sifted element, and products run in C.  Quotients are
+taken as actions on blocks, the orbits of a normal subgroup
+(``block_action``).  No block system is searched for: primitivity is
+maximality of the point stabilizer, read off the chain.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceeded,
+    ConstraintViolated,
     DegreeMismatch,
     NotNormal,
     NotSubgroup,
@@ -274,21 +277,20 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
         i = i - 1 if landed is None else landed
 
 
-def _build_chain(degree: int, generators, pinned: int | None = None) -> list[_Level]:
-    """A verified chain for the generators.  With ``pinned``, the first
-    level is based at that point whatever it is, and the remaining levels
-    form a chain of its stabilizer."""
-    levels = [] if pinned is None else [_Level(pinned, degree)]
+def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int) -> None:
+    """Grow a verified chain (or the empty one) by the generators: each is
+    sifted and its residue placed, then the chain is verified once, from
+    the deepest level a residue landed on.  A fresh level's transversal
+    holds only its base, so on the empty chain every generator sifts to
+    itself and lands on the level of the smallest point it moves."""
+    identity = tuple(range(degree))
+    landed = []
     for g in generators:
-        images = g.images
-        if _identity_tuple(images):
-            continue
-        if pinned is not None and images[pinned] != pinned:
-            levels[0].gens.append(images)
-        else:
-            _place(levels, 0 if pinned is None else 1, images, degree)
-    _schreier_sims(levels, len(levels) - 1, degree)
-    return levels
+        residue = _sift(levels, 0, g.images, identity)
+        if residue is not None:
+            landed.append(levels[_place(levels, 0, residue, degree)])
+    if landed:
+        _schreier_sims(levels, max(map(levels.index, landed)), degree)
 
 
 class PermGroup:
@@ -315,26 +317,24 @@ class PermGroup:
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self._orbits: list[list[int]] | None = None
-        self._stabilizers: dict[int, PermGroup] = {}
+        self._stabilizer: PermGroup | None = None
         self._primitive: bool | None = None
 
     # chain and membership -------------------------------------------------
 
     def _chain(self) -> list[_Level]:
         if self._levels is None:
-            self._levels = _build_chain(self.degree, self.generators)
+            levels: list[_Level] = []
+            _grow(levels, self.generators, self.degree)
+            self._levels = levels
         return self._levels
 
     def extended(self, g: Permutation) -> "PermGroup":
         """The group generated by these generators and g.  Its chain is a
-        copy of this one, grown from the level where g's sifted residue
-        lands instead of being rebuilt."""
+        copy of this one, grown by g instead of being rebuilt."""
         grown = PermGroup(self.degree, self.generators + (g,))
-        levels = [lvl.copy() for lvl in self._chain()]
-        residue = _sift(levels, 0, g.images, tuple(range(self.degree)))
-        if residue is not None:
-            _schreier_sims(levels, _place(levels, 0, residue, self.degree), self.degree)
-        grown._levels = levels
+        grown._levels = [lvl.copy() for lvl in self._chain()]
+        _grow(grown._levels, (g,), self.degree)
         return grown
 
     def order(self) -> int:
@@ -392,21 +392,18 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def stabilizer(self, point: int) -> "PermGroup":
-        """Point stabilizer.  When the chain's first base is the point (point
-        0 of any group that moves it), the remaining levels are already the
-        stabilizer's chain; otherwise a chain is built with the point pinned
-        first."""
-        if point not in self._stabilizers:
-            chain = self._chain()
-            if not chain or chain[0].base != point:
-                chain = _build_chain(self.degree, self.generators, point)
+    def stabilizer(self) -> "PermGroup":
+        """The stabilizer of point 0.  A group that moves 0 has its first
+        level based at 0, and the levels below it are the stabilizer's
+        chain; a group that fixes 0 is its own stabilizer."""
+        chain = self._chain()
+        if not chain or chain[0].base != 0:
+            return self
+        if self._stabilizer is None:
             gens = [Permutation._raw(g) for lvl in chain[1:] for g in lvl.gens]
-            stab = PermGroup(self.degree, gens)
-            stab._levels = chain[1:]
-            assert stab.order() * len(chain[0].orbit) == self.order()
-            self._stabilizers[point] = stab
-        return self._stabilizers[point]
+            self._stabilizer = PermGroup(self.degree, gens)
+            self._stabilizer._levels = chain[1:]
+        return self._stabilizer
 
     def rank(self) -> int:
         """Number of suborbits (orbits of a point stabilizer).  The corpus
@@ -414,7 +411,7 @@ class PermGroup:
         sum(fix(g)^2) == rank * |G|."""
         if not self.is_transitive():
             raise NotTransitive("rank needs a transitive group")
-        return len(self.stabilizer(0).orbits())
+        return len(self.stabilizer().orbits())
 
     def is_primitive(self) -> bool:
         """Whether the group is transitive and preserves no nontrivial
@@ -427,7 +424,7 @@ class PermGroup:
         if self._primitive is None:
             self._primitive = self.is_transitive()
             if self._primitive:
-                stab = self.stabilizer(0)
+                stab = self.stabilizer()
                 # orbits() lists {0} first, then the suborbits by least point
                 reps = (self._chain()[0].transversal[s[0]] for s in stab.orbits()[1:])
                 self._primitive = all(
@@ -581,7 +578,7 @@ def cyclic_group(n: int) -> PermGroup:
 def dihedral_group(m: int) -> PermGroup:
     """Dihedral group of order 2m acting on m points (m >= 3)."""
     if m < 3:
-        raise ValueError("dihedral action needs at least 3 points")
+        raise ConstraintViolated("dihedral action needs at least 3 points")
     rot = Permutation.from_cycles(m, [tuple(range(m))])
     ref = Permutation([(-i) % m for i in range(m)])
     return PermGroup(m, [rot, ref])

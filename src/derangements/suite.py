@@ -74,7 +74,7 @@ COSET_REP_COUNT = 10
 
 @dataclass(frozen=True)
 class Expectation:
-    """One pinned record field: dotted path, exact expected value, and a
+    """One expected record field: dotted path, exact expected value, and a
     short note saying which fact the value pins down."""
 
     field: str

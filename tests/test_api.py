@@ -13,6 +13,7 @@ REMOVED = (
     "subgroup_checks",
     "index_consequences",
     "bound_check",
+    "regular_perm_group",
 )
 
 

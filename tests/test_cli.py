@@ -253,6 +253,19 @@ def test_construct_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [["dihedral", "2"], ["symmetric", "0"], ["agl1", "6"], ["wreath-sym", "1", "3"], ["alternating", "0"]],
+    ids="-".join,
+)
+def test_construct_parameter_errors_exit_2(params, tmp_path, capsys):
+    out = tmp_path / "g.group"
+    assert main(["construct", *params, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     capsys.readouterr()

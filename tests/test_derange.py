@@ -28,6 +28,7 @@ from derangements.permgrp import (
     symmetric_group,
 )
 from derangements.families import FamilyParams, build_family
+from test_matgrp import _closure_python
 from test_properties import _coset_quotient
 
 
@@ -127,7 +128,7 @@ def test_subgroup_checks_candidate_detects_gap():
     # captures them exactly when it contains D
     d = derange._certified_scan(g).subgroup
     assert not d.is_subgroup_of(PermGroup(5, ()))
-    assert not d.is_subgroup_of(g.stabilizer(0))
+    assert not d.is_subgroup_of(g.stabilizer())
     assert d.is_subgroup_of(d)
 
 
@@ -136,6 +137,18 @@ def test_subgroup_checks_candidate_must_be_subgroup():
     g = agl_1_5()
     swap = PermGroup(5, [Permutation((1, 0, 2, 3, 4))])
     assert not derange._certified_scan(g).subgroup.is_subgroup_of(swap)
+
+
+def test_analyze_refuses_a_provably_over_cap_stabilizer_before_d_grows(monkeypatch):
+    """|G_0 : D_0| = |G : D| is at most n - 1, so |D_0| >= |G_0|/(n - 1):
+    for S_30 that is 28!, past the cap before any normal closure is taken."""
+
+    def fail(self, closure):
+        raise AssertionError("D grew although its stabilizer is provably over the cap")
+
+    monkeypatch.setattr(PermGroup, "normal_closure_of", fail)
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        analyze(symmetric_group(30))
 
 
 def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
@@ -305,12 +318,22 @@ def test_identify_small_groups():
     assert identify_quotient(c3xc3) == "unrecognized"
 
 
-def test_identify_named_regular_models():
-    from derangements.gf import field
-    from derangements.matgrp import quaternion_gl2, regular_perm_group, special_linear_gl2
+def _regular_model(group):
+    """The right-regular action of a matrix group on its own elements, from
+    the Python closure: one FFMatrix product per element and generator."""
+    elements = _closure_python(group)
+    position = {m.rows: i for i, m in enumerate(elements)}
+    gens = [Permutation([position[(m * g).rows] for m in elements]) for g in group.generators]
+    return PermGroup(len(elements), gens)
 
-    assert identify_quotient(regular_perm_group(quaternion_gl2(field(5, 1)))) == "Q8"
-    assert identify_quotient(regular_perm_group(special_linear_gl2(field(3, 1)))) == "SL(2,3)"
+
+def test_identify_named_regular_models():
+    # the catalog fingerprints these groups as affine point stabilizers
+    from derangements.gf import field
+    from derangements.matgrp import quaternion_gl2, special_linear_gl2
+
+    assert identify_quotient(_regular_model(quaternion_gl2(field(5, 1)))) == "Q8"
+    assert identify_quotient(_regular_model(special_linear_gl2(field(3, 1)))) == "SL(2,3)"
 
 
 def test_identify_is_representation_independent():
@@ -453,7 +476,7 @@ def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
     for name in suite.corpus_names():
         g = suite.corpus_group(name)
         d = derangement_subgroup(g)
-        bound = max(d.stabilizer(0).order(), g.order() // d.order())
+        bound = max(d.stabilizer().order(), g.order() // d.order())
         walked.clear()
         analyze(g)
         _faulted_analysis(g)

@@ -8,8 +8,9 @@ import pytest
 
 from derangements import families
 from derangements.derange import analyze, derangement_subgroup, fingerprint, identify_quotient
-from derangements.errors import ConstraintViolated, DegreeTooLarge
+from derangements.errors import ConstraintViolated, DegreeTooLarge, ToolkitError
 from derangements.families import (
+    FAMILY_ARITY,
     FamilyParams,
     affine_group,
     build_family,
@@ -130,7 +131,7 @@ def test_pgammal28_point_stabilizer_is_sylow3_normalizer():
     on pairs is the coset action on that normalizer.  N_G(P) is found here
     by enumerating G."""
     g = pgammal_28()
-    stab = g.stabilizer(0)
+    stab = g.stabilizer()
     assert stab.order() == 54
     sylow = PermGroup(28, [h for h in stab.iter_elements() if 27 % h.order() == 0])
     assert sylow.order() == 27
@@ -274,6 +275,17 @@ def test_build_family_rejects():
     with pytest.raises(ConstraintViolated, match="parameter") as exc:
         build_family(FamilyParams("semilinear", (3, 4)))
     assert str(exc.value) == "family 'semilinear' takes 1 parameter(s), got 2"
+
+
+def test_family_parameters_0_to_4_build_or_raise_typed_errors():
+    """Every family over every parameter tuple from 0..4 builds a member or
+    raises a ToolkitError; no parameter reaches an untyped error."""
+    for name, arity in FAMILY_ARITY.items():
+        for values in itertools.product(range(5), repeat=arity):
+            try:
+                build_family(FamilyParams(name, values))
+            except ToolkitError:
+                pass
 
 
 def test_build_family_calls_rebound_constructors(monkeypatch):

@@ -36,7 +36,6 @@ from derangements.matgrp import (
     kronecker,
     quaternion_gl2,
     quotient_perm_group,
-    regular_perm_group,
     scalar_matrix_group,
     special_linear_gl2,
     _fixes_a_vector,
@@ -284,34 +283,31 @@ def _assert_batched_paths_match(group, extra_sub=None):
         if normal and group.spec.order**group.d <= 1000:
             assert index_bound_check(group, s) == _index_bound_python(group, s)
         if normal and holds_e0:
-            assert quotient_perm_group(group, s).generators == _action_oracle(group, s)[1]
+            assert quotient_perm_group(group, s).generators == _action_oracle(group, s)
         else:
             with pytest.raises((ConstraintViolated, NotNormal)):
                 quotient_perm_group(group, s)
 
 
 def _action_oracle(group, sub):
-    """The generators of regular_perm_group(group) and, for a normal sub
-    holding the stabilizer of e_0, of quotient_perm_group(group, sub), from
-    one FFMatrix product per point and generator.  The quotient acts on the
-    right cosets, each carried to a block by R*h -> e_0*h*R and numbered as
-    its block, by the least vector index in it."""
-    elements = _closure_python(group)
-    position = {m.rows: i for i, m in enumerate(elements)}
+    """For a normal sub holding the stabilizer of e_0, the generators of
+    quotient_perm_group(group, sub), from one FFMatrix product per point
+    and generator.  The quotient acts on the right cosets, each carried to a
+    block by R*h -> e_0*h*R and numbered as its block, by the least vector
+    index in it."""
     reps, coset_of = _right_cosets_python(group, sub)
     e0 = (1,) + (0,) * (group.d - 1)
     sub_elements = _closure_python(sub)
     least = [min(vector_to_index(group.spec, (h * s).apply_row(e0)) for s in sub_elements) for h in reps]
     block = {x: b for b, x in enumerate(sorted(least))}
     assert len(block) == len(reps)
-    regular = [Permutation([position[(m * g).rows] for m in elements]) for g in group.generators]
     quotient = []
     for g in group.generators:
         images = [0] * len(reps)
         for i, h in enumerate(reps):
             images[block[least[i]]] = block[least[coset_of[(h * g).rows]]]
         quotient.append(Permutation(images))
-    return PermGroup(len(elements), regular).generators, PermGroup(len(reps), quotient).generators
+    return PermGroup(len(reps), quotient).generators
 
 
 def _random_invertible(rng, spec, d):
@@ -556,14 +552,12 @@ def _small_matrix_groups(draw):
 @given(_small_matrix_groups())
 def test_batched_matrix_paths_match_python_oracles(drawn):
     """Closure order, eigenvalue-1 flags, R(H)'s generators and elements,
-    right cosets, the regular and quotient actions and projective ranks
+    right cosets, the quotient action and projective ranks
     equal the Python oracles' over prime and prime-power fields."""
     group, sub, rng = drawn
     _assert_batched_paths_match(group, sub)
     r = eigenvalue_one_subgroup(group)
-    regular, quotient = _action_oracle(group, r)
-    assert regular_perm_group(group).generators == regular
-    assert quotient_perm_group(group, r).generators == quotient
+    assert quotient_perm_group(group, r).generators == _action_oracle(group, r)
     q, d = group.spec.order, group.d
     points = _projective_points(q, d)
     shuffled = points[np.array(rng.sample(range(len(points)), len(points)), dtype=np.int64)]
@@ -805,13 +799,6 @@ def test_quadratic_extension_over_gf9():
         for x, y in itertools.product(fixed, repeat=2):
             assert image[big.add_e(x, y)] == base.add_e(image[x], image[y])
             assert image[big.mul_e(x, y)] == base.mul_e(image[x], image[y])
-
-
-def test_regular_perm_group():
-    q8 = quaternion_gl2(GF5)
-    reg = regular_perm_group(q8)
-    assert reg.degree == 8 and reg.order() == 8
-    assert sorted(g.order() for g in reg.iter_elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
 def test_quotient_perm_group():

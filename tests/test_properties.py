@@ -21,7 +21,6 @@ from derangements.gf import field
 from derangements.permgrp import (
     PermGroup,
     Permutation,
-    _Level,
     _compose,
     _place,
     _sift,
@@ -159,7 +158,7 @@ def test_enumeration_order_matches_the_recursive_enumerator():
     for name in corpus_names():
         group = corpus_group(name)
         d = analyze(group).subgroup
-        groups += [group, d, d.stabilizer(0)]
+        groups += [group, d, d.stabilizer()]
     for group in groups:
         assert _same_enumeration(group), group
 
@@ -170,8 +169,7 @@ def test_enumeration_order_matches_on_random_groups(data):
     gens, _ = data
     n = gens[0].degree
     group = PermGroup(n, gens)
-    # a stabilizer of the last point has a chain pinned away from point 0
-    for g in (group, group.stabilizer(n - 1)):
+    for g in (group, group.stabilizer()):
         assert _same_enumeration(g)
 
 
@@ -225,16 +223,12 @@ def _old_schreier_sims(levels, dirty, degree):
         i = i - 1 if landed is None else landed
 
 
-def _old_chain(degree, generators, pinned=None):
+def _old_chain(degree, generators):
     """The chain a group builds for its generators, by the old routines."""
-    levels = [] if pinned is None else [_Level(pinned, degree)]
+    levels = []
     for g in generators:
-        if g.is_identity():
-            continue
-        if pinned is not None and g.images[pinned] != pinned:
-            levels[0].gens.append(g.images)
-        else:
-            _place(levels, 0 if pinned is None else 1, g.images, degree)
+        if not g.is_identity():
+            _place(levels, 0, g.images, degree)
     _old_schreier_sims(levels, len(levels) - 1, degree)
     return levels
 
@@ -250,10 +244,10 @@ def _old_grown_chain(degree, generators):
     return levels
 
 
-def _old_stabilizer_chain(levels, degree, generators, point):
-    if levels and levels[0].base == point:
-        return levels[1:]
-    return _old_chain(degree, generators, point)[1:]
+def _old_stabilizer_chain(levels):
+    """The chain of the stabilizer of point 0: the levels below the first
+    when it is based at 0, else the group's own."""
+    return levels[1:] if levels and levels[0].base == 0 else levels
 
 
 def _level_data(levels):
@@ -293,10 +287,8 @@ def test_chain_matches_the_old_schreier_sims(data):
         grown = grown.extended(g)
     oracle = _old_grown_chain(n, grown.generators)
     _assert_chain_matches(grown, oracle, probes + _probes(grown, rng))
-    for point in (0, n - 1):
-        stab = grown.stabilizer(point)
-        stab_oracle = _old_stabilizer_chain(oracle, n, grown.generators, point)
-        _assert_chain_matches(stab, stab_oracle, probes + _probes(stab, rng))
+    stab = grown.stabilizer()
+    _assert_chain_matches(stab, _old_stabilizer_chain(oracle), probes + _probes(stab, rng))
 
 
 def test_chain_matches_the_old_schreier_sims_on_corpus_and_giants():
@@ -312,12 +304,26 @@ def test_chain_matches_the_old_schreier_sims_on_corpus_and_giants():
         d = analyze(group).subgroup
         oracle = _old_grown_chain(n, d.generators)
         _assert_chain_matches(d, oracle, _probes(d, rng))
-        d0, d0_oracle = d.stabilizer(0), _old_stabilizer_chain(oracle, n, d.generators, 0)
+        d0, d0_oracle = d.stabilizer(), _old_stabilizer_chain(oracle)
         _assert_chain_matches(d0, d0_oracle, _probes(d0, rng) + _probes(d, rng))
 
 
 def _bases(group):
     return [lvl.base for lvl in group._chain()]
+
+
+def _bases_increase(group):
+    bases = _bases(group)
+    return all(a < b for a, b in zip(bases, bases[1:]))
+
+
+def test_bases_strictly_increase_on_corpus_chains():
+    # every chain is grown by one routine, and a stabilizer is a chain's tail
+    for name in corpus_names():
+        group = corpus_group(name)
+        d = analyze(group).subgroup
+        for g in (group, group.stabilizer(), d, d.stabilizer()):
+            assert _bases_increase(g), name
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,9 +337,8 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
     scratch = PermGroup(n, gens)
     assert grown.generators == scratch.generators
     assert grown.order() == scratch.order()
-    for group in (grown, scratch):
-        bases = _bases(group)
-        assert all(a < b for a, b in zip(bases, bases[1:]))
+    for group in (grown, scratch, grown.stabilizer(), scratch.stabilizer()):
+        assert _bases_increase(group)
     words = [gens[0] * gens[-1], gens[-1] * gens[0].inverse()]
     for x in probes + words:
         assert (x in grown) == (x in scratch)
@@ -400,8 +405,8 @@ def _old_orbit_semiregular(group, sub):
     """The element loop that the suborbit-length test replaced: each
     element of G_0 outside N_0 = (sub)_0 has to displace every N_0-orbit
     other than {0}."""
-    g0 = group.stabilizer(0)
-    n0 = sub.stabilizer(0)
+    g0 = group.stabilizer()
+    n0 = sub.stabilizer()
     # label each point with the least point of its N_0-orbit; orbits()
     # lists the orbits sorted, in order of their least points
     labels = [0] * group.degree
@@ -463,7 +468,7 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
 
     d = scan.subgroup
     cyclic = PermGroup(n, [group.generators[0]])
-    candidates = (group, d, d.stabilizer(0), group.stabilizer(0), cyclic, PermGroup(n, ()))
+    candidates = (group, d, d.stabilizer(), group.stabilizer(), cyclic, PermGroup(n, ()))
     for candidate in candidates:
         assert d.is_subgroup_of(candidate) == _old_captures(group, candidate)
 
