@@ -188,7 +188,7 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     d0 = d.stabilizer()
     if d0.order() > cap:
         raise CapExceeded(f"point stabilizer order {d0.order()} exceeds cap {cap}")
-    tally = Counter(count_fixed(raw) for raw in d0._iter_element_tuples())
+    tally = d0.fixed_point_tally()
     count = d.order() - group.degree * sum(Fraction(c, k) for k, c in tally.items())
     assert count.denominator == 1, "derangement count must be an integer"
     fix_only_zero = group.stabilizer().order() - d0.order() + tally[1]

@@ -23,8 +23,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, eq, itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -134,9 +136,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return _identity_tuple(self.images)
-
-    def fixed_point_count(self) -> int:
-        return count_fixed(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -298,7 +297,7 @@ class PermGroup:
 
     def __init__(self, degree: int, generators: Iterable = ()):
         if degree < 1:
-            raise ValueError("degree must be at least 1")
+            raise ConstraintViolated(f"degree must be at least 1, got {degree}")
         self.degree = degree
         gens: list[Permutation] = []
         seen = set()
@@ -435,21 +434,34 @@ class PermGroup:
 
     # element enumeration ----------------------------------------------------
 
-    def _iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
-        """Every element once, as 'apply u_k-1, ..., then u_0' with u_i
-        running over level i's transversal in sorted orbit order, u_0
-        outermost.  The tail lists the products of the deepest levels once:
-        as many as keep it within the number of transversal elements the
-        chain stores (the deepest always fits), so the extra memory is
-        bounded by the chain's own.  The upper levels' products stream past
-        it, each composed with the whole tail in C; by associativity the
-        order is the level-by-level one."""
+    def _enumeration_split(self):
+        """(upper, tail): each element 'apply u_k-1, ..., then u_0', u_i over
+        level i's transversal in sorted orbit order, is once 'apply t, then
+        u', u streamed from upper (outermost) and t from the tail.  The tail
+        lists the deepest levels' products, as many as keep it within the
+        chain's own transversal count (the deepest always fits)."""
         rows = [[lvl.transversal[pt] for pt in sorted(lvl.orbit)] for lvl in self._chain()]
         store, identity = sum(map(len, rows)), tuple(range(self.degree))
         tail = [identity]
         while rows and len(tail) * len(rows[-1]) <= store:
             tail = list(_products(rows.pop(), tail))
-        return _products(reduce(_products, rows, [identity]), tail)
+        return reduce(_products, rows, [identity]), tail
+
+    def _iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
+        """Every element once: each upper product composed with the tail in C."""
+        return _products(*self._enumeration_split())
+
+    def _element_blocks(self) -> Iterator[np.ndarray]:
+        """The elements of ``_iter_element_tuples``, in its order, as one
+        (len(tail), n) image array per upper product u: u gathered by the
+        tail, row t being t then u."""
+        upper, tail = self._enumeration_split()
+        tail = np.array(tail)
+        return (np.array(u)[tail] for u in upper)
+
+    def fixed_point_tally(self) -> Counter:
+        """fix -> the number of elements with that many fixed points."""
+        return _counter(sum(map(_fixed_counts, self._element_blocks())))
 
     def random_element(self, rng: random.Random) -> Permutation:
         """A uniform random element: one uniform transversal element per
@@ -509,24 +521,37 @@ def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]]) -> P
     return PermGroup(len(anchor), gens)
 
 
+def _fixed_counts(block: np.ndarray) -> np.ndarray:
+    """Entry k: how many rows of an image block fix k points."""
+    n = block.shape[1]
+    return np.bincount((block == np.arange(n)).sum(axis=1), minlength=n + 1)
+
+
+def _counter(counts: np.ndarray) -> Counter:
+    return Counter({k: c for k, c in enumerate(counts.tolist()) if c})
+
+
 def coset_average_fixed_points(
     reps: Sequence[Permutation], group: PermGroup, fixed: Counter | None = None
 ) -> list[Fraction]:
     """Exact average number of fixed points over t*G for each t in reps: 1
     for transitive groups, the orbit count for intransitive ones.  The sum
     of fix(t*g) over G is the sum over points x of #{g : g(t(x)) = x}, so
-    one pass over G tallies how many elements map y to z (key y*n + z), and
-    each average is read off in O(n).  That is the same exact sum over the
-    same elements, not the orbit-counting formula.  A Counter passed as
-    ``fixed`` also tallies fix(g) over that pass."""
+    one pass over G's element blocks tallies, in an n x n table, how many
+    elements map y to z (a bincount of y*n + g(y)), and each average is
+    read off the table in O(n).  That is the same exact sum over the same
+    elements, not the orbit-counting formula.  A Counter passed as
+    ``fixed`` also tallies fix(g) over those blocks."""
     n = group.degree
     if any(t.degree != n for t in reps):
         raise DegreeMismatch("degrees differ")
-    offsets, pairs, fixed = range(0, n * n, n), Counter(), Counter() if fixed is None else fixed
-    for g in group._iter_element_tuples():
-        pairs.update(map(add, offsets, g))
-        fixed[count_fixed(g)] += 1
-    return [Fraction(sum(pairs[y * n + x] for x, y in enumerate(t.images)), group.order()) for t in reps]
+    points, pairs, counts = np.arange(n), np.zeros((n, n), dtype=np.int64), 0
+    for block in group._element_blocks():
+        pairs += np.bincount((block + points * n).ravel(), minlength=n * n).reshape(n, n)
+        counts = counts + _fixed_counts(block)
+    if fixed is not None:
+        fixed.update(_counter(counts))
+    return [Fraction(int(pairs[list(t.images), points].sum()), group.order()) for t in reps]
 
 
 def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int = 100_000) -> set[tuple[int, ...]]:
@@ -550,17 +575,14 @@ def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int 
 
 
 def symmetric_group(n: int) -> PermGroup:
-    if n == 1:
-        return PermGroup(1, [])
-    gens = [Permutation.from_cycles(n, [(0, 1)])]
-    if n > 2:
-        gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-    return PermGroup(n, gens)
+    if n < 3:
+        return cyclic_group(n)
+    return PermGroup(n, [Permutation.from_cycles(n, c) for c in ([(0, 1)], [tuple(range(n))])])
 
 
 def alternating_group(n: int) -> PermGroup:
     if n < 3:
-        return PermGroup(max(n, 1), [])
+        return PermGroup(n, [])
     three = Permutation.from_cycles(n, [(0, 1, 2)])
     if n % 2:
         big = Permutation.from_cycles(n, [tuple(range(n))])
@@ -570,8 +592,6 @@ def alternating_group(n: int) -> PermGroup:
 
 
 def cyclic_group(n: int) -> PermGroup:
-    if n == 1:
-        return PermGroup(1, [])
     return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))])])
 
 

@@ -8,8 +8,8 @@ of structural properties: the four core subgroup checks, index
 divisibility and the stabilizer facts, the imprimitivity bound, exact
 coset fixed-point averages, derangement abundance, two-derangement
 coverage for Frobenius actions, and independent order and rank
-cross-checks.  One pass over D gives every coset average (by the pair
-tally ``coset_average_fixed_points`` describes) and D's fixed-point tally.
+cross-checks.  One walk over D's numpy element blocks gives every coset
+average (its pair table) and D's fixed-point tally; G's tally likewise.
 
 All records are plain JSON-safe dicts with deterministic key and entry
 order, so repeated runs emit identical bytes (wall times are kept on the
@@ -58,7 +58,6 @@ from .permgrp import (
     alternating_group,
     bruteforce_closure,
     coset_average_fixed_points,
-    count_fixed,
     cyclic_group,
     dihedral_group,
     symmetric_group,
@@ -633,7 +632,7 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     # tally from the coset pass); the pass over G is the oracle for the certified
     # derangement count and for the stabilizer facts: by transitivity the
     # elements fixing one point number n times those of G_0 fixing point 0 alone
-    tally = Counter(map(count_fixed, group._iter_element_tuples()))
+    tally = group.fixed_point_tally()
     assert tally[0] == report.derangement_count, "certified count disagrees with the scan"
     assert report.checks["stabilizer_generated"] == (
         report.index == 1 or 2 * tally[1] >= report.order

@@ -285,13 +285,13 @@ def test_two_derangement_coverage_refuses_s9_without_walking_it(monkeypatch):
     g = symmetric_group(9)
     g.order()
     walked = []
-    original = PermGroup._iter_element_tuples
+    original = PermGroup._enumeration_split
 
     def recording(self):
         walked.append(self.order())
         return original(self)
 
-    monkeypatch.setattr(PermGroup, "_iter_element_tuples", recording)
+    monkeypatch.setattr(PermGroup, "_enumeration_split", recording)
     with pytest.raises(CapExceeded, match=r"^133496\^2 products exceed the work cap$"):
         two_derangement_coverage(g)
     assert walked and max(walked) < g.order()
@@ -466,13 +466,13 @@ def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
     fingerprint); in particular G_0 is never enumerated."""
     derange._named_catalog()
     walked = []
-    original = PermGroup._iter_element_tuples
+    original = PermGroup._enumeration_split
 
     def recording(self):
         walked.append(self.order())
         return original(self)
 
-    monkeypatch.setattr(PermGroup, "_iter_element_tuples", recording)
+    monkeypatch.setattr(PermGroup, "_enumeration_split", recording)
     for name in suite.corpus_names():
         g = suite.corpus_group(name)
         d = derangement_subgroup(g)

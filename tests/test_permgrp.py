@@ -11,7 +11,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from derangements.errors import CapExceeded, DegreeMismatch, NotNormal, NotTransitive
+from derangements.errors import CapExceeded, ConstraintViolated, DegreeMismatch, NotNormal, NotTransitive
 from derangements.permgrp import (
     PermGroup,
     Permutation,
@@ -139,6 +139,14 @@ def test_enumeration_streams():
         tracemalloc.stop()
     assert count == 362_880
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("build", [symmetric_group, alternating_group, cyclic_group])
+@pytest.mark.parametrize("n", [0, -1])
+def test_standard_groups_refuse_degrees_below_1(build, n):
+    with pytest.raises(ConstraintViolated, match=f"^degree must be at least 1, got {n}$"):
+        build(n)
+    assert build(1).degree == 1 and build(1).order() == 1
 
 
 def test_orbits_and_transitivity():

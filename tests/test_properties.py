@@ -1,6 +1,7 @@
 """Property tests for the algebraic laws the whole pipeline leans on."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
@@ -68,7 +69,7 @@ def test_conjugation_preserves_fixed_points(abc):
 def _coset_average_loop(t, group):
     """The per-representative loop the one-pass pair tally replaced: the
     exact average of fix(t*g) over the elements g of the group."""
-    total = sum((t * g).fixed_point_count() for g in group.iter_elements())
+    total = sum(count_fixed((t * g).images) for g in group.iter_elements())
     return Fraction(total, group.order())
 
 
@@ -171,6 +172,48 @@ def test_enumeration_order_matches_on_random_groups(data):
     group = PermGroup(n, gens)
     for g in (group, group.stabilizer()):
         assert _same_enumeration(g)
+
+
+def _assert_block_tallies_match_the_loops(group, reps):
+    """The numpy block paths against the per-element loops they replaced:
+    the blocks hold the tuple stream row for row, the fixed-point tally is
+    the Counter of count_fixed over it, and the coset averages and their
+    ``fixed`` Counter are the per-representative loop's and that Counter."""
+    rows = (tuple(row) for block in group._element_blocks() for row in block.tolist())
+    assert all(a == b for a, b in zip_longest(rows, group._iter_element_tuples()))
+    tally = Counter(map(count_fixed, group._iter_element_tuples()))
+    blocked = group.fixed_point_tally()
+    assert blocked == tally
+    assert all(type(k) is int and type(c) is int and c for k, c in blocked.items())
+    fixed = Counter()
+    assert coset_average_fixed_points(reps, group, fixed) == [_coset_average_loop(t, group) for t in reps]
+    assert fixed == tally
+
+
+def test_block_tallies_match_the_loops_on_corpus_and_edge_chains():
+    # the degree-1 and degree-5 trivial groups have no chain levels, a
+    # one-level chain is all tail, and S_6 streams 120 upper products past a
+    # tail of 6; the corpus gives every other split
+    rng = random.Random(11)
+    one_level, multi_level = cyclic_group(50), symmetric_group(6)
+    assert len(list(one_level._enumeration_split()[0])) == 1
+    assert len(list(multi_level._enumeration_split()[0])) == 120
+    groups = [PermGroup(1, ()), PermGroup(5, ()), one_level, multi_level]
+    groups += [corpus_group(name) for name in corpus_names()]
+    for group in groups:
+        images = list(range(group.degree))
+        rng.shuffle(images)
+        reps = [Permutation(images), group.identity(), *group.generators[:1]]
+        _assert_block_tallies_match_the_loops(group, reps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+def test_block_tallies_match_the_loops_on_random_groups(data):
+    gens, reps = data
+    group = PermGroup(gens[0].degree, gens)
+    for g in (group, group.stabilizer()):
+        _assert_block_tallies_match_the_loops(g, reps + gens)
 
 
 def _old_recompute_orbit(levels, i, degree):
