@@ -153,6 +153,8 @@ def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
     """h wreath a k-cycle in product action on degree-m^k tuples, m >= 2."""
     if h.degree < 2:
         raise ConstraintViolated("the base group must act on at least 2 points")
+    if k > AFFINE_DEGREE_CAP.bit_length():  # m^k >= 2^k is past the cap
+        raise DegreeTooLarge(f"degree {h.degree}^{k} exceeds {AFFINE_DEGREE_CAP}")
     degree = h.degree**k
     if degree > AFFINE_DEGREE_CAP:
         raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
@@ -194,6 +196,8 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     and q must be a prime not dividing |h|.
     """
     m = n_order
+    if q > AFFINE_DEGREE_CAP.bit_length():  # before q is tested for primality
+        raise ConstraintViolated(f"q = {q} is too large: 2^q exceeds the degree cap {AFFINE_DEGREE_CAP}")
     failures = []
     if m < 2:
         failures.append("kernel order must be at least 2")

@@ -1,4 +1,4 @@
-"""Exact arithmetic in small finite fields GF(p^f).
+"""Exact arithmetic in finite fields GF(p^f) of order at most ORDER_CAP.
 
 An element is an integer code 0 <= e < p**f, the one representation: e =
 sum(coeffs[i] * p**i) for its coefficient vector over GF(p) in the
@@ -6,35 +6,37 @@ polynomial basis 1, t, ..., t^(f-1) modulo a fixed monic irreducible
 polynomial.  The modulus for a given (p, f) is deterministic: the monic
 irreducible t^f + sum c_i t^i of degree f with the least code sum c_i p^i,
 so the top non-leading coefficient compares first (GF(25) takes t^2 + 2,
-not t^2 + t + 1).  GF(p^1) uses the modulus t, i.e. plain arithmetic mod
-p on the codes.  Each field also provides its least primitive element and
-log/exp tables to that base, built once.
+not t^2 + t + 1).  GF(p^1) uses the modulus t, so its codes are the
+residues mod p.
+
+Every field, prime or not, has one arithmetic: tables built once when the
+field is made, to the base g of its least primitive element.  exp[i] = g^i,
+log inverts it, and the Zech logarithm zech[k] = log(1 + g^k) (None where
+1 + g^k = 0) turns addition into x + y = g^(log x + zech[log y - log x]).
+Each operation is a few list reads; the order of x is (q - 1) / gcd(log x,
+q - 1), and -1 is g^log(-1).  Polynomial arithmetic on coefficient tuples
+serves only the modulus search and the search for g; exp is built by
+doubling the GF(p)-linear map x -> x*g, taken over all codes at once with
+numpy.  The tables hold about 4q list entries, so ORDER_CAP bounds their
+memory (about 150 MB at q = 2^20).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConstraintViolated, NotPrime, TooLarge, ZeroElement
 
 ORDER_CAP = 1 << 20
+_BLOCK = 1 << 16  # codes per digit product while the tables are built
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == (n,)
 
 
 # Polynomials over GF(p) are tuples of ints, low degree first, no trailing zeros
@@ -72,46 +74,59 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     return _poly_trim(r)
 
 
-def _poly_divides(d: Sequence[int], a: Sequence[int], p: int) -> bool:
-    return not _poly_mod(a, d, p)
-
-
 def _monic_polys(degree: int, p: int) -> Iterator[tuple[int, ...]]:
     """All monic polynomials of the given degree, in increasing code
     sum c_i p^i of their lower coefficients: c_(degree-1) varies slowest."""
-    total = p**degree
-    for e in range(total):
-        coeffs = []
-        v = e
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        yield tuple(coeffs) + (1,)
+    for e in range(p**degree):
+        yield tuple(e // p**i % p for i in range(degree)) + (1,)
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
-    if deg < 1:
-        return False
     for d in range(1, deg // 2 + 1):
         for cand in _monic_polys(d, p):
-            if _poly_divides(cand, poly, p):
+            if not _poly_mod(poly, cand, p):
                 return False
     return True
 
 
 def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
-    if f == 1:
-        return (0, 1)  # the polynomial t: reduction mod t is arithmetic mod p
     for cand in _monic_polys(f, p):
         if _is_irreducible(cand, p):
             return cand
     raise AssertionError(f"no irreducible of degree {f} over GF({p})")
 
 
+def _poly_pow(a: Sequence[int], k: int, m: Sequence[int], p: int) -> tuple[int, ...]:
+    """a^k modulo the monic m, by square-and-multiply."""
+    result: tuple[int, ...] = (1,)
+    while k:
+        if k & 1:
+            result = _poly_mod(_poly_mul(result, a, p), m, p)
+        a = _poly_mod(_poly_mul(a, a, p), m, p)
+        k >>= 1
+    return result
+
+
+def _poly_of(e: int, p: int, f: int) -> tuple[int, ...]:
+    """The polynomial whose coefficients are the base-p digits of the code e."""
+    return _poly_trim([e // p**i % p for i in range(f)])
+
+
+def _least_primitive(p: int, f: int, modulus: tuple[int, ...]) -> int:
+    """The least code of order p^f - 1, by polynomial powers; 1 for GF(2)."""
+    n = p**f - 1
+    factors = _prime_factors(n)
+    for e in range(2, n + 1):
+        x = _poly_of(e, p, f)
+        if all(_poly_pow(x, n // r, modulus, p) != (1,) for r in factors):
+            return e
+    return 1
+
+
 class FieldSpec:
-    """A concrete finite field GF(p^f) with a fixed modulus.
+    """A concrete finite field GF(p^f) with a fixed modulus and its tables.
 
     Instances are interned: ``field(p, f)`` always returns the same object,
     so identity comparison is safe.  Immutable and safe to share.
@@ -122,136 +137,96 @@ class FieldSpec:
         "f",
         "order",
         "modulus",
-        "_order_factors",
-        "_enc_tables",
-        "_primitive",
         "_log_exp",
+        "_log",
+        "_exp",
+        "_zech",
     )
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
         self.p = p
         self.f = f
-        self.order = p**f
+        self.order = q = p**f
         self.modulus = modulus
-        self._order_factors = _prime_factors(self.order - 1)
-        self._enc_tables = None
-        self._primitive = None
-        self._log_exp = None
+        n = q - 1
+        g = _least_primitive(p, f, modulus)
+        # x -> x*g is GF(p)-linear on digit vectors: row i holds t^i * g
+        rows, power = [], _poly_of(g, p, f)
+        for _ in range(f):
+            rows.append(power + (0,) * (f - len(power)))
+            power = _poly_mod((0,) + power, modulus, p)
+        times_g, weights = np.array(rows, dtype=np.int64), p ** np.arange(f, dtype=np.int64)
+        blocks = np.split(np.arange(q, dtype=np.int64), range(_BLOCK, q, _BLOCK))
+        step = np.concatenate([(b[:, None] // weights % p) @ times_g % p @ weights for b in blocks])
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < n:  # exp holds g^0 .. g^(L-1) and step multiplies by g^L
+            exp = np.concatenate((exp, step[exp]))
+            step = step[step]
+        exp = exp[:n]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        exp.flags.writeable = log.flags.writeable = False
+        self._log_exp = (log, exp)
+        self._log = log.tolist()
+        self._exp = exp.tolist() * 2  # g^i for 0 <= i < 2(q - 1), so sums of logs need no mod
+        # zech[k] = log(1 + g^k): adding 1 raises the lowest digit of g^k
+        self._zech = log[exp - exp % p + (exp + 1) % p].tolist()
+        self._zech[self._log[p - 1]] = None  # 1 + g^k = 0: g^k = -1, whose code is p - 1
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
 
     def multiplicative_order_e(self, x: int) -> int:
-        """Order of the code x in GF(q)*; ZeroElement for 0."""
+        """Order of the code x in GF(q)*: (q - 1) / gcd(log x, q - 1);
+        ZeroElement for 0."""
         if x == 0:
             raise ZeroElement(f"zero has no multiplicative order in {self}")
-        order = self.order - 1
-        for r in self._order_factors:
-            while order % r == 0 and self.pow_e(x, order // r) == 1:
-                order //= r
-        return order
+        n = self.order - 1
+        return n // math.gcd(self._log[x], n)
 
     def primitive_element(self) -> int:
         """Code of the multiplicative generator with the smallest code; 1 for
         GF(2), whose multiplicative group is trivial."""
-        if self._primitive is None:
-            full = self.order - 1
-            self._primitive = next(
-                (e for e in range(2, self.order) if self.multiplicative_order_e(e) == full), 1
-            )
-        return self._primitive
+        return self._exp[1]
 
-    def log_exp(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(log, exp) of GF(q)* to the base of primitive_element(), built once
-        per field; log[0] is unused."""
-        if self._log_exp is None:
-            g = self.primitive_element()
-            exp = [1]
-            for _ in range(self.order - 2):
-                exp.append(self.mul_e(exp[-1], g))
-            log = [0] * self.order
-            for i, e in enumerate(exp):
-                log[e] = i
-            self._log_exp = (tuple(log), tuple(exp))
+    def log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, exp) of GF(q)* to the base of primitive_element(), read-only
+        int64 arrays; log[0] is unused."""
         return self._log_exp
 
-    # coefficient-tuple arithmetic behind the integer codes for f > 1
-
-    def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = _poly_mul(a, b, self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return red + (0,) * (self.f - len(red))
-
-    def _tables(self):
-        """Coefficient tuple of every code, indexed by code: the code's base-p
-        digits, least significant first."""
-        if self._enc_tables is None:
-            digits = itertools.product(range(self.p), repeat=self.f)
-            self._enc_tables = [d[::-1] for d in digits]
-        return self._enc_tables
-
-    def _enc(self, coeffs: tuple[int, ...]) -> int:
-        e = 0
-        for c in reversed(coeffs):
-            e = e * self.p + c
-        return e
-
     def add_e(self, x: int, y: int) -> int:
-        if self.f == 1:
-            return (x + y) % self.p
-        t = self._tables()
-        return self._enc(self._add(t[x], t[y]))
+        if x == 0:
+            return y
+        if y == 0:
+            return x
+        log = self._log
+        lx = log[x]
+        # x + y = x * (1 + g^(log y - log x)); a negative index wraps mod q - 1
+        z = self._zech[log[y] - lx]
+        return 0 if z is None else self._exp[lx + z]
 
     def sub_e(self, x: int, y: int) -> int:
-        if self.f == 1:
-            return (x - y) % self.p
-        t = self._tables()
-        return self._enc(self._sub(t[x], t[y]))
+        return self.add_e(x, self.neg_e(y))
 
     def neg_e(self, x: int) -> int:
-        if self.f == 1:
-            return (-x) % self.p
-        t = self._tables()
-        return self._enc(self._neg(t[x]))
+        return self._exp[self._log[x] + self._log[self.p - 1]] if x else 0
 
     def mul_e(self, x: int, y: int) -> int:
-        if self.f == 1:
-            return (x * y) % self.p
-        t = self._tables()
-        return self._enc(self._mul(t[x], t[y]))
+        if x == 0 or y == 0:
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
 
     def pow_e(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.pow_e(self.inv_e(x), -k)
-        if self.f == 1:
-            return pow(x, k, self.p)
-        result = 1
-        base = x
-        while k:
-            if k & 1:
-                result = self.mul_e(result, base)
-            base = self.mul_e(base, base)
-            k >>= 1
-        return result
+        if x == 0:
+            if k < 0:
+                raise ZeroDivisionError(f"inverse of zero in {self}")
+            return 0 if k else 1
+        return self._exp[self._log[x] * k % (self.order - 1)]
 
     def inv_e(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError(f"inverse of zero in {self}")
-        if self.f == 1:
-            return pow(x, self.p - 2, self.p)
-        return self.pow_e(x, self.order - 2)
+        return self._exp[-self._log[x]]
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -269,34 +244,31 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Split q into (p, f) with q = p**f, p prime; ConstraintViolated otherwise."""
-    if q < 2:
+    """Split q into (p, f) with q = p**f, p prime; ConstraintViolated
+    otherwise, and TooLarge past ORDER_CAP before any trial division."""
+    if q > ORDER_CAP:
+        raise TooLarge(f"GF({q}) exceeds the {ORDER_CAP}-element cap")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ConstraintViolated(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    f = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    p, f = factors[0], 1
+    while p**f < q:
         f += 1
-    if rest != 1:
-        raise ConstraintViolated(f"{q} is not a prime power")
     return p, f
 
 
 @lru_cache(maxsize=None)
 def field(p: int, f: int) -> FieldSpec:
-    """Construct (or fetch the interned) GF(p^f).
+    """Construct (or fetch the interned) GF(p^f), tables included.
 
-    Raises NotPrime for composite p and TooLarge when p**f > 2**20.
+    Raises ConstraintViolated for f < 1, TooLarge when p or p**f passes
+    ORDER_CAP (before p is tested or p**f formed: p >= 2 and f past the
+    cap's bit length already pass it), and NotPrime for composite p.
     """
+    if f < 1:
+        raise ConstraintViolated(f"extension degree must be >= 1, got {f}")
+    if p > ORDER_CAP or p > 1 and (f > ORDER_CAP.bit_length() or p**f > ORDER_CAP):
+        raise TooLarge(f"GF({p}^{f}) exceeds the {ORDER_CAP}-element cap")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if f < 1:
-        raise ValueError(f"extension degree must be >= 1, got {f}")
-    if p**f > ORDER_CAP:
-        raise TooLarge(f"GF({p}^{f}) exceeds the {ORDER_CAP}-element cap")
     return FieldSpec(p, f, _smallest_irreducible(p, f))

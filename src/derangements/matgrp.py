@@ -102,26 +102,8 @@ class FFMatrix:
         return tuple(reduce(add, map(mul, v, col)) for col in zip(*self.rows))
 
     def det(self) -> int:
-        spec = self.spec
-        m = [list(row) for row in self.rows]
-        det = 1
-        for col in range(self.d):
-            pivot = next((r for r in range(col, self.d) if m[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = spec.neg_e(det)
-            det = spec.mul_e(det, m[col][col])
-            inv = spec.inv_e(m[col][col])
-            for r in range(col + 1, self.d):
-                if m[r][col]:
-                    factor = spec.mul_e(m[r][col], inv)
-                    m[r] = [
-                        spec.sub_e(m[r][j], spec.mul_e(factor, m[col][j]))
-                        for j in range(self.d)
-                    ]
-        return det
+        """The row-swap signs times the pivots of the reduced echelon pass."""
+        return _gauss_jordan(self.spec, self.rows)[2]
 
     def inverse(self) -> "FFMatrix":
         """The right half of the reduced echelon form of [M | I]."""
@@ -175,33 +157,37 @@ def echelonize(spec: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[list[lis
     Zero rows are dropped; the result is the canonical basis of the row
     space.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    return _gauss_jordan(spec, rows)[:2]
+
+
+def _gauss_jordan(spec: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """echelonize's (rows, pivot columns), plus the product of the pivots
+    and the row-swap signs: the determinant of a square input, 0 when some
+    column has no pivot."""
+    add, mul, m = spec.add_e, spec.mul_e, [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
     pivots = []
     row = 0
+    det = 1
     for col in range(ncols):
         pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
         if pivot is None:
+            det = 0
             continue
-        m[row], m[pivot] = m[pivot], m[row]
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            det = spec.neg_e(det)
+        det = mul(det, m[row][col])
         inv = spec.inv_e(m[row][col])
-        m[row] = [spec.mul_e(inv, e) for e in m[row]]
+        # rows from `row` down are zero left of col, so only the rest changes
+        m[row][col:] = tail = [mul(inv, e) for e in m[row][col:]]
         for r in range(len(m)):
             if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [
-                    spec.sub_e(e, spec.mul_e(factor, pe)) for e, pe in zip(m[r], m[row])
-                ]
+                minus = spec.neg_e(m[r][col])
+                m[r][col:] = [add(e, mul(minus, pe)) for e, pe in zip(m[r][col:], tail)]
         pivots.append(col)
         row += 1
-    return m[:row], pivots
-
-
-def has_eigenvalue_one(m: FFMatrix) -> bool:
-    """True iff (M - I) is singular, i.e. some nonzero row vector is fixed."""
-    return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
+    return m[:row], pivots, det
 
 
 def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
@@ -548,7 +534,7 @@ def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] 
         )
     )
     digits = _index_digits(spec, d, points)
-    log, exp = (np.array(t, dtype=np.int64) for t in spec.log_exp())
+    log, exp = spec.log_exp()
     images = []
     for m in group.generator_digits():
         coords = _codes(spec, d, digits @ m % spec.p)

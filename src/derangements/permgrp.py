@@ -357,13 +357,6 @@ class PermGroup:
             g in other for g in self.generators
         )
 
-    def same_group_as(self, other: "PermGroup") -> bool:
-        return (
-            self.degree == other.degree
-            and self.order() == other.order()
-            and self.is_subgroup_of(other)
-        )
-
     # orbit structure -------------------------------------------------------
 
     def orbits(self) -> list[list[int]]:

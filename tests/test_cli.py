@@ -271,3 +271,37 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["verify", "bogus"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["matgroup 3 0 2 1", "matgroup 3 100000000 1 0", "matgroup 1000000000000000009 1 1 0"],
+)
+def test_analyze_hostile_field_header_exits_2(header, tmp_path, capsys):
+    """Degree 0, an order past the cap and a huge characteristic are refused
+    before p**f is formed or p trial-divided."""
+    path = tmp_path / "hostile.group"
+    path.write_text(header + "\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["agl1", "1000000000000000009"],
+        ["semilinear", "1000000000000000009"],
+        ["wreath-cyclic", "5", "1000000007"],
+        ["frobenius-complement", "5", "2", "1000000007"],
+    ],
+    ids="-".join,
+)
+def test_construct_hostile_parameters_exit_2(params, tmp_path, capsys):
+    """Field orders past the cap, and exponents past the degree cap's bit
+    length, are refused before the trial division or the power."""
+    out = tmp_path / "g.group"
+    assert main(["construct", *params, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()

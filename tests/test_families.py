@@ -34,12 +34,13 @@ from derangements.matgrp import (
     scalar_matrix_group,
 )
 from derangements.permgrp import PermGroup, Permutation, count_fixed, cyclic_group, symmetric_group
+from test_properties import same_group
 
 
 def test_affine_line_gf3_is_s3():
     g = affine_group(scalar_matrix_group(field(3, 1), 1))
     assert g.degree == 3 and g.order() == 6
-    assert g.same_group_as(symmetric_group(3))
+    assert same_group(g, symmetric_group(3))
 
 
 def test_affine_scalars_gf3_plane():
@@ -140,7 +141,7 @@ def test_pgammal28_point_stabilizer_is_sylow3_normalizer():
         [x for x in g.iter_elements()
          if all(s.conjugate_by(x) in sylow for s in sylow.generators)],
     )
-    assert norm.same_group_as(stab)
+    assert same_group(norm, stab)
 
 
 def test_wreath_products():

@@ -3,6 +3,8 @@ modulus rule."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,44 @@ def test_field_axioms_exhaustive_up_to_81():
         assert sorted(add[i].tolist().index(0) for i in range(n)) == list(range(n))
         for i in range(1, n):
             assert 1 in mul[i], (p, f, i)
+
+
+# past order 81, where the exhaustive tests stop: seeded samples against the
+# same oracles
+LARGE_FIELDS = [(2, 16), (3, 7), (257, 2)]
+
+
+def _oracle_pow(k, x: int, e: int) -> int:
+    acc = 1
+    while e:
+        if e & 1:
+            acc = oracle_mul(k, acc, x)
+        x, e = oracle_mul(k, x, x), e >> 1
+    return acc
+
+
+@pytest.mark.parametrize("p,f", LARGE_FIELDS)
+def test_table_ops_match_oracle_past_81(p, f):
+    k = field(p, f)
+    q = k.order
+    rng = random.Random(q)
+    for _ in range(2000):
+        x, y = rng.randrange(q), rng.randrange(q)
+        assert k.add_e(x, y) == oracle_add(k, x, y), (q, x, y)
+        assert k.sub_e(x, y) == oracle_add(k, x, y, -1), (q, x, y)
+        assert k.mul_e(x, y) == oracle_mul(k, x, y), (q, x, y)
+    for x in rng.sample(range(1, q), 2):
+        order = _brute_order(k, x)
+        assert k.multiplicative_order_e(x) == order, (q, x)
+        assert k.pow_e(x, order) == 1 and k.pow_e(x, -order) == 1, (q, x)
+        for e in rng.sample(range(-q, q), 20):
+            expected = _oracle_pow(k, x, e % order)
+            assert k.pow_e(x, e) == expected, (q, x, e)
+
+
+@pytest.mark.parametrize("p,f", [(3, 4), (2, 6)])
+def test_negation_reaches_the_zech_zero(p, f):
+    """x + (-x) and x - x read the Zech entry where 1 + g^k = 0."""
+    k = field(p, f)
+    for x in range(k.order):
+        assert k.add_e(x, k.neg_e(x)) == 0 == k.sub_e(x, x), (k, x)

@@ -28,7 +28,6 @@ from derangements.matgrp import (
     echelonize,
     eigenvalue_one_subgroup,
     general_linear_gl2,
-    has_eigenvalue_one,
     index_bound_check,
     index_to_vector,
     irreducibility,
@@ -38,6 +37,7 @@ from derangements.matgrp import (
     quotient_perm_group,
     scalar_matrix_group,
     special_linear_gl2,
+    _digit_matrix,
     _fixes_a_vector,
     _orbit_labels,
     _projective_rank,
@@ -51,6 +51,12 @@ GF3 = field(3, 1)
 
 # reference implementations: one Python loop per vector, one field operation
 # per entry --------------------------------------------------------------------
+
+
+def has_eigenvalue_one(m):
+    """True iff (M - I) is singular, i.e. some nonzero row vector is fixed:
+    the batched elimination on a one-matrix stack."""
+    return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
 
 
 def vector_to_index(spec, v):
@@ -345,8 +351,39 @@ def test_matrix_inverse_det_pow():
             assert (m * m.inverse()).is_identity() and (m.inverse() * m).is_identity()
 
 
+def _leibniz_det(m):
+    """The permutation expansion of the determinant, one field op per term."""
+    spec, total = m.spec, 0
+    for perm in itertools.permutations(range(m.d)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = spec.mul_e(term, m.rows[i][j])
+        odd = sum(perm[i] > perm[j] for i in range(m.d) for j in range(i + 1, m.d)) % 2
+        total = spec.add_e(total, spec.neg_e(term) if odd else term)
+    return total
+
+
+def test_det_matches_leibniz_expansion():
+    """det() read off the Gauss-Jordan pass: every 2x2 matrix over GF(4)
+    and GF(5), and seeded random 3x3 and 4x4 ones over GF(7), GF(9) and
+    GF(8), singular ones included."""
+    for spec in (field(2, 2), GF5):
+        for entries in itertools.product(range(spec.order), repeat=4):
+            m = FFMatrix(spec, [entries[:2], entries[2:]])
+            assert m.det() == _leibniz_det(m), m
+    rng = random.Random(5)
+    for spec in (field(7, 1), field(3, 2), field(2, 3)):
+        for d in (3, 4):
+            for _ in range(40):
+                rows = [[rng.randrange(spec.order) for _ in range(d)] for _ in range(d)]
+                if rng.random() < 0.25:
+                    rows[-1] = list(rows[0])  # singular
+                m = FFMatrix(spec, rows)
+                assert m.det() == _leibniz_det(m), m
+
+
 def test_rank_nullspace_solve():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    rows = [[1, 2, 3], [2, 4, 1], [0, 1, 1]]
     assert len(echelonize(GF5, rows)[1]) == 2
     # left null space {v : v*M = 0}: the homogeneous solutions of M^T
     left = solve_homogeneous(GF5, [list(col) for col in zip(*rows)])
