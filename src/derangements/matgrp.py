@@ -1,5 +1,5 @@
 """Matrix groups over GF(q): enumeration, the eigenvalue-1 subgroup, exact
-irreducibility by spinning, Kronecker/central products, and named subgroups
+irreducibility, Kronecker/central products, and named subgroups
 of GL(2,q), the non-split torus ones read off GF(q^2) = field(p, 2f) as a
 GF(q)-plane.
 
@@ -20,7 +20,8 @@ eigenvalue 1, and the eigenvalue-1 subgroup is a mask over positions.  A
 quotient H/R is H acting on the R-orbits in the orbit of e_0, read off
 row 0 of the stack.  Work on vectors maps whole arrays of indices;
 projective points are put in canonical form with log/exp tables of GF(q)
-and ranked in closed form.  No size or field threshold picks a code path;
+and ranked in closed form.  Norton's criterion on a generator eigenspace
+proves irreducibility, or else the projective-point sweep decides it;
 permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the
 work, read when it is done.
 """
@@ -432,12 +433,17 @@ def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.nda
 
 
 def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
-    """Least point of each point's orbit under the maps i -> images[g][i]."""
+    """Least point of each point's orbit under the maps i -> images[g][i],
+    each a permutation of range(n), so a label reaches the image of its
+    point by a gather through the inverse permutation."""
     labels = np.arange(n, dtype=np.int64)
+    inverses = [np.empty_like(img) for img in images]
+    for img, inverse in zip(images, inverses):
+        inverse[img] = labels
     while True:
         before = labels.copy()
-        for img in images:
-            np.minimum.at(labels, img, labels)
+        for img, inverse in zip(images, inverses):
+            labels = np.minimum(labels, labels[inverse])
             labels = np.minimum(labels, labels[img])
         # pointer-jump within discovered label chains
         for _ in range(3):
@@ -495,21 +501,31 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
 # irreducibility -------------------------------------------------------------
 
 
-def _spin(group: MatrixGroup, v: Sequence[int]) -> list[list[int]]:
-    """Echelon basis of the smallest invariant subspace containing v: the
-    span of v's orbit."""
-    spec, d = group.spec, group.d
-    span, _ = echelonize(spec, [v])
-    frontier = [v]
-    while frontier and len(span) < d:
-        u = frontier.pop()
-        for g in group.generators:
-            w = g.apply_row(u)
-            grown, _ = echelonize(spec, span + [list(w)])
-            if len(grown) > len(span):
-                span = grown
-                frontier.append(w)
-    return span
+def _spin(spec: FieldSpec, d: int, gens: Sequence[FFMatrix], v: Sequence[int]) -> list[list[int]]:
+    """Reduced echelon basis of the span of v's orbit under gens.  A vector is
+    reduced by the rows kept so far, in their order (each is zero at earlier
+    pivots); if an entry is left it is kept, scaled, and its images pushed."""
+    add, mul, rows, frontier = spec.add_e, spec.mul_e, {}, [v]  # rows: pivot column -> row
+    while frontier and len(rows) < d:
+        w = frontier.pop()
+        for col, row in rows.items():
+            if w[col]:
+                minus = spec.neg_e(w[col])
+                w = [add(e, mul(minus, pe)) for e, pe in zip(w, row)]
+        col = next((c for c, e in enumerate(w) if e), None)
+        if col is not None:
+            inv = spec.inv_e(w[col])
+            rows[col] = w = [mul(inv, e) for e in w]
+            frontier += [g.apply_row(w) for g in gens]
+    return echelonize(spec, rows.values())[0]
+
+
+def _left_null_space(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of {v : v*M = 0} for the square M with these rows: the right
+    halves of the zero-led rows of the reduced echelon form of [M | I]."""
+    d = len(rows)
+    reduced, pivots = echelonize(spec, [list(r) + [int(i == j) for j in range(d)] for i, r in enumerate(rows)])
+    return [r[d:] for r, col in zip(reduced, pivots) if col >= d]
 
 
 def _check_spin_work(q: int, d: int) -> None:
@@ -520,19 +536,52 @@ def _check_spin_work(q: int, d: int) -> None:
         raise CapExceeded(f"spinning GF({q})^{d} exceeds the work cap {SPIN_WORK_CAP}")
 
 
+def _projective_points(q: int, d: int) -> np.ndarray:
+    """Indices of the vectors of GF(q)^d led by a 1, ascending."""
+    qpow = q ** np.arange(d, dtype=np.int64)
+    return np.sort(np.concatenate([qpow[j] + q * qpow[j] * np.arange(q ** (d - 1 - j)) for j in range(d)]))
+
+
+def _norton(group: MatrixGroup) -> bool:
+    """True when Norton's criterion proves the group irreducible.  For a
+    generator h and an eigenvalue lam, theta = h - lam*I has the null space
+    N = {v : v*theta = 0} of dimension e, 0 < e < d.  A proper invariant U
+    meets N, so some point of P(N) spins into U, or else U*theta = U, so
+    each w with theta*w^T = 0 is orthogonal to U and spins, under the
+    transposes, inside U's orthogonal complement.  The pair of least e is
+    tried, ties to generator order, then to the least lam; lam ranges over
+    the prime field, where digit(h / lam) = digit(h) / lam, so one
+    eigenvalue-1 elimination over mu * digit(h), mu = 1/lam, finds them."""
+    spec, d, gens, p = group.spec, group.d, group.generators, group.spec.p
+    scaled = group.generator_digits()[:, None] * np.arange(1, p)[:, None, None] % p
+    pairs = []
+    for i in np.flatnonzero(_fixes_a_vector(scaled.reshape(-1, *scaled.shape[2:]), p)).tolist():
+        g, lam = gens[i // (p - 1)], spec.inv_e(i % (p - 1) + 1)
+        theta = [[spec.sub_e(x, lam if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(g.rows)]
+        null = _left_null_space(spec, theta)
+        if len(null) < d:
+            pairs.append((len(null), i // (p - 1), lam, null, theta))
+    if not pairs:
+        return False
+    e, _, _, null, theta = min(pairs)
+    transposes = [FFMatrix._raw(spec, d, tuple(zip(*g.rows))) for g in gens]
+    points = (index_to_vector(spec, e, c) for c in _projective_points(spec.order, e).tolist())
+    return len(_spin(spec, d, transposes, _left_null_space(spec, list(zip(*theta)))[0])) == d and all(
+        len(_spin(spec, d, gens, [reduce(spec.add_e, map(spec.mul_e, c, col)) for col in zip(*null)])) == d
+        for c in points
+    )
+
+
 def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     spec, d = group.spec, group.d
     if d == 1:
         return True, None
     q = spec.order
     _check_spin_work(q, d)
+    if _norton(group):
+        return True, None
     qpow = q ** np.arange(d, dtype=np.int64)
-    # projective points: the vectors whose first nonzero coordinate is 1
-    points = np.sort(
-        np.concatenate(
-            [qpow[j] + q * qpow[j] * np.arange(q ** (d - 1 - j)) for j in range(d)]
-        )
-    )
+    points = _projective_points(q, d)
     digits = _index_digits(spec, d, points)
     log, exp = spec.log_exp()
     images = []
@@ -550,7 +599,7 @@ def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] 
         del scaled, zero
     labels = _propagate_min_labels(len(points), images)
     for start in points[labels == np.arange(len(points))]:
-        span = _spin(group, index_to_vector(spec, d, int(start)))
+        span = _spin(spec, d, group.generators, index_to_vector(spec, d, int(start)))
         if len(span) < d:
             return False, tuple(tuple(r) for r in span)
     return True, None
@@ -574,14 +623,13 @@ def irreducibility(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | No
     """(True, None) when no proper nonzero invariant subspace exists, else
     (False, echelon basis of one).
 
-    Exhaustive over projective points: each point's orbit spans the smallest
-    invariant subspace through it, so one spin per orbit is exact.  The
-    points are the vectors with first nonzero coordinate 1; a generator's
-    images come from the digit-vector path and are put back in that form by
-    dividing by the leading coordinate with log/exp tables of GF(q).  Orbits
-    are taken in order of their least index, and the witness is the span of
-    the first one of rank < d.  The same path serves every field and size;
-    SPIN_WORK_CAP bounds it.  The result is cached on the group."""
+    Within SPIN_WORK_CAP, Norton's criterion (_norton) may prove
+    irreducibility; else the sweep, the only path to False, spins one point
+    per orbit on the projective points (first nonzero coordinate 1), since
+    a point's orbit spans the least invariant subspace through it.  Images
+    come from the digit-vector path, divided by their leading coordinate
+    with log/exp tables of GF(q).  The witness is the span of the first
+    orbit, by least index, of rank < d.  The result is cached."""
     if group._irreducibility is None:
         group._irreducibility = _spin_orbits(group)
     flag, witness = group._irreducibility

@@ -3,8 +3,9 @@ products, and the GL(2,q) embeddings.  The batched digit-matrix stages are
 checked against pure-Python oracles kept here: the breadth-first closure
 by FFMatrix products, the echelon eigenvalue-1 test, the per-element coset
 walk (for the quotient on sub-orbit blocks and the index check), the
-searchsorted projective rank and the spin.  SL(2,3)'s closed-form
-generator is checked against the linear solve it replaced."""
+searchsorted projective rank, the scatter label propagation and the
+spin.  SL(2,3)'s closed-form generator is checked against the linear
+solve it replaced."""
 
 import itertools
 import random
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from derangements import matgrp
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal
-from derangements.families import central_product_examples
+from derangements.families import central_product_examples, dihedral_quotient_family
 from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
@@ -39,9 +40,12 @@ from derangements.matgrp import (
     special_linear_gl2,
     _digit_matrix,
     _fixes_a_vector,
+    _norton,
     _orbit_labels,
     _projective_rank,
+    _propagate_min_labels,
     _quadratic_plane,
+    _spin,
 )
 from derangements.permgrp import PermGroup, Permutation
 
@@ -196,6 +200,37 @@ def _irreducibility_python(group):
         if rank < d:
             return False, [tuple(r) for r in span]
     return True, None
+
+
+def _spin_python(spec, gens, v):
+    """Echelon basis of the span of v's orbit, by one echelon form of the
+    span plus each new image."""
+    span, _ = echelonize(spec, [v])
+    frontier = [v]
+    while frontier and len(span) < len(v):
+        u = frontier.pop()
+        for g in gens:
+            w = g.apply_row(u)
+            grown, _ = echelonize(spec, span + [list(w)])
+            if len(grown) > len(span):
+                span = grown
+                frontier.append(w)
+    return span
+
+
+def _propagate_min_labels_scatter(n, images):
+    """Orbit minima by label propagation with an unbuffered np.minimum.at
+    scatter along each map, then a gather."""
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        before = labels.copy()
+        for img in images:
+            np.minimum.at(labels, img, labels)
+            labels = np.minimum(labels, labels[img])
+        for _ in range(3):
+            labels = np.minimum(labels, labels[labels])
+        if np.array_equal(labels, before):
+            return labels
 
 
 def _closure_python(group):
@@ -540,6 +575,86 @@ def test_irreducibility_paths_agree():
         assert index_bound_check(group, sub) == _index_bound_python(group, sub)
     assert {q for q, _ in seen} >= {4, 8, 9, 25, 27}
     assert {flag for _, flag in seen} == {True, False}
+
+
+def test_norton_is_sound_and_spins_match():
+    """Norton's step never proves a group irreducible that the Python sweep
+    finds reducible, and it decides some of the irreducible groups but not
+    all of them.  The spin under the generators and under their transposes
+    equals the spin that re-echelonizes the whole span per image."""
+    rng = random.Random(23)
+    decided = irreducible = 0
+    for group in _differential_groups():
+        spec, d = group.spec, group.d
+        flag = _irreducibility_python(group)[0]
+        proved = d > 1 and _norton(group)
+        assert flag or not proved
+        irreducible += flag and d > 1
+        decided += proved
+        transposes = [FFMatrix(spec, zip(*g.rows)) for g in group.generators]
+        for _ in range(3):
+            v = index_to_vector(spec, d, rng.randrange(spec.order**d))
+            for gens in (group.generators, transposes):
+                assert _spin(spec, d, gens, v) == _spin_python(spec, gens, v)
+    assert 0 < decided < irreducible
+
+
+def _no_sweep(*args):
+    raise AssertionError("the projective-point sweep ran")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: central_product_examples("a4"),
+        lambda: central_product_examples("a5"),
+        lambda: central_product_examples("klein"),
+        lambda: dihedral_quotient_family(7),
+        lambda: dihedral_quotient_family(19),
+        lambda: general_linear_gl2(GF5),
+        lambda: dihedral_gl2(field(5, 2), 26),
+        lambda: dihedral_gl2(field(3, 3), 28),
+    ],
+    ids=["central-a4", "central-a5", "central-klein", "dihedral-family-7", "dihedral-family-19", "gl2-5",
+         "dihedral-25-26", "dihedral-27-28"],
+)
+def test_norton_decides_without_the_sweep(build, monkeypatch):
+    built = build()
+    group = MatrixGroup(built.spec, built.d, built.generators)
+    monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_sweep)
+    assert irreducibility(group) == (True, None)
+
+
+def test_norton_declines_and_the_sweep_gives_the_witness():
+    """Block upper-triangular generators keep the span of the last two
+    coordinates; their eigenvalues give Norton pairs, but the criterion
+    fails and the sweep returns the Python oracle's witness.  A scalar
+    group gives no pair (its one eigenspace is all of V)."""
+    spec = field(7, 1)
+    rng = random.Random(7)
+    gens = []
+    for _ in range(2):
+        a, b = _random_invertible(rng, spec, 1), _random_invertible(rng, spec, 2)
+        top = [a.rows[0][0], rng.randrange(7), rng.randrange(7)]
+        gens.append(FFMatrix(spec, [top, [0, *b.rows[0]], [0, *b.rows[1]]]))
+    reducible = MatrixGroup(spec, 3, gens)
+    assert any(has_eigenvalue_one(FFMatrix.scalar(spec, 3, lam) * g) for g in gens for lam in range(1, 7))
+    scalars = scalar_matrix_group(field(3, 2), 3)
+    for group in (reducible, scalars):
+        assert not _norton(group)
+        flag, witness = irreducibility(group)
+        assert not flag and (flag, witness) == _irreducibility_python(group)
+    assert irreducibility(reducible)[1] == [(0, 1, 0), (0, 0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+def test_label_gather_matches_the_scatter(perms):
+    """The gather through inverse permutations finds the orbit minima the
+    unbuffered scatter finds."""
+    images = [np.array(perm, dtype=np.int64) for perm in perms]
+    n = len(perms[0])
+    assert _propagate_min_labels(n, images).tolist() == _propagate_min_labels_scatter(n, images).tolist()
 
 
 _DIFFERENTIAL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
