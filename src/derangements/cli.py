@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Three commands: ``analyze`` a group file (permutation or matrix format),
-``verify`` the built-in expectations (the named scenarios or the corpus
-property sweep), and ``construct`` a family member, writing it in the
-canonical text format.
+``verify paper`` or ``verify corpus``, the built-in expectations (the named
+scenarios or the corpus property sweep), and ``construct`` a family member,
+writing it in the canonical text format.  Each verify suite is a subcommand
+that owns its flags, so the other suite's flags are refused, not ignored.
 
 Exit status: 0 when everything asked for passed, 1 when an expectation
 failed, 2 for usage, parse, or constraint errors.  Output is deterministic:
@@ -18,8 +19,8 @@ import sys
 from pathlib import Path
 
 from .derange import analyze
-from .errors import ToolkitError
-from .families import FAMILY_ARITY, FamilyParams, build_family
+from .errors import DegreeTooLarge, ToolkitError
+from .families import DEGREE_CAP, FAMILY_ARITY, FamilyParams, build_family
 from .fileio import dump_group, load_group, load_matrix_group, load_perm_group
 from .permgrp import ENUMERATION_CAP, PermGroup
 from .suite import (
@@ -32,13 +33,6 @@ from .suite import (
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_USAGE = 2
-
-DEFAULT_MAX_DEGREE = 100_000
-MAX_ORDER_HELP = (
-    "refuse to enumerate a group past this order: a matrix group, or the "
-    "point stabilizer of a permutation group's derangement subgroup "
-    f"(default {ENUMERATION_CAP})"
-)
 
 
 def _emit_record(record: dict, as_json: bool) -> None:
@@ -63,57 +57,42 @@ def _record(group, max_order: int | None) -> dict:
     return matrix_record(group)
 
 
+_LOADERS = {"auto": load_group, "perm": load_perm_group, "mat": load_matrix_group}
+
+
 def _cmd_analyze(args) -> int:
-    text = Path(args.path).read_text()
-    if args.kind == "perm":
-        group = load_perm_group(text)
-    elif args.kind == "mat":
-        group = load_matrix_group(text)
-    else:
-        group = load_group(text)
-    if isinstance(group, PermGroup):
-        if group.degree > args.max_degree:
-            print(
-                f"error: degree {group.degree} exceeds --max-degree {args.max_degree}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    group = _LOADERS[args.kind](Path(args.path).read_text())
+    if isinstance(group, PermGroup) and group.degree > args.max_degree:
+        raise DegreeTooLarge(f"degree {group.degree} exceeds --max-degree {args.max_degree}")
     _emit_record(_record(group, args.max_order), args.json)
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    # each suite refuses the other suite's flags rather than ignoring them
-    paper_only = {"--only": args.only, "--inject-fault": args.inject_fault}
-    corpus_only = {"--max-order": args.max_order is not None, "--max-degree": args.max_degree is not None}
-    foreign = corpus_only if args.suite == "paper" else paper_only
-    misplaced = [flag for flag, given in foreign.items() if given]
-    if misplaced:
-        print(f"error: verify {args.suite} does not take {', '.join(misplaced)}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.suite == "paper":
-        reports = run_paper_suite(
-            workers=args.workers,
-            inject_fault=args.inject_fault,
-            only=tuple(args.only or ()),
-        )
-        ok = all(r.passed for r in reports)
-        if args.json:
-            payload = {
-                "suite": "paper",
-                "pass": ok,
-                "results": [r.to_record() for r in reports],
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            for r in reports:
-                print(f"{'PASS' if r.passed else 'FAIL'} {r.scenario_id}: {r.description}")
-                for field, expected, actual in r.failures:
-                    print(f"     {field}: expected {expected!r}, got {actual!r}")
-            passed = sum(r.passed for r in reports)
-            print(f"{passed}/{len(reports)} scenarios passed")
-        return EXIT_OK if ok else EXIT_EXPECTATION
+def _cmd_verify_paper(args) -> int:
+    reports = run_paper_suite(
+        workers=args.workers,
+        inject_fault=args.inject_fault,
+        only=tuple(args.only or ()),
+    )
+    ok = all(r.passed for r in reports)
+    if args.json:
+        payload = {
+            "suite": "paper",
+            "pass": ok,
+            "results": [r.to_record() for r in reports],
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        for r in reports:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.scenario_id}: {r.description}")
+            for field, expected, actual in r.failures:
+                print(f"     {field}: expected {expected!r}, got {actual!r}")
+        passed = sum(r.passed for r in reports)
+        print(f"{passed}/{len(reports)} scenarios passed")
+    return EXIT_OK if ok else EXIT_EXPECTATION
 
+
+def _cmd_verify_corpus(args) -> int:
     records = run_corpus_suite(
         workers=args.workers, max_order=args.max_order, max_degree=args.max_degree
     )
@@ -141,17 +120,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_EXPECTATION
 
 
-def _default_output(params: FamilyParams) -> str:
-    return "-".join([params.name, *map(str, params.values)]) + ".group"
-
-
 def _cmd_construct(args) -> int:
     params = FamilyParams(args.family, tuple(args.params))
     built = build_family(params)
-    label = " ".join([params.name, *map(str, params.values)])
-    text = dump_group(built, comment=label)
-    out = Path(args.output) if args.output else Path(_default_output(params))
-    out.write_text(text)
+    words = [params.name, *map(str, params.values)]
+    out = Path(args.output or "-".join(words) + ".group")
+    out.write_text(dump_group(built, comment=" ".join(words)))
     print(f"wrote {out}")
     if args.analyze:
         _emit_record(_record(built, args.max_order), args.json)
@@ -165,60 +139,70 @@ def _build_parser() -> argparse.ArgumentParser:
         "fixed-point-free elements generate",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    as_json = argparse.ArgumentParser(add_help=False)  # --json, for every command
+    as_json.add_argument("--json", action="store_true", help="emit JSON")
+    max_order = argparse.ArgumentParser(add_help=False)  # for analyze and construct
+    max_order.add_argument(
+        "--max-order", type=int, metavar="N",
+        help="refuse to enumerate a group past this order: a matrix group, or the "
+        "point stabilizer of a permutation group's derangement subgroup "
+        f"(default {ENUMERATION_CAP})",
+    )
 
-    p_analyze = sub.add_parser("analyze", help="analyze a group file")
+    p_analyze = sub.add_parser(
+        "analyze", parents=[as_json, max_order], help="analyze a group file"
+    )
     p_analyze.add_argument("path", help="group file in the canonical text format")
     p_analyze.add_argument(
         "--kind",
-        choices=("auto", "perm", "mat"),
+        choices=tuple(_LOADERS),
         default="auto",
         help="file format; auto dispatches on the header keyword",
-    )
-    p_analyze.add_argument("--json", action="store_true", help="emit JSON")
-    p_analyze.add_argument(
-        "--max-order",
-        type=int,
-        metavar="N",
-        help=MAX_ORDER_HELP,
     )
     p_analyze.add_argument(
         "--max-degree",
         type=int,
-        default=DEFAULT_MAX_DEGREE,
+        default=DEGREE_CAP,
         metavar="N",
         help="refuse degrees past this limit",
     )
     p_analyze.set_defaults(fn=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="run the built-in expectations")
-    p_verify.add_argument("suite", choices=("paper", "corpus"))
-    p_verify.add_argument("--json", action="store_true", help="emit JSON")
-    p_verify.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="parallel scenario runs"
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    p_paper = suites.add_parser(
+        "paper", parents=[as_json], help="the named scenarios with pinned values"
     )
-    p_verify.add_argument(
-        "--max-order", type=int, default=None, metavar="N",
-        help="skip corpus groups above this order",
+    p_corpus = suites.add_parser(
+        "corpus", parents=[as_json], help="the property sweep over the corpus"
     )
-    p_verify.add_argument(
-        "--max-degree", type=int, default=None, metavar="N",
-        help="skip corpus groups above this degree",
-    )
-    p_verify.add_argument(
+    for p_suite in (p_paper, p_corpus):
+        p_suite.add_argument(
+            "--workers", type=int, default=1, metavar="N", help="parallel worker processes"
+        )
+    p_paper.add_argument(
         "--only", action="append", metavar="ID",
         help="restrict the scenario suite to the named scenario (repeatable)",
     )
-    p_verify.add_argument(
+    p_paper.add_argument(
         "--inject-fault",
         action="store_true",
-        help="paper self-test: replace the derangement subgroup by its point "
+        help="self-test: replace the derangement subgroup by its point "
         "stabilizer so the membership check must fail and the exit status "
         "must be nonzero",
     )
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_paper.set_defaults(fn=_cmd_verify_paper)
+    p_corpus.add_argument(
+        "--max-order", type=int, metavar="N", help="skip corpus groups above this order"
+    )
+    p_corpus.add_argument(
+        "--max-degree", type=int, metavar="N", help="skip corpus groups above this degree"
+    )
+    p_corpus.set_defaults(fn=_cmd_verify_corpus)
 
     p_construct = sub.add_parser(
-        "construct", help="build a named family member and write its file"
+        "construct", parents=[as_json, max_order],
+        help="build a named family member and write its file",
     )
     p_construct.add_argument("family", help=f"one of: {', '.join(sorted(FAMILY_ARITY))}")
     p_construct.add_argument("params", type=int, nargs="*", help="family parameters")
@@ -227,10 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument(
         "--analyze", action="store_true", help="analyze the constructed group too"
-    )
-    p_construct.add_argument("--json", action="store_true", help="emit JSON")
-    p_construct.add_argument(
-        "--max-order", type=int, metavar="N", help=MAX_ORDER_HELP,
     )
     p_construct.set_defaults(fn=_cmd_construct)
     return parser
@@ -244,10 +224,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

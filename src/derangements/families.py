@@ -40,11 +40,23 @@ from .permgrp import (
     symmetric_group,
 )
 
-AFFINE_DEGREE_CAP = 100_000
+DEGREE_CAP = 100_000  # the most points any constructed permutation group acts on
 
 
-def _gf(q: int) -> FieldSpec:
-    """GF(q) for a prime power q."""
+def _degree(m: int, k: int = 1) -> int:
+    """The degree m^k of a permutation domain; DegreeTooLarge past
+    DEGREE_CAP, checked before anything of that size is built (for m >= 2,
+    a k past the cap's bit length passes it before m^k is formed)."""
+    if m > DEGREE_CAP or m > 1 and (k > DEGREE_CAP.bit_length() or m**k > DEGREE_CAP):
+        power = f"{m}^{k}" if k > 1 else m
+        raise DegreeTooLarge(f"degree {power} exceeds {DEGREE_CAP}")
+    return m**k
+
+
+def _gf(q: int, d: int = 1) -> FieldSpec:
+    """GF(q) for a prime power q, refused before it is built when the affine
+    degree q^d passes DEGREE_CAP."""
+    _degree(q, d)
     return field(*prime_power_decompose(q))
 
 
@@ -53,9 +65,7 @@ def affine_group(h: MatrixGroup) -> PermGroup:
     row vectors; a transitive group on the q^d vectors of order q^d * |h|."""
     spec = h.spec
     d = h.d
-    degree = spec.order**d
-    if degree > AFFINE_DEGREE_CAP:
-        raise DegreeTooLarge(f"affine degree {degree} exceeds {AFFINE_DEGREE_CAP}")
+    degree = _degree(spec.order, d)
     points = np.arange(degree, dtype=np.int64)
     digits = _index_digits(spec, d, points)
     low = digits[:, :: spec.f]  # adding 1 to coordinate i adds 1 to this digit
@@ -74,9 +84,7 @@ def semilinear_example(q: int) -> PermGroup:
     """Maps x -> a*x^e + c on the field of q^2 elements, where a is nonzero
     and e is 1 or q.  Generated by x+1, gx, and x^q; order 2q^2(q^2-1)."""
     p, f = prime_power_decompose(q)
-    degree = q * q
-    if degree > AFFINE_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
+    degree = _degree(q, 2)
     big = field(p, 2 * f)
     assert big.order == degree
     g = big.primitive_element()
@@ -153,12 +161,7 @@ def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
     """h wreath a k-cycle in product action on degree-m^k tuples, m >= 2."""
     if h.degree < 2:
         raise ConstraintViolated("the base group must act on at least 2 points")
-    if k > AFFINE_DEGREE_CAP.bit_length():  # m^k >= 2^k is past the cap
-        raise DegreeTooLarge(f"degree {h.degree}^{k} exceeds {AFFINE_DEGREE_CAP}")
-    degree = h.degree**k
-    if degree > AFFINE_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
-    group = PermGroup(degree, _wreath_generators(h, k))
+    group = PermGroup(_degree(h.degree, k), _wreath_generators(h, k))
     assert group.order() == h.order() ** k * k
     return group
 
@@ -196,8 +199,8 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     and q must be a prime not dividing |h|.
     """
     m = n_order
-    if q > AFFINE_DEGREE_CAP.bit_length():  # before q is tested for primality
-        raise ConstraintViolated(f"q = {q} is too large: 2^q exceeds the degree cap {AFFINE_DEGREE_CAP}")
+    if q > DEGREE_CAP.bit_length():  # before q is tested for primality
+        raise ConstraintViolated(f"q = {q} is too large: 2^q exceeds the degree cap {DEGREE_CAP}")
     failures = []
     if m < 2:
         failures.append("kernel order must be at least 2")
@@ -219,8 +222,8 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
             if any(len(orbit) != h.order() for orbit in h.orbits()[1:]):
                 failures.append("h must fix only the zero point")
     degree = m**q
-    if degree > AFFINE_DEGREE_CAP:
-        failures.append(f"degree {degree} exceeds {AFFINE_DEGREE_CAP}")
+    if degree > DEGREE_CAP:
+        failures.append(f"degree {degree} exceeds {DEGREE_CAP}")
     if failures:
         raise ConstraintViolated("; ".join(failures))
 
@@ -246,7 +249,7 @@ def dihedral_quotient_family(q: int) -> MatrixGroup:
         raise ConstraintViolated(f"q = {q} is not 3 mod 4")
     if q < 7:
         raise ConstraintViolated("q must be at least 7")
-    spec = _gf(q)
+    spec = field(*prime_power_decompose(q))
     x_part = dihedral_gl2(spec, q - 1)
     big, matrix = _quadratic_plane(spec)
     g = big.primitive_element()
@@ -300,22 +303,23 @@ class FamilyParams:
 
 # name -> (number of parameters, builder).  The builders look constructors up
 # by name when called, so a rebound module global (a tracer's wrapper) is used.
+# A degree, or a field order with its dimension, is checked before anything is built.
 _FAMILIES = {
-    "symmetric": (1, lambda n: symmetric_group(n)),
-    "alternating": (1, lambda n: alternating_group(n)),
-    "cyclic": (1, lambda n: cyclic_group(n)),
-    "dihedral": (1, lambda n: dihedral_group(n)),
+    "symmetric": (1, lambda n: symmetric_group(_degree(n))),
+    "alternating": (1, lambda n: alternating_group(_degree(n))),
+    "cyclic": (1, lambda n: cyclic_group(_degree(n))),
+    "dihedral": (1, lambda n: dihedral_group(_degree(n))),
     "agl1": (1, lambda q: affine_group(scalar_matrix_group(_gf(q), 1))),
-    "affine-scalars": (2, lambda q, d: affine_group(scalar_matrix_group(_gf(q), d))),
-    "affine-gl2": (1, lambda q: affine_group(general_linear_gl2(_gf(q)))),
+    "affine-scalars": (2, lambda q, d: affine_group(scalar_matrix_group(_gf(q, d), d))),
+    "affine-gl2": (1, lambda q: affine_group(general_linear_gl2(_gf(q, 2)))),
     "affine-klein": (0, lambda: affine_group(central_product_examples("klein"))),
     "semilinear": (1, lambda q: semilinear_example(q)),
     "pgammal28": (0, lambda: pgammal_28()),
-    "wreath-sym": (2, lambda n, k: wreath_product_action(symmetric_group(n), k)),
-    "wreath-cyclic": (2, lambda n, k: wreath_product_action(cyclic_group(n), k)),
+    "wreath-sym": (2, lambda n, k: wreath_product_action(symmetric_group(_degree(n)), k)),
+    "wreath-cyclic": (2, lambda n, k: wreath_product_action(cyclic_group(_degree(n)), k)),
     "frobenius-complement": (
         3,
-        lambda m, a, q: frobenius_complement_example(m, cyclic_multiplier_group(m, a), q),
+        lambda m, a, q: frobenius_complement_example(m, cyclic_multiplier_group(_degree(m), a), q),
     ),
     "central-klein": (0, lambda: central_product_examples("klein")),
     "central-a4": (0, lambda: central_product_examples("a4")),

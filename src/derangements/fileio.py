@@ -6,6 +6,10 @@ whitespace-separated 0-based images.  Matrix groups: header line
 integer-encoded field entries, row-major.  Lines starting with `#` are
 comments; blank lines are ignored.  Parse failures carry 1-based line
 numbers.
+
+One reader serves both formats: it splits the content lines once, checks
+the header against its keyword's usage string, and hands the body rows,
+with their line numbers, to that keyword's builder.
 """
 
 from __future__ import annotations
@@ -15,54 +19,103 @@ from .gf import field
 from .matgrp import FFMatrix, MatrixGroup, _check_spin_work
 from .permgrp import PermGroup, Permutation
 
+_USAGE = {"permgroup": "permgroup n ngens", "matgroup": "matgroup p f d ngens"}
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+
+def _load(text: str, keyword: str | None):
+    """Split the content lines once, check the header against its keyword's
+    usage string, and build the group from the body rows.  keyword None
+    accepts either format; otherwise the header must name that one."""
+    lines = []
     for no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            out.append((no, stripped))
-    return out
-
-
-def _int_fields(no: int, line: str, expect: int, what: str) -> list[int]:
-    parts = line.split()
-    if len(parts) != expect:
-        raise ParseError(no, f"expected {expect} {what}, got {len(parts)}")
+            lines.append((no, stripped.split()))
+    if not lines:
+        raise ParseError(1, "empty input")
+    no, parts = lines[0]
+    usage = _USAGE.get(keyword or parts[0])
+    if usage is None:
+        raise ParseError(no, f"unknown header keyword {parts[0]!r}")
+    if keyword is not None and parts[0] != keyword:
+        raise ParseError(no, f"expected '{usage}' header")
+    if len(parts) != len(usage.split()):
+        raise ParseError(no, f"header must be '{usage}'")
     try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(no, f"non-integer token in {what}: {exc}") from None
+        fields = [int(x) for x in parts[1:]]
+    except ValueError:
+        raise ParseError(no, "header fields must be integers") from None
+    if fields[-2] < 1 or fields[-1] < 0:  # the degree or dimension, and ngens
+        raise ParseError(no, f"need {usage.split()[-2]} >= 1 and ngens >= 0")
+    return _BUILDERS[parts[0]](no, fields, lines)
+
+
+def _rows(lines, count: int, width: int, what: str) -> list[tuple[int, list[int]]]:
+    """The count body rows after the header, each of width integers, with
+    their line numbers.  Too few rows is reported on the last line, extra
+    rows on the first extra one."""
+    body = lines[1:]
+    if len(body) < count:
+        raise ParseError(lines[-1][0], f"expected {count} {what}, found {len(body)}")
+    if len(body) > count:
+        raise ParseError(body[count][0], "trailing content after the last generator")
+    rows = []
+    for no, tokens in body:
+        if len(tokens) != width:
+            raise ParseError(no, f"expected {width} entries, got {len(tokens)}")
+        try:
+            rows.append((no, [int(t) for t in tokens]))
+        except ValueError as exc:
+            raise ParseError(no, f"non-integer token: {exc}") from None
+    return rows
+
+
+def _perm_group(no: int, fields: list[int], lines) -> PermGroup:
+    n, ngens = fields
+    gens = []
+    for no, images in _rows(lines, ngens, n, "generator lines"):
+        try:
+            gens.append(Permutation(images))
+        except ValueError:
+            raise ParseError(no, "line is not a permutation of 0..n-1") from None
+    return PermGroup(n, gens)
+
+
+def _matrix_group(no: int, fields: list[int], lines) -> MatrixGroup:
+    p, f, d, ngens = fields
+    try:
+        spec = field(p, f)
+        _check_spin_work(spec.order, d)  # every matrix record runs the spin
+    except ToolkitError as exc:
+        raise ParseError(no, f"bad header: {exc}") from None
+    rows = _rows(lines, ngens * d, d, "matrix rows")
+    for no, row in rows:
+        if not 0 <= min(row) <= max(row) < spec.order:
+            bad = next(e for e in row if not 0 <= e < spec.order)
+            raise ParseError(no, f"entry {bad} outside [0, {spec.order})")
+    gens = []
+    for k in range(0, len(rows), d):
+        mat = FFMatrix(spec, [row for _, row in rows[k:k + d]])
+        if mat.det() == 0:
+            raise ParseError(rows[k][0], "singular generator")
+        gens.append(mat)
+    return MatrixGroup(spec, d, gens)
+
+
+_BUILDERS = {"permgroup": _perm_group, "matgroup": _matrix_group}
+
+
+def load_group(text: str):
+    """Dispatch on the header keyword; returns a PermGroup or MatrixGroup."""
+    return _load(text, None)
 
 
 def load_perm_group(text: str) -> PermGroup:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
-    no, header = lines[0]
-    parts = header.split()
-    if not parts or parts[0] != "permgroup":
-        raise ParseError(no, "expected 'permgroup n ngens' header")
-    if len(parts) != 3:
-        raise ParseError(no, "header must be 'permgroup n ngens'")
-    try:
-        n, ngens = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(no, "header fields must be integers") from None
-    if n < 1 or ngens < 0:
-        raise ParseError(no, "need n >= 1 and ngens >= 0")
-    body = lines[1:]
-    if len(body) < ngens:
-        raise ParseError(lines[-1][0], f"expected {ngens} generator lines, found {len(body)}")
-    if len(body) > ngens:
-        raise ParseError(body[ngens][0], "trailing content after the last generator")
-    gens = []
-    for no, line in body:
-        images = _int_fields(no, line, n, "images")
-        if sorted(images) != list(range(n)):
-            raise ParseError(no, "line is not a permutation of 0..n-1")
-        gens.append(Permutation(tuple(images)))
-    return PermGroup(n, gens)
+    return _load(text, "permgroup")
+
+
+def load_matrix_group(text: str) -> MatrixGroup:
+    return _load(text, "matgroup")
 
 
 def dump_perm_group(group: PermGroup, comment: str | None = None) -> str:
@@ -75,51 +128,6 @@ def dump_perm_group(group: PermGroup, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_matrix_group(text: str) -> MatrixGroup:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
-    no, header = lines[0]
-    parts = header.split()
-    if not parts or parts[0] != "matgroup":
-        raise ParseError(no, "expected 'matgroup p f d ngens' header")
-    if len(parts) != 5:
-        raise ParseError(no, "header must be 'matgroup p f d ngens'")
-    try:
-        p, f, d, ngens = (int(x) for x in parts[1:])
-    except ValueError:
-        raise ParseError(no, "header fields must be integers") from None
-    if d < 1 or ngens < 0:
-        raise ParseError(no, "need d >= 1 and ngens >= 0")
-    try:
-        spec = field(p, f)
-        _check_spin_work(spec.order, d)  # every matrix record runs the spin
-    except ToolkitError as exc:
-        raise ParseError(no, f"bad header: {exc}") from None
-    body = lines[1:]
-    if len(body) < ngens * d:
-        raise ParseError(
-            lines[-1][0], f"expected {ngens * d} matrix rows, found {len(body)}"
-        )
-    if len(body) > ngens * d:
-        raise ParseError(body[ngens * d][0], "trailing content after the last matrix")
-    gens = []
-    for k in range(ngens):
-        rows = []
-        for i in range(d):
-            no, line = body[k * d + i]
-            entries = _int_fields(no, line, d, "entries")
-            for e in entries:
-                if not 0 <= e < spec.order:
-                    raise ParseError(no, f"entry {e} outside [0, {spec.order})")
-            rows.append(entries)
-        mat = FFMatrix(spec, rows)
-        if mat.det() == 0:
-            raise ParseError(body[k * d][0], "singular generator")
-        gens.append(mat)
-    return MatrixGroup(spec, d, gens)
-
-
 def dump_matrix_group(group: MatrixGroup, comment: str | None = None) -> str:
     spec = group.spec
     lines = []
@@ -130,19 +138,6 @@ def dump_matrix_group(group: MatrixGroup, comment: str | None = None) -> str:
         for row in m.rows:
             lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def load_group(text: str):
-    """Dispatch on the header keyword; returns a PermGroup or MatrixGroup."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty input")
-    keyword = lines[0][1].split()[0]
-    if keyword == "permgroup":
-        return load_perm_group(text)
-    if keyword == "matgroup":
-        return load_matrix_group(text)
-    raise ParseError(lines[0][0], f"unknown header keyword {keyword!r}")
 
 
 def dump_group(group, comment: str | None = None) -> str:

@@ -662,11 +662,6 @@ def corpus_failures(record: dict) -> list[str]:
     return bad
 
 
-def corpus_ok(record: dict) -> bool:
-    """Did this corpus entry satisfy every property that must hold?"""
-    return not corpus_failures(record)
-
-
 def _corpus_entry(name: str, max_order: int | None, max_degree: int | None) -> dict:
     """The record of one corpus group, built in the process that records
     it, or a skip marker when it exceeds max_order or max_degree."""

@@ -305,3 +305,28 @@ def test_construct_hostile_parameters_exit_2(params, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["cyclic", "1000000000"],
+        ["symmetric", "1000000000"],
+        ["alternating", "1000000000"],
+        ["dihedral", "1000000000"],
+        ["frobenius-complement", "1000000007", "2", "3"],
+        ["wreath-sym", "1000000000", "2"],
+        ["affine-scalars", "2", "1000000000"],
+        ["affine-gl2", "317"],
+    ],
+    ids="-".join,
+)
+def test_construct_hostile_degrees_exit_2(params, tmp_path, capsys):
+    """A degree, a kernel order, or a field order and dimension whose
+    domain passes the one degree cap is refused before a permutation, a
+    matrix or a group of that size is built."""
+    out = tmp_path / "g.group"
+    assert main(["construct", *params, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "exceeds 100000" in err and not out.exists()

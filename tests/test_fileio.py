@@ -118,6 +118,41 @@ def test_mat_parse_errors():
     assert exc.value.line_no == 4  # trailing rows
 
 
+PERM_HEAD = "# two generators of S_3\npermgroup 3 2\n\n1 2 0\n# the second\n"
+MAT_HEAD = "matgroup 5 1 2 2\n0 1\n4 0\n# the second\n"
+
+
+@pytest.mark.parametrize(
+    "load, text, line_no",
+    [
+        (load_perm_group, PERM_HEAD + "1 x 0\n", 6),  # bad token
+        (load_perm_group, PERM_HEAD + "1 0\n", 6),  # short row
+        (load_perm_group, PERM_HEAD + "1 1 0\n", 6),  # not a permutation
+        (load_perm_group, PERM_HEAD, 4),  # missing row: the last line
+        (load_perm_group, PERM_HEAD + "1 0 2\n\n0 1 2\n", 8),  # trailing row
+        (load_matrix_group, MAT_HEAD + "1 2\n3 y\n", 6),  # bad token
+        (load_matrix_group, MAT_HEAD + "1 2\n3\n", 6),  # short row
+        (load_matrix_group, MAT_HEAD + "1 2\n3 5\n", 6),  # entry out of range
+        (load_matrix_group, MAT_HEAD + "1 2\n2 4\n", 5),  # singular: its first row
+        (load_matrix_group, MAT_HEAD + "1 2\n", 5),  # missing row: the last line
+        (load_matrix_group, MAT_HEAD + "1 2\n3 4\n# extra\n1 1\n", 8),  # trailing row
+    ],
+)
+def test_parse_errors_in_the_second_generator(load, text, line_no):
+    """Every body error in the second generator, past comments and blank
+    lines, is reported on its own line, through both loaders."""
+    for loader in (load, load_group):
+        with pytest.raises(ParseError) as exc:
+            loader(text)
+        assert exc.value.line_no == line_no
+
+
+def test_second_generator_heads_load_when_completed():
+    """The files of the table above, with a sound second generator."""
+    assert load_perm_group(PERM_HEAD + "1 0 2\n").order() == 6
+    assert len(load_matrix_group(MAT_HEAD + "1 2\n3 4\n").generators) == 2
+
+
 @pytest.mark.parametrize("d", [10**9, 20_000])
 def test_mat_header_past_spin_cap(d):
     """The spin's work bound is checked on the header, before any matrix of
@@ -143,5 +178,13 @@ def test_load_group_dispatch():
     assert isinstance(h, MatrixGroup)
     with pytest.raises(ParseError):
         load_group("widget 1 2\n")
+    # each single-format loader refuses the other format's header on its line
+    for load, text in (
+        (load_perm_group, "# m\nmatgroup 5 1 1 1\n2\n"),
+        (load_matrix_group, "# p\npermgroup 2 1\n1 0\n"),
+    ):
+        with pytest.raises(ParseError, match="header") as exc:
+            load(text)
+        assert exc.value.line_no == 2
     with pytest.raises(TypeError):
         dump_group(42)

@@ -112,8 +112,8 @@ def _generator(n):
     return st.one_of(_perm(n), cycle) if n > 1 else _perm(n)
 
 
-def _generator_sets():
-    return st.integers(min_value=1, max_value=9).flatmap(
+def _generator_sets(max_degree=9):
+    return st.integers(min_value=1, max_value=max_degree).flatmap(
         lambda n: st.tuples(
             st.lists(_generator(n), min_size=1, max_size=4),
             st.lists(_perm(n), min_size=3, max_size=3),
@@ -210,10 +210,16 @@ def test_block_tallies_match_the_loops_on_corpus_and_edge_chains():
         rng.shuffle(images)
         reps = [Permutation(images), group.identity(), *group.generators[:1]]
         _assert_block_tallies_match_the_loops(group, reps)
+    # degree 9, which the random groups below leave out: the loop oracle
+    # takes about a second per representative on S_9
+    nine = symmetric_group(9)
+    _assert_block_tallies_match_the_loops(nine, [Permutation.from_cycles(9, [(0, 4, 8)])])
 
 
+# degree at most 8: on S_9 the loop oracle alone, over up to seven
+# representatives and the stabilizer, can pass the per-test time limit
 @settings(max_examples=80, deadline=None)
-@given(_generator_sets())
+@given(_generator_sets(max_degree=8))
 def test_block_tallies_match_the_loops_on_random_groups(data):
     gens, reps = data
     group = PermGroup(gens[0].degree, gens)
