@@ -93,13 +93,12 @@ def _matrix_group(no: int, fields: list[int], lines) -> MatrixGroup:
         if not 0 <= min(row) <= max(row) < spec.order:
             bad = next(e for e in row if not 0 <= e < spec.order)
             raise ParseError(no, f"entry {bad} outside [0, {spec.order})")
-    gens = []
-    for k in range(0, len(rows), d):
-        mat = FFMatrix(spec, [row for _, row in rows[k:k + d]])
-        if mat.det() == 0:
-            raise ParseError(rows[k][0], "singular generator")
-        gens.append(mat)
-    return MatrixGroup(spec, d, gens)
+    gens = [FFMatrix(spec, [row for _, row in rows[k:k + d]]) for k in range(0, len(rows), d)]
+    try:
+        return MatrixGroup(spec, d, gens)
+    except ValueError:  # a singular generator; the first one names the line
+        k = next(k for k, mat in enumerate(gens) if mat.det() == 0)
+        raise ParseError(rows[k * d][0], "singular generator") from None
 
 
 _BUILDERS = {"permgroup": _perm_group, "matgroup": _matrix_group}

@@ -14,20 +14,21 @@ GF(p); M -> digit(M) is a homomorphism, and a group converts each of its
 generators once (``generator_digits``).  A group's one element store is
 the stack of its digit matrices in breadth-first order (batched products
 of the frontier and the generators), with a dict from entry codes to
-positions; positions are the element handle, and elements() decodes
-FFMatrix objects only on request.  One batched elimination mod p decides
-eigenvalue 1, and the eigenvalue-1 subgroup is a mask over positions.  A
-quotient H/R is H acting on the R-orbits in the orbit of e_0, read off
-row 0 of the stack.  Work on vectors maps whole arrays of indices;
-projective points are put in canonical form with log/exp tables of GF(q)
-and ranked in closed form.  Norton's criterion on a generator eigenspace
-proves irreducibility, or else the projective-point sweep decides it;
-permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the
-work, read when it is done.
+positions; positions are the element handle, element orders come from
+batched powers of the stack and scalars from its entry codes.  One batched
+elimination mod p decides eigenvalue 1, and the eigenvalue-1 subgroup is a
+mask over positions.  A quotient H/R is H acting on the R-orbits in the
+orbit of e_0, read off row 0 of the stack.  Work on vectors maps whole
+arrays of indices; projective points are put in canonical form with
+log/exp tables of GF(q) and ranked in closed form.  Norton's criterion on a
+generator eigenspace proves irreducibility, or else the projective-point
+sweep decides it; permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and
+SEMIREGULAR_VECTOR_CAP bound the work, read when it is done.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -85,18 +86,6 @@ class FFMatrix:
         m.rows = rows
         return m
 
-    def __pow__(self, k: int) -> "FFMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = FFMatrix.identity(self.spec, self.d)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def apply_row(self, v: Sequence[int]) -> tuple[int, ...]:
         """Image of the row vector v (encoded ints) under this matrix."""
         mul, add = self.spec.mul_e, self.spec.add_e
@@ -121,22 +110,6 @@ class FFMatrix:
             for i, row in enumerate(self.rows)
             for j, e in enumerate(row)
         )
-
-    def is_scalar(self) -> bool:
-        diag = self.rows[0][0]
-        return diag != 0 and all(
-            e == (diag if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
-
-    def multiplicative_order(self, cap: int = 10_000) -> int:
-        power = self
-        for k in range(1, cap + 1):
-            if power.is_identity():
-                return k
-            power = power * self
-        raise CapExceeded(f"element order exceeds {cap}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,7 +212,6 @@ class MatrixGroup:
         self.generators = tuple(gens)
         self._stack: np.ndarray | None = None  # digit matrices, breadth-first
         self._position: dict[bytes, int] | None = None  # entry-code bytes -> position
-        self._elements: list[FFMatrix] | None = None  # decoded on request
         self._irreducibility: tuple | None = None
         self._digits: np.ndarray | None = None  # the generators' digit matrices
 
@@ -301,14 +273,6 @@ class MatrixGroup:
         keys = _entry_keys(self.spec, self.d, stack)
         return np.fromiter(map(self._positions().__getitem__, keys), dtype=np.int64, count=len(keys))
 
-    def elements(self) -> list[FFMatrix]:
-        """All elements in the order of digit_stack(), decoded on the first
-        call and cached."""
-        stack = self.digit_stack()
-        if self._elements is None:
-            self._elements = _decode(self.spec, self.d, stack)
-        return self._elements
-
     def order(self) -> int:
         return len(self.digit_stack())
 
@@ -317,15 +281,22 @@ class MatrixGroup:
         return _entry_keys(self.spec, self.d, _digit_matrix(m)[None])[0] in self._positions()
 
     def element_order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for m in self.elements():
-            k = m.multiplicative_order(cap=self.order())
-            hist[k] = hist.get(k, 0) + 1
-        return hist
+        """Element order -> count: the k-th powers of the whole stack, one
+        batched product per k, until every element has met the identity
+        (stack[0])."""
+        stack, p = self.digit_stack(), self.spec.p
+        orders = np.zeros(len(stack), dtype=np.int64)
+        power, k = stack, 1
+        while not orders.all():
+            orders[(orders == 0) & (power == stack[0]).all(axis=(1, 2))] = k
+            power, k = power @ stack % p, k + 1
+        return dict(Counter(orders.tolist()))
 
     def scalar_values(self) -> list[int]:
         """Encodings of all lambda with lambda*I in the group, ascending."""
-        return sorted(m.rows[0][0] for m in self.elements() if m.is_scalar())
+        entries = _codes(self.spec, self.d, self.digit_stack()[:, :: self.spec.f])
+        scalar = (entries == entries[:, :1, :1] * np.eye(self.d, dtype=np.int64)).all(axis=(1, 2))
+        return sorted(entries[scalar, 0, 0].tolist())
 
     def contains_minus_identity(self) -> bool:
         return FFMatrix.scalar(self.spec, self.d, self.spec.neg_e(1)) in self
@@ -382,14 +353,6 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
 # is also the index of the base-p digit vector (c_ji) in GF(p)^(d*f).  A
 # GF(q)-matrix acts GF(p)-linearly on those digits, so one integer matrix
 # product over GF(p) maps a whole array of indices, whatever the field.
-
-
-def index_to_vector(spec: FieldSpec, d: int, idx: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(idx % spec.order)
-        idx //= spec.order
-    return tuple(out)
 
 
 def _index_digits(spec: FieldSpec, d: int, idx: np.ndarray) -> np.ndarray:
@@ -565,7 +528,7 @@ def _norton(group: MatrixGroup) -> bool:
         return False
     e, _, _, null, theta = min(pairs)
     transposes = [FFMatrix._raw(spec, d, tuple(zip(*g.rows))) for g in gens]
-    points = (index_to_vector(spec, e, c) for c in _projective_points(spec.order, e).tolist())
+    points = _codes(spec, e, _index_digits(spec, e, _projective_points(spec.order, e))).tolist()
     return len(_spin(spec, d, transposes, _left_null_space(spec, list(zip(*theta)))[0])) == d and all(
         len(_spin(spec, d, gens, [reduce(spec.add_e, map(spec.mul_e, c, col)) for col in zip(*null)])) == d
         for c in points
@@ -598,8 +561,8 @@ def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] 
         images.append(_projective_rank(scaled @ qpow, q, d))
         del scaled, zero
     labels = _propagate_min_labels(len(points), images)
-    for start in points[labels == np.arange(len(points))]:
-        span = _spin(spec, d, group.generators, index_to_vector(spec, d, int(start)))
+    for start in _codes(spec, d, digits[labels == np.arange(len(points))]).tolist():
+        span = _spin(spec, d, group.generators, start)
         if len(span) < d:
             return False, tuple(tuple(r) for r in span)
     return True, None
@@ -817,7 +780,7 @@ def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
         ref = matrix(lambda w: big.pow_e(w, q))
     else:
         raise ConstraintViolated(f"order-{m} rotation needs m | q-1 or m | q+1")
-    assert rot.multiplicative_order() == m
+    assert MatrixGroup(spec, 2, [rot]).order() == m
     assert (ref * ref).is_identity()
     assert ((ref.inverse() * rot) * ref) == rot.inverse()
     group = MatrixGroup(spec, 2, [rot, ref])

@@ -29,11 +29,11 @@ from derangements.matgrp import (
     MatrixGroup,
     eigenvalue_one_subgroup,
     general_linear_gl2,
-    index_to_vector,
     quotient_perm_group,
     scalar_matrix_group,
 )
 from derangements.permgrp import PermGroup, Permutation, count_fixed, cyclic_group, symmetric_group
+from test_matgrp import index_to_vector
 from test_properties import same_group
 
 

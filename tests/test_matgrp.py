@@ -1,14 +1,16 @@
 """Matrix arithmetic, closures, the eigenvalue-1 subgroup, irreducibility,
 products, and the GL(2,q) embeddings.  The batched digit-matrix stages are
 checked against pure-Python oracles kept here: the breadth-first closure
-by FFMatrix products, the echelon eigenvalue-1 test, the per-element coset
-walk (for the quotient on sub-orbit blocks and the index check), the
-searchsorted projective rank, the scatter label propagation and the
-spin.  SL(2,3)'s closed-form generator is checked against the linear
-solve it replaced."""
+by FFMatrix products, the decoded stack with one order loop per element,
+the vector of an index by its base-q digits, the echelon eigenvalue-1
+test, the per-element coset walk (for the quotient on sub-orbit blocks and
+the index check), the searchsorted projective rank, the scatter label
+propagation and the spin.  SL(2,3)'s closed-form generator is checked
+against the linear solve it replaced."""
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from derangements.matgrp import (
     eigenvalue_one_subgroup,
     general_linear_gl2,
     index_bound_check,
-    index_to_vector,
     irreducibility,
     is_irreducible,
     kronecker,
@@ -38,8 +39,11 @@ from derangements.matgrp import (
     quotient_perm_group,
     scalar_matrix_group,
     special_linear_gl2,
+    _codes,
+    _decode,
     _digit_matrix,
     _fixes_a_vector,
+    _index_digits,
     _norton,
     _orbit_labels,
     _projective_rank,
@@ -63,12 +67,34 @@ def has_eigenvalue_one(m):
     return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
 
 
+def index_to_vector(spec, d, idx):
+    """The vector with index idx in GF(q)^d: its base-q digits."""
+    out = []
+    for _ in range(d):
+        out.append(idx % spec.order)
+        idx //= spec.order
+    return tuple(out)
+
+
 def vector_to_index(spec, v):
     """Index of v in GF(q)^d: sum_j v_j q^j."""
     idx = 0
     for e in reversed(v):
         idx = idx * spec.order + e
     return idx
+
+
+def _elements(group):
+    """Every element as an FFMatrix, in the order of the digit stack."""
+    return _decode(group.spec, group.d, group.digit_stack())
+
+
+def _order_python(m):
+    """Multiplicative order by one FFMatrix product per power."""
+    power, k = m, 1
+    while not power.is_identity():
+        power, k = power * m, k + 1
+    return k
 
 
 def solve_homogeneous(spec, rows):
@@ -107,8 +133,8 @@ def _tetrahedral_w_solved(spec):
     basis = solve_homogeneous(spec, rows)
     w = FFMatrix(spec, [basis[0][0:2], basis[0][2:4]])
     cube = w * w * w
-    assert cube.is_scalar()
     lam = cube.rows[0][0]
+    assert cube == FFMatrix.scalar(spec, 2, lam)
     root = next(e for e in range(1, spec.order) if spec.pow_e(e, 3) == lam)
     return FFMatrix.scalar(spec, 2, spec.inv_e(root)) * w
 
@@ -310,13 +336,13 @@ def _assert_batched_paths_match(group, extra_sub=None):
     extra_sub when it is normal and holds the stabilizer of e_0, while any
     other extra_sub is refused, and the index check for a normal one on at
     most 1000 vectors."""
-    elements = group.elements()
+    elements = _elements(group)
     assert elements == _closure_python(group)
     flags = [has_eigenvalue_one(m) for m in elements]
     assert flags == [_has_eigenvalue_one_python(m) for m in elements]
     sub = eigenvalue_one_subgroup(group)
     assert list(sub.generators) == _eigenvalue_one_generators_python(group)
-    assert {m.rows for m in sub.elements()} == {m.rows for m in _closure_python(sub)}
+    assert {m.rows for m in _elements(sub)} == {m.rows for m in _closure_python(sub)}
     for s in (sub, extra_sub):
         if s is None:
             continue
@@ -367,12 +393,10 @@ def test_matrix_product_is_apply_left_then_right():
     assert via_product == stepwise == (4, 3)
 
 
-def test_matrix_inverse_det_pow():
+def test_matrix_inverse_det():
     m = FFMatrix(GF5, [[1, 2], [3, 4]])
     assert m.det() == (1 * 4 - 2 * 3) % 5
     assert (m * m.inverse()).is_identity()
-    assert m ** 3 == m * m * m
-    assert m ** -1 == m.inverse()
     with pytest.raises(ZeroDivisionError):
         FFMatrix(GF5, [[1, 2], [2, 4]]).inverse()
     # every 2x2 matrix over GF(4): singular ones raise, the rest invert
@@ -461,6 +485,43 @@ def test_enumeration_quaternion_example():
     assert g.element_order_histogram() == {1: 1, 2: 1, 4: 6}
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: quaternion_gl2(GF5),
+        lambda: quaternion_gl2(field(3, 2)),
+        lambda: binary_tetrahedral_gl2(field(7, 1)),
+        lambda: binary_icosahedral_gl2(field(19, 1)),
+        lambda: general_linear_gl2(field(2, 2)),
+        lambda: general_linear_gl2(field(2, 3)),
+        lambda: dihedral_gl2(field(5, 2), 26),
+        lambda: dihedral_gl2(field(3, 3), 28),
+        lambda: scalar_matrix_group(field(2, 3), 3),
+        lambda: central_product_examples("klein"),
+    ],
+    ids=["q8-5", "q8-9", "sl23-7", "sl25-19", "gl2-4", "gl2-8", "dihedral-25-26", "dihedral-27-28",
+         "scalars-8-3", "central-klein"],
+)
+def test_order_histogram_and_scalars_match_the_per_element_oracles(build):
+    """The batched powers of the stack and the scalar rows read off its
+    entry codes, against one Python order loop and one scalar test per
+    decoded element."""
+    group = build()
+    elements = _elements(group)
+    assert group.element_order_histogram() == Counter(map(_order_python, elements))
+    scalars = [m.rows[0][0] for m in elements if m == FFMatrix.scalar(group.spec, group.d, m.rows[0][0])]
+    assert group.scalar_values() == sorted(scalars)
+
+
+@pytest.mark.parametrize("q, d", [(5, 2), (4, 3), (9, 2), (8, 2)])
+def test_index_codes_match_index_to_vector(q, d):
+    """The batched index -> coordinate codes conversion of the Norton walk
+    and the sweep, over all of GF(q)^d."""
+    spec = field(*prime_power_decompose(q))
+    codes = _codes(spec, d, _index_digits(spec, d, np.arange(q**d, dtype=np.int64)))
+    assert codes.tolist() == [list(index_to_vector(spec, d, i)) for i in range(q**d)]
+
+
 def test_enumeration_cap():
     g = MatrixGroup(GF5, 2, [FFMatrix(GF5, [[1, 1], [0, 1]]), FFMatrix(GF5, [[0, 1], [4, 0]])])
     with pytest.raises(CapExceeded):
@@ -469,7 +530,7 @@ def test_enumeration_cap():
 
 def test_enumeration_cap_is_exact_and_checked_when_cached():
     gl = general_linear_gl2(GF3)
-    assert len(gl.elements()) == 48
+    assert gl.order() == 48
     with pytest.raises(CapExceeded):
         gl.digit_stack(cap=10)
     # the last breadth-first level takes the closure from 41 to 48 elements
@@ -480,7 +541,6 @@ def test_enumeration_cap_is_exact_and_checked_when_cached():
         MatrixGroup(GF3, 2, gl.generators).digit_stack(cap=47)
     fresh = MatrixGroup(GF3, 2, gl.generators)
     assert np.array_equal(fresh.digit_stack(cap=48), gl.digit_stack())
-    assert fresh.elements() == gl.elements()
 
 
 def test_gl23_order_and_eigenvalue_subgroup():
@@ -511,7 +571,7 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
     assert h.order() // r.order() == 4
     # no non-identity scalar fixes a nonzero vector
     assert r.generators == ()
-    assert not any(has_eigenvalue_one(m) for m in h.elements()[1:])
+    assert not any(has_eigenvalue_one(m) for m in _elements(h)[1:])
     report = index_bound_check(h, r)
     assert report.index == 4 and report.bound == 24
     assert report.index_ok and report.semiregular
@@ -752,7 +812,7 @@ def test_eigenvalue_one_subgroup_contains_every_fixer(group):
         group.digit_stack(cap=1000)
     except CapExceeded:
         assume(False)
-    elements = group.elements()
+    elements = _elements(group)
     sub = eigenvalue_one_subgroup(group)
     assert all(has_eigenvalue_one(g) for g in sub.generators)
     assert all(m in sub for m in elements if has_eigenvalue_one(m))
@@ -929,7 +989,7 @@ def test_quadratic_extension_element_orders():
         for m in (m for m in range(2, q * q) if (q * q - 1) % m == 0):
             u = big.pow_e(g, (q * q - 1) // m)
             assert big.multiplicative_order_e(u) == m
-            assert matrix(lambda w: big.mul_e(w, u)).multiplicative_order() == m
+            assert _order_python(matrix(lambda w: big.mul_e(w, u))) == m
 
 
 def test_quadratic_extension_over_gf9():
@@ -978,12 +1038,12 @@ def test_fixes_a_vector_in_blocks(monkeypatch):
     """A stack longer than one elimination block, with a short last block,
     gets the flags of the per-matrix test."""
     gl = general_linear_gl2(field(2, 2))
-    expected = [has_eigenvalue_one(m) for m in gl.elements()]
+    expected = [has_eigenvalue_one(m) for m in _elements(gl)]
     assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
     monkeypatch.setattr(matgrp, "FIXES_BLOCK", 7)
     assert gl.order() % 7
     assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
-    assert expected == [_has_eigenvalue_one_python(m) for m in gl.elements()]
+    assert expected == [_has_eigenvalue_one_python(m) for m in _elements(gl)]
 
 
 def test_vector_index_round_trip():
