@@ -14,18 +14,21 @@ field is made, to the base g of its least primitive element.  exp[i] = g^i,
 log inverts it, and the Zech logarithm zech[k] = log(1 + g^k) (None where
 1 + g^k = 0) turns addition into x + y = g^(log x + zech[log y - log x]).
 Each operation is a few list reads; the order of x is (q - 1) / gcd(log x,
-q - 1), and -1 is g^log(-1).  Polynomial arithmetic on coefficient tuples
-serves only the modulus search and the search for g; exp is built by
-doubling the GF(p)-linear map x -> x*g, taken over all codes at once with
-numpy.  The tables hold about 4q list entries, so ORDER_CAP bounds their
-memory (about 150 MB at q = 2^20).
+q - 1), and -1 is g^log(-1).  Polynomial arithmetic over any field serves
+the modulus search, the search for g and the MeatAxe's factor search; exp
+is built by doubling the GF(p)-linear map x -> x*g, taken over all codes at
+once with numpy.  The tables hold about 4q list entries, so ORDER_CAP
+bounds their memory (about 150 MB at q = 2^20).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Iterator, Sequence
+import random
+from functools import lru_cache, reduce
+from itertools import zip_longest
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +42,16 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == (n,)
 
 
-# Polynomials over GF(p) are tuples of ints, low degree first, no trailing zeros
-# (except the zero polynomial, which is the empty tuple).
+# Polynomials are tuples of field codes, low degree first, no trailing zeros
+# (the zero polynomial is the empty tuple).  The arithmetic takes the field k
+# as any object with order, add_e, mul_e, neg_e and inv_e: a FieldSpec, or
+# _residues(p) for the searches that run before GF(p^f)'s tables exist.
+
+
+def _residues(p: int) -> SimpleNamespace:
+    """GF(p) as the integers mod p."""
+    add, mul = (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
+    return SimpleNamespace(order=p, add_e=add, mul_e=mul, neg_e=lambda x: -x % p, inv_e=lambda x: pow(x, -1, p))
 
 
 def _poly_trim(c: list[int]) -> tuple[int, ...]:
@@ -49,64 +60,92 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+def _poly_add(a: Sequence[int], b: Sequence[int], k) -> tuple[int, ...]:
+    return _poly_trim([k.add_e(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], k) -> tuple[int, ...]:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = k.add_e(out[i + j], k.mul_e(ai, bj))
     return _poly_trim(out)
 
 
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+def _poly_mod(a: Sequence[int], m: Sequence[int], k) -> tuple[int, ...]:
     # m must be monic
     r = list(a)
     dm = len(m) - 1
     while len(r) - 1 >= dm and r:
         lead = r[-1]
         if lead:
-            shift = len(r) - 1 - dm
+            shift, minus = len(r) - 1 - dm, k.neg_e(lead)
             for i, mi in enumerate(m):
-                r[shift + i] = (r[shift + i] - lead * mi) % p
+                r[shift + i] = k.add_e(r[shift + i], k.mul_e(minus, mi))
         r.pop()
     return _poly_trim(r)
 
 
-def _monic_polys(degree: int, p: int) -> Iterator[tuple[int, ...]]:
-    """All monic polynomials of the given degree, in increasing code
-    sum c_i p^i of their lower coefficients: c_(degree-1) varies slowest."""
-    for e in range(p**degree):
-        yield tuple(e // p**i % p for i in range(degree)) + (1,)
+def _poly_pow(a: Sequence[int], e: int, m: Sequence[int], k) -> tuple[int, ...]:
+    """a^e modulo the monic m, by square-and-multiply."""
+    result: tuple[int, ...] = (1,)
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, a, k), m, k)
+        a = _poly_mod(_poly_mul(a, a, k), m, k)
+        e >>= 1
+    return result
 
 
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(d, p):
-            if not _poly_mod(poly, cand, p):
-                return False
-    return True
+def _poly_gcd(a: Sequence[int], b: Sequence[int], k) -> tuple[int, ...]:
+    """The monic gcd of a and b, by Euclid; a itself when b = 0."""
+    while b:
+        inv = k.inv_e(b[-1])
+        monic = tuple(k.mul_e(inv, c) for c in b)
+        a, b = monic, _poly_mod(a, monic, k)
+    return tuple(a)
+
+
+def _distinct_degree(m: Sequence[int], k) -> tuple[int, tuple[int, ...]]:
+    """(i, g) for the least i with g = gcd(x^(q^i) - x, m) != 1, m monic over
+    k: g is the product of m's distinct irreducible factors of degree i, the
+    least degree of any.  Past deg m / 2 only m is left: i = deg m, m prime."""
+    h = (0, 1)
+    for i in range(1, (len(m) - 1) // 2 + 1):
+        h = _poly_pow(h, k.order, m, k)
+        g = _poly_gcd(m, _poly_add(h, (0, k.neg_e(1)), k), k)
+        if len(g) > 1:
+            return i, g
+    return len(m) - 1, tuple(m)
+
+
+def _least_factor(m: Sequence[int], k: FieldSpec, rng: random.Random) -> tuple[int, ...]:
+    """A monic irreducible factor of least degree of the monic m over k.
+    While the product g of those factors has more than one, a seeded
+    random r splits it (Cantor and Zassenhaus): gcd(g, s) for s = r^((q^i -
+    1)/2) - 1, or for even q the trace s = r + r^2 + ... + r^(q^i/2), is
+    the product of the factors modulo which s is 0."""
+    (i, g), q = _distinct_degree(m, k), k.order
+    while len(g) > i + 1:
+        r = _poly_trim([rng.randrange(q) for _ in range(len(g) - 1)])
+        if q % 2:
+            s = _poly_add(_poly_pow(r, (q**i - 1) // 2, g, k), (k.neg_e(1),), k)
+        else:
+            s = reduce(lambda s, j: _poly_add(s, _poly_pow(r, 2**j, g, k), k), range(k.f * i), ())
+        split = _poly_gcd(g, s, k)
+        if 1 < len(split) < len(g):
+            g = split
+    return g
 
 
 def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
-    for cand in _monic_polys(f, p):
-        if _is_irreducible(cand, p):
-            return cand
-    raise AssertionError(f"no irreducible of degree {f} over GF({p})")
-
-
-def _poly_pow(a: Sequence[int], k: int, m: Sequence[int], p: int) -> tuple[int, ...]:
-    """a^k modulo the monic m, by square-and-multiply."""
-    result: tuple[int, ...] = (1,)
-    while k:
-        if k & 1:
-            result = _poly_mod(_poly_mul(result, a, p), m, p)
-        a = _poly_mod(_poly_mul(a, a, p), m, p)
-        k >>= 1
-    return result
+    """The irreducible monic of degree f with the least code sum c_i p^i of
+    its lower coefficients: c_(f-1) varies slowest."""
+    residues, monic = _residues(p), (tuple(e // p**i % p for i in range(f)) + (1,) for e in range(p**f))
+    return next(m for m in monic if _distinct_degree(m, residues)[0] == f)
 
 
 def _poly_of(e: int, p: int, f: int) -> tuple[int, ...]:
@@ -116,11 +155,11 @@ def _poly_of(e: int, p: int, f: int) -> tuple[int, ...]:
 
 def _least_primitive(p: int, f: int, modulus: tuple[int, ...]) -> int:
     """The least code of order p^f - 1, by polynomial powers; 1 for GF(2)."""
-    n = p**f - 1
+    n, residues = p**f - 1, _residues(p)
     factors = _prime_factors(n)
     for e in range(2, n + 1):
         x = _poly_of(e, p, f)
-        if all(_poly_pow(x, n // r, modulus, p) != (1,) for r in factors):
+        if all(_poly_pow(x, n // r, modulus, residues) != (1,) for r in factors):
             return e
     return 1
 
@@ -137,7 +176,6 @@ class FieldSpec:
         "f",
         "order",
         "modulus",
-        "_log_exp",
         "_log",
         "_exp",
         "_zech",
@@ -154,7 +192,7 @@ class FieldSpec:
         rows, power = [], _poly_of(g, p, f)
         for _ in range(f):
             rows.append(power + (0,) * (f - len(power)))
-            power = _poly_mod((0,) + power, modulus, p)
+            power = _poly_mod((0,) + power, modulus, _residues(p))
         times_g, weights = np.array(rows, dtype=np.int64), p ** np.arange(f, dtype=np.int64)
         blocks = np.split(np.arange(q, dtype=np.int64), range(_BLOCK, q, _BLOCK))
         step = np.concatenate([(b[:, None] // weights % p) @ times_g % p @ weights for b in blocks])
@@ -165,8 +203,6 @@ class FieldSpec:
         exp = exp[:n]
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n)
-        exp.flags.writeable = log.flags.writeable = False
-        self._log_exp = (log, exp)
         self._log = log.tolist()
         self._exp = exp.tolist() * 2  # g^i for 0 <= i < 2(q - 1), so sums of logs need no mod
         # zech[k] = log(1 + g^k): adding 1 raises the lowest digit of g^k
@@ -188,11 +224,6 @@ class FieldSpec:
         """Code of the multiplicative generator with the smallest code; 1 for
         GF(2), whose multiplicative group is trivial."""
         return self._exp[1]
-
-    def log_exp(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, exp) of GF(q)* to the base of primitive_element(), read-only
-        int64 arrays; log[0] is unused."""
-        return self._log_exp
 
     def add_e(self, x: int, y: int) -> int:
         if x == 0:

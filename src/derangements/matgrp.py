@@ -19,25 +19,27 @@ batched powers of the stack and scalars from its entry codes.  One batched
 elimination mod p decides eigenvalue 1, and the eigenvalue-1 subgroup is a
 mask over positions.  A quotient H/R is H acting on the R-orbits in the
 orbit of e_0, read off row 0 of the stack.  Work on vectors maps whole
-arrays of indices; projective points are put in canonical form with
-log/exp tables of GF(q) and ranked in closed form.  Norton's criterion on a
-generator eigenspace proves irreducibility, or else the projective-point
-sweep decides it; permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and
-SEMIREGULAR_VECTOR_CAP bound the work, read when it is done.
+arrays of indices.  Irreducibility has one decision, the MeatAxe: spins
+from the null space of f(a), for a in the group algebra and f an
+irreducible factor of e_0's minimal polynomial under a, prove either answer.
+permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the
+work, read when it is done.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
+from functools import partial, reduce
+from itertools import islice, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch
-from .gf import FieldSpec, field
+from .gf import FieldSpec, _least_factor, _poly_mod, _poly_trim, field
 from .permgrp import PermGroup, block_action
 
 SPIN_WORK_CAP = 1_000_000
@@ -105,11 +107,7 @@ class FFMatrix:
         return FFMatrix(self.spec, [r[d:] for r in reduced])
 
     def is_identity(self) -> bool:
-        return all(
-            e == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
+        return self.rows == FFMatrix.identity(self.spec, self.d).rows
 
     def __eq__(self, other) -> bool:
         return (
@@ -466,11 +464,11 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
 
 def _spin(spec: FieldSpec, d: int, gens: Sequence[FFMatrix], v: Sequence[int]) -> list[list[int]]:
     """Reduced echelon basis of the span of v's orbit under gens.  A vector is
-    reduced by the rows kept so far, in their order (each is zero at earlier
-    pivots); if an entry is left it is kept, scaled, and its images pushed."""
-    add, mul, rows, frontier = spec.add_e, spec.mul_e, {}, [v]  # rows: pivot column -> row
+    reduced by the rows kept so far (each zero at earlier pivots); a nonzero
+    rest is kept, scaled, and its images pushed, each formed when popped."""
+    add, mul, rows, frontier = spec.add_e, spec.mul_e, {}, [lambda: v]  # rows: pivot column -> row
     while frontier and len(rows) < d:
-        w = frontier.pop()
+        w = frontier.pop()()
         for col, row in rows.items():
             if w[col]:
                 minus = spec.neg_e(w[col])
@@ -479,16 +477,17 @@ def _spin(spec: FieldSpec, d: int, gens: Sequence[FFMatrix], v: Sequence[int]) -
         if col is not None:
             inv = spec.inv_e(w[col])
             rows[col] = w = [mul(inv, e) for e in w]
-            frontier += [g.apply_row(w) for g in gens]
+            frontier += [partial(g.apply_row, w) for g in gens]
     return echelonize(spec, rows.values())[0]
 
 
 def _left_null_space(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {v : v*M = 0} for the square M with these rows: the right
-    halves of the zero-led rows of the reduced echelon form of [M | I]."""
-    d = len(rows)
-    reduced, pivots = echelonize(spec, [list(r) + [int(i == j) for j in range(d)] for i, r in enumerate(rows)])
-    return [r[d:] for r, col in zip(reduced, pivots) if col >= d]
+    """Reduced echelon basis of {v : v*M = 0} for the matrix M with these
+    rows: the right halves of the zero-led rows of the reduced echelon form
+    of [M | I]."""
+    n, width = len(rows), len(rows[0])
+    reduced, pivots = echelonize(spec, [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)])
+    return [r[width:] for r, col in zip(reduced, pivots) if col >= width]
 
 
 def _check_spin_work(q: int, d: int) -> None:
@@ -499,102 +498,87 @@ def _check_spin_work(q: int, d: int) -> None:
         raise CapExceeded(f"spinning GF({q})^{d} exceeds the work cap {SPIN_WORK_CAP}")
 
 
-def _projective_points(q: int, d: int) -> np.ndarray:
-    """Indices of the vectors of GF(q)^d led by a 1, ascending."""
-    qpow = q ** np.arange(d, dtype=np.int64)
-    return np.sort(np.concatenate([qpow[j] + q * qpow[j] * np.arange(q ** (d - 1 - j)) for j in range(d)]))
-
-
-def _norton(group: MatrixGroup) -> bool:
-    """True when Norton's criterion proves the group irreducible.  For a
-    generator h and an eigenvalue lam, theta = h - lam*I has the null space
-    N = {v : v*theta = 0} of dimension e, 0 < e < d.  A proper invariant U
-    meets N, so some point of P(N) spins into U, or else U*theta = U, so
-    each w with theta*w^T = 0 is orthogonal to U and spins, under the
-    transposes, inside U's orthogonal complement.  The pair of least e is
-    tried, ties to generator order, then to the least lam; lam ranges over
-    the prime field, where digit(h / lam) = digit(h) / lam, so one
-    eigenvalue-1 elimination over mu * digit(h), mu = 1/lam, finds them."""
-    spec, d, gens, p = group.spec, group.d, group.generators, group.spec.p
-    scaled = group.generator_digits()[:, None] * np.arange(1, p)[:, None, None] % p
-    pairs = []
-    for i in np.flatnonzero(_fixes_a_vector(scaled.reshape(-1, *scaled.shape[2:]), p)).tolist():
-        g, lam = gens[i // (p - 1)], spec.inv_e(i % (p - 1) + 1)
-        theta = [[spec.sub_e(x, lam if r == c else 0) for c, x in enumerate(row)] for r, row in enumerate(g.rows)]
-        null = _left_null_space(spec, theta)
-        if len(null) < d:
-            pairs.append((len(null), i // (p - 1), lam, null, theta))
-    if not pairs:
-        return False
-    e, _, _, null, theta = min(pairs)
-    transposes = [FFMatrix._raw(spec, d, tuple(zip(*g.rows))) for g in gens]
-    points = _codes(spec, e, _index_digits(spec, e, _projective_points(spec.order, e))).tolist()
-    return len(_spin(spec, d, transposes, _left_null_space(spec, list(zip(*theta)))[0])) == d and all(
-        len(_spin(spec, d, gens, [reduce(spec.add_e, map(spec.mul_e, c, col)) for col in zip(*null)])) == d
-        for c in points
-    )
-
-
-def _spin_orbits(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+def _algebra_elements(group: MatrixGroup, rng: random.Random) -> Iterator[FFMatrix]:
+    """The generators in order (the identity when there are none), then
+    seeded random elements x + c*y of the group algebra, for x and y words
+    of length at most 3 in those and c in GF(q)."""
     spec, d = group.spec, group.d
-    if d == 1:
-        return True, None
-    q = spec.order
+    words = group.generators or (FFMatrix.identity(spec, d),)
+    yield from words
+    while True:
+        x, y = (reduce(FFMatrix.__mul__, rng.choices(words, k=rng.randint(1, 3))) for _ in range(2))
+        c = rng.randrange(spec.order)
+        rows = (tuple(map(spec.add_e, r, (spec.mul_e(c, e) for e in s))) for r, s in zip(x.rows, y.rows))
+        yield FFMatrix._raw(spec, d, tuple(rows))
+
+
+def _singular(a: FFMatrix, rng: random.Random) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(f, f(a)) for an irreducible factor f of least degree of e_0's minimal
+    polynomial under a, a divisor of a's: the last row of the reduced echelon
+    left null space of e_0*a^d, ..., e_0*a, e_0.  f(a) by Horner's rule."""
+    spec, d = a.spec, a.d
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    krylov = [identity[0]]
+    for _ in range(d):
+        krylov.append(list(a.apply_row(krylov[-1])))
+    f = _least_factor(_poly_trim(_left_null_space(spec, krylov[::-1])[-1][::-1]), spec, rng)
+    theta = identity  # f is monic
+    for c in reversed(f[:-1]):
+        theta = [[spec.add_e(x, spec.mul_e(c, y)) for x, y in zip(a.apply_row(t), e)] for t, e in zip(theta, identity)]
+    return f, theta
+
+
+def _points(spec: FieldSpec, basis: list[list[int]]) -> Iterator[list[int]]:
+    """One vector per point of the projective space of the span of the
+    basis rows: c*basis for each c led by a 1, the first row first."""
+    for j in range(len(basis)):
+        for tail in product(range(spec.order), repeat=len(basis) - 1 - j):
+            c = (0,) * j + (1,) + tail
+            yield [reduce(spec.add_e, map(spec.mul_e, c, col)) for col in zip(*basis)]
+
+
+def _decide(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """The MeatAxe (Parker; Holt and Rees) on theta = f(a), a from
+    _algebra_elements.  A proper invariant U meets N = {v : v*theta = 0}, so
+    a point of N spins inside U, or else U*theta = U, so each w with
+    theta*w^T = 0 is orthogonal to U and spins inside its complement under
+    the transposes: w and all of P(N) decide.  If dim N = deg f, N is a line
+    over GF(q)[x]/(f), so U meets N only if it holds N: one point suffices.
+    The first point of each least N is spun at once.  The tries of a stop at
+    such an a, or when their count reaches the bit length of the least |P(N)|."""
+    spec, d, gens, q = group.spec, group.d, group.generators, group.spec.order
     _check_spin_work(q, d)
-    if _norton(group):
-        return True, None
-    qpow = q ** np.arange(d, dtype=np.int64)
-    points = _projective_points(q, d)
-    digits = _index_digits(spec, d, points)
-    log, exp = spec.log_exp()
-    images = []
-    for m in group.generator_digits():
-        coords = _codes(spec, d, digits @ m % spec.p)
-        lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
-        scaled = log[coords]
-        scaled -= log[lead][:, None]
-        scaled %= q - 1
-        zero = coords == 0
-        del coords, lead
-        scaled = exp[scaled]
-        scaled[zero] = 0
-        images.append(_projective_rank(scaled @ qpow, q, d))
-        del scaled, zero
-    labels = _propagate_min_labels(len(points), images)
-    for start in _codes(spec, d, digits[labels == np.arange(len(points))]).tolist():
-        span = _spin(spec, d, group.generators, start)
+    rng, best = random.Random(0), None
+    for tries, a in enumerate(_algebra_elements(group, rng), 1):
+        f, theta = _singular(a, rng)
+        null = _left_null_space(spec, theta)
+        one_point = len(null) == len(f) - 1
+        if best is None or one_point or len(null) < len(best[2]):
+            span = _spin(spec, d, gens, null[0])  # the first point of the best N
+            if len(span) < d:
+                return False, tuple(map(tuple, span))
+            best = one_point, theta, null
+        if one_point or tries >= ((q ** len(best[2]) - 1) // (q - 1)).bit_length():
+            break
+    one_point, theta, null = best
+    transposes = [FFMatrix._raw(spec, d, tuple(zip(*g.rows))) for g in gens]
+    dual = _spin(spec, d, transposes, _left_null_space(spec, list(zip(*theta)))[0])
+    if len(dual) < d:  # its annihilator is invariant under the generators
+        return False, tuple(map(tuple, _left_null_space(spec, list(zip(*dual)))))
+    for v in islice(_points(spec, null), 1, 1 if one_point else None):
+        span = _spin(spec, d, gens, v)
         if len(span) < d:
-            return False, tuple(tuple(r) for r in span)
+            return False, tuple(map(tuple, span))
     return True, None
-
-
-def _projective_rank(x: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Position of each projective point index x among all of them in
-    ascending order.  The points led by coordinate j are q^j + q^(j+1)*t for
-    t < q^(d-1-j), and ceil((x - q^j) / q^(j+1)) = -floor((q^j - x) /
-    q^(j+1)) of them, clipped to that range, lie below x.  Summed in place,
-    with one scratch array."""
-    rank = np.zeros_like(x)
-    below = np.empty_like(x)
-    for j in range(d):
-        np.floor_divide(np.subtract(q**j, x, out=below), q ** (j + 1), out=below)
-        rank -= np.clip(below, -(q ** (d - 1 - j)), 0, out=below)
-    return rank
 
 
 def irreducibility(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | None]:
     """(True, None) when no proper nonzero invariant subspace exists, else
-    (False, echelon basis of one).
-
-    Within SPIN_WORK_CAP, Norton's criterion (_norton) may prove
-    irreducibility; else the sweep, the only path to False, spins one point
-    per orbit on the projective points (first nonzero coordinate 1), since
-    a point's orbit spans the least invariant subspace through it.  Images
-    come from the digit-vector path, divided by their leading coordinate
-    with log/exp tables of GF(q).  The witness is the span of the first
-    orbit, by least index, of rank < d.  The result is cached."""
+    (False, the reduced echelon basis of one), decided by _decide within
+    SPIN_WORK_CAP.  The witness is a point's span or, when the transposed
+    spin is proper, that spin's annihilator.  The result is cached."""
     if group._irreducibility is None:
-        group._irreducibility = _spin_orbits(group)
+        group._irreducibility = _decide(group)
     flag, witness = group._irreducibility
     return flag, None if witness is None else list(witness)
 
@@ -611,17 +595,8 @@ def kronecker(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     (v (x) w) * (A (x) B) = (v*A) (x) (w*B) in row convention."""
     if a.spec is not b.spec:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
-    spec = a.spec
-    da, db = a.d, b.d
-    rows = []
-    for i in range(da):
-        for k in range(db):
-            row = []
-            for j in range(da):
-                for l in range(db):
-                    row.append(spec.mul_e(a.rows[i][j], b.rows[k][l]))
-            rows.append(row)
-    return FFMatrix(spec, rows)
+    mul = a.spec.mul_e
+    return FFMatrix(a.spec, [[mul(x, y) for x in ra for y in rb] for ra in a.rows for rb in b.rows])
 
 
 def central_product(x: MatrixGroup, y: MatrixGroup) -> MatrixGroup:
@@ -656,15 +631,9 @@ def _quadratic_plane(spec: FieldSpec):
     fn(t)."""
     p, f, q = spec.p, spec.f, spec.order
     big = field(p, 2 * f)
-
-    def value(coeffs, x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = big.add_e(big.mul_e(acc, x), c)
-        return acc
-
-    r = next(x for x in range(big.order) if value(spec.modulus, x) == 0)
-    emb = [value([c // p**i % p for i in range(f)], r) for c in range(q)]
+    # the value of a polynomial at x is its remainder modulo t - x
+    r = next(x for x in range(big.order) if not _poly_mod(spec.modulus, (big.neg_e(x), 1), big))
+    emb = [(_poly_mod([c // p**i % p for i in range(f)], (big.neg_e(r), 1), big) or (0,))[0] for c in range(q)]
     coords = {big.add_e(emb[a], big.mul_e(emb[b], p)): (a, b) for a in range(q) for b in range(q)}
 
     def matrix(fn) -> FFMatrix:

@@ -3,13 +3,14 @@ modulus rule."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from derangements.errors import NotPrime, TooLarge, ZeroElement
-from derangements.gf import field
+from derangements.gf import _least_factor, _poly_mod, _poly_mul, field
 
 
 def brute_smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
@@ -239,17 +240,16 @@ def test_primitive_element_is_least_generator():
     assert sorted(PRIMITIVE_BY_ORDER) == [p**f for p, f in FIELDS_UP_TO_81]
 
 
-def test_log_exp_tables_invert_and_are_cached():
+def test_log_exp_tables_invert():
+    """exp lists g^i twice over, for i < q - 1, from g^0 = 1, and inverts
+    log on every nonzero code."""
     for p, f in FIELDS_UP_TO_81:
         k = field(p, f)
-        log, exp = k.log_exp()
-        assert len(exp) == k.order - 1 and exp[0] == 1, k
-        if k.order > 2:
-            assert exp[1] == k.primitive_element(), k
+        log, exp = k._log, k._exp
+        assert len(exp) == 2 * (k.order - 1) and exp[0] == 1, k
+        assert exp[: k.order - 1] == exp[k.order - 1:], k
         for x in range(1, k.order):
             assert exp[log[x]] == x, (k, x)
-        again = k.log_exp()
-        assert again[0] is log and again[1] is exp
 
 
 def _tables(k):
@@ -322,3 +322,22 @@ def test_negation_reaches_the_zech_zero(p, f):
     k = field(p, f)
     for x in range(k.order):
         assert k.add_e(x, k.neg_e(x)) == 0 == k.sub_e(x, x), (k, x)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+def test_least_factor_matches_trial_division(p, f):
+    """The factor search over GF(q) on seeded products of one to three
+    random monic polynomials of degree at most 3: it returns a monic
+    divisor of m, and no monic polynomial of lower degree divides m (so the
+    divisor is irreducible), by trial division over all of them."""
+    k = field(p, f)
+    rng = random.Random(k.order)
+    for _ in range(25):
+        m = (1,)
+        for _ in range(rng.randint(1, 3)):
+            m = _poly_mul(m, tuple(rng.randrange(k.order) for _ in range(rng.randint(1, 3))) + (1,), k)
+        g = _least_factor(m, k, rng)
+        assert g[-1] == 1 and _poly_mod(m, g, k) == (), (k, m, g)
+        for degree in range(1, len(g) - 1):
+            monic = (c + (1,) for c in itertools.product(range(k.order), repeat=degree))
+            assert all(_poly_mod(m, c, k) for c in monic), (k, m, g)

@@ -4,9 +4,10 @@ checked against pure-Python oracles kept here: the breadth-first closure
 by FFMatrix products, the decoded stack with one order loop per element,
 the vector of an index by its base-q digits, the echelon eigenvalue-1
 test, the per-element coset walk (for the quotient on sub-orbit blocks and
-the index check), the searchsorted projective rank, the scatter label
-propagation and the spin.  SL(2,3)'s closed-form generator is checked
-against the linear solve it replaced."""
+the index check), the scatter label propagation, the spin, and the
+projective-point sweep that decided irreducibility before the MeatAxe did.
+SL(2,3)'s closed-form generator is checked against the linear solve it
+replaced."""
 
 import itertools
 import random
@@ -44,9 +45,7 @@ from derangements.matgrp import (
     _digit_matrix,
     _fixes_a_vector,
     _index_digits,
-    _norton,
     _orbit_labels,
-    _projective_rank,
     _propagate_min_labels,
     _quadratic_plane,
     _spin,
@@ -193,8 +192,9 @@ def _canonicalize(spec, v):
 
 
 def _irreducibility_python(group):
-    """Breadth-first orbit of each unvisited projective point in index
-    order; the span of the first orbit of rank < d is the witness."""
+    """The projective-point sweep: the breadth-first orbit of each
+    unvisited projective point in index order; the span of the first orbit
+    of rank < d is the witness."""
     spec, d = group.spec, group.d
     if d == 1:
         return True, None
@@ -311,14 +311,6 @@ def _right_cosets_python(group, sub):
             coset_of[(s * m).rows] = len(reps)
         reps.append(m)
     return reps, coset_of
-
-
-def _projective_points(q, d):
-    """Indices of the vectors with first nonzero coordinate 1, ascending."""
-    qpow = q ** np.arange(d, dtype=np.int64)
-    return np.sort(
-        np.concatenate([qpow[j] + q * qpow[j] * np.arange(q ** (d - 1 - j)) for j in range(d)])
-    )
 
 
 def _normal_and_holds_e0_stabilizer(group, sub):
@@ -515,8 +507,8 @@ def test_order_histogram_and_scalars_match_the_per_element_oracles(build):
 
 @pytest.mark.parametrize("q, d", [(5, 2), (4, 3), (9, 2), (8, 2)])
 def test_index_codes_match_index_to_vector(q, d):
-    """The batched index -> coordinate codes conversion of the Norton walk
-    and the sweep, over all of GF(q)^d."""
+    """The batched index -> coordinate codes conversion, over all of
+    GF(q)^d."""
     spec = field(*prime_power_decompose(q))
     codes = _codes(spec, d, _index_digits(spec, d, np.arange(q**d, dtype=np.int64)))
     assert codes.tolist() == [list(index_to_vector(spec, d, i)) for i in range(q**d)]
@@ -584,6 +576,28 @@ def test_semiregular_false_with_transvections():
     assert eigenvalue_one_subgroup(g).generators
 
 
+def _assert_witness(group, witness):
+    """The witness is a proper nonzero subspace in reduced echelon form,
+    invariant under every generator."""
+    spec, rows = group.spec, [list(r) for r in witness]
+    assert 0 < len(rows) < group.d
+    assert echelonize(spec, rows)[0] == rows
+    for g in group.generators:
+        assert echelonize(spec, rows + [list(g.apply_row(r)) for r in rows])[0] == rows
+
+
+def _assert_decided(group):
+    """irreducibility gives the sweep's verdict, and a witness exactly when
+    the group is reducible; returns the verdict."""
+    flag, witness = irreducibility(group)
+    assert flag == _irreducibility_python(group)[0]
+    if flag:
+        assert witness is None
+    else:
+        _assert_witness(group, witness)
+    return flag
+
+
 def test_irreducibility_diagonal_witness():
     h = MatrixGroup(GF5, 2, [FFMatrix(GF5, [[2, 0], [0, 3]])])
     flag, witness = irreducibility(h)
@@ -620,6 +634,88 @@ def _differential_groups():
                 yield group
 
 
+def _singer_cycle(p, d):
+    """Multiplication by the least primitive element of GF(p^d) as a d x d
+    matrix over GF(p): its digit matrix.  It has no eigenvalue in GF(p)."""
+    big = field(p, d)
+    return FFMatrix(field(p, 1), _digit_matrix(FFMatrix(big, [[big.primitive_element()]])).tolist())
+
+
+def _transvections(spec, d):
+    """The elementary transvections I + E_ij, i != j; over GF(p) they
+    generate SL(d,p), and each fixes a hyperplane."""
+    return [
+        FFMatrix(spec, [[int(r == c or (r, c) == (i, j)) for c in range(d)] for r in range(d)])
+        for i in range(d)
+        for j in range(d)
+        if i != j
+    ]
+
+
+def _transposed_spin_only():
+    """U = <e_0, e_1> is the one proper invariant subspace: B = [[0, 1],
+    [3, 0]] acts on it irreducibly (x^2 + 2 has no root mod 5), g = [[B,
+    0], [c, 1]] has the factor x - 1 of least degree, and its eigenvector
+    (4, 1, 1) lies outside U.  The transvection t moves that vector by e_0,
+    so it spins to V, and only the transposed spin finds U."""
+    g = FFMatrix(GF5, [[0, 1, 0], [3, 0, 0], [1, 2, 1]])
+    t = FFMatrix(GF5, [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    return MatrixGroup(GF5, 3, [g, t])
+
+
+def _singer_plane(spec):
+    """Multiplication by the least primitive element of GF(q^2), as a 2 x 2
+    matrix over GF(q)."""
+    big, matrix = _quadratic_plane(spec)
+    return matrix(lambda w: big.mul_e(w, big.primitive_element()))
+
+
+# name -> (irreducible, build)
+_MEATAXE_GROUPS = {
+    # irreducible, but not absolutely: no generator has an eigenvalue in GF(q)
+    "singer-2-5": (True, lambda: MatrixGroup(GF5, 2, [_singer_cycle(5, 2)])),
+    "singer-2-9": (True, lambda: MatrixGroup(field(3, 2), 2, [_singer_plane(field(3, 2))])),
+    "singer-4-3": (True, lambda: MatrixGroup(GF3, 4, [_singer_cycle(3, 4)])),
+    # every generator eigenspace has dimension d - 1
+    "sl3-3": (True, lambda: MatrixGroup(GF3, 3, _transvections(GF3, 3))),
+    "sl3-4": (True, lambda: MatrixGroup(field(2, 2), 3, _transvections(field(2, 2), 3))),
+    "sl4-2": (True, lambda: MatrixGroup(field(2, 1), 4, _transvections(field(2, 1), 4))),
+    # every subspace is invariant
+    "trivial-2": (False, lambda: MatrixGroup(GF5, 2, [FFMatrix.identity(GF5, 2)])),
+    "trivial-4": (False, lambda: MatrixGroup(GF3, 4, [FFMatrix.identity(GF3, 4)])),
+    # V is the sum of two isomorphic irreducible modules
+    "sl2-3-tensor-identity": (False, lambda: MatrixGroup(
+        GF3, 4, [kronecker(g, FFMatrix.identity(GF3, 2)) for g in special_linear_gl2(GF3).generators]
+    )),
+    "transposed-spin-only": (False, _transposed_spin_only),
+}
+
+
+@pytest.mark.parametrize("name", list(_MEATAXE_GROUPS))
+def test_decision_on_groups_generator_eigenspaces_miss(name):
+    """Groups that Norton's criterion on a generator eigenspace could not
+    decide: Singer cycles, SL(d,q) from transvections, the trivial group,
+    a tensor A (x) I, and a reducible group whose points of N all spin to V.
+    Each gets the sweep's verdict and, when reducible, a sound witness."""
+    irreducible, build = _MEATAXE_GROUPS[name]
+    group = build()
+    assert _assert_decided(group) == irreducible
+    if name == "transposed-spin-only":
+        g = group.generators[0]
+        assert g.apply_row((4, 1, 1)) == (4, 1, 1)
+        assert len(_spin(GF5, 3, group.generators, [4, 1, 1])) == 3
+        assert irreducibility(group)[1] == [(1, 0, 0), (0, 1, 0)]
+
+
+def test_one_generator_group_over_gf256_matches_the_sweep():
+    """The one-generator group in GL(2,2^16) whose verdict took the sweep
+    about 20 s, built the same way over GF(2^8): its generator is the first
+    invertible matrix drawn by random.Random(5).  Its 257 projective points
+    keep the oracle fast."""
+    spec = field(2, 8)
+    _assert_decided(MatrixGroup(spec, 2, [_random_invertible(random.Random(5), spec, 2)]))
+
+
 def test_irreducibility_paths_agree():
     """The numpy digit-vector paths against the Python loops, over GF(4),
     GF(8), GF(9), GF(25) and GF(27) as well as prime fields; the closure,
@@ -627,7 +723,6 @@ def test_irreducibility_paths_agree():
     seen = set()
     for group in _differential_groups():
         seen.add((group.spec.order, is_irreducible(group)))
-        assert irreducibility(group) == _irreducibility_python(group)
         if group.order() <= 1000:
             _assert_batched_paths_match(group, MatrixGroup(group.spec, group.d, group.generators[:1]))
         sub = eigenvalue_one_subgroup(group)
@@ -637,59 +732,74 @@ def test_irreducibility_paths_agree():
     assert {flag for _, flag in seen} == {True, False}
 
 
-def test_norton_is_sound_and_spins_match():
-    """Norton's step never proves a group irreducible that the Python sweep
-    finds reducible, and it decides some of the irreducible groups but not
-    all of them.  The spin under the generators and under their transposes
-    equals the spin that re-echelonizes the whole span per image."""
+def test_every_group_is_decided_and_spins_match():
+    """Every differential group is decided, irreducible or not, with the
+    sweep's verdict and a sound witness.  The spin under the generators and
+    under their transposes equals the spin that re-echelonizes the whole
+    span per image."""
     rng = random.Random(23)
-    decided = irreducible = 0
+    verdicts = Counter()
     for group in _differential_groups():
         spec, d = group.spec, group.d
-        flag = _irreducibility_python(group)[0]
-        proved = d > 1 and _norton(group)
-        assert flag or not proved
-        irreducible += flag and d > 1
-        decided += proved
+        verdicts[_assert_decided(group)] += 1
         transposes = [FFMatrix(spec, zip(*g.rows)) for g in group.generators]
         for _ in range(3):
             v = index_to_vector(spec, d, rng.randrange(spec.order**d))
             for gens in (group.generators, transposes):
                 assert _spin(spec, d, gens, v) == _spin_python(spec, gens, v)
-    assert 0 < decided < irreducible
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
-def _no_sweep(*args):
-    raise AssertionError("the projective-point sweep ran")
+def _no_labels(*args):
+    raise AssertionError("orbit labels were computed")
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: central_product_examples("a4"),
-        lambda: central_product_examples("a5"),
-        lambda: central_product_examples("klein"),
-        lambda: dihedral_quotient_family(7),
-        lambda: dihedral_quotient_family(19),
-        lambda: general_linear_gl2(GF5),
-        lambda: dihedral_gl2(field(5, 2), 26),
-        lambda: dihedral_gl2(field(3, 3), 28),
-    ],
-    ids=["central-a4", "central-a5", "central-klein", "dihedral-family-7", "dihedral-family-19", "gl2-5",
-         "dihedral-25-26", "dihedral-27-28"],
-)
-def test_norton_decides_without_the_sweep(build, monkeypatch):
-    built = build()
-    group = MatrixGroup(built.spec, built.d, built.generators)
-    monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_sweep)
-    assert irreducibility(group) == (True, None)
+_POOL_GROUPS = [
+    lambda: central_product_examples("a4"),
+    lambda: central_product_examples("a5"),
+    lambda: central_product_examples("klein"),
+    lambda: dihedral_quotient_family(7),
+    lambda: dihedral_quotient_family(19),
+    lambda: general_linear_gl2(GF5),
+    lambda: dihedral_gl2(field(5, 2), 26),
+    lambda: dihedral_gl2(field(3, 3), 28),
+]
 
 
-def test_norton_declines_and_the_sweep_gives_the_witness():
+def test_irreducibility_never_labels_orbits(monkeypatch):
+    """On the matrix benchmark pool, every differential group and every
+    group above that generator eigenspaces miss, a fresh group (no cached
+    verdict) is decided without _propagate_min_labels."""
+    builds = _POOL_GROUPS + [build for _, build in _MEATAXE_GROUPS.values()]
+    built = [build() for build in builds] + list(_differential_groups())
+    groups = [MatrixGroup(g.spec, g.d, g.generators) for g in built]
+    monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_labels)
+    for group, original in zip(groups, built):
+        assert irreducibility(group)[0] == is_irreducible(original)
+
+
+@pytest.mark.parametrize("repeated", ["identity", "first-generator"])
+def test_all_of_p_n_decides_for_any_singular_theta(repeated, monkeypatch):
+    """With every a the same, no draw can help: the decision spins w and
+    every point of P(N), for N = V (theta = 0) or a generator's N, and
+    still gives the sweep's verdict on every differential group and every
+    group above that generator eigenspaces miss."""
+    groups = [build() for _, build in _MEATAXE_GROUPS.values()] + list(_differential_groups())
+
+    def same(group, rng):
+        if repeated == "identity" or not group.generators:
+            return itertools.repeat(FFMatrix.identity(group.spec, group.d))
+        return itertools.repeat(group.generators[0])
+
+    monkeypatch.setattr(matgrp, "_algebra_elements", same)
+    for group in groups:
+        _assert_decided(MatrixGroup(group.spec, group.d, group.generators))
+
+
+def test_block_triangular_and_scalar_witnesses():
     """Block upper-triangular generators keep the span of the last two
-    coordinates; their eigenvalues give Norton pairs, but the criterion
-    fails and the sweep returns the Python oracle's witness.  A scalar
-    group gives no pair (its one eigenspace is all of V)."""
+    coordinates, and a scalar group keeps every subspace; both witnesses
+    are the sweep's."""
     spec = field(7, 1)
     rng = random.Random(7)
     gens = []
@@ -698,12 +808,10 @@ def test_norton_declines_and_the_sweep_gives_the_witness():
         top = [a.rows[0][0], rng.randrange(7), rng.randrange(7)]
         gens.append(FFMatrix(spec, [top, [0, *b.rows[0]], [0, *b.rows[1]]]))
     reducible = MatrixGroup(spec, 3, gens)
-    assert any(has_eigenvalue_one(FFMatrix.scalar(spec, 3, lam) * g) for g in gens for lam in range(1, 7))
     scalars = scalar_matrix_group(field(3, 2), 3)
     for group in (reducible, scalars):
-        assert not _norton(group)
-        flag, witness = irreducibility(group)
-        assert not flag and (flag, witness) == _irreducibility_python(group)
+        assert not _assert_decided(group)
+        assert irreducibility(group) == _irreducibility_python(group)
     assert irreducibility(reducible)[1] == [(0, 1, 0), (0, 0, 1)]
 
 
@@ -738,7 +846,7 @@ def _small_order_matrix(rng, spec, d, a):
 
 @st.composite
 def _small_matrix_groups(draw):
-    """(group, subgroup, rng): a group of order at most 400 over GF(2) to
+    """(group, subgroup): a group of order at most 400 over GF(2) to
     GF(27) in dimension 1 to 4, generated by up to three matrices of
     order at most 12 (the last ones are dropped while the closure exceeds
     400), and the subgroup generated by a prefix of its generators.  The
@@ -757,31 +865,19 @@ def _small_matrix_groups(draw):
             break
         except CapExceeded:
             gens.pop()
-    return group, MatrixGroup(spec, d, gens[: draw(st.integers(0, len(gens)))]), rng
+    return group, MatrixGroup(spec, d, gens[: draw(st.integers(0, len(gens)))])
 
 
 @settings(max_examples=100, deadline=None)
 @given(_small_matrix_groups())
 def test_batched_matrix_paths_match_python_oracles(drawn):
     """Closure order, eigenvalue-1 flags, R(H)'s generators and elements,
-    right cosets, the quotient action and projective ranks
-    equal the Python oracles' over prime and prime-power fields."""
-    group, sub, rng = drawn
+    right cosets and the quotient action equal the Python oracles' over
+    prime and prime-power fields."""
+    group, sub = drawn
     _assert_batched_paths_match(group, sub)
     r = eigenvalue_one_subgroup(group)
     assert quotient_perm_group(group, r).generators == _action_oracle(group, r)
-    q, d = group.spec.order, group.d
-    points = _projective_points(q, d)
-    shuffled = points[np.array(rng.sample(range(len(points)), len(points)), dtype=np.int64)]
-    assert _projective_rank(shuffled, q, d).tolist() == np.searchsorted(points, shuffled).tolist()
-
-
-def test_projective_rank_matches_searchsorted():
-    for (p, f), d in itertools.product(_DIFFERENTIAL_FIELDS, range(1, 5)):
-        q = p**f
-        points = _projective_points(q, d)
-        reverse = points[::-1]
-        assert _projective_rank(reverse, q, d).tolist() == np.searchsorted(points, reverse).tolist()
 
 
 def test_irreducibility_is_cached():
