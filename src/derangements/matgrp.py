@@ -107,7 +107,11 @@ class FFMatrix:
         return FFMatrix(self.spec, [r[d:] for r in reduced])
 
     def is_identity(self) -> bool:
-        return self.rows == FFMatrix.identity(self.spec, self.d).rows
+        return all(
+            e == (1 if i == j else 0)
+            for i, row in enumerate(self.rows)
+            for j, e in enumerate(row)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -595,8 +599,17 @@ def kronecker(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     (v (x) w) * (A (x) B) = (v*A) (x) (w*B) in row convention."""
     if a.spec is not b.spec:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
-    mul = a.spec.mul_e
-    return FFMatrix(a.spec, [[mul(x, y) for x in ra for y in rb] for ra in a.rows for rb in b.rows])
+    spec = a.spec
+    da, db = a.d, b.d
+    rows = []
+    for i in range(da):
+        for k in range(db):
+            row = []
+            for j in range(da):
+                for l in range(db):
+                    row.append(spec.mul_e(a.rows[i][j], b.rows[k][l]))
+            rows.append(row)
+    return FFMatrix(spec, rows)
 
 
 def central_product(x: MatrixGroup, y: MatrixGroup) -> MatrixGroup:

@@ -754,28 +754,51 @@ def _no_labels(*args):
     raise AssertionError("orbit labels were computed")
 
 
-_POOL_GROUPS = [
-    lambda: central_product_examples("a4"),
-    lambda: central_product_examples("a5"),
-    lambda: central_product_examples("klein"),
-    lambda: dihedral_quotient_family(7),
-    lambda: dihedral_quotient_family(19),
-    lambda: general_linear_gl2(GF5),
-    lambda: dihedral_gl2(field(5, 2), 26),
-    lambda: dihedral_gl2(field(3, 3), 28),
-]
+_POOL_GROUPS = {
+    "central-a4": lambda: central_product_examples("a4"),
+    "central-a5": lambda: central_product_examples("a5"),
+    "central-klein": lambda: central_product_examples("klein"),
+    "dihedral-family-7": lambda: dihedral_quotient_family(7),
+    "dihedral-family-19": lambda: dihedral_quotient_family(19),
+    "gl2-5": lambda: general_linear_gl2(GF5),
+    "dihedral-25-26": lambda: dihedral_gl2(field(5, 2), 26),
+    "dihedral-27-28": lambda: dihedral_gl2(field(3, 3), 28),
+}
+
+
+@pytest.mark.parametrize("name", list(_POOL_GROUPS))
+def test_pool_groups_are_irreducible_without_orbit_labels(name, monkeypatch):
+    """Every group of the matrix benchmark pool but the scalar ones is
+    irreducible, and a fresh copy (no cached verdict) is decided without
+    _propagate_min_labels."""
+    built = _POOL_GROUPS[name]()
+    group = MatrixGroup(built.spec, built.d, built.generators)
+    monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_labels)
+    assert irreducibility(group) == (True, None)
 
 
 def test_irreducibility_never_labels_orbits(monkeypatch):
-    """On the matrix benchmark pool, every differential group and every
-    group above that generator eigenspaces miss, a fresh group (no cached
-    verdict) is decided without _propagate_min_labels."""
-    builds = _POOL_GROUPS + [build for _, build in _MEATAXE_GROUPS.values()]
-    built = [build() for build in builds] + list(_differential_groups())
-    groups = [MatrixGroup(g.spec, g.d, g.generators) for g in built]
+    """Every group above that generator eigenspaces miss gets its known
+    verdict, and every differential group the sweep's, without
+    _propagate_min_labels."""
+    expected = [(build(), flag) for flag, build in _MEATAXE_GROUPS.values()]
+    expected += [(group, _irreducibility_python(group)[0]) for group in _differential_groups()]
     monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_labels)
-    for group, original in zip(groups, built):
-        assert irreducibility(group)[0] == is_irreducible(original)
+    for built, flag in expected:
+        assert irreducibility(MatrixGroup(built.spec, built.d, built.generators))[0] == flag
+
+
+def test_a_random_draw_spares_central_a5_the_fallback(monkeypatch):
+    """No generator of central-a5 gives a theta with dim N = deg f, and its
+    first random group-algebra element does: the decision spins a
+    generator's point, the draw's point and w, not the 60 points of the
+    least generator N."""
+    built = central_product_examples("a5")
+    group = MatrixGroup(built.spec, built.d, built.generators)
+    spins = []
+    monkeypatch.setattr(matgrp, "_spin", lambda *args: spins.append(args) or _spin(*args))
+    assert irreducibility(group) == (True, None)
+    assert len(spins) == 3
 
 
 @pytest.mark.parametrize("repeated", ["identity", "first-generator"])
