@@ -399,22 +399,22 @@ def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.nda
 
 def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
     """Least point of each point's orbit under the maps i -> images[g][i],
-    each a permutation of range(n), so a label reaches the image of its
-    point by a gather through the inverse permutation."""
+    each a permutation of range(n), by root hooking (Shiloach and Vishkin
+    1982): hook the larger root of each edge onto the smaller, jump every
+    point to its root, and stop when no edge joins two roots."""
     labels = np.arange(n, dtype=np.int64)
-    inverses = [np.empty_like(img) for img in images]
-    for img, inverse in zip(images, inverses):
-        inverse[img] = labels
     while True:
-        before = labels.copy()
-        for img, inverse in zip(images, inverses):
-            labels = np.minimum(labels, labels[inverse])
-            labels = np.minimum(labels, labels[img])
-        # pointer-jump within discovered label chains
-        for _ in range(3):
-            labels = np.minimum(labels, labels[labels])
-        if np.array_equal(labels, before):
+        hooked = False
+        for img in images:
+            ends = labels[img]
+            if (ends != labels).any():
+                np.minimum.at(labels, np.maximum(labels, ends), np.minimum(labels, ends))
+                hooked = True
+        if not hooked:
             return labels
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
 
 
 def _orbit_labels(group: MatrixGroup) -> np.ndarray:

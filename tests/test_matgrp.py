@@ -4,10 +4,10 @@ checked against pure-Python oracles kept here: the breadth-first closure
 by FFMatrix products, the decoded stack with one order loop per element,
 the vector of an index by its base-q digits, the echelon eigenvalue-1
 test, the per-element coset walk (for the quotient on sub-orbit blocks and
-the index check), the scatter label propagation, the spin, and the
-projective-point sweep that decided irreducibility before the MeatAxe did.
-SL(2,3)'s closed-form generator is checked against the linear solve it
-replaced."""
+the index check), the gather and the scatter label propagations that
+root hooking replaced, the spin, and the projective-point sweep that
+decided irreducibility before the MeatAxe did.  SL(2,3)'s closed-form
+generator is checked against the linear solve it replaced."""
 
 import itertools
 import random
@@ -15,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from derangements import matgrp
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal
@@ -242,6 +242,25 @@ def _spin_python(spec, gens, v):
                 span = grown
                 frontier.append(w)
     return span
+
+
+def _propagate_min_labels_gather(n, images):
+    """Orbit minima by label propagation: a label reaches the image of its
+    point by a gather through the inverse permutation, a few steps per pass
+    along each cycle."""
+    labels = np.arange(n, dtype=np.int64)
+    inverses = [np.empty_like(img) for img in images]
+    for img, inverse in zip(images, inverses):
+        inverse[img] = labels
+    while True:
+        before = labels.copy()
+        for img, inverse in zip(images, inverses):
+            labels = np.minimum(labels, labels[inverse])
+            labels = np.minimum(labels, labels[img])
+        for _ in range(3):
+            labels = np.minimum(labels, labels[labels])
+        if np.array_equal(labels, before):
+            return labels
 
 
 def _propagate_min_labels_scatter(n, images):
@@ -839,13 +858,43 @@ def test_block_triangular_and_scalar_witnesses():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
-def test_label_gather_matches_the_scatter(perms):
-    """The gather through inverse permutations finds the orbit minima the
-    unbuffered scatter finds."""
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
+@example((1, []))
+@example((1, [[0]]))
+@example((5, []))
+def test_label_hooking_matches_the_gather_and_the_scatter(case):
+    """Root hooking finds the orbit minima that the gather through inverse
+    permutations and the unbuffered scatter find, with no maps too (the
+    scalar groups' R(H) has no generator): every label is at most its point
+    and is its own label."""
+    n, perms = case
     images = [np.array(perm, dtype=np.int64) for perm in perms]
-    n = len(perms[0])
-    assert _propagate_min_labels(n, images).tolist() == _propagate_min_labels_scatter(n, images).tolist()
+    labels = _propagate_min_labels(n, images)
+    assert labels.tolist() == _propagate_min_labels_gather(n, images).tolist()
+    assert labels.tolist() == _propagate_min_labels_scatter(n, images).tolist()
+    assert (labels <= np.arange(n)).all()
+    assert (labels[labels] == labels).all()
+
+
+def test_labels_of_a_long_cycle():
+    """One random cycle on 100 000 points is one orbit.  Its diameter is
+    no cost to root hooking; the gather, a few steps per pass, took over a
+    minute."""
+    n = 100_000
+    order = np.random.default_rng(27).permutation(n)
+    img = np.empty(n, dtype=np.int64)
+    img[order] = np.roll(order, -1)
+    assert (_propagate_min_labels(n, [img]) == 0).all()
+
+
+def test_singer_cycle_index_bound():
+    """A Singer cycle of GL(2,31) moves the 960 nonzero vectors in one
+    cycle, and only the identity fixes one, so R(H) is trivial and H/R(H)
+    is regular on its orbits."""
+    group = MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)])
+    report = index_bound_check(group, eigenvalue_one_subgroup(group))
+    assert report == IndexBoundReport(index=960, bound=960, index_ok=True, semiregular=True)
+    assert _orbit_labels(group).tolist() == _orbit_labels_python(group)
 
 
 _DIFFERENTIAL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
