@@ -22,8 +22,9 @@ orbit of e_0, read off row 0 of the stack.  Work on vectors maps whole
 arrays of indices.  Irreducibility has one decision, the MeatAxe: spins
 from the null space of f(a), for a in the group algebra and f an
 irreducible factor of e_0's minimal polynomial under a, prove either answer.
-permgrp.ENUMERATION_CAP, SPIN_WORK_CAP and SEMIREGULAR_VECTOR_CAP bound the
-work, read when it is done.
+H/R is semiregular on the R-orbits of nonzero vectors iff R holds every
+eigenvalue-1 element.  permgrp.ENUMERATION_CAP and SPIN_WORK_CAP bound the
+work; SEMIREGULAR_VECTOR_CAP only marks where semiregularity reads None.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .gf import FieldSpec, _least_factor, _poly_mod, _poly_trim, field
 from .permgrp import PermGroup, block_action
 
 SPIN_WORK_CAP = 1_000_000
-SEMIREGULAR_VECTOR_CAP = 300_000
+SEMIREGULAR_VECTOR_CAP = 300_000  # q^d past which semiregular is None; it bounds no work
 FIXES_BLOCK = 8192  # digit matrices per eigenvalue-1 elimination
 
 
@@ -417,20 +418,11 @@ def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
-def _orbit_labels(group: MatrixGroup) -> np.ndarray:
-    """Orbit label per vector index: the least index in its orbit.  Index 0
-    (the zero vector) keeps label 0."""
-    n = group.spec.order**group.d
-    digits = _index_digits(group.spec, group.d, np.arange(n, dtype=np.int64))
-    images = [_image_indices(group.spec, m, digits) for m in group.generator_digits()]
-    return _propagate_min_labels(n, images)
-
-
 @dataclass(frozen=True)
 class IndexBoundReport:
     """Outcome of the eigenvalue-1 index bound and orbit-semiregularity
-    checks.  semiregular is None when the vector count exceeded the cap and
-    the orbit part was skipped."""
+    checks.  semiregular is None when q^d exceeds SEMIREGULAR_VECTOR_CAP,
+    which marks where records leave it unset and bounds no work."""
 
     index: int
     bound: int
@@ -441,25 +433,17 @@ class IndexBoundReport:
 def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that H/sub acts
     semiregularly on the orbits of the normal subgroup sub on nonzero
-    vectors: it permutes those in one H-orbit transitively, so it is
-    semiregular when each H-orbit holds |H : sub| of them.  The orbits
-    come from the digit-vector path over GF(p) for every field; the only
-    limit is SEMIREGULAR_VECTOR_CAP on q^d."""
+    vectors.  The stabilizer in H of the orbit v*sub is H_v*sub, so H/sub
+    is semiregular iff sub holds every H_v: iff no element of H outside sub
+    has eigenvalue 1.  The work is O(|H|), with no vector labelled."""
     spec, d = group.spec, group.d
     index = group.order() // sub.order()
     bound = spec.order**d - 1
-    n = spec.order**d
-    if n > SEMIREGULAR_VECTOR_CAP:
+    if spec.order**d > SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
-    labels = _orbit_labels(sub)
-    minima = np.flatnonzero(labels == np.arange(n))[1:]
-    digits = _index_digits(spec, d, minima)
-    moves = [
-        np.searchsorted(minima, labels[_image_indices(spec, m, digits)])
-        for m in group.generator_digits()
-    ]
-    classes = _propagate_min_labels(len(minima), moves)
-    semiregular = bool((np.bincount(classes)[classes] == index).all())
+    stack, outside = group.digit_stack(), np.ones(group.order(), dtype=bool)
+    outside[group._locate(sub.digit_stack())] = False
+    semiregular = not _fixes_a_vector(stack[outside], spec.p).any()
     return IndexBoundReport(index, bound, index <= bound, semiregular)
 
 

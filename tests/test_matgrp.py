@@ -4,8 +4,9 @@ checked against pure-Python oracles kept here: the breadth-first closure
 by FFMatrix products, the decoded stack with one order loop per element,
 the vector of an index by its base-q digits, the echelon eigenvalue-1
 test, the per-element coset walk (for the quotient on sub-orbit blocks and
-the index check), the gather and the scatter label propagations that
-root hooking replaced, the spin, and the projective-point sweep that
+the index check), the q^d vector walk that decided semiregularity before
+the eigenvalue-1 flags did, the gather and the scatter label propagations
+that root hooking replaced, the spin, and the projective-point sweep that
 decided irreducibility before the MeatAxe did.  SL(2,3)'s closed-form
 generator is checked against the linear solve it replaced."""
 
@@ -44,8 +45,8 @@ from derangements.matgrp import (
     _decode,
     _digit_matrix,
     _fixes_a_vector,
+    _image_indices,
     _index_digits,
-    _orbit_labels,
     _propagate_min_labels,
     _quadratic_plane,
     _spin,
@@ -181,6 +182,35 @@ def _index_bound_python(group, sub):
         if not semiregular:
             break
     return IndexBoundReport(index, bound, index <= bound, semiregular)
+
+
+def _orbit_labels(group):
+    """Orbit label per vector index: the least index in its orbit, by root
+    hooking on the images of all q^d vectors.  Index 0 (the zero vector)
+    keeps label 0."""
+    n = group.spec.order**group.d
+    digits = _index_digits(group.spec, group.d, np.arange(n, dtype=np.int64))
+    images = [_image_indices(group.spec, m, digits) for m in group.generator_digits()]
+    return _propagate_min_labels(n, images)
+
+
+def _index_bound_walk(group, sub):
+    """index_bound_check as the q^d vector walk: label sub's orbits, then
+    H's orbits on those.  H permutes the sub-orbits in one H-orbit
+    transitively, so H/sub is semiregular when each holds |H : sub|."""
+    spec, d = group.spec, group.d
+    index = group.order() // sub.order()
+    n = spec.order**d
+    labels = _orbit_labels(sub)
+    minima = np.flatnonzero(labels == np.arange(n))[1:]
+    digits = _index_digits(spec, d, minima)
+    moves = [
+        np.searchsorted(minima, labels[_image_indices(spec, m, digits)])
+        for m in group.generator_digits()
+    ]
+    classes = _propagate_min_labels(len(minima), moves)
+    semiregular = bool((np.bincount(classes)[classes] == index).all())
+    return IndexBoundReport(index, n - 1, index <= n - 1, semiregular)
 
 
 def _canonicalize(spec, v):
@@ -589,10 +619,26 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
 
 
 def test_semiregular_false_with_transvections():
+    """A transvection of GL(2,3) fixes e_0 outside the centre {+-I}, so
+    GL(2,3)/{+-I} is not semiregular on the centre's orbits.  Over GF(5),
+    sub = <diag(1, g)> is all of H_{e_0} for H = <diag(g, 1), diag(1, g)>,
+    so H/sub acts regularly on the sub-orbits in e_0's orbit; but H_{e_1} =
+    <diag(g, 1)> lies outside sub, so H/sub is not semiregular."""
     g = general_linear_gl2(GF3)
     transvection = FFMatrix(GF3, [[1, 1], [0, 1]])
+    centre = MatrixGroup(GF3, 2, [FFMatrix.scalar(GF3, 2, GF3.neg_e(1))])
     assert has_eigenvalue_one(transvection) and transvection in g
-    assert eigenvalue_one_subgroup(g).generators
+    assert transvection not in centre
+    report = index_bound_check(g, centre)
+    assert report.semiregular is False
+    assert report == _index_bound_python(g, centre)
+    x = GF5.primitive_element()
+    h = MatrixGroup(GF5, 2, [[[x, 0], [0, 1]], [[1, 0], [0, x]]])
+    sub = MatrixGroup(GF5, 2, [[[1, 0], [0, x]]])
+    assert quotient_perm_group(h, sub).order() == 4
+    report = index_bound_check(h, sub)
+    assert report.semiregular is False
+    assert report == _index_bound_python(h, sub)
 
 
 def _assert_witness(group, witness):
@@ -746,7 +792,8 @@ def test_irreducibility_paths_agree():
             _assert_batched_paths_match(group, MatrixGroup(group.spec, group.d, group.generators[:1]))
         sub = eigenvalue_one_subgroup(group)
         assert _orbit_labels(sub).tolist() == _orbit_labels_python(sub)
-        assert index_bound_check(group, sub) == _index_bound_python(group, sub)
+        report = index_bound_check(group, sub)
+        assert report == _index_bound_python(group, sub) == _index_bound_walk(group, sub)
     assert {q for q, _ in seen} >= {4, 8, 9, 25, 27}
     assert {flag for _, flag in seen} == {True, False}
 
@@ -794,6 +841,49 @@ def test_pool_groups_are_irreducible_without_orbit_labels(name, monkeypatch):
     group = MatrixGroup(built.spec, built.d, built.generators)
     monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_labels)
     assert irreducibility(group) == (True, None)
+
+
+_WALKED_POOL_GROUPS = {name: build for name, build in _POOL_GROUPS.items() if name != "central-a5"} | {
+    "scalars-27-2": lambda: scalar_matrix_group(field(3, 3), 2),
+    "scalars-8-3": lambda: scalar_matrix_group(field(2, 3), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_WALKED_POOL_GROUPS))
+def test_pool_index_bounds_match_the_vector_walk(name):
+    """Every group of the matrix benchmark pool with q^d within
+    SEMIREGULAR_VECTOR_CAP (all but central-a5) gets the q^d vector walk's
+    report over R(H), and the Python loop's on at most 1000 vectors."""
+    group = _WALKED_POOL_GROUPS[name]()
+    sub = eigenvalue_one_subgroup(group)
+    assert group.spec.order**group.d <= matgrp.SEMIREGULAR_VECTOR_CAP
+    report = index_bound_check(group, sub)
+    assert report == _index_bound_walk(group, sub)
+    if group.spec.order**group.d <= 1000:
+        assert report == _index_bound_python(group, sub)
+
+
+def test_index_bound_check_walks_no_vectors(monkeypatch):
+    """central-a4 (279 841 vectors) and the GL(2,31) Singer cycle get the
+    walk's reports from the eigenvalue-1 flags, with no vector labelled:
+    without _propagate_min_labels, _index_digits or _image_indices."""
+    cases = [
+        (central_product_examples("a4"), IndexBoundReport(12, 279840, True, True)),
+        (MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)]), IndexBoundReport(960, 960, True, True)),
+    ]
+    for attr in ("_propagate_min_labels", "_index_digits", "_image_indices"):
+        monkeypatch.setattr(matgrp, attr, _no_labels)
+    for built, expected in cases:
+        group = MatrixGroup(built.spec, built.d, built.generators)
+        assert index_bound_check(group, eigenvalue_one_subgroup(group)) == expected
+
+
+def test_semiregular_is_none_past_the_vector_cap():
+    """central-a5 has 59^4 vectors, past SEMIREGULAR_VECTOR_CAP, so its
+    report leaves semiregular None, as its pinned record does."""
+    group = central_product_examples("a5")
+    assert 59**4 > matgrp.SEMIREGULAR_VECTOR_CAP
+    assert index_bound_check(group, eigenvalue_one_subgroup(group)) == IndexBoundReport(60, 59**4 - 1, True, None)
 
 
 def test_irreducibility_never_labels_orbits(monkeypatch):
@@ -892,8 +982,10 @@ def test_singer_cycle_index_bound():
     cycle, and only the identity fixes one, so R(H) is trivial and H/R(H)
     is regular on its orbits."""
     group = MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)])
-    report = index_bound_check(group, eigenvalue_one_subgroup(group))
+    sub = eigenvalue_one_subgroup(group)
+    report = index_bound_check(group, sub)
     assert report == IndexBoundReport(index=960, bound=960, index_ok=True, semiregular=True)
+    assert report == _index_bound_walk(group, sub)
     assert _orbit_labels(group).tolist() == _orbit_labels_python(group)
 
 
