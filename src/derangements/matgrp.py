@@ -441,6 +441,8 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     bound = spec.order**d - 1
     if spec.order**d > SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
+    if index == 1:  # sub is H: no element lies outside it
+        return IndexBoundReport(index, bound, index <= bound, True)
     stack, outside = group.digit_stack(), np.ones(group.order(), dtype=bool)
     outside[group._locate(sub.digit_stack())] = False
     semiregular = not _fixes_a_vector(stack[outside], spec.p).any()

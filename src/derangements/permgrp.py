@@ -547,21 +547,30 @@ def coset_average_fixed_points(
     return [Fraction(int(pairs[list(t.images), points].sum()), group.order()) for t in reps]
 
 
-def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int = 100_000) -> set[tuple[int, ...]]:
-    """Independent multiplication closure, used to cross-check chain orders."""
-    elems = {tuple(range(degree))}
-    frontier = [tuple(range(degree))]
-    gens = [g.images for g in generators]
-    while frontier:
-        nxt = []
-        for prod in _products(frontier, gens):
-            if prod not in elems:
-                if len(elems) >= cap:
-                    raise CapExceeded(f"closure exceeded {cap} elements")
-                elems.add(prod)
-                nxt.append(prod)
-        frontier = nxt
-    return elems
+def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int = 100_000) -> np.ndarray:
+    """Independent multiplication closure, used to cross-check chain orders:
+    the (order, degree) array of the group's image rows, breadth-first from
+    the identity.  A round composes the whole frontier with every generator
+    in one numpy gather, frontier row by row and generator by generator,
+    and keeps each row whose bytes were not seen before, in that order.
+    Only the generators' images are read, never a chain.  Raises
+    CapExceeded when the closure has more than cap elements."""
+    if any(g.degree != degree for g in generators):
+        raise DegreeMismatch("degrees differ")
+    dtype = np.min_scalar_type(degree - 1)
+    row = np.dtype((np.void, degree * dtype.itemsize))
+    gens = np.array([g.images for g in generators], dtype=np.intp).ravel()
+    frontier = np.arange(degree, dtype=dtype)[None]
+    seen, rounds = {frontier.tobytes()}, [frontier]
+    while len(frontier):
+        products = frontier.take(gens, axis=1).view(row).ravel().tolist()
+        new = [key for key in dict.fromkeys(products) if key not in seen]
+        if len(seen) + len(new) > cap:
+            raise CapExceeded(f"closure exceeded {cap} elements")
+        seen.update(new)
+        frontier = np.frombuffer(b"".join(new), dtype=dtype).reshape(-1, degree)
+        rounds.append(frontier)
+    return np.concatenate(rounds)
 
 
 # standard groups ------------------------------------------------------------

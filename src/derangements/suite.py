@@ -18,11 +18,9 @@ in-memory report objects only, never serialized).
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .derange import (
@@ -494,6 +492,9 @@ def _fan_out(fn, calls: list[tuple], workers: int) -> list:
     than forked from a process that may hold threads."""
     if workers < 2:
         return [fn(*args) for args in calls]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, *zip(*calls)))
 

@@ -878,6 +878,25 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
         assert index_bound_check(group, eigenvalue_one_subgroup(group)) == expected
 
 
+def test_index_bound_check_locates_nothing_when_sub_is_the_group(monkeypatch):
+    """R(H) = H for GL(2,5) and GL(2,4): no element lies outside sub, so the
+    report is the walk's without looking up any of sub's elements in H."""
+    cases = []
+    for spec in (GF5, field(2, 2)):
+        group = general_linear_gl2(spec)
+        sub = eigenvalue_one_subgroup(group)
+        assert sub.order() == group.order()
+        cases.append((group, sub, _index_bound_walk(group, sub)))
+
+    def no_lookup(*args):
+        raise AssertionError("sub's elements were located in H")
+
+    monkeypatch.setattr(MatrixGroup, "_locate", no_lookup)
+    for group, sub, walked in cases:
+        assert index_bound_check(group, sub) == walked
+        assert walked.index == 1 and walked.semiregular is True
+
+
 def test_semiregular_is_none_past_the_vector_cap():
     """central-a5 has 59^4 vectors, past SEMIREGULAR_VECTOR_CAP, so its
     report leaves semiregular None, as its pinned record does."""

@@ -1,6 +1,7 @@
 """Stabilizer-chain correctness against brute-force closures, block
-actions, and two searches kept as references: the every-seed block-system
-scan for primitivity and the coset quotient."""
+actions, and three searches kept as references: the every-seed block-system
+scan for primitivity, the coset quotient, and the closure as a walk over
+image tuples, which the numpy closure replaced."""
 
 import random
 import tracemalloc
@@ -8,13 +9,16 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from derangements import permgrp
 from derangements.errors import CapExceeded, ConstraintViolated, DegreeMismatch, NotNormal, NotTransitive
 from derangements.permgrp import (
     PermGroup,
     Permutation,
+    _products,
     alternating_group,
     block_action,
     bruteforce_closure,
@@ -25,7 +29,13 @@ from derangements.permgrp import (
     symmetric_group,
 )
 from derangements.suite import corpus_group, corpus_names
-from test_properties import _coset_average_loop, _coset_min_rep, _coset_quotient, _transitive_generator_sets
+from test_properties import (
+    _closure_set,
+    _coset_average_loop,
+    _coset_min_rep,
+    _coset_quotient,
+    _transitive_generator_sets,
+)
 
 
 def test_permutation_basics():
@@ -96,8 +106,9 @@ def test_chain_order_matches_bruteforce_on_random_subgroups():
             rng.shuffle(images)
             gens.append(Permutation(images))
         group = PermGroup(n, gens)
-        closure = bruteforce_closure(n, gens)
-        assert group.order() == len(closure)
+        rows = bruteforce_closure(n, gens)
+        closure = _closure_set(rows)
+        assert group.order() == len(closure) == len(rows)
         assert {p.images for p in group.iter_elements()} == closure
         outside = [
             Permutation(imgs) for imgs in permutations(range(n)) if imgs not in closure
@@ -111,7 +122,78 @@ def test_bruteforce_closure_cap_is_the_closure_size():
     assert len(bruteforce_closure(4, gens, cap=24)) == 24
     with pytest.raises(CapExceeded):
         bruteforce_closure(4, gens, cap=23)
-    assert bruteforce_closure(1, [Permutation.identity(1)]) == {(0,)}
+    assert _closure_set(bruteforce_closure(1, [Permutation.identity(1)])) == {(0,)}
+
+
+def _bruteforce_closure_tuples(degree, generators, cap=100_000):
+    """The closure as a breadth-first walk over image tuples, one product
+    and one hash at a time: the reference for the numpy rounds.  A dict
+    keyed by the elements keeps the order they were found in."""
+    elems = dict.fromkeys([tuple(range(degree))])
+    frontier = [tuple(range(degree))]
+    gens = [g.images for g in generators]
+    while frontier:
+        nxt = []
+        for prod in _products(frontier, gens):
+            if prod not in elems:
+                if len(elems) >= cap:
+                    raise CapExceeded(f"closure exceeded {cap} elements")
+                elems[prod] = None
+                nxt.append(prod)
+        frontier = nxt
+    return elems
+
+
+def _assert_closure_matches_tuples(degree, gens, dtype):
+    """Same rows in the same breadth-first order, none repeated, in the
+    narrowest unsigned dtype that holds degree - 1; the cap is exactly the
+    order."""
+    rows = bruteforce_closure(degree, gens)
+    oracle = _bruteforce_closure_tuples(degree, gens)
+    assert rows.dtype == dtype and rows.shape == (len(oracle), degree)
+    assert _closure_set(rows) == set(oracle)
+    assert list(map(tuple, rows.tolist())) == list(oracle)
+    assert len(bruteforce_closure(degree, gens, cap=len(oracle))) == len(oracle)
+    with pytest.raises(CapExceeded):
+        bruteforce_closure(degree, gens, cap=len(oracle) - 1)
+
+
+def test_bruteforce_closure_matches_the_tuple_walk():
+    rng = random.Random(20261019)
+    for _ in range(30):
+        n = rng.randrange(2, 9)
+        gens = [Permutation(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+        if PermGroup(n, gens).order() <= 5040:
+            _assert_closure_matches_tuples(n, gens, np.uint8)
+    for group in (symmetric_group(5), dihedral_group(256), cyclic_group(255)):
+        _assert_closure_matches_tuples(group.degree, group.generators, np.uint8)
+
+
+def test_bruteforce_closure_edge_degrees_and_dtypes():
+    assert bruteforce_closure(1, []).tolist() == [[0]]
+    _assert_closure_matches_tuples(1, [Permutation.identity(1)], np.uint8)
+    assert bruteforce_closure(5, []).tolist() == [[0, 1, 2, 3, 4]]
+    with pytest.raises(CapExceeded):
+        bruteforce_closure(5, [], cap=0)
+    _assert_closure_matches_tuples(257, cyclic_group(257).generators, np.uint16)
+    _assert_closure_matches_tuples(300, dihedral_group(300).generators, np.uint16)
+    swap = Permutation(i ^ 1 for i in range(70_000))
+    _assert_closure_matches_tuples(70_000, [swap], np.uint32)
+    with pytest.raises(DegreeMismatch):
+        bruteforce_closure(4, [Permutation.identity(5)])
+
+
+def test_bruteforce_closure_reads_no_chain(monkeypatch):
+    """The closure checks chain orders, so it must not build or sift one."""
+    gens = symmetric_group(5).generators
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the closure used the stabilizer chain")
+
+    monkeypatch.setattr(permgrp, "_grow", no_chain)
+    monkeypatch.setattr(permgrp, "_sift", no_chain)
+    rows = bruteforce_closure(5, gens)
+    assert rows.shape == (120, 5) and len(_closure_set(rows)) == 120
 
 
 def test_iter_elements_deterministic_and_starts_with_identity():

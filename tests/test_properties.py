@@ -407,8 +407,9 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
     # extending by a member adds a generator but not an element
     assert grown.extended(words[0]).order() == grown.order()
     if scratch.order() <= 5040:
-        closure = bruteforce_closure(n, gens)
-        assert scratch.order() == len(closure)
+        rows = bruteforce_closure(n, gens)
+        closure = _closure_set(rows)
+        assert scratch.order() == len(closure) == len(rows)
         for x in probes:
             assert (x in grown) == (x.images in closure)
             # the reference's greedy coset representative is the least
@@ -485,6 +486,11 @@ def _old_orbit_semiregular(group, sub):
     return True
 
 
+def _closure_set(closure):
+    """The rows of a bruteforce_closure array, as a set of image tuples."""
+    return set(map(tuple, closure.tolist()))
+
+
 def _closure_order(n, elements):
     """Order of the group the elements generate, by brute-force closure;
     an element already in the closure so far is not added as a generator."""
@@ -493,7 +499,9 @@ def _closure_order(n, elements):
     for e in elements:
         if e not in closure:
             gens.append(Permutation(e))
-            closure = bruteforce_closure(n, gens)
+            rows = bruteforce_closure(n, gens)
+            closure = _closure_set(rows)
+            assert len(closure) == len(rows)
     return len(closure)
 
 
@@ -504,8 +512,9 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     n = sigma.degree
     cycle = Permutation.from_cycles(n, [tuple(range(n))])
     group = PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
-    elements = bruteforce_closure(n, group.generators)
-    assert len(elements) == group.order()
+    rows = bruteforce_closure(n, group.generators)
+    elements = _closure_set(rows)
+    assert len(elements) == len(rows) == group.order()
 
     # the derangement count and D, against the closure of the derangements
     # and against the exhaustive loop the draws replaced
