@@ -182,8 +182,9 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
         while count_fixed(x.images) or x in d:
             x = group.random_element(rng)
         d = group.normal_closure_of(d.extended(x))
+    conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
     assert all(
-        k.conjugate_by(g) in d for g in group.generators for k in d.generators
+        conjugate(k) in d for conjugate in conjugators for k in d.generators
     ), "derangements must generate a normal subgroup"
     d0 = d.stabilizer()
     if d0.order() > cap:

@@ -217,6 +217,7 @@ class MatrixGroup:
         self._position: dict[bytes, int] | None = None  # entry-code bytes -> position
         self._irreducibility: tuple | None = None
         self._digits: np.ndarray | None = None  # the generators' digit matrices
+        self._fixes: np.ndarray | None = None  # per position, eigenvalue 1 or not
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
@@ -279,6 +280,13 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.digit_stack())
 
+    def eigenvalue_one_mask(self) -> np.ndarray:
+        """Per stack position, whether the element fixes a nonzero vector,
+        computed once."""
+        if self._fixes is None:
+            self._fixes = _fixes_a_vector(self.digit_stack(), self.spec.p)
+        return self._fixes
+
     def __contains__(self, m: FFMatrix) -> bool:
         self._check(m)
         return _entry_keys(self.spec, self.d, _digit_matrix(m)[None])[0] in self._positions()
@@ -334,7 +342,7 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
         inside[found] = True
         return found
 
-    for i in np.flatnonzero(_fixes_a_vector(stack, p)).tolist():
+    for i in np.flatnonzero(group.eigenvalue_one_mask()).tolist():
         if not inside[i]:
             gens.append(i)
             new = grow(stack[inside] @ stack[i])
@@ -435,7 +443,8 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     semiregularly on the orbits of the normal subgroup sub on nonzero
     vectors.  The stabilizer in H of the orbit v*sub is H_v*sub, so H/sub
     is semiregular iff sub holds every H_v: iff no element of H outside sub
-    has eigenvalue 1.  The work is O(|H|), with no vector labelled."""
+    has eigenvalue 1, read off H's eigenvalue-1 mask.  The work is O(|H|),
+    with no vector labelled."""
     spec, d = group.spec, group.d
     index = group.order() // sub.order()
     bound = spec.order**d - 1
@@ -443,9 +452,9 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
         return IndexBoundReport(index, bound, index <= bound, None)
     if index == 1:  # sub is H: no element lies outside it
         return IndexBoundReport(index, bound, index <= bound, True)
-    stack, outside = group.digit_stack(), np.ones(group.order(), dtype=bool)
+    outside = np.ones(group.order(), dtype=bool)
     outside[group._locate(sub.digit_stack())] = False
-    semiregular = not _fixes_a_vector(stack[outside], spec.p).any()
+    semiregular = not group.eigenvalue_one_mask()[outside].any()
     return IndexBoundReport(index, bound, index <= bound, semiregular)
 
 

@@ -3,17 +3,22 @@
 Composition is left-to-right: (g * h)(x) = h(g(x)).  One routine,
 ``_grow``, makes every chain, from the empty one on the first structural
 query or from a copy in ``extended``: it sifts the new generators in and
-runs Schreier-Sims once.  Every strong generator sits at the level based
-at the smallest point it moves, so bases are strictly increasing and each
-level group fixes every point below its base point.  The one point
-stabilizer is that of point 0, the levels below the first; no chain is
-built for the stabilizer of any other point.  Levels are never changed
-once a group holds them, so chains are safe to share.  A sift inverts
-nothing: it carries the product of the transversal elements it uses and
-compares it with the sifted element, and products run in C.  Quotients are
-taken as actions on blocks, the orbits of a normal subgroup
-(``block_action``).  No block system is searched for: primitivity is
-maximality of the point stabilizer, read off the chain.
+runs Schreier-Sims once, which forms each Schreier generator at most once
+per orbit of a level.  Three rules, proved in ``_schreier_sims``, make it
+so: tree edges are skipped, a level's Schreier set leaves out the
+residues produced at or below it, and a level resumes at its next pair
+instead of restarting.  Strong generators and transversals depend on the
+order of work; bases and basic orbits do not.  Every strong generator
+sits at the level based at the smallest point it moves, so bases are
+strictly increasing and each level group fixes every point below its base
+point.  The one point stabilizer is that of point 0, the levels below the
+first; no chain is built for the stabilizer of any other point.  Levels
+are never changed once a group holds them, so chains are safe to share.
+A sift inverts nothing: it carries the product of the transversal
+elements it uses and compares it with the sifted element, and products
+run in C.  Quotients are taken as actions on blocks, the orbits of a
+normal subgroup (``block_action``).  No block system is searched for:
+primitivity is maximality of the point stabilizer, read off the chain.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,9 +135,12 @@ class Permutation:
 
     def conjugate_by(self, h: "Permutation") -> "Permutation":
         """h^-1 * self * h."""
-        return Permutation._raw(
-            _compose(_compose(_invert(h.images), self.images), h.images)
-        )
+        return h.conjugator()(self)
+
+    def conjugator(self) -> Callable[["Permutation"], "Permutation"]:
+        """The map k -> self^-1 * k * self, with self inverted once."""
+        first, images = _getter(_invert(self.images)), self.images
+        return lambda k: Permutation._raw(_compose(first(k.images), images))
 
     def is_identity(self) -> bool:
         return _identity_tuple(self.images)
@@ -175,19 +183,20 @@ class Permutation:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "orbit")
+    __slots__ = ("base", "gens", "origins", "transversal", "orbit")
 
     def __init__(self, base: int, degree: int):
         self.base = base
         self.gens: list[tuple[int, ...]] = []
+        self.origins: list[int] = []  # per generator: base of the level that made it, or -1
         self.transversal: dict[int, tuple[int, ...]] = {base: tuple(range(degree))}
         self.orbit: list[int] = [base]
 
     def copy(self) -> "_Level":
-        """A level with its own gens list; the transversal and orbit are
-        shared, since they are only ever replaced, never mutated in place."""
+        """A level with its own gens and origins lists; the transversal and
+        orbit are shared, since they are only ever replaced, never mutated."""
         lvl = _Level.__new__(_Level)
-        lvl.base, lvl.gens = self.base, list(self.gens)
+        lvl.base, lvl.gens, lvl.origins = self.base, list(self.gens), list(self.origins)
         lvl.transversal, lvl.orbit = self.transversal, self.orbit
         return lvl
 
@@ -197,23 +206,6 @@ def _smallest_moved(images: tuple[int, ...]) -> int:
         if i != x:
             return i
     raise ValueError("identity moves nothing")
-
-
-def _recompute_orbit(levels: list[_Level], i: int, degree: int) -> None:
-    lvl = levels[i]
-    gens = [g for l in levels[i:] for g in l.gens]
-    lvl.transversal = {lvl.base: tuple(range(degree))}
-    lvl.orbit = [lvl.base]
-    queue = 0
-    while queue < len(lvl.orbit):
-        pt = lvl.orbit[queue]
-        queue += 1
-        u = lvl.transversal[pt]
-        for g in gens:
-            img = g[pt]
-            if img not in lvl.transversal:
-                lvl.transversal[img] = _compose(u, g)
-                lvl.orbit.append(img)
 
 
 def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[int, ...]):
@@ -233,10 +225,11 @@ def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[in
     return None if images == w else _compose(images, _invert(w))
 
 
-def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: int) -> int:
-    """Add a strong generator to the level among levels[start:] based at the
-    smallest point it moves, inserting that level in base order when it is
-    missing.  Returns the level's index."""
+def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: int, origin: int) -> int:
+    """Add a strong generator, produced while verifying the level based at
+    origin (-1: placed from outside), to the level among levels[start:]
+    based at the smallest point it moves, inserting that level in base order
+    when it is missing.  Returns the level's index."""
     m = _smallest_moved(images)
     j = start
     while j < len(levels) and levels[j].base < m:
@@ -244,50 +237,70 @@ def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: in
     if j == len(levels) or levels[j].base != m:
         levels.insert(j, _Level(m, degree))
     levels[j].gens.append(images)
+    levels[j].origins.append(origin)
     return j
+
+
+def _verify(levels: list[_Level], i: int, degree: int):
+    """Verify levels[i], its deeper levels verified: build its orbit and
+    transversal breadth-first from its Schreier set and, in the same pass,
+    sift u*g*t^-1, carrying t, for each pair (point, g) that is not a tree
+    edge and whose u*g differs from t.  Yields the index each nontrivial
+    residue is placed on, with this level's base as its origin."""
+    lvl = levels[i]
+    gens = [g for l in levels[i:] for g, o in zip(l.gens, l.origins) if o < lvl.base]
+    lvl.transversal = transversal = {lvl.base: tuple(range(degree))}
+    lvl.orbit = orbit = [lvl.base]
+    for pt in orbit:
+        u = transversal[pt]
+        form = _getter(u)
+        for g in gens:
+            target = transversal.get(g[pt])
+            if target is None:
+                transversal[g[pt]] = _compose(u, g)
+                orbit.append(g[pt])
+            elif (ug := form(g)) != target:
+                residue = _sift(levels, i + 1, ug, target)
+                if residue is not None:
+                    yield _place(levels, i + 1, residue, degree, lvl.base)
 
 
 def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
     """Verify levels[dirty], ..., levels[0], deepest first (deterministic
-    Schreier-Sims).  A Schreier generator u*g*t^-1 is trivial exactly when
-    u*g equals the transversal element t, so it is only sifted, carrying t,
-    when that tuple comparison fails.  A residue that does not sift becomes
-    a strong generator, and verification restarts at the level it lands on;
-    deeper levels keep their groups and stay verified."""
-    i = dirty
-    while i >= 0:
-        _recompute_orbit(levels, i, degree)
-        transversal = levels[i].transversal
-        gens_here = [g for l in levels[i:] for g in l.gens]
-        landed = None
-        for pt in levels[i].orbit:
-            u = _getter(transversal[pt])
-            for g in gens_here:
-                ug = u(g)
-                target = transversal[g[pt]]
-                if ug == target:
-                    continue
-                residue = _sift(levels, i + 1, ug, target)
-                if residue is not None:
-                    landed = _place(levels, i + 1, residue, degree)
-                    break
-            if landed is not None:
-                break
-        i = i - 1 if landed is None else landed
+    Schreier-Sims), forming each Schreier generator at most once per orbit
+    of a level, by three rules.  (1) A tree edge (pt, g), g(pt) first
+    reached from pt, has u_pt*g = u_g(pt) and is never formed.  (2) A level's
+    Schreier set and orbit search leave out every residue produced at that
+    level or below it.  By induction on creation order, such a residue is a
+    product of set members and deeper transversal elements, so the set
+    generates the same group and gives the same orbit.  (3) A residue of
+    level i lands on a deeper level k; only levels i+1, ..., k change, so
+    they are verified, k first, and level i resumes at its next pair: its set,
+    orbit and transversal are unchanged, and each pair passed sifted into
+    groups that have only grown since.  stack[j] verifies levels[j], and
+    residues land below the top, so no level on the stack moves."""
+    stack = [_verify(levels, i, degree) for i in range(dirty + 1)]
+    while stack:
+        landed = next(stack[-1], None)
+        if landed is None:
+            stack.pop()
+        else:
+            stack += [_verify(levels, j, degree) for j in range(len(stack), landed + 1)]
 
 
 def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int) -> None:
     """Grow a verified chain (or the empty one) by the generators: each is
-    sifted and its residue placed, then the chain is verified once, from
-    the deepest level a residue landed on.  A fresh level's transversal
-    holds only its base, so on the empty chain every generator sifts to
-    itself and lands on the level of the smallest point it moves."""
+    sifted and its residue placed with no origin (-1), so it joins every
+    Schreier set down to its level; then ``_schreier_sims`` verifies the
+    chain once, from the deepest level a residue landed on.  A fresh level's
+    transversal holds only its base, so on the empty chain every generator
+    sifts to itself and lands on the level of the smallest point it moves."""
     identity = tuple(range(degree))
     landed = []
     for g in generators:
         residue = _sift(levels, 0, g.images, identity)
         if residue is not None:
-            landed.append(levels[_place(levels, 0, residue, degree)])
+            landed.append(levels[_place(levels, 0, residue, degree, -1)])
     if landed:
         _schreier_sims(levels, max(map(levels.index, landed)), degree)
 
@@ -483,13 +496,15 @@ class PermGroup:
 
     def normal_closure_of(self, closure: "PermGroup") -> "PermGroup":
         """The normal closure of a subgroup of this group, grown from it by
-        ``extended`` with the conjugates of its generators."""
+        ``extended`` with the conjugates of its generators, each of this
+        group's generators inverted once."""
+        conjugators = [g.conjugator() for g in self.generators]
         changed = True
         while changed:
             changed = False
-            for g in self.generators:
+            for conjugate in conjugators:
                 for k in closure.generators:
-                    c = k.conjugate_by(g)
+                    c = conjugate(k)
                     if c not in closure:
                         closure = closure.extended(c)
                         changed = True

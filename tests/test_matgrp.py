@@ -52,6 +52,7 @@ from derangements.matgrp import (
     _spin,
 )
 from derangements.permgrp import PermGroup, Permutation
+from derangements.suite import matrix_record
 
 GF5 = field(5, 1)
 GF3 = field(3, 1)
@@ -876,6 +877,25 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
     for built, expected in cases:
         group = MatrixGroup(built.spec, built.d, built.generators)
         assert index_bound_check(group, eigenvalue_one_subgroup(group)) == expected
+
+
+def test_matrix_record_flags_eigenvalue_one_once(monkeypatch):
+    """matrix_record on central-a4 runs the eigenvalue-1 elimination once,
+    over all 528 elements: eigenvalue_one_subgroup and index_bound_check
+    both read the group's cached mask (before the mask, the second call
+    redid the 484 elements outside R(H))."""
+    built = central_product_examples("a4")
+    group = MatrixGroup(built.spec, built.d, built.generators)
+    calls, real = [], matgrp._fixes_a_vector
+
+    def counted(stack, p):
+        calls.append(len(stack))
+        return real(stack, p)
+
+    monkeypatch.setattr(matgrp, "_fixes_a_vector", counted)
+    record = matrix_record(group)
+    assert calls == [528]
+    assert record["index"] == 12 and record["semiregular"] is True
 
 
 def test_index_bound_check_locates_nothing_when_sub_is_the_group(monkeypatch):

@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 
 from derangements import permgrp
 from derangements.errors import CapExceeded, ConstraintViolated, DegreeMismatch, NotNormal, NotTransitive
+from derangements.families import FamilyParams, build_family
 from derangements.permgrp import (
     PermGroup,
     Permutation,
@@ -115,6 +117,51 @@ def test_chain_order_matches_bruteforce_on_random_subgroups():
         ]
         for other in outside[:5]:
             assert other not in group
+
+
+def _schreier_generators_formed(monkeypatch, make):
+    """How many Schreier generators u*s the chains built by make() form:
+    Schreier-Sims forms each as _getter(u)(s).  Each one is checked to be
+    no tree edge: the image of u's point under s already has a transversal
+    element on the level whose transversal holds u."""
+    chains, formed = [], []
+    real_grow, real_getter = permgrp._grow, permgrp._getter
+
+    def grow(levels, generators, degree):
+        chains.append(levels)
+        real_grow(levels, generators, degree)
+
+    def getter(u):
+        get = real_getter(u)
+
+        def form(s):
+            lvl = next(l for c in chains for l in c if l.transversal.get(u[l.base]) is u)
+            assert s[u[lvl.base]] in lvl.transversal, "a tree edge was formed"
+            formed.append(s)
+            return get(s)
+
+        return form
+
+    monkeypatch.setattr(permgrp, "_grow", grow)
+    monkeypatch.setattr(permgrp, "_getter", getter)
+    group = make()
+    group.order()
+    monkeypatch.undo()
+    return len(formed), group
+
+
+def test_schreier_sims_forms_each_schreier_generator_once(monkeypatch):
+    # the parent of the rewrite formed 18 636 for A_30 and 1 378 for
+    # affine-scalars 7 3, one per pair of a level's orbit and Schreier set
+    # at every restart, tree edges included
+    formed, a30 = _schreier_generators_formed(monkeypatch, lambda: alternating_group(30))
+    assert formed <= 2100 and a30.order() == factorial(30) // 2
+    family = FamilyParams("affine-scalars", (7, 3))
+    formed, affine = _schreier_generators_formed(monkeypatch, lambda: build_family(family))
+    assert formed <= 1031 and affine.order() == 343 * 6
+    # an n-cycle's one orbit has n - 1 tree edges and one pair closing it
+    for n in (2, 7, 50):
+        assert _schreier_generators_formed(monkeypatch, lambda: cyclic_group(n))[0] == 1
 
 
 def test_bruteforce_closure_cap_is_the_closure_size():
