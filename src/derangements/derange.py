@@ -181,7 +181,8 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
         x = group.random_element(rng)
         while count_fixed(x.images) or x in d:
             x = group.random_element(rng)
-        d = group.normal_closure_of(d.extended(x))
+        # d is normal, so only x and its conjugates need conjugating
+        d = group.normal_closure_of(d.extended(x), len(d.generators))
     conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
     assert all(
         conjugate(k) in d for conjugate in conjugators for k in d.generators

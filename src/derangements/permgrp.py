@@ -19,6 +19,9 @@ elements it uses and compares it with the sifted element, and products
 run in C.  Quotients are taken as actions on blocks, the orbits of a
 normal subgroup (``block_action``).  No block system is searched for:
 primitivity is maximality of the point stabilizer, read off the chain.
+Elements are upper products times a tail, the deepest levels' products;
+fixed-point tallies gather chunks of upper products by the tail array,
+numpy blocks of at most BLOCK_ENTRIES entries unless the tail is larger.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import lcm
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -43,6 +47,7 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 2_000_000  # the one enumeration limit, read when a call runs
+BLOCK_ENTRIES = 1 << 16  # image entries per element block, beyond a larger tail
 
 
 def _getter(a: tuple[int, ...]):
@@ -441,29 +446,41 @@ class PermGroup:
     # element enumeration ----------------------------------------------------
 
     def _enumeration_split(self):
-        """(upper, tail): each element 'apply u_k-1, ..., then u_0', u_i over
+        """(upper, deep): each element 'apply u_k-1, ..., then u_0', u_i over
         level i's transversal in sorted orbit order, is once 'apply t, then
-        u', u streamed from upper (outermost) and t from the tail.  The tail
-        lists the deepest levels' products, as many as keep it within the
-        chain's own transversal count (the deepest always fits)."""
+        u', u streamed from upper (outermost) and t from the tail, the
+        products of the rows in deep (deepest level first).  The tail holds
+        as many of the deepest levels as keep it within the chain's own
+        transversal count (the deepest always fits)."""
         rows = [[lvl.transversal[pt] for pt in sorted(lvl.orbit)] for lvl in self._chain()]
-        store, identity = sum(map(len, rows)), tuple(range(self.degree))
-        tail = [identity]
-        while rows and len(tail) * len(rows[-1]) <= store:
-            tail = list(_products(rows.pop(), tail))
-        return reduce(_products, rows, [identity]), tail
+        store, size, deep = sum(map(len, rows)), 1, []
+        while rows and size * len(rows[-1]) <= store:
+            size *= len(rows[-1])
+            deep.append(rows.pop())
+        return iter(reduce(_products, rows, [tuple(range(self.degree))])), deep
 
     def _iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
         """Every element once: each upper product composed with the tail in C."""
-        return _products(*self._enumeration_split())
+        upper, deep = self._enumeration_split()
+        tail = [tuple(range(self.degree))]
+        for row in deep:
+            tail = list(_products(row, tail))
+        return _products(upper, tail)
 
     def _element_blocks(self) -> Iterator[np.ndarray]:
-        """The elements of ``_iter_element_tuples``, in its order, as one
-        (len(tail), n) image array per upper product u: u gathered by the
-        tail, row t being t then u."""
-        upper, tail = self._enumeration_split()
-        tail = np.array(tail)
-        return (np.array(u)[tail] for u in upper)
+        """The elements of ``_iter_element_tuples``, in its order, as image
+        arrays of at most max(BLOCK_ENTRIES, tail.size) entries.  The tail is
+        one array, built deepest level first, each level's rows gathered by
+        the tail below it; a block is a chunk of upper products gathered by
+        the tail, row (u, t) being t then u."""
+        upper, deep = self._enumeration_split()
+        n, dtype = self.degree, np.min_scalar_type(self.degree - 1)
+        tail = np.arange(n, dtype=dtype)[None]
+        for row in deep:
+            tail = np.array(row, dtype=dtype)[:, tail].reshape(-1, n)
+        step = max(1, BLOCK_ENTRIES // tail.size)
+        chunks = iter(lambda: list(islice(upper, step)), [])
+        return (np.array(chunk, dtype=dtype)[:, tail].reshape(-1, n) for chunk in chunks)
 
     def fixed_point_tally(self) -> Counter:
         """fix -> the number of elements with that many fixed points."""
@@ -494,20 +511,21 @@ class PermGroup:
                 raise NotSubgroup("seed lies outside the group")
         return self.normal_closure_of(PermGroup(self.degree, seeds))
 
-    def normal_closure_of(self, closure: "PermGroup") -> "PermGroup":
+    def normal_closure_of(self, closure: "PermGroup", closed: int = 0) -> "PermGroup":
         """The normal closure of a subgroup of this group, grown from it by
         ``extended`` with the conjugates of its generators, each of this
-        group's generators inverted once."""
+        group's generators inverted once.  A worklist: each (conjugator,
+        generator) pair is formed once, generators walked by index as the
+        list grows, which is sound because the closure only grows.  The
+        first ``closed`` generators already have their conjugates in it."""
         conjugators = [g.conjugator() for g in self.generators]
-        changed = True
-        while changed:
-            changed = False
+        while closed < len(closure.generators):
+            k = closure.generators[closed]
             for conjugate in conjugators:
-                for k in closure.generators:
-                    c = conjugate(k)
-                    if c not in closure:
-                        closure = closure.extended(c)
-                        changed = True
+                c = conjugate(k)
+                if c not in closure:
+                    closure = closure.extended(c)
+            closed += 1
         return closure
 
     def __repr__(self) -> str:
@@ -532,7 +550,7 @@ def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]]) -> P
 def _fixed_counts(block: np.ndarray) -> np.ndarray:
     """Entry k: how many rows of an image block fix k points."""
     n = block.shape[1]
-    return np.bincount((block == np.arange(n)).sum(axis=1), minlength=n + 1)
+    return np.bincount((block == np.arange(n, dtype=block.dtype)).sum(axis=1), minlength=n + 1)
 
 
 def _counter(counts: np.ndarray) -> Counter:

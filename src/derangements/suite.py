@@ -589,13 +589,13 @@ def _random_words(group: PermGroup, name: str, count: int) -> list[Permutation]:
     """Deterministic pseudo-random generator words, used as coset
     representatives.  Any representatives work; these just vary them."""
     rng = random.Random(f"coset-reps:{name}")
-    gens = list(group.generators)
+    letters = [(g, g.inverse()) for g in group.generators]
     words = []
     for _ in range(count):
         w = Permutation.identity(group.degree)
         for _ in range(rng.randint(1, 6)):
-            g = rng.choice(gens)
-            w = w * (g.inverse() if rng.random() < 0.5 else g)
+            g, inverse = rng.choice(letters)
+            w = w * (inverse if rng.random() < 0.5 else g)
         words.append(w)
     return words
 

@@ -1,5 +1,6 @@
 """Derangement subgroup analysis against hand-checked small groups."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from derangements.permgrp import (
 )
 from derangements.families import FamilyParams, build_family
 from test_matgrp import _closure_python
+from test_permgrp import conjugations_formed
 from test_properties import _coset_quotient, same_group
 
 
@@ -149,6 +151,28 @@ def test_analyze_refuses_a_provably_over_cap_stabilizer_before_d_grows(monkeypat
     monkeypatch.setattr(PermGroup, "normal_closure_of", fail)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         analyze(symmetric_group(30))
+
+
+@pytest.mark.parametrize(
+    "name", ["cyclic-12", "sym-7", "wreath-sym-3-2", "frobenius-complement-7-2-2", "product-a4-c2"]
+)
+def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
+    """D is normal before each growth, so over all the normal closures that
+    grow it, each (conjugator, generator) pair is formed at most once."""
+    formed, grown, original = conjugations_formed(monkeypatch), Counter(), PermGroup.normal_closure_of
+    growths = []
+
+    def growing(self, *args):
+        before = Counter(formed)
+        growths.append(args)
+        try:
+            return original(self, *args)
+        finally:
+            grown.update(formed - before)
+
+    monkeypatch.setattr(PermGroup, "normal_closure_of", growing)
+    derange._certified_scan(suite.corpus_group(name))
+    assert len(growths) >= 2 and max(grown.values()) == 1
 
 
 def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):

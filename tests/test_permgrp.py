@@ -270,6 +270,32 @@ def test_enumeration_streams():
     assert peak < 4 * 2**20
 
 
+def test_fixed_point_tally_takes_many_upper_products_per_block(monkeypatch):
+    # S_7's tail is the 24 products of its three deepest levels; one upper
+    # product per block made 210 blocks
+    blocks, original = [], permgrp._fixed_counts
+    monkeypatch.setattr(permgrp, "_fixed_counts", lambda block: blocks.append(block.shape) or original(block))
+    tally = symmetric_group(7).fixed_point_tally()
+    assert tally[0] == 1854 and sum(tally.values()) == 5040
+    assert 1 <= len(blocks) <= 2
+
+
+def test_fixed_point_tally_of_a_one_level_chain_holds_one_tail():
+    # C_3000's one level is the whole tail, 9 000 000 entries: as uint16
+    # the tail and one block fit in 60 MB, where a Python tuple tail and its
+    # int64 copy peaked at 146 MB
+    group = cyclic_group(3000)
+    group.order()
+    tracemalloc.start()
+    try:
+        tally = group.fixed_point_tally()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tally == Counter({0: 2999, 3000: 1})
+    assert peak < 60 * 2**20
+
+
 @pytest.mark.parametrize("build", [symmetric_group, alternating_group, cyclic_group])
 @pytest.mark.parametrize("n", [0, -1])
 def test_standard_groups_refuse_degrees_below_1(build, n):
@@ -546,6 +572,42 @@ def test_normal_closure_in_s4():
     assert v4.order() == 4
     three = Permutation.from_cycles(4, [(0, 1, 2)])
     assert s4.normal_closure([three]).order() == 12
+
+
+def conjugations_formed(monkeypatch) -> Counter:
+    """Counts, by (conjugator, generator) images, the conjugates formed by
+    every map that Permutation.conjugator returns from now on."""
+    formed, original = Counter(), Permutation.conjugator
+
+    def counting(self):
+        conjugate = original(self)
+
+        def formed_once(k):
+            formed[self.images, k.images] += 1
+            return conjugate(k)
+
+        return formed_once
+
+    monkeypatch.setattr(Permutation, "conjugator", counting)
+    return formed
+
+
+@pytest.mark.parametrize(
+    "group,seed,order",
+    [
+        (symmetric_group(4), [(0, 1), (2, 3)], 4),
+        (symmetric_group(6), [(0, 1, 2)], 360),
+        (dihedral_group(8), [(0, 2, 4, 6), (1, 3, 5, 7)], 4),
+        (alternating_group(7), [(0, 1), (2, 3)], 2520),
+    ],
+)
+def test_normal_closure_forms_each_conjugate_once(monkeypatch, group, seed, order):
+    # a pass-until-unchanged loop formed every pair again on each pass
+    formed = conjugations_formed(monkeypatch)
+    closure = group.normal_closure([Permutation.from_cycles(group.degree, seed)])
+    assert formed and max(formed.values()) == 1
+    assert closure.order() == order
+    assert all(k.conjugate_by(g) in closure for g in group.generators for k in closure.generators)
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, prod
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from derangements import permgrp
 from derangements.derange import (
     _certified_scan,
     _quotient,
@@ -186,14 +188,32 @@ def test_enumeration_order_matches_on_random_groups(data):
         assert _same_enumeration(g)
 
 
+def _blocks_within(group, entries):
+    """The element blocks, listed with BLOCK_ENTRIES set to entries."""
+    saved, permgrp.BLOCK_ENTRIES = permgrp.BLOCK_ENTRIES, entries
+    try:
+        return list(group._element_blocks())
+    finally:
+        permgrp.BLOCK_ENTRIES = saved
+
+
 def _assert_block_tallies_match_the_loops(group, reps):
     """The numpy block paths against the per-element loops they replaced:
-    the blocks hold the tuple stream row for row, the fixed-point tally is
-    the Counter of count_fixed over it, and the coset averages and their
-    ``fixed`` Counter are the per-representative loop's and that Counter."""
-    rows = (tuple(row) for block in group._element_blocks() for row in block.tolist())
-    assert all(a == b for a, b in zip_longest(rows, group._iter_element_tuples()))
-    tally = Counter(map(count_fixed, group._iter_element_tuples()))
+    the blocks hold the tuple stream row for row, in the smallest dtype
+    holding the points and at most max(BLOCK_ENTRIES, tail entries) entries
+    each, the fixed-point tally is the Counter of count_fixed over it, and
+    the coset averages and their ``fixed`` Counter are the
+    per-representative loop's and that Counter."""
+    stream = list(group._iter_element_tuples())
+    tail = group.degree * prod(map(len, group._enumeration_split()[1]))
+    dtype = np.min_scalar_type(group.degree - 1)
+    rows = np.array(stream, dtype=dtype)
+    # the default bound, one upper product per block, and three
+    for entries in (permgrp.BLOCK_ENTRIES, 1, 3 * tail):
+        blocks = _blocks_within(group, entries)
+        assert all(b.size <= max(entries, tail) and b.dtype == dtype for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), rows)
+    tally = Counter(map(count_fixed, stream))
     blocked = group.fixed_point_tally()
     assert blocked == tally
     assert all(type(k) is int and type(c) is int and c for k, c in blocked.items())
