@@ -132,28 +132,26 @@ def pgammal_28() -> PermGroup:
     return group
 
 
+def _coordinates(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, weights) of the m^k points of a product domain: digits[x, i]
+    is coordinate i of point x, its base-m digit of weight weights[i] = m^i."""
+    weights = m ** np.arange(k, dtype=np.int64)
+    return np.arange(m**k, dtype=np.int64)[:, None] // weights % m, weights
+
+
 def _wreath_generators(h: PermGroup, k: int) -> list[Permutation]:
     """Generators of h wreath a k-cycle in product action on degree-m^k
     tuples: each generator of h on each coordinate, then the coordinate
     rotation when k > 1."""
-    m = h.degree
-    degree = m**k
-    powers = [m**i for i in range(k)]
-    gens = []
-    for i in range(k):
-        for g in h.generators:
-            images = []
-            for idx in range(degree):
-                x = (idx // powers[i]) % m
-                images.append(idx + (g.images[x] - x) * powers[i])
-            gens.append(Permutation(tuple(images)))
+    digits, weights = _coordinates(h.degree, k)
+    points = np.arange(len(digits))
+    gens = [
+        Permutation((points + (np.take(g.images, digits[:, i]) - digits[:, i]) * weights[i]).tolist())
+        for i in range(k)
+        for g in h.generators
+    ]
     if k > 1:
-        images = []
-        for idx in range(degree):
-            coords = [(idx // powers[i]) % m for i in range(k)]
-            rotated = coords[-1:] + coords[:-1]
-            images.append(sum(c * powers[i] for i, c in enumerate(rotated)))
-        gens.append(Permutation(tuple(images)))
+        gens.append(Permutation((np.roll(digits, 1, axis=1) @ weights).tolist()))
     return gens
 
 
@@ -169,16 +167,9 @@ def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
 def direct_product_action(a: PermGroup, b: PermGroup) -> PermGroup:
     """a x b acting coordinatewise on pairs (point of a, point of b)."""
     na, nb = a.degree, b.degree
-    gens = []
-    for g in a.generators:
-        gens.append(
-            Permutation(tuple(g.images[x] + na * y for y in range(nb) for x in range(na)))
-        )
-    for g in b.generators:
-        gens.append(
-            Permutation(tuple(x + na * g.images[y] for y in range(nb) for x in range(na)))
-        )
-    prod = PermGroup(na * nb, gens)
+    images = [np.add.outer(na * np.arange(nb), g.images) for g in a.generators]
+    images += [np.add.outer(na * np.array(g.images), np.arange(na)) for g in b.generators]
+    prod = PermGroup(na * nb, [Permutation(x.ravel().tolist()) for x in images])
     assert prod.order() == a.order() * b.order()
     return prod
 
@@ -228,14 +219,8 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
         raise ConstraintViolated("; ".join(failures))
 
     *shifts, rotation = _wreath_generators(cyclic_group(m), q)
-    powers = [m**i for i in range(q)]
-    diagonal = []
-    for g in h.generators:
-        images = []
-        for idx in range(degree):
-            coords = [(idx // powers[i]) % m for i in range(q)]
-            images.append(sum(g.images[c] * powers[i] for i, c in enumerate(coords)))
-        diagonal.append(Permutation(tuple(images)))
+    digits, weights = _coordinates(m, q)
+    diagonal = [Permutation((np.take(g.images, digits) @ weights).tolist()) for g in h.generators]
     group = PermGroup(degree, shifts + diagonal + [rotation])
     assert group.order() == degree * h.order() * q
     return group

@@ -45,7 +45,6 @@ from .permgrp import PermGroup, block_action
 
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000  # q^d past which semiregular is None; it bounds no work
-FIXES_BLOCK = 8192  # digit matrices per eigenvalue-1 elimination
 
 
 class FFMatrix:
@@ -175,11 +174,12 @@ def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
     elimination runs on the whole stack: per column the first nonzero
     entry at or below the diagonal is swapped up, and each row below it is
     replaced by pivot*row - entry*pivot_row, which keeps the rank.  Blocks
-    of FIXES_BLOCK matrices bound the copies and temporaries."""
-    if len(stack) > FIXES_BLOCK:
-        blocks = range(0, len(stack), FIXES_BLOCK)
-        return np.concatenate([_fixes_a_vector(stack[i:i + FIXES_BLOCK], p) for i in blocks])
+    of BLOCK_ENTRIES // k^2 matrices (at least one), the bound of permgrp's
+    element blocks, bound the copies and temporaries."""
     n, k, _ = stack.shape
+    step = max(1, permgrp.BLOCK_ENTRIES // (k * k))
+    if n > step:
+        return np.concatenate([_fixes_a_vector(stack[i:i + step], p) for i in range(0, n, step)])
     a = stack - np.eye(k, dtype=np.int64)
     a %= p
     singular = np.zeros(n, dtype=bool)

@@ -19,9 +19,9 @@ elements it uses and compares it with the sifted element, and products
 run in C.  Quotients are taken as actions on blocks, the orbits of a
 normal subgroup (``block_action``).  No block system is searched for:
 primitivity is maximality of the point stabilizer, read off the chain.
-Elements are upper products times a tail, the deepest levels' products;
-fixed-point tallies gather chunks of upper products by the tail array,
-numpy blocks of at most BLOCK_ENTRIES entries unless the tail is larger.
+Elements are upper products times a tail, the deepest levels' products,
+listed by one walk: numpy blocks of upper products gathered by the tail
+array, at most BLOCK_ENTRIES entries unless the tail is larger.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -459,20 +459,12 @@ class PermGroup:
             deep.append(rows.pop())
         return iter(reduce(_products, rows, [tuple(range(self.degree))])), deep
 
-    def _iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
-        """Every element once: each upper product composed with the tail in C."""
-        upper, deep = self._enumeration_split()
-        tail = [tuple(range(self.degree))]
-        for row in deep:
-            tail = list(_products(row, tail))
-        return _products(upper, tail)
-
     def _element_blocks(self) -> Iterator[np.ndarray]:
-        """The elements of ``_iter_element_tuples``, in its order, as image
-        arrays of at most max(BLOCK_ENTRIES, tail.size) entries.  The tail is
-        one array, built deepest level first, each level's rows gathered by
-        the tail below it; a block is a chunk of upper products gathered by
-        the tail, row (u, t) being t then u."""
+        """The one walk: every element once, the identity first, as rows of
+        image arrays of at most max(BLOCK_ENTRIES, tail.size) entries.  The
+        tail is one array, built deepest level first, each level's rows
+        gathered by the tail below it; a block is a chunk of upper products
+        gathered by the tail, row (u, t) being t then u."""
         upper, deep = self._enumeration_split()
         n, dtype = self.degree, np.min_scalar_type(self.degree - 1)
         tail = np.arange(n, dtype=dtype)[None]
@@ -495,9 +487,11 @@ class PermGroup:
         return Permutation._raw(images)
 
     def iter_elements(self) -> Iterator[Permutation]:
-        """Stream every element exactly once, in a deterministic
-        transversal-product order starting with the identity."""
-        return map(Permutation._raw, self._iter_element_tuples())
+        """Stream every element exactly once, the rows of the element
+        blocks in their order, starting with the identity; zip builds each
+        row's tuple from the block's column lists."""
+        rows = (zip(*block.T.tolist()) for block in self._element_blocks())
+        return map(Permutation._raw, chain.from_iterable(rows))
 
     def elements(self) -> list[Permutation]:
         if self.order() > ENUMERATION_CAP:
@@ -561,23 +555,24 @@ def coset_average_fixed_points(
     reps: Sequence[Permutation], group: PermGroup, fixed: Counter | None = None
 ) -> list[Fraction]:
     """Exact average number of fixed points over t*G for each t in reps: 1
-    for transitive groups, the orbit count for intransitive ones.  The sum
-    of fix(t*g) over G is the sum over points x of #{g : g(t(x)) = x}, so
-    one pass over G's element blocks tallies, in an n x n table, how many
-    elements map y to z (a bincount of y*n + g(y)), and each average is
-    read off the table in O(n).  That is the same exact sum over the same
-    elements, not the orbit-counting formula.  A Counter passed as
-    ``fixed`` also tallies fix(g) over those blocks."""
+    for transitive groups, the orbit count for intransitive ones.  fix(t*g)
+    is #{y : g(y) = t^-1(y)}, so one pass over G's element blocks counts,
+    per block and per representative, the entries where a row equals t^-1,
+    held in the block's dtype; memory stays within a block.  That is the
+    same exact sum over the same elements, not the orbit-counting formula.
+    A Counter passed as ``fixed`` also tallies fix(g) over those blocks."""
     n = group.degree
     if any(t.degree != n for t in reps):
         raise DegreeMismatch("degrees differ")
-    points, pairs, counts = np.arange(n), np.zeros((n, n), dtype=np.int64), 0
+    inverses = [_invert(t.images) for t in reps]
+    hits, counts = [0] * len(reps), 0
     for block in group._element_blocks():
-        pairs += np.bincount((block + points * n).ravel(), minlength=n * n).reshape(n, n)
+        for i, t in enumerate(inverses):
+            hits[i] += int(np.count_nonzero(block == np.array(t, dtype=block.dtype)))
         counts = counts + _fixed_counts(block)
     if fixed is not None:
         fixed.update(_counter(counts))
-    return [Fraction(int(pairs[list(t.images), points].sum()), group.order()) for t in reps]
+    return [Fraction(h, group.order()) for h in hits]
 
 
 def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int = 100_000) -> np.ndarray:

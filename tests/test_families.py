@@ -32,7 +32,14 @@ from derangements.matgrp import (
     quotient_perm_group,
     scalar_matrix_group,
 )
-from derangements.permgrp import PermGroup, Permutation, count_fixed, cyclic_group, symmetric_group
+from derangements.permgrp import (
+    PermGroup,
+    Permutation,
+    alternating_group,
+    count_fixed,
+    cyclic_group,
+    symmetric_group,
+)
 from test_matgrp import index_to_vector
 from test_properties import same_group
 
@@ -163,6 +170,31 @@ def test_direct_product_is_generated_by_derangements():
     assert derangement_subgroup(mixed).order() == mixed.order()
 
 
+def _image_digest(group):
+    return hashlib.sha256(repr([p.images for p in group.generators]).encode()).hexdigest()
+
+
+def test_product_action_generator_images_are_pinned():
+    """The generator images of the product actions, point for point.  The
+    corpus records do not change when points are relabelled, so only these
+    digests catch a relabelled product domain."""
+    wreaths = {
+        (symmetric_group(3), 2): "320331a99980245dc5e93bbe13334bf4acf65a4f48457cb568a3f48714d7fc8f",
+        (cyclic_group(2), 3): "27c17302474055193f65bd051518ededffdb6ecbfe1aa32fcb2dd33e9e6bbe88",
+        (symmetric_group(4), 1): "fbfe3d17af968fac3623290dbfb8bfe1bac361803a8145758f45d9e2f7fd0aac",
+        (cyclic_group(5), 2): "47f140467eff5dba0ab68fd4b2b4128a051b267231c176495adc91471627a30a",
+    }
+    for (h, k), digest in wreaths.items():
+        assert _image_digest(wreath_product_action(h, k)) == digest, (h, k)
+    directs = {
+        (cyclic_group(2), symmetric_group(3)): "75f58693e9da83437aa68cac90e5e1ab0644dcb0942b6865c09abab8bd8e49d8",
+        (symmetric_group(3), symmetric_group(3)): "340763d5c3b2557cba0044b991e08070ed5d43f5248456173c98d59f4705f807",
+        (alternating_group(4), cyclic_group(2)): "908e03a564b3a45cc73d0a77d2b0751be8fff70eac4d7bfbaa37467862d06243",
+    }
+    for (a, b), digest in directs.items():
+        assert _image_digest(direct_product_action(a, b)) == digest, (a, b)
+
+
 def test_frobenius_complement_example_c5_c4():
     h = cyclic_multiplier_group(5, 2)
     assert h.order() == 4
@@ -204,8 +236,7 @@ def test_frobenius_complement_example_builds_no_wreath_product(monkeypatch):
     }
     for (m, a, q), digest in pinned.items():
         g = frobenius_complement_example(m, cyclic_multiplier_group(m, a), q)
-        images = [p.images for p in g.generators]
-        assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
+        assert _image_digest(g) == digest
 
 
 def test_frobenius_complement_rejections():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from derangements import matgrp
+from derangements import matgrp, permgrp
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal
 from derangements.families import central_product_examples, dihedral_quotient_family
 from derangements.gf import field, prime_power_decompose
@@ -1339,9 +1339,18 @@ def test_fixes_a_vector_in_blocks(monkeypatch):
     gl = general_linear_gl2(field(2, 2))
     expected = [has_eigenvalue_one(m) for m in _elements(gl)]
     assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
-    monkeypatch.setattr(matgrp, "FIXES_BLOCK", 7)
+    # GF(4)'s digit matrices are 4 x 4, so 7 * 16 entries are 7 matrices
+    monkeypatch.setattr(permgrp, "BLOCK_ENTRIES", 7 * 16)
     assert gl.order() % 7
-    assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
+    calls, real = [], matgrp._fixes_a_vector
+
+    def counted(stack, p):
+        calls.append(len(stack))
+        return real(stack, p)
+
+    monkeypatch.setattr(matgrp, "_fixes_a_vector", counted)
+    assert matgrp._fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
+    assert calls == [180] + [7] * 25 + [5]
     assert expected == [_has_eigenvalue_one_python(m) for m in _elements(gl)]
 
 

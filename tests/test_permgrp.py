@@ -256,13 +256,13 @@ def test_iter_elements_deterministic_and_starts_with_identity():
 
 def test_enumeration_streams():
     # S_9 has 362 880 elements, about 45 MB as a list; the enumeration holds
-    # the chain, a tail of at most its transversal count, and one product
-    # per upper level
+    # the chain, a tail of at most its transversal count, one product per
+    # upper level and one element block
     group = symmetric_group(9)
     group.order()
     tracemalloc.start()
     try:
-        count = sum(1 for _ in group._iter_element_tuples())
+        count = sum(1 for _ in group.iter_elements())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -340,7 +340,7 @@ def test_rank_matches_character_sum_on_corpus():
     # it is |G| times the number of orbits on ordered pairs, the rank
     for name in corpus_names():
         group = corpus_group(name)
-        total = sum(count_fixed(raw) ** 2 for raw in group._iter_element_tuples())
+        total = sum(count_fixed(g.images) ** 2 for g in group.iter_elements())
         assert total == group.rank() * group.order(), name
 
 
@@ -348,8 +348,8 @@ def test_count_fixed_matches_the_per_point_loop():
     for name in corpus_names():
         group = corpus_group(name)
         if group.order() <= 1000:
-            for raw in group._iter_element_tuples():
-                assert count_fixed(raw) == sum(1 for i, x in enumerate(raw) if i == x)
+            for g in group.iter_elements():
+                assert count_fixed(g.images) == sum(1 for i, x in enumerate(g.images) if i == x)
     assert count_fixed((0,)) == 1 and count_fixed(()) == 0
 
 
@@ -657,6 +657,28 @@ def test_coset_averages_match_the_per_representative_loop(group):
     assert averages[: len(inside)] == [len(group.orbits())] * len(inside)
     with pytest.raises(DegreeMismatch):
         coset_average_fixed_points([Permutation.identity(group.degree + 1)], group)
+
+
+def test_coset_averages_need_no_pair_table():
+    # C_3000's one block is its whole tail, 9 000 000 uint16 entries; the
+    # averages need no more than a block's worth beside it (an n x n int64
+    # table of (point, image) counts peaks at 241 MB)
+    group = cyclic_group(3000)
+    group.order()
+    tracemalloc.start()
+    try:
+        averages = coset_average_fixed_points([group.identity()], group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert averages == [Fraction(1)]
+    assert peak < 60 * 2**20
+
+
+def test_coset_averages_of_no_representatives():
+    fixed = Counter()
+    assert coset_average_fixed_points([], symmetric_group(4), fixed) == []
+    assert fixed == symmetric_group(4).fixed_point_tally()
 
 
 def test_dihedral_group_structure():

@@ -74,7 +74,7 @@ def test_conjugation_preserves_fixed_points(abc):
 
 
 def _coset_average_loop(t, group):
-    """The per-representative loop the one-pass pair tally replaced: the
+    """The per-representative loop the one-pass block count replaced: the
     exact average of fix(t*g) over the elements g of the group."""
     total = sum(count_fixed((t * g).images) for g in group.iter_elements())
     return Fraction(total, group.order())
@@ -155,7 +155,7 @@ def _old_iter_element_tuples(group):
 
 
 def _same_enumeration(group):
-    pairs = zip_longest(group._iter_element_tuples(), _old_iter_element_tuples(group))
+    pairs = zip_longest((g.images for g in group.iter_elements()), _old_iter_element_tuples(group))
     return all(new == old for new, old in pairs)
 
 
@@ -199,12 +199,13 @@ def _blocks_within(group, entries):
 
 def _assert_block_tallies_match_the_loops(group, reps):
     """The numpy block paths against the per-element loops they replaced:
-    the blocks hold the tuple stream row for row, in the smallest dtype
+    the blocks hold the recursive enumerator's stream row for row (not
+    iter_elements', which reads the blocks), in the smallest dtype
     holding the points and at most max(BLOCK_ENTRIES, tail entries) entries
     each, the fixed-point tally is the Counter of count_fixed over it, and
     the coset averages and their ``fixed`` Counter are the
     per-representative loop's and that Counter."""
-    stream = list(group._iter_element_tuples())
+    stream = list(_old_iter_element_tuples(group))
     tail = group.degree * prod(map(len, group._enumeration_split()[1]))
     dtype = np.min_scalar_type(group.degree - 1)
     rows = np.array(stream, dtype=dtype)
@@ -469,10 +470,9 @@ def _old_derangement_generated(group):
     enumeration order."""
     sub = PermGroup(group.degree, ())
     count = 0
-    for raw in group._iter_element_tuples():
-        if count_fixed(raw) == 0:
+    for p in group.iter_elements():
+        if count_fixed(p.images) == 0:
             count += 1
-            p = Permutation._raw(raw)
             if p not in sub:
                 sub = sub.extended(p)
     return count, sub
@@ -480,10 +480,7 @@ def _old_derangement_generated(group):
 
 def _old_captures(group, candidate):
     """The per-element candidate loop that the single scan replaced."""
-    return all(
-        count_fixed(raw) == 1 or Permutation._raw(raw) in candidate
-        for raw in group._iter_element_tuples()
-    )
+    return all(count_fixed(g.images) == 1 or g in candidate for g in group.iter_elements())
 
 
 def _old_orbit_semiregular(group, sub):

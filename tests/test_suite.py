@@ -261,7 +261,7 @@ def test_corpus_coset_averages_match_the_per_representative_loop():
         fixed = Counter()
         averages = coset_average_fixed_points(reps, d, fixed)
         assert averages == [_coset_average_loop(t, d) for t in reps], name
-        assert fixed == Counter(map(count_fixed, d._iter_element_tuples())), name
+        assert fixed == Counter(count_fixed(g.images) for g in d.iter_elements()), name
 
 
 def test_corpus_failures_name_a_wrong_coset_average(monkeypatch):
