@@ -7,10 +7,10 @@ point.  This module grows that subgroup from seeded random draws until
 a certificate shows that no element fixing two points lies outside it
 (normality plus suborbit lengths), counts the derangements from its point
 stabilizer, measures its index, runs the structural checks around it (rank
-identity, semiregular quotient actions, index bounds), and identifies the
-quotient group by fingerprint against a small catalog: G/D is G_0 acting
-regularly on the D_0-orbits in one of its orbits.  No call enumerates the
-whole group: ``analyze`` enumerates D_0, and G/D for its fingerprint, and
+identity, semiregular quotient actions, index bounds), and names the
+quotient group by its fingerprint, from constants and formulas: G/D is G_0
+acting regularly on the D_0-orbits in one of its orbits.  No call enumerates
+the whole group: ``analyze`` enumerates D_0, and G/D for its fingerprint, and
 two-derangement coverage reads the derangements off a walk of D.
 """
 
@@ -21,21 +21,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
-from .gf import field
-from .families import affine_group
-from .matgrp import quaternion_gl2, special_linear_gl2
-from .permgrp import (
-    PermGroup,
-    _products,
-    alternating_group,
-    block_action,
-    count_fixed,
-    dihedral_group,
-)
+from .permgrp import PermGroup, _products, block_action, count_fixed
 
 FINGERPRINT_CAP = 10_000
 PRODUCT_WORK_CAP = 4_000_000
@@ -77,35 +67,31 @@ def fingerprint(group: PermGroup) -> GroupFingerprint:
     return GroupFingerprint(order, tuple(sorted(hist.items())), center, derived)
 
 
-@lru_cache(maxsize=64)
 def _dihedral_fingerprint(m: int) -> GroupFingerprint:
-    return fingerprint(dihedral_group(m))
+    """D_2m's fingerprint, m >= 3: r^i has order m/gcd(m, i), the m
+    reflections order 2, the centre is <r^(m/2)> for even m and 1 for odd
+    m, and the derived group is <r^2>."""
+    hist = Counter(m // gcd(m, i) for i in range(m))
+    hist[2] += m
+    return GroupFingerprint(2 * m, tuple(sorted(hist.items())), 2 - m % 2, m // gcd(m, 2))
 
 
-@lru_cache(maxsize=1)
-def _named_catalog() -> dict:
-    """Fingerprints of the named groups.  The linear ones are taken as the
-    point stabilizers of their affine groups: h acting on vectors."""
-    gf3 = field(3, 1)
-    gf5 = field(5, 1)
-    catalog = {
-        "Q8": fingerprint(affine_group(quaternion_gl2(gf5)).stabilizer()),
-        "A4": fingerprint(alternating_group(4)),
-        "A5": fingerprint(alternating_group(5)),
-        "SL(2,3)": fingerprint(affine_group(special_linear_gl2(gf3)).stabilizer()),
-        "SL(2,5)": fingerprint(affine_group(special_linear_gl2(gf5)).stabilizer()),
-    }
-    # every named entry must be distinguishable from the dihedral group of
-    # the same order, and from each other
-    fps = list(catalog.values())
-    fps.extend(_dihedral_fingerprint(o // 2) for o in (8, 12, 24, 60, 120))
-    assert len(set(fps)) == len(fps), "catalog fingerprints must be pairwise distinct"
-    return catalog
+NAMED_FINGERPRINTS = {
+    "Q8": GroupFingerprint(8, ((1, 1), (2, 1), (4, 6)), 2, 2),
+    "A4": GroupFingerprint(12, ((1, 1), (2, 3), (3, 8)), 1, 4),
+    "A5": GroupFingerprint(60, ((1, 1), (2, 15), (3, 20), (5, 24)), 1, 60),
+    "SL(2,3)": GroupFingerprint(24, ((1, 1), (2, 1), (3, 8), (4, 6), (6, 8)), 2, 8),
+    "SL(2,5)": GroupFingerprint(120, ((1, 1), (2, 1), (3, 20), (4, 30), (5, 24), (6, 20), (10, 24)), 2, 120),
+}
+# every named entry must be distinguishable from the dihedral group of the
+# same order, and from each other
+_DISTINCT = [*NAMED_FINGERPRINTS.values(), *map(_dihedral_fingerprint, (4, 6, 12, 30, 60))]
+assert len(set(_DISTINCT)) == len(_DISTINCT), "catalog fingerprints must be pairwise distinct"
 
 
 def identify_fingerprint(fp: GroupFingerprint) -> str:
     """Match against cyclic groups, C2xC2, S3, dihedral groups, and the
-    named catalog; anything else is reported unrecognized."""
+    named catalog, by constants and formulas alone; else unrecognized."""
     order = fp.order
     if order == 1:
         return "C1"
@@ -116,7 +102,7 @@ def identify_fingerprint(fp: GroupFingerprint) -> str:
         return "C2xC2" if order == 4 else "unrecognized"
     if order == 6:
         return "S3"
-    for label, known in _named_catalog().items():
+    for label, known in NAMED_FINGERPRINTS.items():
         if fp == known:
             return label
     if order % 2 == 0 and order >= 8 and fp == _dihedral_fingerprint(order // 2):
@@ -166,15 +152,17 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     D, so D and the count are the same for every seed.  The count,
     |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap
     (ENUMERATION_CAP when None).  |G_0 : D_0| = |G : D| is at most n - 1,
-    so a cap below |G_0|/(n - 1) is refused before D grows.  Every element
-    of G_0 outside D_0 fixes point 0 alone, so the same tally of D_0 counts
-    the elements of G_0 that do."""
+    so a cap below |G_0|/(n - 1) is refused before D grows.  |G_0| is read
+    as |G|/n, so a group that knows its order, as the giants do, is refused
+    before any chain is built.  Every element of G_0 outside D_0 fixes
+    point 0 alone, so the same tally of D_0 counts the elements of G_0 that
+    do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     cap = permgrp.ENUMERATION_CAP if cap is None else cap
-    floor = -(-group.stabilizer().order() // max(group.degree - 1, 1))
+    floor = -(-(group.order() // group.degree) // max(group.degree - 1, 1))
     if floor > cap:
-        raise CapExceeded(f"point stabilizer order at least {floor} exceeds cap {cap}")
+        raise CapExceeded(f"point stabilizer order at least 2^{floor.bit_length() - 1} exceeds cap {cap}")
     rng = random.Random(DRAW_SEED)
     d = PermGroup(group.degree, ())
     while not (d.is_transitive() and _regular_on_suborbits(group, d)):

@@ -765,20 +765,21 @@ def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
     return group
 
 
+def _quaternion_unit(spec: FieldSpec, i: FFMatrix, j: FFMatrix, coeffs: Sequence[int]) -> FFMatrix:
+    """(a + b*i + c*j + e*ij)/2 for coeffs (a, b, c, e): the halved coeffs
+    times the matrix whose rows are the entries of 1, i, j, ij."""
+    half = spec.inv_e(2)
+    basis = FFMatrix(spec, [sum(m.rows, ()) for m in (FFMatrix.identity(spec, 2), i, j, i * j)])
+    a, b, c, e = basis.apply_row([spec.mul_e(half, k) for k in coeffs])
+    return FFMatrix(spec, [[a, b], [c, e]])
+
+
 def binary_tetrahedral_gl2(spec: FieldSpec) -> MatrixGroup:
     """SL(2,3) as a subgroup of GL(2,q), q odd: the quaternion group {±1,
     ±i, ±j, ±ij} extended by the Hurwitz unit w = (-1 + i + j + ij)/2,
     which has order 3 and cycles i, j, ij by conjugation."""
     i, j = quaternion_gl2(spec).generators
-    add, half = spec.add_e, spec.inv_e(2)
-    terms = (FFMatrix.scalar(spec, 2, spec.neg_e(1)), i, j, i * j)
-    w = FFMatrix(
-        spec,
-        [
-            [spec.mul_e(half, add(add(a, b), add(c, d))) for a, b, c, d in zip(*rows)]
-            for rows in zip(*(t.rows for t in terms))
-        ],
-    )
+    w = _quaternion_unit(spec, i, j, (spec.neg_e(1), 1, 1, 1))
     group = MatrixGroup(spec, 2, [i, j, w])
     assert group.order() == 24
     assert group.element_order_histogram() == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
@@ -786,45 +787,18 @@ def binary_tetrahedral_gl2(spec: FieldSpec) -> MatrixGroup:
 
 
 def binary_icosahedral_gl2(spec: FieldSpec) -> MatrixGroup:
-    """SL(2,5) as a subgroup of GL(2,q) for q = -1 mod 10: generated by the
-    multiplication matrix of an order-10 element of GF(q^2) and the smallest
-    trace-1 determinant-1 matrix s with trace(s*t) = 0 (which forces the
-    binary icosahedral relations s^3 = t^5 = (st)^2 = -I)."""
+    """SL(2,5) in GL(2,q), q = -1 mod 10: the binary icosahedral group of
+    unit quaternions, generated by the Hurwitz unit w = (-1 + i + j + ij)/2
+    and u = (phi + phi^-1*j + ij)/2 (Conway and Smith, On Quaternions and
+    Octonions, 2003, ch. 3), phi the least root of x^2 = x + 1.  5 is a
+    square in GF(q), as f is even or p = -1 mod 5, so phi exists."""
     q = spec.order
     if (q + 1) % 10:
-        raise ConstraintViolated("needs an order-10 torus element: q = -1 mod 10")
-    big, matrix = _quadratic_plane(spec)
-    u = big.pow_e(big.primitive_element(), (q * q - 1) // 10)
-    t = matrix(lambda w: big.mul_e(w, u))
-    assert t.det() == 1
-    mul, add, sub = spec.mul_e, spec.add_e, spec.sub_e
-    (t00, t01), (t10, t11) = t.rows
-    # scan trace-1 det-1 matrices s = [[a,b],[c,1-a]] in row-major order;
-    # trace(s*t) = 0 then forces s^3 = t^5 = (st)^2 = -I, which presents
-    # the binary icosahedral group, so the first hit generates it
-    for a in range(q):
-        e = sub(1, a)
-        ae = mul(a, e)
-        for b in range(q):
-            for c in range(q):
-                if sub(ae, mul(b, c)) != 1:
-                    continue
-                trace_st = add(
-                    add(mul(a, t00), mul(b, t10)), add(mul(c, t01), mul(e, t11))
-                )
-                if trace_st:
-                    continue
-                s = FFMatrix(spec, [[a, b], [c, e]])
-                group = MatrixGroup(spec, 2, [s, t])
-                assert group.order() == 120
-                assert group.element_order_histogram() == {
-                    1: 1,
-                    2: 1,
-                    3: 20,
-                    4: 30,
-                    5: 24,
-                    6: 20,
-                    10: 24,
-                }
-                return group
-    raise AssertionError("SL(2,5) exists in GL(2,q) whenever 5 divides q+1")
+        raise ConstraintViolated("SL(2,5) in GL(2,q) needs q = -1 mod 10")
+    i, j, w = binary_tetrahedral_gl2(spec).generators
+    phi = next(x for x in range(q) if spec.mul_e(x, x) == spec.add_e(x, 1))
+    u = _quaternion_unit(spec, i, j, (phi, 0, spec.sub_e(phi, 1), 1))
+    group = MatrixGroup(spec, 2, [w, u])
+    assert group.order() == 120
+    assert group.element_order_histogram() == {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}
+    return group

@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
-from math import lcm
+from math import factorial, lcm
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -605,12 +605,16 @@ def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int 
 
 
 def symmetric_group(n: int) -> PermGroup:
+    """S_n from (0 1) and (0 1 ... n-1), with its order n! set."""
     if n < 3:
         return cyclic_group(n)
-    return PermGroup(n, [Permutation.from_cycles(n, c) for c in ([(0, 1)], [tuple(range(n))])])
+    group = PermGroup(n, [Permutation.from_cycles(n, c) for c in ([(0, 1)], [tuple(range(n))])])
+    group._order = factorial(n)
+    return group
 
 
 def alternating_group(n: int) -> PermGroup:
+    """A_n from (0 1 2) and an even long cycle, with its order n!/2 set."""
     if n < 3:
         return PermGroup(n, [])
     three = Permutation.from_cycles(n, [(0, 1, 2)])
@@ -618,7 +622,9 @@ def alternating_group(n: int) -> PermGroup:
         big = Permutation.from_cycles(n, [tuple(range(n))])
     else:
         big = Permutation.from_cycles(n, [tuple(range(1, n))])
-    return PermGroup(n, [three, big])
+    group = PermGroup(n, [three, big])
+    group._order = factorial(n) // 2
+    return group
 
 
 def cyclic_group(n: int) -> PermGroup:

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from derangements.derange import (
     bound_check,
     derangement_subgroup,
     fingerprint,
+    identify_fingerprint,
     identify_quotient,
     index_consequences,
     is_frobenius,
@@ -28,7 +30,9 @@ from derangements.permgrp import (
     dihedral_group,
     symmetric_group,
 )
-from derangements.families import FamilyParams, build_family
+from derangements.families import FamilyParams, affine_group, build_family
+from derangements.gf import field
+from derangements.matgrp import quaternion_gl2, special_linear_gl2
 from test_matgrp import _closure_python
 from test_permgrp import conjugations_formed
 from test_properties import _coset_quotient, same_group
@@ -151,6 +155,21 @@ def test_analyze_refuses_a_provably_over_cap_stabilizer_before_d_grows(monkeypat
     monkeypatch.setattr(PermGroup, "normal_closure_of", fail)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         analyze(symmetric_group(30))
+
+
+def test_giants_are_refused_before_any_chain():
+    """A giant's order is known, so |G_0| = |G|/n refuses it with no chain
+    built; the floor is quoted by its bit length, since 1998! has more
+    digits than an int may print."""
+    cap = permgrp.ENUMERATION_CAP
+    for build in (symmetric_group, alternating_group):
+        giant = build(200)
+        with pytest.raises(CapExceeded, match=f"exceeds cap {cap}$"):
+            derange._certified_scan(giant)
+        assert giant._levels is None
+    bits = factorial(1998).bit_length() - 1
+    with pytest.raises(CapExceeded, match=rf"^point stabilizer order at least 2\^{bits} exceeds cap {cap}$"):
+        derange._certified_scan(symmetric_group(2000))
 
 
 @pytest.mark.parametrize(
@@ -353,11 +372,39 @@ def _regular_model(group):
 
 def test_identify_named_regular_models():
     # the catalog fingerprints these groups as affine point stabilizers
-    from derangements.gf import field
-    from derangements.matgrp import quaternion_gl2, special_linear_gl2
-
     assert identify_quotient(_regular_model(quaternion_gl2(field(5, 1)))) == "Q8"
     assert identify_quotient(_regular_model(special_linear_gl2(field(3, 1)))) == "SL(2,3)"
+
+
+def test_named_fingerprints_match_their_constructions():
+    """The catalog's constants are the fingerprints of the groups they name;
+    the linear ones are taken as the point stabilizers of their affine
+    groups: h acting on vectors."""
+    gf3, gf5 = field(3, 1), field(5, 1)
+    built = {
+        "Q8": affine_group(quaternion_gl2(gf5)).stabilizer(),
+        "A4": alternating_group(4),
+        "A5": alternating_group(5),
+        "SL(2,3)": affine_group(special_linear_gl2(gf3)).stabilizer(),
+        "SL(2,5)": affine_group(special_linear_gl2(gf5)).stabilizer(),
+    }
+    assert {name: fingerprint(g) for name, g in built.items()} == derange.NAMED_FINGERPRINTS
+
+
+def test_dihedral_fingerprint_formula_matches_the_group():
+    for m in range(3, 131):
+        assert derange._dihedral_fingerprint(m) == fingerprint(dihedral_group(m)), m
+
+
+def test_identification_enumerates_no_group(monkeypatch):
+    a4, d194 = fingerprint(alternating_group(4)), fingerprint(dihedral_group(97))
+
+    def fail(self):
+        raise AssertionError("naming a fingerprint enumerated a group")
+
+    monkeypatch.setattr(PermGroup, "_enumeration_split", fail)
+    assert identify_fingerprint(a4) == "A4"
+    assert identify_fingerprint(d194) == "D194"
 
 
 def test_identify_is_representation_independent():
@@ -488,7 +535,6 @@ def test_analyze_enumerates_only_point_stabilizers(monkeypatch):
     """No step of analyze, faulted or not, walks a group larger than D_0
     (for the count and the stabilizer facts) or G/D (for the
     fingerprint); in particular G_0 is never enumerated."""
-    derange._named_catalog()
     walked = []
     original = PermGroup._enumeration_split
 

@@ -1228,10 +1228,17 @@ def test_binary_tetrahedral_without_unique_cube_roots(q):
     assert group.generators[:2] == quaternion_gl2(group.spec).generators
 
 
-def test_binary_icosahedral():
-    group = binary_icosahedral_gl2(field(59, 1))
+@pytest.mark.parametrize("q", [9, 19, 29, 49, 59, 79, 89])
+def test_binary_icosahedral(q):
+    """<w, u> from the Hurwitz unit w of order 3 and the unit u of order 10."""
+    group = binary_icosahedral_gl2(field(*prime_power_decompose(q)))
     assert group.order() == 120
-    assert binary_icosahedral_gl2(field(3, 2)).order() == 120
+    assert [MatrixGroup(group.spec, 2, [g]).order() for g in group.generators] == [3, 10]
+    if q == 59:
+        assert [g.rows for g in group.generators] == [((41, 41), (40, 17)), ((37, 51), (51, 48))]
+
+
+def test_binary_icosahedral_needs_q_minus_one_mod_ten():
     for p, f in [(2, 2), (7, 1)]:  # q = 4 is -1 mod 5, but GF(16)* has no order-10 element
         with pytest.raises(ConstraintViolated):
             binary_icosahedral_gl2(field(p, f))

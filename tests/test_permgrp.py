@@ -154,7 +154,10 @@ def test_schreier_sims_forms_each_schreier_generator_once(monkeypatch):
     # the parent of the rewrite formed 18 636 for A_30 and 1 378 for
     # affine-scalars 7 3, one per pair of a level's orbit and Schreier set
     # at every restart, tree edges included
-    formed, a30 = _schreier_generators_formed(monkeypatch, lambda: alternating_group(30))
+    # A_30 from its generators, as alternating_group(30) knows its order
+    # without a chain
+    a30_gens = alternating_group(30).generators
+    formed, a30 = _schreier_generators_formed(monkeypatch, lambda: PermGroup(30, a30_gens))
     assert formed <= 2100 and a30.order() == factorial(30) // 2
     family = FamilyParams("affine-scalars", (7, 3))
     formed, affine = _schreier_generators_formed(monkeypatch, lambda: build_family(family))
