@@ -11,20 +11,20 @@ matrices in row-major encoded order.
 A vector's index in GF(q)^d is the index of its base-p digit vector in
 GF(p)^(d*f), on which each matrix acts as a (d*f)x(d*f) digit matrix over
 GF(p); M -> digit(M) is a homomorphism, and a group converts each of its
-generators once (``generator_digits``).  A group's one element store is
-the stack of its digit matrices in breadth-first order (batched products
-of the frontier and the generators), with a dict from entry codes to
-positions; positions are the element handle, element orders come from
-batched powers of the stack and scalars from its entry codes.  One batched
-elimination mod p decides eigenvalue 1, and the eigenvalue-1 subgroup is a
-mask over positions.  A quotient H/R is H acting on the R-orbits in the
-orbit of e_0, read off row 0 of the stack.  Work on vectors maps whole
-arrays of indices.  Irreducibility has one decision, the MeatAxe: spins
-from the null space of f(a), for a in the group algebra and f an
-irreducible factor of e_0's minimal polynomial under a, prove either answer.
-H/R is semiregular on the R-orbits of nonzero vectors iff R holds every
-eigenvalue-1 element.  permgrp.ENUMERATION_CAP and SPIN_WORK_CAP bound the
-work; SEMIREGULAR_VECTOR_CAP only marks where semiregularity reads None.
+generators once (``generator_digits``).  A group's one element store is the
+stack of its digit matrices in ``permgrp.closure``'s breadth-first order,
+keyed by their bytes in the smallest dtype holding p - 1; positions are the
+element handle, element orders come from batched powers of the stack and
+scalars from its entry codes.  One batched elimination mod p decides
+eigenvalue 1, and the eigenvalue-1 subgroup is a mask over positions.  A
+quotient H/R is H acting on the R-orbits in the orbit of e_0, read off row
+0 of the stack.  Work on vectors maps whole arrays of indices.
+Irreducibility has one decision, the MeatAxe: spins from the null space of
+f(a), for a in the group algebra and f an irreducible factor of e_0's
+minimal polynomial under a, prove either answer.  H/R is semiregular on the
+R-orbits of nonzero vectors iff R holds every eigenvalue-1 element.
+permgrp.ENUMERATION_CAP and SPIN_WORK_CAP bound the work;
+SEMIREGULAR_VECTOR_CAP only marks where semiregularity reads None.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import permgrp
-from .errors import CapExceeded, ConstraintViolated, FieldMismatch
+from .errors import CapExceeded, ConstraintViolated, FieldMismatch, NotSubgroup
 from .gf import FieldSpec, _least_factor, _poly_mod, _poly_trim, field
 from .permgrp import PermGroup, block_action
 
@@ -214,7 +214,7 @@ class MatrixGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self._stack: np.ndarray | None = None  # digit matrices, breadth-first
-        self._position: dict[bytes, int] | None = None  # entry-code bytes -> position
+        self._position: dict[bytes, int] | None = None  # closure key -> position
         self._irreducibility: tuple | None = None
         self._digits: np.ndarray | None = None  # the generators' digit matrices
         self._fixes: np.ndarray | None = None  # per position, eigenvalue 1 or not
@@ -234,47 +234,38 @@ class MatrixGroup:
         return self._digits
 
     def digit_stack(self, cap: int | None = None) -> np.ndarray:
-        """The digit matrices of all elements, in breadth-first order from
-        the identity; CapExceeded when the order exceeds cap, built or
-        cached.  With no cap the closure is built under ENUMERATION_CAP,
-        and a cached stack is not checked again."""
+        """The digit matrices of all elements, in ``permgrp.closure``'s
+        breadth-first order from the identity; CapExceeded when the order
+        exceeds cap, built or cached.  With no cap the closure is built
+        under ENUMERATION_CAP, and a cached stack is not checked again."""
         if self._stack is None:
             limit = permgrp.ENUMERATION_CAP if cap is None else cap
-            spec, d = self.spec, self.d
-            p, k = spec.p, d * spec.f
-            gens = self.generator_digits()
-            frontier = np.eye(k, dtype=np.int64)[None]
-            position = dict.fromkeys(_entry_keys(spec, d, frontier), 0)
-            levels = []
-            while len(frontier):
-                if len(position) > limit:
-                    raise CapExceeded(f"matrix closure exceeds cap {limit}")
-                levels.append(frontier)
-                products = (frontier[:, None] @ gens.reshape(1, -1, k, k) % p).reshape(-1, k, k)
-                fresh = []
-                for i, key in enumerate(_entry_keys(spec, d, products)):
-                    if key not in position:
-                        position[key] = len(position)
-                        fresh.append(i)
-                frontier = products[fresh]
-            self._stack = np.concatenate(levels)
-            self._position = position
+            p, k = self.spec.p, self.d * self.spec.f
+            gens = self.generator_digits()[None]
+            start = np.eye(k, dtype=np.min_scalar_type(p - 1))[None]
+            rows, self._position = permgrp.closure(start, lambda frontier: frontier[:, None] @ gens % p, limit)
+            self._stack = rows.astype(np.int64)
         elif cap is not None and len(self._stack) > cap:
-            raise CapExceeded(f"matrix closure exceeds cap {cap}")
+            raise CapExceeded(f"closure exceeds cap {cap}")
         return self._stack
 
+    def _keys(self, stack: np.ndarray) -> list[bytes]:
+        """The closure's key of each digit matrix of the stack (reduced mod
+        p), of any leading shape: its bytes in the smallest dtype holding p - 1."""
+        small = stack.astype(np.min_scalar_type(self.spec.p - 1))
+        return permgrp._row_keys(small, stack.shape[-1] ** 2)
+
     def _positions(self) -> dict[bytes, int]:
-        """Entry-code bytes of each element -> its position in the stack."""
-        stack = self.digit_stack()
+        """Key of each element -> its position in the stack."""
+        stack = self.digit_stack()  # a built closure sets the dict too
         if self._position is None:
-            keys = _entry_keys(self.spec, self.d, stack)
-            self._position = dict(zip(keys, range(len(keys))))
+            self._position = {key: i for i, key in enumerate(self._keys(stack))}
         return self._position
 
     def _locate(self, stack: np.ndarray) -> np.ndarray:
         """Position of each digit matrix of the stack (reduced mod p); a
         KeyError for one outside the group."""
-        keys = _entry_keys(self.spec, self.d, stack)
+        keys = self._keys(stack)
         return np.fromiter(map(self._positions().__getitem__, keys), dtype=np.int64, count=len(keys))
 
     def order(self) -> int:
@@ -289,7 +280,7 @@ class MatrixGroup:
 
     def __contains__(self, m: FFMatrix) -> bool:
         self._check(m)
-        return _entry_keys(self.spec, self.d, _digit_matrix(m)[None])[0] in self._positions()
+        return self._keys(_digit_matrix(m))[0] in self._positions()
 
     def element_order_histogram(self) -> dict[int, int]:
         """Element order -> count: the k-th powers of the whole stack, one
@@ -393,13 +384,6 @@ def _decode(spec: FieldSpec, d: int, stack: np.ndarray) -> list[FFMatrix]:
     return [FFMatrix._raw(spec, d, tuple(map(tuple, rows))) for rows in entries]
 
 
-def _entry_keys(spec: FieldSpec, d: int, stack: np.ndarray) -> list[bytes]:
-    """One hashable key per digit matrix of the stack, of any leading
-    shape: its entry codes."""
-    entries = _codes(spec, d, stack[..., :: spec.f, :])
-    return entries.reshape(-1, d * d).view(np.dtype((np.void, 8 * d * d))).ravel().tolist()
-
-
 def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """Indices of the images of the vectors with these digit rows under m."""
     weights = spec.p ** np.arange(len(m), dtype=np.int64)
@@ -426,6 +410,12 @@ def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
             labels, jumped = jumped, jumped[jumped]
 
 
+def _require_subgroup(group: MatrixGroup, sub: MatrixGroup) -> None:
+    """NotSubgroup unless the key of each generator of sub is in the group's key dict."""
+    if not group._positions().keys() >= set(group._keys(sub.generator_digits())):
+        raise NotSubgroup("a generator of the subgroup lies outside the group")
+
+
 @dataclass(frozen=True)
 class IndexBoundReport:
     """Outcome of the eigenvalue-1 index bound and orbit-semiregularity
@@ -444,7 +434,8 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     vectors.  The stabilizer in H of the orbit v*sub is H_v*sub, so H/sub
     is semiregular iff sub holds every H_v: iff no element of H outside sub
     has eigenvalue 1, read off H's eigenvalue-1 mask.  The work is O(|H|),
-    with no vector labelled."""
+    with no vector labelled.  NotSubgroup when sub is not inside H."""
+    _require_subgroup(group, sub)
     spec, d = group.spec, group.d
     index = group.order() // sub.order()
     bound = spec.order**d - 1
@@ -658,7 +649,9 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     0), read off row 0 of the stack.  For sub normal and holding the
     stabilizer H_{e_0}, as R(H) does, h and h' share a coset exactly when
     e_0*h and e_0*h' share a sub-orbit, so the action is regular.  Else
-    ConstraintViolated (sub misses part of H_{e_0}) or NotNormal."""
+    NotSubgroup (sub is not inside H), ConstraintViolated (sub misses part
+    of H_{e_0}) or NotNormal."""
+    _require_subgroup(group, sub)
     spec, d = group.spec, group.d
     images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
     points = images[np.append(True, images[1:] != images[:-1])]

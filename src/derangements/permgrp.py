@@ -21,7 +21,9 @@ normal subgroup (``block_action``).  No block system is searched for:
 primitivity is maximality of the point stabilizer, read off the chain.
 Elements are upper products times a tail, the deepest levels' products,
 listed by one walk: numpy blocks of upper products gathered by the tail
-array, at most BLOCK_ENTRIES entries unless the tail is larger.
+array, at most BLOCK_ENTRIES entries unless the tail is larger.  One
+breadth-first closure, ``closure``, keys rows by their bytes for
+``bruteforce_closure`` and for matgrp's digit stacks.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ def _products(outer: Iterable[tuple[int, ...]], inner: list[tuple[int, ...]]):
     """'apply b, then a' for a in outer, streamed and outermost, and b in inner."""
     getters = [_getter(b) for b in inner]
     return (get(a) for a in outer for get in getters)
-
-
-def _identity_tuple(images: tuple[int, ...]) -> bool:
-    return images == tuple(range(len(images)))
 
 
 class Permutation:
@@ -148,7 +146,7 @@ class Permutation:
         return lambda k: Permutation._raw(_compose(first(k.images), images))
 
     def is_identity(self) -> bool:
-        return _identity_tuple(self.images)
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -575,30 +573,42 @@ def coset_average_fixed_points(
     return [Fraction(h, group.order()) for h in hits]
 
 
+def _row_keys(rows: np.ndarray, width: int) -> list[bytes]:
+    """The bytes of each run of width entries of a C-contiguous array."""
+    return rows.reshape(-1, width).view(np.dtype((np.void, width * rows.itemsize))).ravel().tolist()
+
+
+def closure(start: np.ndarray, step: Callable[[np.ndarray], np.ndarray], cap: int):
+    """(rows, key -> position) of the breadth-first closure of start's
+    distinct rows, in the smallest unsigned dtype holding the entries, under
+    step: a frontier's products, frontier-major and generator-minor.  A row's
+    key is its bytes; each round keeps the first occurrence of each new key,
+    in order.  CapExceeded when the closure has more than cap rows."""
+    shape, dtype, width = start.shape[1:], start.dtype, start[0].size
+    frontier, rounds = start, [start]
+    position = dict(zip(_row_keys(start, width), range(len(start))))
+    while len(frontier):
+        products = step(frontier).astype(dtype, copy=False)
+        new = [key for key in dict.fromkeys(_row_keys(products, width)) if key not in position]
+        if len(position) + len(new) > cap:
+            raise CapExceeded(f"closure exceeds cap {cap}")
+        position.update(zip(new, range(len(position), len(position) + len(new))))
+        frontier = np.frombuffer(b"".join(new), dtype=dtype).reshape(-1, *shape)
+        rounds.append(frontier)
+    return np.concatenate(rounds), position
+
+
 def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int = 100_000) -> np.ndarray:
     """Independent multiplication closure, used to cross-check chain orders:
-    the (order, degree) array of the group's image rows, breadth-first from
-    the identity.  A round composes the whole frontier with every generator
-    in one numpy gather, frontier row by row and generator by generator,
-    and keeps each row whose bytes were not seen before, in that order.
-    Only the generators' images are read, never a chain.  Raises
-    CapExceeded when the closure has more than cap elements."""
+    the (order, degree) array of the group's image rows by ``closure`` from
+    the identity, a round one numpy gather of the frontier by every
+    generator; CapExceeded past cap elements.  Only the generators' images
+    are read, never a chain."""
     if any(g.degree != degree for g in generators):
         raise DegreeMismatch("degrees differ")
-    dtype = np.min_scalar_type(degree - 1)
-    row = np.dtype((np.void, degree * dtype.itemsize))
     gens = np.array([g.images for g in generators], dtype=np.intp).ravel()
-    frontier = np.arange(degree, dtype=dtype)[None]
-    seen, rounds = {frontier.tobytes()}, [frontier]
-    while len(frontier):
-        products = frontier.take(gens, axis=1).view(row).ravel().tolist()
-        new = [key for key in dict.fromkeys(products) if key not in seen]
-        if len(seen) + len(new) > cap:
-            raise CapExceeded(f"closure exceeded {cap} elements")
-        seen.update(new)
-        frontier = np.frombuffer(b"".join(new), dtype=dtype).reshape(-1, degree)
-        rounds.append(frontier)
-    return np.concatenate(rounds)
+    start = np.arange(degree, dtype=np.min_scalar_type(degree - 1))[None]
+    return closure(start, lambda frontier: frontier.take(gens, axis=1), cap)[0]
 
 
 # standard groups ------------------------------------------------------------

@@ -22,6 +22,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .derange import (
     AnalysisReport,
@@ -527,34 +528,34 @@ def _corpus_builders() -> dict:
     """Name -> zero-argument builder, in fixed emission order."""
     builders = {}
     for n in range(2, 13):
-        builders[f"cyclic-{n}"] = (cyclic_group, n)
+        builders[f"cyclic-{n}"] = partial(cyclic_group, n)
     for n in range(2, 8):
-        builders[f"sym-{n}"] = (symmetric_group, n)
+        builders[f"sym-{n}"] = partial(symmetric_group, n)
     for n in range(3, 8):
-        builders[f"alt-{n}"] = (alternating_group, n)
+        builders[f"alt-{n}"] = partial(alternating_group, n)
     for m in range(3, 11):
-        builders[f"dihedral-{m}"] = (dihedral_group, m)
+        builders[f"dihedral-{m}"] = partial(dihedral_group, m)
     for q in (3, 4, 5, 7, 8, 9, 11, 13):
-        builders[f"agl1-{q}"] = (_family, "agl1", q)
-    builders["affine-scalars-3-2"] = (_family, "affine-scalars", 3, 2)
-    builders["affine-scalars-5-2"] = (_family, "affine-scalars", 5, 2)
-    builders["affine-gl2-3"] = (_family, "affine-gl2", 3)
-    builders["affine-gl2-4"] = (_family, "affine-gl2", 4)
-    builders["affine-sl2-3"] = (_affine_sl2_3,)
+        builders[f"agl1-{q}"] = partial(_family, "agl1", q)
+    builders["affine-scalars-3-2"] = partial(_family, "affine-scalars", 3, 2)
+    builders["affine-scalars-5-2"] = partial(_family, "affine-scalars", 5, 2)
+    builders["affine-gl2-3"] = partial(_family, "affine-gl2", 3)
+    builders["affine-gl2-4"] = partial(_family, "affine-gl2", 4)
+    builders["affine-sl2-3"] = _affine_sl2_3
     for q in (3, 4, 5, 7, 8, 9):
-        builders[f"semilinear-{q}"] = (_family, "semilinear", q)
-    builders["wreath-sym-2-2"] = (_family, "wreath-sym", 2, 2)
-    builders["wreath-sym-3-2"] = (_family, "wreath-sym", 3, 2)
-    builders["wreath-cyclic-3-2"] = (_family, "wreath-cyclic", 3, 2)
-    builders["wreath-cyclic-5-2"] = (_family, "wreath-cyclic", 5, 2)
-    builders["wreath-cyclic-2-3"] = (_family, "wreath-cyclic", 2, 3)
-    builders["pgammal28"] = (_family, "pgammal28")
-    builders["frobenius-complement-5-2-3"] = (_family, "frobenius-complement", 5, 2, 3)
-    builders["frobenius-complement-7-2-2"] = (_family, "frobenius-complement", 7, 2, 2)
-    builders["product-c2-c2"] = (_product, (cyclic_group, 2), (cyclic_group, 2))
-    builders["product-c2-s3"] = (_product, (cyclic_group, 2), (symmetric_group, 3))
-    builders["product-s3-s3"] = (_product, (symmetric_group, 3), (symmetric_group, 3))
-    builders["product-a4-c2"] = (_product, (alternating_group, 4), (cyclic_group, 2))
+        builders[f"semilinear-{q}"] = partial(_family, "semilinear", q)
+    builders["wreath-sym-2-2"] = partial(_family, "wreath-sym", 2, 2)
+    builders["wreath-sym-3-2"] = partial(_family, "wreath-sym", 3, 2)
+    builders["wreath-cyclic-3-2"] = partial(_family, "wreath-cyclic", 3, 2)
+    builders["wreath-cyclic-5-2"] = partial(_family, "wreath-cyclic", 5, 2)
+    builders["wreath-cyclic-2-3"] = partial(_family, "wreath-cyclic", 2, 3)
+    builders["pgammal28"] = partial(_family, "pgammal28")
+    builders["frobenius-complement-5-2-3"] = partial(_family, "frobenius-complement", 5, 2, 3)
+    builders["frobenius-complement-7-2-2"] = partial(_family, "frobenius-complement", 7, 2, 2)
+    builders["product-c2-c2"] = partial(_product, partial(cyclic_group, 2), partial(cyclic_group, 2))
+    builders["product-c2-s3"] = partial(_product, partial(cyclic_group, 2), partial(symmetric_group, 3))
+    builders["product-s3-s3"] = partial(_product, partial(symmetric_group, 3), partial(symmetric_group, 3))
+    builders["product-a4-c2"] = partial(_product, partial(alternating_group, 4), partial(cyclic_group, 2))
     return builders
 
 
@@ -569,12 +570,7 @@ def _affine_sl2_3() -> PermGroup:
 
 
 def _product(a, b) -> PermGroup:
-    return direct_product_action(a[0](*a[1:]), b[0](*b[1:]))
-
-
-def _build(entry) -> PermGroup:
-    fn, *args = entry
-    return fn(*args)
+    return direct_product_action(a(), b())
 
 
 def corpus_names() -> list[str]:
@@ -582,7 +578,7 @@ def corpus_names() -> list[str]:
 
 
 def corpus_group(name: str) -> PermGroup:
-    return _build(_corpus_builders()[name])
+    return _corpus_builders()[name]()
 
 
 def _random_words(group: PermGroup, name: str, count: int) -> list[Permutation]:

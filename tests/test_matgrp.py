@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from derangements import matgrp, permgrp
-from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal
+from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal, NotSubgroup
 from derangements.families import central_product_examples, dihedral_quotient_family
 from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
@@ -583,6 +583,40 @@ def test_enumeration_cap_is_exact_and_checked_when_cached():
         MatrixGroup(GF3, 2, gl.generators).digit_stack(cap=47)
     fresh = MatrixGroup(GF3, 2, gl.generators)
     assert np.array_equal(fresh.digit_stack(cap=48), gl.digit_stack())
+
+
+@pytest.mark.parametrize("p, m, dtype", [(257, 8, np.uint16), (65537, 16, np.uint32)])
+def test_closure_keys_past_one_byte(p, m, dtype):
+    """Digit matrices over GF(257) and GF(65537) are keyed by their bytes in
+    uint16 and uint32; the stack lists the Python closure's elements in its
+    order, and the cap raises exactly at order - 1."""
+    spec = field(p, 1)
+    group = dihedral_gl2(spec, m)
+    assert len(group._keys(group.digit_stack()[:1])[0]) == 4 * np.dtype(dtype).itemsize
+    assert _elements(group) == _closure_python(group)
+    with pytest.raises(CapExceeded, match=f"exceeds cap {2 * m - 1}"):
+        MatrixGroup(spec, 2, group.generators).digit_stack(cap=2 * m - 1)
+    assert np.array_equal(MatrixGroup(spec, 2, group.generators).digit_stack(cap=2 * m), group.digit_stack())
+
+
+def test_subgroup_checks_refuse_a_sub_outside_the_group():
+    """GL(2,5) is not inside its scalars: the quotient raised IndexError and
+    the index check a bare KeyError before both checked sub's generators."""
+    scalars, gl = scalar_matrix_group(GF5, 2), general_linear_gl2(GF5)
+    with pytest.raises(NotSubgroup):
+        quotient_perm_group(scalars, gl)
+    with pytest.raises(NotSubgroup):
+        index_bound_check(scalars, gl)
+
+
+def test_index_check_refuses_an_outside_sub_past_the_vector_cap():
+    """Past SEMIREGULAR_VECTOR_CAP the index check returned index 0 and
+    index_ok True for a transvection group outside the scalars of GL(4,59)."""
+    spec = field(59, 1)
+    assert 59**4 > matgrp.SEMIREGULAR_VECTOR_CAP
+    transvection = FFMatrix(spec, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotSubgroup):
+        index_bound_check(scalar_matrix_group(spec, 4), MatrixGroup(spec, 4, [transvection]))
 
 
 def test_gl23_order_and_eigenvalue_subgroup():
