@@ -164,13 +164,13 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     if floor > cap:
         raise CapExceeded(f"point stabilizer order at least 2^{floor.bit_length() - 1} exceeds cap {cap}")
     rng = random.Random(DRAW_SEED)
-    d = PermGroup(group.degree, ())
+    d, base = PermGroup(group.degree, ()), group._base()
     while not (d.is_transitive() and _regular_on_suborbits(group, d)):
         x = group.random_element(rng)
         while count_fixed(x.images) or x in d:
             x = group.random_element(rng)
         # d is normal, so only x and its conjugates need conjugating
-        d = group.normal_closure_of(d.extended(x), len(d.generators))
+        d = group.normal_closure_of(d._extended(x, base), len(d.generators))
     conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
     assert all(
         conjugate(k) in d for conjugate in conjugators for k in d.generators

@@ -328,8 +328,9 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     gens: list[int] = []
 
     def grow(products: np.ndarray) -> np.ndarray:
-        found = np.unique(group._locate(products % p))
-        found = found[~inside[found]]
+        found = np.zeros_like(inside)  # a mask, not np.unique, which imports numpy.ma
+        found[group._locate(products % p)] = True
+        found = np.flatnonzero(found & ~inside)
         inside[found] = True
         return found
 
@@ -411,7 +412,10 @@ def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
 
 
 def _require_subgroup(group: MatrixGroup, sub: MatrixGroup) -> None:
-    """NotSubgroup unless the key of each generator of sub is in the group's key dict."""
+    """FieldMismatch unless sub is over the group's field, then NotSubgroup
+    unless the key of each generator of sub is in the group's key dict."""
+    if sub.spec is not group.spec:
+        raise FieldMismatch(f"subgroup over {sub.spec}, group over {group.spec}")
     if not group._positions().keys() >= set(group._keys(sub.generator_digits())):
         raise NotSubgroup("a generator of the subgroup lies outside the group")
 

@@ -7,8 +7,9 @@ runs Schreier-Sims once, which forms each Schreier generator at most once
 per orbit of a level.  Three rules, proved in ``_schreier_sims``, make it
 so: tree edges are skipped, a level's Schreier set leaves out the
 residues produced at or below it, and a level resumes at its next pair
-instead of restarting.  Strong generators and transversals depend on the
-order of work; bases and basic orbits do not.  Every strong generator
+instead of restarting; a subgroup grown inside a group G compares at G's
+base.  Strong generators and transversals depend on the order of work;
+bases and basic orbits do not.  Every strong generator
 sits at the level based at the smallest point it moves, so bases are
 strictly increasing and each level group fixes every point below its base
 point.  The one point stabilizer is that of point 0, the levels below the
@@ -211,12 +212,12 @@ def _smallest_moved(images: tuple[int, ...]) -> int:
     raise ValueError("identity moves nothing")
 
 
-def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[int, ...]):
+def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[int, ...], on_base=None):
     """Sift images*w^-1 through levels[start:] without inverting per level:
     W, w composed after the transversal elements used, is carried, so the
     residue images*W^-1 maps base b to W.index(images[b]) and is trivial
-    exactly when images == W.  Returns None for a trivial residue, else the
-    residue, formed with one inversion."""
+    exactly when images == W, compared at the base when on_base is given.
+    Returns None for a trivial residue, else the residue (one inversion)."""
     for lvl in levels[start:]:
         b = lvl.base
         if images[b] == w[b]:
@@ -225,7 +226,8 @@ def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[in
         if u is None:
             break
         w = _compose(u, w)
-    return None if images == w else _compose(images, _invert(w))
+    trivial = on_base(images) == on_base(w) if on_base else images == w
+    return None if trivial else _compose(images, _invert(w))
 
 
 def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: int, origin: int) -> int:
@@ -244,12 +246,13 @@ def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: in
     return j
 
 
-def _verify(levels: list[_Level], i: int, degree: int):
+def _verify(levels: list[_Level], i: int, degree: int, on_base=None):
     """Verify levels[i], its deeper levels verified: build its orbit and
     transversal breadth-first from its Schreier set and, in the same pass,
     sift u*g*t^-1, carrying t, for each pair (point, g) that is not a tree
-    edge and whose u*g differs from t.  Yields the index each nontrivial
-    residue is placed on, with this level's base as its origin."""
+    edge and whose u*g differs from t, tested first at the base (on_base)
+    without forming u*g.  Yields the index each nontrivial residue is
+    placed on, with this level's base as its origin."""
     lvl = levels[i]
     gens = [g for l in levels[i:] for g, o in zip(l.gens, l.origins) if o < lvl.base]
     lvl.transversal = transversal = {lvl.base: tuple(range(degree))}
@@ -257,18 +260,21 @@ def _verify(levels: list[_Level], i: int, degree: int):
     for pt in orbit:
         u = transversal[pt]
         form = _getter(u)
+        at_base = on_base and itemgetter(*on_base(u))  # g -> u*g at the base
         for g in gens:
             target = transversal.get(g[pt])
             if target is None:
                 transversal[g[pt]] = _compose(u, g)
                 orbit.append(g[pt])
+            elif on_base and at_base(g) == on_base(target):
+                continue
             elif (ug := form(g)) != target:
-                residue = _sift(levels, i + 1, ug, target)
+                residue = _sift(levels, i + 1, ug, target, on_base)
                 if residue is not None:
                     yield _place(levels, i + 1, residue, degree, lvl.base)
 
 
-def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
+def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None) -> None:
     """Verify levels[dirty], ..., levels[0], deepest first (deterministic
     Schreier-Sims), forming each Schreier generator at most once per orbit
     of a level, by three rules.  (1) A tree edge (pt, g), g(pt) first
@@ -282,30 +288,34 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int) -> None:
     orbit and transversal are unchanged, and each pair passed sifted into
     groups that have only grown since.  stack[j] verifies levels[j], and
     residues land below the top, so no level on the stack moves."""
-    stack = [_verify(levels, i, degree) for i in range(dirty + 1)]
+    stack = [_verify(levels, i, degree, on_base) for i in range(dirty + 1)]
     while stack:
         landed = next(stack[-1], None)
         if landed is None:
             stack.pop()
         else:
-            stack += [_verify(levels, j, degree) for j in range(len(stack), landed + 1)]
+            stack += [_verify(levels, j, degree, on_base) for j in range(len(stack), landed + 1)]
 
 
-def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int) -> None:
+def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, base=None) -> None:
     """Grow a verified chain (or the empty one) by the generators: each is
     sifted and its residue placed with no origin (-1), so it joins every
     Schreier set down to its level; then ``_schreier_sims`` verifies the
     chain once, from the deepest level a residue landed on.  A fresh level's
     transversal holds only its base, so on the empty chain every generator
-    sifts to itself and lands on the level of the smallest point it moves."""
+    sifts to itself and lands on the level of the smallest point it moves.
+    base, when given, is a base of a group G holding the generators and the
+    chain: only G's identity fixes it, so elements of G are compared there,
+    with the same outcome and so the same chain."""
     identity = tuple(range(degree))
+    on_base = base and itemgetter(*base, base[0])  # a tuple even for one point
     landed = []
     for g in generators:
-        residue = _sift(levels, 0, g.images, identity)
+        residue = _sift(levels, 0, g.images, identity, on_base)
         if residue is not None:
             landed.append(levels[_place(levels, 0, residue, degree, -1)])
     if landed:
-        _schreier_sims(levels, max(map(levels.index, landed)), degree)
+        _schreier_sims(levels, max(map(levels.index, landed)), degree, on_base)
 
 
 class PermGroup:
@@ -347,10 +357,20 @@ class PermGroup:
     def extended(self, g: Permutation) -> "PermGroup":
         """The group generated by these generators and g.  Its chain is a
         copy of this one, grown by g instead of being rebuilt."""
+        return self._extended(g, None)
+
+    def _extended(self, g: Permutation, base) -> "PermGroup":
+        """``extended``, on the base of a group holding it and g (``_grow``)."""
         grown = PermGroup(self.degree, self.generators + (g,))
         grown._levels = [lvl.copy() for lvl in self._chain()]
-        _grow(grown._levels, (g,), self.degree)
+        _grow(grown._levels, (g,), self.degree, base)
         return grown
+
+    def _base(self):
+        """The chain's base points if fewer than n/16, else None: checks at a
+        base of 3 or 4 points slowed degrees 16 to 28 and sped up 64 to 343."""
+        bases = [lvl.base for lvl in self._chain()]
+        return bases if 16 * len(bases) < self.degree else None
 
     def order(self) -> int:
         if self._order is None:
@@ -398,7 +418,11 @@ class PermGroup:
         return self._orbits
 
     def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
+        """With a chain built: whether its first orbit, that of 0 when 0 is
+        moved, has all n points (the empty chain's orbit is {0})."""
+        if self._levels is None:
+            return len(self.orbits()) == 1
+        return (len(self._levels[0].orbit) if self._levels else 1) == self.degree
 
     def stabilizer(self) -> "PermGroup":
         """The stabilizer of point 0.  A group that moves 0 has its first
@@ -509,14 +533,16 @@ class PermGroup:
         group's generators inverted once.  A worklist: each (conjugator,
         generator) pair is formed once, generators walked by index as the
         list grows, which is sound because the closure only grows.  The
-        first ``closed`` generators already have their conjugates in it."""
+        first ``closed`` generators already have their conjugates in it.
+        The closure must lie in this group, as it grows on this group's base."""
         conjugators = [g.conjugator() for g in self.generators]
+        base = self._base()
         while closed < len(closure.generators):
             k = closure.generators[closed]
             for conjugate in conjugators:
                 c = conjugate(k)
                 if c not in closure:
-                    closure = closure.extended(c)
+                    closure = closure._extended(c, base)
             closed += 1
         return closure
 

@@ -3,10 +3,11 @@
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from derangements import derange, permgrp, suite
+from derangements import derange, fileio, permgrp, suite
 from derangements.derange import (
     AnalysisReport,
     analyze,
@@ -193,6 +194,42 @@ def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
     derange._certified_scan(suite.corpus_group(name))
     assert len(growths) >= 2 and max(grown.values()) == 1
 
+
+def _perm_wide_pool(monkeypatch, seed):
+    """The benchmark's perm-wide groups, relabelled for the seed and read
+    back from their text, as a benchmark run analyzes them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import pools
+
+    texts = pools.build_texts("perm-wide", seed, pools.load_references())
+    return [fileio.load_group(text) for text in texts.values()]
+
+
+def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
+    """Image tuples formed through _getter by the certified scans of the
+    perm-wide pool at seed 1, each group's chain built beforehand: D grows
+    on G's base, where a Schreier pair is compared before u*g is formed, and
+    528 are formed; growing on all points forms 3 434."""
+    groups = _perm_wide_pool(monkeypatch, 1)
+    real_getter, formed = permgrp._getter, []
+
+    def getter(a):
+        get = real_getter(a)
+        return lambda b: formed.append(None) or get(b)
+
+    def tuples_formed():
+        del formed[:]
+        monkeypatch.setattr(permgrp, "_getter", getter)
+        for group in groups:
+            derange._certified_scan(group)
+        monkeypatch.setattr(permgrp, "_getter", real_getter)
+        return len(formed)
+
+    for group in groups:
+        group._chain()
+    assert tuples_formed() == 528
+    monkeypatch.setattr(PermGroup, "_base", lambda self: None)
+    assert tuples_formed() == 3434
 
 def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
     """An index above the cap raises IndexTooLarge, naming index and cap,

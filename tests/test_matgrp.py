@@ -11,8 +11,12 @@ decided irreducibility before the MeatAxe did.  SL(2,3)'s closed-form
 generator is checked against the linear solve it replaced."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +612,32 @@ def test_subgroup_checks_refuse_a_sub_outside_the_group():
     with pytest.raises(NotSubgroup):
         index_bound_check(scalars, gl)
 
+
+def test_subgroup_checks_refuse_a_sub_over_another_field():
+    """A subgroup over GF(3) in GL(2,5): its digit keys may still be keys of
+    GL(2,5), so the index check returned index 120 and the quotient raised
+    ConstraintViolated before both compared the fields."""
+    gl, sub = general_linear_gl2(GF5), MatrixGroup(GF3, 2, [[[0, 1], [2, 0]]])
+    with pytest.raises(FieldMismatch, match="subgroup over"):
+        index_bound_check(gl, sub)
+    with pytest.raises(FieldMismatch, match="subgroup over"):
+        quotient_perm_group(gl, sub)
+
+
+def test_matrix_record_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma on first use (22.5 ms); the eigenvalue-1
+    subgroup's growth marks positions in a mask instead."""
+    script = (
+        "import sys\n"
+        "from derangements.families import central_product_examples\n"
+        "from derangements.suite import matrix_record\n"
+        "matrix_record(central_product_examples('a4'))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 def test_index_check_refuses_an_outside_sub_past_the_vector_cap():
     """Past SEMIREGULAR_VECTOR_CAP the index check returned index 0 and

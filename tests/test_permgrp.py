@@ -127,9 +127,9 @@ def _schreier_generators_formed(monkeypatch, make):
     chains, formed = [], []
     real_grow, real_getter = permgrp._grow, permgrp._getter
 
-    def grow(levels, generators, degree):
+    def grow(levels, generators, degree, base=None):
         chains.append(levels)
-        real_grow(levels, generators, degree)
+        real_grow(levels, generators, degree, base)
 
     def getter(u):
         get = real_getter(u)
@@ -312,6 +312,29 @@ def test_orbits_and_transitivity():
     assert g.orbits() == [[0, 1, 2], [3, 4], [5]]
     assert not g.is_transitive()
     assert symmetric_group(4).is_transitive()
+
+
+def test_transitivity_is_read_off_a_built_chain(monkeypatch):
+    """With a chain built, no orbit search runs, and the verdict is the
+    orbit search's: on the corpus, on groups fixing 0 or moving only
+    points above 0, and on the trivial groups of degree 1 and 2."""
+    groups = [corpus_group(name) for name in corpus_names()] + [
+        PermGroup(1, ()),
+        PermGroup(2, ()),
+        cyclic_group(2),
+        PermGroup(5, [Permutation.from_cycles(5, [(1, 2, 3, 4)])]),
+        PermGroup(6, [Permutation.from_cycles(6, [(0, 1, 2)]), Permutation.from_cycles(6, [(3, 4)])]),
+    ]
+    expected = [len(PermGroup(g.degree, g.generators).orbits()) == 1 for g in groups]
+    assert True in expected and False in expected
+    for g in groups:
+        g._chain()
+
+    def no_search(self):
+        raise AssertionError("an orbit search ran with a chain built")
+
+    monkeypatch.setattr(PermGroup, "orbits", no_search)
+    assert [g.is_transitive() for g in groups] == expected
 
 
 def test_stabilizer_orders():
