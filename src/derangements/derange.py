@@ -1,17 +1,18 @@
 """Analysis of the subgroup generated by fixed-point-free elements.
 
 A transitive permutation group always contains elements that move every
-point, and the subgroup they generate turns out to be normal, transitive,
-and of index dividing n - 1; every element outside it fixes exactly one
-point.  This module grows that subgroup from seeded random draws until
-a certificate shows that no element fixing two points lies outside it
-(normality plus suborbit lengths), counts the derangements from its point
-stabilizer, measures its index, runs the structural checks around it (rank
-identity, semiregular quotient actions, index bounds), and names the
-quotient group by its fingerprint, from constants and formulas: G/D is G_0
-acting regularly on the D_0-orbits in one of its orbits.  No call enumerates
-the whole group: ``analyze`` enumerates D_0, and G/D for its fingerprint, and
-two-derangement coverage reads the derangements off a walk of D.
+point, and the subgroup they generate is normal, transitive, and of index
+dividing n - 1; every element outside it fixes exactly one point.  This
+module has permgrp grow that subgroup as the normal closure of seeded
+random derangements until a certificate shows that no element fixing two
+points lies outside it (normality plus suborbit lengths), counts the
+derangements from its point stabilizer, measures its index, runs the
+structural checks around it (rank identity, semiregular quotient actions,
+index bounds), and names the quotient by its fingerprint, from constants
+and formulas: G/D is G_0 acting regularly on the D_0-orbits in one of its
+orbits.  No call enumerates the whole group: ``analyze`` enumerates D_0,
+and G/D for its fingerprint, and two-derangement coverage reads the
+derangements off a walk of D.
 """
 
 from __future__ import annotations
@@ -164,13 +165,12 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     if floor > cap:
         raise CapExceeded(f"point stabilizer order at least 2^{floor.bit_length() - 1} exceeds cap {cap}")
     rng = random.Random(DRAW_SEED)
-    d, base = PermGroup(group.degree, ()), group._base()
+    d = PermGroup(group.degree, ())
     while not (d.is_transitive() and _regular_on_suborbits(group, d)):
         x = group.random_element(rng)
         while count_fixed(x.images) or x in d:
             x = group.random_element(rng)
-        # d is normal, so only x and its conjugates need conjugating
-        d = group.normal_closure_of(d._extended(x, base), len(d.generators))
+        d = group._normal_closure_of(d, x)
     conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
     assert all(
         conjugate(k) in d for conjugate in conjugators for k in d.generators
@@ -365,9 +365,9 @@ def _report(
 
 def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     """G/D as G_0 acting on the D_0-orbits in its first orbit other than
-    {0}: G/D is G_0/D_0 as D is transitive, and the certificate makes that
-    action regular.  It is formed only to be fingerprinted, so an index
-    above FINGERPRINT_CAP is refused before anything is built."""
+    {0}: G/D is G_0/D_0 as D is transitive, and the certificate puts index
+    of them there, the order ``block_action`` sets.  Formed only to be
+    fingerprinted, an index above FINGERPRINT_CAP is refused first."""
     index = group.order() // sub.order()
     if index > FINGERPRINT_CAP:
         raise IndexTooLarge(f"index {index} exceeds cap {FINGERPRINT_CAP}")
@@ -377,9 +377,7 @@ def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     delta = set(g0.orbits()[1])
     blocks = [orbit for orbit in sub.stabilizer().orbits() if orbit[0] in delta]
     block_of = {x: b for b, orbit in enumerate(blocks) for x in orbit}
-    quotient = block_action(block_of, [g.images for g in g0.generators])
-    assert quotient.order() == index, "G_0 must act regularly on the D_0-orbits"
-    return quotient
+    return block_action(block_of, [g.images for g in g0.generators], index)
 
 
 def analyze(group: PermGroup, cap: int | None = None) -> AnalysisReport:

@@ -649,12 +649,12 @@ def _quadratic_plane(spec: FieldSpec):
 
 
 def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
-    """H/sub as H acting on the sub-orbits in the orbit of e_0 = (1, 0, ...,
-    0), read off row 0 of the stack.  For sub normal and holding the
-    stabilizer H_{e_0}, as R(H) does, h and h' share a coset exactly when
-    e_0*h and e_0*h' share a sub-orbit, so the action is regular.  Else
-    NotSubgroup (sub is not inside H), ConstraintViolated (sub misses part
-    of H_{e_0}) or NotNormal."""
+    """H/sub as H acting on the sub-orbits in the orbit of e_0 = (1, 0, ..., 0),
+    read off row 0 of the stack.  For sub normal and holding the stabilizer
+    H_{e_0}, as R(H) does, h and h' share a coset exactly when e_0*h and
+    e_0*h' share a sub-orbit: |H : sub| of them, the order ``block_action``
+    sets.  Else NotSubgroup (sub is not inside H), ConstraintViolated (sub
+    misses part of H_{e_0}) or NotNormal."""
     _require_subgroup(group, sub)
     spec, d = group.spec, group.d
     images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
@@ -669,9 +669,7 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     if len(minima) * sub.order() != group.order():
         raise ConstraintViolated("the subgroup must hold the stabilizer of e_0")
     block_of = dict(enumerate(np.searchsorted(minima, labels).tolist()))
-    out = block_action(block_of, (m.tolist() for m in moves))
-    assert out.order() == len(minima), "H/sub must act regularly on the sub-orbits"
-    return out
+    return block_action(block_of, (m.tolist() for m in moves), len(minima))
 
 
 # named constructions ------------------------------------------------------------

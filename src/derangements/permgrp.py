@@ -2,29 +2,30 @@
 
 Composition is left-to-right: (g * h)(x) = h(g(x)).  One routine,
 ``_grow``, makes every chain, from the empty one on the first structural
-query or from a copy in ``extended``: it sifts the new generators in and
+query or from a copy in ``_extended``: it sifts the new generators in and
 runs Schreier-Sims once, which forms each Schreier generator at most once
 per orbit of a level.  Three rules, proved in ``_schreier_sims``, make it
-so: tree edges are skipped, a level's Schreier set leaves out the
-residues produced at or below it, and a level resumes at its next pair
-instead of restarting; a subgroup grown inside a group G compares at G's
-base.  Strong generators and transversals depend on the order of work;
-bases and basic orbits do not.  Every strong generator
-sits at the level based at the smallest point it moves, so bases are
-strictly increasing and each level group fixes every point below its base
-point.  The one point stabilizer is that of point 0, the levels below the
-first; no chain is built for the stabilizer of any other point.  Levels
-are never changed once a group holds them, so chains are safe to share.
-A sift inverts nothing: it carries the product of the transversal
-elements it uses and compares it with the sifted element, and products
-run in C.  Quotients are taken as actions on blocks, the orbits of a
-normal subgroup (``block_action``).  No block system is searched for:
-primitivity is maximality of the point stabilizer, read off the chain.
-Elements are upper products times a tail, the deepest levels' products,
-listed by one walk: numpy blocks of upper products gathered by the tail
-array, at most BLOCK_ENTRIES entries unless the tail is larger.  One
-breadth-first closure, ``closure``, keys rows by their bytes for
-``bruteforce_closure`` and for matgrp's digit stacks.
+so: tree edges are skipped, a level's Schreier set leaves out the residues
+produced at or below it, and a level resumes at its next pair instead of
+restarting.  Subgroups of G grow only by ``_normal_closure_of``, on G's
+base when it is short; ``normal_closure`` checks its seeds lie in G.
+Strong generators and transversals depend on the order of work; bases and
+basic orbits do not.  Every strong generator sits at the level based at
+the smallest point it moves, so bases are strictly increasing and each
+level group fixes every point below its base point.  The one point
+stabilizer is that of point 0, the levels below the first; no chain is
+built for the stabilizer of any other point.  Levels are never changed
+once a group holds them, so chains are safe to share.  A sift inverts
+nothing: it carries the product of the transversal elements it uses and
+compares it with the sifted element, and products run in C.  Quotients are
+regular actions on the orbits of a normal subgroup, their count the order
+(``block_action``).  No block system is searched for: primitivity is
+maximality of the point stabilizer, read off the chain.  Elements are
+upper products times a tail, the deepest levels' products, listed by one
+walk: numpy blocks of upper products gathered by the tail array, at most
+BLOCK_ENTRIES entries unless the tail is larger.  One breadth-first
+closure, ``closure``, keys rows by their bytes for ``bruteforce_closure``
+and for matgrp's digit stacks.
 """
 
 from __future__ import annotations
@@ -354,16 +355,13 @@ class PermGroup:
             self._levels = levels
         return self._levels
 
-    def extended(self, g: Permutation) -> "PermGroup":
+    def _extended(self, g: Permutation, within: "PermGroup | None" = None) -> "PermGroup":
         """The group generated by these generators and g.  Its chain is a
-        copy of this one, grown by g instead of being rebuilt."""
-        return self._extended(g, None)
-
-    def _extended(self, g: Permutation, base) -> "PermGroup":
-        """``extended``, on the base of a group holding it and g (``_grow``)."""
+        copy of this one, grown by g instead of being rebuilt, on the base
+        of within, a group holding both, when that base is short (``_grow``)."""
         grown = PermGroup(self.degree, self.generators + (g,))
         grown._levels = [lvl.copy() for lvl in self._chain()]
-        _grow(grown._levels, (g,), self.degree, base)
+        _grow(grown._levels, (g,), self.degree, within and within._base())
         return grown
 
     def _base(self):
@@ -404,10 +402,7 @@ class PermGroup:
                     continue
                 orb = [start]
                 seen[start] = True
-                q = 0
-                while q < len(orb):
-                    pt = orb[q]
-                    q += 1
+                for pt in orb:
                     for g in self.generators:
                         img = g.images[pt]
                         if not seen[img]:
@@ -521,28 +516,30 @@ class PermGroup:
         return list(self.iter_elements())
 
     def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
+        """The normal closure of seeds of this group, else NotSubgroup."""
         seeds = list(seeds)
-        for s in seeds:
-            if s not in self:
-                raise NotSubgroup("seed lies outside the group")
-        return self.normal_closure_of(PermGroup(self.degree, seeds))
+        if not all(s in self for s in seeds):
+            raise NotSubgroup("seed lies outside the group")
+        return self._normal_closure_of(PermGroup(self.degree, ()), *seeds)
 
-    def normal_closure_of(self, closure: "PermGroup", closed: int = 0) -> "PermGroup":
-        """The normal closure of a subgroup of this group, grown from it by
-        ``extended`` with the conjugates of its generators, each of this
-        group's generators inverted once.  A worklist: each (conjugator,
-        generator) pair is formed once, generators walked by index as the
-        list grows, which is sound because the closure only grows.  The
-        first ``closed`` generators already have their conjugates in it.
-        The closure must lie in this group, as it grows on this group's base."""
+    def _normal_closure_of(self, closure: "PermGroup", *new: Permutation) -> "PermGroup":
+        """The normal closure of closure and new, for closure normal in this
+        group and new in it: closure extended by new, then by the conjugates
+        of the generators it gains, each of this group's generators inverted
+        once.  A worklist forms each (conjugator, generator) pair once,
+        walking generators by index as the list grows; closure's own have
+        their conjugates in it.  All of it lies in this group, so it grows
+        on this group's base (``_extended``)."""
         conjugators = [g.conjugator() for g in self.generators]
-        base = self._base()
+        closed = len(closure.generators)
+        for x in new:
+            closure = closure._extended(x, self)
         while closed < len(closure.generators):
             k = closure.generators[closed]
             for conjugate in conjugators:
                 c = conjugate(k)
                 if c not in closure:
-                    closure = closure._extended(c, base)
+                    closure = closure._extended(c, self)
             closed += 1
         return closure
 
@@ -550,19 +547,26 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]]) -> PermGroup:
-    """The action on blocks 0, 1, ... of maps given by their image lists:
-    point x lies in block block_of[x].  A group permutes the orbits of a
-    normal subgroup, so NotNormal is raised when a map splits a block."""
+def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]], order: int) -> PermGroup:
+    """The action Q of a group G, given by its generators' image lists, on
+    blocks 0, 1, ..., order - 1, point x lying in block block_of[x], with
+    |Q| = order set.  The blocks must be the orbits of a subgroup K of G
+    inside one orbit of G, |G : K| = order of them.  G permutes them
+    (NotNormal when a map splits a block) and K fixes each, so |Q| <=
+    |G : K|; G is transitive on them, so |Q| >= order.  Hence Q is
+    regular, with kernel K, and no chain is built to learn its order."""
     anchor = {b: x for x, b in block_of.items()}
+    assert len(anchor) == order, "the blocks must number the quotient's order"
     gens = []
     for img in images:
-        perm = [block_of[img[anchor[b]]] for b in range(len(anchor))]
+        perm = [block_of[img[anchor[b]]] for b in range(order)]
         moved = map(block_of.__getitem__, map(img.__getitem__, block_of))
         if list(map(perm.__getitem__, block_of.values())) != list(moved):
             raise NotNormal("the maps do not permute the blocks")
         gens.append(Permutation(perm))
-    return PermGroup(len(anchor), gens)
+    quotient = PermGroup(order, gens)
+    quotient._order = order
+    return quotient
 
 
 def _fixed_counts(block: np.ndarray) -> np.ndarray:

@@ -150,10 +150,10 @@ def test_analyze_refuses_a_provably_over_cap_stabilizer_before_d_grows(monkeypat
     """|G_0 : D_0| = |G : D| is at most n - 1, so |D_0| >= |G_0|/(n - 1):
     for S_30 that is 28!, past the cap before any normal closure is taken."""
 
-    def fail(self, closure):
+    def fail(self, *args):
         raise AssertionError("D grew although its stabilizer is provably over the cap")
 
-    monkeypatch.setattr(PermGroup, "normal_closure_of", fail)
+    monkeypatch.setattr(PermGroup, "_normal_closure_of", fail)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         analyze(symmetric_group(30))
 
@@ -179,7 +179,7 @@ def test_giants_are_refused_before_any_chain():
 def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
     """D is normal before each growth, so over all the normal closures that
     grow it, each (conjugator, generator) pair is formed at most once."""
-    formed, grown, original = conjugations_formed(monkeypatch), Counter(), PermGroup.normal_closure_of
+    formed, grown, original = conjugations_formed(monkeypatch), Counter(), PermGroup._normal_closure_of
     growths = []
 
     def growing(self, *args):
@@ -190,7 +190,7 @@ def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
         finally:
             grown.update(formed - before)
 
-    monkeypatch.setattr(PermGroup, "normal_closure_of", growing)
+    monkeypatch.setattr(PermGroup, "_normal_closure_of", growing)
     derange._certified_scan(suite.corpus_group(name))
     assert len(growths) >= 2 and max(grown.values()) == 1
 

@@ -22,9 +22,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from derangements import matgrp, permgrp
+from derangements import matgrp, permgrp, suite
+from derangements.cli import main
 from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal, NotSubgroup
-from derangements.families import central_product_examples, dihedral_quotient_family
+from derangements.families import build_family, central_product_examples, dihedral_quotient_family
+from derangements.fileio import dump_matrix_group
 from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
@@ -56,7 +58,7 @@ from derangements.matgrp import (
     _spin,
 )
 from derangements.permgrp import PermGroup, Permutation
-from derangements.suite import matrix_record
+from derangements.suite import _MAT_BUILDERS, PAPER_SCENARIOS, matrix_record
 
 GF5 = field(5, 1)
 GF3 = field(3, 1)
@@ -1090,6 +1092,39 @@ def test_singer_cycle_index_bound():
     assert report == IndexBoundReport(index=960, bound=960, index_ok=True, semiregular=True)
     assert report == _index_bound_walk(group, sub)
     assert _orbit_labels(group).tolist() == _orbit_labels_python(group)
+
+
+def test_over_cap_quotient_is_refused_before_a_chain(monkeypatch, tmp_path, capsys):
+    """A Singer cycle of GL(2,101) has R(H) = 1 and index 10 200, past the
+    fingerprint cap.  The quotient carries that order, so the cap refuses
+    it with no chain of degree 10 200 built, from the library and from a
+    dumped file."""
+    group = MatrixGroup(field(101, 1), 2, [_singer_cycle(101, 2)])
+    formed, real = [], suite.quotient_perm_group
+    monkeypatch.setattr(suite, "quotient_perm_group", lambda *args: formed.append(real(*args)) or formed[-1])
+    with pytest.raises(CapExceeded, match="got 10200$"):
+        matrix_record(group)
+    assert formed[0].order() == 10200 and formed[0]._levels is None
+    path = tmp_path / "singer-101.group"
+    path.write_text(dump_matrix_group(group))
+    assert main(["analyze", str(path)]) == 2
+    assert "got 10200" in capsys.readouterr().err
+    assert formed[1]._levels is None
+
+
+def test_quotients_carry_the_order_a_chain_finds():
+    """H/R(H), for every group of the matrix benchmark pool and the matrix
+    side of every paper scenario, carries the order its block count proves,
+    with no chain built; a chain built from its generators finds the same."""
+    groups = [build() for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values()]
+    groups += [build_family(sc.params) for sc in PAPER_SCENARIOS if sc.kind == "mat"]
+    groups += [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
+    for group in groups:
+        sub = eigenvalue_one_subgroup(group)
+        quotient = quotient_perm_group(group, sub)
+        assert quotient._levels is None
+        assert quotient.order() == group.order() // sub.order()
+        assert quotient.order() == PermGroup(quotient.degree, quotient.generators).order()
 
 
 _DIFFERENTIAL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)]

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 
 from derangements import permgrp
-from derangements.errors import CapExceeded, ConstraintViolated, DegreeMismatch, NotNormal, NotTransitive
+from derangements.errors import (
+    CapExceeded,
+    ConstraintViolated,
+    DegreeMismatch,
+    NotNormal,
+    NotSubgroup,
+    NotTransitive,
+)
 from derangements.families import FamilyParams, build_family
 from derangements.permgrp import (
     PermGroup,
@@ -571,16 +578,17 @@ def test_quotient_s4_by_v4_is_s3():
 
 
 def test_block_action_on_orbits_of_a_normal_subgroup():
-    """D_8 on the orbits {0, 2} and {1, 3} of its rotation by two acts as
-    C2, and the orbits of the trivial group give back the natural action;
-    a map that splits a block is refused."""
+    """D_8 = <r, s>, r = (0 1 2 3) and s = (1 3), on the orbits {0, 2} and
+    {1, 3} of its normal subgroup <r^2, s> of index 2 acts as C2, with the
+    order carried and no chain built; a map that splits a block is
+    refused."""
     d8 = dihedral_group(4)
     images = [g.images for g in d8.generators]
-    on_pairs = block_action({0: 0, 2: 0, 1: 1, 3: 1}, images)
-    assert on_pairs.degree == 2 and on_pairs.order() == 2
-    assert block_action({x: x for x in range(4)}, images).generators == d8.generators
+    on_pairs = block_action({0: 0, 2: 0, 1: 1, 3: 1}, images, 2)
+    assert on_pairs.degree == 2 and on_pairs.order() == 2 and on_pairs._levels is None
+    assert PermGroup(2, on_pairs.generators).order() == 2
     with pytest.raises(NotNormal):
-        block_action({0: 0, 1: 0, 2: 1, 3: 1}, images)
+        block_action({0: 0, 1: 0, 2: 1, 3: 1}, images, 2)
 
 
 def test_quotient_rejects_non_normal():
@@ -588,7 +596,7 @@ def test_quotient_rejects_non_normal():
     subgroup generated by (0 1)."""
     s4 = symmetric_group(4)
     with pytest.raises(NotNormal):
-        block_action({0: 0, 1: 0, 2: 1, 3: 2}, [g.images for g in s4.generators])
+        block_action({0: 0, 1: 0, 2: 1, 3: 2}, [g.images for g in s4.generators], 3)
 
 
 def test_normal_closure_in_s4():
@@ -598,6 +606,19 @@ def test_normal_closure_in_s4():
     assert v4.order() == 4
     three = Permutation.from_cycles(4, [(0, 1, 2)])
     assert s4.normal_closure([three]).order() == 12
+
+
+def test_normal_closure_refuses_seeds_outside_the_group():
+    """agl1 37 has a base of 2 points, so its subgroups grow comparing
+    elements there, which is equality only inside it: grown on that base,
+    <(2 3)> got a chain of order 2664 for a group of order 37!.  So growth
+    has no public entry but normal_closure, which refuses a seed outside
+    the group."""
+    group = build_family(FamilyParams("agl1", (37,)))
+    assert group._base() is not None
+    with pytest.raises(NotSubgroup):
+        group.normal_closure([Permutation.from_cycles(37, [(2, 3)])])
+    assert not hasattr(PermGroup, "normal_closure_of") and not hasattr(PermGroup, "extended")
 
 
 def conjugations_formed(monkeypatch) -> Counter:

@@ -316,7 +316,7 @@ def _old_chain(degree, generators):
 
 
 def _old_grown_chain(degree, generators):
-    """The chain ``extended`` grows from the trivial group, one generator
+    """The chain ``_extended`` grows from the trivial group, one generator
     at a time, by the old routines."""
     levels = []
     for g in generators:
@@ -369,7 +369,7 @@ def test_chain_matches_the_old_schreier_sims(data):
     _assert_chain_matches(group, _old_chain(n, group.generators), probes + _probes(group, rng))
     grown = PermGroup(n, ())
     for g in gens:
-        grown = grown.extended(g)
+        grown = grown._extended(g)
     oracle = _old_grown_chain(n, grown.generators)
     _assert_chain_matches(grown, oracle, probes + _probes(grown, rng))
     stab = grown.stabilizer()
@@ -385,7 +385,7 @@ def test_chain_matches_the_old_schreier_sims_on_corpus_and_giants():
         group = corpus_group(name)
         n = group.degree
         _assert_chain_matches(group, _old_chain(n, group.generators), _probes(group, rng))
-        # D is grown by extended from the trivial group, one generator at a time
+        # D is grown by _extended from the trivial group, one generator at a time
         d = analyze(group).subgroup
         oracle = _old_grown_chain(n, d.generators)
         _assert_chain_matches(d, oracle, _probes(d, rng))
@@ -445,7 +445,7 @@ def test_d_grows_to_the_same_chain_on_the_base_as_on_all_points(monkeypatch):
 def test_membership_and_extension_stay_exact_after_growth_on_a_base(monkeypatch):
     """x agrees with an element y of D (or of D_0) at G's base points and
     swaps two other points after it, so x lies outside G.  D and D_0 were
-    grown on that base, yet membership and ``extended`` stay exact: x is in
+    grown on that base, yet membership and ``_extended`` stay exact: x is in
     neither, and each extends by x to the chain the old Schreier-Sims grows
     for the same generators."""
     rng = random.Random(35)
@@ -460,7 +460,7 @@ def test_membership_and_extension_stay_exact_after_growth_on_a_base(monkeypatch)
             x = y * Permutation.from_cycles(n, [(p, q)])
             assert [x(b) for b in base] == [y(b) for b in base]
             assert x not in group and x not in sub
-            grown = sub.extended(x)
+            grown = sub._extended(x)
             _assert_chain_matches(grown, _old_grown_chain(n, grown.generators), [x, y] + _probes(grown, rng))
             assert grown.order() == PermGroup(n, grown.generators).order()
 
@@ -471,7 +471,7 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
     n = gens[0].degree
     grown = PermGroup(n, ())
     for g in gens:
-        grown = grown.extended(g)
+        grown = grown._extended(g)
     scratch = PermGroup(n, gens)
     assert grown.generators == scratch.generators
     assert grown.order() == scratch.order()
@@ -482,7 +482,7 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
         assert (x in grown) == (x in scratch)
     assert all(w in grown for w in words)
     # extending by a member adds a generator but not an element
-    assert grown.extended(words[0]).order() == grown.order()
+    assert grown._extended(words[0]).order() == grown.order()
     if scratch.order() <= 5040:
         rows = bruteforce_closure(n, gens)
         closure = _closure_set(rows)
@@ -527,7 +527,7 @@ def _old_derangement_generated(group):
         if count_fixed(p.images) == 0:
             count += 1
             if p not in sub:
-                sub = sub.extended(p)
+                sub = sub._extended(p)
     return count, sub
 
 
@@ -667,13 +667,15 @@ def _coset_quotient(group, normal):
 
 
 def _assert_quotient_matches_cosets(group):
-    """G/D from the block action is regular of degree |G : D| and has the
-    fingerprint of the coset action; returns the index."""
+    """G/D from the block action is regular of degree |G : D|, the order it
+    carries is the one a chain built from its generators finds, and it has
+    the fingerprint of the coset action; returns the index."""
     d = analyze(group).subgroup
     index = group.order() // d.order()
     quotient = _quotient(group, d)
     assert quotient.degree == index
-    assert quotient.is_transitive() and quotient.order() == index
+    assert quotient.order() == index == PermGroup(index, quotient.generators).order()
+    assert quotient.is_transitive()
     assert fingerprint(quotient) == fingerprint(_coset_quotient(group, d))
     return index
 
