@@ -1,18 +1,20 @@
 """Analysis of the subgroup generated by fixed-point-free elements.
 
 A transitive permutation group always contains elements that move every
-point, and the subgroup they generate is normal, transitive, and of index
-dividing n - 1; every element outside it fixes exactly one point.  This
-module has permgrp grow that subgroup as the normal closure of seeded
+point, and the subgroup D they generate is normal, transitive, and of index
+dividing n - 1; every element outside it fixes exactly one point.  So a
+generator fixing none or two or more points lies in D, and so does one
+whose product with an element of D does: when that takes in every
+generator, D = G.  Else permgrp grows D as the normal closure of seeded
 random derangements until a certificate shows that no element fixing two
-points lies outside it (normality plus suborbit lengths), counts the
-derangements from its point stabilizer, measures its index, runs the
-structural checks around it (rank identity, semiregular quotient actions,
-index bounds), and names the quotient by its fingerprint, from constants
-and formulas: G/D is G_0 acting regularly on the D_0-orbits in one of its
-orbits.  No call enumerates the whole group: ``analyze`` enumerates D_0,
-and G/D for its fingerprint, and two-derangement coverage reads the
-derangements off a walk of D.
+points lies outside it (normality plus suborbit lengths).  This module
+counts the derangements from D's point stabilizer, measures its index,
+runs the structural checks around it (rank identity, semiregular quotient
+actions, index bounds), and names the quotient by its fingerprint, from
+constants and formulas: G/D is G_0 acting regularly on the D_0-orbits in
+one of its orbits.  No call enumerates the whole group: ``analyze``
+enumerates D_0, and G/D for its fingerprint, and two-derangement coverage
+reads the derangements off a walk of D.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
-from .permgrp import PermGroup, _products, block_action, count_fixed
+from .permgrp import PermGroup, _block_action, _products, count_fixed
 
 FINGERPRINT_CAP = 10_000
 PRODUCT_WORK_CAP = 4_000_000
@@ -143,38 +145,54 @@ def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
     return all(len(delta) == index * length[delta[0]] for delta in g0.orbits()[1:])
 
 
+def _generators_in_d(group: PermGroup) -> bool:
+    """Whether K, grown from {1} by each generator g with g*k fixing no
+    point or two or more for some k in K, takes in every generator of G."""
+    shown, rest = [group.identity()], list(group.generators)
+    while joins := [g for g in rest if any(count_fixed((g * k).images) != 1 for k in shown)]:
+        shown += joins
+        rest = [g for g in rest if g not in joins]
+    return not rest
+
+
 def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
-    """D for a transitive group, from seeded uniform draws, with its
-    certificate: D is transitive and normal, and its suborbit lengths show
-    every element fixing two or more points lies in it.  Each coset outside
-    D then averages one fixed point with none fixing two, so D holds every
-    derangement; until then some derangement lies outside D, and D grows to
-    the normal closure with the first one drawn.  Randomness only proposes
-    D, so D and the count are the same for every seed.  The count,
-    |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone, under cap
-    (ENUMERATION_CAP when None).  |G_0 : D_0| = |G : D| is at most n - 1,
-    so a cap below |G_0|/(n - 1) is refused before D grows.  |G_0| is read
-    as |G|/n, so a group that knows its order, as the giants do, is refused
-    before any chain is built.  Every element of G_0 outside D_0 fixes
-    point 0 alone, so the same tally of D_0 counts the elements of G_0 that
-    do."""
+    """D for a transitive group, with its certificate.  Every element of G
+    outside D fixes exactly one point, so when K grows from {1} to hold
+    every generator of G (``_generators_in_d``), each lies in D, as g*k and
+    k do: D is G, normal in itself with its chain verified, and nothing is
+    drawn.  Else D grows from seeded uniform draws until it is transitive
+    and normal and its suborbit lengths show every element fixing two or
+    more points lies in it.  Each coset outside D then averages one fixed
+    point with none fixing two, so D holds every derangement; until then
+    some derangement lies outside D, and D grows to the normal closure with
+    the first one drawn.  Randomness only proposes D, where the generators
+    do not settle it, so D and the count are the same for every seed.  The
+    count, |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone,
+    under cap (ENUMERATION_CAP when None).  |G_0 : D_0| = |G : D| is at
+    most n - 1, so a cap below |G_0|/(n - 1) is refused before D grows.
+    |G_0| is read as |G|/n, so a group that knows its order, as the giants
+    do, is refused before any chain is built.  Every element of G_0 outside
+    D_0 fixes point 0 alone, so the same tally of D_0 counts the elements
+    of G_0 that do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     cap = permgrp.ENUMERATION_CAP if cap is None else cap
     floor = -(-(group.order() // group.degree) // max(group.degree - 1, 1))
     if floor > cap:
         raise CapExceeded(f"point stabilizer order at least 2^{floor.bit_length() - 1} exceeds cap {cap}")
-    rng = random.Random(DRAW_SEED)
-    d = PermGroup(group.degree, ())
-    while not (d.is_transitive() and _regular_on_suborbits(group, d)):
-        x = group.random_element(rng)
-        while count_fixed(x.images) or x in d:
+    d = group  # normal in itself, its chain verified
+    if not _generators_in_d(group):
+        rng = random.Random(DRAW_SEED)
+        d = PermGroup(group.degree, ())
+        while not (d.is_transitive() and _regular_on_suborbits(group, d)):
             x = group.random_element(rng)
-        d = group._normal_closure_of(d, x)
-    conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
-    assert all(
-        conjugate(k) in d for conjugate in conjugators for k in d.generators
-    ), "derangements must generate a normal subgroup"
+            while count_fixed(x.images) or x in d:
+                x = group.random_element(rng)
+            d = group._normal_closure_of(d, x)
+        conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
+        assert all(
+            conjugate(k) in d for conjugate in conjugators for k in d.generators
+        ), "derangements must generate a normal subgroup"
     d0 = d.stabilizer()
     if d0.order() > cap:
         raise CapExceeded(f"point stabilizer order {d0.order()} exceeds cap {cap}")
@@ -366,7 +384,7 @@ def _report(
 def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     """G/D as G_0 acting on the D_0-orbits in its first orbit other than
     {0}: G/D is G_0/D_0 as D is transitive, and the certificate puts index
-    of them there, the order ``block_action`` sets.  Formed only to be
+    of them there, the order ``_block_action`` sets.  Formed only to be
     fingerprinted, an index above FINGERPRINT_CAP is refused first."""
     index = group.order() // sub.order()
     if index > FINGERPRINT_CAP:
@@ -377,7 +395,7 @@ def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     delta = set(g0.orbits()[1])
     blocks = [orbit for orbit in sub.stabilizer().orbits() if orbit[0] in delta]
     block_of = {x: b for b, orbit in enumerate(blocks) for x in orbit}
-    return block_action(block_of, [g.images for g in g0.generators], index)
+    return _block_action(block_of, [g.images for g in g0.generators], index)
 
 
 def analyze(group: PermGroup, cap: int | None = None) -> AnalysisReport:

@@ -41,7 +41,7 @@ import numpy as np
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, FieldMismatch, NotSubgroup
 from .gf import FieldSpec, _least_factor, _poly_mod, _poly_trim, field
-from .permgrp import PermGroup, block_action
+from .permgrp import PermGroup, _block_action
 
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000  # q^d past which semiregular is None; it bounds no work
@@ -652,7 +652,7 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     """H/sub as H acting on the sub-orbits in the orbit of e_0 = (1, 0, ..., 0),
     read off row 0 of the stack.  For sub normal and holding the stabilizer
     H_{e_0}, as R(H) does, h and h' share a coset exactly when e_0*h and
-    e_0*h' share a sub-orbit: |H : sub| of them, the order ``block_action``
+    e_0*h' share a sub-orbit: |H : sub| of them, the order ``_block_action``
     sets.  Else NotSubgroup (sub is not inside H), ConstraintViolated (sub
     misses part of H_{e_0}) or NotNormal."""
     _require_subgroup(group, sub)
@@ -669,7 +669,7 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     if len(minima) * sub.order() != group.order():
         raise ConstraintViolated("the subgroup must hold the stabilizer of e_0")
     block_of = dict(enumerate(np.searchsorted(minima, labels).tolist()))
-    return block_action(block_of, (m.tolist() for m in moves), len(minima))
+    return _block_action(block_of, (m.tolist() for m in moves), len(minima))
 
 
 # named constructions ------------------------------------------------------------

@@ -19,7 +19,7 @@ once a group holds them, so chains are safe to share.  A sift inverts
 nothing: it carries the product of the transversal elements it uses and
 compares it with the sifted element, and products run in C.  Quotients are
 regular actions on the orbits of a normal subgroup, their count the order
-(``block_action``).  No block system is searched for: primitivity is
+(``_block_action``).  No block system is searched for: primitivity is
 maximality of the point stabilizer, read off the chain.  Elements are
 upper products times a tail, the deepest levels' products, listed by one
 walk: numpy blocks of upper products gathered by the tail array, at most
@@ -547,7 +547,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def block_action(block_of: dict[int, int], images: Iterable[Sequence[int]], order: int) -> PermGroup:
+def _block_action(block_of: dict[int, int], images: Iterable[Sequence[int]], order: int) -> PermGroup:
     """The action Q of a group G, given by its generators' image lists, on
     blocks 0, 1, ..., order - 1, point x lying in block block_of[x], with
     |Q| = order set.  The blocks must be the orbits of a subgroup K of G

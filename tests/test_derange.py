@@ -174,7 +174,14 @@ def test_giants_are_refused_before_any_chain():
 
 
 @pytest.mark.parametrize(
-    "name", ["cyclic-12", "sym-7", "wreath-sym-3-2", "frobenius-complement-7-2-2", "product-a4-c2"]
+    "name",
+    [
+        "frobenius-complement-7-2-2",
+        "frobenius-complement-5-2-3",
+        "affine-scalars-5-2",
+        "affine-scalars-3-2",
+        "dihedral-9",
+    ],
 )
 def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
     """D is normal before each growth, so over all the normal closures that
@@ -195,14 +202,57 @@ def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
     assert len(growths) >= 2 and max(grown.values()) == 1
 
 
-def _perm_wide_pool(monkeypatch, seed):
-    """The benchmark's perm-wide groups, relabelled for the seed and read
-    back from their text, as a benchmark run analyzes them."""
+def _pool(monkeypatch, workload, seed):
+    """The benchmark's groups of a permutation workload, relabelled for the
+    seed and read back from their text, as a benchmark run analyzes them."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import pools
 
-    texts = pools.build_texts("perm-wide", seed, pools.load_references())
+    texts = pools.build_texts(workload, seed, pools.load_references())
     return [fileio.load_group(text) for text in texts.values()]
+
+
+def test_generators_prove_d_is_g_exactly_where_the_draws_reach_g(monkeypatch):
+    """On every transitive corpus group, every permutation and bridge paper
+    scenario and every perm-wide and perm-deep group at seed 1, G's
+    generators prove D = G exactly when the draws, forced on, grow D to G:
+    on the 36 corpus groups and the 6 perm-deep groups of index 1.  Where
+    they do, D is G and no normal closure is taken."""
+    corpus = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
+    paper = [build_family(sc.params) for sc in suite.PAPER_SCENARIOS if sc.kind in ("perm", "bridge")]
+    wide, deep = _pool(monkeypatch, "perm-wide", 1), _pool(monkeypatch, "perm-deep", 1)
+    groups = corpus + paper + wide + deep
+    proved = [derange._generators_in_d(g) for g in groups]
+    assert sum(proved[: len(corpus)]) == 36 and sum(proved[-len(deep) :]) == 6
+    assert not any(proved[len(corpus) + len(paper) : -len(deep)])
+    with monkeypatch.context() as draws:
+        draws.setattr(derange, "_generators_in_d", lambda group: False)
+        assert proved == [derangement_subgroup(g).order() == g.order() for g in groups]
+
+    def fail(self, *args):
+        raise AssertionError("D grew although G's generators prove D = G")
+
+    monkeypatch.setattr(PermGroup, "_normal_closure_of", fail)
+    assert all(derangement_subgroup(g) is g for g, p in zip(groups, proved) if p)
+
+
+def test_every_element_fixing_none_or_two_points_lies_in_d():
+    """What the generator certificate rests on, by brute force: in each
+    transitive corpus group of order at most 2 000, the closure of the
+    derangements is D and holds every element fixing no point or two or
+    more."""
+    checked = 0
+    for name in suite.corpus_names():
+        g = suite.corpus_group(name)
+        if not g.is_transitive() or g.order() > 2_000:
+            continue
+        elements = g.elements()
+        moving = [x for x in elements if not count_fixed(x.images)]
+        closure = set(map(tuple, permgrp.bruteforce_closure(g.degree, moving).tolist()))
+        assert len(closure) == derangement_subgroup(g).order(), name
+        assert all(x.images in closure for x in elements if count_fixed(x.images) != 1), name
+        checked += 1
+    assert checked >= 50
 
 
 def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
@@ -210,7 +260,7 @@ def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
     perm-wide pool at seed 1, each group's chain built beforehand: D grows
     on G's base, where a Schreier pair is compared before u*g is formed, and
     528 are formed; growing on all points forms 3 434."""
-    groups = _perm_wide_pool(monkeypatch, 1)
+    groups = _pool(monkeypatch, "perm-wide", 1)
     real_getter, formed = permgrp._getter, []
 
     def getter(a):
@@ -241,7 +291,7 @@ def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
     def refuse(*args):
         raise AssertionError("block action built past the index cap")
 
-    monkeypatch.setattr(derange, "block_action", refuse)
+    monkeypatch.setattr(derange, "_block_action", refuse)
     with pytest.raises(IndexTooLarge, match="^index 4 exceeds cap 3$"):
         analyze(agl_1_5())
 
@@ -551,8 +601,10 @@ def test_analyze_smallest_groups():
 
 
 def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
-    """Two seeds draw different generators for D, and give the same record
-    on every (transitive) corpus group of order at most 20 000."""
+    """Two seeds give the same record on every (transitive) corpus group
+    of order at most 20 000.  Where D = G its generators prove it and D
+    carries G's generators under both seeds; elsewhere D is drawn, and the
+    two seeds draw different generators for at least half of the 25."""
     groups = [suite.corpus_group(name) for name in suite.corpus_names()]
     groups = [g for g in groups if g.order() <= 20_000]
     assert len(groups) >= 50
@@ -560,12 +612,16 @@ def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
     for seed in (0, 1):
         monkeypatch.setattr(derange, "DRAW_SEED", seed)
         runs.append([analyze(g) for g in groups])
-    drawn_differently = 0
-    for a, b in zip(*runs):
+    drawn, drawn_differently = 0, 0
+    for g, a, b in zip(groups, *runs):
         assert a.to_record() == b.to_record()
         assert same_group(a.subgroup, b.subgroup)
-        drawn_differently += a.subgroup.generators != b.subgroup.generators
-    assert drawn_differently >= len(groups) // 2
+        if a.index == 1:
+            assert a.subgroup.generators == b.subgroup.generators == g.generators
+        else:
+            drawn += 1
+            drawn_differently += a.subgroup.generators != b.subgroup.generators
+    assert drawn == 25 and 2 * drawn_differently >= drawn
 
 
 def test_analyze_enumerates_only_point_stabilizers(monkeypatch):

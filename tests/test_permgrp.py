@@ -27,9 +27,9 @@ from derangements.families import FamilyParams, build_family
 from derangements.permgrp import (
     PermGroup,
     Permutation,
+    _block_action,
     _products,
     alternating_group,
-    block_action,
     bruteforce_closure,
     coset_average_fixed_points,
     count_fixed,
@@ -584,11 +584,11 @@ def test_block_action_on_orbits_of_a_normal_subgroup():
     refused."""
     d8 = dihedral_group(4)
     images = [g.images for g in d8.generators]
-    on_pairs = block_action({0: 0, 2: 0, 1: 1, 3: 1}, images, 2)
+    on_pairs = _block_action({0: 0, 2: 0, 1: 1, 3: 1}, images, 2)
     assert on_pairs.degree == 2 and on_pairs.order() == 2 and on_pairs._levels is None
     assert PermGroup(2, on_pairs.generators).order() == 2
     with pytest.raises(NotNormal):
-        block_action({0: 0, 1: 0, 2: 1, 3: 1}, images, 2)
+        _block_action({0: 0, 1: 0, 2: 1, 3: 1}, images, 2)
 
 
 def test_quotient_rejects_non_normal():
@@ -596,7 +596,7 @@ def test_quotient_rejects_non_normal():
     subgroup generated by (0 1)."""
     s4 = symmetric_group(4)
     with pytest.raises(NotNormal):
-        block_action({0: 0, 1: 0, 2: 1, 3: 2}, [g.images for g in s4.generators], 3)
+        _block_action({0: 0, 1: 0, 2: 1, 3: 2}, [g.images for g in s4.generators], 3)
 
 
 def test_normal_closure_in_s4():
