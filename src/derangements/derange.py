@@ -65,7 +65,7 @@ def fingerprint(group: PermGroup) -> GroupFingerprint:
     hist = Counter(g.order() for g in elems)
     gens = list(group.generators) or [group.identity()]
     center = sum(1 for g in elems if all(g * h == h * g for h in gens))
-    commutators = [a.inverse() * b.inverse() * a * b for a in gens for b in gens]
+    commutators = [a.inverse() * b.inverse() * a * b for i, a in enumerate(gens) for b in gens[i + 1 :]]
     derived = group.normal_closure(commutators).order()
     return GroupFingerprint(order, tuple(sorted(hist.items())), center, derived)
 
@@ -165,15 +165,16 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     more points lies in it.  Each coset outside D then averages one fixed
     point with none fixing two, so D holds every derangement; until then
     some derangement lies outside D, and D grows to the normal closure with
-    the first one drawn.  Randomness only proposes D, where the generators
-    do not settle it, so D and the count are the same for every seed.  The
-    count, |D| - n * sum(1/fix(x) for x in D_0), enumerates D_0 alone,
-    under cap (ENUMERATION_CAP when None).  |G_0 : D_0| = |G : D| is at
-    most n - 1, so a cap below |G_0|/(n - 1) is refused before D grows.
-    |G_0| is read as |G|/n, so a group that knows its order, as the giants
-    do, is refused before any chain is built.  Every element of G_0 outside
-    D_0 fixes point 0 alone, so the same tally of D_0 counts the elements
-    of G_0 that do."""
+    each one drawn; one already in D leaves it as it is, as the one sift
+    that would grow it shows (``_normal_closure_of``).  Randomness only
+    proposes D, where the generators do not settle it, so D and the count
+    are the same for every seed.  The count, |D| - n * sum(1/fix(x) for x
+    in D_0), enumerates D_0 alone, under cap (ENUMERATION_CAP when None).
+    |G_0 : D_0| = |G : D| is at most n - 1, so a cap below |G_0|/(n - 1)
+    is refused before D grows.  |G_0| is read as |G|/n, so a group that
+    knows its order, as the giants do, is refused before any chain is
+    built.  Every element of G_0 outside D_0 fixes point 0 alone, so the
+    same tally of D_0 counts the elements of G_0 that do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     cap = permgrp.ENUMERATION_CAP if cap is None else cap
@@ -186,9 +187,8 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
         d = PermGroup(group.degree, ())
         while not (d.is_transitive() and _regular_on_suborbits(group, d)):
             x = group.random_element(rng)
-            while count_fixed(x.images) or x in d:
-                x = group.random_element(rng)
-            d = group._normal_closure_of(d, x)
+            if not count_fixed(x.images):
+                d = group._normal_closure_of(d, x)
         conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
         assert all(
             conjugate(k) in d for conjugate in conjugators for k in d.generators

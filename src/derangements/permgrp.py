@@ -2,13 +2,14 @@
 
 Composition is left-to-right: (g * h)(x) = h(g(x)).  One routine,
 ``_grow``, makes every chain, from the empty one on the first structural
-query or from a copy in ``_extended``: it sifts the new generators in and
-runs Schreier-Sims once, which forms each Schreier generator at most once
-per orbit of a level.  Three rules, proved in ``_schreier_sims``, make it
-so: tree edges are skipped, a level's Schreier set leaves out the residues
-produced at or below it, and a level resumes at its next pair instead of
-restarting.  Subgroups of G grow only by ``_normal_closure_of``, on G's
-base when it is short; ``normal_closure`` checks its seeds lie in G.
+query or, in ``_normal_closure_of``, one copy grown a candidate at a time:
+it sifts the new generators in and runs Schreier-Sims once, which forms
+each Schreier generator at most once per orbit of a level.  Three rules,
+proved in ``_schreier_sims``, make it so: tree edges are skipped, a level's
+Schreier set leaves out the residues produced at or below it, and a level
+resumes at its next pair instead of restarting.  Subgroups of G grow only
+by ``_normal_closure_of``, on G's base when it is short, each candidate
+sifted once; ``normal_closure`` checks its seeds lie in G.
 Strong generators and transversals depend on the order of work; bases and
 basic orbits do not.  Every strong generator sits at the level based at
 the smallest point it moves, so bases are strictly increasing and each
@@ -298,16 +299,17 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None) 
             stack += [_verify(levels, j, degree, on_base) for j in range(len(stack), landed + 1)]
 
 
-def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, base=None) -> None:
-    """Grow a verified chain (or the empty one) by the generators: each is
-    sifted and its residue placed with no origin (-1), so it joins every
-    Schreier set down to its level; then ``_schreier_sims`` verifies the
-    chain once, from the deepest level a residue landed on.  A fresh level's
-    transversal holds only its base, so on the empty chain every generator
-    sifts to itself and lands on the level of the smallest point it moves.
-    base, when given, is a base of a group G holding the generators and the
-    chain: only G's identity fixes it, so elements of G are compared there,
-    with the same outcome and so the same chain."""
+def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, base=None) -> bool:
+    """Grow a verified chain (or the empty one) by the generators, and say
+    whether it grew: each is sifted and a residue placed with no origin
+    (-1), so it joins every Schreier set down to its level; then
+    ``_schreier_sims`` verifies the chain once, from the deepest level a
+    residue landed on.  A fresh level's transversal holds only its base, so
+    on the empty chain every generator sifts to itself and lands on the
+    level of the smallest point it moves.  base, when given, is a base of a
+    group G holding the generators and the chain: only G's identity fixes
+    it, so elements of G are compared there, with the same outcome and so
+    the same chain."""
     identity = tuple(range(degree))
     on_base = base and itemgetter(*base, base[0])  # a tuple even for one point
     landed = []
@@ -317,6 +319,7 @@ def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, 
             landed.append(levels[_place(levels, 0, residue, degree, -1)])
     if landed:
         _schreier_sims(levels, max(map(levels.index, landed)), degree, on_base)
+    return bool(landed)
 
 
 class PermGroup:
@@ -354,15 +357,6 @@ class PermGroup:
             _grow(levels, self.generators, self.degree)
             self._levels = levels
         return self._levels
-
-    def _extended(self, g: Permutation, within: "PermGroup | None" = None) -> "PermGroup":
-        """The group generated by these generators and g.  Its chain is a
-        copy of this one, grown by g instead of being rebuilt, on the base
-        of within, a group holding both, when that base is short (``_grow``)."""
-        grown = PermGroup(self.degree, self.generators + (g,))
-        grown._levels = [lvl.copy() for lvl in self._chain()]
-        _grow(grown._levels, (g,), self.degree, within and within._base())
-        return grown
 
     def _base(self):
         """The chain's base points if fewer than n/16, else None: checks at a
@@ -524,24 +518,26 @@ class PermGroup:
 
     def _normal_closure_of(self, closure: "PermGroup", *new: Permutation) -> "PermGroup":
         """The normal closure of closure and new, for closure normal in this
-        group and new in it: closure extended by new, then by the conjugates
-        of the generators it gains, each of this group's generators inverted
-        once.  A worklist forms each (conjugator, generator) pair once,
-        walking generators by index as the list grows; closure's own have
-        their conjugates in it.  All of it lies in this group, so it grows
-        on this group's base (``_extended``)."""
-        conjugators = [g.conjugator() for g in self.generators]
-        closed = len(closure.generators)
-        for x in new:
-            closure = closure._extended(x, self)
-        while closed < len(closure.generators):
-            k = closure.generators[closed]
+        group and new in it: one copy of closure's chain grows by new, then
+        by the conjugates of the generators it gains, each of this group's
+        generators inverted once.  A candidate is sifted once, by ``_grow``
+        on this group's base, and joins the generators when a residue lands.
+        A worklist forms each (conjugator, generator) pair once, walking the
+        list as it grows; closure's own have their conjugates in it.  closure
+        itself is returned when nothing joins."""
+        conjugators, base = [g.conjugator() for g in self.generators], self._base()
+        levels, closed = [lvl.copy() for lvl in closure._chain()], len(closure.generators)
+        gens = list(closure.generators) + [x for x in new if _grow(levels, (x,), self.degree, base)]
+        for k in islice(gens, closed, None):  # also walks what joins meanwhile
             for conjugate in conjugators:
                 c = conjugate(k)
-                if c not in closure:
-                    closure = closure._extended(c, self)
-            closed += 1
-        return closure
+                if _grow(levels, (c,), self.degree, base):
+                    gens.append(c)
+        if len(gens) == closed:
+            return closure
+        grown = PermGroup(self.degree, gens)
+        grown._levels = levels
+        return grown
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

@@ -136,7 +136,7 @@ def _schreier_generators_formed(monkeypatch, make):
 
     def grow(levels, generators, degree, base=None):
         chains.append(levels)
-        real_grow(levels, generators, degree, base)
+        return real_grow(levels, generators, degree, base)
 
     def getter(u):
         get = real_getter(u)
@@ -655,6 +655,25 @@ def test_normal_closure_forms_each_conjugate_once(monkeypatch, group, seed, orde
     assert formed and max(formed.values()) == 1
     assert closure.order() == order
     assert all(k.conjugate_by(g) in closure for g in group.generators for k in closure.generators)
+
+
+def test_normal_closure_of_members_is_the_closure_itself(monkeypatch):
+    """Candidates already in a normal closure land no residue when sifted,
+    so the closure comes back as it is and no conjugate is formed: V_4 in
+    S_4, and the translations in agl1 37, whose subgroups grow on its base
+    of 2 points."""
+    rng = random.Random(38)
+    agl = build_family(FamilyParams("agl1", (37,)))
+    for group, seed in ((symmetric_group(4), [(0, 1), (2, 3)]), (agl, [tuple(range(37))])):
+        closure = group.normal_closure([Permutation.from_cycles(group.degree, seed)])
+        assert closure.order() == group.degree
+        members = [closure.random_element(rng) for _ in range(3)] + [group.identity()]
+        formed = conjugations_formed(monkeypatch)
+        for x in members:
+            assert group._normal_closure_of(closure, x) is closure
+        assert group._normal_closure_of(closure, *members, closure.generators[0]) is closure
+        assert not formed
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize(

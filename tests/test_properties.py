@@ -315,6 +315,15 @@ def _old_chain(degree, generators):
     return levels
 
 
+def _extended(group, g):
+    """The group generated by group's generators and g, g kept even when
+    a member; its chain is a copy of group's, grown by g on all points."""
+    grown = PermGroup(group.degree, group.generators + (g,))
+    grown._levels = [lvl.copy() for lvl in group._chain()]
+    permgrp._grow(grown._levels, (g,), group.degree)
+    return grown
+
+
 def _old_grown_chain(degree, generators):
     """The chain ``_extended`` grows from the trivial group, one generator
     at a time, by the old routines."""
@@ -369,7 +378,7 @@ def test_chain_matches_the_old_schreier_sims(data):
     _assert_chain_matches(group, _old_chain(n, group.generators), probes + _probes(group, rng))
     grown = PermGroup(n, ())
     for g in gens:
-        grown = grown._extended(g)
+        grown = _extended(grown, g)
     oracle = _old_grown_chain(n, grown.generators)
     _assert_chain_matches(grown, oracle, probes + _probes(grown, rng))
     stab = grown.stabilizer()
@@ -385,7 +394,7 @@ def test_chain_matches_the_old_schreier_sims_on_corpus_and_giants():
         group = corpus_group(name)
         n = group.degree
         _assert_chain_matches(group, _old_chain(n, group.generators), _probes(group, rng))
-        # D is grown by _extended from the trivial group, one generator at a time
+        # D is grown by _normal_closure_of from the trivial group, one generator at a time
         d = analyze(group).subgroup
         oracle = _old_grown_chain(n, d.generators)
         _assert_chain_matches(d, oracle, _probes(d, rng))
@@ -460,7 +469,7 @@ def test_membership_and_extension_stay_exact_after_growth_on_a_base(monkeypatch)
             x = y * Permutation.from_cycles(n, [(p, q)])
             assert [x(b) for b in base] == [y(b) for b in base]
             assert x not in group and x not in sub
-            grown = sub._extended(x)
+            grown = _extended(sub, x)
             _assert_chain_matches(grown, _old_grown_chain(n, grown.generators), [x, y] + _probes(grown, rng))
             assert grown.order() == PermGroup(n, grown.generators).order()
 
@@ -471,7 +480,7 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
     n = gens[0].degree
     grown = PermGroup(n, ())
     for g in gens:
-        grown = grown._extended(g)
+        grown = _extended(grown, g)
     scratch = PermGroup(n, gens)
     assert grown.generators == scratch.generators
     assert grown.order() == scratch.order()
@@ -481,8 +490,10 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
     for x in probes + words:
         assert (x in grown) == (x in scratch)
     assert all(w in grown for w in words)
-    # extending by a member adds a generator but not an element
-    assert grown._extended(words[0]).order() == grown.order()
+    # growing by a member lands no residue and adds no element
+    levels = [lvl.copy() for lvl in grown._chain()]
+    assert not permgrp._grow(levels, (words[0],), n)
+    assert prod(len(lvl.orbit) for lvl in levels) == grown.order()
     if scratch.order() <= 5040:
         rows = bruteforce_closure(n, gens)
         closure = _closure_set(rows)
@@ -494,6 +505,38 @@ def test_extended_chain_matches_scratch_and_bruteforce(data):
             rep = _coset_min_rep(grown, x)
             assert rep.images == min(tuple(x.images[h[i]] for i in range(n)) for h in closure)
 
+
+def test_normal_closure_ignores_seeds_already_in_it():
+    """On each corpus group of order at most 5 040, seeds that are already
+    members when offered (the identity, repeats, and words in earlier
+    seeds) leave the normal closure as the distinct non-members alone make
+    it, and none of them joins its generators.  Its order is that of the
+    brute-force closure of its generators, which holds the seeds and is
+    normal, so it is the normal closure."""
+    rng = random.Random(38)
+    checked = 0
+    for name in corpus_names():
+        group = corpus_group(name)
+        if group.order() > 5040:
+            continue
+        n, identity = group.degree, group.identity()
+        a, b = group.random_element(rng), group.random_element(rng)
+        fresh = [x for x in (a,) if not x.is_identity()]
+        if b.images not in _closure_set(bruteforce_closure(n, fresh)):
+            fresh.append(b)
+        members = [identity, a * a, a.inverse(), a * b, b * a.inverse()]
+        seeds = [identity, a, a, a * a, b, a.inverse(), b, a * b, identity, b * a.inverse()]
+        mixed, alone = group.normal_closure(seeds), group.normal_closure(fresh)
+        assert mixed.generators == alone.generators and mixed.order() == alone.order(), name
+        rows = bruteforce_closure(n, mixed.generators)
+        closure = _closure_set(rows)
+        assert mixed.order() == len(rows) == len(closure), name
+        assert all(x.images in closure for x in seeds), name
+        assert all(k.conjugate_by(g).images in closure for g in group.generators for k in mixed.generators)
+        joined = {k.images for k in mixed.generators}
+        assert not any(x.images in joined for x in members if x not in fresh), name
+        checked += 1
+    assert checked >= 50
 
 def _affine(n):
     # x -> a*x + b on Z_n; with the n-cycle these give affine groups, where
@@ -527,7 +570,7 @@ def _old_derangement_generated(group):
         if count_fixed(p.images) == 0:
             count += 1
             if p not in sub:
-                sub = sub._extended(p)
+                sub = _extended(sub, p)
     return count, sub
 
 
