@@ -132,6 +132,13 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _workers(text: str) -> int:
+    """argparse type for --workers: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="derangements",
@@ -178,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for p_suite in (p_paper, p_corpus):
         p_suite.add_argument(
-            "--workers", type=int, default=1, metavar="N", help="parallel worker processes"
+            "--workers", type=_workers, default=1, metavar="N", help="parallel worker processes"
         )
     p_paper.add_argument(
         "--only", action="append", metavar="ID",

@@ -137,7 +137,7 @@ def _regular_on_suborbits(group: PermGroup, sub: PermGroup) -> bool:
     N_0-orbits in each of its orbits transitively, and a transitive action
     of G_0/N_0 is semiregular exactly when it has |G_0 : N_0| points.  For
     sub normal in the group this holds exactly when every element fixing
-    two or more points lies in sub; for trivial sub, when none but 1 does."""
+    two or more points lies in sub."""
     g0 = group.stabilizer()
     n0 = sub.stabilizer()
     index = g0.order() // n0.order()
@@ -205,9 +205,10 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
 
 def _frobenius(group: PermGroup, scan: _Scan) -> bool:
     """No non-identity element fixes two points and the action is not
-    regular; then the derangements and the identity form the kernel."""
-    trivial = PermGroup(group.degree, ())
-    frob = group.order() > group.degree and _regular_on_suborbits(group, trivial)
+    regular: |G_0| > 1 and the scan counts |G_0| - 1 elements fixing point
+    0 alone.  Then the derangements and the identity form the kernel."""
+    stabilizer_order = group.stabilizer().order()
+    frob = stabilizer_order > 1 and scan.fix_only_zero == stabilizer_order - 1
     if frob:
         assert scan.subgroup.order() == scan.derangement_count + 1, (
             "kernel must consist of the derangements and the identity"
@@ -236,9 +237,9 @@ def index_consequences(group: PermGroup, scan: _Scan) -> bool:
 
 def is_frobenius(group: PermGroup):
     """(flag, kernel): flag is true when no non-identity element fixes two
-    or more points.  Regular actions are excluded by definition (their point
-    stabilizers are trivial).  When true, the derangements together with the
-    identity are verified to form a subgroup: the kernel."""
+    or more points, read off the scan's count (``_frobenius``); regular
+    actions, with trivial point stabilizers, are excluded.  When true, the
+    derangements and the identity are verified to form a subgroup: the kernel."""
     scan = _certified_scan(group)
     return (True, scan.subgroup) if _frobenius(group, scan) else (False, None)
 

@@ -315,11 +315,11 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     generated so far; so every eigenvalue-1 element ends up inside, and the
     generating set stays small.  The subgroup is a mask over the group's
     positions, grown by a new generator g from the last one: its elements
-    times g, then each new element times every generator.  Its stack is the
-    group's own when the mask is full, else the masked rows.  The eigenvalue-1
-    elements form a conjugation-closed set (conjugation preserves
-    eigenvalues), so the result is normal; normality is still verified by
-    conjugating the generators with the parent's generators.
+    times g, then each new element times every generator.  Its stack and
+    eigenvalue-1 mask are the group's own when the mask is full, else their
+    masked rows.  The eigenvalue-1 elements form a conjugation-closed set
+    (conjugation preserves eigenvalues), so the result is normal, as
+    conjugating its generators by the parent's also verifies.
     """
     spec, p = group.spec, group.spec.p
     stack = group.digit_stack()
@@ -334,14 +334,15 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
         inside[found] = True
         return found
 
-    for i in np.flatnonzero(group.eigenvalue_one_mask()).tolist():
+    fixes = group.eigenvalue_one_mask()
+    for i in np.flatnonzero(fixes).tolist():
         if not inside[i]:
             gens.append(i)
             new = grow(stack[inside] @ stack[i])
             while len(new):
                 new = grow(stack[new][:, None] @ stack[gens])
     sub = MatrixGroup(spec, group.d, _decode(spec, group.d, stack[gens]))
-    sub._stack = stack if inside.all() else stack[inside]
+    sub._stack, sub._fixes = (stack, fixes) if inside.all() else (stack[inside], fixes[inside])
     assert group.order() % sub.order() == 0
     for g, digits in zip(group.generators, group.generator_digits()):
         conjugates = _digit_matrix(g.inverse()) @ stack[gens] % p @ digits
@@ -436,21 +437,17 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that H/sub acts
     semiregularly on the orbits of the normal subgroup sub on nonzero
     vectors.  The stabilizer in H of the orbit v*sub is H_v*sub, so H/sub
-    is semiregular iff sub holds every H_v: iff no element of H outside sub
-    has eigenvalue 1, read off H's eigenvalue-1 mask.  The work is O(|H|),
-    with no vector labelled.  NotSubgroup when sub is not inside H."""
+    is semiregular iff sub holds every H_v, every eigenvalue-1 element of
+    H: iff, as sub <= H, the two cached eigenvalue-1 counts are equal.  No
+    vector is labelled.  NotSubgroup when sub is not inside H."""
     _require_subgroup(group, sub)
     spec, d = group.spec, group.d
     index = group.order() // sub.order()
     bound = spec.order**d - 1
     if spec.order**d > SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
-    if index == 1:  # sub is H: no element lies outside it
-        return IndexBoundReport(index, bound, index <= bound, True)
-    outside = np.ones(group.order(), dtype=bool)
-    outside[group._locate(sub.digit_stack())] = False
-    semiregular = not group.eigenvalue_one_mask()[outside].any()
-    return IndexBoundReport(index, bound, index <= bound, semiregular)
+    semiregular = sub.eigenvalue_one_mask().sum() == group.eigenvalue_one_mask().sum()
+    return IndexBoundReport(index, bound, index <= bound, bool(semiregular))
 
 
 # irreducibility -------------------------------------------------------------

@@ -106,6 +106,10 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        cycles = [tuple(cyc) for cyc in cycles]
+        points = [a for cyc in cycles for a in cyc]
+        if len(set(points)) < len(points) or not all(0 <= a < n for a in points):
+            raise ValueError(f"not disjoint cycles of 0..{n - 1}: {cycles}")
         images = list(range(n))
         for cyc in cycles:
             for i, a in enumerate(cyc):

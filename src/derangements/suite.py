@@ -53,7 +53,6 @@ from .matgrp import (
 )
 from .permgrp import (
     PermGroup,
-    Permutation,
     alternating_group,
     bruteforce_closure,
     coset_average_fixed_points,
@@ -581,21 +580,6 @@ def corpus_group(name: str) -> PermGroup:
     return _corpus_builders()[name]()
 
 
-def _random_words(group: PermGroup, name: str, count: int) -> list[Permutation]:
-    """Deterministic pseudo-random generator words, used as coset
-    representatives.  Any representatives work; these just vary them."""
-    rng = random.Random(f"coset-reps:{name}")
-    letters = [(g, g.inverse()) for g in group.generators]
-    words = []
-    for _ in range(count):
-        w = Permutation.identity(group.degree)
-        for _ in range(rng.randint(1, 6)):
-            g, inverse = rng.choice(letters)
-            w = w * (inverse if rng.random() < 0.5 else g)
-        words.append(w)
-    return words
-
-
 def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     """All corpus-wide properties for one group, as a JSON-safe dict."""
     if group is None:
@@ -607,7 +591,8 @@ def corpus_record(name: str, group: PermGroup | None = None) -> dict:
     record["sqrt_bound"] = (report.index + 1) ** 2 <= report.degree
     record["abundance"] = report.derangement_count * report.degree >= report.order
 
-    reps = _random_words(group, name, COSET_REP_COUNT)
+    rng = random.Random(f"coset-reps:{name}")  # any representatives work: seeded draws from G
+    reps = [group.random_element(rng) for _ in range(COSET_REP_COUNT)]
     d_tally: Counter = Counter()
     record["coset_average_one"] = all(
         a == 1 for a in coset_average_fixed_points(reps, report.subgroup, d_tally)

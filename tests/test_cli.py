@@ -266,6 +266,20 @@ def test_construct_parameter_errors_exit_2(params, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["paper", "corpus"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_refuses_workers_below_one(suite, workers, capsys):
+    """--workers 0 and -3 ran serially and exited 0; they exit 2 with one
+    error line, while --workers 1 still runs."""
+    assert main(["verify", suite, "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--workers" in errors[0] and "Traceback" not in err
+    only = ["--only", "agl1-5"] if suite == "paper" else ["--max-order", "10"]
+    assert main(["verify", suite, "--workers", "1", *only]) == 0
+    capsys.readouterr()
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     capsys.readouterr()

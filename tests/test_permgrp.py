@@ -76,6 +76,19 @@ def test_permutation_rejects_non_bijections():
         Permutation([1, 0]) * Permutation([0, 1, 2])
 
 
+@pytest.mark.parametrize("cycles", [[(1, -2)], [(0, 0)], [(0, 5)]], ids=str)
+def test_from_cycles_rejects_bad_points(cycles):
+    """A point outside 0..n-1, or one repeated, raises the ValueError that
+    Permutation raises: (1 -2) and (0 0) returned the identity, and (0 5)
+    raised a bare IndexError.  A point repeated across cycles is refused
+    too, and a valid cycle set still builds."""
+    with pytest.raises(ValueError, match="not disjoint cycles of 0..2"):
+        Permutation.from_cycles(3, cycles)
+    with pytest.raises(ValueError):
+        Permutation.from_cycles(4, [(0, 1), (1, 2)])
+    assert Permutation.from_cycles(5, iter([[3, 4], (0, 2, 1)])).images == (2, 0, 1, 4, 3)
+
+
 def test_conjugate_by():
     g = Permutation.from_cycles(4, [(0, 1)])
     h = Permutation.from_cycles(4, [(0, 2)])

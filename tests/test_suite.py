@@ -27,7 +27,6 @@ from derangements.suite import (
     COSET_REP_COUNT,
     _MAT_BUILDERS,
     _faulted_perm_record,
-    _random_words,
     PAPER_SCENARIOS,
     Expectation,
     RunReport,
@@ -47,6 +46,13 @@ from test_properties import _coset_average_loop
 def corpus_ok(record: dict) -> bool:
     """Did this corpus entry satisfy every property that must hold?"""
     return not corpus_failures(record)
+
+
+def _coset_reps(name: str, group: PermGroup) -> list[Permutation]:
+    """corpus_record's coset representatives: COSET_REP_COUNT uniform draws
+    from G's chain, seeded by the group's name."""
+    rng = random.Random(f"coset-reps:{name}")
+    return [group.random_element(rng) for _ in range(COSET_REP_COUNT)]
 
 
 def test_matrix_record_works_on_positions(monkeypatch):
@@ -257,7 +263,7 @@ def test_corpus_coset_averages_match_the_per_representative_loop():
     for name in corpus_names():
         group = corpus_group(name)
         d = analyze(group).subgroup
-        reps = _random_words(group, name, COSET_REP_COUNT)
+        reps = _coset_reps(name, group)
         fixed = Counter()
         averages = coset_average_fixed_points(reps, d, fixed)
         assert averages == [_coset_average_loop(t, d) for t in reps], name
@@ -313,11 +319,22 @@ def test_unknown_scenario_id_is_refused():
         run_paper_suite(only=("agl1-55",))
 
 
-def test_random_words_are_deterministic_and_valid():
+def test_coset_representatives_are_deterministic_and_valid(monkeypatch):
+    """corpus_record's representatives, drawn from G's chain, are the same
+    on two fresh builds of the group, are _coset_reps's, and lie in G."""
+    seen, real = [], suite.coset_average_fixed_points
+
+    def recording(reps, group, fixed=None):
+        seen.append(reps)
+        return real(reps, group, fixed)
+
+    monkeypatch.setattr(suite, "coset_average_fixed_points", recording)
+    corpus_record("sym-4")
+    corpus_record("sym-4")
+    words, again = seen
     g = corpus_group("sym-4")
-    words = _random_words(g, "sym-4", 10)
-    again = _random_words(g, "sym-4", 10)
     assert [w.images for w in words] == [w.images for w in again]
+    assert [w.images for w in words] == [w.images for w in _coset_reps("sym-4", g)]
     assert len(words) == 10
     for w in words:
         assert w in g
