@@ -395,8 +395,7 @@ def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     g0 = group.stabilizer()
     delta = set(g0.orbits()[1])
     blocks = [orbit for orbit in sub.stabilizer().orbits() if orbit[0] in delta]
-    block_of = {x: b for b, orbit in enumerate(blocks) for x in orbit}
-    return _block_action(block_of, [g.images for g in g0.generators], index)
+    return _block_action(blocks, [g.images for g in g0.generators], index)
 
 
 def analyze(group: PermGroup, cap: int | None = None) -> AnalysisReport:

@@ -39,9 +39,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import permgrp
-from .errors import CapExceeded, ConstraintViolated, FieldMismatch, NotSubgroup
+from .errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal, NotSubgroup
 from .gf import FieldSpec, _least_factor, _poly_mod, _poly_trim, field
-from .permgrp import PermGroup, _block_action
+from .permgrp import PermGroup, Permutation, _block_action, _integers
 
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000  # q^d past which semiregular is None; it bounds no work
@@ -53,7 +53,7 @@ class FFMatrix:
     __slots__ = ("spec", "d", "rows")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(map(_integers, rows))
         d = len(rows)
         for row in rows:
             if len(row) != d:
@@ -216,7 +216,7 @@ class MatrixGroup:
         self._stack: np.ndarray | None = None  # digit matrices, breadth-first
         self._position: dict[bytes, int] | None = None  # closure key -> position
         self._irreducibility: tuple | None = None
-        self._digits: np.ndarray | None = None  # the generators' digit matrices
+        self._digits: dict[bool, np.ndarray] = {}  # inverse? -> the generators' digit matrices
         self._fixes: np.ndarray | None = None  # per position, eigenvalue 1 or not
 
     def _check(self, m: FFMatrix) -> None:
@@ -225,13 +225,14 @@ class MatrixGroup:
         if m.d != self.d:
             raise ValueError(f"matrix dimension {m.d} in GL({self.d},...)")
 
-    def generator_digits(self) -> np.ndarray:
-        """The generators' digit matrices, one per generator, built once."""
-        if self._digits is None:
+    def generator_digits(self, inverse: bool = False) -> np.ndarray:
+        """The digit matrices of the generators, or of their inverses, one
+        per generator, each built once."""
+        if inverse not in self._digits:
             k = self.d * self.spec.f
-            digits = [_digit_matrix(g) for g in self.generators]
-            self._digits = np.array(digits, dtype=np.int64).reshape(-1, k, k)
-        return self._digits
+            digits = [_digit_matrix(g.inverse() if inverse else g) for g in self.generators]
+            self._digits[inverse] = np.array(digits, dtype=np.int64).reshape(-1, k, k)
+        return self._digits[inverse]
 
     def digit_stack(self, cap: int | None = None) -> np.ndarray:
         """The digit matrices of all elements, in ``permgrp.closure``'s
@@ -315,11 +316,12 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     generated so far; so every eigenvalue-1 element ends up inside, and the
     generating set stays small.  The subgroup is a mask over the group's
     positions, grown by a new generator g from the last one: its elements
-    times g, then each new element times every generator.  Its stack and
-    eigenvalue-1 mask are the group's own when the mask is full, else their
-    masked rows.  The eigenvalue-1 elements form a conjugation-closed set
-    (conjugation preserves eigenvalues), so the result is normal, as
-    conjugating its generators by the parent's also verifies.
+    times g, then each new element times every generator.  Its stack,
+    eigenvalue-1 mask and key dict are the group's own when the mask is
+    full, else the first two are their masked rows.  The eigenvalue-1
+    elements form a conjugation-closed set (conjugation preserves
+    eigenvalues), so the result is normal, as ``_require_normal_subgroup``
+    also verifies.
     """
     spec, p = group.spec, group.spec.p
     stack = group.digit_stack()
@@ -342,12 +344,10 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
             while len(new):
                 new = grow(stack[new][:, None] @ stack[gens])
     sub = MatrixGroup(spec, group.d, _decode(spec, group.d, stack[gens]))
-    sub._stack, sub._fixes = (stack, fixes) if inside.all() else (stack[inside], fixes[inside])
-    assert group.order() % sub.order() == 0
-    for g, digits in zip(group.generators, group.generator_digits()):
-        conjugates = _digit_matrix(g.inverse()) @ stack[gens] % p @ digits
-        if not inside[group._locate(conjugates % p)].all():
-            raise AssertionError("eigenvalue-1 subgroup failed normality check")
+    full = inside.all()
+    sub._stack, sub._fixes = (stack, fixes) if full else (stack[inside], fixes[inside])
+    sub._position = group._positions() if full else None
+    _require_normal_subgroup(group, sub)
     return sub
 
 
@@ -392,33 +392,19 @@ def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.nda
     return ((digits @ m) % spec.p) @ weights
 
 
-def _propagate_min_labels(n: int, images: list[np.ndarray]) -> np.ndarray:
-    """Least point of each point's orbit under the maps i -> images[g][i],
-    each a permutation of range(n), by root hooking (Shiloach and Vishkin
-    1982): hook the larger root of each edge onto the smaller, jump every
-    point to its root, and stop when no edge joins two roots."""
-    labels = np.arange(n, dtype=np.int64)
-    while True:
-        hooked = False
-        for img in images:
-            ends = labels[img]
-            if (ends != labels).any():
-                np.minimum.at(labels, np.maximum(labels, ends), np.minimum(labels, ends))
-                hooked = True
-        if not hooked:
-            return labels
-        jumped = labels[labels]
-        while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
-
-
-def _require_subgroup(group: MatrixGroup, sub: MatrixGroup) -> None:
-    """FieldMismatch unless sub is over the group's field, then NotSubgroup
-    unless the key of each generator of sub is in the group's key dict."""
+def _require_normal_subgroup(group: MatrixGroup, sub: MatrixGroup) -> None:
+    """FieldMismatch unless sub is over the group's field, NotSubgroup
+    unless the key of each generator of sub is in the group's key dict, and
+    NotNormal unless that of g^-1*k*g, for each generator g of the group
+    and k of sub, is in sub's: then g^-1*sub*g, of sub's order, is sub."""
     if sub.spec is not group.spec:
         raise FieldMismatch(f"subgroup over {sub.spec}, group over {group.spec}")
     if not group._positions().keys() >= set(group._keys(sub.generator_digits())):
         raise NotSubgroup("a generator of the subgroup lies outside the group")
+    p, digits = group.spec.p, group.generator_digits()[:, None]
+    conjugates = group.generator_digits(inverse=True)[:, None] @ sub.generator_digits() % p @ digits % p
+    if not sub._positions().keys() >= set(sub._keys(conjugates)):
+        raise NotNormal("the subgroup is not normal in the group")
 
 
 @dataclass(frozen=True)
@@ -439,8 +425,8 @@ def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
     vectors.  The stabilizer in H of the orbit v*sub is H_v*sub, so H/sub
     is semiregular iff sub holds every H_v, every eigenvalue-1 element of
     H: iff, as sub <= H, the two cached eigenvalue-1 counts are equal.  No
-    vector is labelled.  NotSubgroup when sub is not inside H."""
-    _require_subgroup(group, sub)
+    vector is labelled.  NotSubgroup or NotNormal unless sub is normal in H."""
+    _require_normal_subgroup(group, sub)
     spec, d = group.spec, group.d
     index = group.order() // sub.order()
     bound = spec.order**d - 1
@@ -647,26 +633,25 @@ def _quadratic_plane(spec: FieldSpec):
 
 def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     """H/sub as H acting on the sub-orbits in the orbit of e_0 = (1, 0, ..., 0),
-    read off row 0 of the stack.  For sub normal and holding the stabilizer
-    H_{e_0}, as R(H) does, h and h' share a coset exactly when e_0*h and
-    e_0*h' share a sub-orbit: |H : sub| of them, the order ``_block_action``
-    sets.  Else NotSubgroup (sub is not inside H), ConstraintViolated (sub
-    misses part of H_{e_0}) or NotNormal."""
-    _require_subgroup(group, sub)
+    read off row 0 of the stack, both acting on its positions among the
+    sorted vector indices; the blocks are sub's ``PermGroup.orbits``.  For
+    sub normal and holding H_{e_0}, as R(H) does, h and h' share a coset
+    exactly when e_0*h and e_0*h' share a sub-orbit: |H : sub| of them,
+    the order ``_block_action`` sets.  Else NotSubgroup, NotNormal or, when
+    sub misses part of H_{e_0}, ConstraintViolated."""
+    _require_normal_subgroup(group, sub)
     spec, d = group.spec, group.d
     images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
     points = images[np.append(True, images[1:] != images[:-1])]
     digits = _index_digits(spec, d, points)
-    sub_moves, moves = (
-        [np.searchsorted(points, _image_indices(spec, m, digits)) for m in grp.generator_digits()]
+    sub_moves, moves = (  # each image list is formed when it is taken; sub <= H permutes the points
+        (np.searchsorted(points, _image_indices(spec, m, digits)).tolist() for m in grp.generator_digits())
         for grp in (sub, group)
     )
-    labels = _propagate_min_labels(len(points), sub_moves)
-    minima = np.flatnonzero(labels == np.arange(len(points)))
-    if len(minima) * sub.order() != group.order():
+    blocks = PermGroup(len(points), map(Permutation._raw, map(tuple, sub_moves))).orbits()
+    if len(blocks) * sub.order() != group.order():
         raise ConstraintViolated("the subgroup must hold the stabilizer of e_0")
-    block_of = dict(enumerate(np.searchsorted(minima, labels).tolist()))
-    return _block_action(block_of, (m.tolist() for m in moves), len(minima))
+    return _block_action(blocks, moves, len(blocks))
 
 
 # named constructions ------------------------------------------------------------
@@ -698,7 +683,8 @@ def quaternion_gl2(spec: FieldSpec) -> MatrixGroup:
 def special_linear_gl2(spec: FieldSpec) -> MatrixGroup:
     """Natural SL(2,p) for prime p: a transvection and the rotation by the
     antidiagonal square root of -I generate it."""
-    assert spec.f == 1, "natural SL(2,q) generators implemented for prime fields"
+    if spec.f != 1:
+        raise ConstraintViolated("natural SL(2,q) generators implemented for prime fields")
     p = spec.p
     gens = [
         FFMatrix(spec, [[1, 1], [0, 1]]),

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
 from math import factorial, lcm
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -73,6 +73,14 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _integers(values: Iterable) -> tuple[int, ...]:
+    """The values as ints, numpy integers included; ValueError for any other, 1.0 too."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError("entries must be integers") from None
+
+
 def count_fixed(images: Sequence[int]) -> int:
     return sum(map(eq, images, range(len(images))))
 
@@ -89,7 +97,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(images)
+        images = _integers(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
         self.images = images
@@ -106,7 +114,7 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        cycles = [tuple(cyc) for cyc in cycles]
+        cycles = [_integers(cyc) for cyc in cycles]
         points = [a for cyc in cycles for a in cyc]
         if len(set(points)) < len(points) or not all(0 <= a < n for a in points):
             raise ValueError(f"not disjoint cycles of 0..{n - 1}: {cycles}")
@@ -393,16 +401,16 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         if self._orbits is None:
-            seen = [False] * self.degree
-            out = []
+            seen, out = [False] * self.degree, []
+            gens = [g.images for g in self.generators]
             for start in range(self.degree):
                 if seen[start]:
                     continue
                 orb = [start]
                 seen[start] = True
                 for pt in orb:
-                    for g in self.generators:
-                        img = g.images[pt]
+                    for images in gens:
+                        img = images[pt]
                         if not seen[img]:
                             seen[img] = True
                             orb.append(img)
@@ -547,23 +555,23 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def _block_action(block_of: dict[int, int], images: Iterable[Sequence[int]], order: int) -> PermGroup:
+def _block_action(blocks: Sequence[Sequence[int]], images: Iterable[Sequence[int]], order: int) -> PermGroup:
     """The action Q of a group G, given by its generators' image lists, on
-    blocks 0, 1, ..., order - 1, point x lying in block block_of[x], with
-    |Q| = order set.  The blocks must be the orbits of a subgroup K of G
-    inside one orbit of G, |G : K| = order of them.  G permutes them
-    (NotNormal when a map splits a block) and K fixes each, so |Q| <=
-    |G : K|; G is transitive on them, so |Q| >= order.  Hence Q is
-    regular, with kernel K, and no chain is built to learn its order."""
-    anchor = {b: x for x, b in block_of.items()}
-    assert len(anchor) == order, "the blocks must number the quotient's order"
+    the blocks, numbered in their order, with |Q| = order set; a block is
+    anchored at its first point.  The blocks must be the orbits of a
+    subgroup K of G inside one orbit of G, |G : K| = order of them.  G
+    permutes them (NotNormal when a map splits a block) and K fixes each,
+    so |Q| <= |G : K|; G is transitive on them, so |Q| >= order.  Hence Q
+    is regular, with kernel K, and no chain is built to learn its order."""
+    assert len(blocks) == order, "the blocks must number the quotient's order"
+    block_of = {x: b for b, block in enumerate(blocks) for x in block}
     gens = []
     for img in images:
-        perm = [block_of[img[anchor[b]]] for b in range(order)]
+        perm = [block_of[img[block[0]]] for block in blocks]
         moved = map(block_of.__getitem__, map(img.__getitem__, block_of))
         if list(map(perm.__getitem__, block_of.values())) != list(moved):
             raise NotNormal("the maps do not permute the blocks")
-        gens.append(Permutation(perm))
+        gens.append(Permutation._raw(tuple(perm)))
     quotient = PermGroup(order, gens)
     quotient._order = order
     return quotient

@@ -6,10 +6,11 @@ the vector of an index by its base-q digits, the echelon eigenvalue-1
 test, the per-element coset walk (for the quotient on sub-orbit blocks and
 the index check), the q^d vector walk that decided semiregularity before
 the eigenvalue-1 flags did and the outside mask that decided it before the
-eigenvalue-1 counts did, the gather and the scatter label propagations
-that root hooking replaced, the spin, and the projective-point sweep that
-decided irreducibility before the MeatAxe did.  SL(2,3)'s closed-form
-generator is checked against the linear solve it replaced."""
+eigenvalue-1 counts did, root hooking, which labelled the quotient's
+blocks before ``PermGroup.orbits`` did, with the gather and the scatter
+label propagations that it replaced, the spin, and the projective-point
+sweep that decided irreducibility before the MeatAxe did.  SL(2,3)'s
+closed-form generator is checked against the linear solve it replaced."""
 
 import itertools
 import os
@@ -54,7 +55,6 @@ from derangements.matgrp import (
     _fixes_a_vector,
     _image_indices,
     _index_digits,
-    _propagate_min_labels,
     _quadratic_plane,
     _spin,
 )
@@ -291,6 +291,58 @@ def _spin_python(spec, gens, v):
     return span
 
 
+def _propagate_min_labels(n, images):
+    """Least point of each point's orbit under the maps i -> images[g][i],
+    each a permutation of range(n), by root hooking (Shiloach and Vishkin
+    1982): hook the larger root of each edge onto the smaller, jump every
+    point to its root, and stop when no edge joins two roots."""
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        hooked = False
+        for img in images:
+            ends = labels[img]
+            if (ends != labels).any():
+                np.minimum.at(labels, np.maximum(labels, ends), np.minimum(labels, ends))
+                hooked = True
+        if not hooked:
+            return labels
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+
+
+def _hooked_quotient(group, sub):
+    """(blocks, generators) of quotient_perm_group(group, sub) as root
+    hooking made them: the points are e_0's orbit, as positions among its
+    sorted vector indices; a block is a class of sub's labels, numbered by
+    its least point; a generator maps block b to the block of the image of
+    b's least point."""
+    spec, d = group.spec, group.d
+    images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
+    points = images[np.append(True, images[1:] != images[:-1])]
+    digits = _index_digits(spec, d, points)
+    sub_moves, moves = (
+        [np.searchsorted(points, _image_indices(spec, m, digits)) for m in grp.generator_digits()]
+        for grp in (sub, group)
+    )
+    labels = _propagate_min_labels(len(points), sub_moves)
+    minima = np.flatnonzero(labels == np.arange(len(points)))
+    block = np.searchsorted(minima, labels)
+    blocks = [np.flatnonzero(block == b).tolist() for b in range(len(minima))]
+    generators = [Permutation(block[m[minima]].tolist()) for m in moves]
+    return blocks, PermGroup(len(minima), generators).generators
+
+
+def _assert_quotient_matches_hooking(group, sub):
+    """quotient_perm_group(group, sub) hands _block_action the blocks that
+    root hooking labels, and its generators are the hooked ones."""
+    seen, real = [], matgrp._block_action
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matgrp, "_block_action", lambda blocks, *rest: seen.append(blocks) or real(blocks, *rest))
+        quotient = quotient_perm_group(group, sub)
+    assert (seen[0], quotient.generators) == _hooked_quotient(group, sub)
+
+
 def _propagate_min_labels_gather(n, images):
     """Orbit minima by label propagation: a label reaches the image of its
     point by a gather through the inverse permutation, a few steps per pass
@@ -409,6 +461,7 @@ def _assert_batched_paths_match(group, extra_sub=None):
             assert index_bound_check(group, s) == _index_bound_python(group, s)
         if normal and holds_e0:
             assert quotient_perm_group(group, s).generators == _action_oracle(group, s)
+            _assert_quotient_matches_hooking(group, s)
         else:
             with pytest.raises((ConstraintViolated, NotNormal)):
                 quotient_perm_group(group, s)
@@ -634,6 +687,34 @@ def test_subgroup_checks_refuse_a_sub_over_another_field():
         index_bound_check(gl, sub)
     with pytest.raises(FieldMismatch, match="subgroup over"):
         quotient_perm_group(gl, sub)
+
+
+def test_index_check_refuses_a_sub_that_is_not_normal():
+    """On central-a4, sub = <R(H), h> for h at stack position 5 has order
+    132 and is not normal: h maps to an element of order 3 in H/R(H) = A4.
+    The index check reported it semiregular, while the quotient raised
+    NotNormal; both raise it now.  R(H) itself passes."""
+    group = central_product_examples("a4")
+    r = eigenvalue_one_subgroup(group)
+    h = _decode(group.spec, group.d, group.digit_stack()[5:6])[0]
+    sub = MatrixGroup(group.spec, group.d, [*r.generators, h])
+    assert sub.order() == 132
+    for check in (index_bound_check, quotient_perm_group):
+        with pytest.raises(NotNormal):
+            check(group, sub)
+    assert index_bound_check(group, r) == IndexBoundReport(12, 279840, True, True)
+
+
+def test_matrix_refuses_non_integer_entries():
+    """An entry that is not an integer raises ValueError at construction:
+    int() truncated 1.7 to 1, so [[1.7, 0], [0, 1]] became the identity.
+    numpy integers are taken and stored as int."""
+    for rows in ([[1.7, 0], [0, 1]], [[1.0, 0], [0, 1]], [["1", 0], [0, 1]]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            FFMatrix(GF5, rows)
+    m = FFMatrix(GF5, np.array([[1, 2], [0, 1]], dtype=np.int64))
+    assert m.rows == ((1, 2), (0, 1)) and all(type(e) is int for row in m.rows for e in row)
+    assert MatrixGroup(GF5, 2, [np.array([[1, 1], [0, 1]], dtype=np.uint8)]).order() == 5
 
 
 def test_matrix_record_does_not_import_numpy_ma():
@@ -915,10 +996,10 @@ _POOL_GROUPS = {
 def test_pool_groups_are_irreducible_without_orbit_labels(name, monkeypatch):
     """Every group of the matrix benchmark pool but the scalar ones is
     irreducible, and a fresh copy (no cached verdict) is decided without
-    _propagate_min_labels."""
+    PermGroup.orbits."""
     built = _POOL_GROUPS[name]()
     group = MatrixGroup(built.spec, built.d, built.generators)
-    monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_labels)
+    monkeypatch.setattr(PermGroup, "orbits", _no_labels)
     assert irreducibility(group) == (True, None)
 
 
@@ -945,14 +1026,15 @@ def test_pool_index_bounds_match_the_vector_walk(name):
 def test_index_bound_check_walks_no_vectors(monkeypatch):
     """central-a4 (279 841 vectors) and the GL(2,31) Singer cycle get the
     walk's reports from the eigenvalue-1 flags, with no vector labelled:
-    without _propagate_min_labels, _index_digits or _image_indices.  Their
+    without PermGroup.orbits, _index_digits or _image_indices.  Their
     R(H) is proper, and the check reads its mask, H's sliced, without
     locating its elements in H or running the elimination again."""
     cases = [
         (central_product_examples("a4"), IndexBoundReport(12, 279840, True, True)),
         (MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)]), IndexBoundReport(960, 960, True, True)),
     ]
-    for attr in ("_propagate_min_labels", "_index_digits", "_image_indices"):
+    monkeypatch.setattr(PermGroup, "orbits", _no_labels)
+    for attr in ("_index_digits", "_image_indices"):
         monkeypatch.setattr(matgrp, attr, _no_labels)
     subs = []
     for built, expected in cases:
@@ -1042,10 +1124,10 @@ def test_semiregular_is_none_past_the_vector_cap():
 def test_irreducibility_never_labels_orbits(monkeypatch):
     """Every group above that generator eigenspaces miss gets its known
     verdict, and every differential group the sweep's, without
-    _propagate_min_labels."""
+    PermGroup.orbits."""
     expected = [(build(), flag) for flag, build in _MEATAXE_GROUPS.values()]
     expected += [(group, _irreducibility_python(group)[0]) for group in _differential_groups()]
-    monkeypatch.setattr(matgrp, "_propagate_min_labels", _no_labels)
+    monkeypatch.setattr(PermGroup, "orbits", _no_labels)
     for built, flag in expected:
         assert irreducibility(MatrixGroup(built.spec, built.d, built.generators))[0] == flag
 
@@ -1106,28 +1188,35 @@ def test_block_triangular_and_scalar_witnesses():
 @example((1, [[0]]))
 @example((5, []))
 def test_label_hooking_matches_the_gather_and_the_scatter(case):
-    """Root hooking finds the orbit minima that the gather through inverse
-    permutations and the unbuffered scatter find, with no maps too (the
-    scalar groups' R(H) has no generator): every label is at most its point
-    and is its own label."""
+    """PermGroup.orbits, each orbit labelled by its least point, finds the
+    orbit minima that root hooking, the gather through inverse permutations
+    and the unbuffered scatter find, with no maps too (the scalar groups'
+    R(H) has no generator): every label is at most its point and is its
+    own label."""
     n, perms = case
     images = [np.array(perm, dtype=np.int64) for perm in perms]
     labels = _propagate_min_labels(n, images)
     assert labels.tolist() == _propagate_min_labels_gather(n, images).tolist()
     assert labels.tolist() == _propagate_min_labels_scatter(n, images).tolist()
+    least = list(range(n))
+    for orbit in PermGroup(n, perms).orbits():
+        for x in orbit:
+            least[x] = orbit[0]
+    assert labels.tolist() == least
     assert (labels <= np.arange(n)).all()
     assert (labels[labels] == labels).all()
 
 
 def test_labels_of_a_long_cycle():
-    """One random cycle on 100 000 points is one orbit.  Its diameter is
-    no cost to root hooking; the gather, a few steps per pass, took over a
-    minute."""
+    """One random cycle on 100 000 points is one orbit, to root hooking
+    and to PermGroup.orbits.  Its diameter is no cost to either; the
+    gather, a few steps per pass, took over a minute."""
     n = 100_000
     order = np.random.default_rng(27).permutation(n)
     img = np.empty(n, dtype=np.int64)
     img[order] = np.roll(order, -1)
     assert (_propagate_min_labels(n, [img]) == 0).all()
+    assert PermGroup(n, [img.tolist()]).orbits() == [list(range(n))]
 
 
 def test_singer_cycle_index_bound():
@@ -1158,6 +1247,19 @@ def test_over_cap_quotient_is_refused_before_a_chain(monkeypatch, tmp_path, caps
     assert main(["analyze", str(path)]) == 2
     assert "got 10200" in capsys.readouterr().err
     assert formed[1]._levels is None
+
+
+def test_quotient_blocks_and_generators_match_root_hooking():
+    """For every group of the matrix benchmark pool and the matrix and
+    bridge sides of the paper scenarios, H/R(H)'s blocks, PermGroup.orbits
+    of R(H) on e_0's orbit, are the classes of root hooking's labels in
+    the order of their least points, and its generators are those the
+    hooking labels give; so every quotient, fingerprint and pin stays."""
+    groups = [build() for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values()]
+    groups += [build_family(sc.params) for sc in PAPER_SCENARIOS if sc.kind == "mat"]
+    groups += [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
+    for group in groups:
+        _assert_quotient_matches_hooking(group, eigenvalue_one_subgroup(group))
 
 
 def test_quotients_carry_the_order_a_chain_finds():
@@ -1405,6 +1507,29 @@ def test_dihedral_split_and_nonsplit():
 def test_special_linear_orders():
     assert special_linear_gl2(GF3).order() == 24
     assert special_linear_gl2(GF5).order() == 120
+
+
+def test_special_linear_refuses_a_prime_power_field_under_optimization():
+    """SL(2,q) has natural generators here for prime q only.  A bare assert
+    guarded that, so under python -O special_linear_gl2(field(2, 2))
+    returned a group of order 6 as SL(2,4); it raises ConstraintViolated
+    with or without -O."""
+    with pytest.raises(ConstraintViolated, match="prime fields"):
+        special_linear_gl2(field(2, 2))
+    script = (
+        "from derangements.errors import ConstraintViolated\n"
+        "from derangements.gf import field\n"
+        "from derangements.matgrp import special_linear_gl2\n"
+        "try:\n"
+        "    special_linear_gl2(field(2, 2))\n"
+        "except ConstraintViolated:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 QUADRATIC_BASES = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]

@@ -76,6 +76,24 @@ def test_permutation_rejects_non_bijections():
         Permutation([1, 0]) * Permutation([0, 1, 2])
 
 
+def test_permutation_refuses_non_integer_images():
+    """Images that are not integers raise ValueError at construction, even
+    when they sort equal to 0..n-1: [1.0, 0.0, 2.0] built, and its first
+    product raised a bare TypeError.  So do cycle points, which raised a
+    bare TypeError.  numpy integers are taken and stored as int."""
+    for images in ([1.0, 0.0, 2.0], ["1", "0"], [0.5, 0]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Permutation(images)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        Permutation.from_cycles(3, [(0.0, 1.0)])
+    assert Permutation.from_cycles(3, [np.array([0, 2])]).images == (2, 1, 0)
+    with pytest.raises(ValueError):
+        PermGroup(3, [[1.0, 0.0, 2.0]])
+    g = Permutation(np.array([1, 0, 2], dtype=np.int64))
+    assert g.images == (1, 0, 2) and all(type(x) is int for x in g.images)
+    assert PermGroup(3, [np.array([1, 2, 0], dtype=np.uint8)]).order() == 3
+
+
 @pytest.mark.parametrize("cycles", [[(1, -2)], [(0, 0)], [(0, 5)]], ids=str)
 def test_from_cycles_rejects_bad_points(cycles):
     """A point outside 0..n-1, or one repeated, raises the ValueError that
@@ -597,11 +615,11 @@ def test_block_action_on_orbits_of_a_normal_subgroup():
     refused."""
     d8 = dihedral_group(4)
     images = [g.images for g in d8.generators]
-    on_pairs = _block_action({0: 0, 2: 0, 1: 1, 3: 1}, images, 2)
+    on_pairs = _block_action([[0, 2], [1, 3]], images, 2)
     assert on_pairs.degree == 2 and on_pairs.order() == 2 and on_pairs._levels is None
     assert PermGroup(2, on_pairs.generators).order() == 2
     with pytest.raises(NotNormal):
-        _block_action({0: 0, 1: 0, 2: 1, 3: 1}, images, 2)
+        _block_action([[0, 1], [2, 3]], images, 2)
 
 
 def test_quotient_rejects_non_normal():
@@ -609,7 +627,7 @@ def test_quotient_rejects_non_normal():
     subgroup generated by (0 1)."""
     s4 = symmetric_group(4)
     with pytest.raises(NotNormal):
-        _block_action({0: 0, 1: 0, 2: 1, 3: 2}, [g.images for g in s4.generators], 3)
+        _block_action([[0, 1], [2], [3]], [g.images for g in s4.generators], 3)
 
 
 def test_normal_closure_in_s4():
