@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConstraintViolated, DegreeTooLarge
-from .gf import FieldSpec, _is_prime, field, prime_power_decompose
+from .gf import FieldSpec, _digits, _is_prime, _value, field, prime_power_decompose
 from .matgrp import (
     MatrixGroup,
-    _image_indices,
-    _index_digits,
     _quadratic_plane,
     binary_icosahedral_gl2,
     binary_tetrahedral_gl2,
@@ -62,19 +61,16 @@ def _gf(q: int, d: int = 1) -> FieldSpec:
 
 def affine_group(h: MatrixGroup) -> PermGroup:
     """Translations of the vector space joined with a linear group acting on
-    row vectors; a transitive group on the q^d vectors of order q^d * |h|."""
-    spec = h.spec
-    d = h.d
-    degree = _degree(spec.order, d)
-    points = np.arange(degree, dtype=np.int64)
-    digits = _index_digits(spec, d, points)
-    low = digits[:, :: spec.f]  # adding 1 to coordinate i adds 1 to this digit
-    gens = [
-        Permutation((points + ((low[:, i] + 1) % spec.p - low[:, i]) * spec.order**i).tolist())
-        for i in range(d)
-    ]
-    gens += [Permutation(_image_indices(spec, m, digits).tolist()) for m in h.generator_digits()]
-    group = PermGroup(degree, gens)
+    row vectors; a transitive group on the q^d vectors of order q^d * |h|.
+    Every generator maps the points' digit rows, then takes their values: a
+    translation adds a unit row (1 at column i*f) mod p, an h generator
+    multiplies by its digit matrix."""
+    spec, k = h.spec, h.d * h.spec.f
+    degree = _degree(spec.order, h.d)
+    digits = _digits(np.arange(degree), spec.p, k)
+    units = np.eye(k, dtype=np.int64)[:: spec.f]
+    moved = chain((digits + unit for unit in units), (digits @ m for m in h.generator_digits()))
+    group = PermGroup(degree, (Permutation(_value(x % spec.p, spec.p).tolist()) for x in moved))
     assert group.order() == degree * h.order(), "translations and h must intersect trivially"
     return group
 
@@ -132,26 +128,19 @@ def pgammal_28() -> PermGroup:
     return group
 
 
-def _coordinates(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, weights) of the m^k points of a product domain: digits[x, i]
-    is coordinate i of point x, its base-m digit of weight weights[i] = m^i."""
-    weights = m ** np.arange(k, dtype=np.int64)
-    return np.arange(m**k, dtype=np.int64)[:, None] // weights % m, weights
-
-
 def _wreath_generators(h: PermGroup, k: int) -> list[Permutation]:
     """Generators of h wreath a k-cycle in product action on degree-m^k
     tuples: each generator of h on each coordinate, then the coordinate
-    rotation when k > 1."""
-    digits, weights = _coordinates(h.degree, k)
-    points = np.arange(len(digits))
+    rotation when k > 1.  Coordinate i of a point is its base-m digit i."""
+    points = np.arange(h.degree**k)
+    digits = _digits(points, h.degree, k)
     gens = [
-        Permutation((points + (np.take(g.images, digits[:, i]) - digits[:, i]) * weights[i]).tolist())
+        Permutation((points + (np.take(g.images, digits[:, i]) - digits[:, i]) * h.degree**i).tolist())
         for i in range(k)
         for g in h.generators
     ]
     if k > 1:
-        gens.append(Permutation((np.roll(digits, 1, axis=1) @ weights).tolist()))
+        gens.append(Permutation(_value(np.roll(digits, 1, axis=1), h.degree).tolist()))
     return gens
 
 
@@ -219,8 +208,8 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
         raise ConstraintViolated("; ".join(failures))
 
     *shifts, rotation = _wreath_generators(cyclic_group(m), q)
-    digits, weights = _coordinates(m, q)
-    diagonal = [Permutation((np.take(g.images, digits) @ weights).tolist()) for g in h.generators]
+    digits = _digits(np.arange(degree), m, q)
+    diagonal = [Permutation(_value(np.take(g.images, digits), m).tolist()) for g in h.generators]
     group = PermGroup(degree, shifts + diagonal + [rotation])
     assert group.order() == degree * h.order() * q
     return group

@@ -9,6 +9,11 @@ so the top non-leading coefficient compares first (GF(25) takes t^2 + 2,
 not t^2 + t + 1).  GF(p^1) uses the modulus t, so its codes are the
 residues mod p.
 
+The package has one digit convention: ``_digits`` puts base-b digits along
+a last axis, least significant first, and ``_value`` reads them back.  A
+code's f base-p digits are its coefficients; the index of v in GF(q)^d is
+the value of its d*f base-p digits, f per entry in order.
+
 Every field, prime or not, has one arithmetic: tables built once when the
 field is made, to the base g of its least primitive element.  exp[i] = g^i,
 log inverts it, and the Zech logarithm zech[k] = log(1 + g^k) (None where
@@ -36,6 +41,16 @@ from .errors import ConstraintViolated, NotPrime, TooLarge, ZeroElement
 
 ORDER_CAP = 1 << 20
 _BLOCK = 1 << 16  # codes per digit product while the tables are built
+
+
+def _digits(values, base: int, width: int) -> np.ndarray:
+    """Base-b digits of each value along a new last axis, least significant first."""
+    return np.asarray(values, dtype=np.int64)[..., None] // base ** np.arange(width, dtype=np.int64) % base
+
+
+def _value(digits: np.ndarray, base: int) -> np.ndarray:
+    """The values of base-b digits along the last axis: ``_digits`` inverted."""
+    return digits @ base ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
 def _is_prime(n: int) -> bool:
@@ -144,13 +159,8 @@ def _least_factor(m: Sequence[int], k: FieldSpec, rng: random.Random) -> tuple[i
 def _smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
     """The irreducible monic of degree f with the least code sum c_i p^i of
     its lower coefficients: c_(f-1) varies slowest."""
-    residues, monic = _residues(p), (tuple(e // p**i % p for i in range(f)) + (1,) for e in range(p**f))
+    residues, monic = _residues(p), (tuple(_digits(e, p, f).tolist()) + (1,) for e in range(p**f))
     return next(m for m in monic if _distinct_degree(m, residues)[0] == f)
-
-
-def _poly_of(e: int, p: int, f: int) -> tuple[int, ...]:
-    """The polynomial whose coefficients are the base-p digits of the code e."""
-    return _poly_trim([e // p**i % p for i in range(f)])
 
 
 def _least_primitive(p: int, f: int, modulus: tuple[int, ...]) -> int:
@@ -158,7 +168,7 @@ def _least_primitive(p: int, f: int, modulus: tuple[int, ...]) -> int:
     n, residues = p**f - 1, _residues(p)
     factors = _prime_factors(n)
     for e in range(2, n + 1):
-        x = _poly_of(e, p, f)
+        x = _poly_trim(_digits(e, p, f).tolist())  # the polynomial of the code e
         if all(_poly_pow(x, n // r, modulus, residues) != (1,) for r in factors):
             return e
     return 1
@@ -189,13 +199,13 @@ class FieldSpec:
         n = q - 1
         g = _least_primitive(p, f, modulus)
         # x -> x*g is GF(p)-linear on digit vectors: row i holds t^i * g
-        rows, power = [], _poly_of(g, p, f)
+        rows, power = [], _poly_trim(_digits(g, p, f).tolist())
         for _ in range(f):
             rows.append(power + (0,) * (f - len(power)))
             power = _poly_mod((0,) + power, modulus, _residues(p))
-        times_g, weights = np.array(rows, dtype=np.int64), p ** np.arange(f, dtype=np.int64)
+        times_g = np.array(rows, dtype=np.int64)
         blocks = np.split(np.arange(q, dtype=np.int64), range(_BLOCK, q, _BLOCK))
-        step = np.concatenate([(b[:, None] // weights % p) @ times_g % p @ weights for b in blocks])
+        step = np.concatenate([_value(_digits(b, p, f) @ times_g % p, p) for b in blocks])
         exp = np.ones(1, dtype=np.int64)
         while len(exp) < n:  # exp holds g^0 .. g^(L-1) and step multiplies by g^L
             exp = np.concatenate((exp, step[exp]))

@@ -8,8 +8,8 @@ then N" and coincides with the ordinary matrix product.  Entries are the
 integer codes of gf.FieldSpec.  Deterministic throughout: searches scan
 matrices in row-major encoded order.
 
-A vector's index in GF(q)^d is the index of its base-p digit vector in
-GF(p)^(d*f), on which each matrix acts as a (d*f)x(d*f) digit matrix over
+A vector's index in GF(q)^d is the value of its d*f base-p digits (gf's
+convention), on which each matrix acts as a (d*f)x(d*f) digit matrix over
 GF(p); M -> digit(M) is a homomorphism, and a group converts each of its
 generators once (``generator_digits``).  A group's one element store is the
 stack of its digit matrices in ``permgrp.closure``'s breadth-first order,
@@ -39,8 +39,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import permgrp
-from .errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal, NotSubgroup
-from .gf import FieldSpec, _least_factor, _poly_mod, _poly_trim, field
+from .errors import CapExceeded, ConstraintViolated, DegreeMismatch, FieldMismatch, NotNormal, NotSubgroup
+from .gf import FieldSpec, _digits, _least_factor, _poly_mod, _poly_trim, _value, field
 from .permgrp import PermGroup, Permutation, _block_action, _integers
 
 SPIN_WORK_CAP = 1_000_000
@@ -297,8 +297,9 @@ class MatrixGroup:
 
     def scalar_values(self) -> list[int]:
         """Encodings of all lambda with lambda*I in the group, ascending."""
-        entries = _codes(self.spec, self.d, self.digit_stack()[:, :: self.spec.f])
-        scalar = (entries == entries[:, :1, :1] * np.eye(self.d, dtype=np.int64)).all(axis=(1, 2))
+        spec, d = self.spec, self.d
+        entries = _value(self.digit_stack()[:, :: spec.f].reshape(-1, d, d, spec.f), spec.p)
+        scalar = (entries == entries[:, :1, :1] * np.eye(d, dtype=np.int64)).all(axis=(1, 2))
         return sorted(entries[scalar, 0, 0].tolist())
 
     def contains_minus_identity(self) -> bool:
@@ -351,54 +352,35 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     return sub
 
 
-# vector indexing ------------------------------------------------------------
-#
-# The index of v in GF(q)^d is sum_j v_j q^j, and with v_j = sum_i c_ji p^i it
-# is also the index of the base-p digit vector (c_ji) in GF(p)^(d*f).  A
-# GF(q)-matrix acts GF(p)-linearly on those digits, so one integer matrix
-# product over GF(p) maps a whole array of indices, whatever the field.
-
-
-def _index_digits(spec: FieldSpec, d: int, idx: np.ndarray) -> np.ndarray:
-    """Base-p digits of each index, one row per index, d*f columns."""
-    weights = spec.p ** np.arange(d * spec.f, dtype=np.int64)
-    return (idx[:, None] // weights) % spec.p
-
-
 def _digit_matrix(m: FFMatrix) -> np.ndarray:
     """m as a (d*f)x(d*f) matrix over GF(p): row j*f + i holds the digits
     of x^i times row j of m, f digits per entry."""
     spec, f = m.spec, m.spec.f
     rows = [[spec.mul_e(spec.p**i, e) for e in row] for row in m.rows for i in range(f)]
-    digits = np.array(rows, dtype=np.int64)[:, :, None] // spec.p ** np.arange(f, dtype=np.int64)
-    return (digits % spec.p).reshape(m.d * f, m.d * f)
-
-
-def _codes(spec: FieldSpec, d: int, digits: np.ndarray) -> np.ndarray:
-    """GF(q) codes of d base-p digit groups of f along the last axis."""
-    grouped = digits.reshape(*digits.shape[:-1], d, spec.f)
-    return grouped @ spec.p ** np.arange(spec.f, dtype=np.int64)
+    return _digits(rows, spec.p, f).reshape(m.d * f, m.d * f)
 
 
 def _decode(spec: FieldSpec, d: int, stack: np.ndarray) -> list[FFMatrix]:
     """FFMatrix per digit matrix of the stack: digit row j*f holds row j."""
-    entries = _codes(spec, d, stack[:, :: spec.f]).tolist()
+    entries = _value(stack[:, :: spec.f].reshape(-1, d, d, spec.f), spec.p).tolist()
     return [FFMatrix._raw(spec, d, tuple(map(tuple, rows))) for rows in entries]
 
 
 def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """Indices of the images of the vectors with these digit rows under m."""
-    weights = spec.p ** np.arange(len(m), dtype=np.int64)
-    return ((digits @ m) % spec.p) @ weights
+    return _value(digits @ m % spec.p, spec.p)
 
 
 def _require_normal_subgroup(group: MatrixGroup, sub: MatrixGroup) -> None:
-    """FieldMismatch unless sub is over the group's field, NotSubgroup
-    unless the key of each generator of sub is in the group's key dict, and
-    NotNormal unless that of g^-1*k*g, for each generator g of the group
-    and k of sub, is in sub's: then g^-1*sub*g, of sub's order, is sub."""
+    """FieldMismatch unless sub is over the group's field, DegreeMismatch
+    unless it has the group's dimension, NotSubgroup unless the key of each
+    generator of sub is in the group's key dict, and NotNormal unless that
+    of g^-1*k*g, for each generator g of the group and k of sub, is in
+    sub's: then g^-1*sub*g, of sub's order, is sub."""
     if sub.spec is not group.spec:
         raise FieldMismatch(f"subgroup over {sub.spec}, group over {group.spec}")
+    if sub.d != group.d:
+        raise DegreeMismatch(f"subgroup of dimension {sub.d}, group of dimension {group.d}")
     if not group._positions().keys() >= set(group._keys(sub.generator_digits())):
         raise NotSubgroup("a generator of the subgroup lies outside the group")
     p, digits = group.spec.p, group.generator_digits()[:, None]
@@ -619,7 +601,7 @@ def _quadratic_plane(spec: FieldSpec):
     big = field(p, 2 * f)
     # the value of a polynomial at x is its remainder modulo t - x
     r = next(x for x in range(big.order) if not _poly_mod(spec.modulus, (big.neg_e(x), 1), big))
-    emb = [(_poly_mod([c // p**i % p for i in range(f)], (big.neg_e(r), 1), big) or (0,))[0] for c in range(q)]
+    emb = [(_poly_mod(c, (big.neg_e(r), 1), big) or (0,))[0] for c in _digits(range(q), p, f).tolist()]
     coords = {big.add_e(emb[a], big.mul_e(emb[b], p)): (a, b) for a in range(q) for b in range(q)}
 
     def matrix(fn) -> FFMatrix:
@@ -641,9 +623,9 @@ def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
     sub misses part of H_{e_0}, ConstraintViolated."""
     _require_normal_subgroup(group, sub)
     spec, d = group.spec, group.d
-    images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
+    images = np.sort(_value(group.digit_stack()[:, 0], spec.p))
     points = images[np.append(True, images[1:] != images[:-1])]
-    digits = _index_digits(spec, d, points)
+    digits = _digits(points, spec.p, d * spec.f)
     sub_moves, moves = (  # each image list is formed when it is taken; sub <= H permutes the points
         (np.searchsorted(points, _image_indices(spec, m, digits)).tolist() for m in grp.generator_digits())
         for grp in (sub, group)

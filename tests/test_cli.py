@@ -81,6 +81,19 @@ def test_max_order_above_the_enumeration_limit(tmp_path, capsys, monkeypatch):
         matrix_record(load_group(path.read_text()))
 
 
+def test_construct_analyze_exits_2_past_the_chain_budget(tmp_path, capsys, monkeypatch):
+    """With CHAIN_SLOTS below C_300's 90 000 transversal entries, construct
+    cyclic 300 --analyze exits 2 with the budget message; at 90 000 it
+    analyzes."""
+    out = str(tmp_path / "c300.group")
+    monkeypatch.setattr(permgrp, "CHAIN_SLOTS", 300 * 299)
+    assert main(["construct", "cyclic", "300", "--analyze", "--output", out]) == 2
+    assert "stabilizer chain of degree 300 exceeds 89700 transversal entries" in capsys.readouterr().err
+    monkeypatch.setattr(permgrp, "CHAIN_SLOTS", 300 * 300)
+    assert main(["construct", "cyclic", "300", "--analyze", "--output", out, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["index"] == 1
+
+
 def test_analyze_kind_mismatch(s3_file, capsys):
     assert main(["analyze", str(s3_file), "--kind", "mat"]) == 2
     assert "line 1" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from derangements.families import (
     semilinear_example,
     wreath_product_action,
 )
-from derangements.gf import field
+from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
     MatrixGroup,
@@ -95,6 +95,20 @@ def test_affine_group_matches_apply_row_oracle():
                 break
         h = MatrixGroup(spec, d, [m, FFMatrix.scalar(spec, d, spec.primitive_element())])
         assert affine_group(h).generators == _affine_python(h)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16])
+def test_affine_gl2_point_stabilizer_tally_is_closed_form(q):
+    """AGL(2,q) = affine_group(GL(2,q)) has order q^2 |GL(2,q)|, and its
+    point stabilizer G_0 acts as GL(2,q) on GF(q)^2: g fixes the q^k vectors
+    of its eigenvalue-1 space of dimension k.  Of GL(2,q)'s elements, q^3 -
+    2q have eigenvalue 1, the identity among them, so the tally is
+    {1: |GL| - (q^3 - 2q), q: q^3 - 2q - 1, q^2: 1}."""
+    gl = (q * q - 1) * (q * q - q)
+    group = affine_group(general_linear_gl2(field(*prime_power_decompose(q))))
+    assert group.degree == q * q and group.order() == q * q * gl
+    expected = {1: gl - (q**3 - 2 * q), q: q**3 - 2 * q - 1, q * q: 1}
+    assert group.stabilizer().fixed_point_tally() == expected
 
 
 def test_affine_degree_cap():

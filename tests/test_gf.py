@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from derangements import gf
 from derangements.errors import NotPrime, TooLarge, ZeroElement
 from derangements.gf import _least_factor, _poly_mod, _poly_mul, field
 
@@ -341,3 +342,26 @@ def test_least_factor_matches_trial_division(p, f):
         for degree in range(1, len(g) - 1):
             monic = (c + (1,) for c in itertools.product(range(k.order), repeat=degree))
             assert all(_poly_mod(m, c, k) for c in monic), (k, m, g)
+
+
+@pytest.mark.parametrize(
+    "base, width",
+    [(2, 1), (7, 1), (2, 11), (3, 4), (5, 4), (4, 3), (10, 3), (2, 16), (211, 2)],
+)
+def test_digits_and_value_match_the_divmod_loop(base, width):
+    """gf's one digit convention against the divmod loop: field codes (base
+    p, f digits), vector indices (base p, d*f digits) and product-domain
+    points (base m, k coordinates).  _digits puts the loop's digits, least
+    significant first, along a new last axis, for an array of any shape and
+    for one int; _value gives the values back."""
+    values = np.arange(base**width)
+    digits = gf._digits(values, base, width)
+    assert digits.shape == (len(values), width)
+    assert digits.tolist() == [_digits(int(v), base, width) for v in values]
+    assert np.array_equal(gf._value(digits, base), values)
+    grid = values[: len(values) // base * base].reshape(-1, base)
+    assert np.array_equal(gf._digits(grid, base, width), digits[: grid.size].reshape(*grid.shape, width))
+    assert np.array_equal(gf._value(gf._digits(grid, base, width), base), grid)
+    last = int(values[-1])
+    assert gf._digits(last, base, width).tolist() == _digits(last, base, width)
+    assert int(gf._value(gf._digits(last, base, width), base)) == last

@@ -26,10 +26,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from derangements import matgrp, permgrp, suite
 from derangements.cli import main
-from derangements.errors import CapExceeded, ConstraintViolated, FieldMismatch, NotNormal, NotSubgroup
+from derangements.errors import (
+    CapExceeded,
+    ConstraintViolated,
+    DegreeMismatch,
+    FieldMismatch,
+    NotNormal,
+    NotSubgroup,
+)
 from derangements.families import build_family, central_product_examples, dihedral_quotient_family
 from derangements.fileio import dump_matrix_group
-from derangements.gf import field, prime_power_decompose
+from derangements.gf import _digits, _value, field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
     IndexBoundReport,
@@ -49,12 +56,10 @@ from derangements.matgrp import (
     quotient_perm_group,
     scalar_matrix_group,
     special_linear_gl2,
-    _codes,
     _decode,
     _digit_matrix,
     _fixes_a_vector,
     _image_indices,
-    _index_digits,
     _quadratic_plane,
     _spin,
 )
@@ -197,7 +202,7 @@ def _orbit_labels(group):
     hooking on the images of all q^d vectors.  Index 0 (the zero vector)
     keeps label 0."""
     n = group.spec.order**group.d
-    digits = _index_digits(group.spec, group.d, np.arange(n, dtype=np.int64))
+    digits = _digits(np.arange(n), group.spec.p, group.d * group.spec.f)
     images = [_image_indices(group.spec, m, digits) for m in group.generator_digits()]
     return _propagate_min_labels(n, images)
 
@@ -211,7 +216,7 @@ def _index_bound_walk(group, sub):
     n = spec.order**d
     labels = _orbit_labels(sub)
     minima = np.flatnonzero(labels == np.arange(n))[1:]
-    digits = _index_digits(spec, d, minima)
+    digits = _digits(minima, spec.p, d * spec.f)
     moves = [
         np.searchsorted(minima, labels[_image_indices(spec, m, digits)])
         for m in group.generator_digits()
@@ -320,7 +325,7 @@ def _hooked_quotient(group, sub):
     spec, d = group.spec, group.d
     images = np.sort(group.digit_stack()[:, 0] @ spec.p ** np.arange(d * spec.f))
     points = images[np.append(True, images[1:] != images[:-1])]
-    digits = _index_digits(spec, d, points)
+    digits = _digits(points, spec.p, d * spec.f)
     sub_moves, moves = (
         [np.searchsorted(points, _image_indices(spec, m, digits)) for m in grp.generator_digits()]
         for grp in (sub, group)
@@ -627,9 +632,11 @@ def test_order_histogram_and_scalars_match_the_per_element_oracles(build):
 @pytest.mark.parametrize("q, d", [(5, 2), (4, 3), (9, 2), (8, 2)])
 def test_index_codes_match_index_to_vector(q, d):
     """The batched index -> coordinate codes conversion, over all of
-    GF(q)^d."""
+    GF(q)^d: an index's d*f base-p digits, f per coordinate, have the
+    coordinates' codes as their values."""
     spec = field(*prime_power_decompose(q))
-    codes = _codes(spec, d, _index_digits(spec, d, np.arange(q**d, dtype=np.int64)))
+    digits = _digits(np.arange(q**d), spec.p, d * spec.f)
+    codes = _value(digits.reshape(-1, d, spec.f), spec.p)
     assert codes.tolist() == [list(index_to_vector(spec, d, i)) for i in range(q**d)]
 
 
@@ -687,6 +694,18 @@ def test_subgroup_checks_refuse_a_sub_over_another_field():
         index_bound_check(gl, sub)
     with pytest.raises(FieldMismatch, match="subgroup over"):
         quotient_perm_group(gl, sub)
+
+
+def test_subgroup_checks_refuse_a_sub_of_another_dimension():
+    """A subgroup of GL(3,5) in GL(2,5): with no generators both checks
+    raised numpy's ValueError from the 2x2-by-3x3 conjugate product, and
+    with a 3x3 swap NotSubgroup; both raise DegreeMismatch now."""
+    gl = general_linear_gl2(GF5)
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    for sub in (MatrixGroup(GF5, 3, []), MatrixGroup(GF5, 3, [swap])):
+        for check in (index_bound_check, quotient_perm_group):
+            with pytest.raises(DegreeMismatch, match="subgroup of dimension 3, group of dimension 2"):
+                check(gl, sub)
 
 
 def test_index_check_refuses_a_sub_that_is_not_normal():
@@ -1026,7 +1045,7 @@ def test_pool_index_bounds_match_the_vector_walk(name):
 def test_index_bound_check_walks_no_vectors(monkeypatch):
     """central-a4 (279 841 vectors) and the GL(2,31) Singer cycle get the
     walk's reports from the eigenvalue-1 flags, with no vector labelled:
-    without PermGroup.orbits, _index_digits or _image_indices.  Their
+    without PermGroup.orbits or _image_indices.  Their
     R(H) is proper, and the check reads its mask, H's sliced, without
     locating its elements in H or running the elimination again."""
     cases = [
@@ -1034,8 +1053,7 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
         (MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)]), IndexBoundReport(960, 960, True, True)),
     ]
     monkeypatch.setattr(PermGroup, "orbits", _no_labels)
-    for attr in ("_index_digits", "_image_indices"):
-        monkeypatch.setattr(matgrp, attr, _no_labels)
+    monkeypatch.setattr(matgrp, "_image_indices", _no_labels)
     subs = []
     for built, expected in cases:
         group = MatrixGroup(built.spec, built.d, built.generators)

@@ -337,6 +337,22 @@ def test_fixed_point_tally_of_a_one_level_chain_holds_one_tail():
     assert peak < 60 * 2**20
 
 
+def test_chain_slots_refuse_a_chain_before_it_passes_the_budget(monkeypatch):
+    """C_300's chain is one level of 300 points, 90 000 transversal entries,
+    and S_6's five levels hold 6 + 5 + 4 + 3 + 2 points of 6 entries: each
+    is built with CHAIN_SLOTS at its size and refused one entry below, the
+    group left without a chain; a refused chain is not kept."""
+    for gens, n, slots in ((cyclic_group(300).generators, 300, 90_000), (symmetric_group(6).generators, 6, 120)):
+        monkeypatch.setattr(permgrp, "CHAIN_SLOTS", slots - 1)
+        group = PermGroup(n, gens)
+        with pytest.raises(CapExceeded, match=f"^stabilizer chain of degree {n} exceeds {slots - 1} transversal entries$"):
+            group.order()
+        assert group._levels is None
+        monkeypatch.setattr(permgrp, "CHAIN_SLOTS", slots)
+        assert group.order() == (300 if n == 300 else 720)
+        assert sum(len(lvl.orbit) for lvl in group._chain()) * n == slots
+
+
 @pytest.mark.parametrize("build", [symmetric_group, alternating_group, cyclic_group])
 @pytest.mark.parametrize("n", [0, -1])
 def test_standard_groups_refuse_degrees_below_1(build, n):
