@@ -24,13 +24,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
 from .permgrp import PermGroup, _block_action, _products, count_fixed
 
-FINGERPRINT_CAP = 10_000
+FINGERPRINT_CAP = isqrt(permgrp.CHAIN_SLOTS)  # a regular quotient's chain holds order^2 entries
 PRODUCT_WORK_CAP = 4_000_000
 DRAW_SEED = 0
 

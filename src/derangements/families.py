@@ -31,6 +31,7 @@ from .matgrp import (
     scalar_matrix_group,
 )
 from .permgrp import (
+    CHAIN_SLOTS,
     PermGroup,
     Permutation,
     alternating_group,
@@ -39,7 +40,7 @@ from .permgrp import (
     symmetric_group,
 )
 
-DEGREE_CAP = 100_000  # the most points any constructed permutation group acts on
+DEGREE_CAP = math.isqrt(CHAIN_SLOTS)  # most points a constructed group acts on: a transitive level holds n^2 entries
 
 
 def _degree(m: int, k: int = 1) -> int:

@@ -16,8 +16,9 @@ stack of its digit matrices in ``permgrp.closure``'s breadth-first order,
 keyed by their bytes in the smallest dtype holding p - 1; positions are the
 element handle, element orders come from batched powers of the stack and
 scalars from its entry codes.  One batched elimination mod p decides
-eigenvalue 1, and the eigenvalue-1 subgroup is a mask over positions.  A
-quotient H/R is H acting on the R-orbits in the orbit of e_0, read off row
+eigenvalue 1, and the eigenvalue-1 subgroup R is a mask over positions,
+built and checked normal once per group; the index check and H/R take H
+alone.  H/R is H acting on the R-orbits in the orbit of e_0, read off row
 0 of the stack.  Work on vectors maps whole arrays of indices.
 Irreducibility has one decision, the MeatAxe: spins from the null space of
 f(a), for a in the group algebra and f an irreducible factor of e_0's
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import permgrp
-from .errors import CapExceeded, ConstraintViolated, DegreeMismatch, FieldMismatch, NotNormal, NotSubgroup
+from .errors import CapExceeded, ConstraintViolated, DegreeMismatch, FieldMismatch, NotNormal
 from .gf import FieldSpec, _digits, _least_factor, _poly_mod, _poly_trim, _value, field
 from .permgrp import PermGroup, Permutation, _block_action, _integers
 
@@ -77,7 +78,7 @@ class FFMatrix:
         if self.spec is not other.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
         if self.d != other.d:
-            raise ValueError("dimension mismatch")
+            raise DegreeMismatch(f"dimension {self.d} vs {other.d}")
         return FFMatrix._raw(self.spec, self.d, tuple(map(other.apply_row, self.rows)))
 
     @classmethod
@@ -216,23 +217,22 @@ class MatrixGroup:
         self._stack: np.ndarray | None = None  # digit matrices, breadth-first
         self._position: dict[bytes, int] | None = None  # closure key -> position
         self._irreducibility: tuple | None = None
-        self._digits: dict[bool, np.ndarray] = {}  # inverse? -> the generators' digit matrices
+        self._eigenvalue_one: MatrixGroup | None = None  # R(H), built once
+        self._digits: np.ndarray | None = None  # the generators' digit matrices
         self._fixes: np.ndarray | None = None  # per position, eigenvalue 1 or not
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
             raise FieldMismatch(f"matrix over {m.spec}, group over {self.spec}")
         if m.d != self.d:
-            raise ValueError(f"matrix dimension {m.d} in GL({self.d},...)")
+            raise DegreeMismatch(f"matrix dimension {m.d} in GL({self.d},...)")
 
-    def generator_digits(self, inverse: bool = False) -> np.ndarray:
-        """The digit matrices of the generators, or of their inverses, one
-        per generator, each built once."""
-        if inverse not in self._digits:
+    def generator_digits(self) -> np.ndarray:
+        """The digit matrices of the generators, built once."""
+        if self._digits is None:
             k = self.d * self.spec.f
-            digits = [_digit_matrix(g.inverse() if inverse else g) for g in self.generators]
-            self._digits[inverse] = np.array(digits, dtype=np.int64).reshape(-1, k, k)
-        return self._digits[inverse]
+            self._digits = np.array([_digit_matrix(g) for g in self.generators], dtype=np.int64).reshape(-1, k, k)
+        return self._digits
 
     def digit_stack(self, cap: int | None = None) -> np.ndarray:
         """The digit matrices of all elements, in ``permgrp.closure``'s
@@ -310,7 +310,8 @@ class MatrixGroup:
 
 
 def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
-    """Subgroup generated by all elements fixing some nonzero vector.
+    """R(H), the subgroup generated by all elements fixing some nonzero
+    vector, built once per group and cached on it.
 
     The elements are scanned in enumeration order, and one becomes a
     generator only when it has eigenvalue 1 and is not yet in the subgroup
@@ -321,9 +322,11 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     eigenvalue-1 mask and key dict are the group's own when the mask is
     full, else the first two are their masked rows.  The eigenvalue-1
     elements form a conjugation-closed set (conjugation preserves
-    eigenvalues), so the result is normal, as ``_require_normal_subgroup``
-    also verifies.
+    eigenvalues), so R(H) is normal; NotNormal unless each g^-1*k*g, for g
+    a generator of H and k of R(H), lies in the mask.
     """
+    if group._eigenvalue_one is not None:
+        return group._eigenvalue_one
     spec, p = group.spec, group.spec.p
     stack = group.digit_stack()
     inside = np.zeros(len(stack), dtype=bool)
@@ -344,11 +347,15 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
             new = grow(stack[inside] @ stack[i])
             while len(new):
                 new = grow(stack[new][:, None] @ stack[gens])
+    inverses = np.array([_digit_matrix(g.inverse()) for g in group.generators], dtype=np.int64)
+    conjugates = inverses.reshape(-1, 1, *stack.shape[1:]) @ stack[gens] % p @ group.generator_digits()[:, None] % p
+    if not inside[group._locate(conjugates)].all():
+        raise NotNormal("the eigenvalue-1 subgroup is not normal in the group")
     sub = MatrixGroup(spec, group.d, _decode(spec, group.d, stack[gens]))
     full = inside.all()
     sub._stack, sub._fixes = (stack, fixes) if full else (stack[inside], fixes[inside])
     sub._position = group._positions() if full else None
-    _require_normal_subgroup(group, sub)
+    group._eigenvalue_one = sub
     return sub
 
 
@@ -371,24 +378,6 @@ def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.nda
     return _value(digits @ m % spec.p, spec.p)
 
 
-def _require_normal_subgroup(group: MatrixGroup, sub: MatrixGroup) -> None:
-    """FieldMismatch unless sub is over the group's field, DegreeMismatch
-    unless it has the group's dimension, NotSubgroup unless the key of each
-    generator of sub is in the group's key dict, and NotNormal unless that
-    of g^-1*k*g, for each generator g of the group and k of sub, is in
-    sub's: then g^-1*sub*g, of sub's order, is sub."""
-    if sub.spec is not group.spec:
-        raise FieldMismatch(f"subgroup over {sub.spec}, group over {group.spec}")
-    if sub.d != group.d:
-        raise DegreeMismatch(f"subgroup of dimension {sub.d}, group of dimension {group.d}")
-    if not group._positions().keys() >= set(group._keys(sub.generator_digits())):
-        raise NotSubgroup("a generator of the subgroup lies outside the group")
-    p, digits = group.spec.p, group.generator_digits()[:, None]
-    conjugates = group.generator_digits(inverse=True)[:, None] @ sub.generator_digits() % p @ digits % p
-    if not sub._positions().keys() >= set(sub._keys(conjugates)):
-        raise NotNormal("the subgroup is not normal in the group")
-
-
 @dataclass(frozen=True)
 class IndexBoundReport:
     """Outcome of the eigenvalue-1 index bound and orbit-semiregularity
@@ -401,20 +390,19 @@ class IndexBoundReport:
     semiregular: bool | None
 
 
-def index_bound_check(group: MatrixGroup, sub: MatrixGroup) -> IndexBoundReport:
-    """Check |H : eigenvalue-1 subgroup| <= q^d - 1, and that H/sub acts
-    semiregularly on the orbits of the normal subgroup sub on nonzero
-    vectors.  The stabilizer in H of the orbit v*sub is H_v*sub, so H/sub
-    is semiregular iff sub holds every H_v, every eigenvalue-1 element of
-    H: iff, as sub <= H, the two cached eigenvalue-1 counts are equal.  No
-    vector is labelled.  NotSubgroup or NotNormal unless sub is normal in H."""
-    _require_normal_subgroup(group, sub)
+def index_bound_check(group: MatrixGroup) -> IndexBoundReport:
+    """Check |H : R(H)| <= q^d - 1, and that H/R(H) acts semiregularly on
+    the R(H)-orbits of nonzero vectors.  The stabilizer in H of the orbit
+    v*R(H) is H_v*R(H), so H/R(H) is semiregular iff R(H) holds every H_v,
+    every eigenvalue-1 element of H: iff, as R(H) <= H, the two cached
+    eigenvalue-1 counts are equal.  No vector is labelled."""
+    r = eigenvalue_one_subgroup(group)
     spec, d = group.spec, group.d
-    index = group.order() // sub.order()
+    index = group.order() // r.order()
     bound = spec.order**d - 1
     if spec.order**d > SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
-    semiregular = sub.eigenvalue_one_mask().sum() == group.eigenvalue_one_mask().sum()
+    semiregular = r.eigenvalue_one_mask().sum() == group.eigenvalue_one_mask().sum()
     return IndexBoundReport(index, bound, index <= bound, bool(semiregular))
 
 
@@ -613,26 +601,26 @@ def _quadratic_plane(spec: FieldSpec):
 # permutation views -------------------------------------------------------------
 
 
-def quotient_perm_group(group: MatrixGroup, sub: MatrixGroup) -> PermGroup:
-    """H/sub as H acting on the sub-orbits in the orbit of e_0 = (1, 0, ..., 0),
-    read off row 0 of the stack, both acting on its positions among the
-    sorted vector indices; the blocks are sub's ``PermGroup.orbits``.  For
-    sub normal and holding H_{e_0}, as R(H) does, h and h' share a coset
-    exactly when e_0*h and e_0*h' share a sub-orbit: |H : sub| of them,
-    the order ``_block_action`` sets.  Else NotSubgroup, NotNormal or, when
-    sub misses part of H_{e_0}, ConstraintViolated."""
-    _require_normal_subgroup(group, sub)
+def quotient_perm_group(group: MatrixGroup) -> PermGroup:
+    """H/R(H) as H acting on the R(H)-orbits in the orbit of e_0 = (1, 0,
+    ..., 0), read off row 0 of the stack, both acting on its positions
+    among the sorted vector indices; the blocks are R(H)'s
+    ``PermGroup.orbits``.  R(H) is normal and holds H_{e_0}, so h and h'
+    share a coset exactly when e_0*h and e_0*h' share an R(H)-orbit:
+    |H : R(H)| of them, the order ``_block_action`` sets, as
+    ConstraintViolated checks."""
+    r = eigenvalue_one_subgroup(group)
     spec, d = group.spec, group.d
     images = np.sort(_value(group.digit_stack()[:, 0], spec.p))
     points = images[np.append(True, images[1:] != images[:-1])]
     digits = _digits(points, spec.p, d * spec.f)
-    sub_moves, moves = (  # each image list is formed when it is taken; sub <= H permutes the points
+    r_moves, moves = (  # each image list is formed when it is taken; R(H) <= H permutes the points
         (np.searchsorted(points, _image_indices(spec, m, digits)).tolist() for m in grp.generator_digits())
-        for grp in (sub, group)
+        for grp in (r, group)
     )
-    blocks = PermGroup(len(points), map(Permutation._raw, map(tuple, sub_moves))).orbits()
-    if len(blocks) * sub.order() != group.order():
-        raise ConstraintViolated("the subgroup must hold the stabilizer of e_0")
+    blocks = PermGroup(len(points), map(Permutation._raw, map(tuple, r_moves))).orbits()
+    if len(blocks) * r.order() != group.order():
+        raise ConstraintViolated("the R(H)-orbits in e_0's orbit must number |H : R(H)|")
     return _block_action(blocks, moves, len(blocks))
 
 

@@ -396,8 +396,8 @@ def _faulted_perm_record(group: PermGroup, extras: tuple[str, ...]) -> dict:
 
 def _matrix_profile(group: MatrixGroup):
     sub = eigenvalue_one_subgroup(group)
-    bound = index_bound_check(group, sub)
-    quotient = quotient_perm_group(group, sub)
+    bound = index_bound_check(group)
+    quotient = quotient_perm_group(group)
     fp = fingerprint(quotient)
     record = {
         "field": group.spec.order,

@@ -1,13 +1,14 @@
 """End-to-end command tests: exit codes, formats, determinism."""
 
 import json
+import math
 
 import pytest
 
 from derangements import permgrp
 from derangements.cli import main
 from derangements.derange import analyze
-from derangements.families import central_product_examples
+from derangements.families import DEGREE_CAP, central_product_examples
 from derangements.errors import CapExceeded
 from derangements.fileio import dump_matrix_group, dump_perm_group, load_group
 from derangements.gf import field
@@ -92,6 +93,23 @@ def test_construct_analyze_exits_2_past_the_chain_budget(tmp_path, capsys, monke
     monkeypatch.setattr(permgrp, "CHAIN_SLOTS", 300 * 300)
     assert main(["construct", "cyclic", "300", "--analyze", "--output", out, "--json"]) == 0
     assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["index"] == 1
+
+
+def test_construct_past_the_degree_cap_exits_2_before_a_chain(tmp_path, capsys, monkeypatch):
+    """DEGREE_CAP is the largest degree whose regular action's chain fits
+    CHAIN_SLOTS, 8 192: construct cyclic 8193 --analyze exits 2 with the
+    degree message before any chain is built (it used to build the group
+    and then 0.5 GB of chain, 2.1 s, before the budget refused it)."""
+    assert DEGREE_CAP == math.isqrt(permgrp.CHAIN_SLOTS) == 8192
+
+    def no_chain(self):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(permgrp.PermGroup, "_chain", no_chain)
+    out = tmp_path / "c8193.group"
+    assert main(["construct", "cyclic", "8193", "--analyze", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: degree 8193 exceeds 8192\n"
+    assert not out.exists()
 
 
 def test_analyze_kind_mismatch(s3_file, capsys):
@@ -356,4 +374,4 @@ def test_construct_hostile_degrees_exit_2(params, tmp_path, capsys):
     assert main(["construct", *params, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "exceeds 100000" in err and not out.exists()
+    assert f"exceeds {DEGREE_CAP}" in err and not out.exists()

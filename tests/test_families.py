@@ -274,7 +274,7 @@ def test_dihedral_quotient_family_q7():
     assert h.order() == 96
     r = eigenvalue_one_subgroup(h)
     assert h.order() // r.order() == 8
-    assert identify_quotient(quotient_perm_group(h, r)) == "D8"
+    assert identify_quotient(quotient_perm_group(h)) == "D8"
 
 
 def test_dihedral_quotient_family_q11_order():

@@ -13,6 +13,7 @@ sweep that decided irreducibility before the MeatAxe did.  SL(2,3)'s
 closed-form generator is checked against the linear solve it replaced."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from derangements import matgrp, permgrp, suite
+from derangements import derange, matgrp, permgrp, suite
 from derangements.cli import main
 from derangements.errors import (
     CapExceeded,
@@ -32,7 +33,6 @@ from derangements.errors import (
     DegreeMismatch,
     FieldMismatch,
     NotNormal,
-    NotSubgroup,
 )
 from derangements.families import build_family, central_product_examples, dihedral_quotient_family
 from derangements.fileio import dump_matrix_group
@@ -317,8 +317,8 @@ def _propagate_min_labels(n, images):
 
 
 def _hooked_quotient(group, sub):
-    """(blocks, generators) of quotient_perm_group(group, sub) as root
-    hooking made them: the points are e_0's orbit, as positions among its
+    """(blocks, generators) of H/sub, as quotient_perm_group forms them for
+    sub = R(H), as root hooking made them: the points are e_0's orbit, as positions among its
     sorted vector indices; a block is a class of sub's labels, numbered by
     its least point; a generator maps block b to the block of the image of
     b's least point."""
@@ -339,12 +339,12 @@ def _hooked_quotient(group, sub):
 
 
 def _assert_quotient_matches_hooking(group, sub):
-    """quotient_perm_group(group, sub) hands _block_action the blocks that
-    root hooking labels, and its generators are the hooked ones."""
+    """quotient_perm_group(group), for sub = R(H), hands _block_action the
+    blocks that root hooking labels, and its generators are the hooked ones."""
     seen, real = [], matgrp._block_action
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matgrp, "_block_action", lambda blocks, *rest: seen.append(blocks) or real(blocks, *rest))
-        quotient = quotient_perm_group(group, sub)
+        quotient = quotient_perm_group(group)
     assert (seen[0], quotient.generators) == _hooked_quotient(group, sub)
 
 
@@ -445,12 +445,11 @@ def _normal_and_holds_e0_stabilizer(group, sub):
     return normal, all(m.rows in keys for m in _closure_python(group) if m.apply_row(e0) == e0)
 
 
-def _assert_batched_paths_match(group, extra_sub=None):
+def _assert_batched_paths_match(group):
     """Element order, eigenvalue-1 flags, R(H)'s generators and elements
-    equal the Python oracles'; so do the quotient actions on R(H) and on
-    extra_sub when it is normal and holds the stabilizer of e_0, while any
-    other extra_sub is refused, and the index check for a normal one on at
-    most 1000 vectors."""
+    equal the Python oracles'; R(H) is normal and holds the stabilizer of
+    e_0, and the quotient action on its orbits, and the index check on at
+    most 1000 vectors, equal the oracles' too."""
     elements = _elements(group)
     assert elements == _closure_python(group)
     flags = [has_eigenvalue_one(m) for m in elements]
@@ -458,23 +457,17 @@ def _assert_batched_paths_match(group, extra_sub=None):
     sub = eigenvalue_one_subgroup(group)
     assert list(sub.generators) == _eigenvalue_one_generators_python(group)
     assert {m.rows for m in _elements(sub)} == {m.rows for m in _closure_python(sub)}
-    for s in (sub, extra_sub):
-        if s is None:
-            continue
-        normal, holds_e0 = _normal_and_holds_e0_stabilizer(group, s)
-        if normal and group.spec.order**group.d <= 1000:
-            assert index_bound_check(group, s) == _index_bound_python(group, s)
-        if normal and holds_e0:
-            assert quotient_perm_group(group, s).generators == _action_oracle(group, s)
-            _assert_quotient_matches_hooking(group, s)
-        else:
-            with pytest.raises((ConstraintViolated, NotNormal)):
-                quotient_perm_group(group, s)
+    assert _normal_and_holds_e0_stabilizer(group, sub) == (True, True)
+    if group.spec.order**group.d <= 1000:
+        assert index_bound_check(group) == _index_bound_python(group, sub)
+    assert quotient_perm_group(group).generators == _action_oracle(group, sub)
+    _assert_quotient_matches_hooking(group, sub)
 
 
 def _action_oracle(group, sub):
     """For a normal sub holding the stabilizer of e_0, the generators of
-    quotient_perm_group(group, sub), from one FFMatrix product per point
+    H/sub, as quotient_perm_group forms them for sub = R(H), from one
+    FFMatrix product per point
     and generator.  The quotient acts on the right cosets, each carried to a
     block by R*h -> e_0*h*R and numbered as its block, by the least vector
     index in it."""
@@ -580,7 +573,7 @@ def test_has_eigenvalue_one():
 
 def test_membership_checks_field_and_dimension():
     """As for generators: another field is a FieldMismatch, another
-    dimension a ValueError."""
+    dimension a DegreeMismatch (a ValueError)."""
     gl = general_linear_gl2(GF5)
     assert FFMatrix.scalar(GF5, 2, 2) in gl
     assert FFMatrix(GF5, [[1, 1], [1, 1]]) not in gl
@@ -588,6 +581,21 @@ def test_membership_checks_field_and_dimension():
         FFMatrix(GF3, [[2, 0], [0, 2]]) in gl
     with pytest.raises(ValueError):
         FFMatrix.identity(GF5, 2) in MatrixGroup(GF5, 3, [])
+
+
+def test_dimension_mismatches_raise_degree_mismatch():
+    """A product of a 2x2 and a 3x3 matrix, membership of a 2x2 matrix in
+    a group of 3x3 ones, and a 2x2 generator of such a group raise
+    DegreeMismatch, as permutations of different degrees do; both raised a
+    bare ValueError."""
+    two, three = FFMatrix.identity(GF5, 2), FFMatrix.identity(GF5, 3)
+    with pytest.raises(DegreeMismatch, match="dimension 2 vs 3"):
+        two * three
+    with pytest.raises(DegreeMismatch, match=r"matrix dimension 2 in GL\(3"):
+        two in MatrixGroup(GF5, 3, [])
+    with pytest.raises(DegreeMismatch, match=r"matrix dimension 2 in GL\(3"):
+        MatrixGroup(GF5, 3, [two])
+    assert issubclass(DegreeMismatch, ValueError)
 
 
 def test_enumeration_identity_only():
@@ -675,53 +683,36 @@ def test_closure_keys_past_one_byte(p, m, dtype):
     assert np.array_equal(MatrixGroup(spec, 2, group.generators).digit_stack(cap=2 * m), group.digit_stack())
 
 
-def test_subgroup_checks_refuse_a_sub_outside_the_group():
-    """GL(2,5) is not inside its scalars: the quotient raised IndexError and
-    the index check a bare KeyError before both checked sub's generators."""
-    scalars, gl = scalar_matrix_group(GF5, 2), general_linear_gl2(GF5)
-    with pytest.raises(NotSubgroup):
-        quotient_perm_group(scalars, gl)
-    with pytest.raises(NotSubgroup):
-        index_bound_check(scalars, gl)
-
-
-def test_subgroup_checks_refuse_a_sub_over_another_field():
-    """A subgroup over GF(3) in GL(2,5): its digit keys may still be keys of
-    GL(2,5), so the index check returned index 120 and the quotient raised
-    ConstraintViolated before both compared the fields."""
-    gl, sub = general_linear_gl2(GF5), MatrixGroup(GF3, 2, [[[0, 1], [2, 0]]])
-    with pytest.raises(FieldMismatch, match="subgroup over"):
-        index_bound_check(gl, sub)
-    with pytest.raises(FieldMismatch, match="subgroup over"):
-        quotient_perm_group(gl, sub)
-
-
-def test_subgroup_checks_refuse_a_sub_of_another_dimension():
-    """A subgroup of GL(3,5) in GL(2,5): with no generators both checks
-    raised numpy's ValueError from the 2x2-by-3x3 conjugate product, and
-    with a 3x3 swap NotSubgroup; both raise DegreeMismatch now."""
-    gl = general_linear_gl2(GF5)
-    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    for sub in (MatrixGroup(GF5, 3, []), MatrixGroup(GF5, 3, [swap])):
-        for check in (index_bound_check, quotient_perm_group):
-            with pytest.raises(DegreeMismatch, match="subgroup of dimension 3, group of dimension 2"):
-                check(gl, sub)
-
-
-def test_index_check_refuses_a_sub_that_is_not_normal():
-    """On central-a4, sub = <R(H), h> for h at stack position 5 has order
-    132 and is not normal: h maps to an element of order 3 in H/R(H) = A4.
-    The index check reported it semiregular, while the quotient raised
-    NotNormal; both raise it now.  R(H) itself passes."""
+def test_eigenvalue_one_subgroup_is_built_once_and_checked_normal(monkeypatch):
+    """R(H) is cached on H.  Its normality check locates each g^-1*k*g in
+    H and tests it against R's mask: with a mask that marks only the
+    element at stack position 5 of central-a4, which maps to an element of
+    order 3 in H/R(H) = A4, the subgroup it generates is not normal, and
+    NotNormal is raised."""
     group = central_product_examples("a4")
-    r = eigenvalue_one_subgroup(group)
-    h = _decode(group.spec, group.d, group.digit_stack()[5:6])[0]
-    sub = MatrixGroup(group.spec, group.d, [*r.generators, h])
-    assert sub.order() == 132
-    for check in (index_bound_check, quotient_perm_group):
-        with pytest.raises(NotNormal):
-            check(group, sub)
-    assert index_bound_check(group, r) == IndexBoundReport(12, 279840, True, True)
+    assert eigenvalue_one_subgroup(group) is eigenvalue_one_subgroup(group)
+    fresh = MatrixGroup(group.spec, group.d, group.generators)
+    monkeypatch.setattr(matgrp, "_fixes_a_vector", lambda stack, p: np.arange(len(stack)) == 5)
+    with pytest.raises(NotNormal):
+        eigenvalue_one_subgroup(fresh)
+
+
+def test_matrix_record_checks_normality_once(monkeypatch):
+    """matrix_record on central-a4 keys the conjugates g^-1*k*g (g a
+    generator of H, k one of R(H)) once, in R(H)'s one build: the index
+    check and the quotient read R(H) from H.  Each of the three used to
+    run the check again."""
+    built = central_product_examples("a4")
+    oracle = MatrixGroup(built.spec, built.d, built.generators)
+    r = eigenvalue_one_subgroup(oracle)
+    conjugates = [_digit_matrix(g.inverse() * k * g) for g in oracle.generators for k in r.generators]
+    expected = oracle._keys(np.array(conjugates))
+    group = MatrixGroup(built.spec, built.d, built.generators)
+    keyed, real = [], MatrixGroup._keys
+    monkeypatch.setattr(MatrixGroup, "_keys", lambda self, stack: keyed.append(real(self, stack)) or keyed[-1])
+    record = matrix_record(group)
+    assert sum(keys == expected for keys in keyed) == 1
+    assert record["r_order"] == 44 and record["index"] == 12
 
 
 def test_matrix_refuses_non_integer_entries():
@@ -750,16 +741,6 @@ def test_matrix_record_does_not_import_numpy_ma():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-
-def test_index_check_refuses_an_outside_sub_past_the_vector_cap():
-    """Past SEMIREGULAR_VECTOR_CAP the index check returned index 0 and
-    index_ok True for a transvection group outside the scalars of GL(4,59)."""
-    spec = field(59, 1)
-    assert 59**4 > matgrp.SEMIREGULAR_VECTOR_CAP
-    transvection = FFMatrix(spec, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(NotSubgroup):
-        index_bound_check(scalar_matrix_group(spec, 4), MatrixGroup(spec, 4, [transvection]))
-
 
 def test_gl23_order_and_eigenvalue_subgroup():
     g = general_linear_gl2(GF3)
@@ -790,34 +771,38 @@ def test_scalar_group_eigenvalue_subgroup_trivial():
     # no non-identity scalar fixes a nonzero vector
     assert r.generators == ()
     assert not any(has_eigenvalue_one(m) for m in _elements(h)[1:])
-    report = index_bound_check(h, r)
+    report = index_bound_check(h)
     assert report.index == 4 and report.bound == 24
     assert report.index_ok and report.semiregular
 
 
 def test_semiregular_false_with_transvections():
     """A transvection of GL(2,3) fixes e_0 outside the centre {+-I}, so
-    GL(2,3)/{+-I} is not semiregular on the centre's orbits.  Over GF(5),
-    sub = <diag(1, g)> is all of H_{e_0} for H = <diag(g, 1), diag(1, g)>,
-    so H/sub acts regularly on the sub-orbits in e_0's orbit; but H_{e_1} =
-    <diag(g, 1)> lies outside sub, so H/sub is not semiregular."""
+    the oracles find GL(2,3)/{+-I} not semiregular on the centre's orbits.
+    Over GF(5), sub = <diag(1, g)> is all of H_{e_0} for H = <diag(g, 1),
+    diag(1, g)>, but H_{e_1} = <diag(g, 1)> lies outside sub, so H/sub is
+    not semiregular either.  R(H) holds every such element: it is all of
+    GL(2,3) and all of H, and the index check reads semiregular, as the
+    oracles do on R(H)."""
     g = general_linear_gl2(GF3)
     transvection = FFMatrix(GF3, [[1, 1], [0, 1]])
     centre = MatrixGroup(GF3, 2, [FFMatrix.scalar(GF3, 2, GF3.neg_e(1))])
     assert has_eigenvalue_one(transvection) and transvection in g
     assert transvection not in centre
-    report = index_bound_check(g, centre)
-    assert report.semiregular is False
-    assert report == _index_bound_python(g, centre)
+    assert _index_bound_python(g, centre).semiregular is False
     assert _semiregular_outside(g, centre) is False
     x = GF5.primitive_element()
     h = MatrixGroup(GF5, 2, [[[x, 0], [0, 1]], [[1, 0], [0, x]]])
     sub = MatrixGroup(GF5, 2, [[[1, 0], [0, x]]])
-    assert quotient_perm_group(h, sub).order() == 4
-    report = index_bound_check(h, sub)
-    assert report.semiregular is False
-    assert report == _index_bound_python(h, sub)
+    assert _index_bound_python(h, sub).semiregular is False
     assert _semiregular_outside(h, sub) is False
+    for group in (g, h):
+        r = eigenvalue_one_subgroup(group)
+        assert r.order() == group.order()
+        report = index_bound_check(group)
+        assert report.semiregular is True
+        assert report == _index_bound_python(group, r)
+        assert _semiregular_outside(group, r) is True
 
 
 def _assert_witness(group, witness):
@@ -968,10 +953,10 @@ def test_irreducibility_paths_agree():
     for group in _differential_groups():
         seen.add((group.spec.order, is_irreducible(group)))
         if group.order() <= 1000:
-            _assert_batched_paths_match(group, MatrixGroup(group.spec, group.d, group.generators[:1]))
+            _assert_batched_paths_match(group)
         sub = eigenvalue_one_subgroup(group)
         assert _orbit_labels(sub).tolist() == _orbit_labels_python(sub)
-        report = index_bound_check(group, sub)
+        report = index_bound_check(group)
         assert report == _index_bound_python(group, sub) == _index_bound_walk(group, sub)
     assert {q for q, _ in seen} >= {4, 8, 9, 25, 27}
     assert {flag for _, flag in seen} == {True, False}
@@ -1036,7 +1021,7 @@ def test_pool_index_bounds_match_the_vector_walk(name):
     group = _WALKED_POOL_GROUPS[name]()
     sub = eigenvalue_one_subgroup(group)
     assert group.spec.order**group.d <= matgrp.SEMIREGULAR_VECTOR_CAP
-    report = index_bound_check(group, sub)
+    report = index_bound_check(group)
     assert report == _index_bound_walk(group, sub)
     if group.spec.order**group.d <= 1000:
         assert report == _index_bound_python(group, sub)
@@ -1066,7 +1051,7 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
     monkeypatch.setattr(MatrixGroup, "_locate", refuse)
     for group, sub, expected in subs:
         assert sub.order() < group.order()
-        assert index_bound_check(group, sub) == expected
+        assert index_bound_check(group) == expected
 
 
 def test_matrix_record_flags_eigenvalue_one_once(monkeypatch):
@@ -1103,16 +1088,15 @@ def test_index_bound_check_locates_nothing_when_sub_is_the_group(monkeypatch):
 
     monkeypatch.setattr(MatrixGroup, "_locate", no_lookup)
     for group, sub, walked in cases:
-        assert index_bound_check(group, sub) == walked
+        assert index_bound_check(group) == walked
         assert walked.index == 1 and walked.semiregular is True
 
 
 def test_semiregularity_from_counts_matches_the_outside_mask(monkeypatch):
     """On the matrix benchmark pool, the paper's matrix groups, GL(2,3) and
-    GL(2,4), with sub R(H), a fresh copy of H, the trivial group and <-I>
-    when it lies in H, equal eigenvalue-1 counts decide semiregularity as
-    the outside mask did, semiregular on 44 of the 76 pairs.  The vector
-    cap is lifted, since the counts label no vector."""
+    GL(2,4), equal eigenvalue-1 counts of H and R(H) decide semiregularity
+    as the outside mask did.  The vector cap is lifted, since the counts
+    label no vector."""
     paper = [build_family(sc.params) for sc in suite.PAPER_SCENARIOS if sc.kind == "mat"]
     paper += [suite._MAT_BUILDERS[sc.mat_id]() for sc in suite.PAPER_SCENARIOS if sc.kind == "bridge"]
     groups = [build() for build in _WALKED_POOL_GROUPS.values()] + [central_product_examples("a5")]
@@ -1120,15 +1104,10 @@ def test_semiregularity_from_counts_matches_the_outside_mask(monkeypatch):
     monkeypatch.setattr(matgrp, "SEMIREGULAR_VECTOR_CAP", float("inf"))
     decided = Counter()
     for group in groups:
-        spec, d = group.spec, group.d
-        subs = [eigenvalue_one_subgroup(group), MatrixGroup(spec, d, group.generators), MatrixGroup(spec, d, [])]
-        if group.contains_minus_identity():
-            subs.append(MatrixGroup(spec, d, [FFMatrix.scalar(spec, d, spec.neg_e(1))]))
-        for sub in subs:
-            semiregular = index_bound_check(group, sub).semiregular
-            assert semiregular is _semiregular_outside(group, sub), (group, sub)
-            decided[semiregular] += 1
-    assert decided == {True: 44, False: 32}
+        semiregular = index_bound_check(group).semiregular
+        assert semiregular is _semiregular_outside(group, eigenvalue_one_subgroup(group)), group
+        decided[semiregular] += 1
+    assert decided == {True: len(groups)}
 
 
 def test_semiregular_is_none_past_the_vector_cap():
@@ -1136,7 +1115,7 @@ def test_semiregular_is_none_past_the_vector_cap():
     report leaves semiregular None, as its pinned record does."""
     group = central_product_examples("a5")
     assert 59**4 > matgrp.SEMIREGULAR_VECTOR_CAP
-    assert index_bound_check(group, eigenvalue_one_subgroup(group)) == IndexBoundReport(60, 59**4 - 1, True, None)
+    assert index_bound_check(group) == IndexBoundReport(60, 59**4 - 1, True, None)
 
 
 def test_irreducibility_never_labels_orbits(monkeypatch):
@@ -1243,7 +1222,7 @@ def test_singer_cycle_index_bound():
     is regular on its orbits."""
     group = MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)])
     sub = eigenvalue_one_subgroup(group)
-    report = index_bound_check(group, sub)
+    report = index_bound_check(group)
     assert report == IndexBoundReport(index=960, bound=960, index_ok=True, semiregular=True)
     assert report == _index_bound_walk(group, sub)
     assert _orbit_labels(group).tolist() == _orbit_labels_python(group)
@@ -1265,6 +1244,27 @@ def test_over_cap_quotient_is_refused_before_a_chain(monkeypatch, tmp_path, caps
     assert main(["analyze", str(path)]) == 2
     assert "got 10200" in capsys.readouterr().err
     assert formed[1]._levels is None
+
+
+def test_quotient_past_the_chain_budget_is_refused_by_the_fingerprint_cap(monkeypatch, tmp_path, capsys):
+    """A Singer cycle of GL(2,97) has R(H) = 1 and index 9 408, within the
+    old fingerprint cap of 10 000, so its regular quotient's chain of
+    9 408^2 entries was built until CHAIN_SLOTS refused it (2.4 s, 547
+    MB).  FINGERPRINT_CAP is the largest order whose chain fits, 8 192, and
+    it refuses the record and the dumped file with no chain built."""
+    assert derange.FINGERPRINT_CAP == math.isqrt(permgrp.CHAIN_SLOTS) == 8192
+
+    def no_chain(self):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(PermGroup, "_chain", no_chain)
+    group = MatrixGroup(field(97, 1), 2, [_singer_cycle(97, 2)])
+    with pytest.raises(CapExceeded, match="fingerprint needs order <= 8192, got 9408$"):
+        matrix_record(group)
+    path = tmp_path / "singer-97.group"
+    path.write_text(dump_matrix_group(group))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: fingerprint needs order <= 8192, got 9408\n"
 
 
 def test_quotient_blocks_and_generators_match_root_hooking():
@@ -1289,7 +1289,7 @@ def test_quotients_carry_the_order_a_chain_finds():
     groups += [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
     for group in groups:
         sub = eigenvalue_one_subgroup(group)
-        quotient = quotient_perm_group(group, sub)
+        quotient = quotient_perm_group(group)
         assert quotient._levels is None
         assert quotient.order() == group.order() // sub.order()
         assert quotient.order() == PermGroup(quotient.degree, quotient.generators).order()
@@ -1316,11 +1316,10 @@ def _small_order_matrix(rng, spec, d, a):
 
 @st.composite
 def _small_matrix_groups(draw):
-    """(group, subgroup): a group of order at most 400 over GF(2) to
-    GF(27) in dimension 1 to 4, generated by up to three matrices of
-    order at most 12 (the last ones are dropped while the closure exceeds
-    400), and the subgroup generated by a prefix of its generators.  The
-    signed permutation matrices share one conjugator, so they generate a
+    """A group of order at most 400 over GF(2) to GF(27) in dimension 1
+    to 4, generated by up to three matrices of order at most 12 (the last
+    ones are dropped while the closure exceeds 400).  The signed
+    permutation matrices share one conjugator, so they generate a
     conjugate of a monomial group."""
     p, f = draw(st.sampled_from(_DIFFERENTIAL_FIELDS))
     spec = field(p, f)
@@ -1335,19 +1334,16 @@ def _small_matrix_groups(draw):
             break
         except CapExceeded:
             gens.pop()
-    return group, MatrixGroup(spec, d, gens[: draw(st.integers(0, len(gens)))])
+    return group
 
 
 @settings(max_examples=100, deadline=None)
 @given(_small_matrix_groups())
-def test_batched_matrix_paths_match_python_oracles(drawn):
+def test_batched_matrix_paths_match_python_oracles(group):
     """Closure order, eigenvalue-1 flags, R(H)'s generators and elements,
     right cosets and the quotient action equal the Python oracles' over
     prime and prime-power fields."""
-    group, sub = drawn
-    _assert_batched_paths_match(group, sub)
-    r = eigenvalue_one_subgroup(group)
-    assert quotient_perm_group(group, r).generators == _action_oracle(group, r)
+    _assert_batched_paths_match(group)
 
 
 def test_irreducibility_is_cached():
@@ -1610,24 +1606,20 @@ def test_quadratic_extension_over_gf9():
 
 
 def test_quotient_perm_group():
-    """GL(2,3)/SL(2,3) is refused: diag(1, -1) fixes e_0 outside SL(2,3),
-    and its coset fixes e_0's SL(2,3)-orbit, so the index check reports
-    no semiregularity.  The scalars of GL(2,5) fix no vector, and the
-    quotient by R(H) = 1 is C4 acting regularly.  SL(2,3) in GL(2,5) fixes
-    no vector either, and does not permute the orbits of the non-normal
-    subgroup generated by its element of order 3."""
+    """R(GL(2,3)) is GL(2,3) (transvections and diag(1, -1) generate it),
+    so the quotient is trivial.  The scalars of GL(2,5) fix no vector, and
+    the quotient by R(H) = 1 is C4 acting regularly.  SL(2,3) in GL(2,5)
+    has no element of order 5, so only the identity fixes a vector, and
+    its quotient by R(H) = 1 is regular on the 24 nonzero vectors."""
     gl = general_linear_gl2(GF3)
-    sl = special_linear_gl2(GF3)
-    with pytest.raises(ConstraintViolated):
-        quotient_perm_group(gl, sl)
-    report = index_bound_check(gl, sl)
-    assert report.index == 2 and report.semiregular is False
+    assert quotient_perm_group(gl).order() == 1
+    assert index_bound_check(gl) == IndexBoundReport(1, 8, True, True)
     scalars = scalar_matrix_group(GF5, 2)
-    q = quotient_perm_group(scalars, eigenvalue_one_subgroup(scalars))
+    q = quotient_perm_group(scalars)
     assert q.degree == 4 and q.order() == 4 and q.is_transitive()
     tetrahedral = binary_tetrahedral_gl2(GF5)
-    with pytest.raises(NotNormal):
-        quotient_perm_group(tetrahedral, MatrixGroup(GF5, 2, tetrahedral.generators[2:]))
+    q = quotient_perm_group(tetrahedral)
+    assert q.degree == 24 and q.order() == 24 and PermGroup(24, q.generators).order() == 24
 
 
 def test_fixes_a_vector_in_blocks(monkeypatch):
