@@ -5,9 +5,10 @@ point, and the subgroup D they generate is normal, transitive, and of index
 dividing n - 1; every element outside it fixes exactly one point.  So a
 generator fixing none or two or more points lies in D, and so does one
 whose product with an element of D does: when that takes in every
-generator, D = G.  Else permgrp grows D as the normal closure of seeded
-random derangements until a certificate shows that no element fixing two
-points lies outside it (normality plus suborbit lengths).  This module
+generator, D = G.  Else permgrp grows D, from an abelian regular normal R
+that G's chain is built over or else from {1}, as the normal closure of
+seeded random derangements until a certificate shows that no element fixing
+two points lies outside it (normality plus suborbit lengths).  This module
 counts the derangements from D's point stabilizer, measures its index,
 runs the structural checks around it (rank identity, semiregular quotient
 actions, index bounds), and names the quotient by its fingerprint, from
@@ -160,10 +161,12 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     outside D fixes exactly one point, so when K grows from {1} to hold
     every generator of G (``_generators_in_d``), each lies in D, as g*k and
     k do: D is G, normal in itself with its chain verified, and nothing is
-    drawn.  Else D grows from seeded uniform draws until it is transitive
-    and normal and its suborbit lengths show every element fixing two or
-    more points lies in it.  Each coset outside D then averages one fixed
-    point with none fixing two, so D holds every derangement; until then
+    drawn.  Else D grows, from R when G's chain is built over it
+    (``_regular_normal``: R is normal, its elements but 1 derangements) or
+    else from {1}, by seeded uniform draws until it is transitive and
+    normal and its suborbit lengths show every element fixing two or more
+    points lies in it.  Each coset outside D then averages one fixed point
+    with none fixing two, so D holds every derangement; until then
     some derangement lies outside D, and D grows to the normal closure with
     each one drawn; one already in D leaves it as it is, as the one sift
     that would grow it shows (``_normal_closure_of``).  Randomness only
@@ -184,7 +187,8 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     d = group  # normal in itself, its chain verified
     if not _generators_in_d(group):
         rng = random.Random(DRAW_SEED)
-        d = PermGroup(group.degree, ())
+        group._chain()  # sets group._regular
+        d = group._regular or PermGroup(group.degree, ())
         while not (d.is_transitive() and _regular_on_suborbits(group, d)):
             x = group.random_element(rng)
             if not count_fixed(x.images):

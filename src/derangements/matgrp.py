@@ -392,10 +392,10 @@ class IndexBoundReport:
 
 def index_bound_check(group: MatrixGroup) -> IndexBoundReport:
     """Check |H : R(H)| <= q^d - 1, and that H/R(H) acts semiregularly on
-    the R(H)-orbits of nonzero vectors.  The stabilizer in H of the orbit
-    v*R(H) is H_v*R(H), so H/R(H) is semiregular iff R(H) holds every H_v,
-    every eigenvalue-1 element of H: iff, as R(H) <= H, the two cached
-    eigenvalue-1 counts are equal.  No vector is labelled."""
+    the R(H)-orbits of nonzero vectors: v*R(H) has stabilizer H_v*R(H), so
+    iff R(H) holds every H_v, every eigenvalue-1 element of H, as two cached
+    counts show.  ``eigenvalue_one_subgroup`` puts them all in R(H), so
+    semiregular certifies that construction and reads only True or None."""
     r = eigenvalue_one_subgroup(group)
     spec, d = group.spec, group.d
     index = group.order() // r.order()

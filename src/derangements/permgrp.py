@@ -1,13 +1,17 @@
 """Permutation groups on {0, ..., n-1} with a deterministic stabilizer chain.
 
 Composition is left-to-right: (g * h)(x) = h(g(x)).  One routine,
-``_grow``, makes every chain, from the empty one on the first structural
-query or, in ``_normal_closure_of``, one copy grown a candidate at a time:
-it sifts the new generators in and runs Schreier-Sims once, which forms
-each Schreier generator at most once per orbit of a level.  Three rules,
-proved in ``_schreier_sims``, make it so: tree edges are skipped, a level's
+``_grow``, grows every chain, on the first structural query or, in
+``_normal_closure_of``, one copy a candidate at a time: it sifts the new
+generators in and runs Schreier-Sims once, which forms each Schreier
+generator at most once per orbit of a level.  Three rules, proved in
+``_schreier_sims``, make it so: tree edges are skipped, a level's
 Schreier set leaves out the residues produced at or below it, and a level
-resumes at its next pair instead of restarting.  Subgroups of G grow only
+resumes at its next pair instead of restarting.  A first query grows from
+the empty chain or, when the generators fixing no point generate an
+abelian regular normal subgroup R (``_regular_normal``), by one element
+of G_0 per generator below a first level listing R's elements, never
+verified, as in a closure of G grown from G's R.  Subgroups of G grow only
 by ``_normal_closure_of``, on G's base when it is short, each candidate
 sifted once; ``normal_closure`` checks its seeds lie in G.
 Strong generators and transversals depend on the order of work; bases and
@@ -302,8 +306,8 @@ def _verify(levels: list[_Level], i: int, degree: int, on_base=None):
                     room = _room(levels, lvl, degree)
 
 
-def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None) -> None:
-    """Verify levels[dirty], ..., levels[0], deepest first (deterministic
+def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None, top: int = 0) -> None:
+    """Verify levels[dirty], ..., levels[top], deepest first (deterministic
     Schreier-Sims), forming each Schreier generator at most once per orbit
     of a level, by three rules.  (1) A tree edge (pt, g), g(pt) first
     reached from pt, has u_pt*g = u_g(pt) and is never formed.  (2) A level's
@@ -317,7 +321,7 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None) 
     groups that have only grown since.  stack[j] verifies levels[j], and
     residues land below the top, so no level on the stack moves."""
     stack = [_verify(levels, i, degree, on_base) for i in range(dirty + 1)]
-    while stack:
+    while len(stack) > top:
         landed = next(stack[-1], None)
         if landed is None:
             stack.pop()
@@ -325,7 +329,7 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None) 
             stack += [_verify(levels, j, degree, on_base) for j in range(len(stack), landed + 1)]
 
 
-def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, base=None) -> bool:
+def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, base=None, top: int = 0) -> bool:
     """Grow a verified chain (or the empty one) by the generators, and say
     whether it grew: each is sifted and a residue placed with no origin
     (-1), so it joins every Schreier set down to its level; then
@@ -335,7 +339,7 @@ def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, 
     level of the smallest point it moves.  base, when given, is a base of a
     group G holding the generators and the chain: only G's identity fixes
     it, so elements of G are compared there, with the same outcome and so
-    the same chain."""
+    the same chain.  Levels above top are kept as verified."""
     identity = tuple(range(degree))
     on_base = base and itemgetter(*base, base[0])  # a tuple even for one point
     landed = []
@@ -344,8 +348,39 @@ def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, 
         if residue is not None:
             landed.append(levels[_place(levels, 0, residue, degree, -1)])
     if landed:
-        _schreier_sims(levels, max(map(levels.index, landed)), degree, on_base)
+        _schreier_sims(levels, max(map(levels.index, landed)), degree, on_base, top)
     return bool(landed)
+
+
+def _regular_normal(generators: tuple[Permutation, ...], degree: int):
+    """(R, G_0's generators) when the generators fixing no point, A,
+    commute, reach every point from 0 and are normalized by every
+    generator, else (None, the generators).  R = <A> is then abelian and
+    transitive, so regular and its own centralizer (Dixon-Mortimer, Thm
+    4.2A): s^-1*a*s is in R when it is R's element at its image of 0.  R's
+    level lists R's elements at 0 and needs no verifying: G = R*G_0, and a
+    Schreier generator of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s with
+    t in R, t(0) = s^-1(0), one per generator s fixing a point."""
+    moving = [g for g in generators if not count_fixed(g.images)]
+    if not moving or any(_compose(a.images, b.images) != _compose(b.images, a.images) for a in moving for b in moving):
+        return None, generators
+    level = _Level(0, degree)
+    transversal, orbit = level.transversal, level.orbit
+    for pt in orbit:
+        for a in moving:
+            if a.images[pt] not in transversal:
+                if len(orbit) >= CHAIN_SLOTS // degree:
+                    raise CapExceeded(f"stabilizer chain of degree {degree} exceeds {CHAIN_SLOTS} transversal entries")
+                transversal[a.images[pt]] = _compose(transversal[pt], a.images)
+                orbit.append(a.images[pt])
+    fixing = [s for s in generators if count_fixed(s.images)]
+    conjugates = (c.images for s in fixing for c in map(s.conjugator(), moving))
+    if len(orbit) < degree or any(transversal[c[0]] != c for c in conjugates):
+        return None, generators
+    level.gens, level.origins = [a.images for a in moving], [-1] * len(moving)
+    r = PermGroup(degree, moving)
+    r._levels = [level]
+    return r, [Permutation._raw(_compose(transversal[s.images.index(0)], s.images)) for s in fixing]
 
 
 class PermGroup:
@@ -370,6 +405,7 @@ class PermGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self._levels: list[_Level] | None = None
+        self._regular: PermGroup | None = None  # R when the chain's first level is R's (None in R)
         self._order: int | None = None
         self._orbits: list[list[int]] | None = None
         self._stabilizer: PermGroup | None = None
@@ -379,8 +415,9 @@ class PermGroup:
 
     def _chain(self) -> list[_Level]:
         if self._levels is None:
-            levels: list[_Level] = []
-            _grow(levels, self.generators, self.degree)
+            self._regular, gens = _regular_normal(self.generators, self.degree)
+            levels = list(self._regular._levels) if self._regular else []
+            _grow(levels, gens, self.degree, top=len(levels))
             self._levels = levels
         return self._levels
 
@@ -552,19 +589,23 @@ class PermGroup:
         on this group's base, and joins the generators when a residue lands.
         A worklist forms each (conjugator, generator) pair once, walking the
         list as it grows; closure's own have their conjugates in it.  closure
-        itself is returned when nothing joins."""
+        itself is returned when nothing joins.  A closure over this group's R
+        (``_regular_normal``) keeps R's level unverified: candidates lie in
+        this group, which normalizes R, so the closure is R times its part fixing 0."""
         conjugators, base = [g.conjugator() for g in self.generators], self._base()
         levels, closed = [lvl.copy() for lvl in closure._chain()], len(closure.generators)
-        gens = list(closure.generators) + [x for x in new if _grow(levels, (x,), self.degree, base)]
+        r = self._regular
+        top = int(r is not None and (closure is r or closure._regular is r))
+        gens = list(closure.generators) + [x for x in new if _grow(levels, (x,), self.degree, base, top)]
         for k in islice(gens, closed, None):  # also walks what joins meanwhile
             for conjugate in conjugators:
                 c = conjugate(k)
-                if _grow(levels, (c,), self.degree, base):
+                if _grow(levels, (c,), self.degree, base, top):
                     gens.append(c)
         if len(gens) == closed:
             return closure
         grown = PermGroup(self.degree, gens)
-        grown._levels = levels
+        grown._levels, grown._regular = levels, r if top else None
         return grown
 
     def __repr__(self) -> str:

@@ -2,10 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
+import random
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derangements import derange, fileio, permgrp, suite
 from derangements.derange import (
@@ -35,8 +37,8 @@ from derangements.families import FamilyParams, affine_group, build_family
 from derangements.gf import field
 from derangements.matgrp import quaternion_gl2, special_linear_gl2
 from test_matgrp import _closure_python
-from test_permgrp import conjugations_formed
-from test_properties import _coset_quotient, same_group
+from test_permgrp import conjugations_formed, without_regular_normal
+from test_properties import _coset_quotient, _level_data, _level_state, _probes, same_group
 
 
 def agl_1_5() -> PermGroup:
@@ -173,33 +175,45 @@ def test_giants_are_refused_before_any_chain():
         derange._certified_scan(symmetric_group(2000))
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "frobenius-complement-7-2-2",
-        "frobenius-complement-5-2-3",
-        "affine-scalars-5-2",
-        "affine-scalars-3-2",
-        "dihedral-9",
-    ],
-)
+# D's growths from R, the translations or the rotations: a Frobenius
+# kernel R is certified with no draw
+GROWTHS_OVER_R = {
+    "frobenius-complement-7-2-2": 1,
+    "frobenius-complement-5-2-3": 1,
+    "affine-scalars-5-2": 0,
+    "affine-scalars-3-2": 0,
+    "dihedral-9": 0,
+}
+
+
+@pytest.mark.parametrize("name", list(GROWTHS_OVER_R))
 def test_d_grows_forming_each_conjugate_once(monkeypatch, name):
     """D is normal before each growth, so over all the normal closures that
-    grow it, each (conjugator, generator) pair is formed at most once."""
-    formed, grown, original = conjugations_formed(monkeypatch), Counter(), PermGroup._normal_closure_of
-    growths = []
+    grow it, each (conjugator, generator) pair is formed at most once.
+    D starts from R and grows GROWTHS_OVER_R[name] times; grown from {1},
+    with no R found, it grows at least twice."""
+    formed, original = conjugations_formed(monkeypatch), PermGroup._normal_closure_of
 
-    def growing(self, *args):
-        before = Counter(formed)
-        growths.append(args)
-        try:
-            return original(self, *args)
-        finally:
-            grown.update(formed - before)
+    def growths_and_pairs():
+        growths, grown = [], Counter()
 
-    monkeypatch.setattr(PermGroup, "_normal_closure_of", growing)
-    derange._certified_scan(suite.corpus_group(name))
-    assert len(growths) >= 2 and max(grown.values()) == 1
+        def growing(self, *args):
+            before = Counter(formed)
+            growths.append(args)
+            try:
+                return original(self, *args)
+            finally:
+                grown.update(formed - before)
+
+        with monkeypatch.context() as counting:
+            counting.setattr(PermGroup, "_normal_closure_of", growing)
+            derange._certified_scan(suite.corpus_group(name))
+        return len(growths), max(grown.values(), default=1)
+
+    assert growths_and_pairs() == (GROWTHS_OVER_R[name], 1)
+    without_regular_normal(monkeypatch)
+    count, most = growths_and_pairs()
+    assert count >= 2 and most == 1
 
 
 def _pool(monkeypatch, workload, seed):
@@ -255,31 +269,164 @@ def test_every_element_fixing_none_or_two_points_lies_in_d():
     assert checked >= 50
 
 
+def _grown_from_scratch(group):
+    """group's generators, their chain grown by ``_grow`` alone from the
+    empty chain, with no abelian regular normal subgroup looked for."""
+    plain = PermGroup(group.degree, group.generators)
+    plain._levels = []
+    permgrp._grow(plain._levels, plain.generators, plain.degree)
+    return plain
+
+
+def _assert_as_grown_from_scratch(group, rng):
+    """group's chain has the bases, basic orbits and order of the chain
+    grown from scratch, and the same members among seeded probes; the
+    certified scans find the same D, with the same bases and basic orbits,
+    whether it starts from R or from {1}."""
+    plain = _grown_from_scratch(group)
+    assert _level_data(group._chain()) == _level_data(plain._chain())
+    assert group.order() == plain.order()
+    for x in _probes(group, rng) + _probes(plain, rng):
+        assert (x in group) == (x in plain)
+    d, plain_d = (derange._certified_scan(g).subgroup for g in (group, plain))
+    assert same_group(d, plain_d) and same_group(plain_d, d)
+    assert _level_data(d._chain()) == _level_data(plain_d._chain())
+
+
+def test_chains_over_r_match_chains_grown_from_scratch(monkeypatch):
+    """On every transitive corpus group, every permutation and bridge
+    paper group and every perm-wide and perm-deep group at seed 1, the
+    chain and D are those grown from scratch.  R is found on 41 corpus
+    groups, 8 paper groups, 5 of the 7 perm-wide groups and 1 perm-deep
+    group; in each, level 0's generators are exactly G's generators fixing
+    no point, and level 0 holds R's n elements.  The semilinear groups are
+    affine too, but x + 1, their one generator fixing no point, reaches
+    only p points."""
+    rng = random.Random(43)
+    corpus = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
+    paper = [build_family(sc.params) for sc in suite.PAPER_SCENARIOS if sc.kind in ("perm", "bridge")]
+    wide, deep = _pool(monkeypatch, "perm-wide", 1), _pool(monkeypatch, "perm-deep", 1)
+    for group in corpus + paper + wide + deep:
+        _assert_as_grown_from_scratch(group, rng)
+        if group._regular is not None:
+            level = group._chain()[0]
+            assert level.gens == [g.images for g in group.generators if not count_fixed(g.images)]
+            assert group._regular._chain() == [level] and len(level.orbit) == group.degree
+    found = [sum(g._regular is not None for g in groups) for groups in (corpus, paper, wide, deep)]
+    assert found == [41, 8, 5, 1]
+
+
+def _regular_representation(group):
+    """group acting on its elements, numbered in its enumeration order, by
+    right multiplication: a regular action."""
+    elements = [x.images for x in group.elements()]
+    index = {x: i for i, x in enumerate(elements)}
+    images = [[index[permgrp._compose(x, g.images)] for x in elements] for g in group.generators]
+    return PermGroup(len(elements), images)
+
+
+def test_groups_with_no_abelian_regular_normal_r_among_their_generators_decline():
+    """The detection declines, and the chain is the one grown from scratch
+    down to its transversals, when the generators fixing no point do not
+    commute (a nonabelian regular group), do not reach every point
+    (commuting derangements on two orbits, with and without a transposition
+    joining them), or are not normalized by every generator (S_n from its
+    n-cycle and (0 1), the 7-cycle with a 3-cycle)."""
+    cycles = Permutation.from_cycles
+    declining = [
+        _regular_representation(symmetric_group(3)),
+        _regular_representation(dihedral_group(4)),
+        PermGroup(6, [cycles(6, [(0, 1, 2), (3, 4, 5)]), cycles(6, [(0, 1, 2), (3, 5, 4)])]),
+        PermGroup(6, [cycles(6, [(0, 1, 2), (3, 4, 5)]), cycles(6, [(0, 1, 2), (3, 5, 4)]), cycles(6, [(2, 3)])]),
+        PermGroup(7, [cycles(7, [tuple(range(7))]), cycles(7, [(0, 1, 2)])]),
+        *(PermGroup(n, symmetric_group(n).generators) for n in range(4, 9)),
+    ]
+    rng = random.Random(43)
+    for group in declining:
+        assert _level_state(group._chain()) == _level_state(_grown_from_scratch(group)._chain())
+        assert group._regular is None, group
+        if group.is_transitive():
+            _assert_as_grown_from_scratch(group, rng)
+
+
+@st.composite
+def _relabelled_affine_groups(draw):
+    """A transitive group of affine maps x -> x*M + v of GF(p)^d, d <= 2 and
+    p^d <= 25, on the vectors numbered by their digits and relabelled by a
+    drawn permutation: the unit translations, then one to three maps with
+    M invertible (the identity for a translation) and v drawn.  Returns the
+    group and whether every generator fixing no point is a translation."""
+    p, d = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2)]))
+    n = p**d
+    vectors = [[(x // p**i) % p for i in range(d)] for x in range(n)]
+    sigma = draw(st.permutations(list(range(n))))
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def relabelled(matrix, shift):
+        mapped = [[(sum(v[j] * matrix[j][i] for j in range(d)) + shift[i]) % p for i in range(d)] for v in vectors]
+        images = [sum(w[i] * p**i for i in range(d)) for w in mapped]
+        out = [0] * n
+        for x, y in enumerate(images):
+            out[sigma[x]] = sigma[y]
+        return Permutation(out), matrix == identity
+
+    entries = st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d), min_size=d, max_size=d)
+    invertible = entries.filter(lambda m: (m[0][0] if d == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p)
+    shifts = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    maps = [relabelled(identity, row) for row in identity]
+    maps += [relabelled(m, v) for m, v in draw(st.lists(st.tuples(invertible, shifts), min_size=1, max_size=3))]
+    group = PermGroup(n, [g for g, _ in maps])
+    return group, all(translation for g, translation in maps if not count_fixed(g.images))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relabelled_affine_groups(), st.integers(0, 2**16))
+def test_relabelled_affine_chains_match_chains_grown_from_scratch(drawn, seed):
+    """R is found exactly when every generator fixing no point is a
+    translation (a fixed-point-free x*M + v with M not 1 does not commute
+    with the unit translations), and then R is the p^d translations;
+    either way the chain and D are those grown from scratch."""
+    group, translations = drawn
+    group._chain()
+    assert (group._regular is not None) == translations
+    if translations:
+        assert group._regular.order() == group.degree
+    _assert_as_grown_from_scratch(group, random.Random(seed))
+
+
 def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
     """Image tuples formed through _getter by the certified scans of the
     perm-wide pool at seed 1, each group's chain built beforehand: D grows
-    on G's base, where a Schreier pair is compared before u*g is formed, and
-    528 are formed; growing on all points forms 3 434."""
-    groups = _pool(monkeypatch, "perm-wide", 1)
+    on G's base, where a Schreier pair is compared before u*g is formed.
+    Every perm-wide group has an abelian regular normal R, and D starts
+    from it, growing below 0 only: 332 are formed, and 409 on all
+    points.  Grown from {1}, with no R found, 528 and 3 434."""
     real_getter, formed = permgrp._getter, []
 
     def getter(a):
         get = real_getter(a)
         return lambda b: formed.append(None) or get(b)
 
-    def tuples_formed():
+    def tuples_formed(groups):
         del formed[:]
-        monkeypatch.setattr(permgrp, "_getter", getter)
-        for group in groups:
-            derange._certified_scan(group)
-        monkeypatch.setattr(permgrp, "_getter", real_getter)
+        with monkeypatch.context() as counting:
+            counting.setattr(permgrp, "_getter", getter)
+            for group in groups:
+                derange._certified_scan(group)
         return len(formed)
 
-    for group in groups:
-        group._chain()
-    assert tuples_formed() == 528
-    monkeypatch.setattr(PermGroup, "_base", lambda self: None)
-    assert tuples_formed() == 3434
+    def formed_on_base_and_on_all_points():
+        groups = _pool(monkeypatch, "perm-wide", 1)
+        for group in groups:
+            group._chain()
+        on_base = tuples_formed(groups)
+        with monkeypatch.context() as all_points:
+            all_points.setattr(PermGroup, "_base", lambda self: None)
+            return on_base, tuples_formed(groups)
+
+    assert formed_on_base_and_on_all_points() == (332, 409)
+    without_regular_normal(monkeypatch)
+    assert formed_on_base_and_on_all_points() == (528, 3434)
 
 
 def test_scans_sift_each_candidate_once(monkeypatch):
@@ -289,7 +436,9 @@ def test_scans_sift_each_candidate_once(monkeypatch):
     growth that decides whether it joins, and a normal closure builds one
     group however many generators join it.  A membership test before each
     growth, and a group per joined generator, made 222 sifts and 43 groups
-    on perm-wide, 19 and 11 on perm-deep."""
+    on perm-wide, 19 and 11 on perm-deep.  D starts from R where G's chain
+    found it, every perm-wide group; grown from {1}, with no R found, the
+    scans made 201 sifts and 38 groups on perm-wide."""
     real_sift, real_init, work = permgrp._sift, PermGroup.__init__, Counter()
 
     def sift(levels, start, *args):
@@ -300,7 +449,7 @@ def test_scans_sift_each_candidate_once(monkeypatch):
         work["groups"] += 1
         real_init(self, *args)
 
-    for workload, sifts, groups in (("perm-wide", 201, 38), ("perm-deep", 17, 10)):
+    def scan_work(workload):
         pool = _pool(monkeypatch, workload, 1)
         for group in pool:
             group._chain()
@@ -310,7 +459,13 @@ def test_scans_sift_each_candidate_once(monkeypatch):
             counting.setattr(PermGroup, "__init__", init)
             for group in pool:
                 derange._certified_scan(group)
-        assert work == {"sifts": sifts, "groups": groups}, workload
+        return dict(work)
+
+    assert scan_work("perm-wide") == {"sifts": 114, "groups": 20}
+    assert scan_work("perm-deep") == {"sifts": 17, "groups": 10}
+    without_regular_normal(monkeypatch)
+    assert scan_work("perm-wide") == {"sifts": 201, "groups": 38}
+    assert scan_work("perm-deep") == {"sifts": 17, "groups": 10}
 
 
 def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
@@ -662,8 +817,10 @@ def test_analyze_smallest_groups():
 def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
     """Two seeds give the same record on every (transitive) corpus group
     of order at most 20 000.  Where D = G its generators prove it and D
-    carries G's generators under both seeds; elsewhere D is drawn, and the
-    two seeds draw different generators for at least half of the 25."""
+    carries G's generators under both seeds; where D is the abelian regular
+    normal R that G's chain is built over, it is R under both, with no
+    draw; elsewhere D is drawn, and the two seeds draw different
+    generators for at least half of the rest."""
     groups = [suite.corpus_group(name) for name in suite.corpus_names()]
     groups = [g for g in groups if g.order() <= 20_000]
     assert len(groups) >= 50
@@ -671,16 +828,19 @@ def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
     for seed in (0, 1):
         monkeypatch.setattr(derange, "DRAW_SEED", seed)
         runs.append([analyze(g) for g in groups])
-    drawn, drawn_differently = 0, 0
+    over_r, drawn, drawn_differently = 0, 0, 0
     for g, a, b in zip(groups, *runs):
         assert a.to_record() == b.to_record()
         assert same_group(a.subgroup, b.subgroup)
         if a.index == 1:
             assert a.subgroup.generators == b.subgroup.generators == g.generators
+        elif a.subgroup is g._regular:
+            assert b.subgroup is g._regular
+            over_r += 1
         else:
             drawn += 1
             drawn_differently += a.subgroup.generators != b.subgroup.generators
-    assert drawn == 25 and 2 * drawn_differently >= drawn
+    assert (over_r, drawn) == (12, 13) and 2 * drawn_differently >= drawn
 
 
 def test_analyze_enumerates_only_point_stabilizers(monkeypatch):

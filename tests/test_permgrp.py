@@ -157,34 +157,44 @@ def test_chain_order_matches_bruteforce_on_random_subgroups():
             assert other not in group
 
 
+def without_regular_normal(monkeypatch):
+    """Chains built from now on are grown by ``_grow`` alone from the empty
+    chain, as before an abelian regular normal subgroup was looked for."""
+    monkeypatch.setattr(permgrp, "_regular_normal", lambda generators, degree: (None, generators))
+
+
 def _schreier_generators_formed(monkeypatch, make):
     """How many Schreier generators u*s the chains built by make() form:
     Schreier-Sims forms each as _getter(u)(s).  Each one is checked to be
     no tree edge: the image of u's point under s already has a transversal
-    element on the level whose transversal holds u."""
+    element on the level whose transversal holds u.  A _getter(u) whose u
+    is no level's transversal element forms no Schreier generator (the
+    conjugates of ``_regular_normal``) and is not counted."""
     chains, formed = [], []
     real_grow, real_getter = permgrp._grow, permgrp._getter
 
-    def grow(levels, generators, degree, base=None):
+    def grow(levels, generators, degree, base=None, top=0):
         chains.append(levels)
-        return real_grow(levels, generators, degree, base)
+        return real_grow(levels, generators, degree, base, top)
 
     def getter(u):
         get = real_getter(u)
 
         def form(s):
-            lvl = next(l for c in chains for l in c if l.transversal.get(u[l.base]) is u)
+            lvl = next((l for c in chains for l in c if l.transversal.get(u[l.base]) is u), None)
+            if lvl is None:
+                return get(s)
             assert s[u[lvl.base]] in lvl.transversal, "a tree edge was formed"
             formed.append(s)
             return get(s)
 
         return form
 
-    monkeypatch.setattr(permgrp, "_grow", grow)
-    monkeypatch.setattr(permgrp, "_getter", getter)
-    group = make()
-    group.order()
-    monkeypatch.undo()
+    with monkeypatch.context() as counting:
+        counting.setattr(permgrp, "_grow", grow)
+        counting.setattr(permgrp, "_getter", getter)
+        group = make()
+        group.order()
     return len(formed), group
 
 
@@ -193,14 +203,22 @@ def test_schreier_sims_forms_each_schreier_generator_once(monkeypatch):
     # affine-scalars 7 3, one per pair of a level's orbit and Schreier set
     # at every restart, tree edges included
     # A_30 from its generators, as alternating_group(30) knows its order
-    # without a chain
+    # without a chain; neither generator fixes no point
     a30_gens = alternating_group(30).generators
     formed, a30 = _schreier_generators_formed(monkeypatch, lambda: PermGroup(30, a30_gens))
     assert formed <= 2100 and a30.order() == factorial(30) // 2
+    # over its translations, affine-scalars 7 3 forms only G_0's pairs, and
+    # an n-cycle, its own R, forms none
     family = FamilyParams("affine-scalars", (7, 3))
     formed, affine = _schreier_generators_formed(monkeypatch, lambda: build_family(family))
+    assert formed == 1 and affine.order() == 343 * 6
+    for n in (2, 7, 50):
+        assert _schreier_generators_formed(monkeypatch, lambda: cyclic_group(n))[0] == 0
+    # grown by _grow alone: at most 1 031, and an n-cycle's one orbit has
+    # n - 1 tree edges and one pair closing it
+    without_regular_normal(monkeypatch)
+    formed, affine = _schreier_generators_formed(monkeypatch, lambda: build_family(family))
     assert formed <= 1031 and affine.order() == 343 * 6
-    # an n-cycle's one orbit has n - 1 tree edges and one pair closing it
     for n in (2, 7, 50):
         assert _schreier_generators_formed(monkeypatch, lambda: cyclic_group(n))[0] == 1
 
@@ -351,6 +369,23 @@ def test_chain_slots_refuse_a_chain_before_it_passes_the_budget(monkeypatch):
         monkeypatch.setattr(permgrp, "CHAIN_SLOTS", slots)
         assert group.order() == (300 if n == 300 else 720)
         assert sum(len(lvl.orbit) for lvl in group._chain()) * n == slots
+
+
+def test_chain_slots_count_r_while_the_point_stabilizer_grows(monkeypatch):
+    """affine-scalars 3 2 is built over its translations R: level 0 holds
+    R's 9 elements and G_0 = {1, -1} one level of 2 points, 11 points of 9
+    entries.  Built with CHAIN_SLOTS at 99 and refused at 98, while G_0's
+    level grows beside R's, the group left without a chain.  C_300 above is
+    its own R, refused while R's elements are listed."""
+    gens = build_family(FamilyParams("affine-scalars", (3, 2))).generators
+    monkeypatch.setattr(permgrp, "CHAIN_SLOTS", 98)
+    group = PermGroup(9, gens)
+    with pytest.raises(CapExceeded, match="^stabilizer chain of degree 9 exceeds 98 transversal entries$"):
+        group.order()
+    assert group._levels is None
+    monkeypatch.setattr(permgrp, "CHAIN_SLOTS", 99)
+    assert group.order() == 18 and group._regular is not None
+    assert [len(lvl.orbit) for lvl in group._chain()] == [9, 2]
 
 
 @pytest.mark.parametrize("build", [symmetric_group, alternating_group, cyclic_group])
