@@ -14,8 +14,8 @@ runs the structural checks around it (rank identity, semiregular quotient
 actions, index bounds), and names the quotient by its fingerprint, from
 constants and formulas: G/D is G_0 acting regularly on the D_0-orbits in
 one of its orbits.  No call enumerates the whole group: ``analyze``
-enumerates D_0, and G/D for its fingerprint, and two-derangement coverage
-reads the derangements off a walk of D.
+enumerates D_0, and G/D only when it is nonabelian, and two-derangement
+coverage reads the derangements off a walk of D.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
 from .permgrp import PermGroup, _block_action, _products, count_fixed
 
-FINGERPRINT_CAP = isqrt(permgrp.CHAIN_SLOTS)  # a regular quotient's chain holds order^2 entries
+FINGERPRINT_CAP = isqrt(permgrp.CHAIN_SLOTS)  # a nonabelian regular quotient is listed as order^2 entries
 PRODUCT_WORK_CAP = 4_000_000
 DRAW_SEED = 0
 
@@ -59,16 +60,49 @@ class GroupFingerprint:
 
 
 def fingerprint(group: PermGroup) -> GroupFingerprint:
+    """A transitive group of order n is regular, read at point 0, where
+    elements that agree are equal, and a subgroup's order is its orbit of 0
+    (Dixon-Mortimer 1996, 4.2).  Abelian: x^k = 1 for as many x as <g^k>
+    (g the generators) has orbits, inverted over the divisors of the
+    exponent (Mobius); nothing is listed.  Else its chain, one level on the
+    base [0], lists it: x has the order of its cycle through 0 and is
+    central when x*g and g*x agree at 0.  Other groups are walked."""
     order = group.order()
     if order > FINGERPRINT_CAP:
         raise CapExceeded(f"fingerprint needs order <= {FINGERPRINT_CAP}, got {order}")
+    if order != group.degree or not group.is_transitive():
+        return _walked_fingerprint(group)
+    gens = [g.images for g in group.generators]
+    if all(a[b[0]] == b[a[0]] for a in gens for b in gens):
+        exponent, exact = lcm(1, *map(_order_at_zero, gens)), {}
+        for k in (k for k in range(1, exponent + 1) if exponent % k == 0):
+            roots = len(PermGroup(order, [g**k for g in group.generators]).orbits())
+            exact[k] = roots - sum(c for d, c in exact.items() if k % d == 0)
+        return GroupFingerprint(order, tuple(exact.items()), order, 1)
+    elements = group._chain()[0].transversal.values()
+    hist = Counter(map(_order_at_zero, elements))
+    center = sum(all(g[x[0]] == x[g[0]] for g in gens) for x in elements)
+    return GroupFingerprint(order, tuple(sorted(hist.items())), center, _derived_order(group))
+
+
+def _order_at_zero(images: tuple[int, ...]) -> int:
+    """The length of the cycle through 0: the order, in a regular group."""
+    k, x = 1, images[0]
+    while x:
+        k, x = k + 1, images[x]
+    return k
+
+
+def _derived_order(group: PermGroup) -> int:
+    return group.normal_closure(a.inverse() * b.inverse() * a * b for a, b in combinations(group.generators, 2)).order()
+
+
+def _walked_fingerprint(group: PermGroup) -> GroupFingerprint:
+    """The fingerprint from every element: groups that are not regular, and the oracle."""
     elems = group.elements()
     hist = Counter(g.order() for g in elems)
-    gens = list(group.generators) or [group.identity()]
-    center = sum(1 for g in elems if all(g * h == h * g for h in gens))
-    commutators = [a.inverse() * b.inverse() * a * b for i, a in enumerate(gens) for b in gens[i + 1 :]]
-    derived = group.normal_closure(commutators).order()
-    return GroupFingerprint(order, tuple(sorted(hist.items())), center, derived)
+    center = sum(all(g * h == h * g for h in group.generators) for g in elems)
+    return GroupFingerprint(group.order(), tuple(sorted(hist.items())), center, _derived_order(group))
 
 
 def _dihedral_fingerprint(m: int) -> GroupFingerprint:

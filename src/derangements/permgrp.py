@@ -11,8 +11,9 @@ resumes at its next pair instead of restarting.  A first query grows from
 the empty chain or, when the generators fixing no point generate an
 abelian regular normal subgroup R (``_regular_normal``), by one element
 of G_0 per generator below a first level listing R's elements, never
-verified, as in a closure of G grown from G's R.  Subgroups of G grow only
-by ``_normal_closure_of``, on G's base when it is short, each candidate
+verified, as in a closure of G grown from G's R; a transitive group that
+carries its order n is its own R.  Subgroups of G grow only by
+``_normal_closure_of``, on G's base when it is short, each candidate
 sifted once; ``normal_closure`` checks its seeds lie in G.
 Strong generators and transversals depend on the order of work; bases and
 basic orbits do not.  Every strong generator sits at the level based at
@@ -352,17 +353,20 @@ def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, 
     return bool(landed)
 
 
-def _regular_normal(generators: tuple[Permutation, ...], degree: int):
+def _regular_normal(generators: tuple[Permutation, ...], degree: int, order: int | None):
     """(R, G_0's generators) when the generators fixing no point, A,
     commute, reach every point from 0 and are normalized by every
     generator, else (None, the generators).  R = <A> is then abelian and
     transitive, so regular and its own centralizer (Dixon-Mortimer, Thm
-    4.2A): s^-1*a*s is in R when it is R's element at its image of 0.  R's
-    level lists R's elements at 0 and needs no verifying: G = R*G_0, and a
-    Schreier generator of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s with
-    t in R, t(0) = s^-1(0), one per generator s fixing a point."""
+    4.2A): s^-1*a*s is in R when it is R's element at its image of 0.  A
+    group of given order n whose A reaches every point is regular, so it
+    is R, abelian or not.  R's level lists R's elements at 0 and needs no
+    verifying: G = R*G_0, and a Schreier generator of (x, s) lies in
+    Rs n G_0 = {h_s}, h_s = t*s with t in R, t(0) = s^-1(0), one per
+    generator s fixing a point."""
     moving = [g for g in generators if not count_fixed(g.images)]
-    if not moving or any(_compose(a.images, b.images) != _compose(b.images, a.images) for a in moving for b in moving):
+    commute = (_compose(a.images, b.images) == _compose(b.images, a.images) for a in moving for b in moving)
+    if not moving or order != degree and not all(commute):
         return None, generators
     level = _Level(0, degree)
     transversal, orbit = level.transversal, level.orbit
@@ -415,7 +419,7 @@ class PermGroup:
 
     def _chain(self) -> list[_Level]:
         if self._levels is None:
-            self._regular, gens = _regular_normal(self.generators, self.degree)
+            self._regular, gens = _regular_normal(self.generators, self.degree, self._order)
             levels = list(self._regular._levels) if self._regular else []
             _grow(levels, gens, self.degree, top=len(levels))
             self._levels = levels

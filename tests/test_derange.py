@@ -2,8 +2,9 @@
 
 from collections import Counter
 from fractions import Fraction
+import itertools
 import random
-from math import factorial
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from derangements.permgrp import (
 )
 from derangements.families import FamilyParams, affine_group, build_family
 from derangements.gf import field
-from derangements.matgrp import quaternion_gl2, special_linear_gl2
+from derangements.matgrp import quaternion_gl2, quotient_perm_group, special_linear_gl2
 from test_matgrp import _closure_python
 from test_permgrp import conjugations_formed, without_regular_normal
 from test_properties import _coset_quotient, _level_data, _level_state, _probes, same_group
@@ -706,6 +707,94 @@ def test_identification_enumerates_no_group(monkeypatch):
     monkeypatch.setattr(PermGroup, "_enumeration_split", fail)
     assert identify_fingerprint(a4) == "A4"
     assert identify_fingerprint(d194) == "D194"
+
+
+def test_fingerprint_at_point_zero_matches_the_walk_on_every_quotient(monkeypatch):
+    """G/D of every transitive corpus group, permutation and bridge paper
+    group and perm-wide and perm-deep group at seed 1, and H/R(H) of every
+    matrix pool group and matrix or bridge side of a paper scenario: each
+    is regular, and its fingerprint read at point 0 is the walk's, with no
+    element listed by the walk and no cycle decomposed.  Of the 106, only
+    the 8 nonabelian ones get a chain, the one level listing them by their
+    images of 0: H/R(H) for A4, A5, D8 and D12 of the paper, then A4, A5,
+    D8 and D20 of the matrix pool."""
+    paper = [(build_family(sc.params), sc) for sc in suite.PAPER_SCENARIOS]
+    perm = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
+    perm += [g for g, sc in paper if sc.kind in ("perm", "bridge")]
+    perm += _pool(monkeypatch, "perm-wide", 1) + _pool(monkeypatch, "perm-deep", 1)
+    mat = [g if sc.kind == "mat" else suite._MAT_BUILDERS[sc.mat_id]() for g, sc in paper if sc.kind != "perm"]
+    mat += _pool(monkeypatch, "matrix", 1)
+    quotients = [derange._quotient(g, derangement_subgroup(g)) for g in perm]
+    quotients += [quotient_perm_group(h) for h in mat]
+    assert len(quotients) == 106 and all(q.degree == q.order() for q in quotients)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reading at point 0 walked or decomposed")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    monkeypatch.setattr(Permutation, "cycles", refuse)
+    at_zero = [fingerprint(q) for q in quotients]
+    monkeypatch.undo()
+    chained = [q for q in quotients if q._levels]
+    assert all(len(q._levels) == 1 and q._regular is not None for q in chained)
+    assert at_zero == [derange._walked_fingerprint(q) for q in quotients]
+    nonabelian = [fp.order for fp in at_zero if fp.center_order < fp.order]
+    assert [q.order() for q in chained] == nonabelian == [12, 60, 8, 12, 12, 60, 8, 20]
+
+
+def _regular_on_points(n, *images):
+    """The group of the image lists, regular on n points, as the block
+    action on singletons forms it: its order n carried, no chain built."""
+    return permgrp._block_action([[x] for x in range(n)], images, n)
+
+
+def _dihedral_regular(m):
+    """D_2m acting on r^i s^j, point i + m*j, by right multiplication:
+    r^i s^j r = r^(i + (-1)^j) s^j and r^i s^j s = r^i s^(j + 1)."""
+    r = [(x + 1) % m if x < m else m + (x - 1) % m for x in range(2 * m)]
+    s = [(x + m) % (2 * m) for x in range(2 * m)]
+    return _regular_on_points(2 * m, r, s)
+
+
+def test_fingerprint_of_large_regular_groups_matches_closed_forms():
+    """C_n has phi(d) elements of order d for each d | n; C2xC6xC60 on its
+    720 elements has the orders lcm of its coordinates' orders; the
+    dihedral regular representations match ``_dihedral_fingerprint`` up to
+    order 2000.  The walk, which takes seconds on C_3000, checks the orders
+    up to 300."""
+    for n in (1, 2, 12, 300, 1023, 2047, 4000):
+        group = _regular_on_points(n, (*range(1, n), 0))
+        phi = {d: sum(gcd(d, i) == 1 for i in range(1, d + 1)) for d in range(1, n + 1) if n % d == 0}
+        assert fingerprint(group) == derange.GroupFingerprint(n, tuple(phi.items()), n, 1), n
+        if n <= 300:
+            assert fingerprint(group) == derange._walked_fingerprint(group), n
+    radix = (2, 6, 60)
+    points = list(itertools.product(*map(range, radix)))
+    index = {x: i for i, x in enumerate(points)}
+    shifts = [[index[x[:k] + ((x[k] + 1) % r,) + x[k + 1 :]] for x in points] for k, r in enumerate(radix)]
+    orders = Counter(lcm(*(r // gcd(r, c) for r, c in zip(radix, x))) for x in points)
+    abelian = derange.GroupFingerprint(720, tuple(sorted(orders.items())), 720, 1)
+    assert fingerprint(_regular_on_points(720, *shifts)) == abelian
+    for m in (3, 4, 5, 6, 12, 97, 150, 512, 1000):
+        group = _dihedral_regular(m)
+        assert fingerprint(group) == derange._dihedral_fingerprint(m), m
+        if m <= 150:
+            assert fingerprint(group) == derange._walked_fingerprint(group), m
+
+
+def test_groups_that_are_not_regular_keep_the_walk(monkeypatch):
+    """A4 on 4 points, the dihedral groups on m points and D of pgammal28
+    (PSL(2,8) on 28 points, order 504) are walked, to the same values."""
+    walked = []
+    walk = derange._walked_fingerprint
+    monkeypatch.setattr(derange, "_walked_fingerprint", lambda group: walked.append(group.degree) or walk(group))
+    assert identify_quotient(alternating_group(4)) == "A4"
+    for m in (3, 4, 7, 12):
+        assert fingerprint(dihedral_group(m)) == derange._dihedral_fingerprint(m)
+    d = analyze(build_family(FamilyParams("pgammal28", ()))).subgroup
+    psl28 = derange.GroupFingerprint(504, ((1, 1), (2, 63), (3, 56), (7, 216), (9, 168)), 1, 504)
+    assert fingerprint(d) == psl28 == fingerprint(suite._pgl_2_8())
+    assert walked == [4, 3, 4, 7, 12, 28, 9]
 
 
 def test_identify_is_representation_independent():
