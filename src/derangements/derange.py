@@ -14,8 +14,8 @@ runs the structural checks around it (rank identity, semiregular quotient
 actions, index bounds), and names the quotient by its fingerprint, from
 constants and formulas: G/D is G_0 acting regularly on the D_0-orbits in
 one of its orbits.  No call enumerates the whole group: ``analyze``
-enumerates D_0, and G/D only when it is nonabelian, and two-derangement
-coverage reads the derangements off a walk of D.
+enumerates D_0, and G/D, one chain level on the base [0], only when it
+is nonabelian; two-derangement coverage walks D for its derangements.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import gcd, isqrt, lcm
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
-from .permgrp import PermGroup, _block_action, _products, count_fixed
+from .permgrp import PermGroup, _block_action, _compose, _products, count_fixed
 
 FINGERPRINT_CAP = isqrt(permgrp.CHAIN_SLOTS)  # a nonabelian regular quotient is listed as order^2 entries
 PRODUCT_WORK_CAP = 4_000_000
@@ -60,20 +60,21 @@ class GroupFingerprint:
 
 
 def fingerprint(group: PermGroup) -> GroupFingerprint:
-    """A transitive group of order n is regular, read at point 0, where
-    elements that agree are equal, and a subgroup's order is its orbit of 0
-    (Dixon-Mortimer 1996, 4.2).  Abelian: x^k = 1 for as many x as <g^k>
-    (g the generators) has orbits, inverted over the divisors of the
-    exponent (Mobius); nothing is listed.  Else its chain, one level on the
-    base [0], lists it: x has the order of its cycle through 0 and is
-    central when x*g and g*x agree at 0.  Other groups are walked."""
-    order = group.order()
+    """A transitive group that is abelian or of order n is regular, read at
+    point 0, where elements that agree are equal, and a subgroup's order is
+    its orbit of 0 (Dixon-Mortimer 1996, 4.2A).  Abelian (its generators g
+    commute): x^k = 1 for as many x as <g^k> has orbits, inverted over the
+    divisors of the exponent (Mobius); no chain is built.  Else its chain,
+    one level on the base [0], lists it: x has the order of its cycle
+    through 0 and is central when x*g and g*x agree at 0.  Others are walked."""
+    gens = [g.images for g in group.generators]
+    abelian = all(_compose(a, b) == _compose(b, a) for a, b in combinations(gens, 2))
+    order = group.degree if abelian and group.is_transitive() else group.order()
     if order > FINGERPRINT_CAP:
         raise CapExceeded(f"fingerprint needs order <= {FINGERPRINT_CAP}, got {order}")
     if order != group.degree or not group.is_transitive():
         return _walked_fingerprint(group)
-    gens = [g.images for g in group.generators]
-    if all(a[b[0]] == b[a[0]] for a in gens for b in gens):
+    if abelian:
         exponent, exact = lcm(1, *map(_order_at_zero, gens)), {}
         for k in (k for k in range(1, exponent + 1) if exponent % k == 0):
             roots = len(PermGroup(order, [g**k for g in group.generators]).orbits())
@@ -223,10 +224,9 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
         rng = random.Random(DRAW_SEED)
         group._chain()  # sets group._regular
         d = group._regular or PermGroup(group.degree, ())
+        draws = (x for x in iter(lambda: group.random_element(rng), None) if not count_fixed(x.images))
         while not (d.is_transitive() and _regular_on_suborbits(group, d)):
-            x = group.random_element(rng)
-            if not count_fixed(x.images):
-                d = group._normal_closure_of(d, x)
+            d = group._normal_closure_of(d, next(draws))
         conjugators = [g.conjugator() for g in group.generators]  # each g inverted once
         assert all(
             conjugate(k) in d for conjugate in conjugators for k in d.generators

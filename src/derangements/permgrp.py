@@ -12,9 +12,10 @@ the empty chain or, when the generators fixing no point generate an
 abelian regular normal subgroup R (``_regular_normal``), by one element
 of G_0 per generator below a first level listing R's elements, never
 verified, as in a closure of G grown from G's R; a transitive group that
-carries its order n is its own R.  Subgroups of G grow only by
-``_normal_closure_of``, on G's base when it is short, each candidate
-sifted once; ``normal_closure`` checks its seeds lie in G.
+carries its order n is regular, so it grows on the known base [0], where
+every Schreier pair agrees: one level, nothing sifted.  Subgroups of G
+grow only by ``_normal_closure_of``, on G's base when it is short, each
+candidate sifted once; ``normal_closure`` checks its seeds lie in G.
 Strong generators and transversals depend on the order of work; bases and
 basic orbits do not.  Every strong generator sits at the level based at
 the smallest point it moves, so bases are strictly increasing and each
@@ -353,20 +354,18 @@ def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, 
     return bool(landed)
 
 
-def _regular_normal(generators: tuple[Permutation, ...], degree: int, order: int | None):
+def _regular_normal(generators: tuple[Permutation, ...], degree: int):
     """(R, G_0's generators) when the generators fixing no point, A,
     commute, reach every point from 0 and are normalized by every
     generator, else (None, the generators).  R = <A> is then abelian and
     transitive, so regular and its own centralizer (Dixon-Mortimer, Thm
-    4.2A): s^-1*a*s is in R when it is R's element at its image of 0.  A
-    group of given order n whose A reaches every point is regular, so it
-    is R, abelian or not.  R's level lists R's elements at 0 and needs no
-    verifying: G = R*G_0, and a Schreier generator of (x, s) lies in
-    Rs n G_0 = {h_s}, h_s = t*s with t in R, t(0) = s^-1(0), one per
-    generator s fixing a point."""
+    4.2A): s^-1*a*s is in R when it is R's element at its image of 0.
+    R's level lists R's elements at 0 and needs no verifying: G = R*G_0,
+    and a Schreier generator of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s
+    with t in R, t(0) = s^-1(0), one per generator s fixing a point."""
     moving = [g for g in generators if not count_fixed(g.images)]
     commute = (_compose(a.images, b.images) == _compose(b.images, a.images) for a in moving for b in moving)
-    if not moving or order != degree and not all(commute):
+    if not moving or not all(commute):
         return None, generators
     level = _Level(0, degree)
     transversal, orbit = level.transversal, level.orbit
@@ -409,7 +408,7 @@ class PermGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self._levels: list[_Level] | None = None
-        self._regular: PermGroup | None = None  # R when the chain's first level is R's (None in R)
+        self._regular: PermGroup | None = None  # abelian R when the chain's first level is R's (None in R)
         self._order: int | None = None
         self._orbits: list[list[int]] | None = None
         self._stabilizer: PermGroup | None = None
@@ -419,9 +418,10 @@ class PermGroup:
 
     def _chain(self) -> list[_Level]:
         if self._levels is None:
-            self._regular, gens = _regular_normal(self.generators, self.degree, self._order)
+            self._regular, gens = _regular_normal(self.generators, self.degree)
             levels = list(self._regular._levels) if self._regular else []
-            _grow(levels, gens, self.degree, top=len(levels))
+            base = [0] if self._order == self.degree and self.is_transitive() else None  # regular: only 1 fixes 0
+            _grow(levels, gens, self.degree, base, top=len(levels))
             self._levels = levels
         return self._levels
 

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 import itertools
 import random
+import sys
 from math import factorial, gcd, lcm
 from pathlib import Path
 
@@ -736,7 +737,7 @@ def test_fingerprint_at_point_zero_matches_the_walk_on_every_quotient(monkeypatc
     at_zero = [fingerprint(q) for q in quotients]
     monkeypatch.undo()
     chained = [q for q in quotients if q._levels]
-    assert all(len(q._levels) == 1 and q._regular is not None for q in chained)
+    assert all(len(q._levels) == 1 and q._regular is None for q in chained)
     assert at_zero == [derange._walked_fingerprint(q) for q in quotients]
     nonabelian = [fp.order for fp in at_zero if fp.center_order < fp.order]
     assert [q.order() for q in chained] == nonabelian == [12, 60, 8, 12, 12, 60, 8, 20]
@@ -756,30 +757,91 @@ def _dihedral_regular(m):
     return _regular_on_points(2 * m, r, s)
 
 
-def test_fingerprint_of_large_regular_groups_matches_closed_forms():
-    """C_n has phi(d) elements of order d for each d | n; C2xC6xC60 on its
-    720 elements has the orders lcm of its coordinates' orders; the
-    dihedral regular representations match ``_dihedral_fingerprint`` up to
-    order 2000.  The walk, which takes seconds on C_3000, checks the orders
-    up to 300."""
-    for n in (1, 2, 12, 300, 1023, 2047, 4000):
-        group = _regular_on_points(n, (*range(1, n), 0))
-        phi = {d: sum(gcd(d, i) == 1 for i in range(1, d + 1)) for d in range(1, n + 1) if n % d == 0}
-        assert fingerprint(group) == derange.GroupFingerprint(n, tuple(phi.items()), n, 1), n
-        if n <= 300:
-            assert fingerprint(group) == derange._walked_fingerprint(group), n
+def _cyclic_fingerprint(n):
+    """C_n has phi(d) elements of order d for each d | n."""
+    phi = {d: sum(gcd(d, i) == 1 for i in range(1, d + 1)) for d in range(1, n + 1) if n % d == 0}
+    return derange.GroupFingerprint(n, tuple(phi.items()), n, 1)
+
+
+def _c2_c6_c60():
+    """(the coordinate shifts, the fingerprint) of C2xC6xC60 on its 720
+    elements, whose orders are the lcm of their coordinates' orders."""
     radix = (2, 6, 60)
     points = list(itertools.product(*map(range, radix)))
     index = {x: i for i, x in enumerate(points)}
     shifts = [[index[x[:k] + ((x[k] + 1) % r,) + x[k + 1 :]] for x in points] for k, r in enumerate(radix)]
     orders = Counter(lcm(*(r // gcd(r, c) for r, c in zip(radix, x))) for x in points)
-    abelian = derange.GroupFingerprint(720, tuple(sorted(orders.items())), 720, 1)
+    return shifts, derange.GroupFingerprint(720, tuple(sorted(orders.items())), 720, 1)
+
+
+def test_fingerprint_of_large_regular_groups_matches_closed_forms():
+    """C_n and C2xC6xC60 match their closed forms; the dihedral regular
+    representations match ``_dihedral_fingerprint`` up to order 2000.  The
+    walk, which takes seconds on C_3000, checks the orders up to 300."""
+    for n in (1, 2, 12, 300, 1023, 2047, 4000):
+        group = _regular_on_points(n, (*range(1, n), 0))
+        assert fingerprint(group) == _cyclic_fingerprint(n), n
+        if n <= 300:
+            assert fingerprint(group) == derange._walked_fingerprint(group), n
+    shifts, abelian = _c2_c6_c60()
     assert fingerprint(_regular_on_points(720, *shifts)) == abelian
     for m in (3, 4, 5, 6, 12, 97, 150, 512, 1000):
         group = _dihedral_regular(m)
         assert fingerprint(group) == derange._dihedral_fingerprint(m), m
         if m <= 150:
             assert fingerprint(group) == derange._walked_fingerprint(group), m
+
+
+def test_abelian_transitive_groups_are_fingerprinted_with_no_chain(monkeypatch):
+    """A transitive group whose generators commute is regular of order n,
+    so no chain is built to learn its order: C_3000 from its n-cycle, C_2047
+    and C_4000 read back from their text, and C2xC6xC60 from its shifts,
+    none carrying its order."""
+    groups = {n: fileio.load_group(fileio.dump_group(cyclic_group(n))) for n in (2047, 4000)}
+    groups[3000] = cyclic_group(3000)
+    shifts, abelian = _c2_c6_c60()
+
+    def no_chain(self):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(PermGroup, "_chain", no_chain)
+    for n, group in groups.items():
+        assert fingerprint(group) == _cyclic_fingerprint(n), n
+    assert fingerprint(PermGroup(720, shifts)) == abelian
+
+
+def test_nonabelian_groups_carrying_order_n_grow_one_level_on_the_base_zero(monkeypatch):
+    """A transitive group carrying its order n is regular: it has no
+    abelian R (``_regular_normal`` declines) and grows on the base [0].
+    Each generator is sifted once, by ``_grow``, onto level 0, and every
+    Schreier pair agrees at 0, so ``_verify`` sifts nothing.  The level is
+    the one listed breadth-first by the generators, in their order: the
+    dihedral regular representations and A5, H/R(H) of the matrix pool."""
+    a5 = quotient_perm_group(build_family(FamilyParams("central-a5", ())))
+    groups = [_dihedral_regular(m) for m in (3, 4, 12, 97)] + [a5]
+    callers, real_sift = [], permgrp._sift
+
+    def sift(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_sift(*args)
+
+    monkeypatch.setattr(permgrp, "_sift", sift)
+    for group in groups:
+        gens = [g.images for g in group.generators]
+        assert group._levels is None and group._order == group.degree
+        assert permgrp._regular_normal(group.generators, group.degree) == (None, group.generators)
+        callers.clear()
+        (level,) = group._chain()
+        assert group._regular is None and callers == ["_grow"] * len(gens)
+        assert level.gens == gens and level.origins == [-1] * len(gens)
+        orbit, transversal = [0], {0: tuple(range(group.degree))}
+        for pt in orbit:
+            for g in gens:
+                if g[pt] not in transversal:
+                    transversal[g[pt]] = permgrp._compose(transversal[pt], g)
+                    orbit.append(g[pt])
+        assert level.orbit == orbit and list(level.transversal.items()) == list(transversal.items())
+    assert identify_quotient(a5) == "A5"
 
 
 def test_groups_that_are_not_regular_keep_the_walk(monkeypatch):

@@ -160,7 +160,7 @@ def test_chain_order_matches_bruteforce_on_random_subgroups():
 def without_regular_normal(monkeypatch):
     """Chains built from now on are grown by ``_grow`` alone from the empty
     chain, as before an abelian regular normal subgroup was looked for."""
-    monkeypatch.setattr(permgrp, "_regular_normal", lambda generators, degree, order: (None, generators))
+    monkeypatch.setattr(permgrp, "_regular_normal", lambda generators, degree: (None, generators))
 
 
 def _schreier_generators_formed(monkeypatch, make):
