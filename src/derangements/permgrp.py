@@ -28,9 +28,10 @@ compares it with the sifted element, and products run in C.  Quotients are
 regular actions on the orbits of a normal subgroup, their count the order
 (``_block_action``).  No block system is searched for: primitivity is
 maximality of the point stabilizer, read off the chain.  Elements are
-upper products times a tail, the deepest levels' products, listed by one
-walk: numpy blocks of upper products gathered by the tail array, at most
-BLOCK_ENTRIES entries unless the tail is larger.  One breadth-first
+upper products times a tail, the deepest levels' products, one array:
+fixed points compare it with inverted chunks of upper products, forming
+no element (``_fix_counts``), and element blocks gather chunks by it, at
+most BLOCK_ENTRIES entries unless the tail is larger.  One breadth-first
 closure, ``closure``, keys rows by their bytes for ``bruteforce_closure``
 and for matgrp's digit stacks.
 """
@@ -524,37 +525,32 @@ class PermGroup:
     # element enumeration ----------------------------------------------------
 
     def _enumeration_split(self):
-        """(upper, deep): each element 'apply u_k-1, ..., then u_0', u_i over
+        """(tail, chunks): each element 'apply u_k-1, ..., then u_0', u_i over
         level i's transversal in sorted orbit order, is once 'apply t, then
-        u', u streamed from upper (outermost) and t from the tail, the
-        products of the rows in deep (deepest level first).  The tail holds
-        as many of the deepest levels as keep it within the chain's own
-        transversal count (the deepest always fits)."""
+        u', t a row of the C-ordered tail array, the products of as many of
+        the deepest levels as keep it within the chain's own transversal
+        count (the deepest always fits), and u an upper product (outermost),
+        streamed in chunks of at most max(1, BLOCK_ENTRIES // tail.size), all
+        in the smallest dtype holding the points."""
         rows = [[lvl.transversal[pt] for pt in sorted(lvl.orbit)] for lvl in self._chain()]
-        store, size, deep = sum(map(len, rows)), 1, []
-        while rows and size * len(rows[-1]) <= store:
-            size *= len(rows[-1])
-            deep.append(rows.pop())
-        return iter(reduce(_products, rows, [tuple(range(self.degree))])), deep
+        store, n, dtype = sum(map(len, rows)), self.degree, np.min_scalar_type(self.degree - 1)
+        tail = np.arange(n, dtype=dtype)[None]
+        while rows and len(tail) * len(rows[-1]) <= store:
+            tail = np.take(np.array(rows.pop(), dtype=dtype), tail, axis=1).reshape(-1, n)
+        upper, step = iter(reduce(_products, rows, [tuple(range(n))])), max(1, BLOCK_ENTRIES // tail.size)
+        chunks = iter(lambda: list(islice(upper, step)), [])
+        return tail, (np.array(chunk, dtype=dtype) for chunk in chunks)
 
     def _element_blocks(self) -> Iterator[np.ndarray]:
-        """The one walk: every element once, the identity first, as rows of
-        image arrays of at most max(BLOCK_ENTRIES, tail.size) entries.  The
-        tail is one array, built deepest level first, each level's rows
-        gathered by the tail below it; a block is a chunk of upper products
-        gathered by the tail, row (u, t) being t then u."""
-        upper, deep = self._enumeration_split()
-        n, dtype = self.degree, np.min_scalar_type(self.degree - 1)
-        tail = np.arange(n, dtype=dtype)[None]
-        for row in deep:
-            tail = np.array(row, dtype=dtype)[:, tail].reshape(-1, n)
-        step = max(1, BLOCK_ENTRIES // tail.size)
-        chunks = iter(lambda: list(islice(upper, step)), [])
-        return (np.array(chunk, dtype=dtype)[:, tail].reshape(-1, n) for chunk in chunks)
+        """Every element once, the identity first, as rows of image arrays
+        of at most max(BLOCK_ENTRIES, tail.size) entries: a chunk of upper
+        products gathered by the tail, row (u, t) being t then u."""
+        tail, chunks = self._enumeration_split()
+        return (chunk[:, tail].reshape(-1, self.degree) for chunk in chunks)
 
     def fixed_point_tally(self) -> Counter:
         """fix -> the number of elements with that many fixed points."""
-        return _counter(sum(map(_fixed_counts, self._element_blocks())))
+        return _counter(_fix_counts(self, [])[1])
 
     def random_element(self, rng: random.Random) -> Permutation:
         """A uniform random element: one uniform transversal element per
@@ -638,35 +634,39 @@ def _block_action(blocks: Sequence[Sequence[int]], images: Iterable[Sequence[int
     return quotient
 
 
-def _fixed_counts(block: np.ndarray) -> np.ndarray:
-    """Entry k: how many rows of an image block fix k points."""
-    n = block.shape[1]
-    return np.bincount((block == np.arange(n, dtype=block.dtype)).sum(axis=1), minlength=n + 1)
-
-
 def _counter(counts: np.ndarray) -> Counter:
     return Counter({k: c for k, c in enumerate(counts.tolist()) if c})
+
+
+def _fix_counts(group: PermGroup, inverses: Sequence[np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """(hits, counts): hits[i] sums fix(t*g) over the elements g of group,
+    for t^-1 = inverses[i], and counts[k] counts the elements fixing k
+    points.  For g = 'apply s, then u', s a tail row and u an upper product,
+    fix(g) = #{y : s(y) = u^-1(y)} and fix(t*g) = #{y : s(y) = u^-1(t^-1(y))}:
+    each chunk of upper products is inverted once, and no element is formed."""
+    tail, chunks = group._enumeration_split()
+    n = group.degree
+    hits, counts = [0] * len(inverses), np.zeros(n + 1, dtype=np.int64)
+    for chunk in chunks:
+        inv = np.empty_like(chunk)
+        inv[np.arange(len(chunk))[:, None], chunk] = np.arange(n, dtype=chunk.dtype)
+        counts += np.bincount((tail == inv[:, None]).sum(axis=2).ravel(), minlength=n + 1)
+        for i, t in enumerate(inverses):
+            hits[i] += int(np.count_nonzero(tail == inv.take(t, axis=1)[:, None]))
+    return hits, counts
 
 
 def coset_average_fixed_points(
     reps: Sequence[Permutation], group: PermGroup, fixed: Counter | None = None
 ) -> list[Fraction]:
     """Exact average number of fixed points over t*G for each t in reps: 1
-    for transitive groups, the orbit count for intransitive ones.  fix(t*g)
-    is #{y : g(y) = t^-1(y)}, so one pass over G's element blocks counts,
-    per block and per representative, the entries where a row equals t^-1,
-    held in the block's dtype; memory stays within a block.  That is the
-    same exact sum over the same elements, not the orbit-counting formula.
-    A Counter passed as ``fixed`` also tallies fix(g) over those blocks."""
-    n = group.degree
-    if any(t.degree != n for t in reps):
+    for transitive groups, the orbit count for intransitive ones.  One pass
+    of ``_fix_counts`` sums fix(t*g) over G for every t: the same exact sum
+    over the same elements, not the orbit-counting formula.  A Counter
+    passed as ``fixed`` also tallies fix(g) over G."""
+    if any(t.degree != group.degree for t in reps):
         raise DegreeMismatch("degrees differ")
-    inverses = [_invert(t.images) for t in reps]
-    hits, counts = [0] * len(reps), 0
-    for block in group._element_blocks():
-        for i, t in enumerate(inverses):
-            hits[i] += int(np.count_nonzero(block == np.array(t, dtype=block.dtype)))
-        counts = counts + _fixed_counts(block)
+    hits, counts = _fix_counts(group, [np.argsort(t.images) for t in reps])
     if fixed is not None:
         fixed.update(_counter(counts))
     return [Fraction(h, group.order()) for h in hits]

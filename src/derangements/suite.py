@@ -8,8 +8,8 @@ of structural properties: the four core subgroup checks, index
 divisibility and the stabilizer facts, the imprimitivity bound, exact
 coset fixed-point averages, derangement abundance, two-derangement
 coverage for Frobenius actions, and independent order and rank
-cross-checks.  One walk over D's numpy element blocks gives every coset
-average and D's fixed-point tally; G's tally likewise.
+cross-checks.  One walk over D's tail and upper products gives every
+coset average and D's fixed-point tally; G's tally likewise.
 
 All records are plain JSON-safe dicts with deterministic key and entry
 order, so repeated runs emit identical bytes (wall times are kept on the

@@ -329,20 +329,20 @@ def test_enumeration_streams():
     assert peak < 4 * 2**20
 
 
-def test_fixed_point_tally_takes_many_upper_products_per_block(monkeypatch):
+def test_fixed_point_tally_takes_many_upper_products_per_block():
     # S_7's tail is the 24 products of its three deepest levels; one upper
-    # product per block made 210 blocks
-    blocks, original = [], permgrp._fixed_counts
-    monkeypatch.setattr(permgrp, "_fixed_counts", lambda block: blocks.append(block.shape) or original(block))
-    tally = symmetric_group(7).fixed_point_tally()
+    # product per chunk made 210 chunks
+    group = symmetric_group(7)
+    tail, chunks = group._enumeration_split()
+    assert tail.shape == (24, 7) and 1 <= len(list(chunks)) <= 2
+    tally = group.fixed_point_tally()
     assert tally[0] == 1854 and sum(tally.values()) == 5040
-    assert 1 <= len(blocks) <= 2
 
 
 def test_fixed_point_tally_of_a_one_level_chain_holds_one_tail():
-    # C_3000's one level is the whole tail, 9 000 000 entries: as uint16
-    # the tail and one block fit in 60 MB, where a Python tuple tail and its
-    # int64 copy peaked at 146 MB
+    # C_3000's one level is the whole tail, 9 000 000 entries: as uint16 the
+    # tail and its comparison with the one inverted upper product fit in
+    # 40 MB, where a Python tuple tail and its int64 copy peaked at 146 MB
     group = cyclic_group(3000)
     group.order()
     tracemalloc.start()
@@ -352,7 +352,7 @@ def test_fixed_point_tally_of_a_one_level_chain_holds_one_tail():
     finally:
         tracemalloc.stop()
     assert tally == Counter({0: 2999, 3000: 1})
-    assert peak < 60 * 2**20
+    assert peak < 40 * 2**20
 
 
 def test_chain_slots_refuse_a_chain_before_it_passes_the_budget(monkeypatch):
@@ -808,9 +808,10 @@ def test_coset_averages_match_the_per_representative_loop(group):
 
 
 def test_coset_averages_need_no_pair_table():
-    # C_3000's one block is its whole tail, 9 000 000 uint16 entries; the
-    # averages need no more than a block's worth beside it (an n x n int64
-    # table of (point, image) counts peaks at 241 MB)
+    # C_3000's one level is its whole tail, 9 000 000 uint16 entries; the
+    # averages compare it with the one inverted upper product, gathered by
+    # t^-1, and form no element (an n x n int64 table of (point, image)
+    # counts peaks at 241 MB)
     group = cyclic_group(3000)
     group.order()
     tracemalloc.start()
@@ -820,7 +821,7 @@ def test_coset_averages_need_no_pair_table():
     finally:
         tracemalloc.stop()
     assert averages == [Fraction(1)]
-    assert peak < 60 * 2**20
+    assert peak < 40 * 2**20
 
 
 def test_coset_averages_of_no_representatives():

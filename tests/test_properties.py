@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, prod
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -188,39 +189,34 @@ def test_enumeration_order_matches_on_random_groups(data):
         assert _same_enumeration(g)
 
 
-def _blocks_within(group, entries):
-    """The element blocks, listed with BLOCK_ENTRIES set to entries."""
-    saved, permgrp.BLOCK_ENTRIES = permgrp.BLOCK_ENTRIES, entries
-    try:
-        return list(group._element_blocks())
-    finally:
-        permgrp.BLOCK_ENTRIES = saved
-
-
 def _assert_block_tallies_match_the_loops(group, reps):
-    """The numpy block paths against the per-element loops they replaced:
-    the blocks hold the recursive enumerator's stream row for row (not
-    iter_elements', which reads the blocks), in the smallest dtype
-    holding the points and at most max(BLOCK_ENTRIES, tail entries) entries
-    each, the fixed-point tally is the Counter of count_fixed over it, and
-    the coset averages and their ``fixed`` Counter are the
-    per-representative loop's and that Counter."""
+    """The numpy chunked paths against the per-element loops they replaced,
+    at the default bound, one upper product per chunk, and three tails: the
+    tail is C-contiguous, the blocks hold the recursive enumerator's stream
+    row for row (not iter_elements', which reads the blocks), in the
+    smallest dtype holding the points and at most max(BLOCK_ENTRIES, tail
+    entries) entries each, the fixed-point tally is the Counter of
+    count_fixed over it, and the coset averages and their ``fixed`` Counter
+    are the per-representative loop's and that Counter."""
     stream = list(_old_iter_element_tuples(group))
-    tail = group.degree * prod(map(len, group._enumeration_split()[1]))
+    tail, chunks = group._enumeration_split()
+    assert tail.flags.c_contiguous and tail.shape[1] == group.degree
+    assert len(tail) * sum(map(len, chunks)) == len(stream)
     dtype = np.min_scalar_type(group.degree - 1)
     rows = np.array(stream, dtype=dtype)
-    # the default bound, one upper product per block, and three
-    for entries in (permgrp.BLOCK_ENTRIES, 1, 3 * tail):
-        blocks = _blocks_within(group, entries)
-        assert all(b.size <= max(entries, tail) and b.dtype == dtype for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), rows)
     tally = Counter(map(count_fixed, stream))
-    blocked = group.fixed_point_tally()
-    assert blocked == tally
-    assert all(type(k) is int and type(c) is int and c for k, c in blocked.items())
-    fixed = Counter()
-    assert coset_average_fixed_points(reps, group, fixed) == [_coset_average_loop(t, group) for t in reps]
-    assert fixed == tally
+    averages = [_coset_average_loop(t, group) for t in reps]
+    for entries in (permgrp.BLOCK_ENTRIES, 1, 3 * tail.size):
+        with patch.object(permgrp, "BLOCK_ENTRIES", entries):
+            blocks = list(group._element_blocks())
+            assert all(b.size <= max(entries, tail.size) and b.dtype == dtype for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), rows)
+            blocked = group.fixed_point_tally()
+            assert blocked == tally
+            assert all(type(k) is int and type(c) is int and c for k, c in blocked.items())
+            fixed = Counter()
+            assert coset_average_fixed_points(reps, group, fixed) == averages
+            assert fixed == tally
 
 
 def test_block_tallies_match_the_loops_on_corpus_and_edge_chains():
@@ -229,8 +225,8 @@ def test_block_tallies_match_the_loops_on_corpus_and_edge_chains():
     # tail of 6; the corpus gives every other split
     rng = random.Random(11)
     one_level, multi_level = cyclic_group(50), symmetric_group(6)
-    assert len(list(one_level._enumeration_split()[0])) == 1
-    assert len(list(multi_level._enumeration_split()[0])) == 120
+    assert sum(map(len, one_level._enumeration_split()[1])) == 1
+    assert sum(map(len, multi_level._enumeration_split()[1])) == 120
     groups = [PermGroup(1, ()), PermGroup(5, ()), one_level, multi_level]
     groups += [corpus_group(name) for name in corpus_names()]
     for group in groups:
