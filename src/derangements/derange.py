@@ -14,8 +14,8 @@ runs the structural checks around it (rank identity, semiregular quotient
 actions, index bounds), and names the quotient by its fingerprint, from
 constants and formulas: G/D is G_0 acting regularly on the D_0-orbits in
 one of its orbits.  No call enumerates the whole group: ``analyze``
-enumerates D_0, and G/D, one chain level on the base [0], only when it
-is nonabelian; two-derangement coverage walks D for its derangements.
+enumerates D_0, and G/D, one chain level based at 0, only when it is
+nonabelian; two-derangement coverage walks D for its derangements.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def fingerprint(group: PermGroup) -> GroupFingerprint:
     its orbit of 0 (Dixon-Mortimer 1996, 4.2A).  Abelian (its generators g
     commute): x^k = 1 for as many x as <g^k> has orbits, inverted over the
     divisors of the exponent (Mobius); no chain is built.  Else its chain,
-    one level on the base [0], lists it: x has the order of its cycle
+    one level based at 0, lists it: x has the order of its cycle
     through 0 and is central when x*g and g*x agree at 0.  Others are walked."""
     gens = [g.images for g in group.generators]
     abelian = all(_compose(a, b) == _compose(b, a) for a, b in combinations(gens, 2))

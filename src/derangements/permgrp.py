@@ -8,14 +8,14 @@ generator at most once per orbit of a level.  Three rules, proved in
 ``_schreier_sims``, make it so: tree edges are skipped, a level's
 Schreier set leaves out the residues produced at or below it, and a level
 resumes at its next pair instead of restarting.  A first query grows from
-the empty chain or, when the generators fixing no point generate an
-abelian regular normal subgroup R (``_regular_normal``), by one element
-of G_0 per generator below a first level listing R's elements, never
-verified, as in a closure of G grown from G's R; a transitive group that
-carries its order n is regular, so it grows on the known base [0], where
-every Schreier pair agrees: one level, nothing sifted.  Subgroups of G
-grow only by ``_normal_closure_of``, on G's base when it is short, each
-candidate sifted once; ``normal_closure`` checks its seeds lie in G.
+the empty chain or, when the generators fixing no point and their
+conjugates generate an abelian regular normal subgroup R
+(``_regular_normal``), by one element of G_0 per generator below a first
+level listing R's elements, never verified, as in a closure of G grown
+from G's R; a regular group gets one level at 0, where every Schreier
+pair agrees, so nothing is sifted.  Subgroups of G grow only by
+``_normal_closure_of``, each candidate sifted once; ``normal_closure``
+checks its seeds lie in G.
 Strong generators and transversals depend on the order of work; bases and
 basic orbits do not.  Every strong generator sits at the level based at
 the smallest point it moves, so bases are strictly increasing and each
@@ -61,6 +61,7 @@ from .errors import (
 ENUMERATION_CAP = 2_000_000  # the one enumeration limit, read when a call runs
 BLOCK_ENTRIES = 1 << 16  # image entries per element block, beyond a larger tail
 CHAIN_SLOTS = 1 << 26  # transversal entries (orbit points x n, summed over a chain's levels)
+CLOSURE_ROWS = 4096  # frontier rows that ``closure`` steps at once
 
 
 def _getter(a: tuple[int, ...]):
@@ -234,12 +235,12 @@ def _smallest_moved(images: tuple[int, ...]) -> int:
     raise ValueError("identity moves nothing")
 
 
-def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[int, ...], on_base=None):
+def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[int, ...]):
     """Sift images*w^-1 through levels[start:] without inverting per level:
     W, w composed after the transversal elements used, is carried, so the
     residue images*W^-1 maps base b to W.index(images[b]) and is trivial
-    exactly when images == W, compared at the base when on_base is given.
-    Returns None for a trivial residue, else the residue (one inversion)."""
+    exactly when images == W.  Returns None for a trivial residue, else the
+    residue (one inversion)."""
     for lvl in levels[start:]:
         b = lvl.base
         if images[b] == w[b]:
@@ -248,8 +249,7 @@ def _sift(levels: list[_Level], start: int, images: tuple[int, ...], w: tuple[in
         if u is None:
             break
         w = _compose(u, w)
-    trivial = on_base(images) == on_base(w) if on_base else images == w
-    return None if trivial else _compose(images, _invert(w))
+    return None if images == w else _compose(images, _invert(w))
 
 
 def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: int, origin: int) -> int:
@@ -274,16 +274,15 @@ def _room(levels: list[_Level], lvl: _Level, degree: int) -> int:
     return CHAIN_SLOTS // degree - sum(len(l.orbit) for l in levels if l is not lvl)
 
 
-def _verify(levels: list[_Level], i: int, degree: int, on_base=None):
+def _verify(levels: list[_Level], i: int, degree: int):
     """Verify levels[i], its deeper levels verified: build its orbit and
     transversal breadth-first from its Schreier set and, in the same pass,
     sift u*g*t^-1, carrying t, for each pair (point, g) that is not a tree
-    edge and whose u*g differs from t, tested first at the base (on_base)
-    without forming u*g.  Yields the index each nontrivial residue is
-    placed on, with this level's base as its origin.  CapExceeded before a
-    point that would take the chain past CHAIN_SLOTS entries; the other
-    levels, which change only while this one waits at a yield, are counted
-    when it starts and each time it resumes."""
+    edge and whose u*g differs from t.  Yields the index each nontrivial
+    residue is placed on, with this level's base as its origin.  CapExceeded
+    before a point that would take the chain past CHAIN_SLOTS entries; the
+    other levels, which change only while this one waits at a yield, are
+    counted when it starts and each time it resumes."""
     lvl = levels[i]
     gens = [g for l in levels[i:] for g, o in zip(l.gens, l.origins) if o < lvl.base]
     lvl.transversal = transversal = {lvl.base: tuple(range(degree))}
@@ -292,7 +291,6 @@ def _verify(levels: list[_Level], i: int, degree: int, on_base=None):
     for pt in orbit:
         u = transversal[pt]
         form = _getter(u)
-        at_base = on_base and itemgetter(*on_base(u))  # g -> u*g at the base
         for g in gens:
             target = transversal.get(g[pt])
             if target is None:
@@ -300,16 +298,14 @@ def _verify(levels: list[_Level], i: int, degree: int, on_base=None):
                     raise CapExceeded(f"stabilizer chain of degree {degree} exceeds {CHAIN_SLOTS} transversal entries")
                 transversal[g[pt]] = _compose(u, g)
                 orbit.append(g[pt])
-            elif on_base and at_base(g) == on_base(target):
-                continue
             elif (ug := form(g)) != target:
-                residue = _sift(levels, i + 1, ug, target, on_base)
+                residue = _sift(levels, i + 1, ug, target)
                 if residue is not None:
                     yield _place(levels, i + 1, residue, degree, lvl.base)
                     room = _room(levels, lvl, degree)
 
 
-def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None, top: int = 0) -> None:
+def _schreier_sims(levels: list[_Level], dirty: int, degree: int, top: int = 0) -> None:
     """Verify levels[dirty], ..., levels[top], deepest first (deterministic
     Schreier-Sims), forming each Schreier generator at most once per orbit
     of a level, by three rules.  (1) A tree edge (pt, g), g(pt) first
@@ -323,66 +319,72 @@ def _schreier_sims(levels: list[_Level], dirty: int, degree: int, on_base=None, 
     orbit and transversal are unchanged, and each pair passed sifted into
     groups that have only grown since.  stack[j] verifies levels[j], and
     residues land below the top, so no level on the stack moves."""
-    stack = [_verify(levels, i, degree, on_base) for i in range(dirty + 1)]
+    stack = [_verify(levels, i, degree) for i in range(dirty + 1)]
     while len(stack) > top:
         landed = next(stack[-1], None)
         if landed is None:
             stack.pop()
         else:
-            stack += [_verify(levels, j, degree, on_base) for j in range(len(stack), landed + 1)]
+            stack += [_verify(levels, j, degree) for j in range(len(stack), landed + 1)]
 
 
-def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, base=None, top: int = 0) -> bool:
+def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, top: int = 0) -> bool:
     """Grow a verified chain (or the empty one) by the generators, and say
     whether it grew: each is sifted and a residue placed with no origin
     (-1), so it joins every Schreier set down to its level; then
     ``_schreier_sims`` verifies the chain once, from the deepest level a
     residue landed on.  A fresh level's transversal holds only its base, so
     on the empty chain every generator sifts to itself and lands on the
-    level of the smallest point it moves.  base, when given, is a base of a
-    group G holding the generators and the chain: only G's identity fixes
-    it, so elements of G are compared there, with the same outcome and so
-    the same chain.  Levels above top are kept as verified."""
+    level of the smallest point it moves.  Levels above top are kept as
+    verified."""
     identity = tuple(range(degree))
-    on_base = base and itemgetter(*base, base[0])  # a tuple even for one point
     landed = []
     for g in generators:
-        residue = _sift(levels, 0, g.images, identity, on_base)
+        residue = _sift(levels, 0, g.images, identity)
         if residue is not None:
             landed.append(levels[_place(levels, 0, residue, degree, -1)])
     if landed:
-        _schreier_sims(levels, max(map(levels.index, landed)), degree, on_base, top)
+        _schreier_sims(levels, max(map(levels.index, landed)), degree, top)
     return bool(landed)
 
 
 def _regular_normal(generators: tuple[Permutation, ...], degree: int):
-    """(R, G_0's generators) when the generators fixing no point, A,
-    commute, reach every point from 0 and are normalized by every
-    generator, else (None, the generators).  R = <A> is then abelian and
-    transitive, so regular and its own centralizer (Dixon-Mortimer, Thm
-    4.2A): s^-1*a*s is in R when it is R's element at its image of 0.
-    R's level lists R's elements at 0 and needs no verifying: G = R*G_0,
-    and a Schreier generator of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s
-    with t in R, t(0) = s^-1(0), one per generator s fixing a point."""
+    """(R, G_0's generators) when the generators fixing no point, A, have an
+    abelian regular normal closure R, else (None, the generators).  A
+    worklist walks A, then the conjugates by each generator s fixing a point
+    of each element that joins.  One whose image of 0 is reached is skipped;
+    a new one must commute with the basis so far, and joins it, its powers
+    extending the orbit of 0 in place.  With all n points reached, the
+    abelian R = <basis> is transitive, so regular (Dixon-Mortimer, Thm 4.2A):
+    an element lies in R when it is R's element at its image of 0, and every
+    element walked must be, so R holds A and is normal.  R's level lists R's
+    elements at 0 and needs no verifying: G = R*G_0, and a Schreier generator
+    of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s with t in R, t(0) =
+    s^-1(0), one per generator s fixing a point."""
     moving = [g for g in generators if not count_fixed(g.images)]
     commute = (_compose(a.images, b.images) == _compose(b.images, a.images) for a in moving for b in moving)
     if not moving or not all(commute):
         return None, generators
-    level = _Level(0, degree)
+    fixing = [s for s in generators if count_fixed(s.images)]
+    conjugators, level, basis, walked = [s.conjugator() for s in fixing], _Level(0, degree), [], list(moving)
     transversal, orbit = level.transversal, level.orbit
-    for pt in orbit:
-        for a in moving:
+    for a in walked:  # also walks the conjugates appended meanwhile
+        if a.images[0] in transversal:
+            continue
+        if any(_compose(a.images, b.images) != _compose(b.images, a.images) for b in basis):
+            return None, generators
+        basis.append(a)
+        for pt in orbit:
             if a.images[pt] not in transversal:
                 if len(orbit) >= CHAIN_SLOTS // degree:
                     raise CapExceeded(f"stabilizer chain of degree {degree} exceeds {CHAIN_SLOTS} transversal entries")
                 transversal[a.images[pt]] = _compose(transversal[pt], a.images)
                 orbit.append(a.images[pt])
-    fixing = [s for s in generators if count_fixed(s.images)]
-    conjugates = (c.images for s in fixing for c in map(s.conjugator(), moving))
-    if len(orbit) < degree or any(transversal[c[0]] != c for c in conjugates):
+        walked += [conjugate(a) for conjugate in conjugators]
+    if len(orbit) < degree or any(transversal[w.images[0]] != w.images for w in walked):
         return None, generators
-    level.gens, level.origins = [a.images for a in moving], [-1] * len(moving)
-    r = PermGroup(degree, moving)
+    level.gens, level.origins = [a.images for a in basis], [-1] * len(basis)
+    r = PermGroup(degree, basis)
     r._levels = [level]
     return r, [Permutation._raw(_compose(transversal[s.images.index(0)], s.images)) for s in fixing]
 
@@ -421,16 +423,9 @@ class PermGroup:
         if self._levels is None:
             self._regular, gens = _regular_normal(self.generators, self.degree)
             levels = list(self._regular._levels) if self._regular else []
-            base = [0] if self._order == self.degree and self.is_transitive() else None  # regular: only 1 fixes 0
-            _grow(levels, gens, self.degree, base, top=len(levels))
+            _grow(levels, gens, self.degree, top=len(levels))
             self._levels = levels
         return self._levels
-
-    def _base(self):
-        """The chain's base points if fewer than n/16, else None: checks at a
-        base of 3 or 4 points slowed degrees 16 to 28 and sped up 64 to 343."""
-        bases = [lvl.base for lvl in self._chain()]
-        return bases if 16 * len(bases) < self.degree else None
 
     def order(self) -> int:
         if self._order is None:
@@ -585,22 +580,22 @@ class PermGroup:
         """The normal closure of closure and new, for closure normal in this
         group and new in it: one copy of closure's chain grows by new, then
         by the conjugates of the generators it gains, each of this group's
-        generators inverted once.  A candidate is sifted once, by ``_grow``
-        on this group's base, and joins the generators when a residue lands.
-        A worklist forms each (conjugator, generator) pair once, walking the
-        list as it grows; closure's own have their conjugates in it.  closure
-        itself is returned when nothing joins.  A closure over this group's R
+        generators inverted once.  A candidate is sifted once, by ``_grow``,
+        and joins the generators when a residue lands.  A worklist forms each
+        (conjugator, generator) pair once, walking the list as it grows;
+        closure's own have their conjugates in it.  closure itself is
+        returned when nothing joins.  A closure over this group's R
         (``_regular_normal``) keeps R's level unverified: candidates lie in
         this group, which normalizes R, so the closure is R times its part fixing 0."""
-        conjugators, base = [g.conjugator() for g in self.generators], self._base()
+        conjugators = [g.conjugator() for g in self.generators]
         levels, closed = [lvl.copy() for lvl in closure._chain()], len(closure.generators)
         r = self._regular
         top = int(r is not None and (closure is r or closure._regular is r))
-        gens = list(closure.generators) + [x for x in new if _grow(levels, (x,), self.degree, base, top)]
+        gens = list(closure.generators) + [x for x in new if _grow(levels, (x,), self.degree, top)]
         for k in islice(gens, closed, None):  # also walks what joins meanwhile
             for conjugate in conjugators:
                 c = conjugate(k)
-                if _grow(levels, (c,), self.degree, base, top):
+                if _grow(levels, (c,), self.degree, top):
                     gens.append(c)
         if len(gens) == closed:
             return closure
@@ -682,16 +677,20 @@ def closure(start: np.ndarray, step: Callable[[np.ndarray], np.ndarray], cap: in
     distinct rows, in the smallest unsigned dtype holding the entries, under
     step: a frontier's products, frontier-major and generator-minor.  A row's
     key is its bytes; each round keeps the first occurrence of each new key,
-    in order.  CapExceeded when the closure has more than cap rows."""
+    in order.  CapExceeded when the closure has more than cap rows, checked
+    each time a chunk of CLOSURE_ROWS frontier rows has been stepped."""
     shape, dtype, width = start.shape[1:], start.dtype, start[0].size
     frontier, rounds = start, [start]
     position = dict(zip(_row_keys(start, width), range(len(start))))
     while len(frontier):
-        products = step(frontier).astype(dtype, copy=False)
-        new = [key for key in dict.fromkeys(_row_keys(products, width)) if key not in position]
-        if len(position) + len(new) > cap:
-            raise CapExceeded(f"closure exceeds cap {cap}")
-        position.update(zip(new, range(len(position), len(position) + len(new))))
+        new = []
+        for lo in range(0, len(frontier), CLOSURE_ROWS):
+            products = step(frontier[lo : lo + CLOSURE_ROWS]).astype(dtype, copy=False)
+            fresh = [key for key in dict.fromkeys(_row_keys(products, width)) if key not in position]
+            if len(position) + len(fresh) > cap:
+                raise CapExceeded(f"closure exceeds cap {cap}")
+            position.update(zip(fresh, range(len(position), len(position) + len(fresh))))
+            new += fresh
         frontier = np.frombuffer(b"".join(new), dtype=dtype).reshape(-1, *shape)
         rounds.append(frontier)
     return np.concatenate(rounds), position

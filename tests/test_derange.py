@@ -298,12 +298,13 @@ def _assert_as_grown_from_scratch(group, rng):
 def test_chains_over_r_match_chains_grown_from_scratch(monkeypatch):
     """On every transitive corpus group, every permutation and bridge
     paper group and every perm-wide and perm-deep group at seed 1, the
-    chain and D are those grown from scratch.  R is found on 41 corpus
-    groups, 8 paper groups, 5 of the 7 perm-wide groups and 1 perm-deep
-    group; in each, level 0's generators are exactly G's generators fixing
-    no point, and level 0 holds R's n elements.  The semilinear groups are
-    affine too, but x + 1, their one generator fixing no point, reaches
-    only p points."""
+    chain and D are those grown from scratch.  R is found on 51 corpus
+    groups, 12 paper groups, all 7 perm-wide groups and 2 perm-deep
+    groups; in each, level 0 holds R's n elements, G's generators fixing
+    no point are among them, and its generators fix no point.  They are
+    exactly G's generators fixing no point when these reach every point
+    (over prime fields); over GF(p^f), f > 1, x + 1 or the unit
+    translations reach only p^d points, and conjugates of them join."""
     rng = random.Random(43)
     corpus = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
     paper = [build_family(sc.params) for sc in suite.PAPER_SCENARIOS if sc.kind in ("perm", "bridge")]
@@ -311,11 +312,43 @@ def test_chains_over_r_match_chains_grown_from_scratch(monkeypatch):
     for group in corpus + paper + wide + deep:
         _assert_as_grown_from_scratch(group, rng)
         if group._regular is not None:
-            level = group._chain()[0]
-            assert level.gens == [g.images for g in group.generators if not count_fixed(g.images)]
+            level, moving = group._chain()[0], [g for g in group.generators if not count_fixed(g.images)]
             assert group._regular._chain() == [level] and len(level.orbit) == group.degree
+            assert all(level.transversal[a(0)] == a.images for a in moving)
+            assert not any(map(count_fixed, level.gens))
+            spanned = PermGroup(group.degree, moving).is_transitive()
+            assert (level.gens == [a.images for a in moving]) == spanned
     found = [sum(g._regular is not None for g in groups) for groups in (corpus, paper, wide, deep)]
-    assert found == [41, 8, 5, 1]
+    assert found == [51, 12, 7, 2]
+
+
+@pytest.mark.parametrize("family", [FamilyParams("agl1", (256,)), FamilyParams("semilinear", (16,))])
+def test_r_over_a_prime_power_field_is_found_by_closing_a_under_conjugation(monkeypatch, family):
+    """Read from text, agl1 256 and semilinear 16 have one generator fixing
+    no point, x + 1, which reaches only 2 points; its conjugates by the
+    generators fixing a point span the translations.  R is found, level 0
+    holds all n points, and the chain has the bases and basic orbits of the
+    one grown from scratch.  D starts from R: in agl1 256 it is R, with no
+    draw; semilinear 16 has derangements x -> x^16 + c outside R, and D,
+    of order 8 704, grows over R's level."""
+    text = fileio.dump_group(build_family(family))
+    group = fileio.load_group(text)
+    assert not PermGroup(group.degree, [g for g in group.generators if not count_fixed(g.images)]).is_transitive()
+    over_r = family.name == "agl1"
+
+    def no_draw(self, rng):
+        raise AssertionError("D was drawn although it is R")
+
+    with monkeypatch.context() as drawing:
+        if over_r:
+            drawing.setattr(PermGroup, "random_element", no_draw)
+        d = derange._certified_scan(group).subgroup
+    assert group._regular is not None and len(group._chain()[0].orbit) == group.degree
+    assert d is group._regular if over_r else d._regular is group._regular and d.order() == 8704
+    without_regular_normal(monkeypatch)
+    plain = fileio.load_group(text)
+    assert _level_data(group._chain()) == _level_data(plain._chain())
+    assert plain._regular is None and group.order() == plain.order()
 
 
 def _regular_representation(group):
@@ -333,7 +366,11 @@ def test_groups_with_no_abelian_regular_normal_r_among_their_generators_decline(
     commute (a nonabelian regular group), do not reach every point
     (commuting derangements on two orbits, with and without a transposition
     joining them), or are not normalized by every generator (S_n from its
-    n-cycle and (0 1), the 7-cycle with a 3-cycle)."""
+    n-cycle and (0 1), the 7-cycle with a 3-cycle).  Closing them under
+    conjugation does not help when a conjugate reaches a point already
+    reached but lies outside their span (the 6-cycle with (1 4): A is
+    transitive and abelian, yet not normal), or reaches a new point but
+    fails to commute with them ((0 1 2)(3 4 5) with (1 3))."""
     cycles = Permutation.from_cycles
     declining = [
         _regular_representation(symmetric_group(3)),
@@ -341,6 +378,8 @@ def test_groups_with_no_abelian_regular_normal_r_among_their_generators_decline(
         PermGroup(6, [cycles(6, [(0, 1, 2), (3, 4, 5)]), cycles(6, [(0, 1, 2), (3, 5, 4)])]),
         PermGroup(6, [cycles(6, [(0, 1, 2), (3, 4, 5)]), cycles(6, [(0, 1, 2), (3, 5, 4)]), cycles(6, [(2, 3)])]),
         PermGroup(7, [cycles(7, [tuple(range(7))]), cycles(7, [(0, 1, 2)])]),
+        PermGroup(6, [cycles(6, [tuple(range(6))]), cycles(6, [(1, 4)])]),
+        PermGroup(6, [cycles(6, [(0, 1, 2), (3, 4, 5)]), cycles(6, [(1, 3)])]),
         *(PermGroup(n, symmetric_group(n).generators) for n in range(4, 9)),
     ]
     rng = random.Random(43)
@@ -398,11 +437,10 @@ def test_relabelled_affine_chains_match_chains_grown_from_scratch(drawn, seed):
 
 def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
     """Image tuples formed through _getter by the certified scans of the
-    perm-wide pool at seed 1, each group's chain built beforehand: D grows
-    on G's base, where a Schreier pair is compared before u*g is formed.
-    Every perm-wide group has an abelian regular normal R, and D starts
-    from it, growing below 0 only: 332 are formed, and 409 on all
-    points.  Grown from {1}, with no R found, 528 and 3 434."""
+    perm-wide pool at seed 1, each group's chain built beforehand.  Every
+    perm-wide group has an abelian regular normal R, and D starts from it,
+    growing below 0 only: 180 are formed.  Grown from {1}, with no R found,
+    3 434."""
     real_getter, formed = permgrp._getter, []
 
     def getter(a):
@@ -417,18 +455,15 @@ def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
                 derange._certified_scan(group)
         return len(formed)
 
-    def formed_on_base_and_on_all_points():
+    def formed_in_scans():
         groups = _pool(monkeypatch, "perm-wide", 1)
         for group in groups:
             group._chain()
-        on_base = tuples_formed(groups)
-        with monkeypatch.context() as all_points:
-            all_points.setattr(PermGroup, "_base", lambda self: None)
-            return on_base, tuples_formed(groups)
+        return tuples_formed(groups)
 
-    assert formed_on_base_and_on_all_points() == (332, 409)
+    assert formed_in_scans() == 180
     without_regular_normal(monkeypatch)
-    assert formed_on_base_and_on_all_points() == (528, 3434)
+    assert formed_in_scans() == 3434
 
 
 def test_scans_sift_each_candidate_once(monkeypatch):
@@ -463,7 +498,7 @@ def test_scans_sift_each_candidate_once(monkeypatch):
                 derange._certified_scan(group)
         return dict(work)
 
-    assert scan_work("perm-wide") == {"sifts": 114, "groups": 20}
+    assert scan_work("perm-wide") == {"sifts": 139, "groups": 20}
     assert scan_work("perm-deep") == {"sifts": 17, "groups": 10}
     without_regular_normal(monkeypatch)
     assert scan_work("perm-wide") == {"sifts": 201, "groups": 38}
@@ -812,11 +847,13 @@ def test_abelian_transitive_groups_are_fingerprinted_with_no_chain(monkeypatch):
 
 def test_nonabelian_groups_carrying_order_n_grow_one_level_on_the_base_zero(monkeypatch):
     """A transitive group carrying its order n is regular: it has no
-    abelian R (``_regular_normal`` declines) and grows on the base [0].
-    Each generator is sifted once, by ``_grow``, onto level 0, and every
-    Schreier pair agrees at 0, so ``_verify`` sifts nothing.  The level is
-    the one listed breadth-first by the generators, in their order: the
-    dihedral regular representations and A5, H/R(H) of the matrix pool."""
+    abelian R (``_regular_normal`` declines), and its chain is one level
+    based at 0.  Each generator is sifted once, by ``_grow``, onto level 0;
+    only the identity fixes 0, so every Schreier pair u*g is the
+    transversal element at its image of 0, and ``_verify`` sifts nothing.
+    The level is the one listed breadth-first by the generators, in their
+    order: the dihedral regular representations and A5, H/R(H) of the
+    matrix pool."""
     a5 = quotient_perm_group(build_family(FamilyParams("central-a5", ())))
     groups = [_dihedral_regular(m) for m in (3, 4, 12, 97)] + [a5]
     callers, real_sift = [], permgrp._sift
@@ -991,7 +1028,7 @@ def test_certified_subgroup_does_not_depend_on_the_seed(monkeypatch):
         else:
             drawn += 1
             drawn_differently += a.subgroup.generators != b.subgroup.generators
-    assert (over_r, drawn) == (12, 13) and 2 * drawn_differently >= drawn
+    assert (over_r, drawn) == (15, 10) and 2 * drawn_differently >= drawn
 
 
 def test_analyze_enumerates_only_point_stabilizers(monkeypatch):

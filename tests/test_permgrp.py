@@ -173,9 +173,9 @@ def _schreier_generators_formed(monkeypatch, make):
     chains, formed = [], []
     real_grow, real_getter = permgrp._grow, permgrp._getter
 
-    def grow(levels, generators, degree, base=None, top=0):
+    def grow(levels, generators, degree, top=0):
         chains.append(levels)
-        return real_grow(levels, generators, degree, base, top)
+        return real_grow(levels, generators, degree, top)
 
     def getter(u):
         get = real_getter(u)
@@ -273,6 +273,38 @@ def test_bruteforce_closure_matches_the_tuple_walk():
             _assert_closure_matches_tuples(n, gens, np.uint8)
     for group in (symmetric_group(5), dihedral_group(256), cyclic_group(255)):
         _assert_closure_matches_tuples(group.degree, group.generators, np.uint8)
+
+
+def _counted_closure(group, cap, stepped):
+    """closure of the group's rows, the row count of each call of step
+    appended to stepped."""
+    images = np.array([g.images for g in group.generators], dtype=np.intp).ravel()
+
+    def step(frontier):
+        stepped.append(len(frontier))
+        return frontier.take(images, axis=1)
+
+    return permgrp.closure(np.arange(group.degree, dtype=np.uint8)[None], step, cap)
+
+
+def test_closure_steps_at_most_one_chunk_of_frontier_rows(monkeypatch):
+    """closure steps a frontier 4 096 rows at a time and checks the cap
+    after each chunk, so a round over the cap holds one chunk of products,
+    not the whole frontier's: S_9's widest round has 27 766 rows.  With
+    chunks of 7 rows, S_6's rows come in the tuple walk's order, and the
+    cap is still exactly the order."""
+    stepped = []
+    assert len(_counted_closure(symmetric_group(9), factorial(9), stepped)[0]) == factorial(9)
+    assert max(stepped) == 4096
+    monkeypatch.setattr(permgrp, "CLOSURE_ROWS", 7)
+    stepped.clear()
+    rows, position = _counted_closure(symmetric_group(6), 720, stepped)
+    assert max(stepped) == 7 and len(stepped) > 720 // 7
+    assert list(map(tuple, rows.tolist())) == list(_bruteforce_closure_tuples(6, symmetric_group(6).generators))
+    assert list(position.values()) == list(range(720))
+    with pytest.raises(CapExceeded, match="^closure exceeds cap 719$"):
+        _counted_closure(symmetric_group(6), 719, stepped)
+    assert max(stepped) == 7
 
 
 def test_bruteforce_closure_edge_degrees_and_dtypes():
@@ -691,13 +723,11 @@ def test_normal_closure_in_s4():
 
 
 def test_normal_closure_refuses_seeds_outside_the_group():
-    """agl1 37 has a base of 2 points, so its subgroups grow comparing
-    elements there, which is equality only inside it: grown on that base,
-    <(2 3)> got a chain of order 2664 for a group of order 37!.  So growth
-    has no public entry but normal_closure, which refuses a seed outside
-    the group."""
+    """A closure grown over the group's R (agl1 37 has one) keeps R's level
+    unverified, which holds only for candidates that normalize R, members
+    of the group.  So growth has no public entry but normal_closure, which
+    refuses a seed outside the group."""
     group = build_family(FamilyParams("agl1", (37,)))
-    assert group._base() is not None
     with pytest.raises(NotSubgroup):
         group.normal_closure([Permutation.from_cycles(37, [(2, 3)])])
     assert not hasattr(PermGroup, "normal_closure_of") and not hasattr(PermGroup, "extended")

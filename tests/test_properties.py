@@ -422,43 +422,19 @@ def _level_state(levels):
     return [(lvl.base, lvl.orbit, lvl.gens, lvl.origins, list(lvl.transversal.items())) for lvl in levels]
 
 
-def _whole_base(group):
-    """G's base points, whatever their number: ``_base`` with no size rule."""
-    return [lvl.base for lvl in group._chain()]
-
-
-def test_d_grows_to_the_same_chain_on_the_base_as_on_all_points(monkeypatch):
-    """D grows comparing elements of G at G's base, when that is short.
-    Equality there is equality in G, so on every corpus and paper group,
-    with the base used whatever its length, D has the same generators and
-    the same chain, down to its strong generators, origins and
-    transversals, as when it grows comparing all n points."""
-    perm_scenarios = [sc for sc in PAPER_SCENARIOS if sc.kind in ("perm", "bridge")]
-    groups = [corpus_group(name) for name in corpus_names()]
-    groups += [build_family(sc.params) for sc in perm_scenarios]
-    assert any(g._base() is not None for g in groups)
-    for group in groups:
-        monkeypatch.setattr(PermGroup, "_base", _whole_base)
-        d = _certified_scan(group).subgroup
-        monkeypatch.setattr(PermGroup, "_base", lambda self: None)
-        plain = _certified_scan(group).subgroup
-        monkeypatch.undo()
-        assert d.generators == plain.generators
-        assert _level_state(d._chain()) == _level_state(plain._chain())
-
-
-def test_membership_and_extension_stay_exact_after_growth_on_a_base(monkeypatch):
+def test_membership_and_extension_stay_exact_for_elements_agreeing_at_g_base():
     """x agrees with an element y of D (or of D_0) at G's base points and
-    swaps two other points after it, so x lies outside G.  D and D_0 were
-    grown on that base, yet membership and ``_extended`` stay exact: x is in
+    swaps two other points after it, so x lies outside G, yet it sifts
+    through every level.  Membership and ``_extended`` stay exact: x is in
     neither, and each extends by x to the chain the old Schreier-Sims grows
-    for the same generators."""
+    for the same generators, though D is G's R or grown over it, and R's
+    level was never verified."""
     rng = random.Random(35)
-    monkeypatch.setattr(PermGroup, "_base", _whole_base)
     for params in (FamilyParams("agl1", (5,)), FamilyParams("affine-gl2", (3,))):
         group = build_family(params)
-        n, base = group.degree, group._base()
+        n, base = group.degree, _bases(group)
         d = _certified_scan(group).subgroup
+        assert group._regular is not None and group._regular in (d, d._regular)
         for sub in (d, d.stabilizer()):
             y = sub.random_element(rng)
             p, q = sorted(set(range(n)) - {y(b) for b in base})[:2]
