@@ -3,11 +3,11 @@
 Composition is left-to-right: (g * h)(x) = h(g(x)).  One routine,
 ``_grow``, grows every chain, on the first structural query or, in
 ``_normal_closure_of``, one copy a candidate at a time: it sifts the new
-generators in and runs Schreier-Sims once, which forms each Schreier
-generator at most once per orbit of a level.  Three rules, proved in
-``_schreier_sims``, make it so: tree edges are skipped, a level's
-Schreier set leaves out the residues produced at or below it, and a level
-resumes at its next pair instead of restarting.  A first query grows from
+generators in and runs Schreier-Sims once: each verification of a level
+forms each Schreier generator at most once, by two rules proved in
+``_grow`` (tree edges are skipped; a level's Schreier set leaves out the
+residues produced at or below it), and a level is verified again after a
+residue it produced lands deeper.  A first query grows from
 the empty chain or, when the generators fixing no point and their
 conjugates generate an abelian regular normal subgroup R
 (``_regular_normal``), by one element of G_0 per generator below a first
@@ -59,9 +59,8 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 2_000_000  # the one enumeration limit, read when a call runs
-BLOCK_ENTRIES = 1 << 16  # image entries per element block, beyond a larger tail
+BLOCK_ENTRIES = 1 << 16  # image entries per element block beyond a larger tail, and per closure chunk
 CHAIN_SLOTS = 1 << 26  # transversal entries (orbit points x n, summed over a chain's levels)
-CLOSURE_ROWS = 4096  # frontier rows that ``closure`` steps at once
 
 
 def _getter(a: tuple[int, ...]):
@@ -268,26 +267,18 @@ def _place(levels: list[_Level], start: int, images: tuple[int, ...], degree: in
     return j
 
 
-def _room(levels: list[_Level], lvl: _Level, degree: int) -> int:
-    """How many orbit points lvl may hold within CHAIN_SLOTS, the other
-    levels' points counted as they stand."""
-    return CHAIN_SLOTS // degree - sum(len(l.orbit) for l in levels if l is not lvl)
-
-
-def _verify(levels: list[_Level], i: int, degree: int):
+def _verify(levels: list[_Level], i: int, degree: int) -> int | None:
     """Verify levels[i], its deeper levels verified: build its orbit and
     transversal breadth-first from its Schreier set and, in the same pass,
     sift u*g*t^-1, carrying t, for each pair (point, g) that is not a tree
-    edge and whose u*g differs from t.  Yields the index each nontrivial
-    residue is placed on, with this level's base as its origin.  CapExceeded
-    before a point that would take the chain past CHAIN_SLOTS entries; the
-    other levels, which change only while this one waits at a yield, are
-    counted when it starts and each time it resumes."""
+    edge and whose u*g differs from t; the first nontrivial residue ends the
+    scan, placed with its origin this level's base, and its index returned
+    (else None).  CapExceeded before a point past CHAIN_SLOTS chain entries."""
     lvl = levels[i]
     gens = [g for l in levels[i:] for g, o in zip(l.gens, l.origins) if o < lvl.base]
     lvl.transversal = transversal = {lvl.base: tuple(range(degree))}
     lvl.orbit = orbit = [lvl.base]
-    room = _room(levels, lvl, degree)
+    room = CHAIN_SLOTS // degree - sum(len(l.orbit) for l in levels if l is not lvl)
     for pt in orbit:
         u = transversal[pt]
         form = _getter(u)
@@ -301,50 +292,37 @@ def _verify(levels: list[_Level], i: int, degree: int):
             elif (ug := form(g)) != target:
                 residue = _sift(levels, i + 1, ug, target)
                 if residue is not None:
-                    yield _place(levels, i + 1, residue, degree, lvl.base)
-                    room = _room(levels, lvl, degree)
-
-
-def _schreier_sims(levels: list[_Level], dirty: int, degree: int, top: int = 0) -> None:
-    """Verify levels[dirty], ..., levels[top], deepest first (deterministic
-    Schreier-Sims), forming each Schreier generator at most once per orbit
-    of a level, by three rules.  (1) A tree edge (pt, g), g(pt) first
-    reached from pt, has u_pt*g = u_g(pt) and is never formed.  (2) A level's
-    Schreier set and orbit search leave out every residue produced at that
-    level or below it.  By induction on creation order, such a residue is a
-    product of set members and deeper transversal elements, so the set
-    generates the same group and gives the same orbit.  (3) A residue of
-    level i lands on a deeper level k; only levels i+1, ..., k change, so
-    they are verified, k first, and level i resumes at its next pair: its set,
-    orbit and transversal are unchanged, and each pair passed sifted into
-    groups that have only grown since.  stack[j] verifies levels[j], and
-    residues land below the top, so no level on the stack moves."""
-    stack = [_verify(levels, i, degree) for i in range(dirty + 1)]
-    while len(stack) > top:
-        landed = next(stack[-1], None)
-        if landed is None:
-            stack.pop()
-        else:
-            stack += [_verify(levels, j, degree) for j in range(len(stack), landed + 1)]
+                    return _place(levels, i + 1, residue, degree, lvl.base)
+    return None
 
 
 def _grow(levels: list[_Level], generators: Iterable[Permutation], degree: int, top: int = 0) -> bool:
     """Grow a verified chain (or the empty one) by the generators, and say
     whether it grew: each is sifted and a residue placed with no origin
-    (-1), so it joins every Schreier set down to its level; then
-    ``_schreier_sims`` verifies the chain once, from the deepest level a
-    residue landed on.  A fresh level's transversal holds only its base, so
-    on the empty chain every generator sifts to itself and lands on the
-    level of the smallest point it moves.  Levels above top are kept as
-    verified."""
+    (-1), so it joins every Schreier set down to its level; on the empty
+    chain, where a level's transversal holds only its base, each lands on
+    the level of the smallest point it moves.  Then the levels from the
+    deepest one landed on up to top are verified, deepest first
+    (deterministic Schreier-Sims); levels above top are kept as verified.
+    A verification forms each Schreier generator at most once, by two rules.
+    (1) A tree edge (pt, g), g(pt) first reached from pt, has u_pt*g =
+    u_g(pt) and is never formed.  (2) A level's Schreier set and orbit
+    search leave out every residue produced at that level or below it: by
+    induction on creation order, such a residue is a product of set members
+    and deeper transversal elements, so the set generates the same group
+    and gives the same orbit.  A residue of level i lands on a deeper level
+    k and changes only levels i+1, ..., k: they are verified again, k
+    first, and then level i from its first pair."""
     identity = tuple(range(degree))
     landed = []
     for g in generators:
         residue = _sift(levels, 0, g.images, identity)
         if residue is not None:
             landed.append(levels[_place(levels, 0, residue, degree, -1)])
-    if landed:
-        _schreier_sims(levels, max(map(levels.index, landed)), degree, top)
+    i = max(map(levels.index, landed), default=top - 1)
+    while i >= top:
+        placed = _verify(levels, i, degree)
+        i = i - 1 if placed is None else placed
     return bool(landed)
 
 
@@ -678,14 +656,14 @@ def closure(start: np.ndarray, step: Callable[[np.ndarray], np.ndarray], cap: in
     step: a frontier's products, frontier-major and generator-minor.  A row's
     key is its bytes; each round keeps the first occurrence of each new key,
     in order.  CapExceeded when the closure has more than cap rows, checked
-    each time a chunk of CLOSURE_ROWS frontier rows has been stepped."""
+    each time max(1, BLOCK_ENTRIES // width) frontier rows have been stepped."""
     shape, dtype, width = start.shape[1:], start.dtype, start[0].size
-    frontier, rounds = start, [start]
+    frontier, rounds, chunk = start, [start], max(1, BLOCK_ENTRIES // width)
     position = dict(zip(_row_keys(start, width), range(len(start))))
     while len(frontier):
         new = []
-        for lo in range(0, len(frontier), CLOSURE_ROWS):
-            products = step(frontier[lo : lo + CLOSURE_ROWS]).astype(dtype, copy=False)
+        for lo in range(0, len(frontier), chunk):
+            products = step(frontier[lo : lo + chunk]).astype(dtype, copy=False)
             fresh = [key for key in dict.fromkeys(_row_keys(products, width)) if key not in position]
             if len(position) + len(fresh) > cap:
                 raise CapExceeded(f"closure exceeds cap {cap}")

@@ -439,8 +439,8 @@ def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
     """Image tuples formed through _getter by the certified scans of the
     perm-wide pool at seed 1, each group's chain built beforehand.  Every
     perm-wide group has an abelian regular normal R, and D starts from it,
-    growing below 0 only: 180 are formed.  Grown from {1}, with no R found,
-    3 434."""
+    growing below 0 only: 189 are formed.  Grown from {1}, with no R found,
+    3 459."""
     real_getter, formed = permgrp._getter, []
 
     def getter(a):
@@ -461,9 +461,9 @@ def test_perm_wide_scans_form_few_schreier_tuples(monkeypatch):
             group._chain()
         return tuples_formed(groups)
 
-    assert formed_in_scans() == 180
+    assert formed_in_scans() == 189
     without_regular_normal(monkeypatch)
-    assert formed_in_scans() == 3434
+    assert formed_in_scans() == 3459
 
 
 def test_scans_sift_each_candidate_once(monkeypatch):
@@ -845,7 +845,7 @@ def test_abelian_transitive_groups_are_fingerprinted_with_no_chain(monkeypatch):
     assert fingerprint(PermGroup(720, shifts)) == abelian
 
 
-def test_nonabelian_groups_carrying_order_n_grow_one_level_on_the_base_zero(monkeypatch):
+def test_nonabelian_groups_carrying_order_n_grow_one_level_at_zero(monkeypatch):
     """A transitive group carrying its order n is regular: it has no
     abelian R (``_regular_normal`` declines), and its chain is one level
     based at 0.  Each generator is sifted once, by ``_grow``, onto level 0;

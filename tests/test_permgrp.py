@@ -199,14 +199,16 @@ def _schreier_generators_formed(monkeypatch, make):
 
 
 def test_schreier_sims_forms_each_schreier_generator_once(monkeypatch):
-    # the parent of the rewrite formed 18 636 for A_30 and 1 378 for
-    # affine-scalars 7 3, one per pair of a level's orbit and Schreier set
-    # at every restart, tree edges included
+    # a verification of a level forms each pair of its orbit and Schreier
+    # set that is no tree edge once, and a level is verified again after a
+    # residue it placed lands deeper; the parent of the rewrite, forming
+    # every pair at every restart, formed 18 636 for A_30 and 1 378 for
+    # affine-scalars 7 3
     # A_30 from its generators, as alternating_group(30) knows its order
     # without a chain; neither generator fixes no point
     a30_gens = alternating_group(30).generators
     formed, a30 = _schreier_generators_formed(monkeypatch, lambda: PermGroup(30, a30_gens))
-    assert formed <= 2100 and a30.order() == factorial(30) // 2
+    assert formed == 2206 and a30.order() == factorial(30) // 2
     # over its translations, affine-scalars 7 3 forms only G_0's pairs, and
     # an n-cycle, its own R, forms none
     family = FamilyParams("affine-scalars", (7, 3))
@@ -288,15 +290,16 @@ def _counted_closure(group, cap, stepped):
 
 
 def test_closure_steps_at_most_one_chunk_of_frontier_rows(monkeypatch):
-    """closure steps a frontier 4 096 rows at a time and checks the cap
-    after each chunk, so a round over the cap holds one chunk of products,
-    not the whole frontier's: S_9's widest round has 27 766 rows.  With
-    chunks of 7 rows, S_6's rows come in the tuple walk's order, and the
-    cap is still exactly the order."""
+    """closure steps a frontier BLOCK_ENTRIES // 9 = 7 281 rows of S_9 at a
+    time and checks the cap after each chunk, so a round over the cap holds
+    one chunk of products, not the whole frontier's: S_9's widest round has
+    27 766 rows.  With BLOCK_ENTRIES at 42, chunks of 7 rows of S_6, its
+    rows come in the tuple walk's order, and the cap is still exactly the
+    order."""
     stepped = []
     assert len(_counted_closure(symmetric_group(9), factorial(9), stepped)[0]) == factorial(9)
-    assert max(stepped) == 4096
-    monkeypatch.setattr(permgrp, "CLOSURE_ROWS", 7)
+    assert max(stepped) == 7281
+    monkeypatch.setattr(permgrp, "BLOCK_ENTRIES", 42)
     stepped.clear()
     rows, position = _counted_closure(symmetric_group(6), 720, stepped)
     assert max(stepped) == 7 and len(stepped) > 720 // 7

@@ -386,6 +386,12 @@ def test_chain_matches_the_old_schreier_sims_on_corpus_and_giants():
     for n in range(1, 13):
         for group in (symmetric_group(n), alternating_group(n)):
             _assert_chain_matches(group, _old_chain(n, group.generators), _probes(group, rng))
+    # from their generators, where residues land several levels down and
+    # levels are inserted, so a level is verified again many times
+    for n in (16, 24, 30):
+        for group in (symmetric_group(n), alternating_group(n)):
+            group = PermGroup(n, group.generators)
+            _assert_chain_matches(group, _old_chain(n, group.generators), _probes(group, rng))
     for name in corpus_names():
         group = corpus_group(name)
         n = group.degree
