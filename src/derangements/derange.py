@@ -26,13 +26,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
-from .permgrp import PermGroup, _block_action, _compose, _products, count_fixed
+from .permgrp import DEGREE_CAP, PermGroup, _block_action, _compose, _products, count_fixed
 
-FINGERPRINT_CAP = isqrt(permgrp.CHAIN_SLOTS)  # a nonabelian regular quotient is listed as order^2 entries
 PRODUCT_WORK_CAP = 4_000_000
 DRAW_SEED = 0
 
@@ -70,8 +69,8 @@ def fingerprint(group: PermGroup) -> GroupFingerprint:
     gens = [g.images for g in group.generators]
     abelian = all(_compose(a, b) == _compose(b, a) for a, b in combinations(gens, 2))
     order = group.degree if abelian and group.is_transitive() else group.order()
-    if order > FINGERPRINT_CAP:
-        raise CapExceeded(f"fingerprint needs order <= {FINGERPRINT_CAP}, got {order}")
+    if order > DEGREE_CAP:
+        raise CapExceeded(f"fingerprint needs order <= {DEGREE_CAP}, got {order}")
     if order != group.degree or not group.is_transitive():
         return _walked_fingerprint(group)
     if abelian:
@@ -424,10 +423,10 @@ def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     """G/D as G_0 acting on the D_0-orbits in its first orbit other than
     {0}: G/D is G_0/D_0 as D is transitive, and the certificate puts index
     of them there, the order ``_block_action`` sets.  Formed only to be
-    fingerprinted, an index above FINGERPRINT_CAP is refused first."""
+    fingerprinted, an index above DEGREE_CAP is refused first."""
     index = group.order() // sub.order()
-    if index > FINGERPRINT_CAP:
-        raise IndexTooLarge(f"index {index} exceeds cap {FINGERPRINT_CAP}")
+    if index > DEGREE_CAP:
+        raise IndexTooLarge(f"index {index} exceeds cap {DEGREE_CAP}")
     if index == 1:
         return PermGroup(1, ())
     g0 = group.stabilizer()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -31,7 +31,7 @@ from .matgrp import (
     scalar_matrix_group,
 )
 from .permgrp import (
-    CHAIN_SLOTS,
+    DEGREE_CAP,
     PermGroup,
     Permutation,
     alternating_group,
@@ -39,8 +39,6 @@ from .permgrp import (
     dihedral_group,
     symmetric_group,
 )
-
-DEGREE_CAP = math.isqrt(CHAIN_SLOTS)  # most points a constructed group acts on: a transitive level holds n^2 entries
 
 
 def _degree(m: int, k: int = 1) -> int:
@@ -76,7 +74,6 @@ def affine_group(h: MatrixGroup) -> PermGroup:
     return group
 
 
-@lru_cache(maxsize=32)
 def semilinear_example(q: int) -> PermGroup:
     """Maps x -> a*x^e + c on the field of q^2 elements, where a is nonzero
     and e is 1 or q.  Generated by x+1, gx, and x^q; order 2q^2(q^2-1)."""
@@ -112,7 +109,6 @@ def _pgl_2_8() -> PermGroup:
     return pgl
 
 
-@lru_cache(maxsize=1)
 def pgammal_28() -> PermGroup:
     """PGammaL(2,8), order 1512, on the 28 pairs {z, z^8} of GF(64) minus
     GF(8), each labelled by its smaller code, in ascending order.  Its
@@ -216,7 +212,6 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     return group
 
 
-@lru_cache(maxsize=32)
 def dihedral_quotient_family(q: int) -> MatrixGroup:
     """A central product in GL(4,q) whose eigenvalue-1 quotient is dihedral
     of order q+1; defined for prime powers q = 3 mod 4, q >= 7."""
@@ -240,7 +235,6 @@ def dihedral_quotient_family(q: int) -> MatrixGroup:
     return h
 
 
-@lru_cache(maxsize=8)
 def central_product_examples(name: str) -> MatrixGroup:
     """Three irreducible central products in GL(4,q) with prescribed
     eigenvalue-1 quotients: klein (order 48 over GF(5)), a4 (order 528 over

@@ -43,7 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from operator import eq, index, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,6 +61,7 @@ from .errors import (
 ENUMERATION_CAP = 2_000_000  # the one enumeration limit, read when a call runs
 BLOCK_ENTRIES = 1 << 16  # image entries per element block beyond a larger tail, and per closure chunk
 CHAIN_SLOTS = 1 << 26  # transversal entries (orbit points x n, summed over a chain's levels)
+DEGREE_CAP = isqrt(CHAIN_SLOTS)  # most points, or order of a fingerprinted regular group: n^2 entries
 
 
 def _getter(a: tuple[int, ...]):
@@ -340,8 +341,7 @@ def _regular_normal(generators: tuple[Permutation, ...], degree: int):
     of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s with t in R, t(0) =
     s^-1(0), one per generator s fixing a point."""
     moving = [g for g in generators if not count_fixed(g.images)]
-    commute = (_compose(a.images, b.images) == _compose(b.images, a.images) for a in moving for b in moving)
-    if not moving or not all(commute):
+    if not moving:
         return None, generators
     fixing = [s for s in generators if count_fixed(s.images)]
     conjugators, level, basis, walked = [s.conjugator() for s in fixing], _Level(0, degree), [], list(moving)

@@ -12,14 +12,12 @@ cross-checks.  One walk over D's tail and upper products gives every
 coset average and D's fixed-point tally; G's tally likewise.
 
 All records are plain JSON-safe dicts with deterministic key and entry
-order, so repeated runs emit identical bytes (wall times are kept on the
-in-memory report objects only, never serialized).
+order, so repeated runs emit identical bytes.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -443,7 +441,6 @@ class RunReport:
     description: str
     record: dict
     failures: tuple[tuple[str, object, object], ...]
-    wall_ms: float
 
     @property
     def passed(self) -> bool:
@@ -466,7 +463,6 @@ _SCENARIOS_BY_ID = {sc.id: sc for sc in PAPER_SCENARIOS}
 
 
 def run_scenario(scenario: Scenario, inject_fault: bool = False) -> RunReport:
-    start = time.perf_counter()
     built = build_family(scenario.params)
     if scenario.kind == "perm":
         maker = _faulted_perm_record if inject_fault else _perm_record
@@ -482,8 +478,7 @@ def run_scenario(scenario: Scenario, inject_fault: bool = False) -> RunReport:
         actual = _resolve(record, exp.field)
         if actual != exp.value:
             failures.append((exp.field, exp.value, actual))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return RunReport(scenario.id, scenario.description, record, tuple(failures), wall_ms)
+    return RunReport(scenario.id, scenario.description, record, tuple(failures))
 
 
 def _fan_out(fn, calls: list[tuple], workers: int) -> list:

@@ -508,9 +508,9 @@ def test_scans_sift_each_candidate_once(monkeypatch):
 def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
     """An index above the cap raises IndexTooLarge, naming index and cap,
     before any block action is built; an index at the cap passes."""
-    monkeypatch.setattr(derange, "FINGERPRINT_CAP", 4)
+    monkeypatch.setattr(derange, "DEGREE_CAP", 4)
     assert analyze(agl_1_5()).quotient_name == "C4"
-    monkeypatch.setattr(derange, "FINGERPRINT_CAP", 3)
+    monkeypatch.setattr(derange, "DEGREE_CAP", 3)
 
     def refuse(*args):
         raise AssertionError("block action built past the index cap")

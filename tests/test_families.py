@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from derangements import families
+from derangements import families, permgrp
 from derangements.derange import analyze, derangement_subgroup, fingerprint, identify_quotient
 from derangements.errors import ConstraintViolated, DegreeTooLarge, ToolkitError
 from derangements.families import (
@@ -40,6 +40,7 @@ from derangements.permgrp import (
     cyclic_group,
     symmetric_group,
 )
+from derangements.suite import PAPER_SCENARIOS, run_scenario
 from test_matgrp import index_to_vector
 from test_properties import same_group
 
@@ -342,3 +343,26 @@ def test_build_family_calls_rebound_constructors(monkeypatch):
     monkeypatch.setattr(families, "affine_group", lambda h: calls.append(h) or original(h))
     assert build_family(FamilyParams("agl1", (5,))).order() == 20
     assert len(calls) == 1
+
+
+def test_every_build_is_fresh_so_a_second_scenario_run_repeats_the_first(monkeypatch):
+    """A family call builds a new group, holding no chain or element list
+    from an earlier call, so a scenario's second run makes the same closure
+    and chain-growth calls as its first."""
+    for name, values in [("semilinear", (3,)), ("pgammal28", ()), ("central-a4", ()), ("dihedral-family", (7,))]:
+        params = FamilyParams(name, values)
+        assert build_family(params) is not build_family(params)
+    calls = []
+
+    def logged(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(permgrp, "closure", logged("closure", permgrp.closure))
+    monkeypatch.setattr(permgrp, "_grow", logged("_grow", permgrp._grow))
+    for scenario in PAPER_SCENARIOS:
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            assert run_scenario(scenario).passed
+            runs.append(list(calls))
+        assert runs[0] == runs[1], scenario.id

@@ -1250,9 +1250,9 @@ def test_quotient_past_the_chain_budget_is_refused_by_the_fingerprint_cap(monkey
     """A Singer cycle of GL(2,97) has R(H) = 1 and index 9 408, within the
     old fingerprint cap of 10 000, so its regular quotient's chain of
     9 408^2 entries was built until CHAIN_SLOTS refused it (2.4 s, 547
-    MB).  FINGERPRINT_CAP is the largest order whose chain fits, 8 192, and
-    it refuses the record and the dumped file with no chain built."""
-    assert derange.FINGERPRINT_CAP == math.isqrt(permgrp.CHAIN_SLOTS) == 8192
+    MB).  DEGREE_CAP is the largest order whose chain fits, 8 192, and it
+    refuses the record and the dumped file with no chain built."""
+    assert derange.DEGREE_CAP == math.isqrt(permgrp.CHAIN_SLOTS) == 8192
 
     def no_chain(self):
         raise AssertionError("a stabilizer chain was built")

@@ -120,7 +120,6 @@ def test_cheap_scenarios_pass():
     assert [r.scenario_id for r in reports] == list(CHEAP_IDS)
     for r in reports:
         assert r.passed, (r.scenario_id, r.failures)
-        assert r.wall_ms >= 0.0
 
 
 def test_scenario_records_are_json_safe():
