@@ -13,13 +13,13 @@ convention), on which each matrix acts as a (d*f)x(d*f) digit matrix over
 GF(p); M -> digit(M) is a homomorphism, and a group converts each of its
 generators once (``generator_digits``).  A group's one element store is the
 stack of its digit matrices in ``permgrp.closure``'s breadth-first order,
-keyed by their bytes in the smallest dtype holding p - 1; positions are the
-element handle, element orders come from batched powers of the stack and
-scalars from its entry codes.  One batched elimination mod p decides
-eigenvalue 1, and the eigenvalue-1 subgroup R is a mask over positions,
-built and checked normal once per group; the index check and H/R take H
-alone.  H/R is H acting on the R-orbits in the orbit of e_0, read off row
-0 of the stack.  Work on vectors maps whole arrays of indices.
+keyed by their bytes in the smallest dtype holding p - 1; element orders
+come from batched powers of the stack and scalars from its entry codes.
+One batched elimination mod p decides eigenvalue 1, and the eigenvalue-1
+subgroup R, built and checked normal once per group, has its own closure
+unless it is H; the index check and H/R take H alone.  H/R is H acting on
+the R-orbits in the orbit of e_0, read off row 0 of the stack.  Work on
+vectors maps whole arrays of indices.
 Irreducibility has one decision, the MeatAxe: spins from the null space of
 f(a), for a in the group algebra and f an irreducible factor of e_0's
 minimal polynomial under a, prove either answer.  H/R is semiregular on the
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import islice, product
+from itertools import compress, islice, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -215,11 +216,11 @@ class MatrixGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self._stack: np.ndarray | None = None  # digit matrices, breadth-first
-        self._position: dict[bytes, int] | None = None  # closure key -> position
+        self._position: dict[bytes, int] | None = None  # closure key -> position, set with the stack
         self._irreducibility: tuple | None = None
         self._eigenvalue_one: MatrixGroup | None = None  # R(H), built once
         self._digits: np.ndarray | None = None  # the generators' digit matrices
-        self._fixes: np.ndarray | None = None  # per position, eigenvalue 1 or not
+        self._fixes: np.ndarray | None = None  # per stack row, eigenvalue 1 or not
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
@@ -256,32 +257,19 @@ class MatrixGroup:
         small = stack.astype(np.min_scalar_type(self.spec.p - 1))
         return permgrp._row_keys(small, stack.shape[-1] ** 2)
 
-    def _positions(self) -> dict[bytes, int]:
-        """Key of each element -> its position in the stack."""
-        stack = self.digit_stack()  # a built closure sets the dict too
-        if self._position is None:
-            self._position = {key: i for i, key in enumerate(self._keys(stack))}
-        return self._position
-
-    def _locate(self, stack: np.ndarray) -> np.ndarray:
-        """Position of each digit matrix of the stack (reduced mod p); a
-        KeyError for one outside the group."""
-        keys = self._keys(stack)
-        return np.fromiter(map(self._positions().__getitem__, keys), dtype=np.int64, count=len(keys))
-
     def order(self) -> int:
         return len(self.digit_stack())
 
     def eigenvalue_one_mask(self) -> np.ndarray:
-        """Per stack position, whether the element fixes a nonzero vector,
-        computed once."""
+        """Per stack row, whether the element fixes a nonzero vector, once."""
         if self._fixes is None:
             self._fixes = _fixes_a_vector(self.digit_stack(), self.spec.p)
         return self._fixes
 
     def __contains__(self, m: FFMatrix) -> bool:
         self._check(m)
-        return self._keys(_digit_matrix(m))[0] in self._positions()
+        self.digit_stack()  # sets the key dict
+        return self._keys(_digit_matrix(m))[0] in self._position
 
     def element_order_histogram(self) -> dict[int, int]:
         """Element order -> count: the k-th powers of the whole stack, one
@@ -313,48 +301,35 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     """R(H), the subgroup generated by all elements fixing some nonzero
     vector, built once per group and cached on it.
 
-    The elements are scanned in enumeration order, and one becomes a
-    generator only when it has eigenvalue 1 and is not yet in the subgroup
-    generated so far; so every eigenvalue-1 element ends up inside, and the
-    generating set stays small.  The subgroup is a mask over the group's
-    positions, grown by a new generator g from the last one: its elements
-    times g, then each new element times every generator.  Its stack,
-    eigenvalue-1 mask and key dict are the group's own when the mask is
-    full, else the first two are their masked rows.  The eigenvalue-1
-    elements form a conjugation-closed set (conjugation preserves
-    eigenvalues), so R(H) is normal; NotNormal unless each g^-1*k*g, for g
-    a generator of H and k of R(H), lies in the mask.
+    The eigenvalue-1 elements are scanned in stack order; one whose key is
+    not in the dict of the subgroup so far joins its generators, rows of
+    H's stack, and ``digit_stack`` closes it again under cap |H|//2.  It is
+    H, sharing H's stack, key dict and flags, once its generators hold H's
+    (rows 1 to n) or its closure passes |H|/2 elements (Lagrange).
+    Conjugation preserves eigenvalues, so R(H) is normal; NotNormal unless
+    the key of each g^-1*k*g (g a generator of H, k of R(H)) is in its dict.
     """
     if group._eigenvalue_one is not None:
         return group._eigenvalue_one
     spec, p = group.spec, group.spec.p
-    stack = group.digit_stack()
-    inside = np.zeros(len(stack), dtype=bool)
-    inside[0] = True  # the identity
-    gens: list[int] = []
-
-    def grow(products: np.ndarray) -> np.ndarray:
-        found = np.zeros_like(inside)  # a mask, not np.unique, which imports numpy.ma
-        found[group._locate(products % p)] = True
-        found = np.flatnonzero(found & ~inside)
-        inside[found] = True
-        return found
-
-    fixes = group.eigenvalue_one_mask()
-    for i in np.flatnonzero(fixes).tolist():
-        if not inside[i]:
-            gens.append(i)
-            new = grow(stack[inside] @ stack[i])
-            while len(new):
-                new = grow(stack[new][:, None] @ stack[gens])
+    stack, position, fixes = group.digit_stack(), group._position, group.eigenvalue_one_mask()
+    sub, gens, cap = MatrixGroup(spec, group.d, ()), [], len(stack) // 2
+    with suppress(CapExceeded):  # a proper subgroup has at most |H|/2 elements
+        sub.digit_stack(cap)
+        for key, i in compress(position.items(), fixes.tolist()):
+            if key not in sub._position:
+                gens.append(i)
+                sub._stack, sub._digits = None, stack[gens]
+                if set(range(1, len(group.generators) + 1)).issubset(gens):  # R holds H's generators
+                    break
+                sub.digit_stack(cap)
+    if sub._stack is None:  # R = H
+        sub._stack, sub._position, sub._fixes = stack, position, fixes
     inverses = np.array([_digit_matrix(g.inverse()) for g in group.generators], dtype=np.int64)
-    conjugates = inverses.reshape(-1, 1, *stack.shape[1:]) @ stack[gens] % p @ group.generator_digits()[:, None] % p
-    if not inside[group._locate(conjugates)].all():
+    conjugates = inverses.reshape(-1, 1, *stack.shape[1:]) @ sub._digits % p @ group.generator_digits()[:, None] % p
+    if not all(map(sub._position.__contains__, group._keys(conjugates))):
         raise NotNormal("the eigenvalue-1 subgroup is not normal in the group")
-    sub = MatrixGroup(spec, group.d, _decode(spec, group.d, stack[gens]))
-    full = inside.all()
-    sub._stack, sub._fixes = (stack, fixes) if full else (stack[inside], fixes[inside])
-    sub._position = group._positions() if full else None
+    sub.generators = tuple(_decode(spec, group.d, sub._digits))
     group._eigenvalue_one = sub
     return sub
 
@@ -393,17 +368,17 @@ class IndexBoundReport:
 def index_bound_check(group: MatrixGroup) -> IndexBoundReport:
     """Check |H : R(H)| <= q^d - 1, and that H/R(H) acts semiregularly on
     the R(H)-orbits of nonzero vectors: v*R(H) has stabilizer H_v*R(H), so
-    iff R(H) holds every H_v, every eigenvalue-1 element of H, as two cached
-    counts show.  ``eigenvalue_one_subgroup`` puts them all in R(H), so
-    semiregular certifies that construction and reads only True or None."""
+    iff R(H) holds every H_v: the key of every eigenvalue-1 element of H
+    lies in R(H)'s dict.  ``eigenvalue_one_subgroup`` puts them all in R(H),
+    so semiregular certifies that construction and reads only True or None."""
     r = eigenvalue_one_subgroup(group)
     spec, d = group.spec, group.d
     index = group.order() // r.order()
     bound = spec.order**d - 1
     if spec.order**d > SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
-    semiregular = r.eigenvalue_one_mask().sum() == group.eigenvalue_one_mask().sum()
-    return IndexBoundReport(index, bound, index <= bound, bool(semiregular))
+    semiregular = all(map(r._position.__contains__, compress(group._position, group.eigenvalue_one_mask().tolist())))
+    return IndexBoundReport(index, bound, index <= bound, semiregular)
 
 
 # irreducibility -------------------------------------------------------------

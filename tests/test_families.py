@@ -235,6 +235,15 @@ def test_frobenius_complement_example_c7_c3():
     assert rep.index == 3 and rep.quotient_name == "C3"
 
 
+def test_frobenius_complement_example_refuses_bad_parameters():
+    """h must act on the m points, and a degree m^q past the degree cap is
+    refused before any tuple is built."""
+    with pytest.raises(ConstraintViolated, match="h acts on 7 points, expected 5"):
+        frobenius_complement_example(5, cyclic_multiplier_group(7, 2), 3)
+    with pytest.raises(ConstraintViolated, match="degree 1000000 exceeds 8192"):
+        frobenius_complement_example(100, cyclic_multiplier_group(100, 3), 3)
+
+
 def test_frobenius_complement_example_builds_no_wreath_product(monkeypatch):
     """The shifts and rotation come from the wreath generators alone, with
     no wreath product group (and its chain of degree m^q) built; the

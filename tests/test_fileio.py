@@ -70,6 +70,20 @@ def test_perm_parse_errors_carry_line_numbers():
     assert exc.value.line_no == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("permgroup 3\n", "header must be 'permgroup n ngens'"),
+        ("permgroup 0 0\n", "need n >= 1"),
+        ("matgroup 5 1 2 -1\n", "need d >= 1"),
+    ],
+)
+def test_headers_out_of_range_are_refused_on_line_1(text, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        load_group(text)
+    assert exc.value.line_no == 1
+
+
 def test_mat_round_trip():
     h = general_linear_gl2(field(3, 1))
     text = dump_matrix_group(h)

@@ -5,12 +5,13 @@ by FFMatrix products, the decoded stack with one order loop per element,
 the vector of an index by its base-q digits, the echelon eigenvalue-1
 test, the per-element coset walk (for the quotient on sub-orbit blocks and
 the index check), the q^d vector walk that decided semiregularity before
-the eigenvalue-1 flags did and the outside mask that decided it before the
-eigenvalue-1 counts did, root hooking, which labelled the quotient's
-blocks before ``PermGroup.orbits`` did, with the gather and the scatter
-label propagations that it replaced, the spin, and the projective-point
-sweep that decided irreducibility before the MeatAxe did.  SL(2,3)'s
-closed-form generator is checked against the linear solve it replaced."""
+the eigenvalue-1 flags did and the outside mask that decided it before
+eigenvalue-1 counts and then key lookups did, root hooking, which
+labelled the quotient's blocks before ``PermGroup.orbits`` did, with the
+gather and the scatter label propagations that it replaced, the spin, and
+the projective-point sweep that decided irreducibility before the MeatAxe
+did.  SL(2,3)'s closed-form generator is checked against the linear solve
+it replaced."""
 
 import itertools
 import math
@@ -228,10 +229,10 @@ def _index_bound_walk(group, sub):
 
 def _semiregular_outside(group, sub):
     """The semiregularity test the eigenvalue-1 counts replaced: mark sub's
-    positions in H's stack, then no element of H outside sub may have
-    eigenvalue 1."""
+    positions in H's stack, looked up by key in H's dict, then no element
+    of H outside sub may have eigenvalue 1."""
     outside = np.ones(group.order(), dtype=bool)
-    outside[group._locate(sub.digit_stack())] = False
+    outside[[group._position[key] for key in group._keys(sub.digit_stack())]] = False
     return not group.eigenvalue_one_mask()[outside].any()
 
 
@@ -684,11 +685,11 @@ def test_closure_keys_past_one_byte(p, m, dtype):
 
 
 def test_eigenvalue_one_subgroup_is_built_once_and_checked_normal(monkeypatch):
-    """R(H) is cached on H.  Its normality check locates each g^-1*k*g in
-    H and tests it against R's mask: with a mask that marks only the
-    element at stack position 5 of central-a4, which maps to an element of
-    order 3 in H/R(H) = A4, the subgroup it generates is not normal, and
-    NotNormal is raised."""
+    """R(H) is cached on H.  Its normality check looks each g^-1*k*g up in
+    R's key dict: with eigenvalue-1 flags that mark only the element at
+    stack position 5 of central-a4, which maps to an element of order 3 in
+    H/R(H) = A4, the subgroup it generates is not normal, and NotNormal is
+    raised."""
     group = central_product_examples("a4")
     assert eigenvalue_one_subgroup(group) is eigenvalue_one_subgroup(group)
     fresh = MatrixGroup(group.spec, group.d, group.generators)
@@ -727,9 +728,30 @@ def test_matrix_refuses_non_integer_entries():
     assert MatrixGroup(GF5, 2, [np.array([[1, 1], [0, 1]], dtype=np.uint8)]).order() == 5
 
 
+def test_matrix_refuses_a_non_square_shape_and_entries_out_of_range():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        FFMatrix(GF5, [[1, 0]])
+    with pytest.raises(ValueError, match="out of range"):
+        FFMatrix(GF5, [[5, 0], [0, 1]])
+
+
+def test_products_across_fields_are_refused():
+    with pytest.raises(FieldMismatch):
+        FFMatrix.identity(GF5, 2) * FFMatrix.identity(GF3, 2)
+    with pytest.raises(FieldMismatch):
+        central_product(quaternion_gl2(GF5), quaternion_gl2(GF3))
+
+
+def test_named_subgroups_refuse_parameters_outside_their_range():
+    with pytest.raises(ConstraintViolated, match="odd characteristic"):
+        quaternion_gl2(field(2, 1))
+    with pytest.raises(ConstraintViolated, match="at least 3"):
+        dihedral_gl2(GF5, 2)
+
+
 def test_matrix_record_does_not_import_numpy_ma():
     """np.unique imports numpy.ma on first use (22.5 ms); the eigenvalue-1
-    subgroup's growth marks positions in a mask instead."""
+    subgroup's closure dedups by key dict instead."""
     script = (
         "import sys\n"
         "from derangements.families import central_product_examples\n"
@@ -752,14 +774,16 @@ def test_gl23_order_and_eigenvalue_subgroup():
 
 def test_eigenvalue_one_subgroup_shares_the_stack_only_when_full():
     """R(GL(2,3)) = GL(2,3) holds H's own stack, not a copy.  A proper R,
-    R(central-klein), lists its elements in H's order."""
+    R(central-klein), holds its own stack and key dict, and its elements
+    are those of the Python closure of its generators."""
     gl = general_linear_gl2(GF3)
     assert eigenvalue_one_subgroup(gl).digit_stack() is gl.digit_stack()
     klein = central_product_examples("klein")
     r = eigenvalue_one_subgroup(klein)
     assert r.order() < klein.order()
-    positions = klein._locate(r.digit_stack())
-    assert positions[0] == 0 and (np.diff(positions) > 0).all()
+    assert r.digit_stack() is not klein.digit_stack() and r._position is not klein._position
+    assert set(r._position) == set(r._keys(r.digit_stack())) and len(r._position) == r.order()
+    assert {m.rows for m in _elements(r)} == {m.rows for m in _closure_python(r)}
 
 
 def test_scalar_group_eigenvalue_subgroup_trivial():
@@ -1031,8 +1055,8 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
     """central-a4 (279 841 vectors) and the GL(2,31) Singer cycle get the
     walk's reports from the eigenvalue-1 flags, with no vector labelled:
     without PermGroup.orbits or _image_indices.  Their
-    R(H) is proper, and the check reads its mask, H's sliced, without
-    locating its elements in H or running the elimination again."""
+    R(H) is proper, and the check looks H's eigenvalue-1 keys up in its
+    dict, without running the elimination again."""
     cases = [
         (central_product_examples("a4"), IndexBoundReport(12, 279840, True, True)),
         (MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)]), IndexBoundReport(960, 960, True, True)),
@@ -1045,10 +1069,9 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
         subs.append((group, eigenvalue_one_subgroup(group), expected))
 
     def refuse(*args):
-        raise AssertionError("R(H)'s elements were located or eliminated again")
+        raise AssertionError("R(H)'s elements were eliminated again")
 
     monkeypatch.setattr(matgrp, "_fixes_a_vector", refuse)
-    monkeypatch.setattr(MatrixGroup, "_locate", refuse)
     for group, sub, expected in subs:
         assert sub.order() < group.order()
         assert index_bound_check(group) == expected
@@ -1073,20 +1096,16 @@ def test_matrix_record_flags_eigenvalue_one_once(monkeypatch):
     assert record["index"] == 12 and record["semiregular"] is True
 
 
-def test_index_bound_check_locates_nothing_when_sub_is_the_group(monkeypatch):
-    """R(H) = H for GL(2,5) and GL(2,4): no element lies outside sub, so the
-    report is the walk's without looking up any of sub's elements in H."""
+def test_index_bound_check_locates_nothing_when_sub_is_the_group():
+    """R(H) = H for GL(2,5) and GL(2,4): no element lies outside sub, which
+    holds H's own stack and key dict, and the report is the walk's."""
     cases = []
     for spec in (GF5, field(2, 2)):
         group = general_linear_gl2(spec)
         sub = eigenvalue_one_subgroup(group)
         assert sub.order() == group.order()
+        assert sub.digit_stack() is group.digit_stack() and sub._position is group._position
         cases.append((group, sub, _index_bound_walk(group, sub)))
-
-    def no_lookup(*args):
-        raise AssertionError("sub's elements were located in H")
-
-    monkeypatch.setattr(MatrixGroup, "_locate", no_lookup)
     for group, sub, walked in cases:
         assert index_bound_check(group) == walked
         assert walked.index == 1 and walked.semiregular is True
@@ -1094,9 +1113,10 @@ def test_index_bound_check_locates_nothing_when_sub_is_the_group(monkeypatch):
 
 def test_semiregularity_from_counts_matches_the_outside_mask(monkeypatch):
     """On the matrix benchmark pool, the paper's matrix groups, GL(2,3) and
-    GL(2,4), equal eigenvalue-1 counts of H and R(H) decide semiregularity
-    as the outside mask did.  The vector cap is lifted, since the counts
-    label no vector."""
+    GL(2,4), looking H's eigenvalue-1 keys up in R(H)'s dict (and, before
+    that, equal eigenvalue-1 counts of H and R(H)) decides semiregularity
+    as the outside mask did.  The vector cap is lifted, since the lookup
+    labels no vector."""
     paper = [build_family(sc.params) for sc in suite.PAPER_SCENARIOS if sc.kind == "mat"]
     paper += [suite._MAT_BUILDERS[sc.mat_id]() for sc in suite.PAPER_SCENARIOS if sc.kind == "bridge"]
     groups = [build() for build in _WALKED_POOL_GROUPS.values()] + [central_product_examples("a5")]
@@ -1378,6 +1398,31 @@ def test_eigenvalue_one_subgroup_contains_every_fixer(group):
     sub = eigenvalue_one_subgroup(group)
     assert all(has_eigenvalue_one(g) for g in sub.generators)
     assert all(m in sub for m in elements if has_eigenvalue_one(m))
+    # R(H) shares H's store exactly when it is H, and holds nothing outside its closure
+    assert (sub.digit_stack() is group.digit_stack()) == (sub.order() == group.order())
+    inside = {m.rows for m in _closure_python(sub)}
+    assert not any(m in sub for m in elements if m.rows not in inside)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_eigenvalue_one_subgroup_of_gl2_shares_the_stack(monkeypatch, q):
+    """R(GL(2,q)) = GL(2,q) shares its stack.  R is closed three times,
+    under cap |H|//2, so never to |H| rows: trivial, then <t> and <t, s>
+    for H's first two generators.  For GL(2,3) that last closure passes
+    |H|/2; from q = 4 on, H's third generator joins R's and completes
+    them, with no closure."""
+    group = general_linear_gl2(field(*prime_power_decompose(q)))
+    caps, real = [], permgrp.closure
+
+    def capped(start, step, cap):
+        caps.append(cap)
+        return real(start, step, cap)
+
+    monkeypatch.setattr(permgrp, "closure", capped)
+    sub = eigenvalue_one_subgroup(group)
+    assert sub.digit_stack() is group.digit_stack() and sub._position is group._position
+    assert caps == [group.order() // 2] * 3
+    assert sub.generators == group.generators[: 2 if q == 3 else 3]
 
 
 def test_irreducibility_cap():

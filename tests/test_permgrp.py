@@ -76,6 +76,11 @@ def test_permutation_rejects_non_bijections():
         Permutation([1, 0]) * Permutation([0, 1, 2])
 
 
+def test_group_refuses_a_generator_of_another_degree():
+    with pytest.raises(DegreeMismatch, match="generator degree 2 in group of degree 3"):
+        PermGroup(3, [Permutation([1, 0])])
+
+
 def test_permutation_refuses_non_integer_images():
     """Images that are not integers raise ValueError at construction, even
     when they sort equal to 0..n-1: [1.0, 0.0, 2.0] built, and its first
