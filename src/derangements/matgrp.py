@@ -18,8 +18,9 @@ come from batched powers of the stack and scalars from its entry codes.
 One batched elimination mod p decides eigenvalue 1, and the eigenvalue-1
 subgroup R, built and checked normal once per group, has its own closure
 unless it is H; the index check and H/R take H alone.  H/R is H acting on
-the R-orbits in the orbit of e_0, read off row 0 of the stack.  Work on
-vectors maps whole arrays of indices.
+the translates of e_0*R, read off row 0 of R's stack and walked a block
+at a time, each keyed by its sorted vector indices.  Work on vectors maps
+whole arrays of indices.
 Irreducibility has one decision, the MeatAxe: spins from the null space of
 f(a), for a in the group algebra and f an irreducible factor of e_0's
 minimal polynomial under a, prove either answer.  H/R is semiregular on the
@@ -43,7 +44,7 @@ import numpy as np
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, DegreeMismatch, FieldMismatch, NotNormal
 from .gf import FieldSpec, _digits, _least_factor, _poly_mod, _poly_trim, _value, field
-from .permgrp import PermGroup, Permutation, _block_action, _integers
+from .permgrp import PermGroup, Permutation, _integers
 
 SPIN_WORK_CAP = 1_000_000
 SEMIREGULAR_VECTOR_CAP = 300_000  # q^d past which semiregular is None; it bounds no work
@@ -348,11 +349,6 @@ def _decode(spec: FieldSpec, d: int, stack: np.ndarray) -> list[FFMatrix]:
     return [FFMatrix._raw(spec, d, tuple(map(tuple, rows))) for rows in entries]
 
 
-def _image_indices(spec: FieldSpec, m: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Indices of the images of the vectors with these digit rows under m."""
-    return _value(digits @ m % spec.p, spec.p)
-
-
 @dataclass(frozen=True)
 class IndexBoundReport:
     """Outcome of the eigenvalue-1 index bound and orbit-semiregularity
@@ -577,26 +573,42 @@ def _quadratic_plane(spec: FieldSpec):
 
 
 def quotient_perm_group(group: MatrixGroup) -> PermGroup:
-    """H/R(H) as H acting on the R(H)-orbits in the orbit of e_0 = (1, 0,
-    ..., 0), read off row 0 of the stack, both acting on its positions
-    among the sorted vector indices; the blocks are R(H)'s
-    ``PermGroup.orbits``.  R(H) is normal and holds H_{e_0}, so h and h'
-    share a coset exactly when e_0*h and e_0*h' share an R(H)-orbit:
-    |H : R(H)| of them, the order ``_block_action`` sets, as
-    ConstraintViolated checks."""
+    """H/R(H) as H acting on the translates of B = e_0*R(H), e_0 = (1, 0,
+    ..., 0), B read off row 0 of R(H)'s stack.  A walk takes each block's
+    images under the generators of H and R(H) in one product and keys each
+    image by the big-endian bytes of its sorted vector indices, injective on
+    sets; blocks are numbered by key, so by least vector index.  NotNormal
+    unless R(H) fixes every block, so R(H) <= H_B; ConstraintViolated unless
+    they number |H : R(H)|, so H_B = R(H), the kernel, and the action is
+    regular of that order.  An index past DEGREE_CAP is refused before the
+    walk, with the CapExceeded that ``fingerprint`` raises."""
     r = eigenvalue_one_subgroup(group)
-    spec, d = group.spec, group.d
-    images = np.sort(_value(group.digit_stack()[:, 0], spec.p))
-    points = images[np.append(True, images[1:] != images[:-1])]
-    digits = _digits(points, spec.p, d * spec.f)
-    r_moves, moves = (  # each image list is formed when it is taken; R(H) <= H permutes the points
-        (np.searchsorted(points, _image_indices(spec, m, digits)).tolist() for m in grp.generator_digits())
-        for grp in (r, group)
-    )
-    blocks = PermGroup(len(points), map(Permutation._raw, map(tuple, r_moves))).orbits()
-    if len(blocks) * r.order() != group.order():
-        raise ConstraintViolated("the R(H)-orbits in e_0's orbit must number |H : R(H)|")
-    return _block_action(blocks, moves, len(blocks))
+    p, k = group.spec.p, group.d * group.spec.f
+    index = group.order() // r.order()
+    if index > permgrp.DEGREE_CAP:
+        raise CapExceeded(f"fingerprint needs order <= {permgrp.DEGREE_CAP}, got {index}")
+    points = np.sort(_value(r.digit_stack()[:, 0], p))
+    queue = [points[np.append(True, points[1:] != points[:-1])].astype(">i8").tobytes()]
+    gens, n = np.concatenate([group.generator_digits(), r.generator_digits()]), len(group.generators)
+    images = dict.fromkeys(queue)  # block key -> the keys of its images under H's generators
+    for own in queue:  # walks the blocks as they are found
+        block = np.frombuffer(own, ">i8")
+        moved = np.sort(_value(_digits(block, p, k) @ gens % p, p)).astype(">i8")
+        keys = permgrp._row_keys(moved, len(block))
+        if any(key != own for key in keys[n:]):
+            raise NotNormal("R(H) must fix every translate of e_0*R(H)")
+        images[own] = keys[:n]
+        for key in keys[:n]:
+            if key not in images:
+                images[key] = None
+                queue.append(key)
+    if len(images) != index:
+        raise ConstraintViolated("the translates of e_0*R(H) must number |H : R(H)|")
+    number = dict(zip(sorted(images), range(index)))
+    moves = zip(*(images[key] for key in number))  # per generator of H, the image key of each block
+    quotient = PermGroup(index, [Permutation._raw(tuple(map(number.__getitem__, move))) for move in moves])
+    quotient._order = index
+    return quotient
 
 
 # named constructions ------------------------------------------------------------

@@ -24,16 +24,16 @@ stabilizer is that of point 0, the levels below the first; no chain is
 built for the stabilizer of any other point.  Levels are never changed
 once a group holds them, so chains are safe to share.  A sift inverts
 nothing: it carries the product of the transversal elements it uses and
-compares it with the sifted element, and products run in C.  Quotients are
-regular actions on the orbits of a normal subgroup, their count the order
-(``_block_action``).  No block system is searched for: primitivity is
-maximality of the point stabilizer, read off the chain.  Elements are
-upper products times a tail, the deepest levels' products, one array:
-fixed points compare it with inverted chunks of upper products, forming
-no element (``_fix_counts``), and element blocks gather chunks by it, at
-most BLOCK_ENTRIES entries unless the tail is larger.  One breadth-first
-closure, ``closure``, keys rows by their bytes for ``bruteforce_closure``
-and for matgrp's digit stacks.
+compares it with the sifted element, and products run in C.  G/D is the
+regular action on the orbits of a normal subgroup, their count the order
+(``_block_action``); matgrp walks H/R(H)'s blocks itself.  No block system
+is searched for: primitivity is maximality of the point stabilizer, read
+off the chain.  Elements are upper products times a tail, the deepest
+levels' products, one array: fixed points compare it with inverted chunks
+of upper products, forming no element (``_fix_counts``), and element
+blocks gather chunks by it, at most BLOCK_ENTRIES entries unless the tail
+is larger.  One breadth-first closure, ``closure``, keys rows by their
+bytes for ``bruteforce_closure`` and for matgrp's digit stacks.
 """
 
 from __future__ import annotations

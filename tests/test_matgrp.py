@@ -7,8 +7,9 @@ test, the per-element coset walk (for the quotient on sub-orbit blocks and
 the index check), the q^d vector walk that decided semiregularity before
 the eigenvalue-1 flags did and the outside mask that decided it before
 eigenvalue-1 counts and then key lookups did, root hooking, which
-labelled the quotient's blocks before ``PermGroup.orbits`` did, with the
-gather and the scatter label propagations that it replaced, the spin, and
+labelled the quotient's blocks before ``PermGroup.orbits`` and then the
+walk of e_0*R(H)'s translates did, with the gather and the scatter label
+propagations that it replaced, the spin, and
 the projective-point sweep that decided irreducibility before the MeatAxe
 did.  SL(2,3)'s closed-form generator is checked against the linear solve
 it replaced."""
@@ -60,7 +61,6 @@ from derangements.matgrp import (
     _decode,
     _digit_matrix,
     _fixes_a_vector,
-    _image_indices,
     _quadratic_plane,
     _spin,
 )
@@ -297,6 +297,12 @@ def _spin_python(spec, gens, v):
     return span
 
 
+def _image_indices(spec, m, digits):
+    """Indices of the images of the vectors with these digit rows under the
+    digit matrix m."""
+    return _value(digits @ m % spec.p, spec.p)
+
+
 def _propagate_min_labels(n, images):
     """Least point of each point's orbit under the maps i -> images[g][i],
     each a permutation of range(n), by root hooking (Shiloach and Vishkin
@@ -318,8 +324,8 @@ def _propagate_min_labels(n, images):
 
 
 def _hooked_quotient(group, sub):
-    """(blocks, generators) of H/sub, as quotient_perm_group forms them for
-    sub = R(H), as root hooking made them: the points are e_0's orbit, as positions among its
+    """(blocks, generators) of H/sub, as root hooking made them for
+    sub = R(H): the points are e_0's orbit, as positions among its
     sorted vector indices; a block is a class of sub's labels, numbered by
     its least point; a generator maps block b to the block of the image of
     b's least point."""
@@ -340,13 +346,11 @@ def _hooked_quotient(group, sub):
 
 
 def _assert_quotient_matches_hooking(group, sub):
-    """quotient_perm_group(group), for sub = R(H), hands _block_action the
-    blocks that root hooking labels, and its generators are the hooked ones."""
-    seen, real = [], matgrp._block_action
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matgrp, "_block_action", lambda blocks, *rest: seen.append(blocks) or real(blocks, *rest))
-        quotient = quotient_perm_group(group)
-    assert (seen[0], quotient.generators) == _hooked_quotient(group, sub)
+    """quotient_perm_group(group), for sub = R(H), acts on as many blocks as
+    root hooking labels, and its generators are the hooked ones."""
+    quotient = quotient_perm_group(group)
+    blocks, generators = _hooked_quotient(group, sub)
+    assert (quotient.degree, quotient.generators) == (len(blocks), generators)
 
 
 def _propagate_min_labels_gather(n, images):
@@ -1054,7 +1058,7 @@ def test_pool_index_bounds_match_the_vector_walk(name):
 def test_index_bound_check_walks_no_vectors(monkeypatch):
     """central-a4 (279 841 vectors) and the GL(2,31) Singer cycle get the
     walk's reports from the eigenvalue-1 flags, with no vector labelled:
-    without PermGroup.orbits or _image_indices.  Their
+    without PermGroup.orbits.  Their
     R(H) is proper, and the check looks H's eigenvalue-1 keys up in its
     dict, without running the elimination again."""
     cases = [
@@ -1062,7 +1066,6 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
         (MatrixGroup(field(31, 1), 2, [_singer_cycle(31, 2)]), IndexBoundReport(960, 960, True, True)),
     ]
     monkeypatch.setattr(PermGroup, "orbits", _no_labels)
-    monkeypatch.setattr(matgrp, "_image_indices", _no_labels)
     subs = []
     for built, expected in cases:
         group = MatrixGroup(built.spec, built.d, built.generators)
@@ -1250,20 +1253,24 @@ def test_singer_cycle_index_bound():
 
 def test_over_cap_quotient_is_refused_before_a_chain(monkeypatch, tmp_path, capsys):
     """A Singer cycle of GL(2,101) has R(H) = 1 and index 10 200, past the
-    fingerprint cap.  The quotient carries that order, so the cap refuses
-    it with no chain of degree 10 200 built, from the library and from a
-    dumped file."""
+    fingerprint cap.  quotient_perm_group refuses it from |H : R(H)|
+    before any quotient is formed, from the library and from a dumped
+    file."""
     group = MatrixGroup(field(101, 1), 2, [_singer_cycle(101, 2)])
-    formed, real = [], suite.quotient_perm_group
-    monkeypatch.setattr(suite, "quotient_perm_group", lambda *args: formed.append(real(*args)) or formed[-1])
+    called, real = [], suite.quotient_perm_group
+    monkeypatch.setattr(suite, "quotient_perm_group", lambda *args: called.append(args) or real(*args))
+
+    def no_quotient(*args):
+        raise AssertionError("a quotient was formed")
+
+    monkeypatch.setattr(matgrp, "PermGroup", no_quotient)
     with pytest.raises(CapExceeded, match="got 10200$"):
         matrix_record(group)
-    assert formed[0].order() == 10200 and formed[0]._levels is None
     path = tmp_path / "singer-101.group"
     path.write_text(dump_matrix_group(group))
     assert main(["analyze", str(path)]) == 2
     assert "got 10200" in capsys.readouterr().err
-    assert formed[1]._levels is None
+    assert len(called) == 2
 
 
 def test_quotient_past_the_chain_budget_is_refused_by_the_fingerprint_cap(monkeypatch, tmp_path, capsys):
@@ -1289,10 +1296,10 @@ def test_quotient_past_the_chain_budget_is_refused_by_the_fingerprint_cap(monkey
 
 def test_quotient_blocks_and_generators_match_root_hooking():
     """For every group of the matrix benchmark pool and the matrix and
-    bridge sides of the paper scenarios, H/R(H)'s blocks, PermGroup.orbits
-    of R(H) on e_0's orbit, are the classes of root hooking's labels in
-    the order of their least points, and its generators are those the
-    hooking labels give; so every quotient, fingerprint and pin stays."""
+    bridge sides of the paper scenarios, H/R(H), walked over the
+    translates of e_0*R(H), acts on as many blocks as root hooking's labels
+    have classes on e_0's orbit, and its generators are those the hooking
+    labels give; so every quotient, fingerprint and pin stays."""
     groups = [build() for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values()]
     groups += [build_family(sc.params) for sc in PAPER_SCENARIOS if sc.kind == "mat"]
     groups += [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
@@ -1665,6 +1672,28 @@ def test_quotient_perm_group():
     tetrahedral = binary_tetrahedral_gl2(GF5)
     q = quotient_perm_group(tetrahedral)
     assert q.degree == 24 and q.order() == 24 and PermGroup(24, q.generators).order() == 24
+
+
+def test_quotient_walk_refuses_a_subgroup_that_is_not_normal():
+    """Handed <swap> as R(H) of dihedral_gl2(GF5, 4), the walk finds that
+    it fixes the block {e_0, e_1} but not its translate {2e_0, 3e_1} by the
+    rotation diag(2, 3), so <swap> is not normal."""
+    dihedral = dihedral_gl2(GF5, 4)
+    swap = FFMatrix(GF5, [[0, 1], [1, 0]])
+    assert swap in dihedral
+    dihedral._eigenvalue_one = MatrixGroup(GF5, 2, [swap])
+    with pytest.raises(NotNormal):
+        quotient_perm_group(dihedral)
+
+
+def test_quotient_walk_refuses_a_subgroup_missing_the_stabilizer():
+    """Handed the trivial group as R(H) of GL(2,3), which misses H_{e_0},
+    the walk finds 8 translates of {e_0}, the nonzero vectors, not
+    |H : 1| = 48."""
+    gl = general_linear_gl2(GF3)
+    gl._eigenvalue_one = MatrixGroup(GF3, 2, [])
+    with pytest.raises(ConstraintViolated):
+        quotient_perm_group(gl)
 
 
 def test_fixes_a_vector_in_blocks(monkeypatch):
