@@ -209,9 +209,10 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     in D_0), enumerates D_0 alone, under cap (ENUMERATION_CAP when None).
     |G_0 : D_0| = |G : D| is at most n - 1, so a cap below |G_0|/(n - 1)
     is refused before D grows.  |G_0| is read as |G|/n, so a group that
-    knows its order, as the giants do, is refused before any chain is
-    built.  Every element of G_0 outside D_0 fixes point 0 alone, so the
-    same tally of D_0 counts the elements of G_0 that do."""
+    carries its order (every family member with a formula) is refused
+    before any chain is built; the chain checks that order when it is.
+    Every element of G_0 outside D_0 fixes point 0 alone, so the same
+    tally of D_0 counts the elements of G_0 that do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     cap = permgrp.ENUMERATION_CAP if cap is None else cap
@@ -422,7 +423,7 @@ def _report(
 def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     """G/D as G_0 acting on the D_0-orbits in its first orbit other than
     {0}: G/D is G_0/D_0 as D is transitive, and the certificate puts index
-    of them there, the order ``_block_action`` sets.  Formed only to be
+    of them there, the order ``_block_action`` carries.  Formed only to be
     fingerprinted, an index above DEGREE_CAP is refused first."""
     index = group.order() // sub.order()
     if index > DEGREE_CAP:

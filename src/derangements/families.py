@@ -60,8 +60,11 @@ def _gf(q: int, d: int = 1) -> FieldSpec:
 
 def affine_group(h: MatrixGroup) -> PermGroup:
     """Translations of the vector space joined with a linear group acting on
-    row vectors; a transitive group on the q^d vectors of order q^d * |h|.
-    Every generator maps the points' digit rows, then takes their values: a
+    row vectors; a transitive group on the q^d vectors, carrying the order
+    q^d * |h|, which its chain checks when built: the translations form a
+    regular normal subgroup, and h, a group of linear maps, is the
+    stabilizer of the zero vector.  Every
+    generator maps the points' digit rows, then takes their values: a
     translation adds a unit row (1 at column i*f) mod p, an h generator
     multiplies by its digit matrix."""
     spec, k = h.spec, h.d * h.spec.f
@@ -69,9 +72,8 @@ def affine_group(h: MatrixGroup) -> PermGroup:
     digits = _digits(np.arange(degree), spec.p, k)
     units = np.eye(k, dtype=np.int64)[:: spec.f]
     moved = chain((digits + unit for unit in units), (digits @ m for m in h.generator_digits()))
-    group = PermGroup(degree, (Permutation(_value(x % spec.p, spec.p).tolist()) for x in moved))
-    assert group.order() == degree * h.order(), "translations and h must intersect trivially"
-    return group
+    gens = (Permutation(_value(x % spec.p, spec.p).tolist()) for x in moved)
+    return PermGroup(degree, gens, order=degree * h.order())
 
 
 def semilinear_example(q: int) -> PermGroup:
@@ -85,9 +87,7 @@ def semilinear_example(q: int) -> PermGroup:
     shift = Permutation(tuple(big.add_e(x, 1) for x in range(degree)))
     scale = Permutation(tuple(big.mul_e(x, g) for x in range(degree)))
     frob = Permutation(tuple(big.pow_e(x, q) for x in range(degree)))
-    group = PermGroup(degree, [shift, scale, frob])
-    assert group.order() == 2 * degree * (degree - 1)
-    return group
+    return PermGroup(degree, [shift, scale, frob], order=2 * degree * (degree - 1))
 
 
 def _pgl_2_8() -> PermGroup:
@@ -104,9 +104,7 @@ def _pgl_2_8() -> PermGroup:
     shift = onto(lambda x: gf8.add_e(x, 1) if x != inf else inf)
     scale = onto(lambda x: gf8.mul_e(x, g) if x != inf else inf)
     invert = onto(lambda x: inf if x == 0 else (0 if x == inf else gf8.inv_e(x)))
-    pgl = PermGroup(9, [shift, scale, invert])
-    assert pgl.order() == 504
-    return pgl
+    return PermGroup(9, [shift, scale, invert], order=504)
 
 
 def pgammal_28() -> PermGroup:
@@ -120,9 +118,7 @@ def pgammal_28() -> PermGroup:
     pairs = [z for z in range(64) if z < big.pow_e(z, 8)]
     label = {w: i for i, z in enumerate(pairs) for w in (z, big.pow_e(z, 8))}
     maps = (partial(big.add_e, 1), partial(big.mul_e, c), big.inv_e, partial(big.pow_e, k=2))
-    group = PermGroup(28, [Permutation(tuple(label[fn(z)] for z in pairs)) for fn in maps])
-    assert group.order() == 1512
-    return group
+    return PermGroup(28, [Permutation(tuple(label[fn(z)] for z in pairs)) for fn in maps], order=1512)
 
 
 def _wreath_generators(h: PermGroup, k: int) -> list[Permutation]:
@@ -145,9 +141,7 @@ def wreath_product_action(h: PermGroup, k: int) -> PermGroup:
     """h wreath a k-cycle in product action on degree-m^k tuples, m >= 2."""
     if h.degree < 2:
         raise ConstraintViolated("the base group must act on at least 2 points")
-    group = PermGroup(_degree(h.degree, k), _wreath_generators(h, k))
-    assert group.order() == h.order() ** k * k
-    return group
+    return PermGroup(_degree(h.degree, k), _wreath_generators(h, k), order=h.order() ** k * k)
 
 
 def direct_product_action(a: PermGroup, b: PermGroup) -> PermGroup:
@@ -155,9 +149,7 @@ def direct_product_action(a: PermGroup, b: PermGroup) -> PermGroup:
     na, nb = a.degree, b.degree
     images = [np.add.outer(na * np.arange(nb), g.images) for g in a.generators]
     images += [np.add.outer(na * np.array(g.images), np.arange(na)) for g in b.generators]
-    prod = PermGroup(na * nb, [Permutation(x.ravel().tolist()) for x in images])
-    assert prod.order() == a.order() * b.order()
-    return prod
+    return PermGroup(na * nb, [Permutation(x.ravel().tolist()) for x in images], order=a.order() * b.order())
 
 
 def cyclic_multiplier_group(m: int, a: int) -> PermGroup:
@@ -207,9 +199,7 @@ def frobenius_complement_example(n_order: int, h: PermGroup, q: int) -> PermGrou
     *shifts, rotation = _wreath_generators(cyclic_group(m), q)
     digits = _digits(np.arange(degree), m, q)
     diagonal = [Permutation(_value(np.take(g.images, digits), m).tolist()) for g in h.generators]
-    group = PermGroup(degree, shifts + diagonal + [rotation])
-    assert group.order() == degree * h.order() * q
-    return group
+    return PermGroup(degree, shifts + diagonal + [rotation], order=degree * h.order() * q)
 
 
 def dihedral_quotient_family(q: int) -> MatrixGroup:
@@ -226,8 +216,7 @@ def dihedral_quotient_family(q: int) -> MatrixGroup:
     u, v = big.pow_e(g, q - 1), big.pow_e(g, (q - 1) // 2)  # orders q+1, 2(q+1)
     rot = matrix(lambda w: big.mul_e(w, u))
     refl = matrix(lambda w: big.pow_e(big.mul_e(w, v), q))
-    y_part = MatrixGroup(spec, 2, [rot, refl])
-    assert y_part.order() == 2 * (q + 1)
+    y_part = MatrixGroup(spec, 2, [rot, refl], order=2 * (q + 1))
     assert y_part.contains_minus_identity()
     h = central_product(x_part, y_part)
     assert h.order() == 2 * (q * q - 1)

@@ -38,9 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstraintViolated, NotPrime, TooLarge, ZeroElement
+from .permgrp import BLOCK_ENTRIES
 
 ORDER_CAP = 1 << 20
-_BLOCK = 1 << 16  # codes per digit product while the tables are built
 
 
 def _digits(values, base: int, width: int) -> np.ndarray:
@@ -204,7 +204,8 @@ class FieldSpec:
             rows.append(power + (0,) * (f - len(power)))
             power = _poly_mod((0,) + power, modulus, _residues(p))
         times_g = np.array(rows, dtype=np.int64)
-        blocks = np.split(np.arange(q, dtype=np.int64), range(_BLOCK, q, _BLOCK))
+        block = max(1, BLOCK_ENTRIES // f)  # codes per digit product: at most BLOCK_ENTRIES digits
+        blocks = np.split(np.arange(q, dtype=np.int64), range(block, q, block))
         step = np.concatenate([_value(_digits(b, p, f) @ times_g % p, p) for b in blocks])
         exp = np.ones(1, dtype=np.int64)
         while len(exp) < n:  # exp holds g^0 .. g^(L-1) and step multiplies by g^L

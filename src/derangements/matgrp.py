@@ -201,9 +201,12 @@ def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 class MatrixGroup:
-    """Group generated by invertible matrices over one field."""
+    """Group generated by invertible matrices over one field.  An order the
+    caller has proved may be passed as ``order``: ``order()`` returns it
+    with no stack built, and the stack, when closed, must agree with it
+    (ConstraintViolated naming both)."""
 
-    def __init__(self, spec: FieldSpec, d: int, generators: Iterable[FFMatrix]):
+    def __init__(self, spec: FieldSpec, d: int, generators: Iterable[FFMatrix], *, order: int | None = None):
         self.spec = spec
         self.d = d
         gens = []
@@ -216,6 +219,7 @@ class MatrixGroup:
             if not g.is_identity() and g.rows not in (h.rows for h in gens):
                 gens.append(g)
         self.generators = tuple(gens)
+        self._order = order
         self._stack: np.ndarray | None = None  # digit matrices, breadth-first
         self._position: dict[bytes, int] | None = None  # closure key -> position, set with the stack
         self._irreducibility: tuple | None = None
@@ -246,8 +250,10 @@ class MatrixGroup:
             p, k = self.spec.p, self.d * self.spec.f
             gens = self.generator_digits()[None]
             start = np.eye(k, dtype=np.min_scalar_type(p - 1))[None]
-            rows, self._position = permgrp.closure(start, lambda frontier: frontier[:, None] @ gens % p, limit)
-            self._stack = rows.astype(np.int64)
+            rows, position = permgrp.closure(start, lambda frontier: frontier[:, None] @ gens % p, limit)
+            if self._order not in (None, len(rows)):
+                raise ConstraintViolated(f"the stack has order {len(rows)}, the group carries {self._order}")
+            self._stack, self._position = rows.astype(np.int64), position
         elif cap is not None and len(self._stack) > cap:
             raise CapExceeded(f"closure exceeds cap {cap}")
         return self._stack
@@ -259,7 +265,7 @@ class MatrixGroup:
         return permgrp._row_keys(small, stack.shape[-1] ** 2)
 
     def order(self) -> int:
-        return len(self.digit_stack())
+        return len(self.digit_stack()) if self._order is None else self._order
 
     def eigenvalue_one_mask(self) -> np.ndarray:
         """Per stack row, whether the element fixes a nonzero vector, once."""
@@ -528,8 +534,9 @@ def kronecker(a: FFMatrix, b: FFMatrix) -> FFMatrix:
 
 def central_product(x: MatrixGroup, y: MatrixGroup) -> MatrixGroup:
     """Group generated by {a (x) I} and {I (x) b}: the central product of the
-    factors over their shared scalars.  Both factors must contain -I; the
-    order formula |X||Y|/|shared scalars| is asserted against enumeration."""
+    factors over their shared scalars.  Both factors must contain -I.  It
+    carries the order |X||Y|/|shared scalars|: a (x) I = I (x) b only for
+    a = b = lambda*I, and the stack checks it when closed."""
     if x.spec is not y.spec:
         raise FieldMismatch(f"{x.spec} vs {y.spec}")
     spec = x.spec
@@ -540,13 +547,9 @@ def central_product(x: MatrixGroup, y: MatrixGroup) -> MatrixGroup:
     gens = [kronecker(g, iy) for g in x.generators] + [
         kronecker(ix, g) for g in y.generators
     ]
-    prod = MatrixGroup(spec, x.d * y.d, gens)
     y_scalars = set(y.scalar_values())
     shared = [lam for lam in x.scalar_values() if spec.inv_e(lam) in y_scalars]
-    assert prod.order() * len(shared) == x.order() * y.order(), (
-        "central product order disagrees with the scalar-overlap formula"
-    )
-    return prod
+    return MatrixGroup(spec, x.d * y.d, gens, order=x.order() * y.order() // len(shared))
 
 
 def _quadratic_plane(spec: FieldSpec):
@@ -606,9 +609,7 @@ def quotient_perm_group(group: MatrixGroup) -> PermGroup:
         raise ConstraintViolated("the translates of e_0*R(H) must number |H : R(H)|")
     number = dict(zip(sorted(images), range(index)))
     moves = zip(*(images[key] for key in number))  # per generator of H, the image key of each block
-    quotient = PermGroup(index, [Permutation._raw(tuple(map(number.__getitem__, move))) for move in moves])
-    quotient._order = index
-    return quotient
+    return PermGroup(index, [Permutation._raw(tuple(map(number.__getitem__, move))) for move in moves], order=index)
 
 
 # named constructions ------------------------------------------------------------
@@ -631,8 +632,7 @@ def quaternion_gl2(spec: FieldSpec) -> MatrixGroup:
     )
     i = FFMatrix(spec, [[0, 1], [neg_one, 0]])
     j = FFMatrix(spec, [[a, b], [b, spec.neg_e(a)]])
-    group = MatrixGroup(spec, 2, [i, j])
-    assert group.order() == 8
+    group = MatrixGroup(spec, 2, [i, j], order=8)
     assert group.element_order_histogram() == {1: 1, 2: 1, 4: 6}
     return group
 
@@ -647,31 +647,29 @@ def special_linear_gl2(spec: FieldSpec) -> MatrixGroup:
         FFMatrix(spec, [[1, 1], [0, 1]]),
         FFMatrix(spec, [[0, 1], [spec.neg_e(1), 0]]),
     ]
-    group = MatrixGroup(spec, 2, gens)
-    assert group.order() == p * (p * p - 1)
-    return group
+    return MatrixGroup(spec, 2, gens, order=p * (p * p - 1))
 
 
 def general_linear_gl2(spec: FieldSpec) -> MatrixGroup:
-    """All of GL(2,q): transvection + swap + a determinant-spanning torus."""
-    g = spec.primitive_element()
+    """All of GL(2,q), of order (q^2 - 1)(q^2 - q), from the transvection t =
+    [[1, 1], [0, 1]], the swap s and the torus element h = diag(w, 1), w
+    primitive.  h^-k t h^k = [[1, w^-k], [0, 1]], and the powers of w span
+    GF(q) additively, so products of these give every upper transvection;
+    s conjugates them to the lower ones, and the two kinds generate SL(2,q).
+    det(h) = w generates GF(q)*, so the group is GL(2,q)."""
+    g, q = spec.primitive_element(), spec.order
     gens = [
         FFMatrix(spec, [[1, 1], [0, 1]]),
         FFMatrix(spec, [[0, 1], [1, 0]]),
         FFMatrix(spec, [[g, 0], [0, 1]]),
     ]
-    group = MatrixGroup(spec, 2, gens)
-    q = spec.order
-    assert group.order() == (q * q - 1) * (q * q - q)
-    return group
+    return MatrixGroup(spec, 2, gens, order=(q * q - 1) * (q * q - q))
 
 
 def scalar_matrix_group(spec: FieldSpec, d: int) -> MatrixGroup:
     """The full scalar group {lambda*I}, cyclic of order q-1."""
     g = spec.primitive_element()
-    group = MatrixGroup(spec, d, [FFMatrix.scalar(spec, d, g)])
-    assert group.order() == spec.order - 1
-    return group
+    return MatrixGroup(spec, d, [FFMatrix.scalar(spec, d, g)], order=spec.order - 1)
 
 
 def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
@@ -695,9 +693,7 @@ def dihedral_gl2(spec: FieldSpec, m: int) -> MatrixGroup:
     assert MatrixGroup(spec, 2, [rot]).order() == m
     assert (ref * ref).is_identity()
     assert ((ref.inverse() * rot) * ref) == rot.inverse()
-    group = MatrixGroup(spec, 2, [rot, ref])
-    assert group.order() == 2 * m
-    return group
+    return MatrixGroup(spec, 2, [rot, ref], order=2 * m)
 
 
 def _quaternion_unit(spec: FieldSpec, i: FFMatrix, j: FFMatrix, coeffs: Sequence[int]) -> FFMatrix:
@@ -715,8 +711,7 @@ def binary_tetrahedral_gl2(spec: FieldSpec) -> MatrixGroup:
     which has order 3 and cycles i, j, ij by conjugation."""
     i, j = quaternion_gl2(spec).generators
     w = _quaternion_unit(spec, i, j, (spec.neg_e(1), 1, 1, 1))
-    group = MatrixGroup(spec, 2, [i, j, w])
-    assert group.order() == 24
+    group = MatrixGroup(spec, 2, [i, j, w], order=24)
     assert group.element_order_histogram() == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
     return group
 
@@ -733,7 +728,6 @@ def binary_icosahedral_gl2(spec: FieldSpec) -> MatrixGroup:
     i, j, w = binary_tetrahedral_gl2(spec).generators
     phi = next(x for x in range(q) if spec.mul_e(x, x) == spec.add_e(x, 1))
     u = _quaternion_unit(spec, i, j, (phi, 0, spec.sub_e(phi, 1), 1))
-    group = MatrixGroup(spec, 2, [w, u])
-    assert group.order() == 120
+    group = MatrixGroup(spec, 2, [w, u], order=120)
     assert group.element_order_histogram() == {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}
     return group

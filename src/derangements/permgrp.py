@@ -43,7 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt, lcm, prod
 from operator import eq, index, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -368,9 +368,12 @@ def _regular_normal(generators: tuple[Permutation, ...], degree: int):
 
 
 class PermGroup:
-    """Group generated by a list of permutations of a common degree."""
+    """Group generated by a list of permutations of a common degree.  An
+    order the caller has proved may be passed as ``order``: ``order()``
+    returns it with no chain built, and the chain, when built, must agree
+    with it (ConstraintViolated naming both)."""
 
-    def __init__(self, degree: int, generators: Iterable = ()):
+    def __init__(self, degree: int, generators: Iterable = (), *, order: int | None = None):
         if degree < 1:
             raise ConstraintViolated(f"degree must be at least 1, got {degree}")
         self.degree = degree
@@ -390,7 +393,7 @@ class PermGroup:
         self.generators = tuple(gens)
         self._levels: list[_Level] | None = None
         self._regular: PermGroup | None = None  # abelian R when the chain's first level is R's (None in R)
-        self._order: int | None = None
+        self._order = order
         self._orbits: list[list[int]] | None = None
         self._stabilizer: PermGroup | None = None
         self._primitive: bool | None = None
@@ -402,15 +405,14 @@ class PermGroup:
             self._regular, gens = _regular_normal(self.generators, self.degree)
             levels = list(self._regular._levels) if self._regular else []
             _grow(levels, gens, self.degree, top=len(levels))
+            if self._order not in (None, found := prod(len(lvl.orbit) for lvl in levels)):
+                raise ConstraintViolated(f"the chain has order {found}, the group carries {self._order}")
             self._levels = levels
         return self._levels
 
     def order(self) -> int:
         if self._order is None:
-            n = 1
-            for lvl in self._chain():
-                n *= len(lvl.orbit)
-            self._order = n
+            self._order = prod(len(lvl.orbit) for lvl in self._chain())
         return self._order
 
     def identity(self) -> Permutation:
@@ -535,11 +537,9 @@ class PermGroup:
 
     def iter_elements(self) -> Iterator[Permutation]:
         """Stream every element exactly once, the rows of the element
-        blocks in their order, starting with the identity.  Each row's tuple
-        is copied from the block's row lists or, below 64 points, where that
-        measured slower (S_8 and S_9 by a quarter), zipped from its columns."""
-        wide = self.degree >= 64
-        rows = (map(tuple, b.tolist()) if wide else zip(*b.T.tolist()) for b in self._element_blocks())
+        blocks in their order, starting with the identity, each row's tuple
+        zipped from the block's columns."""
+        rows = (zip(*b.T.tolist()) for b in self._element_blocks())
         return map(Permutation._raw, chain.from_iterable(rows))
 
     def elements(self) -> list[Permutation]:
@@ -587,7 +587,7 @@ class PermGroup:
 
 def _block_action(blocks: Sequence[Sequence[int]], images: Iterable[Sequence[int]], order: int) -> PermGroup:
     """The action Q of a group G, given by its generators' image lists, on
-    the blocks, numbered in their order, with |Q| = order set; a block is
+    the blocks, numbered in their order, carrying |Q| = order; a block is
     anchored at its first point.  The blocks must be the orbits of a
     subgroup K of G inside one orbit of G, |G : K| = order of them.  G
     permutes them (NotNormal when a map splits a block) and K fixes each,
@@ -602,9 +602,7 @@ def _block_action(blocks: Sequence[Sequence[int]], images: Iterable[Sequence[int
         if list(map(perm.__getitem__, block_of.values())) != list(moved):
             raise NotNormal("the maps do not permute the blocks")
         gens.append(Permutation._raw(tuple(perm)))
-    quotient = PermGroup(order, gens)
-    quotient._order = order
-    return quotient
+    return PermGroup(order, gens, order=order)
 
 
 def _counter(counts: np.ndarray) -> Counter:
@@ -691,16 +689,14 @@ def bruteforce_closure(degree: int, generators: Sequence[Permutation], cap: int 
 
 
 def symmetric_group(n: int) -> PermGroup:
-    """S_n from (0 1) and (0 1 ... n-1), with its order n! set."""
+    """S_n from (0 1) and (0 1 ... n-1), carrying its order n!."""
     if n < 3:
         return cyclic_group(n)
-    group = PermGroup(n, [Permutation.from_cycles(n, c) for c in ([(0, 1)], [tuple(range(n))])])
-    group._order = factorial(n)
-    return group
+    return PermGroup(n, [Permutation.from_cycles(n, c) for c in ([(0, 1)], [tuple(range(n))])], order=factorial(n))
 
 
 def alternating_group(n: int) -> PermGroup:
-    """A_n from (0 1 2) and an even long cycle, with its order n!/2 set."""
+    """A_n from (0 1 2) and an even long cycle, carrying its order n!/2."""
     if n < 3:
         return PermGroup(n, [])
     three = Permutation.from_cycles(n, [(0, 1, 2)])
@@ -708,9 +704,7 @@ def alternating_group(n: int) -> PermGroup:
         big = Permutation.from_cycles(n, [tuple(range(n))])
     else:
         big = Permutation.from_cycles(n, [tuple(range(1, n))])
-    group = PermGroup(n, [three, big])
-    group._order = factorial(n) // 2
-    return group
+    return PermGroup(n, [three, big], order=factorial(n) // 2)
 
 
 def cyclic_group(n: int) -> PermGroup:

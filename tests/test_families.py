@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -27,10 +28,15 @@ from derangements.gf import field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
     MatrixGroup,
+    binary_icosahedral_gl2,
+    binary_tetrahedral_gl2,
+    dihedral_gl2,
     eigenvalue_one_subgroup,
     general_linear_gl2,
+    quaternion_gl2,
     quotient_perm_group,
     scalar_matrix_group,
+    special_linear_gl2,
 )
 from derangements.permgrp import (
     PermGroup,
@@ -323,6 +329,58 @@ def test_build_family_dispatch():
     assert fam.order() == 96
     fc = build_family(FamilyParams("frobenius-complement", (5, 2, 3)))
     assert fc.order() == 1500
+
+
+# one small member of each family, for checking its carried order
+SMALL_MEMBERS = {
+    "symmetric": (5,),
+    "alternating": (6,),
+    "cyclic": (6,),
+    "dihedral": (5,),
+    "agl1": (8,),
+    "affine-scalars": (3, 2),
+    "affine-gl2": (4,),
+    "affine-klein": (),
+    "semilinear": (3,),
+    "pgammal28": (),
+    "wreath-sym": (3, 2),
+    "wreath-cyclic": (3, 3),
+    "frobenius-complement": (5, 2, 3),
+    "central-klein": (),
+    "central-a4": (),
+    "central-a5": (),
+    "dihedral-family": (7,),
+}
+OTHER_CONSTRUCTORS = {
+    "pgl28": families._pgl_2_8,
+    "direct-product": lambda: direct_product_action(symmetric_group(3), cyclic_group(4)),
+    "sl2-7": lambda: special_linear_gl2(field(7, 1)),
+    "quaternion-5": lambda: quaternion_gl2(field(5, 1)),
+    "binary-tetrahedral-7": lambda: binary_tetrahedral_gl2(field(7, 1)),
+    "binary-icosahedral-19": lambda: binary_icosahedral_gl2(field(19, 1)),
+    "dihedral-gl2-split": lambda: dihedral_gl2(field(7, 1), 6),
+    "dihedral-gl2-nonsplit": lambda: dihedral_gl2(field(3, 2), 5),
+    "scalars-9-3": lambda: scalar_matrix_group(field(3, 2), 3),
+    **{f"gl2-{q}": lambda q=q: general_linear_gl2(field(*prime_power_decompose(q))) for q in (2, 3, 4, 5, 7, 8, 9)},
+}
+
+
+def test_small_members_cover_every_family():
+    assert set(SMALL_MEMBERS) == set(FAMILY_ARITY)
+
+
+@pytest.mark.parametrize("name", [*SMALL_MEMBERS, *OTHER_CONSTRUCTORS])
+def test_carried_order_matches_the_chain_or_stack(name):
+    """Each constructor carries its order from a formula; the chain (product
+    of its orbit lengths) or the digit stack (its rows) gives the same."""
+    if name in SMALL_MEMBERS:
+        group = build_family(FamilyParams(name, SMALL_MEMBERS[name]))
+    else:
+        group = OTHER_CONSTRUCTORS[name]()
+    if isinstance(group, PermGroup):
+        assert math.prod(len(lvl.orbit) for lvl in group._chain()) == group.order()
+    else:
+        assert len(group.digit_stack()) == group.order()
 
 
 def test_build_family_rejects():

@@ -36,7 +36,7 @@ from derangements.errors import (
     FieldMismatch,
     NotNormal,
 )
-from derangements.families import build_family, central_product_examples, dihedral_quotient_family
+from derangements.families import FamilyParams, build_family, central_product_examples, dihedral_quotient_family
 from derangements.fileio import dump_matrix_group
 from derangements.gf import _digits, _value, field, prime_power_decompose
 from derangements.matgrp import (
@@ -1417,8 +1417,10 @@ def test_eigenvalue_one_subgroup_of_gl2_shares_the_stack(monkeypatch, q):
     under cap |H|//2, so never to |H| rows: trivial, then <t> and <t, s>
     for H's first two generators.  For GL(2,3) that last closure passes
     |H|/2; from q = 4 on, H's third generator joins R's and completes
-    them, with no closure."""
+    them, with no closure.  H carries its order, so its own stack is closed
+    first, outside the count."""
     group = general_linear_gl2(field(*prime_power_decompose(q)))
+    group.digit_stack()
     caps, real = [], permgrp.closure
 
     def capped(start, step, cap):
@@ -1596,6 +1598,61 @@ def test_special_linear_refuses_a_prime_power_field_under_optimization():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("query", ["digit_stack", "in", "element_order_histogram"])
+def test_a_wrong_carried_order_raises_when_the_stack_is_closed(query):
+    """order() returns a carried order with no stack built; the stack, closed
+    by any query that reads it, must agree with it."""
+    group = MatrixGroup(GF3, 2, general_linear_gl2(GF3).generators, order=47)
+    assert group.order() == 47 and group._stack is None
+    run = {
+        "digit_stack": MatrixGroup.digit_stack,
+        "in": lambda g: FFMatrix.identity(GF3, 2) in g,
+        "element_order_histogram": MatrixGroup.element_order_histogram,
+    }[query]
+    with pytest.raises(ConstraintViolated, match="the stack has order 48, the group carries 47"):
+        run(group)
+    assert group._stack is None
+
+
+def test_a_wrong_carried_order_raises_under_optimization():
+    """The checks are raises, not asserts, so python -O keeps them."""
+    script = (
+        "import sys\n"
+        "from derangements.errors import ConstraintViolated\n"
+        "from derangements.gf import field\n"
+        "from derangements.matgrp import MatrixGroup, general_linear_gl2\n"
+        "from derangements.permgrp import PermGroup, symmetric_group\n"
+        "assert not __debug__ and sys.flags.optimize\n"
+        "gl = general_linear_gl2(field(3, 1))\n"
+        "for build in (lambda: PermGroup(3, symmetric_group(3).generators, order=5).stabilizer(),\n"
+        "              lambda: MatrixGroup(gl.spec, 2, gl.generators, order=47).digit_stack()):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ConstraintViolated:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_gl2_and_its_affine_group_carry_their_orders_unbuilt(monkeypatch):
+    """GL(2,27) carries (q^2 - 1)(q^2 - q) with no stack, and affine-gl2 27
+    reads q^2 * |GL(2,27)| from it with no stack or chain built."""
+    gl = general_linear_gl2(field(3, 3))
+    assert gl._stack is None and gl.order() == 511056 and gl._stack is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stack or chain was built")
+
+    monkeypatch.setattr(permgrp, "closure", refuse)
+    monkeypatch.setattr(permgrp, "_grow", refuse)
+    group = build_family(FamilyParams("affine-gl2", (27,)))
+    assert group.order() == 729 * 511056 and group._levels is None
 
 
 QUADRATIC_BASES = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from derangements import permgrp
+from derangements.derange import analyze
 from derangements.errors import (
     CapExceeded,
     ConstraintViolated,
@@ -169,7 +170,8 @@ def without_regular_normal(monkeypatch):
 
 
 def _schreier_generators_formed(monkeypatch, make):
-    """How many Schreier generators u*s the chains built by make() form:
+    """How many Schreier generators u*s the chains built by make() and by
+    its group's first structural query (a carried order builds none) form:
     Schreier-Sims forms each as _getter(u)(s).  Each one is checked to be
     no tree edge: the image of u's point under s already has a transversal
     element on the level whose transversal holds u.  A _getter(u) whose u
@@ -199,7 +201,7 @@ def _schreier_generators_formed(monkeypatch, make):
         counting.setattr(permgrp, "_grow", grow)
         counting.setattr(permgrp, "_getter", getter)
         group = make()
-        group.order()
+        group.stabilizer()  # a first structural query builds the chain
     return len(formed), group
 
 
@@ -228,6 +230,20 @@ def test_schreier_sims_forms_each_schreier_generator_once(monkeypatch):
     assert formed <= 1031 and affine.order() == 343 * 6
     for n in (2, 7, 50):
         assert _schreier_generators_formed(monkeypatch, lambda: cyclic_group(n))[0] == 1
+
+
+@pytest.mark.parametrize("query", ["analyze", "stabilizer", "in"])
+def test_a_wrong_carried_order_raises_when_the_chain_is_built(query):
+    """order() returns a carried order with no chain built; the chain,
+    built by any structural query, must agree with it."""
+    group = PermGroup(3, symmetric_group(3).generators, order=5)
+    assert group.order() == 5 and group._levels is None
+    run = {"analyze": analyze, "stabilizer": PermGroup.stabilizer, "in": lambda g: g.identity() in g}[query]
+    with pytest.raises(ConstraintViolated, match="the chain has order 6, the group carries 5"):
+        run(group)
+    assert group._levels is None
+    right = PermGroup(3, symmetric_group(3).generators, order=6)
+    assert right.stabilizer().order() == 2 and right.order() == 6
 
 
 def test_bruteforce_closure_cap_is_the_closure_size():
