@@ -132,8 +132,8 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _workers(text: str) -> int:
-    """argparse type for --workers: an integer of at least 1."""
+def _positive(text: str) -> int:
+    """argparse type for --workers, --max-order and --max-degree: an integer >= 1."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return int(text)
@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     as_json.add_argument("--json", action="store_true", help="emit JSON")
     max_order = argparse.ArgumentParser(add_help=False)  # for analyze and construct
     max_order.add_argument(
-        "--max-order", type=int, metavar="N",
+        "--max-order", type=_positive, metavar="N",
         help="refuse to enumerate a group past this order: a matrix group, or the "
         "point stabilizer of a permutation group's derangement subgroup "
         f"(default {ENUMERATION_CAP})",
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--max-degree",
-        type=int,
+        type=_positive,
         default=DEGREE_CAP,
         metavar="N",
         help="refuse degrees past this limit",
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for p_suite in (p_paper, p_corpus):
         p_suite.add_argument(
-            "--workers", type=_workers, default=1, metavar="N", help="parallel worker processes"
+            "--workers", type=_positive, default=1, metavar="N", help="parallel worker processes"
         )
     p_paper.add_argument(
         "--only", action="append", metavar="ID",
@@ -200,10 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_paper.set_defaults(fn=_cmd_verify_paper)
     p_corpus.add_argument(
-        "--max-order", type=int, metavar="N", help="skip corpus groups above this order"
+        "--max-order", type=_positive, metavar="N", help="skip corpus groups above this order"
     )
     p_corpus.add_argument(
-        "--max-degree", type=int, metavar="N", help="skip corpus groups above this degree"
+        "--max-degree", type=_positive, metavar="N", help="skip corpus groups above this degree"
     )
     p_corpus.set_defaults(fn=_cmd_verify_corpus)
 

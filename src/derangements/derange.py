@@ -29,7 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from . import permgrp
-from .errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
+from .errors import CapExceeded, ConstraintViolated, NotTransitive
 from .permgrp import DEGREE_CAP, PermGroup, _block_action, _compose, _products, count_fixed
 
 PRODUCT_WORK_CAP = 4_000_000
@@ -208,11 +208,11 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
     are the same for every seed.  The count, |D| - n * sum(1/fix(x) for x
     in D_0), enumerates D_0 alone, under cap (ENUMERATION_CAP when None).
     |G_0 : D_0| = |G : D| is at most n - 1, so a cap below |G_0|/(n - 1)
-    is refused before D grows.  |G_0| is read as |G|/n, so a group that
-    carries its order (every family member with a formula) is refused
-    before any chain is built; the chain checks that order when it is.
-    Every element of G_0 outside D_0 fixes point 0 alone, so the same
-    tally of D_0 counts the elements of G_0 that do."""
+    is refused before D grows.  |G_0| and |D_0| are read as |G|/n and |D|/n,
+    so a group that carries its order (every family member with a formula)
+    is refused before any chain is built; the chain checks that order when
+    it is.  Every element of G_0 outside D_0 fixes point 0 alone, so the
+    same tally of D_0 counts the elements of G_0 that do."""
     if not group.is_transitive():
         raise NotTransitive("derangement subgroup needs a transitive action")
     cap = permgrp.ENUMERATION_CAP if cap is None else cap
@@ -231,13 +231,13 @@ def _certified_scan(group: PermGroup, cap: int | None = None) -> _Scan:
         assert all(
             conjugate(k) in d for conjugate in conjugators for k in d.generators
         ), "derangements must generate a normal subgroup"
-    d0 = d.stabilizer()
-    if d0.order() > cap:
-        raise CapExceeded(f"point stabilizer order {d0.order()} exceeds cap {cap}")
-    tally = d0.fixed_point_tally()
+    d0_order = d.order() // group.degree  # D is transitive
+    if d0_order > cap:
+        raise CapExceeded(f"point stabilizer order {d0_order} exceeds cap {cap}")
+    tally = d.stabilizer().fixed_point_tally()
     count = d.order() - group.degree * sum(Fraction(c, k) for k, c in tally.items())
     assert count.denominator == 1, "derangement count must be an integer"
-    fix_only_zero = group.stabilizer().order() - d0.order() + tally[1]
+    fix_only_zero = group.stabilizer().order() - d0_order + tally[1]
     return _Scan(int(count), d, fix_only_zero)
 
 
@@ -423,11 +423,9 @@ def _report(
 def _quotient(group: PermGroup, sub: PermGroup) -> PermGroup:
     """G/D as G_0 acting on the D_0-orbits in its first orbit other than
     {0}: G/D is G_0/D_0 as D is transitive, and the certificate puts index
-    of them there, the order ``_block_action`` carries.  Formed only to be
-    fingerprinted, an index above DEGREE_CAP is refused first."""
+    of them there, the order ``_block_action`` carries.  G's chain, n^2
+    entries or more, fits CHAIN_SLOTS, so the index is below n <= DEGREE_CAP."""
     index = group.order() // sub.order()
-    if index > DEGREE_CAP:
-        raise IndexTooLarge(f"index {index} exceeds cap {DEGREE_CAP}")
     if index == 1:
         return PermGroup(1, ())
     g0 = group.stabilizer()

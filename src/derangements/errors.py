@@ -45,10 +45,6 @@ class NotNormal(ToolkitError, ValueError):
     """Claimed normal subgroup is not normalized by the ambient group."""
 
 
-class IndexTooLarge(ToolkitError, ValueError):
-    """Quotient construction beyond the documented index cap."""
-
-
 class DegreeTooLarge(ToolkitError, ValueError):
     """Permutation domain beyond the documented degree cap."""
 

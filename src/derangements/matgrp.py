@@ -15,12 +15,12 @@ generators once (``generator_digits``).  A group's one element store is the
 stack of its digit matrices in ``permgrp.closure``'s breadth-first order,
 keyed by their bytes in the smallest dtype holding p - 1; element orders
 come from batched powers of the stack and scalars from its entry codes.
-One batched elimination mod p decides eigenvalue 1, and the eigenvalue-1
-subgroup R, built and checked normal once per group, has its own closure
-unless it is H; the index check and H/R take H alone.  H/R is H acting on
-the translates of e_0*R, read off row 0 of R's stack and walked a block
-at a time, each keyed by its sorted vector indices.  Work on vectors maps
-whole arrays of indices.
+One batched elimination mod p decides eigenvalue 1, a block of the stack
+at a time as the scan for the eigenvalue-1 subgroup R reaches it.  R,
+checked normal once per group, has its own closure unless it is H; the
+index check and H/R take H alone.  H/R is H acting on the translates of
+e_0*R, read off row 0 of R's stack and walked a block at a time, each keyed
+by its sorted vector indices.  Work on vectors maps whole arrays of indices.
 Irreducibility has one decision, the MeatAxe: spins from the null space of
 f(a), for a in the group algebra and f an irreducible factor of e_0's
 minimal polynomial under a, prove either answer.  H/R is semiregular on the
@@ -174,15 +174,11 @@ def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
 
     A GF(q)-linear map is injective iff it is injective as a GF(p)-linear
     map, so M has eigenvalue 1 iff digit(M) - I is singular mod p.  One
-    elimination runs on the whole stack: per column the first nonzero
-    entry at or below the diagonal is swapped up, and each row below it is
-    replaced by pivot*row - entry*pivot_row, which keeps the rank.  Blocks
-    of BLOCK_ENTRIES // k^2 matrices (at least one), the bound of permgrp's
-    element blocks, bound the copies and temporaries."""
+    elimination runs on the whole stack, a block its caller bounds: per
+    column the first nonzero entry at or below the diagonal is swapped up,
+    and each row below it is replaced by pivot*row - entry*pivot_row, which
+    keeps the rank."""
     n, k, _ = stack.shape
-    step = max(1, permgrp.BLOCK_ENTRIES // (k * k))
-    if n > step:
-        return np.concatenate([_fixes_a_vector(stack[i:i + step], p) for i in range(0, n, step)])
     a = stack - np.eye(k, dtype=np.int64)
     a %= p
     singular = np.zeros(n, dtype=bool)
@@ -225,7 +221,7 @@ class MatrixGroup:
         self._irreducibility: tuple | None = None
         self._eigenvalue_one: MatrixGroup | None = None  # R(H), built once
         self._digits: np.ndarray | None = None  # the generators' digit matrices
-        self._fixes: np.ndarray | None = None  # per stack row, eigenvalue 1 or not
+        self._fixes: np.ndarray | None = None  # per stack row, eigenvalue 1 or not; set when R(H) < H
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
@@ -243,10 +239,12 @@ class MatrixGroup:
     def digit_stack(self, cap: int | None = None) -> np.ndarray:
         """The digit matrices of all elements, in ``permgrp.closure``'s
         breadth-first order from the identity; CapExceeded when the order
-        exceeds cap, built or cached.  With no cap the closure is built
-        under ENUMERATION_CAP, and a cached stack is not checked again."""
+        exceeds cap, built, cached or carried (checked before any closure).
+        With no cap, ENUMERATION_CAP bounds a closure or a carried order."""
         if self._stack is None:
             limit = permgrp.ENUMERATION_CAP if cap is None else cap
+            if self._order is not None and self._order > limit:
+                raise CapExceeded(f"closure exceeds cap {limit}")
             p, k = self.spec.p, self.d * self.spec.f
             gens = self.generator_digits()[None]
             start = np.eye(k, dtype=np.min_scalar_type(p - 1))[None]
@@ -266,12 +264,6 @@ class MatrixGroup:
 
     def order(self) -> int:
         return len(self.digit_stack()) if self._order is None else self._order
-
-    def eigenvalue_one_mask(self) -> np.ndarray:
-        """Per stack row, whether the element fixes a nonzero vector, once."""
-        if self._fixes is None:
-            self._fixes = _fixes_a_vector(self.digit_stack(), self.spec.p)
-        return self._fixes
 
     def __contains__(self, m: FFMatrix) -> bool:
         self._check(m)
@@ -311,19 +303,26 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     The eigenvalue-1 elements are scanned in stack order; one whose key is
     not in the dict of the subgroup so far joins its generators, rows of
     H's stack, and ``digit_stack`` closes it again under cap |H|//2.  It is
-    H, sharing H's stack, key dict and flags, once its generators hold H's
-    (rows 1 to n) or its closure passes |H|/2 elements (Lagrange).
+    H, sharing H's stack and key dict, once its generators hold H's (rows 1
+    to n) or its closure passes |H|/2 (Lagrange); else H keeps the flags.
     Conjugation preserves eigenvalues, so R(H) is normal; NotNormal unless
     the key of each g^-1*k*g (g a generator of H, k of R(H)) is in its dict.
     """
     if group._eigenvalue_one is not None:
         return group._eigenvalue_one
     spec, p = group.spec, group.spec.p
-    stack, position, fixes = group.digit_stack(), group._position, group.eigenvalue_one_mask()
+    stack, position, blocks = group.digit_stack(), group._position, []
     sub, gens, cap = MatrixGroup(spec, group.d, ()), [], len(stack) // 2
+
+    def flags() -> Iterator[bool]:  # a block eliminated when the scan reaches its first row
+        step = max(1, permgrp.BLOCK_ENTRIES // stack[0].size)
+        for lo in range(0, len(stack), step):
+            blocks.append(_fixes_a_vector(stack[lo:lo + step], p))
+            yield from blocks[-1].tolist()
+
     with suppress(CapExceeded):  # a proper subgroup has at most |H|/2 elements
         sub.digit_stack(cap)
-        for key, i in compress(position.items(), fixes.tolist()):
+        for key, i in compress(position.items(), flags()):
             if key not in sub._position:
                 gens.append(i)
                 sub._stack, sub._digits = None, stack[gens]
@@ -331,7 +330,9 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
                     break
                 sub.digit_stack(cap)
     if sub._stack is None:  # R = H
-        sub._stack, sub._position, sub._fixes = stack, position, fixes
+        sub._stack, sub._position = stack, position
+    else:  # the scan read every block
+        group._fixes = np.concatenate(blocks)
     inverses = np.array([_digit_matrix(g.inverse()) for g in group.generators], dtype=np.int64)
     conjugates = inverses.reshape(-1, 1, *stack.shape[1:]) @ sub._digits % p @ group.generator_digits()[:, None] % p
     if not all(map(sub._position.__contains__, group._keys(conjugates))):
@@ -370,16 +371,14 @@ class IndexBoundReport:
 def index_bound_check(group: MatrixGroup) -> IndexBoundReport:
     """Check |H : R(H)| <= q^d - 1, and that H/R(H) acts semiregularly on
     the R(H)-orbits of nonzero vectors: v*R(H) has stabilizer H_v*R(H), so
-    iff R(H) holds every H_v: the key of every eigenvalue-1 element of H
-    lies in R(H)'s dict.  ``eigenvalue_one_subgroup`` puts them all in R(H),
-    so semiregular certifies that construction and reads only True or None."""
+    iff R(H) holds every eigenvalue-1 element of H: at index 1 by definition,
+    else by looking up the keys flagged by R(H)'s scan in R(H)'s dict.  It
+    certifies ``eigenvalue_one_subgroup`` and reads only True or None."""
     r = eigenvalue_one_subgroup(group)
-    spec, d = group.spec, group.d
-    index = group.order() // r.order()
-    bound = spec.order**d - 1
-    if spec.order**d > SEMIREGULAR_VECTOR_CAP:
+    index, bound = group.order() // r.order(), group.spec.order**group.d - 1
+    if bound >= SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
-    semiregular = all(map(r._position.__contains__, compress(group._position, group.eigenvalue_one_mask().tolist())))
+    semiregular = index == 1 or all(map(r._position.__contains__, compress(group._position, group._fixes.tolist())))
     return IndexBoundReport(index, bound, index <= bound, semiregular)
 
 

@@ -311,6 +311,56 @@ def test_verify_refuses_workers_below_one(suite, workers, capsys):
     capsys.readouterr()
 
 
+def _assert_usage_error(argv, flag, value, capsys):
+    """argv exits 2 with one argparse error naming flag and value."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert f"argument {flag}: expected an integer of at least 1, got '{value}'" in errors[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_order_below_one_is_a_usage_error(value, s3_file, tmp_path, capsys):
+    """--max-order -1 used to run and report "point stabilizer order at
+    least 2^0 exceeds cap -1"; on analyze, construct and verify corpus it
+    is now refused by argparse, and construct writes no file."""
+    out = tmp_path / "a5.group"
+    for argv in (
+        ["analyze", str(s3_file)],
+        ["construct", "central-a5", "--analyze", "--output", str(out)],
+        ["verify", "corpus"],
+    ):
+        _assert_usage_error([*argv, "--max-order", value], "--max-order", value, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_degree_below_one_is_a_usage_error(value, s3_file, capsys):
+    """--max-degree -5 used to report "degree 3 exceeds --max-degree -5";
+    on analyze and verify corpus it is now refused by argparse."""
+    for argv in (["analyze", str(s3_file)], ["verify", "corpus"]):
+        _assert_usage_error([*argv, "--max-degree", value], "--max-degree", value, capsys)
+
+
+def test_a_carried_order_past_max_order_closes_nothing(tmp_path, capsys, monkeypatch):
+    """central-a5 carries its order 6 960, so --max-order 6959 refuses it
+    before any closure under that cap begins, with the closure's message;
+    6960 admits it."""
+    real = permgrp.closure
+
+    def closure(start, step, cap):
+        assert cap != 6959, "a stack was closed past a carried order"
+        return real(start, step, cap)
+
+    monkeypatch.setattr(permgrp, "closure", closure)
+    args = ["construct", "central-a5", "--analyze", "--output", str(tmp_path / "a5.group")]
+    assert main(args + ["--max-order", "6959"]) == 2
+    assert capsys.readouterr().err == "error: closure exceeds cap 6959\n"
+    assert main(args + ["--max-order", "6960", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["order"] == 6960
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import itertools
 import random
 import sys
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ from derangements.derange import (
     two_derangement_coverage,
     _faulted_analysis,
 )
-from derangements.errors import CapExceeded, ConstraintViolated, IndexTooLarge, NotTransitive
+from derangements.errors import CapExceeded, ConstraintViolated, NotTransitive
 from derangements.permgrp import (
     PermGroup,
     Permutation,
@@ -175,6 +175,21 @@ def test_giants_are_refused_before_any_chain():
     bits = factorial(1998).bit_length() - 1
     with pytest.raises(CapExceeded, match=rf"^point stabilizer order at least 2\^{bits} exceeds cap {cap}$"):
         derange._certified_scan(symmetric_group(2000))
+
+
+def test_a_carried_d_order_is_refused_before_any_chain(monkeypatch):
+    """AGL(2,49)'s generators all lie in D, so D is G and carries its order:
+    |D_0| = |D|/n = |GL(2,49)| is past the cap, and the scan refuses it with
+    no chain grown."""
+
+    def fail(*args):
+        raise AssertionError("a chain was grown for a carried order past the cap")
+
+    monkeypatch.setattr(permgrp, "_grow", fail)
+    group = build_family(FamilyParams("affine-gl2", (49,)))
+    with pytest.raises(CapExceeded, match="^point stabilizer order 5644800 exceeds cap 2000000$"):
+        analyze(group)
+    assert group._levels is None
 
 
 # D's growths from R, the translations or the rotations: a Frobenius
@@ -505,19 +520,23 @@ def test_scans_sift_each_candidate_once(monkeypatch):
     assert scan_work("perm-deep") == {"sifts": 17, "groups": 10}
 
 
-def test_quotient_index_cap_is_checked_before_the_block_action(monkeypatch):
-    """An index above the cap raises IndexTooLarge, naming index and cap,
-    before any block action is built; an index at the cap passes."""
-    monkeypatch.setattr(derange, "DEGREE_CAP", 4)
+def test_the_chain_budget_bounds_the_quotient_index(monkeypatch):
+    """A transitive group's chain has n^2 entries at its first level, so
+    CHAIN_SLOTS admits no degree past isqrt(CHAIN_SLOTS), and no index
+    |G : D| <= n - 1 reaches that.  With the budget lowered to 100,
+    AGL(1,5) is still analyzed, and AGL(1,11) (index 10) is refused by its
+    chain's CapExceeded before any block action is built."""
+    monkeypatch.setattr(permgrp, "CHAIN_SLOTS", 100)
     assert analyze(agl_1_5()).quotient_name == "C4"
-    monkeypatch.setattr(derange, "DEGREE_CAP", 3)
 
     def refuse(*args):
-        raise AssertionError("block action built past the index cap")
+        raise AssertionError("block action built past the chain budget")
 
     monkeypatch.setattr(derange, "_block_action", refuse)
-    with pytest.raises(IndexTooLarge, match="^index 4 exceeds cap 3$"):
-        analyze(agl_1_5())
+    group = build_family(FamilyParams("agl1", (11,)))
+    assert group.is_transitive() and group.degree > isqrt(permgrp.CHAIN_SLOTS)
+    with pytest.raises(CapExceeded, match="^stabilizer chain of degree 11 exceeds 100 transversal entries$"):
+        analyze(group)
 
 
 def test_index_consequences_agl15():

@@ -230,10 +230,14 @@ def _index_bound_walk(group, sub):
 def _semiregular_outside(group, sub):
     """The semiregularity test the eigenvalue-1 counts replaced: mark sub's
     positions in H's stack, looked up by key in H's dict, then no element
-    of H outside sub may have eigenvalue 1."""
+    of H outside sub may have eigenvalue 1.  It flags H's stack itself, a
+    block of max(1, BLOCK_ENTRIES // k^2) matrices at a time."""
+    stack = group.digit_stack()
+    step = max(1, permgrp.BLOCK_ENTRIES // stack[0].size)
+    fixes = np.concatenate([_fixes_a_vector(stack[lo:lo + step], group.spec.p) for lo in range(0, len(stack), step)])
     outside = np.ones(group.order(), dtype=bool)
     outside[[group._position[key] for key in group._keys(sub.digit_stack())]] = False
-    return not group.eigenvalue_one_mask()[outside].any()
+    return not fixes[outside].any()
 
 
 def _canonicalize(spec, v):
@@ -674,6 +678,24 @@ def test_enumeration_cap_is_exact_and_checked_when_cached():
     assert np.array_equal(fresh.digit_stack(cap=48), gl.digit_stack())
 
 
+def test_a_carried_order_past_the_cap_closes_nothing(monkeypatch):
+    """GL(2,5) carries its order 480, so a cap of 479, or an enumeration
+    limit of 479 when no cap is given, refuses it before any closure, with
+    the closure's message."""
+
+    def fail(*args):
+        raise AssertionError("a stack was closed past a carried order")
+
+    monkeypatch.setattr(permgrp, "closure", fail)
+    gl = general_linear_gl2(GF5)
+    with pytest.raises(CapExceeded, match="^closure exceeds cap 479$"):
+        gl.digit_stack(cap=479)
+    monkeypatch.setattr(permgrp, "ENUMERATION_CAP", 479)
+    with pytest.raises(CapExceeded, match="^closure exceeds cap 479$"):
+        gl.digit_stack()
+    assert gl._stack is None and gl.order() == 480
+
+
 @pytest.mark.parametrize("p, m, dtype", [(257, 8, np.uint16), (65537, 16, np.uint32)])
 def test_closure_keys_past_one_byte(p, m, dtype):
     """Digit matrices over GF(257) and GF(65537) are keyed by their bytes in
@@ -1082,18 +1104,13 @@ def test_index_bound_check_walks_no_vectors(monkeypatch):
 
 def test_matrix_record_flags_eigenvalue_one_once(monkeypatch):
     """matrix_record on central-a4 runs the eigenvalue-1 elimination once,
-    over all 528 elements: eigenvalue_one_subgroup and index_bound_check
-    both read the group's cached mask (before the mask, the second call
-    redid the 484 elements outside R(H))."""
+    over all 528 elements: R(H) is proper, so eigenvalue_one_subgroup's scan
+    flags every block and keeps the flags on H, and index_bound_check reads
+    them (before the kept flags, the second call redid the 484 elements
+    outside R(H))."""
     built = central_product_examples("a4")
     group = MatrixGroup(built.spec, built.d, built.generators)
-    calls, real = [], matgrp._fixes_a_vector
-
-    def counted(stack, p):
-        calls.append(len(stack))
-        return real(stack, p)
-
-    monkeypatch.setattr(matgrp, "_fixes_a_vector", counted)
+    calls, _ = _counting_blocks(monkeypatch)
     record = matrix_record(group)
     assert calls == [528]
     assert record["index"] == 12 and record["semiregular"] is True
@@ -1753,15 +1770,9 @@ def test_quotient_walk_refuses_a_subgroup_missing_the_stabilizer():
         quotient_perm_group(gl)
 
 
-def test_fixes_a_vector_in_blocks(monkeypatch):
-    """A stack longer than one elimination block, with a short last block,
-    gets the flags of the per-matrix test."""
-    gl = general_linear_gl2(field(2, 2))
-    expected = [has_eigenvalue_one(m) for m in _elements(gl)]
-    assert _fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
-    # GF(4)'s digit matrices are 4 x 4, so 7 * 16 entries are 7 matrices
-    monkeypatch.setattr(permgrp, "BLOCK_ENTRIES", 7 * 16)
-    assert gl.order() % 7
+def _counting_blocks(monkeypatch):
+    """Patch _fixes_a_vector to record the length of each stack it is
+    handed; returns that list and the real function."""
     calls, real = [], matgrp._fixes_a_vector
 
     def counted(stack, p):
@@ -1769,9 +1780,49 @@ def test_fixes_a_vector_in_blocks(monkeypatch):
         return real(stack, p)
 
     monkeypatch.setattr(matgrp, "_fixes_a_vector", counted)
-    assert matgrp._fixes_a_vector(gl.digit_stack(), 2).tolist() == expected
-    assert calls == [180] + [7] * 25 + [5]
-    assert expected == [_has_eigenvalue_one_python(m) for m in _elements(gl)]
+    return calls, real
+
+
+def test_fixes_a_vector_in_blocks(monkeypatch):
+    """R(H)'s scan hands the elimination blocks of BLOCK_ENTRIES // k^2
+    matrices.  central-klein's R(H) is proper, so the scan reads all of its
+    stack, 9 blocks and a short last one, and the flags H keeps are the
+    per-matrix test's."""
+    built = central_product_examples("klein")
+    group = MatrixGroup(built.spec, built.d, built.generators)
+    expected = [has_eigenvalue_one(m) for m in _elements(group)]
+    assert _fixes_a_vector(group.digit_stack(), 5).tolist() == expected
+    assert expected == [_has_eigenvalue_one_python(m) for m in _elements(group)]
+    # GF(5)^4's digit matrices are 4 x 4, so 5 * 16 entries are 5 matrices
+    monkeypatch.setattr(permgrp, "BLOCK_ENTRIES", 5 * 16)
+    calls, _ = _counting_blocks(monkeypatch)
+    assert eigenvalue_one_subgroup(group).order() == 12 < group.order() == 48
+    assert calls == [5] * 9 + [3]
+    assert group._fixes.tolist() == expected
+
+
+def test_the_scan_flags_only_the_blocks_it_reads(monkeypatch):
+    """GL(2,4) and GL(2,5) prove R(H) = H at stack row 3, where R(H)'s
+    generators hold H's: the scan flags only the blocks holding rows 0 to
+    3, H keeps no flags, and the record is the one with default blocks.
+    central-klein and scalars-27-2 have R(H) < H: the scan reads every
+    block, and H keeps the flags of its whole stack."""
+    records = {spec: matrix_record(general_linear_gl2(spec)) for spec in (field(2, 2), GF5)}
+    monkeypatch.setattr(permgrp, "BLOCK_ENTRIES", 5 * 16)
+    calls, real = _counting_blocks(monkeypatch)
+    for spec, record in records.items():
+        group = general_linear_gl2(spec)
+        step = max(1, permgrp.BLOCK_ENTRIES // (2 * spec.f) ** 2)
+        del calls[:]
+        assert matrix_record(group) == record
+        assert calls == [step] * -(-4 // step) and sum(calls) < group.order()
+        assert group._fixes is None
+    for build in (_POOL_GROUPS["central-klein"], _WALKED_POOL_GROUPS["scalars-27-2"]):
+        group = build()
+        del calls[:]
+        r = eigenvalue_one_subgroup(group)
+        assert r.order() < group.order() and sum(calls) == group.order()
+        assert group._fixes.tolist() == real(group.digit_stack(), group.spec.p).tolist()
 
 
 def test_vector_index_round_trip():
