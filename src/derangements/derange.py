@@ -64,8 +64,8 @@ def fingerprint(group: PermGroup) -> GroupFingerprint:
     its orbit of 0 (Dixon-Mortimer 1996, 4.2A).  Abelian (its generators g
     commute): x^k = 1 for as many x as <g^k> has orbits, inverted over the
     divisors of the exponent (Mobius); no chain is built.  Else its chain,
-    one level based at 0, lists it: x has the order of its cycle
-    through 0 and is central when x*g and g*x agree at 0.  Others are walked."""
+    one tree level at 0 walked by its generators, lists it when read: x has
+    the order of its cycle through 0 and is central when x*g and g*x agree at 0.  Others are walked."""
     gens = [g.images for g in group.generators]
     abelian = all(_compose(a, b) == _compose(b, a) for a, b in combinations(gens, 2))
     order = group.degree if abelian and group.is_transitive() else group.order()

@@ -11,9 +11,11 @@ residue it produced lands deeper.  A first query grows from
 the empty chain or, when the generators fixing no point and their
 conjugates generate an abelian regular normal subgroup R
 (``_regular_normal``), by one element of G_0 per generator below a first
-level listing R's elements, never verified, as in a closure of G grown
-from G's R; a regular group gets one level at 0, where every Schreier
-pair agrees, so nothing is sifted.  Subgroups of G grow only by
+level holding R's elements, never verified, as in a closure of G grown
+from G's R; a transitive group carrying order n is regular, one level at
+0 walked by its generators, with nothing sifted.  A level never verified
+is a Schreier tree (``_Tree``) that forms a point's element, the only
+one it can have, when first read.  Subgroups of G grow only by
 ``_normal_closure_of``, each candidate sifted once; ``normal_closure``
 checks its seeds lie in G.
 Strong generators and transversals depend on the order of work; bases and
@@ -212,20 +214,68 @@ class Permutation:
 class _Level:
     __slots__ = ("base", "gens", "origins", "transversal", "orbit")
 
-    def __init__(self, base: int, degree: int):
+    def __init__(self, base: int, degree: int, tree: bool = False):
         self.base = base
         self.gens: list[tuple[int, ...]] = []
         self.origins: list[int] = []  # per generator: base of the level that made it, or -1
-        self.transversal: dict[int, tuple[int, ...]] = {base: tuple(range(degree))}
+        self.transversal = _Tree(base, degree) if tree else {base: tuple(range(degree))}
         self.orbit: list[int] = [base]
 
     def copy(self) -> "_Level":
         """A level with its own gens and origins lists; the transversal and
-        orbit are shared, since they are only ever replaced, never mutated."""
+        orbit are shared: only ever replaced, and a _Tree forms on read the one tuple each point can have."""
         lvl = _Level.__new__(_Level)
         lvl.base, lvl.gens, lvl.origins = self.base, list(self.gens), list(self.origins)
         lvl.transversal, lvl.orbit = self.transversal, self.orbit
         return lvl
+
+
+class _Tree:
+    """A transversal never verified, as a Schreier tree: edges maps a point to
+    its parent and the label taking the parent to it, and a point's tuple is
+    formed on first read, down from its nearest formed ancestor, and kept.
+    Every read sees the whole orbit: [], get, in, values() (in orbit order)."""
+
+    def __init__(self, base: int, degree: int):
+        self.edges, self.formed = {base: None}, {base: tuple(range(degree))}
+
+    def __getitem__(self, pt: int) -> tuple[int, ...]:
+        path, formed = [], self.formed
+        while pt not in formed:
+            path.append(pt)
+            pt = self.edges[pt][0]
+        u = formed[pt]
+        for pt in reversed(path):
+            u = formed[pt] = _compose(u, self.edges[pt][1])
+        return u
+
+    def __contains__(self, pt: int) -> bool:
+        return pt in self.edges
+
+    def get(self, pt: int, default=None):
+        return self[pt] if pt in self.edges else default
+
+    def values(self) -> list[tuple[int, ...]]:
+        formed = self.formed
+        for pt, edge in self.edges.items():  # a parent comes before its children
+            if pt not in formed:
+                formed[pt] = _compose(formed[edge[0]], edge[1])
+        return [formed[pt] for pt in self.edges]
+
+
+def _walk(level: _Level, labels: list[tuple[int, ...]], degree: int) -> _Level:
+    """The _Tree level, labels added to its generators and its orbit walked by them
+    breadth-first; CapExceeded before a point past CHAIN_SLOTS chain entries."""
+    level.gens, level.origins = level.gens + labels, level.origins + [-1] * len(labels)
+    edges, orbit = level.transversal.edges, level.orbit
+    for pt in orbit:
+        for g in labels:
+            if g[pt] not in edges:
+                if len(orbit) >= CHAIN_SLOTS // degree:
+                    raise CapExceeded(f"stabilizer chain of degree {degree} exceeds {CHAIN_SLOTS} transversal entries")
+                edges[g[pt]] = pt, g
+                orbit.append(g[pt])
+    return level
 
 
 def _smallest_moved(images: tuple[int, ...]) -> int:
@@ -336,42 +386,35 @@ def _regular_normal(generators: tuple[Permutation, ...], degree: int):
     extending the orbit of 0 in place.  With all n points reached, the
     abelian R = <basis> is transitive, so regular (Dixon-Mortimer, Thm 4.2A):
     an element lies in R when it is R's element at its image of 0, and every
-    element walked must be, so R holds A and is normal.  R's level lists R's
-    elements at 0 and needs no verifying: G = R*G_0, and a Schreier generator
-    of (x, s) lies in Rs n G_0 = {h_s}, h_s = t*s with t in R, t(0) =
-    s^-1(0), one per generator s fixing a point."""
+    element walked must be, so R holds A and is normal.  R's level, a _Tree
+    labelled by the basis, holds R's elements at 0 and needs no verifying:
+    G = R*G_0, and a Schreier generator of (x, s) lies in Rs n G_0 = {h_s},
+    h_s = t*s with t in R, t(0) = s^-1(0), one per generator s fixing a point."""
     moving = [g for g in generators if not count_fixed(g.images)]
     if not moving:
         return None, generators
     fixing = [s for s in generators if count_fixed(s.images)]
-    conjugators, level, basis, walked = [s.conjugator() for s in fixing], _Level(0, degree), [], list(moving)
-    transversal, orbit = level.transversal, level.orbit
+    conjugators, level, walked = [s.conjugator() for s in fixing], _Level(0, degree, tree=True), list(moving)
     for a in walked:  # also walks the conjugates appended meanwhile
-        if a.images[0] in transversal:
+        if a.images[0] in level.transversal:
             continue
-        if any(_compose(a.images, b.images) != _compose(b.images, a.images) for b in basis):
+        if any(_compose(a.images, b) != _compose(b, a.images) for b in level.gens):
             return None, generators
-        basis.append(a)
-        for pt in orbit:
-            if a.images[pt] not in transversal:
-                if len(orbit) >= CHAIN_SLOTS // degree:
-                    raise CapExceeded(f"stabilizer chain of degree {degree} exceeds {CHAIN_SLOTS} transversal entries")
-                transversal[a.images[pt]] = _compose(transversal[pt], a.images)
-                orbit.append(a.images[pt])
+        _walk(level, [a.images], degree)
         walked += [conjugate(a) for conjugate in conjugators]
-    if len(orbit) < degree or any(transversal[w.images[0]] != w.images for w in walked):
+    if len(level.orbit) < degree or any(level.transversal[w.images[0]] != w.images for w in walked):
         return None, generators
-    level.gens, level.origins = [a.images for a in basis], [-1] * len(basis)
-    r = PermGroup(degree, basis)
+    r = PermGroup(degree, map(Permutation._raw, level.gens))
     r._levels = [level]
-    return r, [Permutation._raw(_compose(transversal[s.images.index(0)], s.images)) for s in fixing]
+    return r, [Permutation._raw(_compose(level.transversal[s.images.index(0)], s.images)) for s in fixing]
 
 
 class PermGroup:
     """Group generated by a list of permutations of a common degree.  An
     order the caller has proved may be passed as ``order``: ``order()``
     returns it with no chain built, and the chain, when built, must agree
-    with it (ConstraintViolated naming both)."""
+    with it (ConstraintViolated naming both); a transitive group carrying
+    order n is regular by it, and its one-level chain is read from that."""
 
     def __init__(self, degree: int, generators: Iterable = (), *, order: int | None = None):
         if degree < 1:
@@ -401,10 +444,15 @@ class PermGroup:
     # chain and membership -------------------------------------------------
 
     def _chain(self) -> list[_Level]:
+        """Over R when ``_regular_normal`` finds it; else a transitive group
+        carrying order n is regular, one _Tree level walked by its generators."""
         if self._levels is None:
             self._regular, gens = _regular_normal(self.generators, self.degree)
             levels = list(self._regular._levels) if self._regular else []
-            _grow(levels, gens, self.degree, top=len(levels))
+            if not levels and gens and self._order == self.degree and self.is_transitive():
+                levels = [_walk(_Level(0, self.degree, tree=True), [g.images for g in gens], self.degree)]
+            else:
+                _grow(levels, gens, self.degree, top=len(levels))
             if self._order not in (None, found := prod(len(lvl.orbit) for lvl in levels)):
                 raise ConstraintViolated(f"the chain has order {found}, the group carries {self._order}")
             self._levels = levels
@@ -507,7 +555,7 @@ class PermGroup:
         count (the deepest always fits), and u an upper product (outermost),
         streamed in chunks of at most max(1, BLOCK_ENTRIES // tail.size), all
         in the smallest dtype holding the points."""
-        rows = [[lvl.transversal[pt] for pt in sorted(lvl.orbit)] for lvl in self._chain()]
+        rows = [[u for _, u in sorted(zip(lvl.orbit, lvl.transversal.values()))] for lvl in self._chain()]
         store, n, dtype = sum(map(len, rows)), self.degree, np.min_scalar_type(self.degree - 1)
         tail = np.arange(n, dtype=dtype)[None]
         while rows and len(tail) * len(rows[-1]) <= store:

@@ -4,7 +4,6 @@ from collections import Counter
 from fractions import Fraction
 import itertools
 import random
-import sys
 from math import factorial, gcd, isqrt, lcm
 from pathlib import Path
 
@@ -335,6 +334,64 @@ def test_chains_over_r_match_chains_grown_from_scratch(monkeypatch):
             assert (level.gens == [a.images for a in moving]) == spanned
     found = [sum(g._regular is not None for g in groups) for groups in (corpus, paper, wide, deep)]
     assert found == [51, 12, 7, 2]
+
+
+def _eager_walk(walks, degree):
+    """(orbit, transversal) of a level at 0 as the levels never verified
+    were listed before they became trees: for each list of labels in turn,
+    each point in orbit order by each label, a new point's image tuple
+    composed at once from its parent's."""
+    orbit, transversal = [0], {0: tuple(range(degree))}
+    for labels in walks:
+        for pt in orbit:
+            for g in labels:
+                if g[pt] not in transversal:
+                    transversal[g[pt]] = permgrp._compose(transversal[pt], g)
+                    orbit.append(g[pt])
+    return orbit, transversal
+
+
+def _assert_reads_match(level, walks, degree, rng):
+    """A tree level has the eager walk's orbit and has formed only the
+    walk's tuples; every read, [] and get at points in a seeded order, in,
+    and then values(), gives the walk's tuple, in its order."""
+    orbit, transversal = _eager_walk(walks, degree)
+    tree = level.transversal
+    assert level.orbit == orbit
+    assert all(transversal[pt] == u for pt, u in tree.formed.items())
+    points = rng.sample(orbit, min(len(orbit), 12))
+    for i, pt in enumerate(points):
+        assert pt in tree and (tree[pt] if i % 2 else tree.get(pt)) == transversal[pt]
+    assert degree not in tree and tree.get(degree) is None
+    assert tree.values() == list(transversal.values())
+
+
+def test_r_levels_read_as_the_eager_walk_lists_them(monkeypatch):
+    """On every transitive corpus group with R and every perm-wide and
+    perm-deep group at seed 1 that has one, R's level is a _Tree labelled
+    by R's basis: its orbit is the one the basis walks, each in turn, and
+    every read gives the tuple that walk composes."""
+    rng = random.Random(541)
+    corpus = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
+    groups = corpus + _pool(monkeypatch, "perm-wide", 1) + _pool(monkeypatch, "perm-deep", 1)
+    with_r = [g for g in groups if g._chain() and g._regular is not None]
+    assert len(with_r) == 51 + 7 + 2
+    # building the chains formed under a third of R's tuples
+    assert 3 * sum(len(g._chain()[0].transversal.formed) for g in with_r) < sum(g.degree for g in with_r)
+    for group in with_r:
+        level = group._chain()[0]
+        _assert_reads_match(level, [[a] for a in level.gens], group.degree, rng)
+
+
+def test_analyze_forms_few_of_r_s_tuples():
+    """analyze of affine-scalars 7 3, read from its text, forms fewer than
+    40 of R's 343 tuples: the reads of R's level are few, and each forms
+    only the path down to it from the nearest formed point."""
+    group = fileio.load_group(fileio.dump_group(build_family(FamilyParams("affine-scalars", (7, 3)))))
+    analyze(group)
+    level = group._chain()[0]
+    assert group._regular is not None and len(level.orbit) == 343
+    assert len(level.transversal.formed) < 40
 
 
 @pytest.mark.parametrize("family", [FamilyParams("agl1", (256,)), FamilyParams("semilinear", (16,))])
@@ -864,40 +921,42 @@ def test_abelian_transitive_groups_are_fingerprinted_with_no_chain(monkeypatch):
     assert fingerprint(PermGroup(720, shifts)) == abelian
 
 
+def _regular_groups():
+    """The dihedral regular representations and A5, H/R(H) of the matrix
+    pool: nonabelian, regular, their order n carried, no chain built."""
+    a5 = quotient_perm_group(build_family(FamilyParams("central-a5", ())))
+    return [_dihedral_regular(m) for m in (3, 4, 12, 97)] + [a5]
+
+
 def test_nonabelian_groups_carrying_order_n_grow_one_level_at_zero(monkeypatch):
     """A transitive group carrying its order n is regular: it has no
     abelian R (``_regular_normal`` declines), and its chain is one level
-    based at 0.  Each generator is sifted once, by ``_grow``, onto level 0;
-    only the identity fixes 0, so every Schreier pair u*g is the
-    transversal element at its image of 0, and ``_verify`` sifts nothing.
-    The level is the one listed breadth-first by the generators, in their
-    order: the dihedral regular representations and A5, H/R(H) of the
-    matrix pool."""
-    a5 = quotient_perm_group(build_family(FamilyParams("central-a5", ())))
-    groups = [_dihedral_regular(m) for m in (3, 4, 12, 97)] + [a5]
-    callers, real_sift = [], permgrp._sift
-
-    def sift(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real_sift(*args)
-
-    monkeypatch.setattr(permgrp, "_sift", sift)
-    for group in groups:
+    based at 0, a _Tree walked breadth-first by the generators in their
+    order, with no ``_grow``, ``_verify`` or ``_sift`` call; its reads give
+    the tuples that the verification listed."""
+    rng = random.Random(54)
+    for group in _regular_groups():
         gens = [g.images for g in group.generators]
         assert group._levels is None and group._order == group.degree
         assert permgrp._regular_normal(group.generators, group.degree) == (None, group.generators)
-        callers.clear()
-        (level,) = group._chain()
-        assert group._regular is None and callers == ["_grow"] * len(gens)
+        with monkeypatch.context() as building:
+            for name in ("_grow", "_verify", "_sift"):
+                building.setattr(permgrp, name, lambda *args: pytest.fail("a regular group's chain was grown"))
+            (level,) = group._chain()
+        assert group._regular is None and level.transversal.formed == {0: tuple(range(group.degree))}
         assert level.gens == gens and level.origins == [-1] * len(gens)
-        orbit, transversal = [0], {0: tuple(range(group.degree))}
-        for pt in orbit:
-            for g in gens:
-                if g[pt] not in transversal:
-                    transversal[g[pt]] = permgrp._compose(transversal[pt], g)
-                    orbit.append(g[pt])
-        assert level.orbit == orbit and list(level.transversal.items()) == list(transversal.items())
-    assert identify_quotient(a5) == "A5"
+        _assert_reads_match(level, [gens], group.degree, rng)
+    assert identify_quotient(_regular_groups()[-1]) == "A5"
+
+
+def test_regular_groups_carrying_order_n_fingerprint_as_walked():
+    """The fingerprint read off the tree level of a group carrying order n
+    is the one walked over the elements of the same generators' group,
+    which carries no order, so its chain is grown and verified."""
+    for group in _regular_groups():
+        plain = PermGroup(group.degree, group.generators)
+        assert fingerprint(group) == derange._walked_fingerprint(plain), group.degree
+        assert type(plain._levels[0].transversal) is dict
 
 
 def test_groups_that_are_not_regular_keep_the_walk(monkeypatch):

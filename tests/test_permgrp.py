@@ -385,6 +385,20 @@ def test_enumeration_streams():
     assert peak < 4 * 2**20
 
 
+def test_analyze_of_a_large_cyclic_group_forms_few_tuples():
+    # C_8000's one level is R's, a tree: analyze forms 3 of its 8 000
+    # tuples, where listing them all took 512 MB
+    group = cyclic_group(8000)
+    tracemalloc.start()
+    try:
+        report = analyze(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.subgroup.order() == 8000 and len(group._chain()[0].transversal.formed) == 3
+    assert peak < 64 * 2**20
+
+
 def test_fixed_point_tally_takes_many_upper_products_per_block():
     # S_7's tail is the 24 products of its three deepest levels; one upper
     # product per chunk made 210 chunks
@@ -398,9 +412,10 @@ def test_fixed_point_tally_takes_many_upper_products_per_block():
 def test_fixed_point_tally_of_a_one_level_chain_holds_one_tail():
     # C_3000's one level is the whole tail, 9 000 000 entries: as uint16 the
     # tail and its comparison with the one inverted upper product fit in
-    # 40 MB, where a Python tuple tail and its int64 copy peaked at 146 MB
+    # 40 MB, where a Python tuple tail and its int64 copy peaked at 146 MB;
+    # the level's tuples, formed on first read, are formed beforehand
     group = cyclic_group(3000)
-    group.order()
+    group._chain()[0].transversal.values()
     tracemalloc.start()
     try:
         tally = group.fixed_point_tally()
@@ -865,9 +880,10 @@ def test_coset_averages_need_no_pair_table():
     # C_3000's one level is its whole tail, 9 000 000 uint16 entries; the
     # averages compare it with the one inverted upper product, gathered by
     # t^-1, and form no element (an n x n int64 table of (point, image)
-    # counts peaks at 241 MB)
+    # counts peaks at 241 MB); the level's tuples, formed on first read, are
+    # formed beforehand
     group = cyclic_group(3000)
-    group.order()
+    group._chain()[0].transversal.values()
     tracemalloc.start()
     try:
         averages = coset_average_fixed_points([group.identity()], group)
