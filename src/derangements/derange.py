@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from . import permgrp
 from .errors import CapExceeded, ConstraintViolated, NotTransitive
-from .permgrp import DEGREE_CAP, PermGroup, _block_action, _compose, _products, count_fixed
+from .permgrp import DEGREE_CAP, PermGroup, _Level, _block_action, _compose, _products, _walk, count_fixed
 
 PRODUCT_WORK_CAP = 4_000_000
 DRAW_SEED = 0
@@ -59,13 +59,13 @@ class GroupFingerprint:
 
 
 def fingerprint(group: PermGroup) -> GroupFingerprint:
-    """A transitive group that is abelian or of order n is regular, read at
-    point 0, where elements that agree are equal, and a subgroup's order is
-    its orbit of 0 (Dixon-Mortimer 1996, 4.2A).  Abelian (its generators g
-    commute): x^k = 1 for as many x as <g^k> has orbits, inverted over the
-    divisors of the exponent (Mobius); no chain is built.  Else its chain,
-    one tree level at 0 walked by its generators, lists it when read: x has
-    the order of its cycle through 0 and is central when x*g and g*x agree at 0.  Others are walked."""
+    """A transitive group that is abelian or of order n is regular, read at point
+    0, where elements that agree are equal, and a subgroup's order is its orbit of
+    0 (Dixon-Mortimer 1996, 4.2A).  Abelian (its generators g commute): x^k = 1 for
+    as many x as <g^k>, semiregular, has orbits, n over its orbit of 0, inverted
+    over the divisors of the exponent (Mobius); no chain is built.  Else its chain,
+    one tree level at 0 walked by its generators, lists it when read: x has the
+    order of its cycle through 0 and is central when x*g and g*x agree at 0.  Others are walked."""
     gens = [g.images for g in group.generators]
     abelian = all(_compose(a, b) == _compose(b, a) for a, b in combinations(gens, 2))
     order = group.degree if abelian and group.is_transitive() else group.order()
@@ -76,8 +76,8 @@ def fingerprint(group: PermGroup) -> GroupFingerprint:
     if abelian:
         exponent, exact = lcm(1, *map(_order_at_zero, gens)), {}
         for k in (k for k in range(1, exponent + 1) if exponent % k == 0):
-            roots = len(PermGroup(order, [g**k for g in group.generators]).orbits())
-            exact[k] = roots - sum(c for d, c in exact.items() if k % d == 0)
+            orbit = _walk(_Level(0, order, tree=True), [(g**k).images for g in group.generators], order).orbit
+            exact[k] = order // len(orbit) - sum(c for d, c in exact.items() if k % d == 0)
         return GroupFingerprint(order, tuple(exact.items()), order, 1)
     elements = group._chain()[0].transversal.values()
     hist = Counter(map(_order_at_zero, elements))

@@ -21,8 +21,9 @@ checked normal once per group, has its own closure unless it is H; the
 index check and H/R take H alone.  H/R is H acting on the translates of
 e_0*R, read off row 0 of R's stack and walked a block at a time, each keyed
 by its sorted vector indices.  Work on vectors maps whole arrays of indices.
-Irreducibility has one decision, the MeatAxe: spins from the null space of
-f(a), for a in the group algebra and f an irreducible factor of e_0's
+Irreducibility: H spanning M_d(GF(q)), its digit matrices' algebra spun by
+batched products, proves it; else the MeatAxe's spins from the null space
+of f(a), for a in the group algebra and f an irreducible factor of e_0's
 minimal polynomial under a, prove either answer.  H/R is semiregular on the
 R-orbits of nonzero vectors iff R holds every eigenvalue-1 element.
 permgrp.ENUMERATION_CAP and SPIN_WORK_CAP bound the work;
@@ -36,7 +37,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import compress, islice, product
+from itertools import combinations, compress, islice, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -413,6 +414,34 @@ def _left_null_space(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> list[lis
     return [r[width:] for r, col in zip(reduced, pivots) if col >= width]
 
 
+def _echelon_extend(basis: np.ndarray, pivots: list[int], rows: np.ndarray, p: int) -> np.ndarray:
+    """basis, reduced echelon mod p (the identity in the columns pivots lists),
+    grown by the rows: one product reduces them, then one pass per row kept
+    scales a nonzero rest to a leading 1, clears its column elsewhere, appends it."""
+    rows = (rows - rows[:, pivots] @ basis) % p
+    while len(rows := rows[rows.any(axis=1)]):
+        pivots.append(col := int(rows[0].nonzero()[0][0]))
+        row = rows[0] * pow(int(rows[0, col]), -1, p) % p
+        rows, basis = ((a - a[:, col, None] * row) % p for a in (rows, basis))
+        basis = np.vstack([basis, row])
+    return basis
+
+
+def _algebra_dimension(group: MatrixGroup) -> int:
+    """The GF(p)-dimension of the algebra of the digit matrices of H's
+    generators and a primitive scalar, f times that of H's GF(q)-span: the
+    rows each round keeps times all of them in one product, from the identity
+    up to f*d^2."""
+    spec, d, k = group.spec, group.d, group.d * group.spec.f
+    scalar = _digit_matrix(FFMatrix.scalar(spec, d, spec.primitive_element()))
+    gens = np.concatenate([group.generator_digits(), scalar[None]])
+    basis, pivots, new = np.zeros((0, k * k), dtype=np.int64), [], np.eye(k, dtype=np.int64)
+    while len(new) and len(pivots) < spec.f * d * d:
+        kept, basis = len(pivots), _echelon_extend(basis, pivots, new.reshape(-1, k * k), spec.p)
+        new = basis[kept:].reshape(-1, 1, k, k) @ gens % spec.p
+    return len(pivots)
+
+
 def _check_spin_work(q: int, d: int) -> None:
     """CapExceeded unless the spin's work d*(q^d - 1)/(q - 1) on GF(q)^d
     fits SPIN_WORK_CAP.  The work is at least 2^(d-1), so q^d is only
@@ -461,16 +490,20 @@ def _points(spec: FieldSpec, basis: list[list[int]]) -> Iterator[list[int]]:
 
 
 def _decide(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """The MeatAxe (Parker; Holt and Rees) on theta = f(a), a from
-    _algebra_elements.  A proper invariant U meets N = {v : v*theta = 0}, so
-    a point of N spins inside U, or else U*theta = U, so each w with
-    theta*w^T = 0 is orthogonal to U and spins inside its complement under
-    the transposes: w and all of P(N) decide.  If dim N = deg f, N is a line
-    over GF(q)[x]/(f), so U meets N only if it holds N: one point suffices.
-    The first point of each least N is spun at once.  The tries of a stop at
-    such an a, or when their count reaches the bit length of the least |P(N)|."""
+    """Irreducible when H spans M_d(GF(q)), whose matrices keep no proper
+    subspace; commuting generators, spanning M_d only for d = 1, are not spun.
+    Else the MeatAxe (Parker; Holt and Rees) on theta = f(a), a from
+    _algebra_elements.  A proper invariant U meets N = {v : v*theta = 0}, so a
+    point of N spins inside U, or else U*theta = U, so each w with
+    theta*w^T = 0 is orthogonal to U and spins inside its complement under the
+    transposes: w and all of P(N) decide.  If dim N = deg f, N is a line over
+    GF(q)[x]/(f), so U meets N only if it holds N: one point suffices.  The
+    first point of each least N is spun at once.  The tries of a stop at such
+    an a, or when their count reaches the bit length of the least |P(N)|."""
     spec, d, gens, q = group.spec, group.d, group.generators, group.spec.order
     _check_spin_work(q, d)
+    if not all(a * b == b * a for a, b in combinations(gens, 2)) and _algebra_dimension(group) == spec.f * d * d:
+        return True, None
     rng, best = random.Random(0), None
     for tries, a in enumerate(_algebra_elements(group, rng), 1):
         f, theta = _singular(a, rng)
@@ -498,8 +531,9 @@ def _decide(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | Non
 def irreducibility(group: MatrixGroup) -> tuple[bool, list[tuple[int, ...]] | None]:
     """(True, None) when no proper nonzero invariant subspace exists, else
     (False, the reduced echelon basis of one), decided by _decide within
-    SPIN_WORK_CAP.  The witness is a point's span or, when the transposed
-    spin is proper, that spin's annihilator.  The result is cached."""
+    SPIN_WORK_CAP: from the span of H, or by the MeatAxe, whose witness is a
+    point's span or, when the transposed spin is proper, that spin's
+    annihilator.  The result is cached."""
     if group._irreducibility is None:
         group._irreducibility = _decide(group)
     flag, witness = group._irreducibility

@@ -821,6 +821,20 @@ def test_identification_enumerates_no_group(monkeypatch):
     assert identify_fingerprint(d194) == "D194"
 
 
+def _every_quotient(monkeypatch):
+    """G/D of every transitive corpus group, permutation and bridge paper
+    group and perm-wide and perm-deep group at seed 1, then H/R(H) of every
+    matrix or bridge side of a paper scenario and matrix pool group."""
+    paper = [(build_family(sc.params), sc) for sc in suite.PAPER_SCENARIOS]
+    perm = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
+    perm += [g for g, sc in paper if sc.kind in ("perm", "bridge")]
+    perm += _pool(monkeypatch, "perm-wide", 1) + _pool(monkeypatch, "perm-deep", 1)
+    mat = [g if sc.kind == "mat" else suite._MAT_BUILDERS[sc.mat_id]() for g, sc in paper if sc.kind != "perm"]
+    mat += _pool(monkeypatch, "matrix", 1)
+    quotients = [derange._quotient(g, derangement_subgroup(g)) for g in perm]
+    return quotients + [quotient_perm_group(h) for h in mat]
+
+
 def test_fingerprint_at_point_zero_matches_the_walk_on_every_quotient(monkeypatch):
     """G/D of every transitive corpus group, permutation and bridge paper
     group and perm-wide and perm-deep group at seed 1, and H/R(H) of every
@@ -830,14 +844,7 @@ def test_fingerprint_at_point_zero_matches_the_walk_on_every_quotient(monkeypatc
     the 8 nonabelian ones get a chain, the one level listing them by their
     images of 0: H/R(H) for A4, A5, D8 and D12 of the paper, then A4, A5,
     D8 and D20 of the matrix pool."""
-    paper = [(build_family(sc.params), sc) for sc in suite.PAPER_SCENARIOS]
-    perm = [g for g in map(suite.corpus_group, suite.corpus_names()) if g.is_transitive()]
-    perm += [g for g, sc in paper if sc.kind in ("perm", "bridge")]
-    perm += _pool(monkeypatch, "perm-wide", 1) + _pool(monkeypatch, "perm-deep", 1)
-    mat = [g if sc.kind == "mat" else suite._MAT_BUILDERS[sc.mat_id]() for g, sc in paper if sc.kind != "perm"]
-    mat += _pool(monkeypatch, "matrix", 1)
-    quotients = [derange._quotient(g, derangement_subgroup(g)) for g in perm]
-    quotients += [quotient_perm_group(h) for h in mat]
+    quotients = _every_quotient(monkeypatch)
     assert len(quotients) == 106 and all(q.degree == q.order() for q in quotients)
 
     def refuse(*args, **kwargs):
@@ -852,6 +859,27 @@ def test_fingerprint_at_point_zero_matches_the_walk_on_every_quotient(monkeypatc
     assert at_zero == [derange._walked_fingerprint(q) for q in quotients]
     nonabelian = [fp.order for fp in at_zero if fp.center_order < fp.order]
     assert [q.order() for q in chained] == nonabelian == [12, 60, 8, 12, 12, 60, 8, 20]
+
+
+def test_abelian_root_counts_from_the_orbit_of_zero_match_the_orbit_counts(monkeypatch):
+    """On each of the 49 nontrivial abelian quotients that _every_quotient
+    lists, each count of x with x^k = 1 that the fingerprint reads, n over
+    the orbit of 0 under the k-th powers of the generators, is the number
+    of orbits of those powers, which it read before."""
+    quotients = [q for q in _every_quotient(monkeypatch) if q.degree > 1]
+    abelian = [q for q in quotients if all(a * b == b * a for a, b in itertools.combinations(q.generators, 2))]
+    walked, real = [], derange._walk
+
+    def recording(level, labels, degree):
+        walked.append((degree, labels, real(level, labels, degree)))
+        return walked[-1][2]
+
+    monkeypatch.setattr(derange, "_walk", recording)
+    for q in abelian:
+        fingerprint(q)
+    assert len(abelian) == 49 and len(walked) > len(abelian)
+    for degree, labels, level in walked:
+        assert degree // len(level.orbit) == len(PermGroup(degree, labels).orbits())
 
 
 def _regular_on_points(n, *images):

@@ -9,10 +9,11 @@ the eigenvalue-1 flags did and the outside mask that decided it before
 eigenvalue-1 counts and then key lookups did, root hooking, which
 labelled the quotient's blocks before ``PermGroup.orbits`` and then the
 walk of e_0*R(H)'s translates did, with the gather and the scatter label
-propagations that it replaced, the spin, and
+propagations that it replaced, the spin,
 the projective-point sweep that decided irreducibility before the MeatAxe
-did.  SL(2,3)'s closed-form generator is checked against the linear solve
-it replaced."""
+did, and the GF(q)-rank of all the elements' entries, which the algebra
+that the span proof spins must match.  SL(2,3)'s closed-form generator is
+checked against the linear solve it replaced."""
 
 import itertools
 import math
@@ -21,6 +22,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -1012,22 +1014,30 @@ def test_irreducibility_paths_agree():
     assert {flag for _, flag in seen} == {True, False}
 
 
-def test_every_group_is_decided_and_spins_match():
+def _span_proof_on_and_declined(monkeypatch):
+    """Yields twice: with the span proof, then with it declined, so that the
+    MeatAxe decides every group."""
+    yield
+    monkeypatch.setattr(matgrp, "_algebra_dimension", lambda group: 0)
+    yield
+
+
+def test_every_group_is_decided_and_spins_match(monkeypatch):
     """Every differential group is decided, irreducible or not, with the
-    sweep's verdict and a sound witness.  The spin under the generators and
-    under their transposes equals the spin that re-echelonizes the whole
-    span per image."""
+    sweep's verdict and a sound witness, by the span proof or the MeatAxe
+    and by the MeatAxe alone.  The spin under the generators and under their
+    transposes equals the spin that re-echelonizes the whole span per image."""
+    for _ in _span_proof_on_and_declined(monkeypatch):
+        verdicts = Counter(_assert_decided(group) for group in _differential_groups())
+        assert verdicts[True] > 0 and verdicts[False] > 0
     rng = random.Random(23)
-    verdicts = Counter()
     for group in _differential_groups():
         spec, d = group.spec, group.d
-        verdicts[_assert_decided(group)] += 1
         transposes = [FFMatrix(spec, zip(*g.rows)) for g in group.generators]
         for _ in range(3):
             v = index_to_vector(spec, d, rng.randrange(spec.order**d))
             for gens in (group.generators, transposes):
                 assert _spin(spec, d, gens, v) == _spin_python(spec, gens, v)
-    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def _no_labels(*args):
@@ -1161,25 +1171,92 @@ def test_semiregular_is_none_past_the_vector_cap():
 def test_irreducibility_never_labels_orbits(monkeypatch):
     """Every group above that generator eigenspaces miss gets its known
     verdict, and every differential group the sweep's, without
-    PermGroup.orbits."""
+    PermGroup.orbits, with the span proof and with the MeatAxe alone."""
     expected = [(build(), flag) for flag, build in _MEATAXE_GROUPS.values()]
     expected += [(group, _irreducibility_python(group)[0]) for group in _differential_groups()]
     monkeypatch.setattr(PermGroup, "orbits", _no_labels)
-    for built, flag in expected:
-        assert irreducibility(MatrixGroup(built.spec, built.d, built.generators))[0] == flag
+    for _ in _span_proof_on_and_declined(monkeypatch):
+        for built, flag in expected:
+            assert irreducibility(MatrixGroup(built.spec, built.d, built.generators))[0] == flag
 
 
 def test_a_random_draw_spares_central_a5_the_fallback(monkeypatch):
-    """No generator of central-a5 gives a theta with dim N = deg f, and its
-    first random group-algebra element does: the decision spins a
-    generator's point, the draw's point and w, not the 60 points of the
-    least generator N."""
+    """With the span proof declined, the MeatAxe decides central-a5: no
+    generator gives a theta with dim N = deg f, and its first random
+    group-algebra element does, so the decision spins a generator's point,
+    the draw's point and w, not the 60 points of the least generator N."""
     built = central_product_examples("a5")
     group = MatrixGroup(built.spec, built.d, built.generators)
     spins = []
+    monkeypatch.setattr(matgrp, "_algebra_dimension", lambda group: 0)
     monkeypatch.setattr(matgrp, "_spin", lambda *args: spins.append(args) or _spin(*args))
     assert irreducibility(group) == (True, None)
     assert len(spins) == 3
+
+
+def _no_meataxe(*args):
+    raise AssertionError("the MeatAxe ran")
+
+
+def _no_span(*args):
+    raise AssertionError("the algebra was spun")
+
+
+def test_groups_spanning_all_matrices_are_decided_without_the_meataxe(monkeypatch):
+    """Every matrix pool group, GL(2,q) for q <= 9, SL(3,3), SL(3,4) and
+    SL(4,2) span M_d(GF(q)), so each is proved irreducible from its span,
+    with no spin and no factor of a minimal polynomial."""
+    groups = [build() for build in _POOL_GROUPS.values()]
+    groups += [general_linear_gl2(field(*prime_power_decompose(q))) for q in (2, 3, 4, 5, 7, 8, 9)]
+    groups += [_MEATAXE_GROUPS[name][1]() for name in ("sl3-3", "sl3-4", "sl4-2")]
+    monkeypatch.setattr(matgrp, "_spin", _no_meataxe)
+    monkeypatch.setattr(matgrp, "_singular", _no_meataxe)
+    for built in groups:
+        assert irreducibility(MatrixGroup(built.spec, built.d, built.generators)) == (True, None), built
+
+
+def test_commuting_generators_are_not_spun(monkeypatch):
+    """Commuting generators span a commutative algebra, M_d only for d = 1:
+    one-generator groups, Singer cycles and scalars, in GL(1,2^8) too, go
+    to the MeatAxe with no algebra spun."""
+    groups = [build() for name, (_, build) in _MEATAXE_GROUPS.items() if name.startswith(("singer", "trivial"))]
+    groups += [scalar_matrix_group(field(3, 2), 3), scalar_matrix_group(field(2, 8), 1)]
+    groups.append(MatrixGroup(GF5, 2, [FFMatrix(GF5, [[2, 0], [0, 3]])]))
+    groups.append(MatrixGroup(field(2, 8), 2, [_random_invertible(random.Random(5), field(2, 8), 2)]))
+    monkeypatch.setattr(matgrp, "_algebra_dimension", _no_span)
+    for group in groups:
+        _assert_decided(group)
+
+
+def test_the_spun_algebra_is_the_span_of_the_elements(monkeypatch):
+    """On every differential group and every group above of order at most
+    300 that generator eigenspaces miss, the algebra spun from the
+    generators has f times the GF(q)-rank of the entry vectors of all the
+    elements as its GF(p)-dimension, and the span proof decides exactly the
+    groups of rank d^2: never a reducible group, nor a Singer group,
+    irreducible but not absolutely."""
+    groups = {f"differential-{i}": group for i, group in enumerate(_differential_groups())}
+    for name, (_, build) in _MEATAXE_GROUPS.items():
+        group = build()
+        with suppress(CapExceeded):
+            group.digit_stack(cap=300)
+            groups[name] = group
+    assert {"singer-2-5", "singer-2-9", "singer-4-3", "transposed-spin-only"} <= set(groups)
+    monkeypatch.setattr(matgrp, "_singular", _no_meataxe)
+    proved = {}
+    for name, group in groups.items():
+        spec, d = group.spec, group.d
+        rank = len(echelonize(spec, [sum(m.rows, ()) for m in _elements(group)])[0])
+        assert matgrp._algebra_dimension(group) == spec.f * rank, name
+        proved[name] = rank == d * d
+        fresh = MatrixGroup(spec, d, group.generators)
+        if proved[name]:
+            assert irreducibility(fresh) == (True, None) and _irreducibility_python(group)[0], name
+        else:
+            with pytest.raises(AssertionError, match="the MeatAxe ran"):
+                irreducibility(fresh)
+    assert not any(proved[name] for name in ("singer-2-5", "singer-2-9", "singer-4-3"))
+    assert any(proved.values()) and not all(proved.values())
 
 
 @pytest.mark.parametrize("repeated", ["identity", "first-generator"])
@@ -1187,7 +1264,8 @@ def test_all_of_p_n_decides_for_any_singular_theta(repeated, monkeypatch):
     """With every a the same, no draw can help: the decision spins w and
     every point of P(N), for N = V (theta = 0) or a generator's N, and
     still gives the sweep's verdict on every differential group and every
-    group above that generator eigenspaces miss."""
+    group above that generator eigenspaces miss, with the span proof and
+    with the MeatAxe alone."""
     groups = [build() for _, build in _MEATAXE_GROUPS.values()] + list(_differential_groups())
 
     def same(group, rng):
@@ -1196,8 +1274,9 @@ def test_all_of_p_n_decides_for_any_singular_theta(repeated, monkeypatch):
         return itertools.repeat(group.generators[0])
 
     monkeypatch.setattr(matgrp, "_algebra_elements", same)
-    for group in groups:
-        _assert_decided(MatrixGroup(group.spec, group.d, group.generators))
+    for _ in _span_proof_on_and_declined(monkeypatch):
+        for group in groups:
+            _assert_decided(MatrixGroup(group.spec, group.d, group.generators))
 
 
 def test_block_triangular_and_scalar_witnesses():
