@@ -121,10 +121,6 @@ NAMED_FINGERPRINTS = {
     "SL(2,3)": GroupFingerprint(24, ((1, 1), (2, 1), (3, 8), (4, 6), (6, 8)), 2, 8),
     "SL(2,5)": GroupFingerprint(120, ((1, 1), (2, 1), (3, 20), (4, 30), (5, 24), (6, 20), (10, 24)), 2, 120),
 }
-# every named entry must be distinguishable from the dihedral group of the
-# same order, and from each other
-_DISTINCT = [*NAMED_FINGERPRINTS.values(), *map(_dihedral_fingerprint, (4, 6, 12, 30, 60))]
-assert len(set(_DISTINCT)) == len(_DISTINCT), "catalog fingerprints must be pairwise distinct"
 
 
 def identify_fingerprint(fp: GroupFingerprint) -> str:

@@ -162,10 +162,6 @@ class Permutation:
             k >>= 1
         return result
 
-    def conjugate_by(self, h: "Permutation") -> "Permutation":
-        """h^-1 * self * h."""
-        return h.conjugator()(self)
-
     def conjugator(self) -> Callable[["Permutation"], "Permutation"]:
         """The map k -> self^-1 * k * self, with self inverted once."""
         first, images = _getter(_invert(self.images)), self.images

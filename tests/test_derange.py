@@ -805,6 +805,13 @@ def test_named_fingerprints_match_their_constructions():
     assert {name: fingerprint(g) for name, g in built.items()} == derange.NAMED_FINGERPRINTS
 
 
+def test_catalog_fingerprints_are_pairwise_distinct():
+    """Every named entry is told apart from the others and from the dihedral
+    group of the same order."""
+    catalog = [*derange.NAMED_FINGERPRINTS.values(), *map(derange._dihedral_fingerprint, (4, 6, 12, 30, 60))]
+    assert len(set(catalog)) == len(catalog)
+
+
 def test_dihedral_fingerprint_formula_matches_the_group():
     for m in range(3, 131):
         assert derange._dihedral_fingerprint(m) == fingerprint(dihedral_group(m)), m

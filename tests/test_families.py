@@ -33,6 +33,7 @@ from derangements.matgrp import (
     dihedral_gl2,
     eigenvalue_one_subgroup,
     general_linear_gl2,
+    is_irreducible,
     quaternion_gl2,
     quotient_perm_group,
     scalar_matrix_group,
@@ -124,11 +125,13 @@ def test_affine_degree_cap():
 
 
 @pytest.mark.parametrize(
-    "q,order", [(3, 144), (4, 480), (5, 1200)]
+    "q,order", [(3, 144), (4, 480), (5, 1200), (7, 4704), (8, 8064), (9, 12960)]
 )
 def test_semilinear_orders(q, order):
+    """The maps permute the codes of GF(q^2): its q^2 elements are the points."""
     g = semilinear_example(q)
-    assert g.degree == q * q
+    p, f = prime_power_decompose(q)
+    assert g.degree == field(p, 2 * f).order == q * q
     assert g.order() == order
 
 
@@ -167,7 +170,7 @@ def test_pgammal28_point_stabilizer_is_sylow3_normalizer():
     norm = PermGroup(
         28,
         [x for x in g.iter_elements()
-         if all(s.conjugate_by(x) in sylow for s in sylow.generators)],
+         if all(x.conjugator()(s) in sylow for s in sylow.generators)],
     )
     assert same_group(norm, stab)
 
@@ -298,6 +301,16 @@ def test_dihedral_quotient_family_q11_order():
     assert h.order() == 240
 
 
+@pytest.mark.parametrize("q", [7, 11, 19, 23, 27, 31])
+def test_dihedral_quotient_family_order_and_irreducibility(q):
+    """The stack closes to 2(q^2 - 1) elements, the carried order, and H is
+    irreducible on GF(q)^4.  Both factors hold -I, or central_product would
+    have refused them."""
+    h = dihedral_quotient_family(q)
+    assert len(h.digit_stack()) == h.order() == 2 * (q * q - 1)
+    assert is_irreducible(h)
+
+
 def test_dihedral_quotient_family_rejects():
     with pytest.raises(ConstraintViolated):
         dihedral_quotient_family(5)
@@ -306,8 +319,12 @@ def test_dihedral_quotient_family_rejects():
 
 
 def test_central_product_example_orders():
-    assert central_product_examples("klein").order() == 48
-    assert central_product_examples("a4").order() == 528
+    """Each example's stack closes to its carried order, and it is
+    irreducible on GF(q)^4."""
+    for name, order in [("klein", 48), ("a4", 528), ("a5", 6960)]:
+        h = central_product_examples(name)
+        assert len(h.digit_stack()) == h.order() == order
+        assert is_irreducible(h)
     with pytest.raises(ConstraintViolated):
         central_product_examples("dicyclic")
 

@@ -614,36 +614,59 @@ def test_enumeration_identity_only():
     assert g.order() == 1
 
 
+Q8_ORDERS = {1: 1, 2: 1, 4: 6}
+SL23_ORDERS = {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+SL25_ORDERS = {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}
+A5_ORDERS = {1: 1, 2: 15, 3: 20, 5: 24}
+# SL(2,8): 63 transvections, 36 split tori C7 and 28 nonsplit tori C9
+SL28_ORDERS = {1: 1, 2: 63, 3: 56, 7: 216, 9: 168}
+
+
+def _product_orders(a, b):
+    """The element orders of A x B from those of A and B: lcm per pair."""
+    out = Counter()
+    for (i, x), (j, y) in itertools.product(a.items(), b.items()):
+        out[math.lcm(i, j)] += x * y
+    return dict(out)
+
+
 def test_enumeration_quaternion_example():
     g = MatrixGroup(GF5, 2, [FFMatrix(GF5, [[0, 4], [1, 0]]), FFMatrix(GF5, [[2, 0], [0, 3]])])
     assert g.order() == 8
-    assert g.element_order_histogram() == {1: 1, 2: 1, 4: 6}
+    assert Counter(map(_order_python, _elements(g))) == Q8_ORDERS
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, orders",
     [
-        lambda: quaternion_gl2(GF5),
-        lambda: quaternion_gl2(field(3, 2)),
-        lambda: binary_tetrahedral_gl2(field(7, 1)),
-        lambda: binary_icosahedral_gl2(field(19, 1)),
-        lambda: general_linear_gl2(field(2, 2)),
-        lambda: general_linear_gl2(field(2, 3)),
-        lambda: dihedral_gl2(field(5, 2), 26),
-        lambda: dihedral_gl2(field(3, 3), 28),
-        lambda: scalar_matrix_group(field(2, 3), 3),
-        lambda: central_product_examples("klein"),
+        (lambda: quaternion_gl2(GF5), Q8_ORDERS),
+        (lambda: quaternion_gl2(field(3, 2)), Q8_ORDERS),
+        (lambda: quaternion_gl2(field(23, 1)), Q8_ORDERS),
+        (lambda: quaternion_gl2(field(59, 1)), Q8_ORDERS),
+        (lambda: binary_tetrahedral_gl2(field(7, 1)), SL23_ORDERS),
+        (lambda: binary_tetrahedral_gl2(field(23, 1)), SL23_ORDERS),
+        (lambda: binary_tetrahedral_gl2(field(59, 1)), SL23_ORDERS),
+        (lambda: binary_icosahedral_gl2(field(19, 1)), SL25_ORDERS),
+        (lambda: binary_icosahedral_gl2(field(59, 1)), SL25_ORDERS),
+        # GL(2,q) = scalars x SL(2,q) for even q, and SL(2,4) = A5
+        (lambda: general_linear_gl2(field(2, 2)), _product_orders({1: 1, 3: 2}, A5_ORDERS)),
+        (lambda: general_linear_gl2(field(2, 3)), _product_orders({1: 1, 7: 6}, SL28_ORDERS)),
+        (lambda: dihedral_gl2(field(5, 2), 26), dict(derange._dihedral_fingerprint(26).element_orders)),
+        (lambda: dihedral_gl2(field(3, 3), 28), dict(derange._dihedral_fingerprint(28).element_orders)),
+        (lambda: scalar_matrix_group(field(2, 3), 3), {1: 1, 7: 6}),
+        # the pairs (a, b) of D12 x Q8, each image counted by (a, b) and (-a, -b)
+        (lambda: central_product_examples("klein"), {1: 1, 2: 7, 3: 2, 4: 24, 6: 2, 12: 12}),
     ],
-    ids=["q8-5", "q8-9", "sl23-7", "sl25-19", "gl2-4", "gl2-8", "dihedral-25-26", "dihedral-27-28",
-         "scalars-8-3", "central-klein"],
+    ids=["q8-5", "q8-9", "q8-23", "q8-59", "sl23-7", "sl23-23", "sl23-59", "sl25-19", "sl25-59", "gl2-4", "gl2-8",
+         "dihedral-25-26", "dihedral-27-28", "scalars-8-3", "central-klein"],
 )
-def test_order_histogram_and_scalars_match_the_per_element_oracles(build):
-    """The batched powers of the stack and the scalar rows read off its
-    entry codes, against one Python order loop and one scalar test per
-    decoded element."""
+def test_order_histogram_and_scalars_match_the_per_element_oracles(build, orders):
+    """The element orders of each construction, one Python order loop per
+    decoded element, are those of the group it names; the scalar rows read
+    off the stack's entry codes match one scalar test per element."""
     group = build()
     elements = _elements(group)
-    assert group.element_order_histogram() == Counter(map(_order_python, elements))
+    assert Counter(map(_order_python, elements)) == orders
     scalars = [m.rows[0][0] for m in elements if m == FFMatrix.scalar(group.spec, group.d, m.rows[0][0])]
     assert group.scalar_values() == sorted(scalars)
 
@@ -698,13 +721,14 @@ def test_a_carried_order_past_the_cap_closes_nothing(monkeypatch):
     assert gl._stack is None and gl.order() == 480
 
 
-@pytest.mark.parametrize("p, m, dtype", [(257, 8, np.uint16), (65537, 16, np.uint32)])
+@pytest.mark.parametrize("p, m, dtype", [(3, 4, np.uint8), (257, 8, np.uint16), (65537, 16, np.uint32)])
 def test_closure_keys_past_one_byte(p, m, dtype):
-    """Digit matrices over GF(257) and GF(65537) are keyed by their bytes in
-    uint16 and uint32; the stack lists the Python closure's elements in its
-    order, and the cap raises exactly at order - 1."""
+    """Digit matrices over GF(3), GF(257) and GF(65537) are stored and keyed
+    by their bytes in uint8, uint16 and uint32; the stack lists the Python
+    closure's elements in its order, and the cap raises exactly at order - 1."""
     spec = field(p, 1)
     group = dihedral_gl2(spec, m)
+    assert group.digit_stack().dtype == np.min_scalar_type(p - 1) == dtype
     assert len(group._keys(group.digit_stack()[:1])[0]) == 4 * np.dtype(dtype).itemsize
     assert _elements(group) == _closure_python(group)
     with pytest.raises(CapExceeded, match=f"exceeds cap {2 * m - 1}"):
@@ -1637,7 +1661,7 @@ def test_binary_tetrahedral_without_unique_cube_roots(q):
     not unique; the closed form needs none."""
     group = binary_tetrahedral_gl2(field(*prime_power_decompose(q)))
     assert group.order() == 24
-    assert group.element_order_histogram() == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+    assert Counter(map(_order_python, _elements(group))) == SL23_ORDERS
     assert group.generators[:2] == quaternion_gl2(group.spec).generators
 
 
@@ -1668,6 +1692,25 @@ def test_dihedral_split_and_nonsplit():
         dihedral_gl2(GF5, 7)  # 7 divides neither 4 nor 6
 
 
+@pytest.mark.parametrize(
+    "q, m",
+    [(4, 3), (7, 6), (11, 10), (19, 18), (23, 22), (27, 26), (31, 30), (59, 58), (257, 8),
+     (3, 4), (5, 6), (8, 9), (9, 10), (25, 26), (27, 28)],
+)
+def test_dihedral_relations_split_and_nonsplit(q, m):
+    """The rotation has order m, the reflection is an involution inverting
+    it by conjugation, and the stack closes to 2m elements.  The rotation is
+    diagonal (the split torus) exactly when m | q - 1; the other cases take
+    the nonsplit torus and Frobenius."""
+    group = dihedral_gl2(field(*prime_power_decompose(q)), m)
+    rot, ref = group.generators
+    assert (rot.rows[0][1] == rot.rows[1][0] == 0) == ((q - 1) % m == 0)
+    assert _order_python(rot) == m
+    assert (ref * ref).is_identity()
+    assert ref.inverse() * rot * ref == rot.inverse()
+    assert len(group.digit_stack()) == 2 * m
+
+
 def test_special_linear_orders():
     assert special_linear_gl2(GF3).order() == 24
     assert special_linear_gl2(GF5).order() == 120
@@ -1696,7 +1739,7 @@ def test_special_linear_refuses_a_prime_power_field_under_optimization():
     assert run.returncode == 0, run.stderr
 
 
-@pytest.mark.parametrize("query", ["digit_stack", "in", "element_order_histogram"])
+@pytest.mark.parametrize("query", ["digit_stack", "in"])
 def test_a_wrong_carried_order_raises_when_the_stack_is_closed(query):
     """order() returns a carried order with no stack built; the stack, closed
     by any query that reads it, must agree with it."""
@@ -1705,7 +1748,6 @@ def test_a_wrong_carried_order_raises_when_the_stack_is_closed(query):
     run = {
         "digit_stack": MatrixGroup.digit_stack,
         "in": lambda g: FFMatrix.identity(GF3, 2) in g,
-        "element_order_histogram": MatrixGroup.element_order_histogram,
     }[query]
     with pytest.raises(ConstraintViolated, match="the stack has order 48, the group carries 47"):
         run(group)

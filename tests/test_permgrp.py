@@ -114,10 +114,11 @@ def test_from_cycles_rejects_bad_points(cycles):
 
 
 def test_conjugate_by():
+    """h.conjugator() maps g to h^-1 * g * h."""
     g = Permutation.from_cycles(4, [(0, 1)])
     h = Permutation.from_cycles(4, [(0, 2)])
     # relabelling through h sends the cycle (0 1) to (2 1)
-    assert g.conjugate_by(h) == Permutation.from_cycles(4, [(1, 2)])
+    assert h.conjugator()(g) == Permutation.from_cycles(4, [(1, 2)]) == h.inverse() * g * h
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -645,7 +646,7 @@ def test_is_primitive_matches_every_seed_scan_on_random_groups(data):
     sigma, affine, other = data
     n = sigma.degree
     cycle = Permutation.from_cycles(n, [tuple(range(n))])
-    group = PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
+    group = PermGroup(n, list(map(sigma.conjugator(), [cycle] + affine + other)))
     assert group.is_primitive() == _primitive_every_seed(group)
 
 
@@ -805,7 +806,7 @@ def test_normal_closure_forms_each_conjugate_once(monkeypatch, group, seed, orde
     closure = group.normal_closure([Permutation.from_cycles(group.degree, seed)])
     assert formed and max(formed.values()) == 1
     assert closure.order() == order
-    assert all(k.conjugate_by(g) in closure for g in group.generators for k in closure.generators)
+    assert all(g.conjugator()(k) in closure for g in group.generators for k in closure.generators)
 
 
 def test_normal_closure_of_members_is_the_closure_itself(monkeypatch):

@@ -71,7 +71,7 @@ def test_permutation_algebra(abc):
 @given(_three_perms())
 def test_conjugation_preserves_fixed_points(abc):
     a, _, h = abc
-    assert count_fixed(a.conjugate_by(h).images) == count_fixed(a.images)
+    assert count_fixed(h.conjugator()(a).images) == count_fixed(a.images)
 
 
 def _coset_average_loop(t, group):
@@ -510,7 +510,7 @@ def test_normal_closure_ignores_seeds_already_in_it():
         closure = _closure_set(rows)
         assert mixed.order() == len(rows) == len(closure), name
         assert all(x.images in closure for x in seeds), name
-        assert all(k.conjugate_by(g).images in closure for g in group.generators for k in mixed.generators)
+        assert all(g.conjugator()(k).images in closure for g in group.generators for k in mixed.generators)
         joined = {k.images for k in mixed.generators}
         assert not any(x.images in joined for x in members if x not in fresh), name
         checked += 1
@@ -605,7 +605,7 @@ def test_single_scan_matches_bruteforce_and_old_loops(data):
     sigma, affine, other = data
     n = sigma.degree
     cycle = Permutation.from_cycles(n, [tuple(range(n))])
-    group = PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
+    group = PermGroup(n, list(map(sigma.conjugator(), [cycle] + affine + other)))
     rows = bruteforce_closure(n, group.generators)
     elements = _closure_set(rows)
     assert len(elements) == len(rows) == group.order()
@@ -717,7 +717,7 @@ def test_quotient_matches_the_coset_action_on_random_groups(data):
     n = sigma.degree
     cycle = Permutation.from_cycles(n, [tuple(range(n))])
     _assert_quotient_matches_cosets(
-        PermGroup(n, [g.conjugate_by(sigma) for g in [cycle] + affine + other])
+        PermGroup(n, list(map(sigma.conjugator(), [cycle] + affine + other)))
     )
 
 

@@ -146,7 +146,7 @@ def test_fault_record_is_invariant_under_relabelling(scenario_id):
     points = list(range(group.degree))
     random.Random(f"relabel:{scenario_id}").shuffle(points)
     sigma = Permutation(points)
-    relabelled = PermGroup(group.degree, [g.conjugate_by(sigma) for g in group.generators])
+    relabelled = PermGroup(group.degree, list(map(sigma.conjugator(), group.generators)))
     record = _faulted_perm_record(group, sc.extras)
     assert record["checks"]["captures_multi_fixers"] is False
     assert _faulted_perm_record(relabelled, sc.extras) == record
