@@ -14,13 +14,16 @@ GF(p); M -> digit(M) is a homomorphism, and a group converts each of its
 generators once (``generator_digits``).  A group's one element store is the
 stack of its digit matrices in ``permgrp.closure``'s breadth-first order, in
 the smallest dtype holding p - 1 and keyed by their bytes; scalars come from
-its entry codes, and products upcast to int64 first.
-One batched elimination mod p decides eigenvalue 1, a block of the stack
-at a time as the scan for the eigenvalue-1 subgroup R reaches it.  R,
-checked normal once per group, has its own closure unless it is H; the
-index check and H/R take H alone.  H/R is H acting on the translates of
-e_0*R, read off row 0 of R's stack and walked a block at a time, each keyed
-by its sorted vector indices.  Work on vectors maps whole arrays of indices.
+its entry codes.  Digit products and eliminations run in the narrowest of
+int16, int32 and int64 holding k*(p - 1)^2, k = d*f, and reduce mod p in
+place; one batched elimination decides eigenvalue 1, a block at a time.  R
+is H when H's generators prove it from the first block's flags, else the
+scan for R visits each block's flagged rows.  R, checked normal once per
+group (g^-1 = g^(|H| - 1) by batched squaring), has its own closure unless
+it is H; the index check and H/R take H alone.  H/R is H acting on the
+translates of e_0*R, read off row 0 of R's stack and walked breadth-first,
+a round's blocks in one product, each keyed by its sorted vector indices.
+Work on vectors maps whole arrays of indices.
 Irreducibility: H spanning M_d(GF(q)), its digit matrices' algebra spun by
 batched products, proves it; else the MeatAxe's spins from the null space
 of f(a), for a in the group algebra and f an irreducible factor of e_0's
@@ -36,7 +39,7 @@ import random
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, compress, islice, product
+from itertools import count, islice, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -169,31 +172,51 @@ def _gauss_jordan(spec: FieldSpec, rows: Iterable[Sequence[int]]) -> tuple[list[
     return m[:row], pivots, det
 
 
-def _fixes_a_vector(stack: np.ndarray, p: int) -> np.ndarray:
+def _product_dtype(k: int, p: int) -> type:
+    """The narrowest of int16, int32 and int64 holding k*(p - 1)^2, the
+    largest entry of a product of two k x k digit matrices before % p."""
+    bound = k * (p - 1) ** 2
+    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
+
+
+def _times(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, reduced in place in the product's dtype."""
+    return np.remainder(product := a @ b, p, out=product)
+
+
+def _inverses(digits: np.ndarray, order: int, p: int) -> np.ndarray:
+    """Each digit matrix to the power order - 1 mod p, by squaring: its inverse when its order divides order."""
+    result = np.broadcast_to(np.eye(digits.shape[-1], dtype=digits.dtype), digits.shape)
+    for bit in bin(order - 1)[:1:-1]:
+        result = _times(result, digits, p) if bit == "1" else result
+        digits = _times(digits, digits, p)
+    return result
+
+
+def _fixes_a_vector(stack: np.ndarray, p: int, dtype: type) -> np.ndarray:
     """Per digit matrix of the stack, whether it fixes a nonzero vector.
 
     A GF(q)-linear map is injective iff it is injective as a GF(p)-linear
     map, so M has eigenvalue 1 iff digit(M) - I is singular mod p.  One
-    elimination runs on the whole stack, a block its caller bounds: per
-    column the first nonzero entry at or below the diagonal is swapped up,
-    and each row below it is replaced by pivot*row - entry*pivot_row, which
-    keeps the rank."""
+    elimination runs on the whole stack, a block its caller bounds, in
+    dtype (``_product_dtype``), entry-major so that each step runs along the
+    stack: per column, a zero diagonal entry gets the first row below it
+    with a nonzero entry there added to its row, and each row below is
+    replaced by pivot*row - entry*pivot_row; both keep the rank, so M - I
+    is singular iff a pivot stays zero."""
     n, k, _ = stack.shape
-    a = stack - np.eye(k, dtype=np.int64)
-    a %= p
-    singular = np.zeros(n, dtype=bool)
-    at = np.arange(n)
-    for c in range(k):
-        row = c + (a[:, c:, c] != 0).argmax(axis=1)
-        pivot_row = a[at, row]
-        a[at, row] = a[:, c]
-        singular |= pivot_row[:, c] == 0
-        below = a[:, c + 1:]
-        column = below[:, :, c:c + 1].copy()
-        below *= pivot_row[:, c, None, None]
-        below -= column * pivot_row[:, None]
+    a = np.subtract(stack.transpose(1, 2, 0), np.eye(k, dtype=dtype)[:, :, None], dtype=dtype, order="C")
+    a %= p  # a[i, j] holds entry (i, j) of each matrix
+    for c in range(k - 1):  # rows from c down are zero left of column c
+        if (zero := a[c, c] == 0).any():
+            a[c, c:] += a[c + (a[c:, c] != 0).argmax(axis=0), c:, np.arange(n)].T * zero
+            a[c, c:] %= p
+        below = a[c + 1:, c:]
+        column = below[:, :1].copy()
+        below *= a[c, c]
+        below -= column * a[c, c:]
         below %= p
-    return singular
+    return (a[range(k), range(k)] == 0).any(axis=0)
 
 
 class MatrixGroup:
@@ -222,6 +245,7 @@ class MatrixGroup:
         self._eigenvalue_one: MatrixGroup | None = None  # R(H), built once
         self._digits: np.ndarray | None = None  # the generators' digit matrices
         self._fixes: np.ndarray | None = None  # per stack row, eigenvalue 1 or not; set when R(H) < H
+        self._dtype = _product_dtype(d * spec.f, spec.p)  # of every product of digit matrices
 
     def _check(self, m: FFMatrix) -> None:
         if m.spec is not self.spec:
@@ -230,10 +254,10 @@ class MatrixGroup:
             raise DegreeMismatch(f"matrix dimension {m.d} in GL({self.d},...)")
 
     def generator_digits(self) -> np.ndarray:
-        """The digit matrices of the generators, built once."""
+        """The digit matrices of the generators, built once, in the product dtype."""
         if self._digits is None:
             k = self.d * self.spec.f
-            self._digits = np.array([_digit_matrix(g) for g in self.generators], dtype=np.int64).reshape(-1, k, k)
+            self._digits = np.array([_digit_matrix(g) for g in self.generators], dtype=self._dtype).reshape(-1, k, k)
         return self._digits
 
     def digit_stack(self, cap: int | None = None) -> np.ndarray:
@@ -247,9 +271,9 @@ class MatrixGroup:
             if self._order is not None and self._order > limit:
                 raise CapExceeded(f"closure exceeds cap {limit}")
             p, k = self.spec.p, self.d * self.spec.f
-            gens = self.generator_digits()[None]
+            gens = self.generator_digits()
             start = np.eye(k, dtype=np.min_scalar_type(p - 1))[None]
-            rows, position = permgrp.closure(start, lambda frontier: frontier[:, None] @ gens % p, limit)
+            rows, position = permgrp.closure(start, lambda frontier: _times(frontier[:, None], gens, p), limit)
             if self._order not in (None, len(rows)):
                 raise ConstraintViolated(f"the stack has order {len(rows)}, the group carries {self._order}")
             self._stack, self._position = rows, position
@@ -289,46 +313,60 @@ def eigenvalue_one_subgroup(group: MatrixGroup) -> MatrixGroup:
     """R(H), the subgroup generated by all elements fixing some nonzero
     vector, built once per group and cached on it.
 
-    The eigenvalue-1 elements are scanned in stack order; one whose key is
-    not in the dict of the subgroup so far joins its generators, rows of
-    H's stack, and ``digit_stack`` closes it again under cap |H|//2.  It is
-    H, sharing H's stack and key dict, once its generators hold H's (rows 1
-    to n) or its closure passes |H|/2 (Lagrange); else H keeps the flags.
-    Conjugation preserves eigenvalues, so R(H) is normal; NotNormal unless
-    the key of each g^-1*k*g (g a generator of H, k of R(H)) is in its dict.
+    ``_generator_proof`` proves R(H) = H from the flags of the first block
+    of H's stack when it can.  Else the scan reads each block's flagged
+    rows in stack order; one whose key is not in the dict of the subgroup so
+    far joins its generators, rows of H's stack, and ``digit_stack`` closes
+    it again under cap |H|//2.  It is H, sharing H's stack and key dict,
+    when proved or once its closure passes |H|/2 (Lagrange); else H keeps
+    the flags.  Every generator of R(H) has eigenvalue 1.  Conjugation
+    preserves eigenvalues, so R(H) is normal; NotNormal unless the key of
+    each g^-1*k*g (g of H, g^-1 = g^(|H| - 1), k of R(H)) is in its dict.
     """
     if group._eigenvalue_one is not None:
         return group._eigenvalue_one
-    spec, p = group.spec, group.spec.p
-    stack, position, blocks = group.digit_stack(), group._position, []
-    sub, gens, cap = MatrixGroup(spec, group.d, ()), [], len(stack) // 2
-
-    def flags() -> Iterator[bool]:  # a block eliminated when the scan reaches its first row
-        step = max(1, permgrp.BLOCK_ENTRIES // stack[0].size)
-        for lo in range(0, len(stack), step):
-            blocks.append(_fixes_a_vector(stack[lo:lo + step], p))
-            yield from blocks[-1].tolist()
-
-    with suppress(CapExceeded):  # a proper subgroup has at most |H|/2 elements
-        sub.digit_stack(cap)
-        for key, i in compress(position.items(), flags()):
-            if key not in sub._position:
-                gens.append(i)
-                sub._stack, sub._digits = None, stack[gens].astype(np.int64)
-                if set(range(1, len(group.generators) + 1)).issubset(gens):  # R holds H's generators
-                    break
-                sub.digit_stack(cap)
+    spec, p, dtype = group.spec, group.spec.p, group._dtype
+    stack, position, sub = group.digit_stack(), group._position, MatrixGroup(spec, group.d, ())
+    step = max(1, permgrp.BLOCK_ENTRIES // stack[0].size)
+    blocks = [_fixes_a_vector(stack[:step], p, dtype)]
+    gens = _generator_proof(group, blocks[0])
+    if gens is None:  # the scan
+        gens, cap = [], len(stack) // 2
+        with suppress(CapExceeded):  # a proper subgroup has at most |H|/2 elements
+            sub.digit_stack(cap)
+            for lo in range(0, len(stack), step):
+                blocks += [_fixes_a_vector(stack[lo:lo + step], p, dtype)] if lo else []  # block 0 was for the proof
+                rows = np.flatnonzero(blocks[-1]) + lo
+                for key, i in zip(group._keys(stack[rows]), rows.tolist()):
+                    if key not in sub._position:
+                        gens.append(i)
+                        sub._stack, sub._digits = None, stack[gens].astype(dtype)
+                        sub.digit_stack(cap)
+            group._fixes = np.concatenate(blocks)  # the scan read every block
     if sub._stack is None:  # R = H
-        sub._stack, sub._position = stack, position
-    else:  # the scan read every block
-        group._fixes = np.concatenate(blocks)
-    inverses = np.array([_digit_matrix(g.inverse()) for g in group.generators], dtype=np.int64)
-    conjugates = inverses.reshape(-1, 1, *stack.shape[1:]) @ sub._digits % p @ group.generator_digits()[:, None] % p
+        sub._stack, sub._position, sub._digits = stack, position, stack[gens].astype(dtype)
+    inverses = _inverses(group.generator_digits(), len(stack), p)
+    conjugates = _times(_times(inverses[:, None], sub._digits, p), group.generator_digits()[:, None], p)
     if not all(map(sub._position.__contains__, group._keys(conjugates))):
         raise NotNormal("the eigenvalue-1 subgroup is not normal in the group")
     sub.generators = tuple(_decode(spec, group.d, sub._digits))
     group._eigenvalue_one = sub
     return sub
+
+
+def _generator_proof(group: MatrixGroup, first: np.ndarray) -> list[int] | None:
+    """Rows of H's stack of eigenvalue-1 elements generating H, or None: per
+    generator g, its own row when flagged in the first block (rows past it
+    count as unflagged), else that of the first flagged g*k, k a flagged
+    generator (one batched product), as g*k and k in R(H) put g there."""
+    digits, position, flagged = group.generator_digits(), group._position, set(np.flatnonzero(first).tolist())
+    rows = [position[key] for key in group._keys(digits)]
+    own = [g for g, i in enumerate(rows) if i in flagged]
+    products = [position[key] for key in group._keys(_times(digits[:, None], digits[own], group.spec.p))]
+    for g, i in enumerate(rows):  # the products g*k are g-major
+        if i not in flagged:
+            rows[g] = next((j for j in products[g * len(own):(g + 1) * len(own)] if j in flagged), None)
+    return None if None in rows else rows
 
 
 def _digit_matrix(m: FFMatrix) -> np.ndarray:
@@ -367,8 +405,8 @@ def index_bound_check(group: MatrixGroup) -> IndexBoundReport:
     index, bound = group.order() // r.order(), group.spec.order**group.d - 1
     if bound >= SEMIREGULAR_VECTOR_CAP:
         return IndexBoundReport(index, bound, index <= bound, None)
-    semiregular = index == 1 or all(map(r._position.__contains__, compress(group._position, group._fixes.tolist())))
-    return IndexBoundReport(index, bound, index <= bound, semiregular)
+    flagged = () if index == 1 else group._keys(group.digit_stack()[np.flatnonzero(group._fixes)])
+    return IndexBoundReport(index, bound, index <= bound, all(map(r._position.__contains__, flagged)))
 
 
 # irreducibility -------------------------------------------------------------
@@ -490,7 +528,8 @@ def _decide(group: MatrixGroup) -> tuple[bool, tuple[tuple[int, ...], ...] | Non
     an a, or when their count reaches the bit length of the least |P(N)|."""
     spec, d, gens, q = group.spec, group.d, group.generators, group.spec.order
     _check_spin_work(q, d)
-    if not all(a * b == b * a for a, b in combinations(gens, 2)) and _algebra_dimension(group) == spec.f * d * d:
+    products = _times(group.generator_digits()[:, None], group.generator_digits(), spec.p)
+    if (products != products.swapaxes(0, 1)).any() and _algebra_dimension(group) == spec.f * d * d:
         return True, None
     rng, best = random.Random(0), None
     for tries, a in enumerate(_algebra_elements(group, rng), 1):
@@ -540,17 +579,7 @@ def kronecker(a: FFMatrix, b: FFMatrix) -> FFMatrix:
     (v (x) w) * (A (x) B) = (v*A) (x) (w*B) in row convention."""
     if a.spec is not b.spec:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
-    spec = a.spec
-    da, db = a.d, b.d
-    rows = []
-    for i in range(da):
-        for k in range(db):
-            row = []
-            for j in range(da):
-                for l in range(db):
-                    row.append(spec.mul_e(a.rows[i][j], b.rows[k][l]))
-            rows.append(row)
-    return FFMatrix(spec, rows)
+    return FFMatrix(a.spec, [[a.spec.mul_e(x, y) for x in ra for y in rb] for ra in a.rows for rb in b.rows])
 
 
 def central_product(x: MatrixGroup, y: MatrixGroup) -> MatrixGroup:
@@ -577,7 +606,8 @@ def _quadratic_plane(spec: FieldSpec):
     """GF(q^2) = field(p, 2f) as a plane over GF(q) with basis {1, t}, t the
     code p.  GF(q) embeds through the least root r of spec.modulus (the code
     sum c_i p^i goes to sum c_i r^i), so each w is a + b*t for one pair of
-    GF(q) codes.  Returns (big, matrix): matrix(fn) is the 2x2 matrix over
+    GF(q) codes: x -> x^q fixes a and b, so w - w^q = b*(t - t^q), and
+    a = w - b*t.  Returns (big, matrix): matrix(fn) is the 2x2 matrix over
     spec of a GF(q)-linear map fn of big, rows the coordinates of fn(1) and
     fn(t)."""
     p, f, q = spec.p, spec.f, spec.order
@@ -585,10 +615,14 @@ def _quadratic_plane(spec: FieldSpec):
     # the value of a polynomial at x is its remainder modulo t - x
     r = next(x for x in range(big.order) if not _poly_mod(spec.modulus, (big.neg_e(x), 1), big))
     emb = [(_poly_mod(c, (big.neg_e(r), 1), big) or (0,))[0] for c in _digits(range(q), p, f).tolist()]
-    coords = {big.add_e(emb[a], big.mul_e(emb[b], p)): (a, b) for a in range(q) for b in range(q)}
+    code, scale = {e: c for c, e in enumerate(emb)}, big.inv_e(big.sub_e(p, big.pow_e(p, q)))
+
+    def coords(w: int) -> tuple[int, int]:
+        b = big.mul_e(big.sub_e(w, big.pow_e(w, q)), scale)
+        return code[big.sub_e(w, big.mul_e(b, p))], code[b]
 
     def matrix(fn) -> FFMatrix:
-        return FFMatrix(spec, [coords[fn(1)], coords[fn(p)]])
+        return FFMatrix(spec, [coords(fn(1)), coords(fn(p))])
 
     return big, matrix
 
@@ -598,9 +632,10 @@ def _quadratic_plane(spec: FieldSpec):
 
 def quotient_perm_group(group: MatrixGroup) -> PermGroup:
     """H/R(H) as H acting on the translates of B = e_0*R(H), e_0 = (1, 0,
-    ..., 0), B read off row 0 of R(H)'s stack.  A walk takes each block's
-    images under the generators of H and R(H) in one product and keys each
-    image by the big-endian bytes of its sorted vector indices, injective on
+    ..., 0), B read off row 0 of R(H)'s stack.  A breadth-first walk takes
+    the images of every block found in a round under the generators of H
+    and R(H) in one product, chunked by BLOCK_ENTRIES, and keys each image
+    by the big-endian bytes of its sorted vector indices, injective on
     sets; blocks are numbered by key, so by least vector index.  NotNormal
     unless R(H) fixes every block, so R(H) <= H_B; ConstraintViolated unless
     they number |H : R(H)|, so H_B = R(H), the kernel, and the action is
@@ -615,17 +650,22 @@ def quotient_perm_group(group: MatrixGroup) -> PermGroup:
     queue = [points[np.append(True, points[1:] != points[:-1])].astype(">i8").tobytes()]
     gens, n = np.concatenate([group.generator_digits(), r.generator_digits()]), len(group.generators)
     images = dict.fromkeys(queue)  # block key -> the keys of its images under H's generators
-    for own in queue:  # walks the blocks as they are found
-        block = np.frombuffer(own, ">i8")
-        moved = np.sort(_value(_digits(block, p, k) @ gens % p, p)).astype(">i8")
-        keys = permgrp._row_keys(moved, len(block))
-        if any(key != own for key in keys[n:]):
-            raise NotNormal("R(H) must fix every translate of e_0*R(H)")
-        images[own] = keys[:n]
-        for key in keys[:n]:
-            if key not in images:
-                images[key] = None
-                queue.append(key)
+    size, powers = len(queue[0]) // 8, p ** np.arange(k)  # vector indices per block, digit weights
+    chunk = max(1, permgrp.BLOCK_ENTRIES // max(1, len(gens) * size * k))  # blocks per product
+    while queue:  # one round: the blocks found by the last
+        found, blocks = [], np.frombuffer(b"".join(queue), ">i8").reshape(-1, size, 1)
+        for lo in range(0, len(queue), chunk):
+            moved = _times((blocks[lo:lo + chunk] // powers % p).astype(group._dtype)[:, None], gens, p) @ powers
+            keys = permgrp._row_keys(np.sort(moved).astype(">i8"), size)
+            for own, at in zip(queue[lo:lo + chunk], count(0, len(gens))):
+                if keys[at + n:at + len(gens)] != [own] * (len(gens) - n):
+                    raise NotNormal("R(H) must fix every translate of e_0*R(H)")
+                images[own] = keys[at:at + n]
+                for key in images[own]:
+                    if key not in images:
+                        images[key] = None
+                        found.append(key)
+        queue = found
     if len(images) != index:
         raise ConstraintViolated("the translates of e_0*R(H) must number |H : R(H)|")
     number = dict(zip(sorted(images), range(index)))

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from derangements import derange, matgrp, permgrp, suite
+from derangements import derange, families, matgrp, permgrp, suite
 from derangements.cli import main
 from derangements.errors import (
     CapExceeded,
@@ -40,7 +40,7 @@ from derangements.errors import (
 )
 from derangements.families import FamilyParams, build_family, central_product_examples, dihedral_quotient_family
 from derangements.fileio import dump_matrix_group
-from derangements.gf import _digits, _value, field, prime_power_decompose
+from derangements.gf import _digits, _poly_mod, _value, field, prime_power_decompose
 from derangements.matgrp import (
     FFMatrix,
     IndexBoundReport,
@@ -63,8 +63,12 @@ from derangements.matgrp import (
     _decode,
     _digit_matrix,
     _fixes_a_vector,
+    _gauss_jordan,
+    _inverses,
+    _product_dtype,
     _quadratic_plane,
     _spin,
+    _times,
 )
 from derangements.permgrp import PermGroup, Permutation
 from derangements.suite import _MAT_BUILDERS, PAPER_SCENARIOS, matrix_record
@@ -80,7 +84,8 @@ GF3 = field(3, 1)
 def has_eigenvalue_one(m):
     """True iff (M - I) is singular, i.e. some nonzero row vector is fixed:
     the batched elimination on a one-matrix stack."""
-    return bool(_fixes_a_vector(_digit_matrix(m)[None], m.spec.p)[0])
+    k, p = m.d * m.spec.f, m.spec.p
+    return bool(_fixes_a_vector(_digit_matrix(m)[None], p, _product_dtype(k, p))[0])
 
 
 def index_to_vector(spec, d, idx):
@@ -236,7 +241,8 @@ def _semiregular_outside(group, sub):
     block of max(1, BLOCK_ENTRIES // k^2) matrices at a time."""
     stack = group.digit_stack()
     step = max(1, permgrp.BLOCK_ENTRIES // stack[0].size)
-    fixes = np.concatenate([_fixes_a_vector(stack[lo:lo + step], group.spec.p) for lo in range(0, len(stack), step)])
+    blocks = (stack[lo:lo + step] for lo in range(0, len(stack), step))
+    fixes = np.concatenate([_fixes_a_vector(block, group.spec.p, group._dtype) for block in blocks])
     outside = np.ones(group.order(), dtype=bool)
     outside[[group._position[key] for key in group._keys(sub.digit_stack())]] = False
     return not fixes[outside].any()
@@ -422,11 +428,25 @@ def _has_eigenvalue_one_python(m):
 
 
 def _eigenvalue_one_generators_python(group):
-    """R(H)'s generators: the scan of eigenvalue_one_subgroup over the
-    Python closure with the echelon test."""
+    """R(H)'s generators over the Python closure with the echelon test:
+    eigenvalue_one_subgroup's generator proof, which reads flags only in the
+    stack's first block, each generator g itself when flagged, else the
+    first flagged g*k, k a flagged generator; when some g has neither, its
+    scan of every element."""
+    elements = _closure_python(group)
+    position = {m.rows: i for i, m in enumerate(elements)}
+    first = max(1, permgrp.BLOCK_ENTRIES // (group.d * group.spec.f) ** 2)
+
+    def flagged(m):
+        return position[m.rows] < first and _has_eigenvalue_one_python(m)
+
+    own = [k for k in group.generators if flagged(k)]
+    proof = [g if flagged(g) else next((g * k for k in own if flagged(g * k)), None) for g in group.generators]
+    if None not in proof:
+        return proof
     gens = []
     keys = {FFMatrix.identity(group.spec, group.d).rows}
-    for m in _closure_python(group):
+    for m in elements:
         if m.rows not in keys and _has_eigenvalue_one_python(m):
             gens.append(m)
             keys = {x.rows for x in _closure_python(MatrixGroup(group.spec, group.d, gens))}
@@ -745,7 +765,7 @@ def test_eigenvalue_one_subgroup_is_built_once_and_checked_normal(monkeypatch):
     group = central_product_examples("a4")
     assert eigenvalue_one_subgroup(group) is eigenvalue_one_subgroup(group)
     fresh = MatrixGroup(group.spec, group.d, group.generators)
-    monkeypatch.setattr(matgrp, "_fixes_a_vector", lambda stack, p: np.arange(len(stack)) == 5)
+    monkeypatch.setattr(matgrp, "_fixes_a_vector", lambda stack, p, dtype: np.arange(len(stack)) == 5)
     with pytest.raises(NotNormal):
         eigenvalue_one_subgroup(fresh)
 
@@ -1097,6 +1117,12 @@ _WALKED_POOL_GROUPS = {name: build for name, build in _POOL_GROUPS.items() if na
 }
 
 
+def _paper_matrix_groups():
+    """The matrix group of every paper scenario with one: "mat" and "bridge"."""
+    groups = [build_family(sc.params) for sc in PAPER_SCENARIOS if sc.kind == "mat"]
+    return groups + [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
+
+
 @pytest.mark.parametrize("name", list(_WALKED_POOL_GROUPS))
 def test_pool_index_bounds_match_the_vector_walk(name):
     """Every group of the matrix benchmark pool with q^d within
@@ -1171,8 +1197,7 @@ def test_semiregularity_from_counts_matches_the_outside_mask(monkeypatch):
     that, equal eigenvalue-1 counts of H and R(H)) decides semiregularity
     as the outside mask did.  The vector cap is lifted, since the lookup
     labels no vector."""
-    paper = [build_family(sc.params) for sc in suite.PAPER_SCENARIOS if sc.kind == "mat"]
-    paper += [suite._MAT_BUILDERS[sc.mat_id]() for sc in suite.PAPER_SCENARIOS if sc.kind == "bridge"]
+    paper = _paper_matrix_groups()
     groups = [build() for build in _WALKED_POOL_GROUPS.values()] + [central_product_examples("a5")]
     groups += paper + [general_linear_gl2(GF3), general_linear_gl2(field(2, 2))]
     monkeypatch.setattr(matgrp, "SEMIREGULAR_VECTOR_CAP", float("inf"))
@@ -1421,8 +1446,7 @@ def test_quotient_blocks_and_generators_match_root_hooking():
     have classes on e_0's orbit, and its generators are those the hooking
     labels give; so every quotient, fingerprint and pin stays."""
     groups = [build() for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values()]
-    groups += [build_family(sc.params) for sc in PAPER_SCENARIOS if sc.kind == "mat"]
-    groups += [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
+    groups += _paper_matrix_groups()
     for group in groups:
         _assert_quotient_matches_hooking(group, eigenvalue_one_subgroup(group))
 
@@ -1432,8 +1456,7 @@ def test_quotients_carry_the_order_a_chain_finds():
     side of every paper scenario, carries the order its block count proves,
     with no chain built; a chain built from its generators finds the same."""
     groups = [build() for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values()]
-    groups += [build_family(sc.params) for sc in PAPER_SCENARIOS if sc.kind == "mat"]
-    groups += [_MAT_BUILDERS[sc.mat_id]() for sc in PAPER_SCENARIOS if sc.kind == "bridge"]
+    groups += _paper_matrix_groups()
     for group in groups:
         sub = eigenvalue_one_subgroup(group)
         quotient = quotient_perm_group(group)
@@ -1533,12 +1556,12 @@ def test_eigenvalue_one_subgroup_contains_every_fixer(group):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_eigenvalue_one_subgroup_of_gl2_shares_the_stack(monkeypatch, q):
-    """R(GL(2,q)) = GL(2,q) shares its stack.  R is closed three times,
-    under cap |H|//2, so never to |H| rows: trivial, then <t> and <t, s>
-    for H's first two generators.  For GL(2,3) that last closure passes
-    |H|/2; from q = 4 on, H's third generator joins R's and completes
-    them, with no closure.  H carries its order, so its own stack is closed
-    first, outside the count."""
+    """R(GL(2,q)) = GL(2,q) shares its stack.  Each of H's generators t, s
+    and diag(w, 1) fixes a vector, so the generator proof reads their flags
+    at stack rows 1 to 3 and R is never closed: its generators are H's.
+    (The scan closed R three times under cap |H|//2: trivial, <t> and
+    <t, s>.)  H carries its order, so its own stack is closed first,
+    outside the count."""
     group = general_linear_gl2(field(*prime_power_decompose(q)))
     group.digit_stack()
     caps, real = [], permgrp.closure
@@ -1550,8 +1573,9 @@ def test_eigenvalue_one_subgroup_of_gl2_shares_the_stack(monkeypatch, q):
     monkeypatch.setattr(permgrp, "closure", capped)
     sub = eigenvalue_one_subgroup(group)
     assert sub.digit_stack() is group.digit_stack() and sub._position is group._position
-    assert caps == [group.order() // 2] * 3
-    assert sub.generators == group.generators[: 2 if q == 3 else 3]
+    assert caps == []
+    assert sub.generators == group.generators
+    assert all(has_eigenvalue_one(g) for g in sub.generators)
 
 
 def test_irreducibility_cap():
@@ -1796,6 +1820,50 @@ def test_gl2_and_its_affine_group_carry_their_orders_unbuilt(monkeypatch):
 QUADRATIC_BASES = [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
 
 
+def _quadratic_plane_by_dict(spec):
+    """_quadratic_plane as it was built: the coordinates (a, b) of every
+    w = a + b*t of GF(q^2) in one q^2-entry dict."""
+    p, f, q = spec.p, spec.f, spec.order
+    big = field(p, 2 * f)
+    r = next(x for x in range(big.order) if not _poly_mod(spec.modulus, (big.neg_e(x), 1), big))
+    emb = [(_poly_mod(c, (big.neg_e(r), 1), big) or (0,))[0] for c in _digits(range(q), p, f).tolist()]
+    coords = {big.add_e(emb[a], big.mul_e(emb[b], p)): (a, b) for a in range(q) for b in range(q)}
+    return big, lambda fn: FFMatrix(spec, [coords[fn(1)], coords[fn(p)]])
+
+
+def test_quadratic_plane_rows_match_the_coordinate_dict(monkeypatch):
+    """Solving w = a + b*t per row (b from w - w^q) gives the dict's
+    matrices: multiplication by every w of GF(q^2), and the Frobenius, for
+    every q <= 49, which holds every q the corpus, the paper scenarios and
+    the benchmark pools pass to _quadratic_plane (5, 7, 11, 19, 25, 27)."""
+    seen, real = set(), matgrp._quadratic_plane
+
+    def recorded(spec):
+        seen.add(spec.order)
+        return real(spec)
+
+    monkeypatch.setattr(matgrp, "_quadratic_plane", recorded)
+    monkeypatch.setattr(families, "_quadratic_plane", recorded)
+    for name in suite.corpus_names():
+        suite.corpus_group(name)
+    _paper_matrix_groups()
+    for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values():
+        build()
+    orders = []
+    for q in range(2, 50):
+        with suppress(ConstraintViolated):
+            orders.append(prime_power_decompose(q) and q)
+    assert seen == {5, 7, 11, 19, 25, 27} and seen <= set(orders)
+    for q in orders:
+        spec = field(*prime_power_decompose(q))
+        (big, matrix), (big_by_dict, by_dict) = _quadratic_plane(spec), _quadratic_plane_by_dict(spec)
+        assert big is big_by_dict
+        frobenius = lambda x: big.pow_e(x, q)
+        assert matrix(frobenius) == by_dict(frobenius)
+        for w in range(big.order):
+            assert matrix(lambda x: big.mul_e(x, w)) == by_dict(lambda x: big.mul_e(x, w)), (q, w)
+
+
 def test_quadratic_extension_contracts():
     """Over GF(q) for q = 3, 4, 5, 7, 9, 25, 27: u -> matrix(.u) is a
     homomorphism, the Frobenius matrix is a non-identity involution, and
@@ -1896,9 +1964,9 @@ def _counting_blocks(monkeypatch):
     handed; returns that list and the real function."""
     calls, real = [], matgrp._fixes_a_vector
 
-    def counted(stack, p):
+    def counted(stack, p, dtype):
         calls.append(len(stack))
-        return real(stack, p)
+        return real(stack, p, dtype)
 
     monkeypatch.setattr(matgrp, "_fixes_a_vector", counted)
     return calls, real
@@ -1912,7 +1980,7 @@ def test_fixes_a_vector_in_blocks(monkeypatch):
     built = central_product_examples("klein")
     group = MatrixGroup(built.spec, built.d, built.generators)
     expected = [has_eigenvalue_one(m) for m in _elements(group)]
-    assert _fixes_a_vector(group.digit_stack(), 5).tolist() == expected
+    assert _fixes_a_vector(group.digit_stack(), 5, group._dtype).tolist() == expected
     assert expected == [_has_eigenvalue_one_python(m) for m in _elements(group)]
     # GF(5)^4's digit matrices are 4 x 4, so 5 * 16 entries are 5 matrices
     monkeypatch.setattr(permgrp, "BLOCK_ENTRIES", 5 * 16)
@@ -1943,7 +2011,72 @@ def test_the_scan_flags_only_the_blocks_it_reads(monkeypatch):
         del calls[:]
         r = eigenvalue_one_subgroup(group)
         assert r.order() < group.order() and sum(calls) == group.order()
-        assert group._fixes.tolist() == real(group.digit_stack(), group.spec.p).tolist()
+        assert group._fixes.tolist() == real(group.digit_stack(), group.spec.p, group._dtype).tolist()
+
+
+# (p, f, k*(p - 1)^2 for d = 2, the product dtype, a dihedral rotation order)
+_DTYPE_BOUNDARIES = [
+    (127, 1, 31_752, np.int16, 3),
+    (131, 1, 33_800, np.int32, 5),
+    (32749, 1, 2_144_863_008, np.int32, 3),
+    (32771, 1, 2_147_745_800, np.int64, 5),
+    (3, 3, 24, np.int16, 13),
+]
+
+
+@pytest.mark.parametrize("p, f, bound, dtype, m", _DTYPE_BOUNDARIES)
+def test_narrow_products_and_eliminations_match_wide_references(p, f, bound, dtype, m):
+    """Digit products and eliminations run in the narrowest of int16,
+    int32 and int64 holding k*(p - 1)^2, on either side of each boundary.
+    Closure-step products, the all-(p - 1) matrices' included, equal an
+    int64 reference; a dihedral group's stack is the Python closure; and
+    the eigenvalue-1 flags of random and planted digit stacks, and of the
+    group's elements, equal det(M - I) = 0 by Python Gauss-Jordan."""
+    spec, k = field(p, f), 2 * f
+    group = dihedral_gl2(spec, m)
+    assert k * (p - 1) ** 2 == bound and _product_dtype(k, p) is dtype is group._dtype
+    assert group.generator_digits().dtype == dtype
+    rng = np.random.default_rng(p)
+    stack = rng.integers(0, p, (300, k, k)).astype(np.min_scalar_type(p - 1))
+    gens = rng.integers(0, p, (3, k, k)).astype(dtype)
+    stack[0], gens[0] = p - 1, p - 1
+    wide = stack.astype(np.int64)[:, None] @ gens.astype(np.int64)
+    assert wide.max() == bound
+    product = _times(stack[:, None], gens, p)
+    assert product.dtype == dtype and np.array_equal(product, wide % p)
+    assert _elements(group) == _closure_python(group)
+    # rows 100 on: I + u*v, u a column and v a row, so M - I has rank at most 1
+    u, v = rng.integers(0, p, (2, 200, k))
+    stack[100:] = (np.eye(k, dtype=np.int64) + u[:, :, None] * v[:, None, :]) % p
+    prime = field(p, 1)
+    minus_one = (stack.astype(np.int64) - np.eye(k, dtype=np.int64)) % p
+    expected = [_gauss_jordan(prime, rows)[2] == 0 for rows in minus_one.tolist()]
+    assert all(expected[100:]) and not all(expected[:100])
+    assert _fixes_a_vector(stack, p, dtype).tolist() == expected
+    flags = _fixes_a_vector(group.digit_stack(), p, dtype).tolist()
+    assert flags == [_has_eigenvalue_one_python(g) for g in _elements(group)]
+
+
+def test_inverses_by_power_match_gauss_jordan(monkeypatch):
+    """g^(|H| - 1), by batched squaring in the product dtype, is
+    digit(g^-1) for every generator g of the matrix benchmark pool, of the
+    paper scenarios' matrix groups and of the corpus's affine groups' H."""
+    groups, real = [], families.affine_group
+
+    def recorded(h):
+        groups.append(h)
+        return real(h)
+
+    monkeypatch.setattr(families, "affine_group", recorded)
+    monkeypatch.setattr(suite, "affine_group", recorded)
+    for name in suite.corpus_names():
+        suite.corpus_group(name)
+    assert len(groups) >= 10
+    groups += [build() for build in {**_POOL_GROUPS, **_WALKED_POOL_GROUPS}.values()] + _paper_matrix_groups()
+    for group in groups:
+        inverses = _inverses(group.generator_digits(), group.order(), group.spec.p)
+        assert inverses.dtype == group._dtype
+        assert inverses.tolist() == [_digit_matrix(g.inverse()).tolist() for g in group.generators], group
 
 
 def test_vector_index_round_trip():
